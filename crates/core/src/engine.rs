@@ -265,19 +265,18 @@ impl QueryResult {
             .and_then(|r| r.get(field).cloned())
     }
 
-    /// Convenience: flattens the `result` bag of a pure-projection query into
-    /// individual rows.
-    pub fn flattened_rows(&self) -> Vec<Value> {
-        if self.rows.len() == 1 {
-            if let Ok(record) = self.rows[0].as_record() {
-                if record.len() == 1 {
-                    if let Some((_, Value::List(items))) = record.get_index(0) {
-                        return items.clone();
-                    }
+    /// Convenience: the individual rows of the result, borrowed — the
+    /// `result` bag of a pure-projection query flattened, any other result
+    /// as it is.
+    pub fn flattened_rows(&self) -> &[Value] {
+        if let [Value::Record(record)] = self.rows.as_slice() {
+            if record.len() == 1 {
+                if let Some((_, Value::List(items))) = record.get_index(0) {
+                    return items;
                 }
             }
         }
-        self.rows.clone()
+        &self.rows
     }
 }
 
@@ -637,7 +636,10 @@ impl QueryEngine {
 
     /// Graceful drain (for shutdown): stop admitting queries, give
     /// in-flight ones `grace` to finish, then cancel the stragglers through
-    /// their own contexts. See [`Scheduler::drain`].
+    /// their own contexts. See [`Scheduler::drain`]. Admission stays closed
+    /// afterwards — on an engine without an admission policy that is the
+    /// process-wide scheduler, which `self.scheduler().resume()` reopens
+    /// (the TCP server's shutdown does so itself).
     pub fn drain(&self, grace: Duration) -> DrainReport {
         self.scheduler.drain(grace)
     }

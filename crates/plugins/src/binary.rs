@@ -515,9 +515,12 @@ mod tests {
     }
 
     fn row_plugin() -> RowPlugin {
+        // One file per call: the tests run on parallel threads.
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let dir = std::env::temp_dir().join("proteus_row_plugin_tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("orders.prow");
+        let path = dir.join(format!("orders_{call}.prow"));
         let schema = Schema::from_pairs(vec![
             ("o_orderkey", DataType::Int),
             ("o_totalprice", DataType::Float),

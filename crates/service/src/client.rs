@@ -1,17 +1,19 @@
 //! The matching std-only client.
 //!
 //! One [`Client`] is one TCP connection with one query in flight at a time:
-//! [`Client::query`] writes a query frame and reads `row` frames until the
-//! `metrics` (success) or `error` trailer. [`Client::query_with_backoff`]
-//! layers the shedding contract on top — an `overloaded` error carries
-//! `retry_after_ms`, and the client sleeps exactly that long before each
-//! retry.
+//! [`Client::query`] writes a query frame and reads batched `rows` frames —
+//! through a `BufReader`, each decoded in one pass straight into its final
+//! records ([`wire::rows_from_frame`]) — until the `metrics` (success) or
+//! `error` trailer. [`Client::query_with_backoff`] layers the shedding
+//! contract on top — an `overloaded` error carries `retry_after_ms`, and the
+//! client sleeps exactly that long before each retry.
 //!
 //! [`Client::cancel_handle`] clones the socket so another thread can send a
 //! `cancel` frame while the main thread is blocked reading rows; the server
 //! then fails the in-flight query with `kind == "cancelled"`. Dropping the
 //! client (closing the socket) mid-query has the same effect server-side.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -123,7 +125,10 @@ impl CancelHandle {
 
 /// One connection to a [`crate::Server`].
 pub struct Client {
-    stream: TcpStream,
+    /// Reads go through the buffer; writes go to the socket inside it.
+    stream: BufReader<TcpStream>,
+    /// The frame being decoded, reused from one frame to the next.
+    frame: Vec<u8>,
 }
 
 impl Client {
@@ -131,7 +136,10 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         let _ = stream.set_nodelay(true);
-        Ok(Client { stream })
+        Ok(Client {
+            stream: BufReader::new(stream),
+            frame: Vec::new(),
+        })
     }
 
     /// A second handle on the same socket for out-of-band cancels. Safe to
@@ -140,29 +148,28 @@ impl Client {
     /// *reads*, so the two never interleave on the same direction.
     pub fn cancel_handle(&self) -> Result<CancelHandle, ClientError> {
         Ok(CancelHandle {
-            stream: self.stream.try_clone()?,
+            stream: self.stream.get_ref().try_clone()?,
         })
     }
 
     /// Runs one query and collects the full reply.
     pub fn query(&mut self, sql: &str) -> Result<QueryReply, ClientError> {
-        wire::write_frame(&mut self.stream, &wire::query_frame(sql))?;
+        wire::write_frame(self.stream.get_mut(), &wire::query_frame(sql))?;
         let mut rows = Vec::new();
         loop {
-            let bytes = wire::read_frame(&mut self.stream)?.ok_or_else(|| {
-                ClientError::Protocol("server closed the connection mid-reply".to_string())
-            })?;
-            let frame = wire::value_from_json(&bytes).map_err(ClientError::Protocol)?;
+            if !wire::read_frame_into(&mut self.stream, &mut self.frame)? {
+                return Err(ClientError::Protocol(
+                    "server closed the connection mid-reply".to_string(),
+                ));
+            }
+            if wire::rows_from_frame(&self.frame, &mut rows).map_err(ClientError::Protocol)? {
+                continue;
+            }
+            let frame = wire::value_from_json(&self.frame).map_err(ClientError::Protocol)?;
             let record = frame
                 .as_record()
                 .map_err(|e| ClientError::Protocol(e.to_string()))?;
             match record.get("type").and_then(|v| v.as_str().ok()) {
-                Some("row") => rows.push(
-                    record
-                        .get("row")
-                        .cloned()
-                        .ok_or_else(|| ClientError::Protocol("row frame without row".into()))?,
-                ),
                 Some("metrics") => {
                     return Ok(QueryReply {
                         rows,
@@ -251,5 +258,38 @@ fn parse_error(record: &proteus_algebra::Record) -> WireError {
             .map(str::to_string),
         used_bytes: opt_u64("used_bytes"),
         budget_bytes: opt_u64("budget_bytes"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+
+    use super::*;
+
+    /// A `rows` frame the decoder cannot finish — cut short, wrong arity,
+    /// not JSON — fails the query with a protocol error.
+    #[test]
+    fn a_truncated_or_malformed_rows_frame_is_a_protocol_error() {
+        for body in [
+            r#"{"type":"rows","fields":["k","v"],"rows":[[1,2.5],[2,"#,
+            r#"{"type":"rows","fields":["k"],"rows":[[1,2]]}"#,
+            r#"{"type":"rows","rows":[nope]}"#,
+            r#"{"type":"rows","rows":[1]}{"type":"metrics"}"#,
+        ] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let server = std::thread::spawn(move || {
+                let (mut stream, _) = listener.accept().unwrap();
+                wire::read_frame(&mut stream).unwrap().unwrap();
+                wire::write_frame(&mut stream, body).unwrap();
+            });
+            let mut client = Client::connect(addr).unwrap();
+            match client.query("SELECT k FROM t") {
+                Err(ClientError::Protocol(_)) => {}
+                other => panic!("{body}: expected a protocol error, got {other:?}"),
+            }
+            server.join().unwrap();
+        }
     }
 }

@@ -7,16 +7,20 @@
 //!   away) fires the in-flight query's cancellation token, so an abandoned
 //!   query stops at its next morsel checkpoint.
 //! * The *worker* executes queries one at a time on the shared engine
-//!   (scheduler admission included) and writes every response frame: `row`
-//!   frames, then one `metrics` or `error` trailer. Because the worker owns
-//!   the write half exclusively, response frames never interleave.
+//!   (scheduler admission included) and writes every response through its
+//!   [`wire::ReplyWriter`]: the borrowed result rows as batched `rows`
+//!   frames, then one `metrics` or `error` trailer — one socket write per
+//!   64 KiB batch, the last one carrying the trailer. Because the worker
+//!   owns the write half exclusively, response frames never interleave.
 //!
 //! [`Server::shutdown`] drains gracefully: stop accepting, drain the
 //! engine's scheduler (in-flight queries finish or are cancelled within the
 //! grace period and their — possibly `cancelled` — responses are written in
-//! full), join the workers, then close the sockets and join the readers.
+//! full), join the workers, then close the sockets and join the readers. An
+//! engine on the process-wide scheduler gets its admission reopened at the
+//! end, so the drain does not outlive the server.
 
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -24,7 +28,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use proteus_core::exec::DrainReport;
+use proteus_algebra::Value;
+use proteus_core::exec::{DrainReport, Scheduler};
 use proteus_core::{CancellationToken, QueryEngine};
 
 use crate::wire;
@@ -56,32 +61,32 @@ impl ConnShared {
 }
 
 fn reader_main(stream: TcpStream, shared: Arc<ConnShared>, events: Sender<ConnEvent>) {
-    let mut stream = stream;
+    let mut input = BufReader::new(stream);
+    let mut frame = Vec::new();
     // The loop exits on clean EOF, a read error (client went away), or a
     // protocol violation (unparseable frame / unknown type).
-    while let Ok(Some(bytes)) = wire::read_frame(&mut stream) {
-        let Ok(frame) = wire::value_from_json(&bytes) else {
+    while let Ok(true) = wire::read_frame_into(&mut input, &mut frame) {
+        let Ok(Value::Record(members)) = wire::value_from_json(&frame) else {
             break;
         };
-        let kind = frame
-            .as_record()
-            .ok()
-            .and_then(|r| r.get("type"))
-            .and_then(|v| v.as_str().ok().map(str::to_string))
-            .unwrap_or_default();
-        match kind.as_str() {
-            "query" => {
-                let sql = frame
-                    .as_record()
-                    .ok()
-                    .and_then(|r| r.get("sql"))
-                    .and_then(|v| v.as_str().ok().map(str::to_string))
-                    .unwrap_or_default();
-                if events.send(ConnEvent::Query(sql)).is_err() {
+        let (mut kind, mut sql) = (None, None);
+        for member in members.into_fields() {
+            match member {
+                (name, Value::Str(text)) if name == "type" => kind = Some(text),
+                (name, Value::Str(text)) if name == "sql" => sql = Some(text),
+                _ => {}
+            }
+        }
+        match kind.as_deref() {
+            Some("query") => {
+                if events
+                    .send(ConnEvent::Query(sql.unwrap_or_default()))
+                    .is_err()
+                {
                     break;
                 }
             }
-            "cancel" => shared.fire_cancel(),
+            Some("cancel") => shared.fire_cancel(),
             _ => break,
         }
     }
@@ -96,7 +101,7 @@ fn worker_main(
     engine: Arc<QueryEngine>,
     stop: Arc<AtomicBool>,
 ) {
-    let mut out = stream;
+    let mut out = wire::ReplyWriter::new(stream);
     loop {
         // Poll the stop flag between queries so shutdown can join workers
         // without racing their in-progress writes.
@@ -121,14 +126,10 @@ fn worker_main(
         let write = match result {
             Ok(result) => {
                 let rows = result.flattened_rows();
-                let count = rows.len() as u64;
-                rows.iter()
-                    .try_for_each(|row| wire::write_frame(&mut out, &wire::row_frame(row)))
-                    .and_then(|()| {
-                        wire::write_frame(&mut out, &wire::metrics_frame(&result.metrics, count))
-                    })
+                let trailer = wire::metrics_frame(&result.metrics, rows.len() as u64);
+                out.reply(rows, &trailer)
             }
-            Err(err) => wire::write_frame(&mut out, &wire::error_frame(&err)),
+            Err(err) => out.reply(&[], &wire::error_frame(&err)),
         };
         if write.is_err() {
             // The socket is gone (or an injected `service.write` fault
@@ -136,10 +137,11 @@ fn worker_main(
             break;
         }
     }
-    let _ = out.flush();
+    let stream = out.get_mut();
+    let _ = stream.flush();
     // Close the socket for real so a client blocked on a reply sees EOF
     // instead of hanging — the write half dying mid-reply must surface.
-    let _ = out.shutdown(std::net::Shutdown::Both);
+    let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
 struct Connection {
@@ -195,6 +197,12 @@ impl Server {
     /// Graceful shutdown: stop accepting, drain the engine's scheduler
     /// (in-flight queries finish or are cancelled within `grace` and their
     /// responses are written in full), then close every connection.
+    ///
+    /// An engine with its own scheduler stays closed for good. An engine on
+    /// [`Scheduler::global`] shares it with every other default-config
+    /// engine of the process, so its admission is reopened once this
+    /// server's connections are gone (while the drain runs, those engines
+    /// are shed like this one).
     pub fn shutdown(mut self, grace: Duration) -> DrainReport {
         self.shared.stop.store(true, Ordering::Relaxed);
         if let Some(accept) = self.accept.take() {
@@ -218,6 +226,10 @@ impl Server {
             let _ = conn.worker.join();
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
             let _ = conn.reader.join();
+        }
+        let scheduler = self.shared.engine.scheduler();
+        if Arc::ptr_eq(scheduler, &Scheduler::global()) {
+            scheduler.resume();
         }
         report
     }

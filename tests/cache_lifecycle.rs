@@ -262,6 +262,8 @@ fn cost_benefit_eviction_keeps_hot_expensive_entries() {
 
 #[test]
 fn background_build_completes_and_serves_later_queries() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     let dir = scratch("bg_build");
     let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
     register_csv(&engine, &dir, "t", 3000);
@@ -286,6 +288,8 @@ fn background_build_completes_and_serves_later_queries() {
 
 #[test]
 fn query_racing_a_background_build_sees_clean_miss_or_finished_cache() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     let dir = scratch("bg_race");
     let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
     register_csv(&engine, &dir, "t", 4000);
@@ -483,6 +487,8 @@ fn corrupt_and_truncated_snapshots_are_rejected_not_fatal() {
 
 #[test]
 fn engine_warm_restart_restores_and_serves_bit_identically() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     let dir = scratch("warm_engine");
     let snap = dir.join("snapshot");
     let q = "SELECT COUNT(*), MAX(b) FROM t WHERE a >= 0";
@@ -522,6 +528,8 @@ fn engine_warm_restart_restores_and_serves_bit_identically() {
 
 #[test]
 fn concurrent_readers_during_rebuild_stay_bit_identical() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     let dir = scratch("rebuild_readers");
     let engine = Arc::new(QueryEngine::with_defaults());
     register_csv(&engine, &dir, "t", 5000);
@@ -576,6 +584,8 @@ fn concurrent_readers_during_rebuild_stay_bit_identical() {
 
 #[test]
 fn steady_mix_under_small_budget_stays_bounded_with_hits_and_warm_restart() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     // Each 600-row 2-column cache entry is ~14.5 KiB: the budget holds two
     // of the three working-set entries, so the steady mix produces hits on
     // the repeated dataset *and* evictions on the rotation.
@@ -651,6 +661,8 @@ fn steady_mix_under_small_budget_stays_bounded_with_hits_and_warm_restart() {
 
 #[test]
 fn background_builds_never_steal_admission_slots_from_queries() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
     let dir = scratch("bg_admission");
     let engine = QueryEngine::new(
         EngineConfig::default()

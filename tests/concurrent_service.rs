@@ -12,8 +12,9 @@
 //! one global scheduler, so the suite serializes itself on one mutex and
 //! disarms every site on scope exit (panicking tests included). Service
 //! tests use engines with an explicit [`AdmissionConfig`] — those get a
-//! dedicated scheduler, so a drained server cannot close admission for the
-//! rest of the suite.
+//! dedicated scheduler, which a drained server closes for good; the one
+//! test that serves a default-config engine checks that its shutdown hands
+//! the process-wide scheduler back open.
 
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -23,7 +24,7 @@ use proteus::core::{AdmissionConfig, CancellationToken, EngineError};
 use proteus::datagen::writers;
 use proteus::plugins::fault::{self, FaultAction};
 use proteus::prelude::*;
-use proteus::service::{Client, ClientError, Server};
+use proteus::service::{wire, Client, ClientError, Server};
 
 /// Rows per morsel in the executor — row counts below are chosen in
 /// multiples of this.
@@ -324,6 +325,82 @@ fn service_round_trips_rows_and_metrics() {
     server.shutdown(Duration::from_secs(2));
 }
 
+/// Whatever the result shape — a projection's bag, one aggregate row, one
+/// row per group, a join — the batched frames hand the client exactly the
+/// engine's rows: same order, same `Value` variants, same field order.
+#[test]
+fn service_rows_equal_in_process_rows_for_every_result_shape() {
+    let _scope = fault_scope();
+    // Parallelism 1: two executions of one query then agree on row order,
+    // so the wire can be held to it.
+    let engine = Arc::new(csv_engine(
+        "svc_shapes",
+        8 * MORSEL,
+        EngineConfig::without_caching()
+            .with_parallelism(1)
+            .with_admission(AdmissionConfig::new(2, 2)),
+    ));
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+
+    for (sql, rows) in [
+        // 7 000 two-column rows: a reply of more than one batch.
+        ("SELECT a, b FROM t WHERE a < 7000", 7000),
+        ("SELECT a, b FROM t WHERE a < 0", 0),
+        (
+            "SELECT COUNT(*), SUM(b), AVG(b), MIN(a), MAX(b) FROM t WHERE a >= 10",
+            1,
+        ),
+        (
+            "SELECT b, COUNT(*), AVG(a) FROM t WHERE a < 40 GROUP BY b",
+            40,
+        ),
+        (
+            "SELECT x.a, y.b FROM t x JOIN t y ON x.a = y.a WHERE x.a < 300",
+            300,
+        ),
+        (
+            "SELECT COUNT(*), SUM(y.b) FROM t x JOIN t y ON x.a = y.a",
+            1,
+        ),
+    ] {
+        let direct = engine.sql(sql).unwrap();
+        let expected = direct.flattened_rows();
+        assert_eq!(expected.len(), rows, "{sql}");
+        let reply = client.query(sql).unwrap();
+        // `Debug` also tells `Int(3)` from `Float(3.0)` and `-0.0` from `0.0`.
+        assert_eq!(
+            format!("{:?}", reply.rows),
+            format!("{expected:?}"),
+            "{sql}"
+        );
+        assert_eq!(reply.metrics.rows, expected.len() as u64, "{sql}");
+    }
+
+    server.shutdown(Duration::from_secs(2));
+}
+
+/// Shutting down a server whose engine runs on the process-wide scheduler
+/// must not close that scheduler for the rest of the process.
+#[test]
+fn shutdown_of_a_default_engine_server_leaves_the_global_scheduler_open() {
+    let _scope = fault_scope();
+    let engine = Arc::new(csv_engine("svc_default", MORSEL, EngineConfig::default()));
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    assert_eq!(
+        client.query("SELECT COUNT(*) FROM t").unwrap().metrics.rows,
+        1
+    );
+    server.shutdown(Duration::from_secs(2));
+
+    let fresh = csv_engine("svc_default_fresh", MORSEL, EngineConfig::default());
+    let result = fresh
+        .sql("SELECT COUNT(*) FROM t")
+        .expect("a default engine started after the shutdown is admitted");
+    assert_eq!(result.scalar("count_0"), Some(Value::Int(MORSEL)));
+}
+
 /// Past `max_concurrent + queue_capacity`, queries are shed with the
 /// structured retry hint; `query_with_backoff` honors it and lands.
 #[test]
@@ -463,11 +540,7 @@ fn client_disconnect_and_cancel_frame_both_cancel_in_flight_queries() {
     // server release the admission slot long before the query could have
     // finished.
     let mut raw = std::net::TcpStream::connect(addr).unwrap();
-    proteus::service::wire::write_frame(
-        &mut raw,
-        &proteus::service::wire::query_frame("SELECT SUM(b) FROM t"),
-    )
-    .unwrap();
+    wire::write_frame(&mut raw, &wire::query_frame("SELECT SUM(b) FROM t")).unwrap();
     // Wait until the query is actually admitted before hanging up, so the
     // drain observation below cannot pass vacuously.
     let admitted = Instant::now();
@@ -579,4 +652,59 @@ fn service_socket_faults_are_contained_to_their_connection() {
     );
 
     server.shutdown(Duration::from_secs(2));
+}
+
+/// A reply that dies after its first batch — the server's second write
+/// failing, or the client hanging up with most of the reply unread — ends
+/// that connection and nothing else.
+#[test]
+fn a_reply_cut_after_its_first_batch_ends_only_its_connection() {
+    let _scope = fault_scope();
+    let engine = service_engine("svc_midreply", 64 * MORSEL, AdmissionConfig::new(4, 4));
+    let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    // 8 192 rows of `[a,b]`: two batches, so two server writes.
+    let two_batches = "SELECT a, b FROM t WHERE a < 8192";
+    let full = Client::connect(addr).unwrap().query(two_batches).unwrap();
+    assert_eq!(full.rows.len(), 8192);
+
+    // Hits of `service.write`: the client's submission, the first batch,
+    // then the batch that carries the trailer — which fails.
+    fault::configure_after("service.write", FaultAction::Error, 2);
+    let mut client = Client::connect(addr).unwrap();
+    match client.query(two_batches) {
+        Err(ClientError::Protocol(_) | ClientError::Io(_)) => {}
+        other => panic!("expected the hangup to surface, got {other:?}"),
+    }
+    assert_eq!(
+        fault::fired("service.write"),
+        1,
+        "the fault fired mid-reply"
+    );
+    fault::clear();
+
+    // The client reads the first batch of a much larger reply and hangs up.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    wire::write_frame(&mut raw, &wire::query_frame("SELECT a, b FROM t")).unwrap();
+    let first = wire::read_frame(&mut raw).unwrap().unwrap();
+    let mut rows = Vec::new();
+    assert!(wire::rows_from_frame(&first, &mut rows).unwrap());
+    assert!(!rows.is_empty() && rows.len() < 64 * MORSEL as usize);
+    drop(raw);
+
+    // Neither left a query running or a slot taken, and a fresh connection
+    // gets the whole reply.
+    let released = Instant::now();
+    while engine.scheduler().running() > 0 {
+        assert!(released.elapsed() < Duration::from_secs(2), "slot leaked");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let again = Client::connect(addr).unwrap().query(two_batches).unwrap();
+    assert_eq!(again.rows, full.rows);
+
+    // Shutdown joins both dead connections' threads without waiting out
+    // its grace period.
+    let started = Instant::now();
+    server.shutdown(Duration::from_secs(5));
+    assert!(started.elapsed() < Duration::from_secs(4));
 }
