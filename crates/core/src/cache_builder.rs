@@ -12,9 +12,11 @@
 //! * the eviction bias (JSON ≻ CSV ≻ Binary) lives in
 //!   [`proteus_storage::CacheStore`].
 
+use std::sync::Arc;
+
 use proteus_algebra::{DataType, Value};
 use proteus_storage::cache::make_entry;
-use proteus_storage::{CacheStore, ColumnData, SourceFormat};
+use proteus_storage::{CacheEntry, CacheStore, ColumnData, SourceFormat};
 
 /// Decides whether a field read from a dataset of the given format should be
 /// cached under the paper's policy.
@@ -36,6 +38,11 @@ pub struct CacheBuilder {
     dataset: String,
     format: SourceFormat,
     columns: Vec<(String, ColumnData)>,
+    /// Per column: a value arrived that the column cannot hold — a null
+    /// (cached columns carry no null bitmap, and a stand-in zero would be
+    /// aggregated as data) or one of another type. Such a column falls
+    /// behind the OIDs and is left out of the entry.
+    unusable: Vec<bool>,
     oids: Vec<u64>,
     enabled: bool,
 }
@@ -52,6 +59,7 @@ impl CacheBuilder {
         CacheBuilder {
             dataset: dataset.into(),
             format,
+            unusable: vec![false; fields.len()],
             columns: fields
                 .into_iter()
                 .map(|(name, dt)| (name, ColumnData::empty_of(&dt)))
@@ -67,6 +75,7 @@ impl CacheBuilder {
             dataset: String::new(),
             format: SourceFormat::Binary,
             columns: Vec::new(),
+            unusable: Vec::new(),
             oids: Vec::new(),
             enabled: false,
         }
@@ -90,20 +99,14 @@ impl CacheBuilder {
         }
         self.oids.push(oid);
         let mut cached = 0;
-        for ((_, column), value) in self.columns.iter_mut().zip(values) {
-            // Nulls are stored as the column's zero value; the cache keeps
-            // OID alignment either way.
-            let to_store = if value.is_null() {
-                match column {
-                    ColumnData::Int(_) => Value::Int(0),
-                    ColumnData::Float(_) => Value::Float(0.0),
-                    ColumnData::Bool(_) => Value::Bool(false),
-                    ColumnData::Str(_) => Value::Str(String::new()),
-                }
+        let columns = self.columns.iter_mut().zip(&mut self.unusable);
+        for (((_, column), unusable), value) in columns.zip(values) {
+            if *unusable {
+                continue;
+            }
+            if value.is_null() || column.push_value(value).is_err() {
+                *unusable = true;
             } else {
-                value.clone()
-            };
-            if column.push_value(&to_store).is_ok() {
                 cached += 1;
             }
         }
@@ -139,27 +142,33 @@ impl CacheBuilder {
         }
     }
 
-    fn into_entry(self) -> Option<proteus_storage::CacheEntry> {
-        if !self.enabled || self.oids.is_empty() {
+    fn into_entry(self) -> Option<CacheEntry> {
+        let columns: Vec<(String, ColumnData)> = self
+            .columns
+            .into_iter()
+            .zip(self.unusable)
+            .filter_map(|(column, unusable)| (!unusable).then_some(column))
+            .collect();
+        if !self.enabled || self.oids.is_empty() || columns.is_empty() {
             return None;
         }
         let name = format!(
             "{}::{}",
             self.dataset,
-            self.columns
+            columns
                 .iter()
                 .map(|(n, _)| n.as_str())
                 .collect::<Vec<_>>()
                 .join("+")
         );
         let rows = self.oids.len() as u64;
-        let fields = self.columns.len();
+        let fields = columns.len();
         let mut entry = make_entry(
             name,
             scan_cache_signature(&self.dataset),
             self.dataset.clone(),
             self.format,
-            self.columns,
+            columns,
             self.oids,
         );
         // Stamp the rebuild cost from the optimizer's cost model: one full
@@ -177,31 +186,23 @@ impl CacheBuilder {
 
 /// Looks up a cached column for `dataset.field` that covers the full dataset
 /// (identity OIDs), as required for transparently substituting a scan
-/// accessor.
+/// accessor. Returns the entry's handle and the column's index in it — the
+/// caller reads the entry's own allocation — and records the hit.
 pub fn find_full_column_cache(
     store: &CacheStore,
     dataset: &str,
     field: &str,
     dataset_len: u64,
-) -> Option<(String, ColumnData)> {
+) -> Option<(Arc<CacheEntry>, usize)> {
     for entry in store.caches_for_dataset(dataset) {
-        if entry.row_count() as u64 != dataset_len {
+        let Some(index) = entry.columns().iter().position(|(n, _)| n == field) else {
             continue;
-        }
-        // Identity OIDs: row i of the cache is object i of the dataset.
-        let identity = entry
-            .oids
-            .iter()
-            .enumerate()
-            .all(|(idx, oid)| *oid == idx as u64);
-        if !identity {
-            continue;
-        }
-        if let Some(column) = entry.column(field) {
+        };
+        if entry.covers_dataset(dataset_len) {
             // Per-column reuse is a hit like any other: it keeps the entry's
             // eviction score live even when full cache matching never fires.
-            store.record_hit(&entry.name);
-            return Some((entry.name.clone(), column.clone()));
+            store.record_hit_on(&entry);
+            return Some((entry, index));
         }
     }
     None
@@ -235,10 +236,19 @@ mod tests {
         assert_eq!(builder.row_count(), 10);
         let name = builder.finish(&store).unwrap();
         assert!(store.get(&name).is_some());
-        let (cache_name, column) =
-            find_full_column_cache(&store, "lineitem", "l_orderkey", 10).unwrap();
-        assert_eq!(cache_name, name);
+        let (entry, index) = find_full_column_cache(&store, "lineitem", "l_orderkey", 10).unwrap();
+        assert_eq!(entry.name, name);
+        let column = &entry.columns()[index].1;
         assert_eq!(column.value_at(3), Some(Value::Int(6)));
+        // The handle is the store's entry, the column its allocation; the
+        // hit went to that entry.
+        let live = store.get(&name).unwrap();
+        assert!(Arc::ptr_eq(&entry, &live));
+        assert!(Arc::ptr_eq(column, live.column("l_orderkey").unwrap()));
+        assert_eq!(live.hits(), 1);
+        assert_eq!(store.stats().hits, 1);
+        assert!(find_full_column_cache(&store, "lineitem", "ghost", 10).is_none());
+        assert_eq!(store.stats().hits, 1);
     }
 
     #[test]
@@ -267,24 +277,29 @@ mod tests {
     }
 
     #[test]
-    fn nulls_are_stored_as_zero_values() {
+    fn a_column_that_saw_a_null_is_not_registered() {
         let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let mut builder = CacheBuilder::new(
-            "t",
-            SourceFormat::Csv,
-            vec![("x".to_string(), DataType::Float)],
-        );
-        builder.observe(0, &[Value::Null]);
-        builder.observe(1, &[Value::Float(2.5)]);
+        let fields = vec![
+            ("x".to_string(), DataType::Float),
+            ("y".to_string(), DataType::Int),
+        ];
+        let mut builder = CacheBuilder::new("t", SourceFormat::Csv, fields.clone());
+        assert_eq!(builder.observe(0, &[Value::Float(1.5), Value::Int(1)]), 2);
+        assert_eq!(builder.observe(1, &[Value::Null, Value::Int(2)]), 1);
+        assert_eq!(builder.observe(2, &[Value::Float(2.5), Value::Int(3)]), 1);
         let name = builder.finish(&store).unwrap();
+        assert_eq!(name, "t::y");
         let entry = store.get(&name).unwrap();
-        assert_eq!(
-            entry.column("x").unwrap().value_at(0),
-            Some(Value::Float(0.0))
-        );
-        assert_eq!(
-            entry.column("x").unwrap().value_at(1),
-            Some(Value::Float(2.5))
-        );
+        assert!(entry.column("x").is_none());
+        assert_eq!(**entry.column("y").unwrap(), ColumnData::Int(vec![1, 2, 3]));
+        assert_eq!(entry.expressions, vec!["y".to_string()]);
+
+        // Nothing left to cache: no entry at all. A value of the wrong type
+        // disqualifies a column the same way.
+        let mut builder = CacheBuilder::new("u", SourceFormat::Csv, fields);
+        builder.observe(0, &[Value::Null, Value::str("oops")]);
+        builder.observe(1, &[Value::Float(2.5), Value::Int(3)]);
+        assert!(builder.finish(&store).is_none());
+        assert!(store.caches_for_dataset("u").is_empty());
     }
 }

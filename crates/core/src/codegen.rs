@@ -38,7 +38,7 @@ use std::time::{Duration, Instant};
 use proteus_algebra::{BinaryOp, Expr, JoinKind, LogicalPlan, Monoid, Record, ReduceSpec, Value};
 use proteus_optimizer::cache_match::cache_name_from_dataset;
 use proteus_plugins::{BatchFill, ColumnStats, PluginRegistry, TypedKind, ZoneMap};
-use proteus_storage::{CacheStore, ColumnData};
+use proteus_storage::CacheStore;
 
 use crate::cache_builder::{find_full_column_cache, should_cache_field, CacheBuilder};
 use crate::error::{EngineError, Result};
@@ -584,11 +584,7 @@ impl Compiler {
                 let entry = store
                     .get(cache_name)
                     .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-                // `with_store` reuses the zone maps memoized in the entry's
-                // sidecar slot instead of re-deriving them per query.
-                Arc::new(proteus_plugins::cache::CachePlugin::with_store(
-                    entry, store,
-                ))
+                Arc::new(proteus_plugins::cache::CachePlugin::new(entry))
             }
             None => self
                 .registry
@@ -626,16 +622,19 @@ impl Compiler {
             // Partial cache reuse ("replacing a part of an operator"): a
             // previous query may have cached this column in binary form.
             if let Some(store) = &self.caches {
-                if let Some((cache_name, column)) =
+                if let Some((entry, index)) =
                     find_full_column_cache(store, dataset, field, plugin.len())
                 {
-                    let shared = Arc::new(column);
-                    fills.push((slot, batch_fill_over_column(shared.clone())));
+                    // Handles to the entry's own column and to the zone maps
+                    // memoized in it: a hit copies and derives nothing.
+                    let column = &entry.columns()[index].1;
+                    fills.push((slot, proteus_plugins::column_batch_fill(column.clone())));
                     if zone_maps_wanted {
-                        zones.push((slot, Arc::new(ZoneMap::from_column(&shared))));
+                        let maps = proteus_plugins::cache::entry_zone_maps(&entry);
+                        zones.push((slot, maps[index].clone()));
                     }
                     if self.vectorized {
-                        let (kind, fill) = proteus_plugins::column_typed_fill(shared);
+                        let (kind, fill) = proteus_plugins::column_typed_fill(column.clone());
                         typed.push(TypedSlotFill {
                             slot,
                             name: format!("{alias}.{field}"),
@@ -645,7 +644,7 @@ impl Compiler {
                             hydrate: false,
                         });
                     }
-                    served_from_cache.push(format!("{field} (cache {cache_name})"));
+                    served_from_cache.push(format!("{field} (cache {})", entry.name));
                     continue;
                 }
             }
@@ -960,12 +959,6 @@ impl Compiler {
         try_activate_typed_slots(producer, &slots);
         Some(slots)
     }
-}
-
-/// Builds a specialized morsel filler over an in-memory cached column: a
-/// direct strided copy, the same fast path the binary column plug-in uses.
-fn batch_fill_over_column(column: Arc<ColumnData>) -> BatchFill {
-    proteus_plugins::column_batch_fill(column)
 }
 
 /// The typed slot kinds an (optionally filter-wrapped) scan can serve, or
@@ -1348,7 +1341,7 @@ mod tests {
     use proteus_algebra::{Path, Schema};
     use proteus_plugins::binary::ColumnPlugin;
     use proteus_plugins::json::JsonPlugin;
-    use proteus_storage::MemoryManager;
+    use proteus_storage::{ColumnData, MemoryManager};
 
     fn registry() -> PluginRegistry {
         let registry = PluginRegistry::new();
@@ -1564,12 +1557,9 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn caching_side_effect_populates_store_and_is_reused() {
-        let store = CacheStore::new(MemoryManager::with_budget(64 << 20));
-        let registry = registry();
-        // Register a CSV dataset so the caching policy applies (binary data
-        // is not cached).
+    /// Registers `measurements`, a 100-row CSV — a verbose source, so the
+    /// caching policy applies (binary data is not cached).
+    fn register_measurements(registry: &PluginRegistry) {
         let csv: String = (0..100)
             .map(|i| format!("{i}|{}\n", i as f64 + 0.25))
             .collect();
@@ -1585,6 +1575,13 @@ mod tests {
             )
             .unwrap(),
         ));
+    }
+
+    #[test]
+    fn caching_side_effect_populates_store_and_is_reused() {
+        let store = CacheStore::new(MemoryManager::with_budget(64 << 20));
+        let registry = registry();
+        register_measurements(&registry);
         let compiler = Compiler::new(registry, Some(store.clone()));
         let plan = proteus_algebra::rewrite::rewrite(count(
             scan("measurements", "m").select(Expr::path("m.reading").gt(Expr::float(50.0))),
@@ -1604,6 +1601,53 @@ mod tests {
             out.rows[0].as_record().unwrap().get("cnt"),
             first.rows[0].as_record().unwrap().get("cnt")
         );
+    }
+
+    #[test]
+    fn warm_compiles_borrow_the_entrys_column_and_zone_map() {
+        fn scan_zones(producer: &Producer) -> &[(usize, Arc<ZoneMap>)] {
+            match producer {
+                Producer::Scan { zones, .. } => zones,
+                Producer::Filter { input, .. } => scan_zones(input),
+                _ => &[],
+            }
+        }
+        let store = CacheStore::new(MemoryManager::with_budget(64 << 20));
+        let registry = registry();
+        register_measurements(&registry);
+        let compiler = Compiler::new(registry, Some(store.clone()));
+        let plan = proteus_algebra::rewrite::rewrite(count(
+            scan("measurements", "m").select(Expr::path("m.reading").gt(Expr::float(50.0))),
+        ));
+        let uncached = compiler.compile(&plan).unwrap().execute().unwrap();
+        let entry = store.caches_for_dataset("measurements").remove(0);
+        let column = entry.column("reading").unwrap();
+        assert_eq!(Arc::strong_count(column), 1);
+        assert_eq!(entry.hits(), 0);
+
+        // Each warm compile holds handles to the store's allocation (one
+        // per fill it generated), not copies, and counts one hit.
+        let first = compiler.compile(&plan).unwrap();
+        let held_by_one = Arc::strong_count(column) - 1;
+        assert!(held_by_one >= 1);
+        let second = compiler.compile(&plan).unwrap();
+        assert_eq!(Arc::strong_count(column), 1 + 2 * held_by_one);
+        assert_eq!(entry.hits(), 2);
+
+        // Both read the one zone map memoized in the entry.
+        let memoized = proteus_plugins::cache::entry_zone_maps(&entry);
+        for compiled in [&first, &second] {
+            let zones = scan_zones(&compiled.producer);
+            assert_eq!(zones.len(), 1);
+            assert!(Arc::ptr_eq(&zones[0].1, &memoized[0]));
+        }
+
+        // Dropping a compiled query — by running it or not — lets go.
+        drop(first);
+        assert_eq!(Arc::strong_count(column), 1 + held_by_one);
+        let warm = second.execute().unwrap();
+        assert_eq!(Arc::strong_count(column), 1);
+        assert_eq!(warm.rows, uncached.rows);
     }
 
     #[test]

@@ -425,8 +425,8 @@ impl QueryEngine {
     }
 
     /// Signals that a dataset's contents changed: affected caches are dropped
-    /// (memory, sidecar zone maps and spill files alike) and will be rebuilt
-    /// lazily (§4, "Implementation Scope"). In-flight background builds over
+    /// (memory, the zone maps memoized in them and spill files alike) and
+    /// will be rebuilt lazily (§4, "Implementation Scope"). In-flight background builds over
     /// the dataset are cancelled — the revision fence would reject their
     /// results anyway, this just stops them from scanning on.
     pub fn notify_update(&self, dataset: &str) -> usize {
@@ -843,22 +843,11 @@ mod tests {
         engine.register_json("data", &path).unwrap();
         engine.sql("SELECT COUNT(*) FROM data WHERE x < 5").unwrap();
         assert!(engine.cache_stats().entries > 0);
-        let names: Vec<String> = engine.caches().names();
-        // Touch a cache through the plug-in path so a sidecar (memoized
-        // zone maps) exists before the invalidation.
-        for name in &names {
-            let entry = engine.caches().get(name).unwrap();
-            let _ = proteus_plugins::cache::CachePlugin::with_store(entry, engine.caches());
-            assert!(engine.caches().sidecar(name).is_some());
-        }
         assert!(engine.notify_update("data") > 0);
         assert_eq!(engine.cache_stats().entries, 0);
-        // Invalidation releases the arena bytes and drops the sidecars
-        // atomically with the entries — no stale zone maps survive.
+        // Invalidation releases the arena bytes with the entries.
         assert_eq!(engine.cache_stats().bytes, 0);
-        for name in &names {
-            assert!(engine.caches().sidecar(name).is_none());
-        }
+        assert!(engine.caches().names().is_empty());
     }
 
     #[test]

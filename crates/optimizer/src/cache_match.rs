@@ -142,7 +142,7 @@ fn try_replace(
                 .unwrap_or_else(|| "c".to_string());
             let schema = proteus_algebra::Schema::new(
                 entry
-                    .columns
+                    .columns()
                     .iter()
                     .map(|(name, col)| proteus_algebra::Field::new(name.clone(), col.data_type()))
                     .collect(),

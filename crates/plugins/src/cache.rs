@@ -10,9 +10,7 @@
 use std::sync::Arc;
 
 use proteus_algebra::{Field, Schema, Value};
-use proteus_storage::{CacheEntry, CacheStore, ColumnData, SourceFormat};
-
-use std::collections::HashMap;
+use proteus_storage::{CacheEntry, ColumnData, SourceFormat};
 
 use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors, UnnestCursor};
 use crate::error::{PluginError, Result};
@@ -24,10 +22,6 @@ struct CacheInner {
     /// this plug-in (and the query holding it) keeps reading the old data.
     entry: Arc<CacheEntry>,
     schema: Schema,
-    /// Per-morsel zone maps over the cached binary columns (derived once
-    /// and parked in the store's sidecar slot so repeated queries reuse
-    /// them; dropped atomically with the entry on invalidation).
-    zone_maps: Arc<HashMap<String, Arc<ZoneMap>>>,
     stats: DatasetStats,
 }
 
@@ -37,57 +31,35 @@ pub struct CachePlugin {
     inner: Arc<CacheInner>,
 }
 
-fn derive_zone_maps(entry: &CacheEntry) -> HashMap<String, Arc<ZoneMap>> {
-    entry
-        .columns
-        .iter()
-        .map(|(name, col)| (name.clone(), Arc::new(ZoneMap::from_column(col))))
-        .collect()
+/// Per-morsel zone maps of every column of `entry`, in column order. Derived
+/// on the first call for this entry and memoized in the entry itself, so the
+/// full-match plug-in and codegen's per-field reuse share one set, and no
+/// reader can get maps of other data than the columns of the handle it holds.
+pub fn entry_zone_maps(entry: &CacheEntry) -> Arc<Vec<Arc<ZoneMap>>> {
+    let derive = || {
+        let columns = entry.columns().iter();
+        let maps = columns.map(|(_, col)| Arc::new(ZoneMap::from_column(col)));
+        Arc::new(maps.collect::<Vec<_>>())
+    };
+    let memo = entry.sidecar_or_init(|| derive()).clone();
+    // The slot is type-erased (`storage` cannot name `ZoneMap`); this is its
+    // only writer, but a foreign value must cost a derivation, not a panic.
+    memo.downcast().unwrap_or_else(|_| derive())
 }
 
 impl CachePlugin {
-    /// Wraps a cache entry, deriving fresh zone maps.
+    /// Wraps a cache entry, reusing the zone maps memoized in it.
     pub fn new(entry: Arc<CacheEntry>) -> CachePlugin {
-        let zone_maps = Arc::new(derive_zone_maps(&entry));
-        CachePlugin::from_parts(entry, zone_maps)
-    }
-
-    /// Wraps a cache entry, reusing the zone maps memoized in the store's
-    /// sidecar slot when present (deriving and parking them otherwise).
-    /// The sidecar lives and dies with the entry, so invalidation cannot
-    /// leave stale zone maps reachable.
-    pub fn with_store(entry: Arc<CacheEntry>, store: &CacheStore) -> CachePlugin {
-        let memoized = store
-            .sidecar(&entry.name)
-            .and_then(|sc| sc.downcast::<HashMap<String, Arc<ZoneMap>>>().ok());
-        let zone_maps = match memoized {
-            Some(maps) => maps,
-            None => {
-                let maps = Arc::new(derive_zone_maps(&entry));
-                store.set_sidecar(&entry.name, maps.clone());
-                maps
-            }
-        };
-        CachePlugin::from_parts(entry, zone_maps)
-    }
-
-    fn from_parts(
-        entry: Arc<CacheEntry>,
-        zone_maps: Arc<HashMap<String, Arc<ZoneMap>>>,
-    ) -> CachePlugin {
         let schema = Schema::new(
             entry
-                .columns
+                .columns()
                 .iter()
                 .map(|(name, col)| Field::new(name.clone(), col.data_type()))
                 .collect(),
         );
         let mut stats = DatasetStats::with_cardinality(entry.row_count() as u64);
-        for field in schema.fields() {
-            if !field.data_type.is_numeric() {
-                continue;
-            }
-            if let Some(zm) = zone_maps.get(&field.name) {
+        for (field, zm) in schema.fields().iter().zip(entry_zone_maps(&entry).iter()) {
+            if field.data_type.is_numeric() {
                 stats
                     .columns
                     .insert(field.name.clone(), zm.column_stats().clone());
@@ -97,7 +69,6 @@ impl CachePlugin {
             inner: Arc::new(CacheInner {
                 entry,
                 schema,
-                zone_maps,
                 stats,
             }),
         }
@@ -107,7 +78,7 @@ impl CachePlugin {
     /// matches go back to the original file for the fields that were not
     /// cached.
     pub fn source_oid(&self, idx: u64) -> Option<u64> {
-        self.inner.entry.oids.get(idx as usize).copied()
+        self.inner.entry.oids().get(idx as usize).copied()
     }
 
     /// Name of the wrapped cache.
@@ -115,7 +86,7 @@ impl CachePlugin {
         &self.inner.entry.name
     }
 
-    fn column(&self, field: &str) -> Result<&ColumnData> {
+    fn column(&self, field: &str) -> Result<&Arc<ColumnData>> {
         self.inner
             .entry
             .column(field)
@@ -149,8 +120,8 @@ impl InputPlugin for CachePlugin {
         let mut batch_fields = Vec::with_capacity(fields.len());
         let mut typed_fields = Vec::with_capacity(fields.len());
         for field in fields {
+            // The entry's own allocation, not a copy of it.
             let column = self.column(field)?.clone();
-            let column = Arc::new(column);
             // Morsel path: cached columns copy straight into the batch.
             batch_fields.push((field.clone(), crate::api::column_batch_fill(column.clone())));
             // Vectorized path: cached binary columns never round-trip
@@ -232,22 +203,18 @@ impl InputPlugin for CachePlugin {
     }
 
     fn zone_maps(&self, fields: &[String]) -> Vec<(String, Arc<ZoneMap>)> {
-        fields
-            .iter()
-            .filter_map(|f| {
-                self.inner
-                    .zone_maps
-                    .get(f)
-                    .map(|zm| (f.clone(), zm.clone()))
-            })
-            .collect()
+        let mut maps = self.cached_zone_maps();
+        maps.retain(|(name, _)| fields.contains(name));
+        maps
     }
 
     fn cached_zone_maps(&self) -> Vec<(String, Arc<ZoneMap>)> {
-        self.inner
-            .zone_maps
+        let entry = &self.inner.entry;
+        entry
+            .columns()
             .iter()
-            .map(|(n, zm)| (n.clone(), zm.clone()))
+            .zip(entry_zone_maps(entry).iter())
+            .map(|((name, _), zm)| (name.clone(), zm.clone()))
             .collect()
     }
 }
@@ -256,7 +223,7 @@ impl InputPlugin for CachePlugin {
 mod tests {
     use super::*;
     use proteus_storage::cache::make_entry;
-    use proteus_storage::MemoryManager;
+    use proteus_storage::{CacheStore, MemoryManager};
 
     fn entry() -> Arc<CacheEntry> {
         Arc::new(raw_entry())
@@ -322,34 +289,58 @@ mod tests {
     }
 
     #[test]
-    fn with_store_memoizes_zone_maps_in_sidecar() {
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        store.insert(raw_entry()).unwrap();
-        let entry = store.get("lineitem_orderkey_cache").unwrap();
-        assert!(store.sidecar(&entry.name).is_none());
-        let first = CachePlugin::with_store(entry.clone(), &store);
-        assert!(store.sidecar(&entry.name).is_some());
+    fn zone_maps_are_memoized_in_the_entry() {
+        let entry = entry();
+        let first = CachePlugin::new(entry.clone());
         // A second wrap reuses the exact same maps instead of re-deriving.
-        let second = CachePlugin::with_store(entry.clone(), &store);
+        let second = CachePlugin::new(entry.clone());
         let zm_a = first.cached_zone_maps();
         let zm_b = second.cached_zone_maps();
-        assert_eq!(zm_a.len(), zm_b.len());
-        for (name, map) in &zm_a {
-            let other = zm_b.iter().find(|(n, _)| n == name).unwrap();
-            assert!(Arc::ptr_eq(map, &other.1));
+        assert_eq!(zm_a.len(), 2);
+        for ((name_a, map_a), (name_b, map_b)) in zm_a.iter().zip(&zm_b) {
+            assert_eq!(name_a, name_b);
+            assert!(Arc::ptr_eq(map_a, map_b));
         }
+        assert!(Arc::ptr_eq(&zm_a[0].1, &entry_zone_maps(&entry)[0]));
+        let only = first.zone_maps(&["l_quantity".to_string()]);
+        assert_eq!(only.len(), 1);
+        assert!(Arc::ptr_eq(&only[0].1, &zm_a[1].1));
     }
 
     #[test]
-    fn invalidation_drops_memoized_zone_maps() {
+    fn generate_reads_the_entrys_own_columns() {
+        let entry = entry();
+        let column = entry.column("l_orderkey").unwrap();
+        assert_eq!(Arc::strong_count(column), 1);
+        let scan = CachePlugin::new(entry.clone())
+            .generate(&["l_orderkey".to_string()])
+            .unwrap();
+        assert!(Arc::strong_count(column) > 1);
+        drop(scan);
+        assert_eq!(Arc::strong_count(column), 1);
+    }
+
+    #[test]
+    fn a_rebound_name_never_serves_the_old_entrys_zone_maps() {
         let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
         store.insert(raw_entry()).unwrap();
-        let entry = store.get("lineitem_orderkey_cache").unwrap();
-        let _ = CachePlugin::with_store(entry.clone(), &store);
-        assert!(store.sidecar(&entry.name).is_some());
-        store.invalidate_dataset("lineitem");
-        // The stale zone maps are gone with the entry — not reachable until
-        // some later insert happens to overwrite them.
-        assert!(store.sidecar(&entry.name).is_none());
+        let old = store.get("lineitem_orderkey_cache").unwrap();
+        let old_max = entry_zone_maps(&old)[0].entry(0).unwrap().max;
+        assert_eq!(old_max, 9.0);
+        // Same name, new data: a reader still holding `old` keeps bounds
+        // that match the columns it reads, the new entry derives its own.
+        store
+            .insert(make_entry(
+                "lineitem_orderkey_cache",
+                "Scan(lineitem as l)",
+                "lineitem",
+                SourceFormat::Json,
+                vec![("l_orderkey".to_string(), ColumnData::Int(vec![50, 60, 90]))],
+                vec![10, 11, 14],
+            ))
+            .unwrap();
+        let new = store.get("lineitem_orderkey_cache").unwrap();
+        assert_eq!(entry_zone_maps(&new)[0].entry(0).unwrap().max, 90.0);
+        assert_eq!(entry_zone_maps(&old)[0].entry(0).unwrap().max, 9.0);
     }
 }

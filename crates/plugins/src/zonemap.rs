@@ -159,6 +159,31 @@ impl ZoneBuilder {
         self.advance();
     }
 
+    /// Appends one whole zone of a null-free numeric column from its folded
+    /// bounds. Only valid on a zone boundary.
+    fn push_zone(&mut self, rows: usize, min: f64, max: f64, exact_min: Value, exact_max: Value) {
+        debug_assert_eq!(self.cur.rows, 0);
+        self.cur = ZoneEntry {
+            rows: rows as u32,
+            null_count: 0,
+            min,
+            max,
+            numeric: true,
+        };
+        self.cur_min = exact_min;
+        self.cur_max = exact_max;
+        self.rows += rows as u64;
+        self.close_zone();
+    }
+
+    /// Appends one whole zone of a non-numeric column (rows only).
+    fn push_opaque_zone(&mut self, rows: usize) {
+        debug_assert_eq!(self.cur.rows, 0);
+        self.cur.rows = rows as u32;
+        self.rows += rows as u64;
+        self.close_zone();
+    }
+
     #[inline]
     fn advance(&mut self) {
         self.cur.rows += 1;
@@ -196,40 +221,64 @@ impl ZoneBuilder {
     }
 }
 
+/// Smallest and largest element of a non-empty zone under `cmp`; of equal
+/// elements the first seen wins, as in the row-wise builder.
+fn fold_bounds<T: Copy>(zone: &[T], cmp: impl Fn(&T, &T) -> std::cmp::Ordering) -> (T, T) {
+    let mut min = zone[0];
+    let mut max = zone[0];
+    for x in &zone[1..] {
+        if cmp(x, &min) == std::cmp::Ordering::Less {
+            min = *x;
+        }
+        if cmp(x, &max) == std::cmp::Ordering::Greater {
+            max = *x;
+        }
+    }
+    (min, max)
+}
+
 impl ZoneMap {
     /// Builds the zone map of a raw binary column (registration / cache-build
-    /// time; `ColumnData` has no nulls, so every `null_count` is zero).
+    /// time; `ColumnData` has no nulls, so every `null_count` is zero). Each
+    /// zone folds over the typed slice and builds its two exact `Value`
+    /// bounds once; the result equals streaming every row through
+    /// [`ZoneBuilder::observe_value`].
     pub fn from_column(col: &ColumnData) -> ZoneMap {
+        let mut b = ZoneBuilder::new(match col {
+            ColumnData::Int(_) => TypedKind::I64,
+            ColumnData::Float(_) => TypedKind::F64,
+            ColumnData::Bool(_) => TypedKind::Bool,
+            ColumnData::Str(_) => TypedKind::Str,
+        });
         match col {
+            // Integers order through their `f64` view, as `Value::total_cmp`
+            // orders them: beyond 2^53 neighbours collapse to one view and
+            // the first of them seen is the bound.
             ColumnData::Int(v) => {
-                let mut b = ZoneBuilder::new(TypedKind::I64);
-                for &x in v {
-                    b.observe_value(x as f64, Value::Int(x));
+                for zone in v.chunks(ZONE_ROWS) {
+                    let (min, max) = fold_bounds(zone, |a, b| (*a as f64).total_cmp(&(*b as f64)));
+                    b.push_zone(
+                        zone.len(),
+                        min as f64,
+                        max as f64,
+                        Value::Int(min),
+                        Value::Int(max),
+                    );
                 }
-                b.finish()
             }
             ColumnData::Float(v) => {
-                let mut b = ZoneBuilder::new(TypedKind::F64);
-                for &x in v {
-                    b.observe_value(x, Value::Float(x));
+                for zone in v.chunks(ZONE_ROWS) {
+                    let (min, max) = fold_bounds(zone, f64::total_cmp);
+                    b.push_zone(zone.len(), min, max, Value::Float(min), Value::Float(max));
                 }
-                b.finish()
             }
-            ColumnData::Bool(v) => {
-                let mut b = ZoneBuilder::new(TypedKind::Bool);
-                for _ in v {
-                    b.observe_opaque();
+            ColumnData::Bool(_) | ColumnData::Str(_) => {
+                for start in (0..col.len()).step_by(ZONE_ROWS) {
+                    b.push_opaque_zone((col.len() - start).min(ZONE_ROWS));
                 }
-                b.finish()
-            }
-            ColumnData::Str(v) => {
-                let mut b = ZoneBuilder::new(TypedKind::Str);
-                for _ in v {
-                    b.observe_opaque();
-                }
-                b.finish()
             }
         }
+        b.finish()
     }
 
     /// Derives the zone map by running the scan's own typed fill over every
@@ -374,6 +423,130 @@ mod tests {
         assert!(e.max.is_nan());
         assert_eq!(e.min, -1.0);
         assert!(e.numeric);
+    }
+
+    /// The builder `from_column` replaced: every row through `observe_value`.
+    fn row_wise(col: &ColumnData) -> ZoneMap {
+        let mut b;
+        match col {
+            ColumnData::Int(v) => {
+                b = ZoneBuilder::new(TypedKind::I64);
+                v.iter()
+                    .for_each(|&x| b.observe_value(x as f64, Value::Int(x)));
+            }
+            ColumnData::Float(v) => {
+                b = ZoneBuilder::new(TypedKind::F64);
+                v.iter().for_each(|&x| b.observe_value(x, Value::Float(x)));
+            }
+            ColumnData::Bool(v) => {
+                b = ZoneBuilder::new(TypedKind::Bool);
+                v.iter().for_each(|_| b.observe_opaque());
+            }
+            ColumnData::Str(v) => {
+                b = ZoneBuilder::new(TypedKind::Str);
+                v.iter().for_each(|_| b.observe_opaque());
+            }
+        }
+        b.finish()
+    }
+
+    /// Bit-exact rendering (NaN payloads and the sign of zero included).
+    fn bits(zm: &ZoneMap) -> String {
+        let value = |v: &Value| match v {
+            Value::Float(x) => format!("f{:016x}", x.to_bits()),
+            other => format!("{other:?}"),
+        };
+        let entries: Vec<String> = zm
+            .entries()
+            .iter()
+            .map(|e| {
+                format!(
+                    "{}/{}/{:016x}/{:016x}/{}",
+                    e.rows,
+                    e.null_count,
+                    e.min.to_bits(),
+                    e.max.to_bits(),
+                    e.numeric
+                )
+            })
+            .collect();
+        let s = zm.column_stats();
+        format!(
+            "{:?} {} {entries:?} {} {} {} {}",
+            zm.kind(),
+            zm.row_count(),
+            value(&s.min),
+            value(&s.max),
+            s.distinct,
+            s.nulls
+        )
+    }
+
+    #[test]
+    fn typed_fold_matches_the_row_wise_builder() {
+        const INTS: [i64; 10] = [
+            i64::MIN,
+            i64::MIN + 1,
+            i64::MAX,
+            i64::MAX - 1,
+            (1 << 53) + 1,
+            1 << 53,
+            -(1 << 53) - 1,
+            0,
+            -1,
+            7,
+        ];
+        let floats = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff8_0000_0000_0001),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -2.5,
+            1e300,
+        ];
+        for seed in 0..40u64 {
+            let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            // Empty, single row, around one zone, short and full last zones.
+            for len in [0usize, 1, 5, 1023, 1024, 1025, 2048, 2053, 3500] {
+                // One value in four is a special; the rest vary in magnitude
+                // with the seed so the bounds land on either kind.
+                let int: Vec<i64> = (0..len)
+                    .map(|_| match next() % 4 {
+                        0 => INTS[(next() % 10) as usize],
+                        _ => (next() as i64) >> (seed % 60),
+                    })
+                    .collect();
+                let float: Vec<f64> = (0..len)
+                    .map(|_| match next() % 4 {
+                        0 => floats[(next() % 10) as usize],
+                        _ => ((next() as i64) >> (seed % 60)) as f64 / 8.0,
+                    })
+                    .collect();
+                for col in [
+                    ColumnData::Int(int),
+                    ColumnData::Float(float),
+                    ColumnData::Bool(vec![true; len]),
+                    ColumnData::Str(vec!["s".to_string(); len]),
+                ] {
+                    assert_eq!(
+                        bits(&ZoneMap::from_column(&col)),
+                        bits(&row_wise(&col)),
+                        "seed {seed}, {len} rows of {:?}",
+                        col.data_type()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

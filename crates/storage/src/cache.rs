@@ -26,17 +26,22 @@
 //!   [`Arc<CacheEntry>`]: replacing or invalidating an entry swaps the map
 //!   slot while in-flight queries keep reading the handle they hold. Reads
 //!   outstanding at swap time are counted as `stale_reads`.
+//! * **Zero-copy hits.** An entry's columns are [`Arc<ColumnData>`]: a query
+//!   served from the cache clones the handle, never the data, so the bytes a
+//!   reader touches are the bytes the budget accounts for. What the plug-in
+//!   layer derives from those columns (zone maps) is memoized inside the
+//!   entry ([`CacheEntry::sidecar_or_init`]) and so lives and dies with it.
 //! * **Atomic invalidation.** [`CacheStore::invalidate_dataset`] drops the
-//!   entry, its zone-map sidecar, and any spilled file in one critical
-//!   section, and bumps the dataset's revision so an in-flight background
-//!   build for the old data can never register a stale cache
+//!   entry (its memoized zone maps with it) and any spilled file in one
+//!   critical section, and bumps the dataset's revision so an in-flight
+//!   background build for the old data can never register a stale cache
 //!   ([`CacheStore::insert_if_current`]).
 
 use std::any::Any;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -112,10 +117,15 @@ pub struct CacheEntry {
     pub source_format: SourceFormat,
     /// How eagerly values were materialized.
     pub eagerness: CacheEagerness,
-    /// The cached columns, one per expression, aligned by OID order.
-    pub columns: Vec<(String, ColumnData)>,
+    /// The cached columns, one per expression, aligned by OID order. Shared
+    /// handles: a query served from this entry reads these allocations.
+    /// Private together with `oids` because `identity_oids` and the sidecar
+    /// are derived from them.
+    columns: Vec<(String, Arc<ColumnData>)>,
     /// OIDs of the source entries each row corresponds to.
-    pub oids: Vec<u64>,
+    oids: Vec<u64>,
+    /// True when row `i` is object `i` of the source dataset.
+    identity_oids: bool,
     /// Total footprint in bytes (accounted against the arena budget; set on
     /// insert from [`CacheEntry::footprint`]).
     pub byte_size: usize,
@@ -128,25 +138,10 @@ pub struct CacheEntry {
     hit_count: AtomicU64,
     /// Logical timestamp of the last use (eviction tie-break).
     last_used: AtomicU64,
-}
-
-impl Clone for CacheEntry {
-    fn clone(&self) -> CacheEntry {
-        CacheEntry {
-            name: self.name.clone(),
-            plan_signature: self.plan_signature.clone(),
-            expressions: self.expressions.clone(),
-            source_dataset: self.source_dataset.clone(),
-            source_format: self.source_format,
-            eagerness: self.eagerness,
-            columns: self.columns.clone(),
-            oids: self.oids.clone(),
-            byte_size: self.byte_size,
-            build_cost: self.build_cost,
-            hit_count: AtomicU64::new(self.hit_count.load(Ordering::Relaxed)),
-            last_used: AtomicU64::new(self.last_used.load(Ordering::Relaxed)),
-        }
-    }
+    /// What the plug-in layer derived from `columns` (zone maps), filled at
+    /// most once. Living in the entry, it can never describe other data than
+    /// the columns beside it, whatever the store's map binds the name to.
+    sidecar: OnceLock<CacheSidecar>,
 }
 
 impl CacheEntry {
@@ -155,9 +150,31 @@ impl CacheEntry {
         self.oids.len()
     }
 
+    /// The cached columns, one per expression, aligned by OID order.
+    pub fn columns(&self) -> &[(String, Arc<ColumnData>)] {
+        &self.columns
+    }
+
+    /// OIDs of the source objects each row corresponds to.
+    pub fn oids(&self) -> &[u64] {
+        &self.oids
+    }
+
     /// Looks up a cached column by its expression alias.
-    pub fn column(&self, name: &str) -> Option<&ColumnData> {
+    pub fn column(&self, name: &str) -> Option<&Arc<ColumnData>> {
         self.columns.iter().find(|(n, _)| n == name).map(|(_, c)| c)
+    }
+
+    /// True when the entry covers a `dataset_len`-object dataset in order
+    /// (row `i` is object `i`), as substituting a scan accessor requires.
+    pub fn covers_dataset(&self, dataset_len: u64) -> bool {
+        self.identity_oids && self.oids.len() as u64 == dataset_len
+    }
+
+    /// The entry's sidecar, built by `derive` on the first call and shared
+    /// by every later one.
+    pub fn sidecar_or_init(&self, derive: impl FnOnce() -> CacheSidecar) -> &CacheSidecar {
+        self.sidecar.get_or_init(derive)
     }
 
     /// Cache-matching hits recorded against this entry.
@@ -180,7 +197,7 @@ impl CacheEntry {
             .columns
             .iter()
             .map(|(name, col)| {
-                let pool = match col {
+                let pool = match col.as_ref() {
                     ColumnData::Str(v) => v.len() * STRING_POOL_OVERHEAD,
                     _ => 0,
                 };
@@ -230,8 +247,8 @@ pub struct CacheStats {
     pub stale_reads: u64,
 }
 
-/// Opaque per-entry sidecar (the plug-in layer parks derived zone maps here
-/// so they are dropped atomically with the entry).
+/// Opaque per-entry sidecar (the plug-in layer memoizes derived zone maps
+/// here; `storage` does not depend on `plugins`, hence the type erasure).
 pub type CacheSidecar = Arc<dyn Any + Send + Sync>;
 
 /// Fault probe injected by the engine (wired to the chaos harness's
@@ -259,7 +276,6 @@ struct Counters {
 #[derive(Default)]
 struct StoreInner {
     entries: HashMap<String, Arc<CacheEntry>>,
-    sidecars: HashMap<String, CacheSidecar>,
     spilled: HashMap<String, SpillRecord>,
     /// Bumped by every `invalidate_dataset`; background builds capture the
     /// revision at start and refuse to register against a newer one.
@@ -315,16 +331,20 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Records one cache-matching hit against `name` (live input to the
-    /// eviction score; called by the optimizer's cache matching and by
-    /// per-column cache reuse at compile time).
+    /// Records one cache-matching hit against the live entry `name` (live
+    /// input to the eviction score).
     pub fn record_hit(&self, name: &str) {
-        let tick = self.tick();
         if let Some(entry) = self.inner.read().entries.get(name) {
-            entry.hit_count.fetch_add(1, Ordering::Relaxed);
-            entry.last_used.store(tick, Ordering::Relaxed);
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            self.record_hit_on(entry);
         }
+    }
+
+    /// Records one hit through a handle the caller already holds (per-column
+    /// cache reuse at compile time): no lock, no name lookup.
+    pub fn record_hit_on(&self, entry: &CacheEntry) {
+        entry.hit_count.fetch_add(1, Ordering::Relaxed);
+        entry.last_used.store(self.tick(), Ordering::Relaxed);
+        self.counters.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current revision of a dataset (bumped by every invalidation). A
@@ -396,9 +416,8 @@ impl CacheStore {
             }
         }
         let name = entry.name.clone();
-        // A replaced entry's sidecar and spill record describe the old data:
-        // drop them in the same critical section.
-        inner.sidecars.remove(&name);
+        // A replaced entry's spill record describes the old data: drop it in
+        // the same critical section.
         if let Some(record) = inner.spilled.remove(&name) {
             let _ = std::fs::remove_file(&record.path);
         }
@@ -445,7 +464,6 @@ impl CacheStore {
         let Some(entry) = inner.entries.remove(&name) else {
             return false;
         };
-        inner.sidecars.remove(&name);
         self.retire(&entry);
         self.memory.release_arena(entry.byte_size);
         self.counters.evictions.fetch_add(1, Ordering::Relaxed);
@@ -554,23 +572,6 @@ impl CacheStore {
         self.inner.read().entries.values().cloned().collect()
     }
 
-    /// Attaches an opaque sidecar (derived zone maps) to a live entry; it is
-    /// dropped atomically with the entry on eviction/invalidation/replace.
-    /// Returns false when the entry is no longer live.
-    pub fn set_sidecar(&self, name: &str, sidecar: CacheSidecar) -> bool {
-        let mut inner = self.inner.write();
-        if !inner.entries.contains_key(name) {
-            return false;
-        }
-        inner.sidecars.insert(name.to_string(), sidecar);
-        true
-    }
-
-    /// The sidecar attached to a live entry, if any.
-    pub fn sidecar(&self, name: &str) -> Option<CacheSidecar> {
-        self.inner.read().sidecars.get(name).cloned()
-    }
-
     /// Counts one completed background cache build (called by the engine's
     /// build task on successful registration).
     pub fn note_background_build(&self) {
@@ -581,9 +582,9 @@ impl CacheStore {
 
     /// Drops every cache derived from `dataset` (the paper's reaction to
     /// data updates: "Proteus currently drops and rebuilds any affected
-    /// parts of existing auxiliary structures"). Entries, their zone-map
-    /// sidecars and their spilled files go in one critical section, and the
-    /// dataset revision is bumped so racing background builds abort.
+    /// parts of existing auxiliary structures"). Entries and their spilled
+    /// files go in one critical section, and the dataset revision is bumped
+    /// so racing background builds abort.
     pub fn invalidate_dataset(&self, dataset: &str) -> usize {
         let mut inner = self.inner.write();
         *inner.revisions.entry(dataset.to_string()).or_insert(0) += 1;
@@ -598,7 +599,6 @@ impl CacheStore {
                 self.retire(&entry);
                 self.memory.release_arena(entry.byte_size);
             }
-            inner.sidecars.remove(name);
         }
         let spilled: Vec<String> = inner
             .spilled
@@ -616,7 +616,7 @@ impl CacheStore {
         dropped
     }
 
-    /// Removes every cache entry (and sidecar, and spilled file).
+    /// Removes every cache entry (and spilled file).
     pub fn clear(&self) {
         let mut inner = self.inner.write();
         let entries: Vec<Arc<CacheEntry>> = inner.entries.drain().map(|(_, e)| e).collect();
@@ -624,7 +624,6 @@ impl CacheStore {
             self.retire(entry);
             self.memory.release_arena(entry.byte_size);
         }
-        inner.sidecars.clear();
         for (_, record) in inner.spilled.drain() {
             let _ = std::fs::remove_file(&record.path);
         }
@@ -656,7 +655,9 @@ impl CacheStore {
     }
 }
 
-/// Convenience constructor for cache entries.
+/// Constructor for cache entries. Takes the columns owned and wraps each in
+/// the shared handle queries will read through; decides once whether the
+/// OIDs are the identity.
 pub fn make_entry(
     name: impl Into<String>,
     plan_signature: impl Into<String>,
@@ -672,12 +673,17 @@ pub fn make_entry(
         source_dataset: source_dataset.into(),
         source_format,
         eagerness: CacheEagerness::Values,
-        columns,
+        columns: columns
+            .into_iter()
+            .map(|(name, col)| (name, Arc::new(col)))
+            .collect(),
+        identity_oids: oids.iter().enumerate().all(|(idx, oid)| *oid == idx as u64),
         oids,
         byte_size: 0,
         build_cost: 0,
         hit_count: AtomicU64::new(0),
         last_used: AtomicU64::new(0),
+        sidecar: OnceLock::new(),
     }
 }
 
@@ -841,17 +847,43 @@ mod tests {
     }
 
     #[test]
-    fn invalidate_drops_sidecar_atomically() {
+    fn sidecar_is_derived_once_and_belongs_to_its_entry() {
         let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
         store
             .insert(int_entry("a", SourceFormat::Json, 10))
             .unwrap();
-        assert!(store.set_sidecar("a", Arc::new(42u64)));
-        assert!(store.sidecar("a").is_some());
-        store.invalidate_dataset("lineitem");
-        assert!(store.sidecar("a").is_none());
-        // A sidecar cannot attach to a dead entry either.
-        assert!(!store.set_sidecar("a", Arc::new(1u64)));
+        let old = store.get("a").unwrap();
+        let first = old.sidecar_or_init(|| Arc::new(1u64)).clone();
+        let again = old.sidecar_or_init(|| Arc::new(2u64)).clone();
+        assert!(Arc::ptr_eq(&first, &again));
+        // Rebinding the name starts from an empty slot: a reader of the old
+        // handle keeps the old sidecar, the new entry never sees it.
+        store
+            .insert(int_entry("a", SourceFormat::Json, 10))
+            .unwrap();
+        let new = store.get("a").unwrap();
+        let fresh = new.sidecar_or_init(|| Arc::new(3u64));
+        assert_eq!(fresh.downcast_ref::<u64>(), Some(&3));
+        assert_eq!(
+            old.sidecar_or_init(|| Arc::new(4u64)).downcast_ref::<u64>(),
+            Some(&1)
+        );
+    }
+
+    #[test]
+    fn identity_oids_are_decided_at_construction() {
+        let full = int_entry("a", SourceFormat::Json, 5);
+        assert!(full.covers_dataset(5));
+        assert!(!full.covers_dataset(6));
+        let sparse = make_entry(
+            "b",
+            "sig-b",
+            "lineitem",
+            SourceFormat::Json,
+            vec![("x".to_string(), ColumnData::Int(vec![1, 2, 3]))],
+            vec![0, 2, 4],
+        );
+        assert!(!sparse.covers_dataset(3));
     }
 
     #[test]
@@ -930,8 +962,8 @@ mod tests {
         // Lookup reloads it from disk, bit-exact, evicting a resident.
         let reloaded = store.lookup_by_signature("sig-hot").unwrap();
         assert_eq!(
-            reloaded.column("x").unwrap(),
-            &ColumnData::Int((0..10).collect())
+            **reloaded.column("x").unwrap(),
+            ColumnData::Int((0..10).collect())
         );
         assert!(store.names().contains(&"hot".to_string()));
         assert!(store.spilled_names().is_empty());

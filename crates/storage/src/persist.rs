@@ -263,12 +263,12 @@ fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
     for expr in &entry.expressions {
         w.str(expr);
     }
-    w.u64(entry.oids.len() as u64);
-    for oid in &entry.oids {
+    w.u64(entry.oids().len() as u64);
+    for oid in entry.oids() {
         w.u64(*oid);
     }
-    w.u32(entry.columns.len() as u32);
-    for (name, col) in &entry.columns {
+    w.u32(entry.columns().len() as u32);
+    for (name, col) in entry.columns() {
         w.str(name);
         w.bytes(&col.to_bytes());
         let frames = zone_frames(col);
@@ -354,7 +354,7 @@ fn decode_entry(body: &[u8]) -> Result<CacheEntry> {
             body.len() - r.pos
         )));
     }
-    let entry = crate::cache::make_entry(
+    let mut entry = crate::cache::make_entry(
         name,
         plan_signature,
         source_dataset,
@@ -362,7 +362,6 @@ fn decode_entry(body: &[u8]) -> Result<CacheEntry> {
         columns,
         oids,
     );
-    let mut entry = entry;
     entry.eagerness = eagerness;
     entry.expressions = expressions;
     entry.build_cost = build_cost;
@@ -532,8 +531,8 @@ mod tests {
         assert_eq!(restored.plan_signature, entry.plan_signature);
         assert_eq!(restored.source_dataset, entry.source_dataset);
         assert_eq!(restored.source_format, entry.source_format);
-        assert_eq!(restored.columns, entry.columns);
-        assert_eq!(restored.oids, entry.oids);
+        assert_eq!(restored.columns(), entry.columns());
+        assert_eq!(restored.oids(), entry.oids());
         assert_eq!(restored.build_cost, 12345);
         assert_eq!(restored.hits(), 7);
         let _ = std::fs::remove_dir_all(&dir);
@@ -610,7 +609,7 @@ mod tests {
         assert_eq!(report.loaded, 2);
         assert_eq!(report.rejected, 0);
         let entry = restored.lookup_by_signature("sig-price-qty").unwrap();
-        assert_eq!(entry.columns, sample_entry().columns);
+        assert_eq!(entry.columns(), sample_entry().columns());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

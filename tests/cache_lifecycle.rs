@@ -161,7 +161,7 @@ fn property_interleavings_keep_bytes_under_budget_and_lookups_exact() {
                         let expected = model.get(&name).unwrap_or_else(|| {
                             panic!("lookup returned evicted-and-dropped {name}")
                         });
-                        match entry.column("v") {
+                        match entry.column("v").map(Arc::as_ref) {
                             Some(ColumnData::Int(got)) => assert_eq!(got, expected),
                             other => panic!("wrong column shape: {other:?}"),
                         }
@@ -411,7 +411,7 @@ fn spill_and_load_fault_sites_degrade_to_discard_and_miss() {
         fault::clear();
         let reloaded = store.lookup_by_signature("sig::hot").unwrap();
         let expected = synth_entry("hot", "ds", 120, SourceFormat::Json).values;
-        match reloaded.column("v") {
+        match reloaded.column("v").map(Arc::as_ref) {
             Some(ColumnData::Int(got)) => assert_eq!(got, &expected),
             other => panic!("wrong column shape: {other:?}"),
         }
@@ -447,8 +447,8 @@ fn snapshot_round_trip_is_bit_exact() {
         assert_eq!(back.plan_signature, original.plan_signature);
         assert_eq!(back.source_dataset, original.source_dataset);
         assert_eq!(back.source_format, original.source_format);
-        assert_eq!(back.columns, original.columns);
-        assert_eq!(back.oids, original.oids);
+        assert_eq!(back.columns(), original.columns());
+        assert_eq!(back.oids(), original.oids());
         assert_eq!(back.build_cost, original.build_cost);
         assert_eq!(back.hits(), original.hits());
     }
@@ -510,8 +510,8 @@ fn engine_warm_restart_restores_and_serves_bit_identically() {
     // Restored entries are bit-identical to the snapshot source.
     for original in cold.caches().entries_snapshot() {
         let back = warm.caches().get(&original.name).unwrap();
-        assert_eq!(back.columns, original.columns);
-        assert_eq!(back.oids, original.oids);
+        assert_eq!(back.columns(), original.columns());
+        assert_eq!(back.oids(), original.oids());
     }
     // And the very first query on the warm engine is served from cache,
     // with answers identical to the cold engine's.
@@ -647,14 +647,194 @@ fn steady_mix_under_small_budget_stays_bounded_with_hits_and_warm_restart() {
     assert!(restarted.cache_stats().bytes <= BUDGET);
     for restored in restarted.caches().entries_snapshot() {
         let original = engine.caches().get(&restored.name).unwrap();
-        assert_eq!(restored.columns, original.columns);
-        assert_eq!(restored.oids, original.oids);
+        assert_eq!(restored.columns(), original.columns());
+        assert_eq!(restored.oids(), original.oids());
     }
     // First queries on the restarted engine serve from the warmed cache.
     let t0 = restarted
         .sql("SELECT COUNT(*), MAX(b) FROM t0 WHERE a >= 0")
         .unwrap();
     assert_eq!(t0.scalar("count_0"), expected[0]);
+}
+
+// -- zero-copy hits: ownership across invalidation and eviction -----------
+
+/// Optimizes and compiles `sql` the way `QueryEngine::sql` does, without
+/// executing it: the tests below act between the two steps.
+fn compile(engine: &QueryEngine, sql: &str) -> proteus::core::CompiledQuery {
+    use proteus::algebra::sql::{parse_sql, sql_to_plan};
+    use proteus::optimizer::{Catalog, Optimizer};
+    let registry = engine.registry().clone();
+    let schemas = registry.clone();
+    let plan = sql_to_plan(&parse_sql(sql).unwrap(), &move |name: &str| {
+        schemas.schema_of(name)
+    })
+    .unwrap();
+    let optimized =
+        Optimizer::new(Catalog::from_registry(&registry)).optimize(plan, Some(engine.caches()));
+    proteus::core::Compiler::new(registry, Some(engine.caches().clone()))
+        .compile(&optimized.plan)
+        .unwrap()
+}
+
+#[test]
+fn updated_file_is_never_answered_from_the_old_entry() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("update_rewrite");
+    let q = "SELECT COUNT(*), MAX(b), SUM(b) FROM t WHERE a >= 1000";
+    let engine = QueryEngine::with_defaults();
+    register_csv(&engine, &dir, "t", 3000);
+    engine.sql(q).unwrap();
+    let warm_old = engine.sql(q).unwrap();
+    assert!(warm_old.access_paths[0].contains("fully served"));
+
+    // Same name, same row count, different values — so the rebuilt entries
+    // take the names of the dropped ones, with other bounds in every zone.
+    let rows: Vec<Value> = (0..3000i64)
+        .map(|i| {
+            Value::record(vec![
+                ("a", Value::Int(2999 - i)),
+                ("b", Value::Int(i * 7 % 89)),
+            ])
+        })
+        .collect();
+    // (A new path: the memory manager keeps a mapped file's bytes by path.)
+    let rewritten = dir.join("t_rewritten.csv");
+    writers::write_csv(&rewritten, &rows, &schema_ab(), '|').unwrap();
+    engine
+        .register_csv("t", &rewritten, schema_ab(), CsvOptions::default())
+        .unwrap();
+    engine.notify_update("t");
+
+    let uncached = QueryEngine::new(EngineConfig::without_caching());
+    uncached
+        .register_csv("t", &rewritten, schema_ab(), CsvOptions::default())
+        .unwrap();
+    let expected = uncached.sql(q).unwrap().rows;
+    assert_ne!(expected, warm_old.rows);
+    let rebuilding = engine.sql(q).unwrap();
+    assert_eq!(rebuilding.rows, expected);
+    let warm_new = engine.sql(q).unwrap();
+    assert!(warm_new.access_paths[0].contains("fully served"));
+    assert_eq!(warm_new.rows, expected);
+}
+
+#[test]
+fn query_compiled_before_invalidation_or_eviction_runs_on_its_snapshot() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("compiled_snapshot");
+    // One two-column 2000-row entry is ~48 KiB: the arena holds one
+    // dataset's entry, so building the other's evicts it.
+    const BUDGET: usize = 64 * 1024;
+    let engine = QueryEngine::new(EngineConfig {
+        cache_budget: BUDGET,
+        ..Default::default()
+    });
+    register_csv(&engine, &dir, "t", 2000);
+    register_csv(&engine, &dir, "u", 2000);
+    let q = "SELECT COUNT(*), MAX(b), SUM(b) FROM t WHERE a >= 500";
+    let expected = engine.sql(q).unwrap().rows;
+    let under_budget = || {
+        let bytes = engine.cache_stats().bytes;
+        assert!(bytes <= BUDGET, "bytes {bytes} over budget {BUDGET}");
+    };
+
+    // Invalidated between compile and execute: the compiled query holds the
+    // old entry's columns and answers from them.
+    let compiled = compile(&engine, q);
+    assert!(compiled.access_paths[0].contains("fully served"));
+    under_budget();
+    engine.notify_update("t");
+    assert_eq!(engine.cache_stats().bytes, 0);
+    assert_eq!(compiled.execute().unwrap().rows, expected);
+
+    // Evicted between compile and execute: same, and the arena only ever
+    // accounts for the live entries.
+    assert_eq!(engine.sql(q).unwrap().rows, expected);
+    let compiled = compile(&engine, q);
+    assert!(compiled.access_paths[0].contains("fully served"));
+    engine
+        .sql("SELECT COUNT(*), MAX(b) FROM u WHERE a >= 0")
+        .unwrap();
+    under_budget();
+    assert!(engine.caches().caches_for_dataset("t").is_empty());
+    assert!(engine.cache_stats().evictions > 0);
+    assert_eq!(compiled.execute().unwrap().rows, expected);
+    under_budget();
+}
+
+// -- nullable columns -------------------------------------------------------
+
+#[test]
+fn nullable_columns_are_not_answered_from_a_cache() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("nullable");
+    let vals = [
+        Some(1.5),
+        Some(9.25),
+        Some(12.0),
+        None,
+        Some(4.75),
+        Some(10.0),
+        Some(7.5),
+    ];
+    let mut json = String::new();
+    let mut csv = String::new();
+    for (id, val) in vals.iter().enumerate() {
+        let text = val.map(|v| format!("{v:?}"));
+        json.push_str(&format!(
+            "{{\"id\": {id}, \"val\": {}}}\n",
+            text.as_deref().unwrap_or("null")
+        ));
+        csv.push_str(&format!("{id}|{}\n", text.as_deref().unwrap_or("")));
+    }
+    std::fs::write(dir.join("e.json"), json).unwrap();
+    std::fs::write(dir.join("e.csv"), csv).unwrap();
+    let register = |engine: &QueryEngine, format: &str| match format {
+        "json" => engine.register_json("e", dir.join("e.json")).unwrap(),
+        _ => {
+            let schema = Schema::from_pairs(vec![("id", DataType::Int), ("val", DataType::Float)]);
+            engine
+                .register_csv("e", dir.join("e.csv"), schema, CsvOptions::default())
+                .unwrap()
+        }
+    };
+    let q = "SELECT COUNT(val), AVG(val), MIN(val), SUM(val) FROM e WHERE id >= 0";
+    for format in ["json", "csv"] {
+        for vectorized in [true, false] {
+            let uncached = QueryEngine::new(EngineConfig {
+                vectorized,
+                ..EngineConfig::without_caching()
+            });
+            register(&uncached, format);
+            let expected = uncached.sql(q).unwrap().rows;
+
+            let engine = QueryEngine::new(EngineConfig {
+                vectorized,
+                ..Default::default()
+            });
+            register(&engine, format);
+            let building = engine.sql(q).unwrap();
+            let warm = engine.sql(q).unwrap();
+            let case = format!("{format}, vectorized {vectorized}");
+            assert_eq!(building.rows, expected, "{case}: cache-building run");
+            assert_eq!(warm.rows, expected, "{case}: warm run");
+            // JSON reads the `null` as a null (CSV reads an empty field as
+            // a parse miss, zero on every path): that column is left out,
+            // the null-free one next to it is cached as before.
+            let entries = engine.caches().caches_for_dataset("e");
+            assert_eq!(entries.len(), 1, "{case}");
+            assert!(entries[0].column("id").is_some(), "{case}");
+            assert_eq!(
+                entries[0].column("val").is_none(),
+                format == "json",
+                "{case}"
+            );
+        }
+    }
 }
 
 // -- admission interplay ---------------------------------------------------
