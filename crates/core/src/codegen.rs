@@ -1121,53 +1121,34 @@ impl CompiledQuery {
     }
 
     /// Executes the generated pipeline with up to `parallelism` morsel
-    /// workers (`0` = one worker per available CPU). Scans with a pending
-    /// cache-building side effect run serially regardless, because cache
-    /// entries require in-order OIDs.
+    /// workers (`0` = one worker per available CPU) from the process-wide
+    /// pool, with no lifecycle limits. Scans with a pending cache-building
+    /// side effect run serially regardless, because cache entries require
+    /// in-order OIDs.
     pub fn execute_with_parallelism(self, parallelism: usize) -> Result<QueryOutput> {
-        self.execute_with_context(
+        self.execute_with_scheduler(
             parallelism,
             std::sync::Arc::new(crate::exec::QueryContext::disabled()),
+            crate::exec::Scheduler::global(),
         )
     }
 
-    /// Executes the generated pipeline under a query lifecycle context:
-    /// cooperative cancellation, wall-clock deadline and memory budget are
-    /// all observed at morsel boundaries, worker panics are contained, and
-    /// a failing query reports the *first* structured error. A timed-out
-    /// query's [`crate::EngineError::DeadlineExceeded`] carries the metrics
-    /// of the work that completed before the deadline fired.
-    ///
-    /// Workers come from a per-query `std::thread::scope` (the legacy
-    /// backend); [`CompiledQuery::execute_with_scheduler`] runs the same
-    /// pipeline on a shared worker pool instead.
-    pub fn execute_with_context(
-        self,
-        parallelism: usize,
-        ctx: std::sync::Arc<crate::exec::QueryContext>,
-    ) -> Result<QueryOutput> {
-        self.execute_in_env(parallelism, ctx, None)
-    }
-
-    /// Executes the generated pipeline on a shared worker-pool
-    /// [`crate::exec::Scheduler`]: the calling thread drives every pipeline
-    /// run to completion while idle pool workers steal bounded morsel
-    /// slices. Admission is the *caller's* job (the engine admits once per
-    /// query before calling this) — this method only provisions workers.
+    /// Executes the generated pipeline under a query lifecycle context on a
+    /// worker-pool [`crate::exec::Scheduler`]: the calling thread drives
+    /// every pipeline run to completion while idle pool workers steal
+    /// bounded morsel slices. Cooperative cancellation, wall-clock deadline
+    /// and memory budget are all observed at morsel boundaries, worker
+    /// panics are contained, and a failing query reports the *first*
+    /// structured error. A timed-out query's
+    /// [`crate::EngineError::DeadlineExceeded`] carries the metrics of the
+    /// work that completed before the deadline fired. Admission is the
+    /// *caller's* job (the engine admits once per query before calling
+    /// this) — this method only provisions workers.
     pub fn execute_with_scheduler(
         self,
         parallelism: usize,
         ctx: std::sync::Arc<crate::exec::QueryContext>,
         scheduler: std::sync::Arc<crate::exec::Scheduler>,
-    ) -> Result<QueryOutput> {
-        self.execute_in_env(parallelism, ctx, Some(scheduler))
-    }
-
-    fn execute_in_env(
-        self,
-        parallelism: usize,
-        ctx: std::sync::Arc<crate::exec::QueryContext>,
-        scheduler: Option<std::sync::Arc<crate::exec::Scheduler>>,
     ) -> Result<QueryOutput> {
         let started = Instant::now();
         let compile_time = self.compile_time;
@@ -1192,7 +1173,7 @@ impl CompiledQuery {
         self,
         parallelism: usize,
         ctx: std::sync::Arc<crate::exec::QueryContext>,
-        scheduler: Option<std::sync::Arc<crate::exec::Scheduler>>,
+        scheduler: std::sync::Arc<crate::exec::Scheduler>,
     ) -> Result<QueryOutput> {
         let env = crate::exec::pipeline::ExecEnv {
             threads: resolve_parallelism(parallelism),
@@ -1417,6 +1398,18 @@ mod tests {
             .get(field)
             .unwrap()
             .clone()
+    }
+
+    /// A multi-morsel `execute_with_parallelism(4)` ran on the pool: four
+    /// workers allowed, and between one (the submitter drained the queue
+    /// before a helper woke) and four distinct workers claimed morsels.
+    fn assert_ran_on_the_pool(metrics: &ExecutionMetrics, what: &str) {
+        assert_eq!(metrics.threads_used, 4, "{what}: worker cap");
+        assert!(
+            (1..=metrics.threads_used).contains(&metrics.workers_touched),
+            "{what}: workers_touched = {}",
+            metrics.workers_touched
+        );
     }
 
     #[test]
@@ -1684,9 +1677,12 @@ mod tests {
                 .execute_with_parallelism(4)
                 .unwrap();
             // Integer-only aggregates and morsel-ordered collects are exact.
-            // (These datasets fit in one morsel, so this checks the knob
-            // plumbing; multi-worker execution is covered below.)
+            // (These datasets fit in one morsel, so the worker cap clamps to
+            // one and the run is never offered to the pool; multi-worker
+            // execution is covered below.)
             assert_eq!(serial.rows, parallel.rows, "plan {plan:?}");
+            assert_eq!(parallel.metrics.threads_used, 1);
+            assert_eq!(parallel.metrics.workers_touched, 1);
             assert_eq!(
                 serial.metrics.tuples_scanned,
                 parallel.metrics.tuples_scanned
@@ -1696,8 +1692,9 @@ mod tests {
 
     #[test]
     fn multi_morsel_plans_really_run_on_multiple_workers() {
-        // > 4 morsels of data so execute_with_parallelism(4) genuinely spawns
-        // four workers (threads are clamped to the morsel count).
+        // > 4 morsels of data so execute_with_parallelism(4) genuinely offers
+        // the run to three pool helpers (threads are clamped to the morsel
+        // count).
         let rows = 8 * crate::exec::MORSEL_SIZE as i64;
         let registry = PluginRegistry::new();
         registry.register(Arc::new(
@@ -1737,10 +1734,8 @@ mod tests {
                 .execute_with_parallelism(4)
                 .unwrap();
             assert_eq!(serial.metrics.threads_used, 1);
-            assert_eq!(
-                parallel.metrics.threads_used, 4,
-                "parallel run did not engage 4 workers"
-            );
+            assert_eq!(serial.metrics.workers_touched, 1);
+            assert_ran_on_the_pool(&parallel.metrics, "parallel run");
             assert!(parallel.metrics.morsels >= 8);
             assert_eq!(serial.rows, parallel.rows, "plan {plan:?}");
         }
@@ -1771,10 +1766,7 @@ mod tests {
                 .unwrap()
                 .execute_with_parallelism(4)
                 .unwrap();
-            assert_eq!(
-                parallel.metrics.threads_used, 4,
-                "{monoid}: collection reduce did not fan out"
-            );
+            assert_ran_on_the_pool(&parallel.metrics, &format!("{monoid} reduce"));
             // Element order is preserved exactly.
             assert_eq!(serial.rows, parallel.rows, "{monoid}");
         }
@@ -1812,7 +1804,7 @@ mod tests {
             .unwrap()
             .execute_with_parallelism(4)
             .unwrap();
-        assert_eq!(parallel.metrics.threads_used, 4);
+        assert_ran_on_the_pool(&parallel.metrics, "list nest");
         assert_eq!(serial.rows, parallel.rows);
     }
 

@@ -18,13 +18,13 @@ use proteus_algebra::comprehension::parse_comprehension;
 use proteus_algebra::sql::{parse_sql, sql_to_plan};
 use proteus_algebra::translate::comprehension_to_plan;
 use proteus_algebra::{LogicalPlan, Schema, Value};
-use proteus_optimizer::{CacheRewrite, Catalog, Optimizer};
+use proteus_optimizer::{CacheRewrite, Catalog, OptimizedPlan, Optimizer};
 use proteus_plugins::csv::CsvOptions;
 use proteus_plugins::{BadRowPolicy, InputPlugin, PluginRegistry};
 use proteus_storage::cache::CacheStats;
 use proteus_storage::{CacheStore, MemoryManager};
 
-use crate::codegen::Compiler;
+use crate::codegen::{CompiledQuery, Compiler};
 use crate::error::Result;
 use crate::exec::background::BackgroundBuilds;
 use crate::exec::context::{CancellationToken, QueryContext};
@@ -89,13 +89,6 @@ pub struct EngineConfig {
     /// lever of the `robustness_overhead` bench. Worker panic containment
     /// is *not* affected: it is always on.
     pub lifecycle: bool,
-    /// Run queries on the shared worker-pool scheduler (the default): the
-    /// submitting thread drives each query while persistent pool workers
-    /// steal morsel slices, so concurrent queries share one pool instead of
-    /// spawning one `std::thread::scope` each. `false` pins the engine to
-    /// the legacy per-query scope backend — the A/B baseline of the
-    /// `concurrent_service` bench's regression guard.
-    pub shared_scheduler: bool,
     /// Admission policy for this engine's queries. `Some(cfg)` gives the
     /// engine a *dedicated* scheduler running at most `cfg.max_concurrent`
     /// queries with a bounded pending queue (arrivals beyond it are shed
@@ -129,7 +122,6 @@ impl Default for EngineConfig {
             memory_budget: None,
             bad_row_policy: None,
             lifecycle: true,
-            shared_scheduler: true,
             admission: None,
             background_cache_builds: false,
             cache_spill_dir: None,
@@ -204,14 +196,6 @@ impl EngineConfig {
     /// Panic containment stays on either way.
     pub fn with_lifecycle(mut self, lifecycle: bool) -> EngineConfig {
         self.lifecycle = lifecycle;
-        self
-    }
-
-    /// Selects the worker-provisioning backend (builder style): `true` (the
-    /// default) = shared worker-pool scheduler, `false` = legacy per-query
-    /// `std::thread::scope`.
-    pub fn with_shared_scheduler(mut self, shared: bool) -> EngineConfig {
-        self.shared_scheduler = shared;
         self
     }
 
@@ -470,14 +454,10 @@ impl QueryEngine {
         self.execute_plan_with_cancellation(plan, None)
     }
 
-    /// Optimizes, compiles and executes a logical plan under an optional
-    /// cancellation token plus the engine's configured deadline and memory
-    /// budget.
-    pub fn execute_plan_with_cancellation(
-        &self,
-        plan: LogicalPlan,
-        cancel: Option<CancellationToken>,
-    ) -> Result<QueryResult> {
+    /// Optimizes and compiles a logical plan under this engine's
+    /// configuration. Execution and EXPLAIN both go through here, so the IR
+    /// EXPLAIN prints is the IR of the engine that runs.
+    fn prepare(&self, plan: LogicalPlan) -> Result<(OptimizedPlan, CompiledQuery)> {
         let catalog = Catalog::from_registry(&self.registry);
         let optimizer = Optimizer::new(catalog);
         let caches = self.config.caching_enabled.then_some(&self.caches);
@@ -492,6 +472,18 @@ impl QueryEngine {
         .with_numeric_mode(self.config.numeric_mode)
         .with_background_builds(self.config.background_cache_builds);
         let compiled = compiler.compile(&optimized.plan)?;
+        Ok((optimized, compiled))
+    }
+
+    /// Optimizes, compiles and executes a logical plan under an optional
+    /// cancellation token plus the engine's configured deadline and memory
+    /// budget.
+    pub fn execute_plan_with_cancellation(
+        &self,
+        plan: LogicalPlan,
+        cancel: Option<CancellationToken>,
+    ) -> Result<QueryResult> {
+        let (optimized, compiled) = self.prepare(plan)?;
         let ir = compiled.ir.clone();
         let access_paths = compiled.access_paths.clone();
         let pending_builds = compiled.pending_cache_builds.clone();
@@ -506,15 +498,11 @@ impl QueryEngine {
         // can never deadlock against itself.
         let permit = self.scheduler.admit(&ctx)?;
         let queue_wait_us = permit.queue_wait.as_micros() as u64;
-        let mut output = if self.config.shared_scheduler {
-            compiled.execute_with_scheduler(
-                self.config.parallelism,
-                ctx,
-                Arc::clone(&self.scheduler),
-            )?
-        } else {
-            compiled.execute_with_context(self.config.parallelism, ctx)?
-        };
+        let mut output = compiled.execute_with_scheduler(
+            self.config.parallelism,
+            ctx,
+            Arc::clone(&self.scheduler),
+        )?;
         drop(permit);
         output.metrics.queue_wait_us += queue_wait_us;
 
@@ -551,18 +539,7 @@ impl QueryEngine {
         let parsed = parse_sql(query)?;
         let registry = self.registry.clone();
         let plan = sql_to_plan(&parsed, &move |name: &str| registry.schema_of(name))?;
-        let catalog = Catalog::from_registry(&self.registry);
-        let optimizer = Optimizer::new(catalog);
-        let caches = self.config.caching_enabled.then_some(&self.caches);
-        let optimized = optimizer.optimize(plan, caches);
-        let compiler = Compiler::new(
-            self.registry.clone(),
-            self.config.caching_enabled.then(|| self.caches.clone()),
-        )
-        .with_vectorization(self.config.vectorized)
-        .with_morsel_skipping(self.config.morsel_skipping)
-        .with_numeric_mode(self.config.numeric_mode);
-        let compiled = compiler.compile(&optimized.plan)?;
+        let (optimized, compiled) = self.prepare(plan)?;
         Ok(format!(
             "== Optimized plan (estimated cost {:.1}, cardinality {:.1}) ==\n{}\n== Generated engine (pseudo-IR) ==\n{}",
             optimized.estimate.cost,
@@ -859,6 +836,37 @@ mod tests {
         assert!(text.contains("Optimized plan"));
         assert!(text.contains("Scan lineitem"));
         assert!(text.contains("pseudo-IR"));
+    }
+
+    #[test]
+    fn explain_prints_the_ir_of_the_engine_that_runs() {
+        let dir = temp_dir("explain_ir");
+        let path = dir.join("data.json");
+        fs::write(&path, "{\"x\": 1, \"y\": 2.5}\n{\"x\": 2, \"y\": 3.5}\n").unwrap();
+        let query = "SELECT COUNT(*), MAX(y) FROM data WHERE x < 5";
+        for (background, cache_line) in [
+            (false, "cache[data] += ["),
+            (true, "defer cache[data] += ["),
+        ] {
+            let engine =
+                QueryEngine::new(EngineConfig::default().with_background_cache_builds(background));
+            engine.register_json("data", &path).unwrap();
+            // EXPLAIN first: the query itself builds the cache, and a warm
+            // engine compiles a different (cache-reading) scan.
+            let explained = engine.explain_sql(query).unwrap();
+            let executed = engine.sql(query).unwrap();
+            assert!(
+                executed.ir.contains(cache_line),
+                "background={background}: executed IR lacks `{cache_line}`:\n{}",
+                executed.ir
+            );
+            assert!(
+                explained.ends_with(&executed.ir),
+                "background={background}: EXPLAIN printed\n{explained}\nbut the query ran\n{}",
+                executed.ir
+            );
+            engine.wait_for_cache_builds(Duration::from_secs(10));
+        }
     }
 
     #[test]

@@ -75,9 +75,11 @@ pub struct ExecutionMetrics {
     /// every row: the compare kernels were bypassed and the selection
     /// short-circuited to an identity bitmask.
     pub morsels_short_circuited: u64,
-    /// Rows answered by a secondary index emitting packed bitmask words
-    /// directly (sorted range probes and hash equality probes), bypassing
-    /// the compare kernels for those predicates.
+    /// Rows answered by a secondary index (`exec::index`) instead of the
+    /// compare kernels. Nothing in the engine increments it: no plan can
+    /// reach an index today, so it is always 0. The field stays because the
+    /// end-to-end harness reads it by name; it goes, or becomes a real
+    /// count, in a `[benchmark]` PR.
     pub index_rows: u64,
     /// Per-tuple `Binding` heap materializations (join build sides,
     /// collected output rows). **Zero on the steady-state scan path** —
@@ -93,10 +95,9 @@ pub struct ExecutionMetrics {
     /// source rows behind this query's scans.
     pub bad_rows: u64,
     /// The query's worker *cap*: how many workers the dispatcher made
-    /// available to its pipelines (1 = serial path). Under the shared
-    /// scheduler this is the per-query concurrency limit, not a claim that
-    /// that many pool workers actually touched the query — that is
-    /// [`ExecutionMetrics::workers_touched`].
+    /// available to its pipelines (1 = serial path). This is the per-query
+    /// concurrency limit, not a claim that that many pool workers actually
+    /// touched the query — that is [`ExecutionMetrics::workers_touched`].
     pub threads_used: u64,
     /// Distinct workers (the submitting thread plus any pool workers) that
     /// processed at least one morsel of the query. At most `threads_used`;
@@ -110,12 +111,87 @@ pub struct ExecutionMetrics {
     pub queue_wait_us: u64,
     /// Work-stealing events: how many times a shared-pool worker attached to
     /// one of this query's morsel queues and claimed a slice of morsels. 0
-    /// on the serial path and under the per-query scoped executor.
+    /// on the serial path.
     pub sched_steals: u64,
     /// Time spent generating the specialized engine (the paper reports ≤ ~50 ms).
     pub compile_time: Duration,
     /// Time spent executing the generated engine.
     pub exec_time: Duration,
+}
+
+/// How a counter combines when two metrics objects merge.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// An event count: summed by every merge. Workers of one query run
+    /// concurrently and each counts its own events.
+    Sum,
+    /// Set once per query by the dispatcher, not by workers: summed when
+    /// whole queries merge into a workload, left alone when worker partials
+    /// merge into their query.
+    QuerySum,
+    /// A per-query level (worker cap, workers touched), also set by the
+    /// dispatcher: a workload keeps the maximum.
+    QueryMax,
+}
+
+impl Fold {
+    fn apply(self, into: &mut u64, from: u64, whole_query: bool) {
+        match (self, whole_query) {
+            (Fold::Sum, _) | (Fold::QuerySum, true) => *into += from,
+            (Fold::QueryMax, true) => *into = (*into).max(from),
+            (Fold::QuerySum | Fold::QueryMax, false) => {}
+        }
+    }
+}
+
+/// The one list of `u64` counters, in declaration order: what merges how,
+/// what [`fmt::Display`] prints and what the service's `metrics` trailer
+/// carries (name = wire key). A counter missing here is missing from all
+/// three; `every_u64_field_is_in_the_counter_table` fails on that.
+macro_rules! counter_table {
+    ($($field:ident: $fold:ident,)*) => {
+        const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+        impl ExecutionMetrics {
+            /// Every `u64` counter as `(field name, value)`, in declaration
+            /// order.
+            pub fn counters(&self) -> [(&'static str, u64); COUNTERS] {
+                [$((stringify!($field), self.$field)),*]
+            }
+
+            fn fold(&mut self, other: &ExecutionMetrics, whole_query: bool) {
+                $(Fold::$fold.apply(&mut self.$field, other.$field, whole_query);)*
+            }
+        }
+    };
+}
+
+counter_table! {
+    tuples_scanned: Sum,
+    tuples_output: QuerySum,
+    intermediate_tuples: Sum,
+    intermediate_bytes: Sum,
+    predicate_evals: Sum,
+    kernel_rows: Sum,
+    fallback_rows: Sum,
+    agg_kernel_rows: Sum,
+    agg_fallback_rows: Sum,
+    join_kernel_rows: Sum,
+    join_fallback_rows: Sum,
+    simd_rows: Sum,
+    hash_probes: Sum,
+    cached_values: Sum,
+    morsels: Sum,
+    morsels_skipped: Sum,
+    morsels_short_circuited: Sum,
+    index_rows: Sum,
+    binding_allocs: Sum,
+    batch_grows: Sum,
+    bad_rows: Sum,
+    threads_used: QueryMax,
+    workers_touched: QueryMax,
+    queue_wait_us: Sum,
+    sched_steals: Sum,
 }
 
 impl ExecutionMetrics {
@@ -125,42 +201,17 @@ impl ExecutionMetrics {
     }
 
     /// Sums the pure event counters — everything except output size, thread
-    /// count and the timing fields. The single list shared by the workload
-    /// merge below and the pipeline's per-worker merge (workers run
-    /// concurrently, so their wall times must not add; thread count is
-    /// tracked by the dispatcher).
+    /// counts and the timing fields. The pipeline's per-worker merge
+    /// (workers run concurrently, so their wall times must not add; output
+    /// size and thread counts are tracked by the dispatcher).
     pub fn merge_counters(&mut self, other: &ExecutionMetrics) {
-        self.tuples_scanned += other.tuples_scanned;
-        self.intermediate_tuples += other.intermediate_tuples;
-        self.intermediate_bytes += other.intermediate_bytes;
-        self.predicate_evals += other.predicate_evals;
-        self.kernel_rows += other.kernel_rows;
-        self.fallback_rows += other.fallback_rows;
-        self.agg_kernel_rows += other.agg_kernel_rows;
-        self.agg_fallback_rows += other.agg_fallback_rows;
-        self.join_kernel_rows += other.join_kernel_rows;
-        self.join_fallback_rows += other.join_fallback_rows;
-        self.simd_rows += other.simd_rows;
-        self.hash_probes += other.hash_probes;
-        self.cached_values += other.cached_values;
-        self.morsels += other.morsels;
-        self.morsels_skipped += other.morsels_skipped;
-        self.morsels_short_circuited += other.morsels_short_circuited;
-        self.index_rows += other.index_rows;
-        self.bad_rows += other.bad_rows;
-        self.binding_allocs += other.binding_allocs;
-        self.batch_grows += other.batch_grows;
-        self.queue_wait_us += other.queue_wait_us;
-        self.sched_steals += other.sched_steals;
+        self.fold(other, false);
     }
 
     /// Sums another metrics object into this one (used to aggregate a whole
     /// workload, e.g. Table 3).
     pub fn merge(&mut self, other: &ExecutionMetrics) {
-        self.merge_counters(other);
-        self.tuples_output += other.tuples_output;
-        self.threads_used = self.threads_used.max(other.threads_used);
-        self.workers_touched = self.workers_touched.max(other.workers_touched);
+        self.fold(other, true);
         self.compile_time += other.compile_time;
         self.exec_time += other.exec_time;
     }
@@ -173,36 +224,13 @@ impl ExecutionMetrics {
 
 impl fmt::Display for ExecutionMetrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (name, value) in self.counters() {
+            write!(f, "{name}={value} ")?;
+        }
         write!(
             f,
-            "scanned={} output={} intermediates={} ({} B) predicates={} (kernel={} fallback={}) aggs (kernel={} fallback={}) joins (kernel={} fallback={}) simd={} probes={} cached={} morsels={} (skipped={} short-circuited={}) index_rows={} bad_rows={} allocs={} grows={} threads={} workers={} steals={} queue_wait={}us compile={:?} exec={:?}",
-            self.tuples_scanned,
-            self.tuples_output,
-            self.intermediate_tuples,
-            self.intermediate_bytes,
-            self.predicate_evals,
-            self.kernel_rows,
-            self.fallback_rows,
-            self.agg_kernel_rows,
-            self.agg_fallback_rows,
-            self.join_kernel_rows,
-            self.join_fallback_rows,
-            self.simd_rows,
-            self.hash_probes,
-            self.cached_values,
-            self.morsels,
-            self.morsels_skipped,
-            self.morsels_short_circuited,
-            self.index_rows,
-            self.bad_rows,
-            self.binding_allocs,
-            self.batch_grows,
-            self.threads_used,
-            self.workers_touched,
-            self.sched_steals,
-            self.queue_wait_us,
-            self.compile_time,
-            self.exec_time
+            "compile={:?} exec={:?}",
+            self.compile_time, self.exec_time
         )
     }
 }
@@ -232,11 +260,62 @@ mod tests {
     }
 
     #[test]
+    fn worker_merge_leaves_dispatcher_fields_alone() {
+        let worker = ExecutionMetrics {
+            morsels: 4,
+            tuples_output: 9,
+            threads_used: 4,
+            workers_touched: 2,
+            exec_time: Duration::from_millis(3),
+            ..Default::default()
+        };
+        let mut query = ExecutionMetrics::new();
+        query.merge_counters(&worker);
+        assert_eq!(
+            query,
+            ExecutionMetrics {
+                morsels: 4,
+                ..Default::default()
+            }
+        );
+        let mut workload = ExecutionMetrics {
+            threads_used: 8,
+            tuples_output: 1,
+            ..Default::default()
+        };
+        workload.merge(&worker);
+        assert_eq!(workload.tuples_output, 10);
+        assert_eq!(workload.threads_used, 8);
+        assert_eq!(workload.workers_touched, 2);
+    }
+
+    #[test]
     fn display_contains_counters() {
         let m = ExecutionMetrics {
             tuples_scanned: 3,
             ..Default::default()
         };
-        assert!(m.to_string().contains("scanned=3"));
+        let text = m.to_string();
+        assert!(text.starts_with("tuples_scanned=3 "), "{text}");
+        assert!(text.ends_with(" compile=0ns exec=0ns"), "{text}");
+    }
+
+    #[test]
+    fn every_u64_field_is_in_the_counter_table() {
+        // `{:#?}` prints one `name: value,` line per field; the integer
+        // ones are the `u64` counters (durations print with a unit).
+        let debug = format!("{:#?}", ExecutionMetrics::default());
+        let fields: Vec<&str> = debug
+            .lines()
+            .filter_map(|line| line.trim().strip_suffix(',')?.split_once(": "))
+            .filter(|(_, value)| value.parse::<u64>().is_ok())
+            .map(|(name, _)| name)
+            .collect();
+        let table: Vec<&str> = ExecutionMetrics::default()
+            .counters()
+            .iter()
+            .map(|(name, _)| *name)
+            .collect();
+        assert_eq!(fields, table);
     }
 }

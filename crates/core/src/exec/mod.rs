@@ -1,11 +1,11 @@
 //! Runtime building blocks of the generated query pipelines.
 //!
-//! A reading-order map of the whole execution architecture — the four tiers
-//! (closure interpreter → morsel pipelines → typed kernels → typed
-//! sinks/joins), the kernel ≡ closure bit-exactness contract, and the
-//! per-operator eligibility/fallback rules — lives in `ARCHITECTURE.md` at
-//! the repository root. This module doc covers the same ground closer to
-//! the code.
+//! A reading-order map of the whole execution architecture — the five tiers
+//! (zone-map skipping → closure interpreter → morsel pipelines → typed
+//! kernels → typed sinks/joins), the kernel ≡ closure bit-exactness
+//! contract, and the per-operator eligibility/fallback rules — lives in
+//! `ARCHITECTURE.md` at the repository root. This module doc covers the
+//! same ground closer to the code.
 //!
 //! # Bindings and layouts
 //!
@@ -37,15 +37,18 @@
 //!   ([`radix::RadixHashTable`]); probe morsels then stream against it from
 //!   every worker. Left-outer joins track per-entry match flags and emit the
 //!   null-padded tail after the probe drains.
-//! * Morsels are claimed from an atomic counter by a pool of scoped threads
-//!   ([`pipeline`]); every worker folds into a *private* sink partial
-//!   (reduce accumulators, a radix group table, or a row buffer) and the
-//!   partials are merged under the monoid's associative ⊕ when the pool
+//! * Morsels are claimed from an atomic counter by the submitting thread
+//!   and by workers of the shared pool that steal slices of the run
+//!   ([`pipeline`], [`scheduler`]); every worker folds into a *private* sink
+//!   partial (reduce accumulators, a radix group table, or a row buffer) and
+//!   the partials are merged under the monoid's associative ⊕ when the run
 //!   drains. `parallelism = 1` runs the identical batch code inline — serial
 //!   and parallel execution differ only in floating-point summation order.
 //! * Join build sides also *build* in parallel: the radix partition phase
 //!   fans out over contiguous entry chunks and the cluster (sort) phase over
 //!   the radix digits, producing a table bit-identical to the serial build.
+//!   This is the one place a query still spawns threads of its own
+//!   ([`radix::RadixHashTable::build_parallel`]), outside the pool.
 //!
 //! Collected (non-aggregated) outputs are tagged with their morsel index and
 //! re-sorted on merge, so row order matches the serial scan order no matter

@@ -5,26 +5,20 @@
 //! into a shared [`RadixHashTable`] (itself via a morsel-parallel run of the
 //! build spine), leaving a linear **spine** — scan → stage* — that streams
 //! batches. Execution then dispatches morsels of [`MORSEL_SIZE`] tuples from
-//! an atomic work counter to a pool of workers (`std::thread::scope`); each
-//! worker owns two recycled [`BindingBatch`]es and a private sink partial
-//! (accumulators / radix group table / row buffer), and the partials are
-//! merged under the monoid's associative ⊕ when the pool drains. With
-//! `parallelism = 1` the same batch code runs inline on the calling thread —
-//! the serial path and the parallel path are the same code, so their results
-//! only differ by floating-point summation order.
+//! an atomic work counter to its workers; each worker owns two recycled
+//! [`BindingBatch`]es and a private sink partial (accumulators / radix group
+//! table / row buffer), and the partials are merged under the monoid's
+//! associative ⊕ when the run drains. With `parallelism = 1` the same batch
+//! code runs inline on the calling thread — the serial path and the parallel
+//! path are the same code, so their results only differ by floating-point
+//! summation order.
 //!
-//! Worker provisioning has two backends behind one `PipelineRun`:
-//!
-//! * the **shared scheduler** (the default; see [`super::scheduler`]): the
-//!   submitting thread drives the run to completion while persistent pool
-//!   workers steal bounded slices of morsels, parking their partials on the
-//!   run between slices — many concurrent queries share one pool;
-//! * the **per-query scope** (legacy; `EngineConfig::with_shared_scheduler
-//!   (false)`): a `std::thread::scope` of workers spawned per run — kept as
-//!   the A/B baseline for the scheduler's regression guard.
-//!
-//! Both backends run the same `drive_run` morsel loop, so containment,
-//! checkpointing and budget semantics are identical.
+//! Workers come from the shared scheduler (see [`super::scheduler`]): the
+//! submitting thread drives a `PipelineRun` to completion while persistent
+//! pool workers steal bounded slices of morsels, parking their partials on
+//! the run between slices — many concurrent queries share one pool. The
+//! submitter and the pool workers run the same `drive_run` morsel loop, so
+//! containment, checkpointing and budget semantics are identical on both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -50,15 +44,14 @@ use crate::exec::scheduler::{PoolTask, Scheduler};
 use crate::exec::Binding;
 
 /// Everything a pipeline run needs from the dispatcher: the worker cap, the
-/// numeric mode, the query's lifecycle context, and (when the query runs on
-/// the shared pool) the scheduler to offer runs to. One `ExecEnv` serves the
-/// whole query — nested runs (join build sides) inherit it.
+/// numeric mode, the query's lifecycle context, and the scheduler to offer
+/// runs to. One `ExecEnv` serves the whole query — nested runs (join build
+/// sides) inherit it.
 pub(crate) struct ExecEnv {
     pub(crate) threads: usize,
     pub(crate) mode: kernels::NumericMode,
     pub(crate) ctx: Arc<QueryContext>,
-    /// `None` = the legacy per-query `std::thread::scope` backend.
-    pub(crate) scheduler: Option<Arc<Scheduler>>,
+    pub(crate) scheduler: Arc<Scheduler>,
 }
 
 /// Morsels a pool worker claims per steal before re-picking the neediest
@@ -1285,11 +1278,11 @@ impl WorkerPartial {
     }
 }
 
-/// One pipeline run's shared morsel queue: the unit of work both backends
-/// (shared pool and legacy scope) execute, and the [`PoolTask`] pool workers
-/// steal slices from. Owns the prepared pipeline, the sink spec and the
-/// query context so it can outlive the submitting stack frame inside the
-/// scheduler's task list ('static pool threads hold an `Arc` of it).
+/// One pipeline run's shared morsel queue: the unit of work the submitting
+/// thread drives, and the [`PoolTask`] pool workers steal slices from. Owns
+/// the prepared pipeline, the sink spec and the query context so it can
+/// outlive the submitting stack frame inside the scheduler's task list
+/// ('static pool threads hold an `Arc` of it).
 pub(crate) struct PipelineRun {
     pipeline: PreparedPipeline,
     sink: SinkSpec,
@@ -1301,9 +1294,9 @@ pub(crate) struct PipelineRun {
     /// Steal-slice acquisitions by pool workers that claimed ≥ 1 morsel.
     steals: AtomicU64,
     /// Bitmask of workers that claimed ≥ 1 morsel: bit 0 = the submitting
-    /// thread, bit `1 + (pool_worker % 63)` = pool helpers (scoped workers
-    /// map to `min(w, 63)`). Saturating at 64 distinct bits is fine — the
-    /// popcount feeds `ExecutionMetrics::workers_touched`, a diagnostic.
+    /// thread, bit `1 + (pool_worker % 63)` = pool helpers. Saturating at 64
+    /// distinct bits is fine — the popcount feeds
+    /// `ExecutionMetrics::workers_touched`, a diagnostic.
     workers_mask: AtomicU64,
 }
 
@@ -1327,8 +1320,8 @@ impl PipelineRun {
     }
 
     /// Takes every parked partial. Callers must first make the run
-    /// quiescent (no worker attached — the scheduler's task-handle drop and
-    /// the legacy scope join both guarantee it).
+    /// quiescent (no worker attached — the scheduler's task-handle drop
+    /// guarantees it).
     fn take_partials(&self) -> Vec<WorkerPartial> {
         std::mem::take(&mut *self.lock_parked())
     }
@@ -1384,8 +1377,8 @@ struct DriveOutcome {
     more: bool,
 }
 
-/// The morsel loop both backends share: claims up to `limit` morsels from
-/// the run's queue and executes them into `p`.
+/// The morsel loop the submitter and the pool workers share: claims up to
+/// `limit` morsels from the run's queue and executes them into `p`.
 ///
 /// Every morsel executes under `catch_unwind`, so a panic anywhere on the
 /// morsel path (plug-in fills, kernels, sink folds) is contained: the first
@@ -1541,13 +1534,10 @@ impl PoolTask for PipelineRun {
     }
 }
 
-/// Runs a prepared pipeline into a sink with up to `env.threads` workers.
-///
-/// Worker provisioning depends on the backend (see the module docs): under
-/// the shared scheduler the submitting thread drives the run to completion
-/// while pool workers steal bounded slices; under the legacy backend a
-/// `std::thread::scope` of workers is spawned for this run alone. Both
-/// backends execute the same [`drive_run`] loop.
+/// Runs a prepared pipeline into a sink with up to `env.threads` workers:
+/// the calling thread drives the run to completion; when more than one
+/// worker is allowed, the run is also offered to the scheduler's pool, whose
+/// workers steal bounded slices of it.
 ///
 /// Failure semantics: any worker failure (panic, injected fault,
 /// cancellation, deadline, budget) poisons the query, the remaining morsels
@@ -1571,48 +1561,20 @@ fn execute_pipeline(
     metrics.threads_used = metrics.threads_used.max(threads as u64);
 
     let run = Arc::new(PipelineRun::new(pipeline, sink, Arc::clone(&env.ctx)));
-    match &env.scheduler {
-        // Shared pool: offer the run (up to threads - 1 helpers steal
-        // slices), and drive it to completion on this thread — a query
-        // never waits on pool capacity to make progress.
-        Some(scheduler) if threads > 1 => {
-            let handle = scheduler.offer(Arc::clone(&run) as Arc<dyn PoolTask>, threads - 1);
-            {
-                let mut guard = AttachGuard::new(&run);
-                drive_run(&run, guard.partial_mut(), u64::MAX, 0);
-            }
-            // Retiring the handle waits out any helper mid-slice: after
-            // this, every partial is parked and the run is quiescent.
-            drop(handle);
-        }
-        // Serial (either backend): inline on the calling thread.
-        _ if threads == 1 => {
-            let mut guard = AttachGuard::new(&run);
-            drive_run(&run, guard.partial_mut(), u64::MAX, 0);
-        }
-        // Legacy backend: a per-query scope of workers for this run alone.
-        _ => {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|worker| {
-                        let run = &run;
-                        scope.spawn(move || {
-                            let mut guard = AttachGuard::new(run);
-                            drive_run(run, guard.partial_mut(), u64::MAX, worker.min(63) as u32);
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    if let Err(payload) = handle.join() {
-                        // Workers run morsels under catch_unwind, so this
-                        // only fires for a panic outside the morsel path.
-                        // Contain it instead of unwinding through the scope.
-                        run.ctx.fail(panic_error(payload, "worker wind-down"));
-                    }
-                }
-            });
-        }
+    // Offer the run to the pool (up to threads - 1 helpers steal slices)
+    // and drive it to completion on this thread — a query never waits on
+    // pool capacity to make progress. A serial run is not offered at all.
+    let handle = (threads > 1).then(|| {
+        env.scheduler
+            .offer(Arc::clone(&run) as Arc<dyn PoolTask>, threads - 1)
+    });
+    {
+        let mut guard = AttachGuard::new(&run);
+        drive_run(&run, guard.partial_mut(), u64::MAX, 0);
     }
+    // Retiring the handle waits out any helper mid-slice: after this, every
+    // partial is parked and the run is quiescent.
+    drop(handle);
 
     metrics.sched_steals += run.steals.load(Ordering::Relaxed);
     let touched = run.workers_mask.load(Ordering::Relaxed).count_ones() as u64;

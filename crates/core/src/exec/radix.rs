@@ -405,6 +405,11 @@ impl RadixHashTable {
     /// digits. Chunk partials are concatenated in chunk order before the
     /// stable per-digit sort, so the result is bit-identical to the serial
     /// build — probe/match order does not depend on the worker count.
+    ///
+    /// Builds of `PARALLEL_BUILD_THRESHOLD` (4 096) entries or more spawn a
+    /// `std::thread::scope` of `threads` workers per phase. These are the
+    /// only threads a query spawns for itself: they are not pool workers, so
+    /// admission control does not bound them.
     pub fn build_parallel(mut store: BuildStore, threads: usize) -> RadixHashTable {
         store.build_num_views();
         let len = store.len();

@@ -1,26 +1,24 @@
 //! The shared worker-pool scheduler: many concurrent queries, one pool.
 //!
-//! Before this layer, every query spawned its own `std::thread::scope` of
-//! morsel workers — correct for one query at a time, but a process serving
-//! concurrent traffic would oversubscribe the machine with one pool per
-//! in-flight query. The [`Scheduler`] replaces that with a single pool of
-//! **persistent workers** shared by every query:
+//! A process serving concurrent traffic would oversubscribe the machine if
+//! every in-flight query brought workers of its own. The [`Scheduler`] is a
+//! single pool of **persistent workers** shared by every query:
 //!
-//! * Each pipeline run keeps its own morsel queue (the same atomic counter
-//!   as before) and is *offered* to the pool. The submitting thread always
-//!   works its own run to completion — a query never waits on pool capacity
-//!   to make progress, so the serial path is unchanged and admission can
-//!   never deadlock a running query.
+//! * Each pipeline run keeps its own morsel queue (an atomic counter) and is
+//!   *offered* to the pool. The submitting thread always works its own run
+//!   to completion — a query never waits on pool capacity to make progress,
+//!   so a serial query never touches the pool and admission can never
+//!   deadlock a running query.
 //! * Pool workers **steal slices**: a worker attaches to a run, claims a
 //!   bounded slice of morsels, parks its partial back on the run and then
 //!   re-picks the run with the *fewest* attached workers. Slice-sized
 //!   stealing is the fairness mechanism — no query can monopolize the pool
 //!   for longer than one slice per worker.
 //! * Every query's [`QueryContext`] (poison / cancel / deadline / budget)
-//!   is enforced at the same morsel-boundary checkpoints as before, and at
-//!   steal boundaries: a poisoned run drains instantly and its pool workers
-//!   move on to other queries. A panic on the steal path itself is contained
-//!   by the worker loop — a pool worker can never die and shrink the pool.
+//!   is enforced at the morsel-boundary checkpoints and at steal boundaries:
+//!   a poisoned run drains instantly and its pool workers move on to other
+//!   queries. A panic on the steal path itself is contained by the worker
+//!   loop — a pool worker can never die and shrink the pool.
 //!
 //! On top sits **admission control**: a scheduler configured with an
 //! [`AdmissionConfig`] runs at most `max_concurrent` queries, queues at most

@@ -242,7 +242,7 @@ impl ZoneMap {
     /// time; `ColumnData` has no nulls, so every `null_count` is zero). Each
     /// zone folds over the typed slice and builds its two exact `Value`
     /// bounds once; the result equals streaming every row through
-    /// [`ZoneBuilder::observe_value`].
+    /// `ZoneBuilder::observe_value`.
     pub fn from_column(col: &ColumnData) -> ZoneMap {
         let mut b = ZoneBuilder::new(match col {
             ColumnData::Int(_) => TypedKind::I64,

@@ -685,48 +685,21 @@ pub fn row_frame(row: &Value) -> String {
     into_json(out)
 }
 
-/// The success trailer: every counter of [`ExecutionMetrics`] plus timings
-/// in microseconds.
+/// The success trailer: every counter of [`ExecutionMetrics`] under its
+/// field name, plus timings in microseconds.
 pub fn metrics_frame(metrics: &ExecutionMetrics, rows: u64) -> String {
-    let m = metrics;
-    format!(
-        "{{\"type\": \"metrics\", \"rows\": {rows}, \"tuples_scanned\": {}, \"tuples_output\": {}, \
-         \"intermediate_tuples\": {}, \"intermediate_bytes\": {}, \"predicate_evals\": {}, \
-         \"kernel_rows\": {}, \"fallback_rows\": {}, \"agg_kernel_rows\": {}, \
-         \"agg_fallback_rows\": {}, \"join_kernel_rows\": {}, \"join_fallback_rows\": {}, \
-         \"simd_rows\": {}, \"hash_probes\": {}, \"cached_values\": {}, \"morsels\": {}, \
-         \"morsels_skipped\": {}, \"morsels_short_circuited\": {}, \"index_rows\": {}, \
-         \"binding_allocs\": {}, \"batch_grows\": {}, \"bad_rows\": {}, \"threads_used\": {}, \
-         \"workers_touched\": {}, \"queue_wait_us\": {}, \"sched_steals\": {}, \
-         \"compile_us\": {}, \"exec_us\": {}}}",
-        m.tuples_scanned,
-        m.tuples_output,
-        m.intermediate_tuples,
-        m.intermediate_bytes,
-        m.predicate_evals,
-        m.kernel_rows,
-        m.fallback_rows,
-        m.agg_kernel_rows,
-        m.agg_fallback_rows,
-        m.join_kernel_rows,
-        m.join_fallback_rows,
-        m.simd_rows,
-        m.hash_probes,
-        m.cached_values,
-        m.morsels,
-        m.morsels_skipped,
-        m.morsels_short_circuited,
-        m.index_rows,
-        m.binding_allocs,
-        m.batch_grows,
-        m.bad_rows,
-        m.threads_used,
-        m.workers_touched,
-        m.queue_wait_us,
-        m.sched_steals,
-        m.compile_time.as_micros(),
-        m.exec_time.as_micros(),
-    )
+    use std::fmt::Write;
+    let mut out = format!("{{\"type\": \"metrics\", \"rows\": {rows}");
+    for (name, value) in metrics.counters() {
+        let _ = write!(out, ", \"{name}\": {value}");
+    }
+    let _ = write!(
+        out,
+        ", \"compile_us\": {}, \"exec_us\": {}}}",
+        metrics.compile_time.as_micros(),
+        metrics.exec_time.as_micros()
+    );
+    out
 }
 
 /// Maps every [`EngineError`] variant onto a structured error frame: a
@@ -850,6 +823,55 @@ mod tests {
         assert_eq!(trailer.get("type"), Some(&Value::Str("metrics".into())));
         assert_eq!(trailer.get("rows"), Some(&Value::Int(rows.len() as i64)));
         written
+    }
+
+    #[test]
+    fn metrics_trailer_is_pinned_byte_for_byte() {
+        // Clients (`parse_metrics`, the end-to-end harness) read the
+        // trailer by key; this is the exact string every release so far
+        // has put on the wire for these values.
+        let metrics = ExecutionMetrics {
+            tuples_scanned: 1,
+            tuples_output: 2,
+            intermediate_tuples: 3,
+            intermediate_bytes: 4,
+            predicate_evals: 5,
+            kernel_rows: 6,
+            fallback_rows: 7,
+            agg_kernel_rows: 8,
+            agg_fallback_rows: 9,
+            join_kernel_rows: 10,
+            join_fallback_rows: 11,
+            simd_rows: 12,
+            hash_probes: 13,
+            cached_values: 14,
+            morsels: 15,
+            morsels_skipped: 16,
+            morsels_short_circuited: 17,
+            index_rows: 18,
+            binding_allocs: 19,
+            batch_grows: 20,
+            bad_rows: 21,
+            threads_used: 22,
+            workers_touched: 23,
+            queue_wait_us: 24,
+            sched_steals: 25,
+            compile_time: std::time::Duration::from_micros(26),
+            exec_time: std::time::Duration::from_nanos(27_999),
+        };
+        assert_eq!(
+            metrics_frame(&metrics, 28),
+            "{\"type\": \"metrics\", \"rows\": 28, \"tuples_scanned\": 1, \
+             \"tuples_output\": 2, \"intermediate_tuples\": 3, \"intermediate_bytes\": 4, \
+             \"predicate_evals\": 5, \"kernel_rows\": 6, \"fallback_rows\": 7, \
+             \"agg_kernel_rows\": 8, \"agg_fallback_rows\": 9, \"join_kernel_rows\": 10, \
+             \"join_fallback_rows\": 11, \"simd_rows\": 12, \"hash_probes\": 13, \
+             \"cached_values\": 14, \"morsels\": 15, \"morsels_skipped\": 16, \
+             \"morsels_short_circuited\": 17, \"index_rows\": 18, \"binding_allocs\": 19, \
+             \"batch_grows\": 20, \"bad_rows\": 21, \"threads_used\": 22, \
+             \"workers_touched\": 23, \"queue_wait_us\": 24, \"sched_steals\": 25, \
+             \"compile_us\": 26, \"exec_us\": 27}"
+        );
     }
 
     #[test]

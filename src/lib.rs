@@ -6,9 +6,9 @@
 //! depend on a single crate.
 //!
 //! **Architecture:** `ARCHITECTURE.md` at the repository root explains the
-//! four execution tiers (closure interpreter → morsel pipelines → typed
-//! bitmask kernels → typed sinks/joins), the kernel ≡ closure
-//! bit-exactness contract, and the per-operator eligibility rules;
+//! five execution tiers (zone-map skipping → closure interpreter → morsel
+//! pipelines → typed bitmask kernels → typed sinks/joins), the kernel ≡
+//! closure bit-exactness contract, and the per-operator eligibility rules;
 //! `BENCHMARKS.md` maps every `BENCH_*.json` report to its paper figure.
 //! `cargo run --release --example vectorized_pipeline` shows the tiers
 //! engaging on live queries.

@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use proteus::core::{BadRowPolicy, CancellationToken, EngineError};
+use proteus::core::{BadRowPolicy, CancellationToken, Compiler, EngineError};
 use proteus::datagen::writers;
 use proteus::plugins::fault::{self, FaultAction};
 use proteus::prelude::*;
@@ -292,6 +292,38 @@ fn worker_panic_is_contained_and_engine_stays_usable() {
     fault::clear();
     let result = engine.execute_plan(count_plan("t")).unwrap();
     assert_eq!(count_of(&result), 4 * MORSEL);
+}
+
+#[test]
+fn worker_panic_under_execute_with_parallelism_leaves_the_global_pool_usable() {
+    // `CompiledQuery::execute_with_parallelism` runs on the process-wide
+    // scheduler: a panicking morsel must come back as a structured error,
+    // and the pool must serve the next query.
+    let _scope = fault_scope();
+    let engine = csv_engine(
+        "global_pool_panic",
+        8 * MORSEL,
+        EngineConfig::without_caching(),
+    );
+    let compiler = Compiler::new(engine.registry().clone(), None);
+    let plan = count_plan("t");
+
+    fault::configure("dispatch.morsel", FaultAction::Panic);
+    let compiled = compiler.compile(&plan).unwrap();
+    match compiled.execute_with_parallelism(4).unwrap_err() {
+        EngineError::WorkerPanic { payload } => {
+            assert!(payload.contains("dispatch.morsel"), "payload: {payload}")
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    fault::clear();
+
+    let compiled = compiler.compile(&plan).unwrap();
+    let output = compiled.execute_with_parallelism(4).unwrap();
+    let cnt = output.rows[0].as_record().unwrap().get("cnt").cloned();
+    assert_eq!(cnt, Some(Value::Int(8 * MORSEL)));
+    assert_eq!(output.metrics.threads_used, 4);
+    assert!((1..=4).contains(&output.metrics.workers_touched));
 }
 
 #[test]
