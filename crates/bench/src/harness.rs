@@ -200,30 +200,41 @@ impl BenchSetup {
         let (orders, lineitems) = generator.generate();
         let denormalized = TpchGenerator::denormalize(&orders, &lineitems);
         let dir = std::env::temp_dir().join(format!("proteus_bench_sf{}", scale.0));
-        std::fs::create_dir_all(&dir).unwrap();
-
-        writers::write_json(dir.join("lineitem.json"), &lineitems, true).unwrap();
-        writers::write_json(dir.join("orders.json"), &orders, true).unwrap();
-        writers::write_json(dir.join("orders_denorm.json"), &denormalized, false).unwrap();
-        writers::write_csv(
-            dir.join("lineitem.csv"),
-            &lineitems,
-            &TpchGenerator::lineitem_schema(),
-            '|',
-        )
-        .unwrap();
-        writers::write_column_table(
-            dir.join("lineitem_cols"),
-            &lineitems,
-            &TpchGenerator::lineitem_schema(),
-        )
-        .unwrap();
-        writers::write_column_table(
-            dir.join("orders_cols"),
-            &orders,
-            &TpchGenerator::orders_schema(),
-        )
-        .unwrap();
+        // One directory per scale, shared by every caller in the process —
+        // tests run in parallel — and the generated data is a function of
+        // the scale alone: the first caller writes the files under the
+        // lock, later callers wait for it and reuse them, so nobody reads a
+        // file somebody else is rewriting.
+        static WRITTEN: std::sync::Mutex<Vec<std::path::PathBuf>> =
+            std::sync::Mutex::new(Vec::new());
+        let mut written = WRITTEN.lock().unwrap_or_else(|e| e.into_inner());
+        if !written.contains(&dir) {
+            std::fs::create_dir_all(&dir).unwrap();
+            writers::write_json(dir.join("lineitem.json"), &lineitems, true).unwrap();
+            writers::write_json(dir.join("orders.json"), &orders, true).unwrap();
+            writers::write_json(dir.join("orders_denorm.json"), &denormalized, false).unwrap();
+            writers::write_csv(
+                dir.join("lineitem.csv"),
+                &lineitems,
+                &TpchGenerator::lineitem_schema(),
+                '|',
+            )
+            .unwrap();
+            writers::write_column_table(
+                dir.join("lineitem_cols"),
+                &lineitems,
+                &TpchGenerator::lineitem_schema(),
+            )
+            .unwrap();
+            writers::write_column_table(
+                dir.join("orders_cols"),
+                &orders,
+                &TpchGenerator::orders_schema(),
+            )
+            .unwrap();
+            written.push(dir.clone());
+        }
+        drop(written);
 
         BenchSetup {
             dir,

@@ -1240,20 +1240,40 @@ impl CompiledQuery {
                     Err(err) => return Err(patch_partial(err, metrics)),
                 };
                 metrics.intermediate_tuples += table.group_count() as u64;
-                table
-                    .finish()
-                    .into_iter()
-                    .map(|(key, outputs)| {
-                        let mut record = Record::empty();
-                        for (alias, value) in key_aliases.iter().zip(key) {
-                            record.set(alias.clone(), value);
-                        }
-                        for ((_, _, alias), value) in specs.iter().zip(outputs) {
-                            record.set(alias.clone(), value);
-                        }
-                        Value::Record(record)
-                    })
-                    .collect()
+                // Resolve the output record's shape once: key aliases then
+                // spec aliases, a repeated name keeping its first position
+                // and its last writer (`Record::set` semantics).
+                #[derive(Clone, Copy)]
+                enum Source {
+                    Key(usize),
+                    Output(usize),
+                }
+                let mut fields: Vec<(&String, Source)> = Vec::new();
+                let sources = (0..key_aliases.len())
+                    .map(Source::Key)
+                    .chain((0..specs.len()).map(Source::Output));
+                let names = key_aliases.iter().chain(specs.iter().map(|(_, _, a)| a));
+                for (name, source) in names.zip(sources) {
+                    match fields.iter_mut().find(|(n, _)| *n == name) {
+                        Some(field) => field.1 = source,
+                        None => fields.push((name, source)),
+                    }
+                }
+                // Records are built straight from the table's arenas.
+                table.into_rows(|key, outputs| {
+                    Value::Record(Record::new(
+                        fields
+                            .iter()
+                            .map(|(name, source)| {
+                                let value = match *source {
+                                    Source::Key(i) => &mut key[i],
+                                    Source::Output(j) => &mut outputs[j],
+                                };
+                                ((*name).clone(), std::mem::replace(value, Value::Null))
+                            })
+                            .collect(),
+                    ))
+                })
             }
             Sink::Collect => {
                 let slots: Vec<String> = self.layout.slots().to_vec();

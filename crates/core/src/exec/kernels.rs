@@ -44,8 +44,11 @@
 //! into the same pass as a mask, so `SUM(x) WHERE p` never calls a closure.
 //! Group-by sinks additionally read their key components straight from the
 //! typed columns ([`TypedKeys`]): rows are hashed lane-wise (via the
-//! `Value::stable_hash_*` component helpers) and a `Vec<Value>` key is only
-//! materialized when a group is first inserted. Collection monoids
+//! `Value::stable_hash_*` component helpers), resolved to group ids through
+//! flat compare lanes ([`TypedKeys::resolve_groups`]) — key `Value`s are
+//! only materialized when a group is first inserted — and each aggregate
+//! then folds in one loop over `(group id, row)`
+//! ([`RenderedAggs::fold_groups`]). Collection monoids
 //! (bag/set/list) and ineligible expressions stay on the closure path,
 //! spec by spec.
 
@@ -61,7 +64,7 @@ use proteus_plugins::{ColumnStats, TypedColumn, TypedKind, ZoneMap};
 use crate::exec::batch::BindingBatch;
 use crate::exec::expr::BindingLayout;
 use crate::exec::mask;
-use crate::exec::radix::{BuildStore, KeyHash, HASH_LANES};
+use crate::exec::radix::{BuildStore, KeyHash, KeyLane, RadixGroupTable, HASH_LANES};
 
 // ---------------------------------------------------------------------------
 // The kernel plan.
@@ -750,6 +753,7 @@ pub struct Scratch {
     u64s: Vec<Vec<u64>>,
     values: Vec<Vec<Value>>,
     pairs: Vec<Vec<(u32, u32)>>,
+    lanes: Vec<Vec<KeyLane>>,
     /// The query's numeric mode, carried to the spine stages (probe / build
     /// hashing) that have no [`SinkKernel`] to read it from.
     mode: NumericMode,
@@ -846,6 +850,18 @@ impl Scratch {
     pub(crate) fn put_pairs(&mut self, mut v: Vec<(u32, u32)>) {
         v.clear();
         self.pairs.push(v);
+    }
+
+    /// Borrows a recycled key-lane buffer (the group-by ingest's per-morsel
+    /// probe lanes).
+    fn take_lanes(&mut self) -> Vec<KeyLane> {
+        self.lanes.pop().unwrap_or_default()
+    }
+
+    /// Returns a key-lane buffer to the pool.
+    fn put_lanes(&mut self, mut v: Vec<KeyLane>) {
+        v.clear();
+        self.lanes.push(v);
     }
 }
 
@@ -1533,6 +1549,30 @@ pub struct RenderedAggs<'a> {
     relaxed: bool,
 }
 
+/// Calls `f(at, value)` for every `(at, row)` pair whose row is non-null in
+/// the rendered numeric input, in order, with the float view of the lane
+/// (the shared walk of the grouped `Sum`/`Avg` folds; dense `f64`/`i64`
+/// inputs skip the per-row null test and lane dispatch).
+#[inline]
+fn for_each_non_null(
+    vec: &NumVec<'_>,
+    nulls: &Option<Vec<u64>>,
+    pairs: impl Iterator<Item = (usize, usize)>,
+    mut f: impl FnMut(usize, f64),
+) {
+    match (vec, nulls) {
+        (NumVec::F64(v), None) => pairs.for_each(|(at, i)| f(at, v[i])),
+        (NumVec::I64(v), None) => pairs.for_each(|(at, i)| f(at, v[i] as f64)),
+        (vec, nulls) => {
+            for (at, i) in pairs {
+                if !null_at(nulls, i) {
+                    f(at, vec.f64_at(i));
+                }
+            }
+        }
+    }
+}
+
 #[inline]
 fn null_at(nulls: &Option<Vec<u64>>, i: usize) -> bool {
     nulls.as_ref().is_some_and(|n| mask::get(n, i))
@@ -1737,6 +1777,123 @@ impl RenderedAggs<'_> {
         }
     }
 
+    /// The group-by fold of output spec `spec`: row `rows_idx[j]` folds into
+    /// group `gids[j]`'s accumulator, `accs[gid * stride + spec]` (the flat
+    /// arena of a [`RadixGroupTable`]). One dispatch on the spec's shape per
+    /// morsel, then a tight loop over `(gid, row)` — each arm is
+    /// [`RenderedAggs::fold_row`] with the `match` hoisted out, so under
+    /// `strict` every group's accumulator sees exactly the sequence of
+    /// updates a row-at-a-time ingest gives it (float adds in row order).
+    ///
+    /// Under `relaxed`, runs of adjacent rows landing in the same group
+    /// (clustered keys) fold through [`RenderedAggs::fold_rows`] — the
+    /// lane-split `Sum`/`Avg` — and single rows through `fold_row`. Returns
+    /// the rows folded through the lane path (the `simd_rows` metric).
+    ///
+    /// [`RadixGroupTable`]: crate::exec::radix::RadixGroupTable
+    pub fn fold_groups(
+        &self,
+        spec: usize,
+        monoid: Monoid,
+        accs: &mut [Accumulator],
+        stride: usize,
+        gids: &[u32],
+        rows_idx: &[u32],
+    ) -> u64 {
+        debug_assert_eq!(gids.len(), rows_idx.len());
+        if self.relaxed {
+            let mut lane_rows = 0;
+            let mut i = 0;
+            while i < gids.len() {
+                let gid = gids[i];
+                let mut end = i + 1;
+                while end < gids.len() && gids[end] == gid {
+                    end += 1;
+                }
+                let acc = &mut accs[gid as usize * stride + spec];
+                if end - i > 1 {
+                    lane_rows += self.fold_rows(spec, monoid, acc, &rows_idx[i..end]);
+                } else {
+                    self.fold_row(spec, monoid, acc, rows_idx[i] as usize);
+                }
+                i = end;
+            }
+            return lane_rows;
+        }
+        let Some(rendered) = &self.slots[spec] else {
+            unreachable!("fold_groups on a closure-fallback spec");
+        };
+        // One accumulator per (group, row) pair, in row order.
+        let pairs = gids
+            .iter()
+            .zip(rows_idx)
+            .map(|(&gid, &r)| (gid as usize * stride + spec, r as usize));
+        match (rendered, monoid) {
+            (RenderedAgg::Count, Monoid::Count) => {
+                for (at, _) in pairs {
+                    let Accumulator::Int(count) = &mut accs[at] else {
+                        unreachable!("count accumulates in an Int");
+                    };
+                    *count += 1;
+                }
+            }
+            (RenderedAgg::Num { vec, nulls, .. }, Monoid::Sum) => {
+                for_each_non_null(vec, nulls, pairs, |at, value| {
+                    let Accumulator::Float(total) = &mut accs[at] else {
+                        unreachable!("sum accumulates in a Float");
+                    };
+                    *total += value;
+                });
+            }
+            (RenderedAgg::Num { vec, nulls, .. }, Monoid::Avg) => {
+                for_each_non_null(vec, nulls, pairs, |at, value| {
+                    let Accumulator::AvgState { sum, count } = &mut accs[at] else {
+                        unreachable!("avg accumulates in an AvgState");
+                    };
+                    *sum += value;
+                    *count += 1;
+                });
+            }
+            (RenderedAgg::Num { vec, nulls, int }, Monoid::Max | Monoid::Min) => {
+                let want = if monoid == Monoid::Max {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                };
+                for (at, i) in pairs {
+                    if null_at(nulls, i) {
+                        continue;
+                    }
+                    let Accumulator::Extreme(state) = &mut accs[at] else {
+                        unreachable!("min/max accumulate in an Extreme");
+                    };
+                    let view = vec.f64_at(i);
+                    let replace = match state {
+                        None => true,
+                        Some(current) => {
+                            view.total_cmp(&current.as_float().unwrap_or(f64::NAN)) == want
+                        }
+                    };
+                    if replace {
+                        *state = Some(vec.value_at(i, *int));
+                    }
+                }
+            }
+            (RenderedAgg::Bool(bits), Monoid::And | Monoid::Or) => {
+                let or = monoid == Monoid::Or;
+                for (at, i) in pairs {
+                    let Accumulator::Bool(b) = &mut accs[at] else {
+                        unreachable!("and/or accumulate in a Bool");
+                    };
+                    let bit = mask::get(bits, i);
+                    *b = if or { *b || bit } else { *b && bit };
+                }
+            }
+            _ => unreachable!("rendered aggregate does not match its monoid"),
+        }
+        0
+    }
+
     /// Returns the rendered buffers to the scratch pools.
     pub fn release(self, scratch: &mut Scratch) {
         for slot in self.slots {
@@ -1905,36 +2062,9 @@ impl<'a> TypedKeys<'a> {
         lane_rows
     }
 
-    /// Componentwise equality between two rows of the bound key columns
-    /// (null == null, numerics by `total_cmp` through the float view,
-    /// strings by pool id — sound within one batch, whose pool is shared).
-    /// Drives the relaxed group-by run detection: a run of equal-keyed
-    /// adjacent rows folds through `fold_rows` in one table lookup.
-    pub fn rows_eq(&self, a: usize, b: usize) -> bool {
-        self.comps.iter().all(|(col, _)| {
-            match (col.is_null(a), col.is_null(b)) {
-                (true, true) => return true,
-                (false, false) => {}
-                _ => return false,
-            }
-            match col.kind() {
-                TypedKind::I64 => col.i64_values()[a] == col.i64_values()[b],
-                TypedKind::F64 => {
-                    let v = col.f64_values();
-                    v[a].total_cmp(&v[b]) == Ordering::Equal
-                }
-                TypedKind::Bool => col.bool_values()[a] == col.bool_values()[b],
-                TypedKind::Str => {
-                    let (ids, _) = col.str_parts();
-                    ids[a] == ids[b]
-                }
-            }
-        })
-    }
-
     /// [`Value::value_eq`] between one typed lane and a stored component
-    /// value (the shared compare of [`TypedKeys::eq_values`] and the
-    /// view-less arm of [`TypedKeys::eq_store`]).
+    /// value (the string confirmation of [`TypedKeys::resolve_groups`] and
+    /// the view-less arm of [`TypedKeys::eq_store`]).
     #[inline]
     fn component_eq_value(col: &TypedColumn, row: usize, stored: &Value) -> bool {
         if col.is_null(row) {
@@ -1960,14 +2090,88 @@ impl<'a> TypedKeys<'a> {
         }
     }
 
-    /// Componentwise [`Value::value_eq`] between row `row` and a stored key.
-    pub fn eq_values(&self, row: usize, key: &[Value]) -> bool {
-        key.len() == self.comps.len()
-            && self
-                .comps
-                .iter()
-                .zip(key)
-                .all(|((col, _), stored)| Self::component_eq_value(col, row, stored))
+    /// The compare lane of one key component at `row`: what
+    /// [`KeyLane::of`] gives the hydrated component (string lanes carry the
+    /// pool's pre-computed hash).
+    #[inline]
+    fn component_lane(col: &TypedColumn, pool_hashes: &[u64], row: usize) -> KeyLane {
+        if col.is_null(row) {
+            return KeyLane::NULL;
+        }
+        match col.kind() {
+            TypedKind::I64 => KeyLane::num(col.i64_values()[row] as f64),
+            TypedKind::F64 => KeyLane::num(col.f64_values()[row]),
+            TypedKind::Bool => KeyLane::bool(col.bool_values()[row]),
+            TypedKind::Str => KeyLane::other(pool_hashes[col.str_parts().0[row] as usize]),
+        }
+    }
+
+    /// The typed group-by ingest, step one: `gids[j]` becomes the id of the
+    /// group of row `rows_idx[j]` in `table` (created on first sight, its
+    /// key components materialized from the lanes), given the rows' key
+    /// hashes from [`TypedKeys::hash_rows`].
+    ///
+    /// Probe lanes are rendered columnwise first — the kind dispatch runs
+    /// once per *component*, like the hashing — so the per-row work is one
+    /// index probe plus a flat lane compare: numeric and boolean components
+    /// never touch a `Value`, strings are confirmed against the stored one
+    /// (a different morsel's pool may have interned them differently).
+    pub fn resolve_groups(
+        &self,
+        table: &mut RadixGroupTable,
+        rows_idx: &[u32],
+        hashes: &[u64],
+        gids: &mut Vec<u32>,
+        scratch: &mut Scratch,
+    ) {
+        debug_assert_eq!(rows_idx.len(), hashes.len());
+        let arity = self.comps.len();
+        let mut lanes = scratch.take_lanes();
+        lanes.resize(rows_idx.len() * arity, KeyLane::NULL);
+        for (comp, (col, pool_hashes)) in self.comps.iter().enumerate() {
+            let out = lanes
+                .chunks_exact_mut(arity)
+                .map(|key| &mut key[comp])
+                .zip(rows_idx);
+            if col.has_nulls() {
+                for (lane, &r) in out {
+                    *lane = Self::component_lane(col, pool_hashes, r as usize);
+                }
+                continue;
+            }
+            match col.kind() {
+                TypedKind::I64 => {
+                    let v = col.i64_values();
+                    out.for_each(|(lane, &r)| *lane = KeyLane::num(v[r as usize] as f64));
+                }
+                TypedKind::F64 => {
+                    let v = col.f64_values();
+                    out.for_each(|(lane, &r)| *lane = KeyLane::num(v[r as usize]));
+                }
+                TypedKind::Bool => {
+                    let v = col.bool_values();
+                    out.for_each(|(lane, &r)| *lane = KeyLane::bool(v[r as usize]));
+                }
+                TypedKind::Str => {
+                    let (ids, _) = col.str_parts();
+                    out.for_each(|(lane, &r)| {
+                        *lane = KeyLane::other(pool_hashes[ids[r as usize] as usize])
+                    });
+                }
+            }
+        }
+        gids.clear();
+        gids.reserve(rows_idx.len());
+        for (j, (&r, &hash)) in rows_idx.iter().zip(hashes).enumerate() {
+            let row = r as usize;
+            gids.push(table.resolve_lanes(
+                hash,
+                &lanes[j * arity..(j + 1) * arity],
+                |comp, stored| Self::component_eq_value(self.comps[comp].0, row, stored),
+                |arena| self.materialize_into(row, arena),
+            ));
+        }
+        scratch.put_lanes(lanes);
     }
 
     /// The lane-vs-stored-key compare of the kernel probe path: componentwise
@@ -2108,16 +2312,18 @@ impl<'a> TypedKeys<'a> {
         true
     }
 
-    /// Materializes the row's key components (first insertion of a group).
+    /// The row's key components as a fresh `Vec` (a convenience for tests;
+    /// the ingests append to their arenas through
+    /// [`TypedKeys::materialize_into`]).
     pub fn materialize(&self, row: usize) -> Vec<Value> {
-        self.comps
-            .iter()
-            .map(|(col, _)| col.value_at(row))
-            .collect()
+        let mut key = Vec::with_capacity(self.comps.len());
+        self.materialize_into(row, &mut key);
+        key
     }
 
-    /// Appends the row's key components to a flattened arena (the columnar
-    /// join build ingest — no per-row `Vec` is allocated).
+    /// Appends the row's key components to a flattened arena (the join
+    /// build ingest and a group's first insertion — no per-row `Vec` is
+    /// allocated).
     pub fn materialize_into(&self, row: usize, out: &mut Vec<Value>) {
         out.extend(self.comps.iter().map(|(col, _)| col.value_at(row)));
     }
@@ -2754,8 +2960,8 @@ mod tests {
             outputs.push(fallback_agg_spec(&mut rng, alias));
         }
         let group_by: Vec<Expr> = if grouped {
-            let names = ["t.i", "t.b", "t.s"];
-            (0..rng.gen_range(1usize..3))
+            let names = ["t.i", "t.f", "t.b", "t.s"];
+            (0..rng.gen_range(1usize..4))
                 .map(|_| Expr::path(names[rng.gen_range(0usize..names.len())]))
                 .collect()
         } else {
@@ -2778,15 +2984,6 @@ mod tests {
             );
         }
 
-        let batch_seed = rng.gen_range(0u64..u64::MAX / 2);
-        let mut kernel_batch = random_batch(&mut StdRng::seed_from_u64(batch_seed), rows);
-        let mut closure_batch = random_batch(&mut StdRng::seed_from_u64(batch_seed), rows);
-        if empty_selection {
-            let none = vec![0u64; mask::words_for(rows)];
-            kernel_batch.compress_sel(&none);
-            closure_batch.compress_sel(&none);
-        }
-
         let exprs: Vec<CompiledExpr> = outputs
             .iter()
             .map(|o| compile_expr(&o.expr, &layout).unwrap())
@@ -2799,63 +2996,91 @@ mod tests {
             .pred_residual
             .as_ref()
             .map(|p| compile_predicate(p, &layout).unwrap());
-
         let mut scratch = Scratch::new();
-        let masked = masked_rows(&planned, residual.as_ref(), &kernel_batch, &mut scratch);
-        let rendered = planned.kernel.render(&kernel_batch, rows, &mut scratch);
 
         if grouped {
             // Reference: the closure ingest (hydrated keys and values).
+            // Kernel: the typed ingest — batch-hash, resolve group ids, fold
+            // columnwise. Three morsels feed the same pair of tables, so
+            // later batches meet groups an earlier one created (whose
+            // strings a different pool interned).
             let key_exprs: Vec<CompiledExpr> = group_by
                 .iter()
                 .map(|g| compile_expr(g, &layout).unwrap())
                 .collect();
-            let mut expected = RadixGroupTable::new(monoids.clone());
-            closure_batch.for_each_selected(|row| {
-                if let Some(pred) = &full_pred {
-                    if !pred(row) {
-                        return;
+            let stride = monoids.len();
+            let mut expected = RadixGroupTable::new(group_by.len(), monoids.clone());
+            let mut got = RadixGroupTable::new(group_by.len(), monoids.clone());
+            for morsel in 0..3u64 {
+                let rows = rng.gen_range(1usize..200);
+                let mut batch = random_batch(&mut rng, rows);
+                if empty_selection {
+                    batch.compress_sel(&vec![0u64; mask::words_for(rows)]);
+                }
+                batch.for_each_selected(|row| {
+                    if let Some(pred) = &full_pred {
+                        if !pred(row) {
+                            return;
+                        }
+                    }
+                    let key: Vec<Value> = key_exprs.iter().map(|k| k(row)).collect();
+                    let values: Vec<Value> = exprs.iter().map(|e| e(row)).collect();
+                    expected.merge(key, values);
+                });
+
+                let masked = masked_rows(&planned, residual.as_ref(), &batch, &mut scratch);
+                let typed_keys = TypedKeys::bind(&planned.kernel.key_slots, &batch);
+                let mut hashes = Vec::new();
+                typed_keys.hash_rows(&masked, &mut hashes);
+                for (&r, &hash) in masked.iter().zip(&hashes) {
+                    assert_eq!(
+                        hash,
+                        hash_key_components(&typed_keys.materialize(r as usize)),
+                        "seed {seed}: typed key hash diverges from component hash"
+                    );
+                }
+                let mut gids = Vec::new();
+                typed_keys.resolve_groups(&mut got, &masked, &hashes, &mut gids, &mut scratch);
+                let rendered = planned.kernel.render(&batch, rows, &mut scratch);
+                for (spec, monoid) in monoids.iter().enumerate() {
+                    if rendered.is_kernel(spec) {
+                        let accs = got.accs_mut();
+                        rendered.fold_groups(spec, *monoid, accs, stride, &gids, &masked);
                     }
                 }
-                let key: Vec<Value> = key_exprs.iter().map(|k| k(row)).collect();
-                let values: Vec<Value> = exprs.iter().map(|e| e(row)).collect();
-                expected.merge(key, values);
-            });
-            // Kernel: typed key ingest + columnwise folds.
-            let typed_keys = TypedKeys::bind(&planned.kernel.key_slots, &kernel_batch);
-            let mut got = RadixGroupTable::new(monoids.clone());
-            for &r in &masked {
-                let row = r as usize;
-                let hash = typed_keys.hash(row);
-                assert_eq!(
-                    hash,
-                    hash_key_components(&typed_keys.materialize(row)),
-                    "seed {seed}: typed key hash diverges from component hash"
-                );
-                got.merge_with(
-                    hash,
-                    |stored| typed_keys.eq_values(row, stored),
-                    || typed_keys.materialize(row),
-                    0,
-                    |accumulators, table_monoids| {
-                        for (i, (acc, monoid)) in
+                for (&gid, &r) in gids.iter().zip(&masked) {
+                    got.fold_group(gid, morsel, |accumulators, table_monoids| {
+                        for (spec, (acc, monoid)) in
                             accumulators.iter_mut().zip(table_monoids).enumerate()
                         {
-                            if rendered.is_kernel(i) {
-                                rendered.fold_row(i, *monoid, acc, row);
-                            } else {
-                                let _ = acc.merge(*monoid, exprs[i](kernel_batch.row(r)));
+                            if !rendered.is_kernel(spec) {
+                                let _ = acc.merge(*monoid, exprs[spec](batch.row(r)));
                             }
                         }
-                    },
-                );
+                    });
+                }
+                rendered.release(&mut scratch);
             }
+            let rows_of = |table: RadixGroupTable| {
+                table.into_rows(|key, outputs| (key.to_vec(), outputs.to_vec()))
+            };
+            // Bit-exact, including float sums and the emission order.
             assert_eq!(
-                got.finish(),
-                expected.finish(),
+                rows_of(got),
+                rows_of(expected),
                 "seed {seed}: typed group ingest diverges from closure ingest"
             );
         } else {
+            let batch_seed = rng.gen_range(0u64..u64::MAX / 2);
+            let mut kernel_batch = random_batch(&mut StdRng::seed_from_u64(batch_seed), rows);
+            let mut closure_batch = random_batch(&mut StdRng::seed_from_u64(batch_seed), rows);
+            if empty_selection {
+                let none = vec![0u64; mask::words_for(rows)];
+                kernel_batch.compress_sel(&none);
+                closure_batch.compress_sel(&none);
+            }
+            let masked = masked_rows(&planned, residual.as_ref(), &kernel_batch, &mut scratch);
+            let rendered = planned.kernel.render(&kernel_batch, rows, &mut scratch);
             let mut expected: Vec<Accumulator> =
                 monoids.iter().map(|m| Accumulator::zero(*m)).collect();
             closure_batch.for_each_selected(|row| {
@@ -2884,8 +3109,8 @@ mod tests {
                 got, expected,
                 "seed {seed}: kernel accumulators diverge from closure merge"
             );
+            rendered.release(&mut scratch);
         }
-        rendered.release(&mut scratch);
     }
 
     #[test]

@@ -109,15 +109,26 @@
 //!   (`SUM(x) WHERE p`) becomes a mask in the same pass; only residual
 //!   conjuncts and ineligible specs (collection monoids, division,
 //!   record/list shapes) fall back to closures, spec by spec.
-//! * **Group-by sinks.** When every group key resolves to a typed slot, the
-//!   radix group table ingests typed keys: components hash lane-wise
-//!   (columnwise, pool strings pre-hashed per morsel) through the same
-//!   mixer as `hash_key_components`, rows compare against stored keys with
-//!   `value_eq` semantics, and a `Vec<Value>` key is materialized only when
-//!   a group is first inserted. Aggregate inputs fold per group index from
-//!   the rendered lanes. The closure fallback also stopped allocating: it
-//!   reuses a scratch key buffer and clones it on first insertion only
-//!   ([`radix::RadixGroupTable::merge_with`]).
+//! * **Group-by sinks.** The group table ([`radix::RadixGroupTable`]) is a
+//!   hash table in the plain sense: group state lives in flat arenas indexed
+//!   by group id (key hash, key components, one accumulator per monoid) and
+//!   one open-addressed index of group ids finds a row's group in O(1)
+//!   whatever the group count. When every group key resolves to a typed
+//!   slot the ingest is columnar, in two steps per morsel: components hash
+//!   lane-wise (pool strings pre-hashed per morsel) through the same mixer
+//!   as `hash_key_components` and every row's group id is resolved
+//!   ([`kernels::TypedKeys::resolve_groups`] — numeric, boolean and null
+//!   components compare as flat [`radix::KeyLane`]s, the `f64` bit pattern
+//!   that `value_eq`'s float view compares; strings are confirmed against
+//!   the stored `Value`; key `Value`s are materialized only when a group is
+//!   first inserted); then each kernel-classified aggregate folds in its
+//!   own tight loop over `(group id, row)`
+//!   ([`kernels::RenderedAggs::fold_groups`], one dispatch per spec per
+//!   morsel), closure-fallback specs per row into the same resolved groups.
+//!   The closure tier reuses a scratch key buffer, clones it on first
+//!   insertion only, and goes through the same index
+//!   ([`radix::RadixGroupTable::merge_with`]). Groups leave in
+//!   `(hash & 63, hash)` order at every worker count.
 //! * **Hydration.** Slots only the sink's kernels read are never hydrated —
 //!   codegen classifies sinks at compile time, activates typed fills for
 //!   aggregate-input and key slots, and drops their `Value` fills.

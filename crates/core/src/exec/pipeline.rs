@@ -526,8 +526,8 @@ impl SinkSpec {
             SinkSpec::Reduce { specs, .. } => {
                 SinkState::Reduce(specs.iter().map(|(m, _)| ReducePartial::new(*m)).collect())
             }
-            SinkSpec::Nest { monoids, .. } => {
-                SinkState::Nest(RadixGroupTable::new(monoids.clone()))
+            SinkSpec::Nest { keys, monoids, .. } => {
+                SinkState::Nest(RadixGroupTable::new(keys.len(), monoids.clone()))
             }
             SinkSpec::Collect => SinkState::Collect(Vec::new()),
             SinkSpec::Entries { .. } => SinkState::Entries(EntriesPartial::default()),
@@ -656,73 +656,51 @@ impl SinkSpec {
                     .with_mode(sink_kernel.mode);
                 let mut hashes = scratch.take_u64s();
                 metrics.simd_rows += typed_keys.hash_rows(&masked, &mut hashes);
+                // Resolve every row's group id first, then fold columnwise:
+                // one tight loop per kernel spec over (group id, row).
+                let mut gids = scratch.take_sel();
+                typed_keys.resolve_groups(table, &masked, &hashes, &mut gids, scratch);
                 let rendered = sink_kernel.render(batch, batch.rows(), scratch);
-                let relaxed = sink_kernel.mode == kernels::NumericMode::Relaxed;
-                let mut probes = 0u64;
-                let mut i = 0;
-                while i < masked.len() {
-                    let r = masked[i];
-                    let row = r as usize;
-                    let hash = hashes[i];
-                    let mut end = i + 1;
-                    if relaxed {
-                        // Clustered keys fold as one run: adjacent rows with
-                        // the same key share one table lookup, and their
-                        // kernel aggregates lane-fold through `fold_rows`.
-                        while end < masked.len()
-                            && hashes[end] == hash
-                            && typed_keys.rows_eq(row, masked[end] as usize)
-                        {
-                            end += 1;
-                        }
-                    }
-                    probes += 1;
-                    if end - i > 1 {
-                        let run = &masked[i..end];
-                        let simd = &mut metrics.simd_rows;
-                        table.merge_with(
-                            hash,
-                            |stored| typed_keys.eq_values(row, stored),
-                            || typed_keys.materialize(row),
-                            morsel,
-                            |accumulators, monoids| {
-                                for (spec, (acc, monoid)) in
-                                    accumulators.iter_mut().zip(monoids).enumerate()
-                                {
-                                    if rendered.is_kernel(spec) {
-                                        *simd += rendered.fold_rows(spec, *monoid, acc, run);
-                                    } else {
-                                        for &rr in run {
-                                            let _ = acc
-                                                .merge(*monoid, value_exprs[spec](batch.row(rr)));
-                                        }
-                                    }
-                                }
-                            },
-                        );
-                    } else {
-                        table.merge_with(
-                            hash,
-                            |stored| typed_keys.eq_values(row, stored),
-                            || typed_keys.materialize(row),
-                            morsel,
-                            |accumulators, monoids| {
-                                for (spec, (acc, monoid)) in
-                                    accumulators.iter_mut().zip(monoids).enumerate()
-                                {
-                                    if rendered.is_kernel(spec) {
-                                        rendered.fold_row(spec, *monoid, acc, row);
-                                    } else {
-                                        let _ = acc.merge(*monoid, value_exprs[spec](batch.row(r)));
-                                    }
-                                }
-                            },
+                let stride = value_exprs.len();
+                for spec in 0..stride {
+                    if rendered.is_kernel(spec) {
+                        let monoid = table.monoids()[spec];
+                        metrics.simd_rows += rendered.fold_groups(
+                            spec,
+                            monoid,
+                            table.accs_mut(),
+                            stride,
+                            &gids,
+                            &masked,
                         );
                     }
-                    i = end;
                 }
+                if sink_kernel.kernel_specs() < stride {
+                    // Closure-fallback specs (collection monoids, untyped
+                    // inputs) fold per row into the same resolved groups.
+                    for (&gid, &r) in gids.iter().zip(&masked) {
+                        table.fold_group(gid, morsel, |accumulators, monoids| {
+                            for (spec, (acc, monoid)) in
+                                accumulators.iter_mut().zip(monoids).enumerate()
+                            {
+                                if !rendered.is_kernel(spec) {
+                                    let _ = acc.merge(*monoid, value_exprs[spec](batch.row(r)));
+                                }
+                            }
+                        });
+                    }
+                }
+                // One probe per row; under `Relaxed`, one per run of
+                // adjacent rows in the same group (what folds as one
+                // `fold_rows` call).
+                let probes = if sink_kernel.mode == kernels::NumericMode::Relaxed {
+                    1 + gids.windows(2).filter(|pair| pair[0] != pair[1]).count()
+                } else {
+                    gids.len()
+                };
+                scratch.put_sel(gids);
                 let kernel_specs = sink_kernel.kernel_specs() as u64;
-                metrics.hash_probes += probes;
+                metrics.hash_probes += probes as u64;
                 metrics.agg_kernel_rows += masked.len() as u64 * kernel_specs;
                 metrics.agg_fallback_rows +=
                     masked.len() as u64 * (value_exprs.len() as u64 - kernel_specs);
@@ -756,14 +734,8 @@ impl SinkSpec {
                     probes += 1;
                     table.merge_with(
                         hash,
-                        |stored| {
-                            stored.len() == key_buf.len()
-                                && stored
-                                    .iter()
-                                    .zip(key_buf.iter())
-                                    .all(|(a, b)| a.value_eq(b))
-                        },
-                        || key_buf.clone(),
+                        |stored| key_components_eq(stored, &key_buf),
+                        |arena| arena.extend(key_buf.iter().cloned()),
                         morsel,
                         |accumulators, monoids| {
                             for ((acc, monoid), expr) in
@@ -875,12 +847,18 @@ impl SinkSpec {
                 }
                 SinkResult::Accumulators(merged)
             }
-            SinkSpec::Nest { monoids, .. } => {
-                let mut merged = RadixGroupTable::new(monoids.clone());
-                for partial in partials {
-                    if let SinkState::Nest(table) = partial {
-                        merged.absorb(table);
-                    }
+            SinkSpec::Nest { keys, monoids, .. } => {
+                // The first partial *is* the merged table (the serial path
+                // moves nothing); the rest are absorbed in worker order.
+                let mut tables = partials.into_iter().filter_map(|p| match p {
+                    SinkState::Nest(table) => Some(table),
+                    _ => None,
+                });
+                let mut merged = tables
+                    .next()
+                    .unwrap_or_else(|| RadixGroupTable::new(keys.len(), monoids.clone()));
+                for table in tables {
+                    merged.absorb(table);
                 }
                 SinkResult::Groups(merged)
             }
@@ -1203,9 +1181,7 @@ fn approx_state_bytes(state: &SinkState) -> u64 {
                 ReducePartial::Tagged(items) => items.len() as u64 * (VALUE_COST + 8),
             })
             .sum(),
-        // Per group: the key components, one accumulator per monoid, and
-        // the table's directory entry.
-        SinkState::Nest(table) => table.group_count() as u64 * 4 * VALUE_COST,
+        SinkState::Nest(table) => table.approx_bytes(VALUE_COST),
         SinkState::Collect(rows) => {
             let width = rows.first().map(|(_, r)| r.len()).unwrap_or(0) as u64;
             rows.len() as u64 * (16 + width * VALUE_COST)

@@ -1,23 +1,32 @@
-//! Radix-partitioned hash join and grouping.
+//! Hash join and hash grouping.
 //!
 //! §5.1: "Proteus uses hash-based algorithms for the join and grouping
 //! operators, namely variations of the radix hash join algorithm. While parts
 //! of the join implementation are indeed generated at runtime, other parts,
 //! like clustering the materialized entries based on their hash values, are
 //! wrapped in a C++ function." The same split exists here: key extraction is
-//! a compiled closure per query; the partition/cluster/probe machinery below
-//! is ordinary pre-existing library code invoked by the generated pipeline.
+//! a compiled closure (or a typed-column reader) per query; the machinery
+//! below is ordinary pre-existing library code invoked by the generated
+//! pipeline.
+//!
+//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] whose
+//!   `(hash, entry id)` pairs are radix-partitioned and clustered by hash.
+//! * **Grouping** ([`RadixGroupTable`]): flat per-group arenas (hash, key
+//!   components, accumulators) behind one open-addressed index of group ids —
+//!   an O(1) find-or-create per row. The only radix left in grouping is the
+//!   *emission order*: groups leave in `(hash & 63, hash)` order
+//!   ([`GROUP_EMIT_RADIX_BITS`]), the order every ordered comparison in the
+//!   suites was pinned on.
 
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{Monoid, Value};
 
-/// Number of radix partitions (64 = 6 radix bits), chosen so each partition's
-/// working set stays cache-resident for the scaled-down datasets.
-pub const RADIX_PARTITIONS: usize = 64;
-
-fn partition_of(hash: u64) -> usize {
-    (hash as usize) & (RADIX_PARTITIONS - 1)
-}
+/// Low key-hash bits that lead the emission order of a [`RadixGroupTable`]:
+/// groups leave sorted by `(hash & 63, hash)`. Nothing is partitioned on
+/// these bits — lookup is one open-addressed index — but result order is
+/// part of the engine's contract (serial ≡ parallel row for row), so the
+/// order stays the one the suites compare against.
+pub const GROUP_EMIT_RADIX_BITS: u32 = 6;
 
 /// Incremental multi-column key hasher: FNV-1a over per-component hashes,
 /// seeded with the arity. The typed group-by ingest feeds it component
@@ -326,7 +335,7 @@ impl MatchedBitmap {
 /// during the build — only the 12-byte pairs are scattered and sorted.
 pub struct RadixHashTable {
     store: BuildStore,
-    partitions: Vec<Vec<HashPair>>,
+    partitions: Vec<Partition>,
     /// Per partition: 257 offsets bucketing the clustered run by the top
     /// byte of the hash (entries are sorted by full hash, so the top byte
     /// is monotonic within a partition). Probes jump straight to a ~`n/256`
@@ -335,9 +344,8 @@ pub struct RadixHashTable {
 }
 
 /// Join-table fan-out: 256 partitions (8 radix bits) over the low hash
-/// bits, finer than the group table's [`RADIX_PARTITIONS`] because the
-/// probe side only reads — each probe lands in a ~`n/256` partition whose
-/// top-byte directory then narrows the search to a handful of entries.
+/// bits: each probe lands in a ~`n/256` partition whose top-byte directory
+/// then narrows the search to a handful of entries.
 const JOIN_RADIX_PARTITIONS: usize = 256;
 
 fn join_partition_of(hash: u64) -> usize {
@@ -346,6 +354,9 @@ fn join_partition_of(hash: u64) -> usize {
 
 /// One clustered `(key hash, entry id)` pair of a join partition.
 type HashPair = (u64, u32);
+
+/// One join partition (or a chunk-local bucket on its way into one).
+type Partition = Vec<HashPair>;
 
 /// How many probe rows the batched join loops run ahead of themselves when
 /// issuing cache prefetches (sub-runs and payload entries). Shared by the
@@ -369,7 +380,7 @@ fn prefetch_ptr<T>(value: &T) {
 }
 
 /// The top-byte directories of clustered partitions.
-fn build_dirs(partitions: &[Vec<HashPair>]) -> Vec<Vec<u32>> {
+fn build_dirs(partitions: &[Partition]) -> Vec<Vec<u32>> {
     partitions
         .iter()
         .map(|partition| {
@@ -414,7 +425,7 @@ impl RadixHashTable {
         store.build_num_views();
         let len = store.len();
         if threads <= 1 || len < PARALLEL_BUILD_THRESHOLD {
-            let mut partitions: Vec<Vec<HashPair>> =
+            let mut partitions: Vec<Partition> =
                 (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
             for (id, &hash) in store.hashes.iter().enumerate() {
                 partitions[join_partition_of(hash)].push((hash, id as u32));
@@ -436,13 +447,13 @@ impl RadixHashTable {
         // radix buckets (ids stay global; only (hash, id) pairs move).
         let chunk_size = len.div_ceil(threads);
         let hashes = &store.hashes;
-        let locals: Vec<Vec<Vec<HashPair>>> = std::thread::scope(|scope| {
+        let locals: Vec<Vec<Partition>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|t| {
                     scope.spawn(move || {
                         let base = (t * chunk_size).min(len);
                         let end = (base + chunk_size).min(len);
-                        let mut local: Vec<Vec<HashPair>> =
+                        let mut local: Vec<Partition> =
                             (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
                         for (id, &hash) in hashes[base..end].iter().enumerate() {
                             local[join_partition_of(hash)].push((hash, (base + id) as u32));
@@ -462,7 +473,7 @@ impl RadixHashTable {
 
         // Regroup the chunk-local buckets by radix digit, preserving chunk
         // order so concatenation matches the serial insertion order.
-        let mut by_digit: Vec<Vec<Vec<HashPair>>> =
+        let mut by_digit: Vec<Vec<Partition>> =
             (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
         for thread_local in locals {
             for (digit, bucket) in thread_local.into_iter().enumerate() {
@@ -471,12 +482,12 @@ impl RadixHashTable {
         }
 
         // Phase 2: cluster per radix digit, digits striped across workers.
-        let mut jobs: Vec<Vec<(usize, Vec<Vec<HashPair>>)>> =
+        let mut jobs: Vec<Vec<(usize, Vec<Partition>)>> =
             (0..threads).map(|_| Vec::new()).collect();
         for (digit, buckets) in by_digit.into_iter().enumerate() {
             jobs[digit % threads].push((digit, buckets));
         }
-        let clustered: Vec<Vec<(usize, Vec<HashPair>)>> = std::thread::scope(|scope| {
+        let clustered: Vec<Vec<(usize, Partition)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = jobs
                 .into_iter()
                 .map(|job| {
@@ -503,7 +514,7 @@ impl RadixHashTable {
                 .collect()
         });
 
-        let mut partitions: Vec<Vec<HashPair>> =
+        let mut partitions: Vec<Partition> =
             (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
         for job in clustered {
             for (digit, merged) in job {
@@ -609,36 +620,151 @@ impl RadixHashTable {
     }
 }
 
-/// One group of a [`RadixGroupTable`].
-struct GroupEntry {
-    /// The key hash.
-    hash: u64,
-    /// The key components.
-    key: Vec<Value>,
-    /// Per-monoid accumulator states.
-    accs: Vec<Accumulator>,
-    /// Per *collection* output spec (parallel to the table's
-    /// `collection_specs`): the morsel tag of each accumulated element, in
-    /// accumulator order. What lets grouped `bag`/`set`/`list` outputs run
-    /// morsel-parallel: [`RadixGroupTable::absorb`] merges the element lists
-    /// in tag order, reproducing the serial ingest order exactly.
-    tags: Vec<Vec<u64>>,
+/// Kind tag of a [`KeyLane`]: the component is null.
+const LANE_NULL: u8 = 0;
+/// Kind tag of a [`KeyLane`]: the component is a boolean (`bits` is 0 or 1).
+const LANE_BOOL: u8 = 1;
+/// Kind tag of a [`KeyLane`]: the component is numeric (`bits` is the bit
+/// pattern of its `f64` view).
+const LANE_NUM: u8 = 2;
+/// Kind tag of a [`KeyLane`]: anything else (`bits` is the component's
+/// [`Value::stable_hash`]); equal lanes still need a `value_eq` on the values.
+const LANE_OTHER: u8 = 3;
+
+/// The flat compare lane of one group-key component, stored beside the
+/// `Value` keys of a [`RadixGroupTable`] (what [`BuildStore::num_view`] is to
+/// joins). Two components are [`Value::value_eq`] only if their lanes are
+/// equal, and for nulls, booleans and numerics equal lanes are also
+/// *sufficient*: `f64::total_cmp` calls two floats equal exactly when their
+/// bit patterns are, so comparing `bits` reproduces the float-view compare
+/// (`Int(3)` ≡ `Float(3.0)`, `-0.0` ≠ `+0.0`, NaN by bits, ints collapsing
+/// above 2⁵³). Strings and nested values carry their stable hash and are
+/// confirmed against the stored `Value`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KeyLane {
+    bits: u64,
+    kind: u8,
 }
 
-/// A radix-partitioned grouping (aggregation) table: the runtime of the
-/// `nest` operator. In a morsel-parallel pipeline every worker folds into a
-/// private table and the partials are [`absorb`](RadixGroupTable::absorb)ed
-/// pairwise at the end.
+impl KeyLane {
+    /// The lane of a null component.
+    pub const NULL: KeyLane = KeyLane {
+        bits: 0,
+        kind: LANE_NULL,
+    };
+
+    /// The lane of a boolean component.
+    #[inline]
+    pub fn bool(b: bool) -> KeyLane {
+        KeyLane {
+            bits: b as u64,
+            kind: LANE_BOOL,
+        }
+    }
+
+    /// The lane of a numeric component, from its float view.
+    #[inline]
+    pub fn num(float_view: f64) -> KeyLane {
+        KeyLane {
+            bits: float_view.to_bits(),
+            kind: LANE_NUM,
+        }
+    }
+
+    /// The lane of a string or nested component, from its
+    /// [`Value::stable_hash`].
+    #[inline]
+    pub fn other(stable_hash: u64) -> KeyLane {
+        KeyLane {
+            bits: stable_hash,
+            kind: LANE_OTHER,
+        }
+    }
+
+    /// The lane of a hydrated component.
+    pub fn of(value: &Value) -> KeyLane {
+        match value {
+            Value::Null => KeyLane::NULL,
+            Value::Bool(b) => KeyLane::bool(*b),
+            Value::Int(i) => KeyLane::num(*i as f64),
+            Value::Float(f) => KeyLane::num(*f),
+            Value::Date(d) => KeyLane::num(*d as f64),
+            other => KeyLane::other(other.stable_hash()),
+        }
+    }
+
+    /// Whether equal lanes leave the values still to be compared.
+    #[inline]
+    fn needs_value_eq(self) -> bool {
+        self.kind == LANE_OTHER
+    }
+}
+
+/// Lane-wise key compare: every stored lane equals its probe lane, and the
+/// components whose lanes cannot decide (`other_eq(component)`) agree too.
+#[inline]
+fn lanes_match(
+    stored: &[KeyLane],
+    probe: &[KeyLane],
+    mut other_eq: impl FnMut(usize) -> bool,
+) -> bool {
+    stored
+        .iter()
+        .zip(probe)
+        .enumerate()
+        .all(|(comp, (s, p))| s == p && (!p.needs_value_eq() || other_eq(comp)))
+}
+
+/// Marks a free slot of the group index.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Slots a fresh group index starts with (room for 32 groups at load ½).
+const INITIAL_INDEX_SLOTS: usize = 64;
+
+/// The grouping (aggregation) hash table: the runtime of the `nest`
+/// operator. In a morsel-parallel pipeline every worker folds into a private
+/// table and the partials are [`absorb`](RadixGroupTable::absorb)ed in
+/// worker order at the end.
+///
+/// Group state is flat: a group is its id, and everything about it lives in
+/// dense arenas indexed by that id — the key hash, `arity` key components
+/// (as `Value`s and as [`KeyLane`]s), one accumulator per monoid, and (only
+/// when a collection monoid is present) one morsel-tag list per collection
+/// output. Lookup goes through one power-of-two open-addressed index of
+/// group ids (linear probing, load ≤ ½, rebuilt from the stored hashes on
+/// growth), so finding a row's group costs O(1) whatever the group count.
+/// The closure tier ([`merge_with`](RadixGroupTable::merge_with)), the typed
+/// ingest ([`resolve_lanes`](RadixGroupTable::resolve_lanes)) and `absorb`
+/// all resolve groups through that one index.
 pub struct RadixGroupTable {
-    partitions: Vec<Vec<GroupEntry>>,
+    arity: usize,
     monoids: Vec<Monoid>,
     /// Indices of the collection-monoid output specs (ascending), whose
     /// per-element morsel tags are tracked for order-exact parallel merge.
     collection_specs: Vec<usize>,
+    /// Open-addressed index: group ids, [`EMPTY_SLOT`] where free.
+    index: Vec<u32>,
+    /// Per group: the key hash.
+    hashes: Vec<u64>,
+    /// Flattened key components: group `g` at `g*arity .. (g+1)*arity`.
+    keys: Vec<Value>,
+    /// Flattened compare lanes, parallel to `keys`.
+    lanes: Vec<KeyLane>,
+    /// Flattened accumulators: group `g` at `g*m .. (g+1)*m`, `m` monoids.
+    accs: Vec<Accumulator>,
+    /// Flattened per-collection-spec tag lists (group `g`, collection spec
+    /// `ci` at `g*c + ci`, `c` collection specs; empty without any): the
+    /// morsel tag of each accumulated element, in accumulator order. What
+    /// lets grouped `bag`/`set`/`list` outputs run morsel-parallel:
+    /// [`RadixGroupTable::absorb`] merges the element lists in tag order,
+    /// reproducing the serial ingest order exactly.
+    tags: Vec<Vec<u64>>,
+    /// Running number of elements held by collection accumulators (what the
+    /// memory budget sees of grouped `bag`/`set`/`list` outputs).
+    collected: u64,
     /// Reused buffer for pre-fold collection lengths (the per-row path
     /// allocates nothing for existing groups).
     len_scratch: Vec<usize>,
-    groups: usize,
 }
 
 /// Number of elements held by a collection accumulator (0 for scalars).
@@ -694,8 +820,9 @@ fn merge_tagged(
 }
 
 impl RadixGroupTable {
-    /// Creates a table whose per-group accumulators follow `monoids`.
-    pub fn new(monoids: Vec<Monoid>) -> RadixGroupTable {
+    /// Creates a table for keys of `arity` components whose per-group
+    /// accumulators follow `monoids`.
+    pub fn new(arity: usize, monoids: Vec<Monoid>) -> RadixGroupTable {
         let collection_specs = monoids
             .iter()
             .enumerate()
@@ -703,194 +830,379 @@ impl RadixGroupTable {
             .map(|(i, _)| i)
             .collect();
         RadixGroupTable {
-            partitions: (0..RADIX_PARTITIONS).map(|_| Vec::new()).collect(),
+            arity,
             monoids,
             collection_specs,
+            index: vec![EMPTY_SLOT; INITIAL_INDEX_SLOTS],
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            lanes: Vec::new(),
+            accs: Vec::new(),
+            tags: Vec::new(),
+            collected: 0,
             len_scratch: Vec::new(),
-            groups: 0,
         }
     }
 
+    /// The per-group monoids (the stride of [`RadixGroupTable::accs_mut`]).
+    pub fn monoids(&self) -> &[Monoid] {
+        &self.monoids
+    }
+
+    /// Number of groups formed.
+    pub fn group_count(&self) -> usize {
+        self.hashes.len()
+    }
+
+    /// The flat accumulator arena: group `g`, output spec `s` at
+    /// `g * monoids().len() + s`. The columnwise kernel folds write scalar
+    /// accumulators here directly; collection accumulators must go through
+    /// [`RadixGroupTable::fold_group`], which tags what it appends.
+    pub fn accs_mut(&mut self) -> &mut [Accumulator] {
+        &mut self.accs
+    }
+
+    /// Estimated bytes held by the table, at `value_cost` bytes per stored
+    /// `Value`/accumulator. O(1): arena and index lengths plus the running
+    /// count of collected elements (each with its 8-byte morsel tag) — never
+    /// a walk over the groups.
+    pub fn approx_bytes(&self, value_cost: u64) -> u64 {
+        (self.keys.len() + self.accs.len()) as u64 * value_cost
+            + self.hashes.len() as u64 * 8
+            + (self.lanes.len() * std::mem::size_of::<KeyLane>()) as u64
+            + self.index.len() as u64 * 4
+            + self.collected * (value_cost + 8)
+    }
+
+    /// Walks the probe sequence of `hash`: the id of the group with that
+    /// hash for which `eq(group id)` holds, or the free slot it would take.
+    #[inline]
+    fn find(&self, hash: u64, eq: impl Fn(usize) -> bool) -> Result<u32, usize> {
+        let mask = self.index.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let gid = self.index[slot];
+            if gid == EMPTY_SLOT {
+                return Err(slot);
+            }
+            if self.hashes[gid as usize] == hash && eq(gid as usize) {
+                return Ok(gid);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Makes room for one more group at load ≤ ½ (so a probe sequence
+    /// always ends at a free slot), doubling and rebuilding the index from
+    /// the stored hashes when needed.
+    #[inline]
+    fn reserve_one(&mut self) {
+        if (self.hashes.len() + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+    }
+
+    #[cold]
+    fn grow(&mut self) {
+        let slots = self.index.len() * 2;
+        let mask = slots - 1;
+        self.index.clear();
+        self.index.resize(slots, EMPTY_SLOT);
+        for (gid, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & mask;
+            while self.index[slot] != EMPTY_SLOT {
+                slot = (slot + 1) & mask;
+            }
+            self.index[slot] = gid as u32;
+        }
+        self.check_invariants();
+    }
+
+    /// Claims `slot` for a new group of `hash` whose key components and
+    /// lanes the caller has just appended (its accumulators and tag lists
+    /// are the caller's to append too).
+    fn claim(&mut self, slot: usize, hash: u64) -> u32 {
+        let gid = self.hashes.len();
+        debug_assert!(gid < EMPTY_SLOT as usize);
+        debug_assert_eq!(self.keys.len(), (gid + 1) * self.arity);
+        debug_assert_eq!(self.lanes.len(), (gid + 1) * self.arity);
+        self.index[slot] = gid as u32;
+        self.hashes.push(hash);
+        gid as u32
+    }
+
+    /// [`claim`](RadixGroupTable::claim) for a group first seen by an
+    /// ingest: its accumulators start at the monoids' zeros.
+    fn claim_zeroed(&mut self, slot: usize, hash: u64) -> u32 {
+        self.accs
+            .extend(self.monoids.iter().map(|m| Accumulator::zero(*m)));
+        self.tags
+            .extend(self.collection_specs.iter().map(|_| Vec::new()));
+        self.claim(slot, hash)
+    }
+
+    /// The generic find-or-create: the id of the group of a pre-hashed key
+    /// (`key_eq` compares against a candidate group's stored components).
+    /// The key is only materialized — `push_key` appends its `arity`
+    /// components to the key arena — when the group is first inserted, so
+    /// callers that read key components from a reused scratch buffer
+    /// allocate **nothing** on the per-row path for existing groups.
+    fn resolve_with(
+        &mut self,
+        hash: u64,
+        key_eq: impl Fn(&[Value]) -> bool,
+        push_key: impl FnOnce(&mut Vec<Value>),
+    ) -> u32 {
+        self.reserve_one();
+        let arity = self.arity;
+        match self.find(hash, |g| key_eq(&self.keys[g * arity..(g + 1) * arity])) {
+            Ok(gid) => gid,
+            Err(slot) => {
+                let start = self.keys.len();
+                push_key(&mut self.keys);
+                self.lanes
+                    .extend(self.keys[start..].iter().map(KeyLane::of));
+                self.claim_zeroed(slot, hash)
+            }
+        }
+    }
+
+    /// The typed find-or-create: the id of the group whose stored lanes
+    /// equal `probe` (one lane per component), with `other_eq(component,
+    /// stored value)` confirming the string/nested components lanes cannot
+    /// decide. `push_key` appends the key's components to the key arena on
+    /// first insertion; their lanes are `probe` itself.
+    #[inline]
+    pub fn resolve_lanes(
+        &mut self,
+        hash: u64,
+        probe: &[KeyLane],
+        other_eq: impl Fn(usize, &Value) -> bool,
+        push_key: impl FnOnce(&mut Vec<Value>),
+    ) -> u32 {
+        debug_assert_eq!(probe.len(), self.arity);
+        self.reserve_one();
+        let arity = self.arity;
+        let found = self.find(hash, |g| {
+            let base = g * arity;
+            lanes_match(&self.lanes[base..base + arity], probe, |comp| {
+                other_eq(comp, &self.keys[base + comp])
+            })
+        });
+        match found {
+            Ok(gid) => gid,
+            Err(slot) => {
+                let start = self.keys.len();
+                push_key(&mut self.keys);
+                debug_assert!(self.keys[start..]
+                    .iter()
+                    .map(KeyLane::of)
+                    .eq(probe.iter().copied()));
+                self.lanes.extend_from_slice(probe);
+                self.claim_zeroed(slot, hash)
+            }
+        }
+    }
+
+    /// Hands group `gid`'s accumulators to `fold`. `tag` is the caller's
+    /// morsel index: elements `fold` appends to collection accumulators are
+    /// recorded under it, so parallel partials can later merge in exact
+    /// serial order (pass 0 when serial).
+    #[inline]
+    pub fn fold_group(
+        &mut self,
+        gid: u32,
+        tag: u64,
+        fold: impl FnOnce(&mut [Accumulator], &[Monoid]),
+    ) {
+        let stride = self.monoids.len();
+        let base = gid as usize * stride;
+        let accs = &mut self.accs[base..base + stride];
+        if self.collection_specs.is_empty() {
+            fold(accs, &self.monoids);
+            return;
+        }
+        // Tag whatever elements the fold appends: record the collection
+        // lengths before, extend the tag lists after (a `set` dedup hit
+        // appends nothing and tags nothing).
+        self.len_scratch.clear();
+        self.len_scratch.extend(
+            self.collection_specs
+                .iter()
+                .map(|&spec| collection_len(&accs[spec])),
+        );
+        fold(accs, &self.monoids);
+        let tag_base = gid as usize * self.collection_specs.len();
+        for (ci, &spec) in self.collection_specs.iter().enumerate() {
+            let added = collection_len(&accs[spec]) - self.len_scratch[ci];
+            self.tags[tag_base + ci].extend(std::iter::repeat_n(tag, added));
+            self.collected += added as u64;
+        }
+    }
+
+    /// The generic find-or-create fold (the closure tier's per-row entry):
+    /// locates the group of a pre-hashed key — `key_eq` compares against a
+    /// candidate group's stored components, `push_key` appends the key's
+    /// `arity` components to the key arena if the group is new — and hands
+    /// its accumulators to `fold` under morsel tag `tag`
+    /// ([`RadixGroupTable::fold_group`]).
+    pub fn merge_with(
+        &mut self,
+        hash: u64,
+        key_eq: impl Fn(&[Value]) -> bool,
+        push_key: impl FnOnce(&mut Vec<Value>),
+        tag: u64,
+        fold: impl FnOnce(&mut [Accumulator], &[Monoid]),
+    ) {
+        let gid = self.resolve_with(hash, key_eq, push_key);
+        self.fold_group(gid, tag, fold);
+    }
+
     /// Folds one input: finds (or creates) the group of `key` and merges the
-    /// per-monoid values. (Serial convenience entry — morsel tag 0.)
-    // Invariant: `merge_with` invokes its fold callback exactly once, so the
-    // `values.take()` always yields the staged input.
-    #[allow(clippy::expect_used)]
+    /// per-monoid values. (Serial convenience over
+    /// [`RadixGroupTable::merge_with`] — morsel tag 0.)
     pub fn merge(&mut self, key: Vec<Value>, values: Vec<Value>) {
         // Hash the key components in place — no cloned Value::List per entry.
         let hash = hash_key_components(&key);
-        let mut values = Some(values);
         self.merge_with(
             hash,
-            |k| k.len() == key.len() && k.iter().zip(&key).all(|(a, b)| a.value_eq(b)),
-            || key.clone(),
+            |stored| key_components_eq(stored, &key),
+            |arena| arena.extend(key.iter().cloned()),
             0,
             |accumulators, monoids| {
-                for ((acc, monoid), value) in accumulators
-                    .iter_mut()
-                    .zip(monoids)
-                    .zip(values.take().expect("fold runs once"))
-                {
+                for ((acc, monoid), value) in accumulators.iter_mut().zip(monoids).zip(values) {
                     let _ = acc.merge(*monoid, value);
                 }
             },
         );
     }
 
-    /// The generic find-or-create fold: locates the group of a pre-hashed
-    /// key (`key_eq` compares against a candidate group's stored components)
-    /// and hands its accumulators to `fold`. The key is only materialized —
-    /// via `make_key` — when the group is first inserted, so callers that
-    /// read key components from typed columns or a reused scratch buffer
-    /// allocate **nothing** on the per-row path for existing groups.
-    ///
-    /// `tag` is the caller's morsel index: elements `fold` appends to
-    /// collection accumulators are recorded under it, so parallel partials
-    /// can later merge in exact serial order (pass 0 when serial).
-    pub fn merge_with(
-        &mut self,
-        hash: u64,
-        key_eq: impl Fn(&[Value]) -> bool,
-        make_key: impl FnOnce() -> Vec<Value>,
-        tag: u64,
-        fold: impl FnOnce(&mut [Accumulator], &[Monoid]),
-    ) {
-        let partition = &mut self.partitions[partition_of(hash)];
-        let found = partition
-            .iter_mut()
-            .find(|entry| entry.hash == hash && key_eq(&entry.key));
-        match found {
-            Some(entry) => {
-                if self.collection_specs.is_empty() {
-                    fold(&mut entry.accs, &self.monoids);
-                } else {
-                    // Tag whatever elements the fold appends: record the
-                    // collection lengths before, extend the tag lists after
-                    // (a `set` dedup hit appends nothing and tags nothing).
-                    self.len_scratch.clear();
-                    self.len_scratch.extend(
-                        self.collection_specs
-                            .iter()
-                            .map(|&spec| collection_len(&entry.accs[spec])),
-                    );
-                    fold(&mut entry.accs, &self.monoids);
-                    for (ci, &spec) in self.collection_specs.iter().enumerate() {
-                        let added = collection_len(&entry.accs[spec]) - self.len_scratch[ci];
-                        entry.tags[ci].extend(std::iter::repeat_n(tag, added));
-                    }
-                }
-            }
-            None => {
-                let mut accs: Vec<Accumulator> =
-                    self.monoids.iter().map(|m| Accumulator::zero(*m)).collect();
-                fold(&mut accs, &self.monoids);
-                let tags = self
-                    .collection_specs
-                    .iter()
-                    .map(|&spec| vec![tag; collection_len(&accs[spec])])
-                    .collect();
-                partition.push(GroupEntry {
-                    hash,
-                    key: make_key(),
-                    accs,
-                    tags,
-                });
-                self.groups += 1;
-            }
-        }
-    }
-
-    /// Absorbs another table's partial groups (same monoids): scalar
-    /// accumulator states are combined under the monoid's associative ⊕;
-    /// collection accumulators merge element-wise in morsel-tag order
-    /// (`merge_tagged`), so the result is identical to a serial ingest.
-    // Invariant: every group entry carries exactly one tag list per
-    // collection spec (enforced at insertion), so the `next().expect` in the
-    // spec loop always yields.
+    /// Absorbs another table's partial groups (same arity and monoids),
+    /// moving them out of its arenas: scalar accumulator states are combined
+    /// under the monoid's associative ⊕; collection accumulators merge
+    /// element-wise in morsel-tag order (`merge_tagged`), so the result is
+    /// identical to a serial ingest.
+    // Invariant: every group carries exactly one tag list per collection
+    // spec (enforced at insertion), so the `next().expect` in the spec loop
+    // always yields.
     #[allow(clippy::expect_used)]
     pub fn absorb(&mut self, other: RadixGroupTable) {
+        debug_assert_eq!(self.arity, other.arity);
         debug_assert_eq!(self.monoids, other.monoids);
-        for (pid, partition) in other.partitions.into_iter().enumerate() {
-            for entry in partition {
-                let target = &mut self.partitions[pid];
-                let found = target
-                    .iter_mut()
-                    .find(|e| e.hash == entry.hash && key_components_eq(&e.key, &entry.key));
-                match found {
-                    Some(existing) => {
-                        let GroupEntry {
-                            accs: in_accs,
-                            tags: in_tags,
-                            ..
-                        } = entry;
-                        // `collection_specs` ascends, so the incoming tag
-                        // lists are consumed in spec order.
-                        let mut tag_lists = in_tags.into_iter();
-                        let mut ci = 0;
-                        for (spec, ((acc, monoid), partial)) in existing
-                            .accs
-                            .iter_mut()
-                            .zip(&self.monoids)
-                            .zip(in_accs)
-                            .enumerate()
-                        {
-                            if self.collection_specs.get(ci) == Some(&spec) {
-                                let Accumulator::Collection(theirs) = partial else {
-                                    unreachable!("collection spec holds a scalar accumulator");
-                                };
-                                let Accumulator::Collection(ours) = acc else {
-                                    unreachable!("collection spec holds a scalar accumulator");
-                                };
-                                let their_tags =
-                                    tag_lists.next().expect("tag list per collection spec");
-                                merge_tagged(
-                                    *monoid,
-                                    ours,
-                                    &mut existing.tags[ci],
-                                    theirs,
-                                    their_tags,
-                                );
-                                ci += 1;
-                            } else {
-                                let _ = acc.combine(*monoid, partial);
-                            }
+        let arity = self.arity;
+        let stride = self.monoids.len();
+        let tag_stride = self.collection_specs.len();
+        self.collected += other.collected;
+        let mut in_keys = other.keys.into_iter();
+        let mut in_accs = other.accs.into_iter();
+        let mut in_tags = other.tags.into_iter();
+        for (in_gid, hash) in other.hashes.into_iter().enumerate() {
+            self.reserve_one();
+            let in_lanes = &other.lanes[in_gid * arity..(in_gid + 1) * arity];
+            let in_key = &in_keys.as_slice()[..arity];
+            let found = self.find(hash, |g| {
+                let base = g * arity;
+                lanes_match(&self.lanes[base..base + arity], in_lanes, |comp| {
+                    self.keys[base + comp].value_eq(&in_key[comp])
+                })
+            });
+            match found {
+                Ok(gid) => {
+                    in_keys.by_ref().take(arity).for_each(drop);
+                    let base = gid as usize * stride;
+                    let mut ci = 0;
+                    for (spec, partial) in in_accs.by_ref().take(stride).enumerate() {
+                        let monoid = self.monoids[spec];
+                        let acc = &mut self.accs[base + spec];
+                        if !monoid.is_collection() {
+                            let _ = acc.combine(monoid, partial);
+                            continue;
                         }
+                        let (Accumulator::Collection(ours), Accumulator::Collection(theirs)) =
+                            (acc, partial)
+                        else {
+                            unreachable!("collection spec holds a scalar accumulator");
+                        };
+                        let their_tags = in_tags.next().expect("tag list per collection spec");
+                        let offered = (ours.len() + theirs.len()) as u64;
+                        let our_tags = &mut self.tags[gid as usize * tag_stride + ci];
+                        merge_tagged(monoid, ours, our_tags, theirs, their_tags);
+                        // A `set` merge may drop duplicates both sides held.
+                        self.collected -= offered - ours.len() as u64;
+                        ci += 1;
                     }
-                    None => {
-                        target.push(entry);
-                        self.groups += 1;
-                    }
+                }
+                Err(slot) => {
+                    self.keys.extend(in_keys.by_ref().take(arity));
+                    self.lanes.extend_from_slice(in_lanes);
+                    self.accs.extend(in_accs.by_ref().take(stride));
+                    self.tags.extend(in_tags.by_ref().take(tag_stride));
+                    self.claim(slot, hash);
                 }
             }
         }
+        self.check_invariants();
     }
 
-    /// Number of groups formed.
-    pub fn group_count(&self) -> usize {
-        self.groups
-    }
-
-    /// Finalizes the table into `(key, outputs)` rows. Rows come out in
-    /// (partition, key hash) order so serial and parallel executions of the
-    /// same query produce the same row order. (Collection elements are
-    /// already tag-ordered by [`RadixGroupTable::absorb`]; the tags drop
-    /// here.)
-    pub fn finish(self) -> Vec<(Vec<Value>, Vec<Value>)> {
-        let monoids = self.monoids;
-        let mut rows = Vec::with_capacity(self.groups);
-        for mut partition in self.partitions {
-            partition.sort_by_key(|entry| entry.hash);
-            for entry in partition {
-                let outputs: Vec<Value> = entry
-                    .accs
-                    .into_iter()
-                    .zip(&monoids)
-                    .map(|(acc, monoid)| acc.finish(*monoid))
-                    .collect();
-                rows.push((entry.key, outputs));
-            }
+    /// The table's structural invariants, armed by `debug_assertions` only
+    /// (CI's `release-debug-assertions` job runs them on the optimized
+    /// paths): after every index rebuild and every `absorb`, the arenas hold
+    /// exactly `groups × stride` elements, the index load is at most ½, and
+    /// every group id is reachable from the index along its hash's probe
+    /// sequence.
+    fn check_invariants(&self) {
+        if !cfg!(debug_assertions) {
+            return;
         }
-        rows
+        let groups = self.hashes.len();
+        assert_eq!(self.keys.len(), groups * self.arity);
+        assert_eq!(self.lanes.len(), groups * self.arity);
+        assert_eq!(self.accs.len(), groups * self.monoids.len());
+        assert_eq!(self.tags.len(), groups * self.collection_specs.len());
+        assert!(self.index.len().is_power_of_two());
+        assert!(groups * 2 <= self.index.len(), "index load above 1/2");
+        let occupied = self.index.iter().filter(|&&g| g != EMPTY_SLOT).count();
+        assert_eq!(occupied, groups, "index entries != groups");
+        for gid in 0..groups {
+            let found = self.find(self.hashes[gid], |g| g == gid);
+            assert_eq!(found, Ok(gid as u32), "group {gid} unreachable");
+        }
+    }
+
+    /// Finalizes the table into one `T` per group: `row(key components,
+    /// finished outputs)` may move the values out of the two slices. Rows
+    /// leave in `(hash & 63, hash)` order (ties in group-id order), so
+    /// serial and parallel executions of the same query produce the same row
+    /// order. (Collection elements are already tag-ordered by
+    /// [`RadixGroupTable::absorb`]; the tags drop here.)
+    pub fn into_rows<T>(self, mut row: impl FnMut(&mut [Value], &mut [Value]) -> T) -> Vec<T> {
+        let (arity, stride) = (self.arity, self.monoids.len());
+        // Rotating the low radix bits to the top makes one integer compare
+        // order by (hash & 63, hash).
+        let mut order: Vec<(u64, u32)> = self
+            .hashes
+            .iter()
+            .enumerate()
+            .map(|(gid, hash)| (hash.rotate_right(GROUP_EMIT_RADIX_BITS), gid as u32))
+            .collect();
+        order.sort_unstable();
+        let mut keys = self.keys;
+        let mut outputs: Vec<Value> = self
+            .accs
+            .into_iter()
+            .zip(self.monoids.iter().cycle())
+            .map(|(acc, monoid)| acc.finish(*monoid))
+            .collect();
+        order
+            .into_iter()
+            .map(|(_, gid)| {
+                let g = gid as usize;
+                row(
+                    &mut keys[g * arity..(g + 1) * arity],
+                    &mut outputs[g * stride..(g + 1) * stride],
+                )
+            })
+            .collect()
     }
 }
 
@@ -1032,28 +1344,129 @@ mod tests {
         assert_eq!(key, vec![Value::Null]);
     }
 
+    /// The finished groups of a table, in emission order.
+    fn rows_of(table: RadixGroupTable) -> Vec<(Vec<Value>, Vec<Value>)> {
+        table.into_rows(|key, outputs| (key.to_vec(), outputs.to_vec()))
+    }
+
+    /// The oracle: groups found by a linear `value_eq` scan over every key
+    /// seen so far (no hashing at all), emitted in `(hash & 63, hash)` order.
+    struct Oracle {
+        monoids: Vec<Monoid>,
+        groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
+    }
+
+    impl Oracle {
+        fn new(monoids: &[Monoid]) -> Oracle {
+            Oracle {
+                monoids: monoids.to_vec(),
+                groups: Vec::new(),
+            }
+        }
+
+        /// Folds one input; returns the group's id (first-sight order).
+        fn merge(&mut self, key: &[Value], values: &[Value]) -> usize {
+            let gid = match self
+                .groups
+                .iter()
+                .position(|(k, _)| key_components_eq(k, key))
+            {
+                Some(gid) => gid,
+                None => {
+                    let zeros = self.monoids.iter().map(|m| Accumulator::zero(*m));
+                    self.groups.push((key.to_vec(), zeros.collect()));
+                    self.groups.len() - 1
+                }
+            };
+            for ((acc, monoid), value) in
+                self.groups[gid].1.iter_mut().zip(&self.monoids).zip(values)
+            {
+                acc.merge(*monoid, value.clone()).unwrap();
+            }
+            gid
+        }
+
+        fn rows(self) -> Vec<(Vec<Value>, Vec<Value>)> {
+            let monoids = self.monoids;
+            let mut groups = self.groups;
+            // Stable: hash ties keep first-sight order, like group ids do.
+            groups.sort_by_key(|(key, _)| {
+                let hash = hash_key_components(key);
+                (hash & 63, hash)
+            });
+            groups
+                .into_iter()
+                .map(|(key, accs)| {
+                    let outputs = accs.into_iter().zip(&monoids).map(|(a, m)| a.finish(*m));
+                    (key, outputs.collect())
+                })
+                .collect()
+        }
+    }
+
+    /// The group id `key` resolves to through the hydrated-key entry.
+    fn resolve_value(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
+        table.resolve_with(
+            hash_key_components(key),
+            |stored| key_components_eq(stored, key),
+            |arena| arena.extend(key.iter().cloned()),
+        )
+    }
+
+    /// The group id `key` resolves to through the lane entry (what the
+    /// typed ingest calls), lanes rendered from the hydrated components.
+    fn resolve_lane(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
+        let lanes: Vec<KeyLane> = key.iter().map(KeyLane::of).collect();
+        table.resolve_lanes(
+            hash_key_components(key),
+            &lanes,
+            |comp, stored| stored.value_eq(&key[comp]),
+            |arena| arena.extend(key.iter().cloned()),
+        )
+    }
+
     #[test]
     fn group_table_aggregates_per_key() {
-        let mut table = RadixGroupTable::new(vec![Monoid::Count, Monoid::Sum]);
+        let mut table = RadixGroupTable::new(1, vec![Monoid::Count, Monoid::Sum]);
         for i in 0..100i64 {
             table.merge(vec![Value::Int(i % 4)], vec![Value::Int(1), Value::Int(i)]);
         }
         assert_eq!(table.group_count(), 4);
-        let rows = table.finish();
+        let rows = rows_of(table);
         assert_eq!(rows.len(), 4);
         let total_count: i64 = rows.iter().map(|(_, outs)| outs[0].as_int().unwrap()).sum();
         assert_eq!(total_count, 100);
-        let total_sum: i64 = rows.iter().map(|(_, outs)| outs[1].as_int().unwrap()).sum();
-        assert_eq!(total_sum, (0..100).sum::<i64>());
+        let total_sum: f64 = rows
+            .iter()
+            .map(|(_, outs)| outs[1].as_float().unwrap())
+            .sum();
+        assert_eq!(total_sum, (0..100).sum::<i64>() as f64);
     }
 
     #[test]
-    fn group_table_multi_column_keys() {
-        let mut table = RadixGroupTable::new(vec![Monoid::Count]);
-        table.merge(vec![Value::Int(1), Value::str("x")], vec![Value::Int(1)]);
-        table.merge(vec![Value::Int(1), Value::str("y")], vec![Value::Int(1)]);
-        table.merge(vec![Value::Int(1), Value::str("x")], vec![Value::Int(1)]);
-        assert_eq!(table.group_count(), 2);
+    fn group_table_multi_column_keys_match_the_oracle() {
+        let monoids = [Monoid::Count, Monoid::Max];
+        for arity in [2usize, 3] {
+            let mut table = RadixGroupTable::new(arity, monoids.to_vec());
+            let mut oracle = Oracle::new(&monoids);
+            for i in 0..500i64 {
+                let mut key = vec![
+                    Value::Int(i % 7),
+                    Value::str(format!("s{}", i % 3)),
+                    if i % 5 == 0 {
+                        Value::Null
+                    } else {
+                        Value::Bool(i % 2 == 0)
+                    },
+                ];
+                key.truncate(arity);
+                let values = vec![Value::Int(1), Value::Int(i)];
+                oracle.merge(&key, &values);
+                table.merge(key, values);
+            }
+            assert_eq!(table.group_count(), oracle.groups.len());
+            assert_eq!(rows_of(table), oracle.rows(), "arity {arity}");
+        }
     }
 
     #[test]
@@ -1071,30 +1484,310 @@ mod tests {
     }
 
     #[test]
-    fn absorb_equals_single_table_fold() {
-        let mut whole = RadixGroupTable::new(vec![Monoid::Count, Monoid::Sum]);
-        let mut left = RadixGroupTable::new(vec![Monoid::Count, Monoid::Sum]);
-        let mut right = RadixGroupTable::new(vec![Monoid::Count, Monoid::Sum]);
-        for i in 0..200i64 {
-            let key = vec![Value::Int(i % 7)];
-            let values = vec![Value::Int(1), Value::Int(i)];
-            whole.merge(key.clone(), values.clone());
-            if i % 2 == 0 {
-                left.merge(key, values);
-            } else {
-                right.merge(key, values);
+    fn forced_full_hash_collisions_keep_different_keys_apart() {
+        // `merge_with` and `resolve_lanes` take the hash, so every key below
+        // shares one full 64-bit hash: one probe chain, told apart by the
+        // key compare alone.
+        let keys: Vec<Value> = vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(2.5),
+            Value::str("1"),
+            Value::str("one"),
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::Int(0),
+        ];
+        let count = |acc: &mut [Accumulator], monoids: &[Monoid]| {
+            acc[0].merge(monoids[0], Value::Int(1)).unwrap();
+        };
+        let mut table = RadixGroupTable::new(1, vec![Monoid::Count]);
+        for round in 0..3 {
+            for (i, key) in keys.iter().enumerate() {
+                let key = std::slice::from_ref(key);
+                if (round + i) % 2 == 0 {
+                    table.merge_with(
+                        42,
+                        |stored| key_components_eq(stored, key),
+                        |arena| arena.extend(key.iter().cloned()),
+                        0,
+                        count,
+                    );
+                } else {
+                    let lane = [KeyLane::of(&key[0])];
+                    let gid = table.resolve_lanes(
+                        42,
+                        &lane,
+                        |_, stored| stored.value_eq(&key[0]),
+                        |arena| arena.extend(key.iter().cloned()),
+                    );
+                    table.fold_group(gid, 0, count);
+                }
             }
         }
-        left.absorb(right);
-        assert_eq!(left.group_count(), whole.group_count());
-        assert_eq!(left.finish(), whole.finish());
+        assert_eq!(table.group_count(), keys.len());
+        // Equal hashes: emission falls back to group-id (first-sight) order.
+        let rows = rows_of(table);
+        for ((key, outputs), expected) in rows.iter().zip(&keys) {
+            assert!(key[0].value_eq(expected), "{key:?} vs {expected:?}");
+            assert_eq!(outputs, &[Value::Int(3)]);
+        }
+    }
+
+    #[test]
+    fn equal_string_lanes_still_need_the_value_compare() {
+        // A string lane carries a 64-bit hash: equal lanes are necessary,
+        // not sufficient — the stored value has the last word. Null, bool
+        // and numeric lanes decide alone and never ask.
+        let text = [KeyLane::of(&Value::str("left"))];
+        assert!(lanes_match(&text, &text, |_| true));
+        assert!(!lanes_match(&text, &text, |_| false));
+        let decided = [
+            KeyLane::of(&Value::Int(3)),
+            KeyLane::NULL,
+            KeyLane::bool(true),
+        ];
+        assert!(lanes_match(&decided, &decided, |_| unreachable!()));
+        assert_eq!(KeyLane::of(&Value::Float(3.0)), decided[0]);
+        assert_ne!(KeyLane::of(&Value::Int(1)), decided[2]);
+        assert_ne!(KeyLane::of(&Value::Int(0)), KeyLane::NULL);
+        assert_ne!(
+            KeyLane::of(&Value::str("left")),
+            KeyLane::of(&Value::str("right"))
+        );
+    }
+
+    #[test]
+    fn growth_across_index_rebuilds_keeps_ids_and_accumulators() {
+        const GROUPS: i64 = 20_000;
+        let mut table = RadixGroupTable::new(2, vec![Monoid::Count, Monoid::Sum]);
+        let key_of = |i: i64| vec![Value::Int(i), Value::str(format!("g{}", i % 11))];
+        let mut ids = Vec::new();
+        for i in 0..GROUPS {
+            let key = key_of(i);
+            // Alternate the two find-or-create entries: both go through the
+            // same index and must agree on ids.
+            let gid = if i % 2 == 0 {
+                resolve_value(&mut table, &key)
+            } else {
+                resolve_lane(&mut table, &key)
+            };
+            assert_eq!(gid as i64, i, "ids are dense, in first-sight order");
+            table.fold_group(gid, 0, |accs, monoids| {
+                accs[0].merge(monoids[0], Value::Int(1)).unwrap();
+                accs[1].merge(monoids[1], Value::Int(i)).unwrap();
+            });
+            ids.push(gid);
+        }
+        // 64 slots at birth, load ≤ ½: 20 000 groups took ten rebuilds.
+        assert_eq!(table.index.len(), 65_536);
+        assert_eq!(table.group_count(), GROUPS as usize);
+        // Every key still resolves to the id it was given before the
+        // rebuilds, through either entry, and no group is created.
+        for i in (0..GROUPS).rev() {
+            let key = key_of(i);
+            assert_eq!(resolve_lane(&mut table, &key), ids[i as usize]);
+            assert_eq!(resolve_value(&mut table, &key), ids[i as usize]);
+        }
+        assert_eq!(table.group_count(), GROUPS as usize);
+        table.check_invariants();
+        let rows = rows_of(table);
+        assert_eq!(rows.len(), GROUPS as usize);
+        for (key, outputs) in rows {
+            let i = key[0].as_int().unwrap();
+            assert_eq!(key, key_of(i));
+            assert_eq!(outputs, vec![Value::Int(1), Value::Int(i)]);
+        }
+    }
+
+    #[test]
+    fn numeric_null_and_bool_keys_group_like_value_eq() {
+        const TWO_53: i64 = 1 << 53;
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        assert!(other_nan.is_nan());
+        let keys = vec![
+            Value::Int(3),
+            Value::Float(3.0), // ≡ Int(3)
+            Value::Date(3),    // ≡ Int(3)
+            Value::Float(0.0),
+            Value::Float(-0.0), // ≠ +0.0
+            Value::Int(0),      // ≡ +0.0
+            Value::Float(nan),
+            Value::Float(other_nan), // NaN by bits: a group of its own
+            Value::Float(nan),
+            Value::Null,
+            Value::Null, // ≡ null
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(1),          // ≠ Bool(true)
+            Value::Int(TWO_53),     // the float view collapses the next int…
+            Value::Int(TWO_53 + 1), // …onto this one, as `value_eq` does
+            Value::Float(TWO_53 as f64),
+            Value::Int(TWO_53 + 2), // representable: a group of its own
+            Value::str("3"),        // ≠ Int(3)
+        ];
+        // Sanity of the table above against `value_eq` itself.
+        assert!(Value::Int(TWO_53).value_eq(&Value::Int(TWO_53 + 1)));
+        assert!(!Value::Float(0.0).value_eq(&Value::Float(-0.0)));
+        assert!(!Value::Float(nan).value_eq(&Value::Float(other_nan)));
+
+        let monoids = [Monoid::Count];
+        for entry in [resolve_value, resolve_lane] {
+            let mut table = RadixGroupTable::new(1, monoids.to_vec());
+            let mut oracle = Oracle::new(&monoids);
+            for key in &keys {
+                let key = std::slice::from_ref(key);
+                let expected = oracle.merge(key, &[Value::Int(1)]);
+                let gid = entry(&mut table, key);
+                assert_eq!(gid as usize, expected, "key {key:?}");
+                table.fold_group(gid, 0, |accs, m| {
+                    accs[0].merge(m[0], Value::Int(1)).unwrap();
+                });
+            }
+            assert_eq!(oracle.groups.len(), 12);
+            // Through `Debug`: NaN keys are not `==` themselves.
+            assert_eq!(
+                format!("{:?}", rows_of(table)),
+                format!("{:?}", oracle.rows())
+            );
+        }
+    }
+
+    /// Splits a fixed input over `partials` worker tables morsel by morsel
+    /// (16 rows a morsel, dealt round-robin — each worker's tags ascend, as
+    /// in the pipeline), absorbs them in worker order, and compares with the
+    /// single table that ingested every row in order.
+    fn absorb_matches_single_table(monoids: &[Monoid], partials: usize) {
+        let mut whole = RadixGroupTable::new(2, monoids.to_vec());
+        let mut parts: Vec<RadixGroupTable> = (0..partials)
+            .map(|_| RadixGroupTable::new(2, monoids.to_vec()))
+            .collect();
+        for i in 0..600i64 {
+            let morsel = (i / 16) as u64;
+            let key = vec![Value::Int(i % 13), Value::str(format!("k{}", i % 2))];
+            // Values with repeats, so `set` has something to drop.
+            let values: Vec<Value> = monoids
+                .iter()
+                .map(|m| match m {
+                    Monoid::And | Monoid::Or => Value::Bool(i % 9 == 0),
+                    _ => Value::Int(i % 9),
+                })
+                .collect();
+            let hash = hash_key_components(&key);
+            for table in [&mut whole, &mut parts[morsel as usize % partials]] {
+                table.merge_with(
+                    hash,
+                    |stored| key_components_eq(stored, &key),
+                    |arena| arena.extend(key.iter().cloned()),
+                    morsel,
+                    |accs, monoids| {
+                        for ((acc, monoid), value) in accs.iter_mut().zip(monoids).zip(&values) {
+                            acc.merge(*monoid, value.clone()).unwrap();
+                        }
+                    },
+                );
+            }
+        }
+        let mut parts = parts.into_iter();
+        let mut merged = parts.next().unwrap();
+        for part in parts {
+            merged.absorb(part);
+        }
+        assert_eq!(merged.group_count(), whole.group_count());
+        assert_eq!(merged.collected, whole.collected, "{monoids:?} x{partials}");
+        assert_eq!(
+            merged.approx_bytes(48) - merged.index.len() as u64 * 4,
+            whole.approx_bytes(48) - whole.index.len() as u64 * 4,
+        );
+        assert_eq!(rows_of(merged), rows_of(whole), "{monoids:?} x{partials}");
+    }
+
+    #[test]
+    fn absorb_equals_single_table_fold() {
+        for partials in [1, 2, 4] {
+            absorb_matches_single_table(&[Monoid::Count, Monoid::Sum, Monoid::Min], partials);
+            absorb_matches_single_table(&[Monoid::Bag], partials);
+            absorb_matches_single_table(&[Monoid::Set], partials);
+            absorb_matches_single_table(&[Monoid::List], partials);
+            absorb_matches_single_table(
+                &[Monoid::Avg, Monoid::Set, Monoid::Or, Monoid::Bag],
+                partials,
+            );
+        }
+    }
+
+    #[test]
+    fn emission_order_is_radix_then_hash() {
+        let mut table = RadixGroupTable::new(2, vec![Monoid::Count]);
+        for i in 0..24i64 {
+            table.merge(
+                vec![Value::Int(i), Value::str(format!("k{}", i % 5))],
+                vec![Value::Int(1)],
+            );
+        }
+        let rows = rows_of(table);
+        let order: Vec<i64> = rows.iter().map(|(k, _)| k[0].as_int().unwrap()).collect();
+        // Pinned: the order the 64-list table of PRs 1–17 produced for this
+        // input — sorted by (hash & 63, hash).
+        assert_eq!(
+            order,
+            [
+                8, 16, 1, 13, 9, 12, 7, 17, 0, 21, 19, 14, 10, 4, 3, 15, 20, 5, 23, 6, 18, 22, 11,
+                2
+            ]
+        );
+        let hashes: Vec<u64> = rows.iter().map(|(k, _)| hash_key_components(k)).collect();
+        assert!(hashes
+            .windows(2)
+            .all(|w| (w[0] & 63, w[0]) < (w[1] & 63, w[1])));
+    }
+
+    #[test]
+    fn approx_bytes_sees_arity_monoids_and_collected_elements() {
+        let fill = |arity: usize, monoids: Vec<Monoid>| {
+            let mut table = RadixGroupTable::new(arity, monoids.clone());
+            for i in 0..1_000i64 {
+                table.merge(
+                    vec![Value::Int(i % 4); arity],
+                    vec![Value::Int(i); monoids.len()],
+                );
+            }
+            table
+        };
+        let narrow = fill(1, vec![Monoid::Count]);
+        let wide = fill(3, vec![Monoid::Count, Monoid::Sum, Monoid::Max]);
+        assert!(wide.approx_bytes(48) > narrow.approx_bytes(48));
+        // Four groups whatever the row count — but a bag holds every row.
+        let bag = fill(1, vec![Monoid::Bag]);
+        assert_eq!(bag.collected, 1_000);
+        assert!(bag.approx_bytes(48) >= 1_000 * (48 + 8));
+        // A set holds the distinct values only.
+        let mut set = RadixGroupTable::new(1, vec![Monoid::Set]);
+        for i in 0..1_000i64 {
+            set.merge(vec![Value::Int(0)], vec![Value::Int(i % 10)]);
+        }
+        assert_eq!(set.collected, 10);
     }
 
     #[test]
     fn empty_group_table_finishes_empty() {
-        let table = RadixGroupTable::new(vec![Monoid::Max]);
+        let table = RadixGroupTable::new(1, vec![Monoid::Max]);
         assert_eq!(table.group_count(), 0);
-        assert!(table.finish().is_empty());
+        assert!(rows_of(table).is_empty());
+    }
+
+    #[test]
+    fn keyless_table_holds_one_group() {
+        let mut table = RadixGroupTable::new(0, vec![Monoid::Count]);
+        let mut other = RadixGroupTable::new(0, vec![Monoid::Count]);
+        for _ in 0..5 {
+            table.merge(vec![], vec![Value::Int(1)]);
+            other.merge(vec![], vec![Value::Int(1)]);
+        }
+        table.absorb(other);
+        assert_eq!(rows_of(table), vec![(vec![], vec![Value::Int(10)])]);
     }
 
     #[test]

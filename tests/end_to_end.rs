@@ -15,41 +15,49 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let dir = std::env::temp_dir().join("proteus_integration_tpch");
-    std::fs::create_dir_all(&dir).unwrap();
     let mut generator = TpchGenerator::new(TpchScale(0.05));
     let (orders, lineitems) = generator.generate();
-    writers::write_json(dir.join("lineitem.json"), &lineitems, true).unwrap();
-    writers::write_json(dir.join("orders.json"), &orders, true).unwrap();
+    // The tests of this binary run in parallel over one directory: write
+    // the (deterministic) files once, so no test reads a file another one
+    // is rewriting.
+    static FILES: std::sync::Once = std::sync::Once::new();
+    FILES.call_once(|| write_files(&dir, &orders, &lineitems));
+    Fixture {
+        dir,
+        orders,
+        lineitems,
+    }
+}
+
+fn write_files(dir: &std::path::Path, orders: &[Value], lineitems: &[Value]) {
+    std::fs::create_dir_all(dir).unwrap();
+    writers::write_json(dir.join("lineitem.json"), lineitems, true).unwrap();
+    writers::write_json(dir.join("orders.json"), orders, true).unwrap();
     writers::write_csv(
         dir.join("lineitem.csv"),
-        &lineitems,
+        lineitems,
         &TpchGenerator::lineitem_schema(),
         '|',
     )
     .unwrap();
     writers::write_column_table(
         dir.join("lineitem_cols"),
-        &lineitems,
+        lineitems,
         &TpchGenerator::lineitem_schema(),
     )
     .unwrap();
     writers::write_column_table(
         dir.join("orders_cols"),
-        &orders,
+        orders,
         &TpchGenerator::orders_schema(),
     )
     .unwrap();
     writers::write_row_table(
         dir.join("orders.prow"),
-        &orders,
+        orders,
         &TpchGenerator::orders_schema(),
     )
     .unwrap();
-    Fixture {
-        dir,
-        orders,
-        lineitems,
-    }
 }
 
 fn reference(fixture: &Fixture, plan: &LogicalPlan) -> Vec<Value> {

@@ -480,6 +480,55 @@ fn memory_budget_trips_mid_join_build_and_cheap_queries_still_run() {
     );
 }
 
+#[test]
+fn memory_budget_sees_grouped_collections() {
+    let _scope = fault_scope();
+    // 32 morsels in 4 groups: the group *count* is tiny, the collected
+    // elements are not — the budget must charge the latter.
+    let schema = Schema::from_pairs(vec![("g", DataType::Int), ("v", DataType::Int)]);
+    let rows: Vec<Value> = (0..32 * MORSEL)
+        .map(|i| Value::record(vec![("g", Value::Int(i % 4)), ("v", Value::Int(i))]))
+        .collect();
+    let path = scratch("budget_group").join("t.csv");
+    writers::write_csv(&path, &rows, &schema, '|').unwrap();
+    let engine = QueryEngine::new(EngineConfig::without_caching().with_memory_budget(16 * 1024));
+    engine
+        .register_csv("t", &path, schema, CsvOptions::default())
+        .unwrap();
+
+    let bag = || vec![ReduceSpec::new(Monoid::Bag, Expr::path("t.v"), "vs")];
+    let scan = || LogicalPlan::scan("t", "t", Schema::empty());
+    let site_of = |plan: LogicalPlan| match engine.execute_plan(plan).unwrap_err() {
+        EngineError::ResourceExhausted {
+            site,
+            used_bytes,
+            budget_bytes,
+        } => {
+            assert!(used_bytes > budget_bytes);
+            assert_eq!(budget_bytes, 16 * 1024);
+            site
+        }
+        other => panic!("expected ResourceExhausted, got {other:?}"),
+    };
+    // Grouped and ungrouped collection outputs both trip the same budget.
+    let grouped = scan().nest(vec![Expr::path("t.g")], vec!["g".into()], bag());
+    assert_eq!(site_of(grouped), "group table");
+    assert_eq!(site_of(scan().reduce(bag())), "reduce partial");
+
+    // A grouped query whose state fits still runs on the same engine.
+    let counts = scan().nest(
+        vec![Expr::path("t.g")],
+        vec!["g".into()],
+        vec![ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt")],
+    );
+    let result = engine.execute_plan(counts).unwrap();
+    assert_eq!(result.rows.len(), 4);
+    assert_eq!(
+        count_of(&engine.execute_plan(count_plan("t")).unwrap()),
+        32 * MORSEL
+    );
+}
+
 // -- cache lifecycle ------------------------------------------------------
 
 #[test]

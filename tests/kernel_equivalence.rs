@@ -767,3 +767,98 @@ fn join_kernels_survive_parallel_execution() {
         assert!(b.metrics.threads_used > 1, "{label}: {}", b.metrics);
     }
 }
+
+/// The typed group-by ingest compares keys through flat `f64`-bit lanes and
+/// confirms strings against stored values; the closure ingest compares
+/// hydrated `Value`s. Both must form the groups `Value::value_eq` defines —
+/// on exactly the keys where a raw-lane compare would go wrong: ints above
+/// 2⁵³ (which collapse onto their float view), `±0.0`, NaNs that differ
+/// only in payload, and strings that different morsels intern in different
+/// orders. Rows are compared in order, through `total_cmp` (NaN keys are
+/// not `==` themselves).
+#[test]
+fn group_keys_follow_value_eq_across_morsels() {
+    const TWO_53: i64 = 1 << 53;
+    const ROWS: usize = 5 * 1024 + 77; // six morsels
+    let ks = [0, 1, TWO_53, TWO_53 + 1, TWO_53 + 2, -TWO_53 - 1, -TWO_53];
+    let nan = f64::NAN;
+    let qs = [0.0, -0.0, 3.0, nan, f64::from_bits(nan.to_bits() ^ 1), -nan];
+    let words = ["ant", "bee", "cat", "", "dog"];
+    let mut rng = StdRng::seed_from_u64(0x6B0);
+    let mut k = Vec::with_capacity(ROWS);
+    let mut q = Vec::with_capacity(ROWS);
+    let mut c = Vec::with_capacity(ROWS);
+    let mut v = Vec::with_capacity(ROWS);
+    for i in 0..ROWS {
+        k.push(ks[rng.gen_range(0usize..ks.len())]);
+        q.push(qs[rng.gen_range(0usize..qs.len())]);
+        // Rotate the vocabulary per morsel: each pool interns the same
+        // strings under different ids.
+        let word = (rng.gen_range(0usize..3) + i / 1024) % words.len();
+        c.push(words[word].to_string());
+        v.push(rng.gen_range(-1000i64..1000));
+    }
+    let plugin = ColumnPlugin::from_pairs(
+        "t",
+        vec![
+            ("k".to_string(), ColumnData::Int(k)),
+            ("q".to_string(), ColumnData::Float(q)),
+            ("c".to_string(), ColumnData::Str(c)),
+            ("v".to_string(), ColumnData::Int(v)),
+        ],
+    )
+    .unwrap();
+
+    let scan = || LogicalPlan::scan("t", "t", Schema::empty());
+    let aggs = || {
+        vec![
+            ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+            ReduceSpec::new(Monoid::Sum, Expr::path("t.v"), "total"),
+            ReduceSpec::new(Monoid::Min, Expr::path("t.v"), "low"),
+            // A closure-fallback spec in the same list: the mixed path.
+            ReduceSpec::new(Monoid::Set, Expr::path("t.c"), "words"),
+        ]
+    };
+    let key_sets: Vec<(Vec<&str>, usize)> = vec![
+        // Ints: {2⁵³, 2⁵³+1} and {-2⁵³, -2⁵³-1} collapse → 5 groups.
+        (vec!["t.k"], 5),
+        // Floats: ±0.0 apart, three NaN bit patterns apart → 6 groups.
+        (vec!["t.q"], 6),
+        (vec!["t.c"], 5),
+        (vec!["t.k", "t.c"], 25),
+        (vec!["t.q", "t.c", "t.k"], 150),
+    ];
+    for mode in [NumericMode::Strict, NumericMode::Relaxed] {
+        let vectorized = QueryEngine::new(EngineConfig::without_caching().with_numeric_mode(mode));
+        let closures = QueryEngine::new(
+            EngineConfig::without_caching()
+                .with_numeric_mode(mode)
+                .with_vectorized(false),
+        );
+        vectorized.register_plugin(std::sync::Arc::new(plugin.clone()));
+        closures.register_plugin(std::sync::Arc::new(plugin.clone()));
+        for (keys, groups) in &key_sets {
+            let plan = scan().nest(
+                keys.iter().map(|key| Expr::path(key)).collect(),
+                (0..keys.len()).map(|i| format!("key{i}")).collect(),
+                aggs(),
+            );
+            let fast = vectorized.execute_plan(plan.clone()).unwrap();
+            let slow = closures.execute_plan(plan).unwrap();
+            let label = format!("{mode:?} by {keys:?}");
+            assert!(
+                fast.metrics.agg_kernel_rows > 0,
+                "{label}: typed ingest ran"
+            );
+            assert_eq!(slow.metrics.agg_kernel_rows, 0, "{label}");
+            assert_eq!(fast.rows.len(), *groups, "{label}: group count");
+            assert_eq!(slow.rows.len(), *groups, "{label}: group count");
+            for (i, (a, b)) in fast.rows.iter().zip(&slow.rows).enumerate() {
+                assert!(
+                    a.total_cmp(b) == std::cmp::Ordering::Equal,
+                    "{label}: row {i}: kernel {a:?} vs closure {b:?}"
+                );
+            }
+        }
+    }
+}
