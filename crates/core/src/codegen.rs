@@ -830,7 +830,7 @@ impl Compiler {
         ctx: &mut PlanCtx,
     ) -> Result<(Producer, BindingLayout)> {
         let (mut build, build_layout) = self.compile_producer(left, ir, access_paths, ctx)?;
-        ir.line(0, "materialize + radix-cluster build side");
+        ir.line(0, "materialize + hash-index build side");
         let (mut probe, probe_layout) = self.compile_producer(right, ir, access_paths, ctx)?;
 
         let mut combined = build_layout.clone();

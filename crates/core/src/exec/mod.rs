@@ -44,11 +44,10 @@
 //!   the partials are merged under the monoid's associative ⊕ when the run
 //!   drains. `parallelism = 1` runs the identical batch code inline — serial
 //!   and parallel execution differ only in floating-point summation order.
-//! * Join build sides also *build* in parallel: the radix partition phase
-//!   fans out over contiguous entry chunks and the cluster (sort) phase over
-//!   the radix digits, producing a table bit-identical to the serial build.
-//!   This is the one place a query still spawns threads of its own
-//!   ([`radix::RadixHashTable::build_parallel`]), outside the pool.
+//! * A join build side is *materialized* in parallel (its own morsel run)
+//!   and then indexed in one pass over the stored hashes on the preparing
+//!   thread ([`radix::RadixHashTable::build`]); a query spawns no threads of
+//!   its own — the pool is the only place the engine creates any.
 //!
 //! Collected (non-aggregated) outputs are tagged with their morsel index and
 //! re-sorted on merge, so row order matches the serial scan order no matter
@@ -171,14 +170,16 @@
 //!   [`radix::BuildStore`] — per-entry key hash, key components and *live*
 //!   payload values flattened into contiguous arenas indexed by entry id —
 //!   instead of a `(Value, Vec<Value>)` pair per entry. The
-//!   [`radix::RadixHashTable`] clusters only 12-byte `(hash, entry id)`
-//!   pairs over the store — 256 radix partitions, each with a top-byte
-//!   directory that narrows every probe to a handful of entries; the heavy
-//!   entry data never moves. Numeric key columns additionally carry an
+//!   [`radix::RadixHashTable`] indexes the store's entry ids through the
+//!   open-addressed index the group table also uses (4-byte slots, linear
+//!   probing, load ≤ ½) — one slot per distinct hash, repeats chained behind
+//!   it — so a probe walks a handful of slots from its hash's home slot
+//!   however often keys repeat; no entry data moves, and entries of one key
+//!   match in build-scan order. Numeric key columns additionally carry an
 //!   `f64` total-order view, so probe compares against them are one
 //!   branchless float comparison (single numeric keys take a dedicated
 //!   hoisted-lane loop). Because the kernel path hashes whole morsels up
-//!   front, the probe loop prefetches each row's sub-run (and each match's
+//!   front, the probe loop prefetches each row's home slot (and each match's
 //!   payload) a fixed lookahead ahead — memory latency the one-row-at-a-time
 //!   closure fallback cannot hide.
 //! * **Key classification.** Codegen classifies each join side on its own

@@ -2,10 +2,11 @@
 //!
 //! The compiler (codegen) lowers a plan to a `Producer` tree. Before
 //! execution the tree is *prepared*: every join build side is materialized
-//! into a shared [`RadixHashTable`] (itself via a morsel-parallel run of the
-//! build spine), leaving a linear **spine** — scan → stage* — that streams
-//! batches. Execution then dispatches morsels of [`MORSEL_SIZE`] tuples from
-//! an atomic work counter to its workers; each worker owns two recycled
+//! by a morsel-parallel run of the build spine and indexed, on the preparing
+//! thread, into a shared [`RadixHashTable`], leaving a linear **spine** —
+//! scan → stage* — that streams batches. Execution then dispatches morsels
+//! of [`MORSEL_SIZE`] tuples from an atomic work counter to its workers;
+//! each worker owns two recycled
 //! [`BindingBatch`]es and a private sink partial (accumulators / radix group
 //! table / row buffer), and the partials are merged under the monoid's
 //! associative ⊕ when the run drains. With `parallelism = 1` the same batch
@@ -227,7 +228,8 @@ struct PreparedPipeline {
 }
 
 /// Flattens a producer tree into a prepared spine, executing every join
-/// build side (recursively, morsel-parallel) into a shared radix table.
+/// build side (recursively, morsel-parallel) into a [`BuildStore`] and
+/// indexing it, on the calling thread, into a shared [`RadixHashTable`].
 fn prepare(
     producer: Producer,
     env: &ExecEnv,
@@ -321,9 +323,7 @@ fn prepare(
             probe_live,
             kind,
         } => {
-            // Materialize + cluster the build side with its own morsel run;
-            // the partition/cluster phases fan out over the same worker
-            // budget (deterministic: identical to the serial build).
+            // Materialize the build side with its own morsel run.
             let store = run_entries(
                 *build,
                 build_keys,
@@ -333,11 +333,11 @@ fn prepare(
                 metrics,
             )?;
             metrics.intermediate_tuples += store.len() as u64;
-            // The partition/cluster phases run on this thread (fanning out
-            // their own scoped workers), outside the morsel loop's
+            // The index build runs on this thread, outside the morsel loop's
             // containment — catch a panic here the same way.
             let table = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                Arc::new(RadixHashTable::build_parallel(store, env.threads))
+                proteus_plugins::fault::check_infallible("join.build");
+                Arc::new(RadixHashTable::build(store))
             }))
             .map_err(|payload| panic_error(payload, "radix build"))?;
             metrics.intermediate_bytes += table.materialized_bytes();

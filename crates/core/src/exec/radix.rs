@@ -9,14 +9,15 @@
 //! below is ordinary pre-existing library code invoked by the generated
 //! pipeline.
 //!
-//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] whose
-//!   `(hash, entry id)` pairs are radix-partitioned and clustered by hash.
+//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] behind an
+//!   open-addressed index of its entry ids (`IdIndex`, one slot per distinct
+//!   hash, repeats chained behind it); nothing is scattered or sorted to be
+//!   indexed, and entries of one key match in entry-id order.
 //! * **Grouping** ([`RadixGroupTable`]): flat per-group arenas (hash, key
-//!   components, accumulators) behind one open-addressed index of group ids —
-//!   an O(1) find-or-create per row. The only radix left in grouping is the
-//!   *emission order*: groups leave in `(hash & 63, hash)` order
-//!   ([`GROUP_EMIT_RADIX_BITS`]), the order every ordered comparison in the
-//!   suites was pinned on.
+//!   components, accumulators) behind the same index, of group ids — an O(1)
+//!   find-or-create per row. The only radix left is the *emission order*:
+//!   groups leave in `(hash & 63, hash)` order ([`GROUP_EMIT_RADIX_BITS`]),
+//!   the order every ordered comparison in the suites was pinned on.
 
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{Monoid, Value};
@@ -269,7 +270,8 @@ impl BuildStore {
 
     /// Approximate bytes materialized by the build side (for metrics).
     pub fn materialized_bytes(&self) -> u64 {
-        // Hash + id pair, key components, live payload values (Value ≈ 16 B).
+        // Hash + chain link + index slots, key components, live payload values
+        // (Value ≈ 16 B).
         self.len() as u64 * (16 + (self.arity + self.live_slots.len()) as u64 * 16)
     }
 }
@@ -329,37 +331,110 @@ impl MatchedBitmap {
     }
 }
 
-/// A radix-partitioned hash table over a columnar [`BuildStore`]: each
-/// partition holds `(key hash, entry id)` pairs clustered (sorted) by hash,
-/// ties in entry-id (build scan) order. The heavy entry data never moves
-/// during the build — only the 12-byte pairs are scattered and sorted.
+/// Marks a free slot of an [`IdIndex`].
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// The open-addressed index both tables find their ids through: a
+/// power-of-two array of ids probed linearly from `hash & mask`, at load ≤ ½
+/// so every probe sequence ends at a free slot. The hashes stay in the
+/// owner's arena and are passed in.
+struct IdIndex {
+    slots: Vec<u32>,
+}
+
+impl IdIndex {
+    /// Indexes the ids `0..hashes.len()` in `slot_count` slots (a power of
+    /// two, at least twice as many). Without a `chain` every id takes a slot
+    /// of its own. With one (an entry per id) ids of equal hash share a slot,
+    /// so a hash held by many ids lengthens no probe sequence: the slot holds
+    /// the lowest and `chain[id]` is the next higher id of that hash
+    /// (`EMPTY_SLOT` after the last). Ids go in descending, each the new head.
+    fn build(slot_count: usize, hashes: &[u64], mut chain: Option<&mut [u32]>) -> IdIndex {
+        debug_assert!(hashes.len() < EMPTY_SLOT as usize);
+        let mut index = IdIndex {
+            slots: vec![EMPTY_SLOT; slot_count],
+        };
+        for (id, &hash) in hashes.iter().enumerate().rev() {
+            let (Ok(slot) | Err(slot)) = index.walk(hashes, hash, |_| chain.is_some());
+            if let Some(chain) = &mut chain {
+                chain[id] = index.slots[slot];
+            }
+            index.slots[slot] = id as u32;
+        }
+        index
+    }
+
+    /// Walks the probe sequence of `hash`, offering `accept` every indexed id
+    /// whose stored hash equals `hash`: the slot of the first id it accepts,
+    /// or the free slot that ends the sequence.
+    #[inline]
+    fn walk(
+        &self,
+        hashes: &[u64],
+        hash: u64,
+        mut accept: impl FnMut(usize) -> bool,
+    ) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY_SLOT {
+                return Err(slot);
+            }
+            if hashes[id as usize] == hash && accept(id as usize) {
+                return Ok(slot);
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// The index's invariants over the ids `0..hashes.len()` (and the
+    /// `chain` it was built with), armed by `debug_assertions` only: a
+    /// power-of-two slot count, load at most ½, each id in exactly one slot or
+    /// chain, slots found along their hash's probe sequence, chains ascending
+    /// within one hash.
+    fn check_invariants(&self, hashes: &[u64], chain: Option<&[u32]>) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        assert!(self.slots.len().is_power_of_two());
+        assert!(hashes.len() * 2 <= self.slots.len(), "index load above 1/2");
+        let mut reached = 0;
+        for (slot, &head) in self.slots.iter().enumerate() {
+            if head == EMPTY_SLOT {
+                continue;
+            }
+            let mut id = head as usize;
+            // A chained index holds one id per hash: the first met is this one.
+            let found = self.walk(hashes, hashes[id], |met| chain.is_some() || met == id);
+            assert_eq!(found, Ok(slot), "id {id} unreachable");
+            reached += 1;
+            while let Some(&next) = chain.map(|c| &c[id]).filter(|&&n| n != EMPTY_SLOT) {
+                let ordered = next as usize > id && hashes[next as usize] == hashes[id];
+                assert!(ordered, "chain of id {id} descends or mixes hashes");
+                (id, reached) = (next as usize, reached + 1);
+            }
+        }
+        assert_eq!(reached, hashes.len(), "indexed ids != ids");
+    }
+}
+
+/// The join hash table: a columnar [`BuildStore`] behind an `IdIndex` of
+/// its entry ids, built in one pass over the stored hashes — no entry data
+/// moves. The index holds one entry per distinct hash and `next` chains the
+/// others behind it in entry-id (build scan) order, so build and probe stay
+/// linear however often a key repeats: a probe walks distinct hashes only,
+/// then the chain of its own.
 pub struct RadixHashTable {
     store: BuildStore,
-    partitions: Vec<Partition>,
-    /// Per partition: 257 offsets bucketing the clustered run by the top
-    /// byte of the hash (entries are sorted by full hash, so the top byte
-    /// is monotonic within a partition). Probes jump straight to a ~`n/256`
-    /// sub-run instead of binary-searching the whole partition.
-    dirs: Vec<Vec<u32>>,
+    index: IdIndex,
+    /// Per entry: the next higher entry id of the same hash (`EMPTY_SLOT`
+    /// after the last).
+    next: Vec<u32>,
 }
-
-/// Join-table fan-out: 256 partitions (8 radix bits) over the low hash
-/// bits: each probe lands in a ~`n/256` partition whose top-byte directory
-/// then narrows the search to a handful of entries.
-const JOIN_RADIX_PARTITIONS: usize = 256;
-
-fn join_partition_of(hash: u64) -> usize {
-    (hash as usize) & (JOIN_RADIX_PARTITIONS - 1)
-}
-
-/// One clustered `(key hash, entry id)` pair of a join partition.
-type HashPair = (u64, u32);
-
-/// One join partition (or a chunk-local bucket on its way into one).
-type Partition = Vec<HashPair>;
 
 /// How many probe rows the batched join loops run ahead of themselves when
-/// issuing cache prefetches (sub-runs and payload entries). Shared by the
+/// issuing cache prefetches (index slots and payload entries). Shared by the
 /// generic and single-numeric probe loops so the two tiers stay in
 /// lockstep.
 pub const PROBE_LOOKAHEAD: usize = 16;
@@ -379,154 +454,15 @@ fn prefetch_ptr<T>(value: &T) {
     let _ = value;
 }
 
-/// The top-byte directories of clustered partitions.
-fn build_dirs(partitions: &[Partition]) -> Vec<Vec<u32>> {
-    partitions
-        .iter()
-        .map(|partition| {
-            let mut counts = [0u32; 256];
-            for &(hash, _) in partition {
-                counts[(hash >> 56) as usize] += 1;
-            }
-            let mut dir = Vec::with_capacity(257);
-            let mut acc = 0u32;
-            dir.push(0);
-            for count in counts {
-                acc += count;
-                dir.push(acc);
-            }
-            dir
-        })
-        .collect()
-}
-
-/// Entries below this size build serially: the scatter fits in cache and
-/// thread spawn/merge overhead would dominate.
-const PARALLEL_BUILD_THRESHOLD: usize = 4096;
-
 impl RadixHashTable {
-    /// Builds the table by partitioning (clustering) the store's entries on
-    /// their key hash.
-    pub fn build(store: BuildStore) -> RadixHashTable {
-        Self::build_parallel(store, 1)
-    }
-
-    /// Morsel-parallel build: the partition (scatter) phase fans out over
-    /// contiguous entry-id chunks and the cluster phase over the radix
-    /// digits. Chunk partials are concatenated in chunk order before the
-    /// stable per-digit sort, so the result is bit-identical to the serial
-    /// build — probe/match order does not depend on the worker count.
-    ///
-    /// Builds of `PARALLEL_BUILD_THRESHOLD` (4 096) entries or more spawn a
-    /// `std::thread::scope` of `threads` workers per phase. These are the
-    /// only threads a query spawns for itself: they are not pool workers, so
-    /// admission control does not bound them.
-    pub fn build_parallel(mut store: BuildStore, threads: usize) -> RadixHashTable {
+    /// Builds the table: indexes the store's entry ids by their key hash.
+    pub fn build(mut store: BuildStore) -> RadixHashTable {
         store.build_num_views();
-        let len = store.len();
-        if threads <= 1 || len < PARALLEL_BUILD_THRESHOLD {
-            let mut partitions: Vec<Partition> =
-                (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
-            for (id, &hash) in store.hashes.iter().enumerate() {
-                partitions[join_partition_of(hash)].push((hash, id as u32));
-            }
-            for partition in &mut partitions {
-                // Stable: ties keep entry-id (insertion) order.
-                partition.sort_by_key(|(hash, _)| *hash);
-            }
-            let dirs = build_dirs(&partitions);
-            return RadixHashTable {
-                store,
-                partitions,
-                dirs,
-            };
-        }
-        let threads = threads.min(len);
-
-        // Phase 1: scatter each contiguous id chunk into per-thread local
-        // radix buckets (ids stay global; only (hash, id) pairs move).
-        let chunk_size = len.div_ceil(threads);
-        let hashes = &store.hashes;
-        let locals: Vec<Vec<Partition>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    scope.spawn(move || {
-                        let base = (t * chunk_size).min(len);
-                        let end = (base + chunk_size).min(len);
-                        let mut local: Vec<Partition> =
-                            (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
-                        for (id, &hash) in hashes[base..end].iter().enumerate() {
-                            local[join_partition_of(hash)].push((hash, (base + id) as u32));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                // Propagate a worker panic with its original payload (the
-                // pipeline layer contains it) instead of aborting with a
-                // second panic here.
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-
-        // Regroup the chunk-local buckets by radix digit, preserving chunk
-        // order so concatenation matches the serial insertion order.
-        let mut by_digit: Vec<Vec<Partition>> =
-            (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
-        for thread_local in locals {
-            for (digit, bucket) in thread_local.into_iter().enumerate() {
-                by_digit[digit].push(bucket);
-            }
-        }
-
-        // Phase 2: cluster per radix digit, digits striped across workers.
-        let mut jobs: Vec<Vec<(usize, Vec<Partition>)>> =
-            (0..threads).map(|_| Vec::new()).collect();
-        for (digit, buckets) in by_digit.into_iter().enumerate() {
-            jobs[digit % threads].push((digit, buckets));
-        }
-        let clustered: Vec<Vec<(usize, Partition)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|job| {
-                    scope.spawn(move || {
-                        job.into_iter()
-                            .map(|(digit, buckets)| {
-                                let total: usize = buckets.iter().map(Vec::len).sum();
-                                let mut merged = Vec::with_capacity(total);
-                                for bucket in buckets {
-                                    merged.extend(bucket);
-                                }
-                                // Stable sort: ties keep insertion order,
-                                // exactly like the serial build.
-                                merged.sort_by_key(|(hash, _)| *hash);
-                                (digit, merged)
-                            })
-                            .collect()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        });
-
-        let mut partitions: Vec<Partition> =
-            (0..JOIN_RADIX_PARTITIONS).map(|_| Vec::new()).collect();
-        for job in clustered {
-            for (digit, merged) in job {
-                partitions[digit] = merged;
-            }
-        }
-        let dirs = build_dirs(&partitions);
-        RadixHashTable {
-            store,
-            partitions,
-            dirs,
-        }
+        let mut next = vec![EMPTY_SLOT; store.len()];
+        let slot_count = (store.len() * 2).next_power_of_two();
+        let index = IdIndex::build(slot_count, &store.hashes, Some(&mut next));
+        index.check_invariants(&store.hashes, Some(&next));
+        RadixHashTable { store, index, next }
     }
 
     /// The columnar build store behind the table.
@@ -544,64 +480,42 @@ impl RadixHashTable {
         self.store.is_empty()
     }
 
-    /// Probes with a precomputed key hash: walks the clustered hash run,
-    /// calling `key_eq(entry id)` to confirm candidates and `on_match` for
-    /// every confirmed entry (in entry-id order within the run). Returns the
-    /// number of matches. The caller supplies the compare — typed probe
-    /// lanes and hydrated `Value` keys share this entry point.
+    /// Probes with a precomputed key hash: walks the hash's probe sequence to
+    /// the first entry stored under that hash and follows its chain, calling
+    /// `key_eq(entry id)` to confirm each entry and `on_match` for every
+    /// confirmed one (in entry-id order).
+    /// Returns the number of matches. The caller supplies the compare — typed
+    /// probe lanes and hydrated `Value` keys share this entry point.
     pub fn probe_hashed(
         &self,
         hash: u64,
         mut key_eq: impl FnMut(u32) -> bool,
         mut on_match: impl FnMut(u32),
     ) -> usize {
-        let digit = join_partition_of(hash);
-        let partition = &self.partitions[digit];
-        // The top-byte directory narrows the search to a ~n/256 sub-run.
-        let dir = &self.dirs[digit];
-        let byte = (hash >> 56) as usize;
-        let (lo, hi) = (dir[byte] as usize, dir[byte + 1] as usize);
-        // Sub-runs average a handful of entries (8 partition bits × 8
-        // directory bits), so a linear scan to the hash run beats a binary
-        // search's unpredictable branches.
-        let mut idx = lo;
-        while idx < hi && partition[idx].0 < hash {
-            idx += 1;
-        }
+        let Ok(slot) = self.index.walk(&self.store.hashes, hash, |_| true) else {
+            return 0;
+        };
         let mut matches = 0;
-        while idx < hi && partition[idx].0 == hash {
-            let entry = partition[idx].1;
+        let mut entry = self.index.slots[slot];
+        while entry != EMPTY_SLOT {
             if key_eq(entry) {
                 on_match(entry);
                 matches += 1;
             }
-            idx += 1;
+            entry = self.next[entry as usize];
         }
         matches
     }
 
-    /// Hints the CPU to pull the clustered sub-run a future probe of `hash`
-    /// will search into cache. The kernel probe path hashes whole morsels
-    /// up front, so it can issue these a fixed lookahead ahead of the probe
-    /// loop — hiding the table's memory latency behind useful work (the
+    /// Hints the CPU to pull the index slot a future probe of `hash` starts
+    /// at into cache. The kernel probe path hashes whole morsels up front,
+    /// so it can issue these a fixed lookahead ahead of the probe loop (the
     /// per-row closure fallback has no precomputed hashes to look ahead
     /// with). No-op outside x86-64.
     #[inline]
     pub fn prefetch(&self, hash: u64) {
-        let digit = join_partition_of(hash);
-        let dir = &self.dirs[digit];
-        let byte = (hash >> 56) as usize;
-        let (lo, hi) = (dir[byte] as usize, dir[byte + 1] as usize);
-        let partition = &self.partitions[digit];
-        // Pull the sub-run's first and middle lines: entries are 16 bytes
-        // (4 per cache line) and runs start unaligned, so a several-entry
-        // scan regularly straddles two lines — fetching both measurably
-        // beats fetching just the front.
-        for probe in [lo, lo + (hi - lo) / 2] {
-            if let Some(entry) = partition.get(probe) {
-                prefetch_ptr(entry);
-            }
-        }
+        let slots = &self.index.slots;
+        prefetch_ptr(&slots[hash as usize & (slots.len() - 1)]);
     }
 
     /// Probes with hydrated key components (the closure-fallback path and
@@ -715,9 +629,6 @@ fn lanes_match(
         .all(|(comp, (s, p))| s == p && (!p.needs_value_eq() || other_eq(comp)))
 }
 
-/// Marks a free slot of the group index.
-const EMPTY_SLOT: u32 = u32::MAX;
-
 /// Slots a fresh group index starts with (room for 32 groups at load ½).
 const INITIAL_INDEX_SLOTS: usize = 64;
 
@@ -730,9 +641,9 @@ const INITIAL_INDEX_SLOTS: usize = 64;
 /// dense arenas indexed by that id — the key hash, `arity` key components
 /// (as `Value`s and as [`KeyLane`]s), one accumulator per monoid, and (only
 /// when a collection monoid is present) one morsel-tag list per collection
-/// output. Lookup goes through one power-of-two open-addressed index of
-/// group ids (linear probing, load ≤ ½, rebuilt from the stored hashes on
-/// growth), so finding a row's group costs O(1) whatever the group count.
+/// output. Lookup goes through an `IdIndex` of group ids (rebuilt from the
+/// stored hashes on growth), so finding a row's group costs O(1) whatever the
+/// group count.
 /// The closure tier ([`merge_with`](RadixGroupTable::merge_with)), the typed
 /// ingest ([`resolve_lanes`](RadixGroupTable::resolve_lanes)) and `absorb`
 /// all resolve groups through that one index.
@@ -742,8 +653,8 @@ pub struct RadixGroupTable {
     /// Indices of the collection-monoid output specs (ascending), whose
     /// per-element morsel tags are tracked for order-exact parallel merge.
     collection_specs: Vec<usize>,
-    /// Open-addressed index: group ids, [`EMPTY_SLOT`] where free.
-    index: Vec<u32>,
+    /// The group ids, by key hash.
+    index: IdIndex,
     /// Per group: the key hash.
     hashes: Vec<u64>,
     /// Flattened key components: group `g` at `g*arity .. (g+1)*arity`.
@@ -833,7 +744,7 @@ impl RadixGroupTable {
             arity,
             monoids,
             collection_specs,
-            index: vec![EMPTY_SLOT; INITIAL_INDEX_SLOTS],
+            index: IdIndex::build(INITIAL_INDEX_SLOTS, &[], None),
             hashes: Vec::new(),
             keys: Vec::new(),
             lanes: Vec::new(),
@@ -870,51 +781,22 @@ impl RadixGroupTable {
         (self.keys.len() + self.accs.len()) as u64 * value_cost
             + self.hashes.len() as u64 * 8
             + (self.lanes.len() * std::mem::size_of::<KeyLane>()) as u64
-            + self.index.len() as u64 * 4
+            + self.index.slots.len() as u64 * 4
             + self.collected * (value_cost + 8)
     }
 
-    /// Walks the probe sequence of `hash`: the id of the group with that
-    /// hash for which `eq(group id)` holds, or the free slot it would take.
-    #[inline]
-    fn find(&self, hash: u64, eq: impl Fn(usize) -> bool) -> Result<u32, usize> {
-        let mask = self.index.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            let gid = self.index[slot];
-            if gid == EMPTY_SLOT {
-                return Err(slot);
-            }
-            if self.hashes[gid as usize] == hash && eq(gid as usize) {
-                return Ok(gid);
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Makes room for one more group at load ≤ ½ (so a probe sequence
-    /// always ends at a free slot), doubling and rebuilding the index from
-    /// the stored hashes when needed.
+    /// Makes room for one more group, doubling the index (rebuilt from the
+    /// stored hashes) when its load would pass ½.
     #[inline]
     fn reserve_one(&mut self) {
-        if (self.hashes.len() + 1) * 2 > self.index.len() {
+        if (self.hashes.len() + 1) * 2 > self.index.slots.len() {
             self.grow();
         }
     }
 
     #[cold]
     fn grow(&mut self) {
-        let slots = self.index.len() * 2;
-        let mask = slots - 1;
-        self.index.clear();
-        self.index.resize(slots, EMPTY_SLOT);
-        for (gid, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = hash as usize & mask;
-            while self.index[slot] != EMPTY_SLOT {
-                slot = (slot + 1) & mask;
-            }
-            self.index[slot] = gid as u32;
-        }
+        self.index = IdIndex::build(self.index.slots.len() * 2, &self.hashes, None);
         self.check_invariants();
     }
 
@@ -926,7 +808,7 @@ impl RadixGroupTable {
         debug_assert!(gid < EMPTY_SLOT as usize);
         debug_assert_eq!(self.keys.len(), (gid + 1) * self.arity);
         debug_assert_eq!(self.lanes.len(), (gid + 1) * self.arity);
-        self.index[slot] = gid as u32;
+        self.index.slots[slot] = gid as u32;
         self.hashes.push(hash);
         gid as u32
     }
@@ -955,8 +837,10 @@ impl RadixGroupTable {
     ) -> u32 {
         self.reserve_one();
         let arity = self.arity;
-        match self.find(hash, |g| key_eq(&self.keys[g * arity..(g + 1) * arity])) {
-            Ok(gid) => gid,
+        match self.index.walk(&self.hashes, hash, |g| {
+            key_eq(&self.keys[g * arity..(g + 1) * arity])
+        }) {
+            Ok(slot) => self.index.slots[slot],
             Err(slot) => {
                 let start = self.keys.len();
                 push_key(&mut self.keys);
@@ -983,14 +867,14 @@ impl RadixGroupTable {
         debug_assert_eq!(probe.len(), self.arity);
         self.reserve_one();
         let arity = self.arity;
-        let found = self.find(hash, |g| {
+        let found = self.index.walk(&self.hashes, hash, |g| {
             let base = g * arity;
             lanes_match(&self.lanes[base..base + arity], probe, |comp| {
                 other_eq(comp, &self.keys[base + comp])
             })
         });
         match found {
-            Ok(gid) => gid,
+            Ok(slot) => self.index.slots[slot],
             Err(slot) => {
                 let start = self.keys.len();
                 push_key(&mut self.keys);
@@ -1100,16 +984,17 @@ impl RadixGroupTable {
             self.reserve_one();
             let in_lanes = &other.lanes[in_gid * arity..(in_gid + 1) * arity];
             let in_key = &in_keys.as_slice()[..arity];
-            let found = self.find(hash, |g| {
+            let found = self.index.walk(&self.hashes, hash, |g| {
                 let base = g * arity;
                 lanes_match(&self.lanes[base..base + arity], in_lanes, |comp| {
                     self.keys[base + comp].value_eq(&in_key[comp])
                 })
             });
             match found {
-                Ok(gid) => {
+                Ok(slot) => {
+                    let gid = self.index.slots[slot] as usize;
                     in_keys.by_ref().take(arity).for_each(drop);
-                    let base = gid as usize * stride;
+                    let base = gid * stride;
                     let mut ci = 0;
                     for (spec, partial) in in_accs.by_ref().take(stride).enumerate() {
                         let monoid = self.monoids[spec];
@@ -1125,7 +1010,7 @@ impl RadixGroupTable {
                         };
                         let their_tags = in_tags.next().expect("tag list per collection spec");
                         let offered = (ours.len() + theirs.len()) as u64;
-                        let our_tags = &mut self.tags[gid as usize * tag_stride + ci];
+                        let our_tags = &mut self.tags[gid * tag_stride + ci];
                         merge_tagged(monoid, ours, our_tags, theirs, their_tags);
                         // A `set` merge may drop duplicates both sides held.
                         self.collected -= offered - ours.len() as u64;
@@ -1147,26 +1032,15 @@ impl RadixGroupTable {
     /// The table's structural invariants, armed by `debug_assertions` only
     /// (CI's `release-debug-assertions` job runs them on the optimized
     /// paths): after every index rebuild and every `absorb`, the arenas hold
-    /// exactly `groups × stride` elements, the index load is at most ½, and
-    /// every group id is reachable from the index along its hash's probe
-    /// sequence.
+    /// exactly `groups × stride` elements and the index holds every group id
+    /// ([`IdIndex::check_invariants`]).
     fn check_invariants(&self) {
-        if !cfg!(debug_assertions) {
-            return;
-        }
         let groups = self.hashes.len();
-        assert_eq!(self.keys.len(), groups * self.arity);
-        assert_eq!(self.lanes.len(), groups * self.arity);
-        assert_eq!(self.accs.len(), groups * self.monoids.len());
-        assert_eq!(self.tags.len(), groups * self.collection_specs.len());
-        assert!(self.index.len().is_power_of_two());
-        assert!(groups * 2 <= self.index.len(), "index load above 1/2");
-        let occupied = self.index.iter().filter(|&&g| g != EMPTY_SLOT).count();
-        assert_eq!(occupied, groups, "index entries != groups");
-        for gid in 0..groups {
-            let found = self.find(self.hashes[gid], |g| g == gid);
-            assert_eq!(found, Ok(gid as u32), "group {gid} unreachable");
-        }
+        debug_assert_eq!(self.keys.len(), groups * self.arity);
+        debug_assert_eq!(self.lanes.len(), groups * self.arity);
+        debug_assert_eq!(self.accs.len(), groups * self.monoids.len());
+        debug_assert_eq!(self.tags.len(), groups * self.collection_specs.len());
+        self.index.check_invariants(&self.hashes, None);
     }
 
     /// Finalizes the table into one `T` per group: `row(key components,
@@ -1291,42 +1165,158 @@ mod tests {
         assert_eq!(table.store().arity(), 2);
     }
 
-    #[test]
-    fn parallel_build_is_identical_to_serial() {
-        // Above the parallel threshold, with duplicate keys so hash ties
-        // exercise the stable-ordering contract.
-        let entries: Vec<(Value, Value)> = (0..10_000)
-            .map(|i| {
-                let key = match i % 3 {
-                    0 => Value::Int(i % 257),
-                    1 => Value::str(format!("k{}", i % 101)),
-                    _ => Value::Float((i % 53) as f64 / 2.0),
-                };
-                (key, Value::Int(i))
-            })
-            .collect();
-        let serial = RadixHashTable::build(store_of(&entries));
-        for threads in [2, 3, 8] {
-            let parallel = RadixHashTable::build_parallel(store_of(&entries), threads);
-            assert_eq!(parallel.len(), serial.len());
-            // Partition-for-partition identical (hash, id) clustering.
-            assert_eq!(serial.partitions, parallel.partitions, "threads={threads}");
-            // Probe match order identical too.
-            let mut a = Vec::new();
-            serial.probe_components(&[Value::Int(7)], |e| a.push(e));
-            let mut b = Vec::new();
-            parallel.probe_components(&[Value::Int(7)], |e| b.push(e));
-            assert_eq!(a, b);
-        }
+    /// The oracle: a nested loop over every entry — ids whose stored hash
+    /// and key components both equal the probe's, in entry-id order.
+    fn naive_matches(store: &BuildStore, hash: u64, key: &[Value]) -> Vec<u32> {
+        (0..store.len() as u32)
+            .filter(|&e| store.hashes[e as usize] == hash)
+            .filter(|&e| key_components_eq(store.key_components(e), key))
+            .collect()
+    }
+
+    /// What the table reports for `key` probed under `hash`.
+    fn probe_ids(table: &RadixHashTable, hash: u64, key: &[Value]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        let count = table.probe_hashed(
+            hash,
+            |e| key_components_eq(table.store().key_components(e), key),
+            |e| ids.push(e),
+        );
+        assert_eq!(count, ids.len());
+        ids
     }
 
     #[test]
-    fn small_or_serial_parallel_build_falls_back() {
+    fn heavy_duplicates_match_in_ascending_build_order() {
+        // One key on 1 200 entries, interleaved with 300 distinct ones: the
+        // duplicates form one chain behind one slot, met in entry-id order.
+        let entries: Vec<(Value, Value)> = (0..1_500i64)
+            .map(|i| {
+                let key = if i % 5 == 0 { i } else { -1 };
+                (Value::Int(key), Value::Int(i))
+            })
+            .collect();
+        let table = RadixHashTable::build(store_of(&entries));
+        for key in [-1i64, 0, 5, 1_495, 7] {
+            let key = [Value::Int(key)];
+            let hash = hash_key_components(&key);
+            let expected = naive_matches(table.store(), hash, &key);
+            assert_eq!(probe_ids(&table, hash, &key), expected, "key {key:?}");
+        }
+        let heavy = [Value::Int(-1)];
+        let ids = probe_ids(&table, hash_key_components(&heavy), &heavy);
+        assert_eq!(ids.len(), 1_200);
+        assert!(ids.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn repeated_keys_lengthen_no_probe_sequence() {
+        // 120 000 entries on 8 keys: a probe — hit or miss — must not walk
+        // the copies. They take 8 slots of the index; the rest is chains.
+        let entries: Vec<(Value, Value)> = (0..120_000i64)
+            .map(|i| (Value::Int(i % 8), Value::Int(i)))
+            .collect();
+        let table = RadixHashTable::build(store_of(&entries));
+        let occupied = table.index.slots.iter().filter(|&&id| id != EMPTY_SLOT);
+        assert_eq!(occupied.count(), 8);
+        for key in [0i64, 7, 8, -1] {
+            let key = [Value::Int(key)];
+            let hash = hash_key_components(&key);
+            let expected = naive_matches(table.store(), hash, &key);
+            assert_eq!(probe_ids(&table, hash, &key), expected, "key {key:?}");
+        }
+        // Misses end within the 8 occupied slots, whatever the hash.
+        let steps_to_miss = |hash: u64| {
+            let home = hash as usize & (table.index.slots.len() - 1);
+            let end = table
+                .index
+                .walk(&table.store.hashes, hash, |_| unreachable!());
+            end.unwrap_err().wrapping_sub(home) & (table.index.slots.len() - 1)
+        };
+        assert!((1_000u64..3_000)
+            .all(|miss| steps_to_miss(miss.wrapping_mul(0x9E37_79B9_7F4A_7C15)) <= 8));
+    }
+
+    #[test]
+    fn one_home_slot_and_a_wrapping_probe_sequence() {
+        // Six entries → a 16-slot index. Every hash ends in 0xF, so all four
+        // distinct hashes start at the last slot and the sequence wraps to
+        // slots 0..3; entries 1 and 4 share hash and key, 2 and 5 share a
+        // hash but not a key — each pair is one slot plus a chain link.
+        let hashes: Vec<u64> = vec![0x1F, 0x2F, 0x3F, 0x4F, 0x2F, 0x3F];
+        let keys: Vec<Value> = [10, 20, 30, 40, 20, 31].map(Value::Int).to_vec();
+        let payload: Vec<Value> = (0..6).map(Value::Int).collect();
+        let store = BuildStore::from_parts(1, vec![0], hashes.clone(), keys.clone(), payload);
+        let table = RadixHashTable::build(store);
+        assert_eq!(table.index.slots.len(), 16);
+        assert_eq!(table.index.slots[15], 2);
+        assert_eq!(table.index.slots[..4], [1, 3, 0, EMPTY_SLOT]);
+        const END: u32 = EMPTY_SLOT;
+        assert_eq!(table.next, [END, 4, 5, END, END, END]);
+        for hash in [0x1F, 0x2F, 0x3F, 0x4F, 0x5F, 0x0F, 0x20] {
+            for key in keys.iter().chain(&[Value::Int(99)]) {
+                let key = std::slice::from_ref(key);
+                let expected = naive_matches(table.store(), hash, key);
+                assert_eq!(probe_ids(&table, hash, key), expected, "{hash:#x} {key:?}");
+            }
+        }
+        assert_eq!(probe_ids(&table, 0x2F, &[Value::Int(20)]), vec![1, 4]);
+        assert_eq!(probe_ids(&table, 0x3F, &[Value::Int(31)]), vec![5]);
+        table.prefetch(0x2F);
+    }
+
+    #[test]
+    fn empty_and_one_entry_stores() {
+        let empty = RadixHashTable::build(BuildStore::new(1, vec![0]));
+        assert!(empty.is_empty());
+        assert_eq!(
+            empty.probe_components(&[Value::Int(1)], |_| unreachable!()),
+            0
+        );
+        empty.prefetch(u64::MAX);
+
+        let one = RadixHashTable::build(store_of(&[(Value::str("k"), Value::Int(1))]));
+        assert_eq!(one.len(), 1);
+        assert_eq!(one.index.slots.len(), 2);
+        let mut ids = Vec::new();
+        assert_eq!(one.probe_components(&[Value::str("k")], |e| ids.push(e)), 1);
+        assert_eq!(ids, vec![0]);
+        assert_eq!(
+            one.probe_components(&[Value::str("j")], |_| unreachable!()),
+            0
+        );
+    }
+
+    #[test]
+    fn numeric_and_null_keys_probe_like_value_eq() {
+        let keys = [
+            Value::Int(3),
+            Value::Null,
+            Value::Float(3.0),
+            Value::str("3"),
+            Value::Null,
+            Value::Float(2.5),
+        ];
         let entries: Vec<(Value, Value)> =
-            (0..100).map(|i| (Value::Int(i), Value::Int(i))).collect();
-        let table = RadixHashTable::build_parallel(store_of(&entries), 4);
-        assert_eq!(table.len(), 100);
-        assert_eq!(table.probe_components(&[Value::Int(42)], |_| {}), 1);
+            keys.iter().cloned().zip((0..).map(Value::Int)).collect();
+        let table = RadixHashTable::build(store_of(&entries));
+        for probe in keys.iter().chain(&[Value::Int(2), Value::Bool(true)]) {
+            let probe = std::slice::from_ref(probe);
+            let expected = naive_matches(table.store(), hash_key_components(probe), probe);
+            let mut ids = Vec::new();
+            table.probe_components(probe, |e| ids.push(e));
+            assert_eq!(ids, expected, "probe {probe:?}");
+        }
+        // `Int(3)` ≡ `Float(3.0)`, through either spelling; null keys are
+        // stored and found like any other (`value_eq`: null ≡ null).
+        for three in [Value::Int(3), Value::Float(3.0)] {
+            let mut ids = Vec::new();
+            table.probe_components(&[three], |e| ids.push(e));
+            assert_eq!(ids, vec![0, 2]);
+        }
+        let mut nulls = Vec::new();
+        table.probe_components(&[Value::Null], |e| nulls.push(e));
+        assert_eq!(nulls, vec![1, 4]);
     }
 
     #[test]
@@ -1581,7 +1571,7 @@ mod tests {
             ids.push(gid);
         }
         // 64 slots at birth, load ≤ ½: 20 000 groups took ten rebuilds.
-        assert_eq!(table.index.len(), 65_536);
+        assert_eq!(table.index.slots.len(), 65_536);
         assert_eq!(table.group_count(), GROUPS as usize);
         // Every key still resolves to the id it was given before the
         // rebuilds, through either entry, and no group is created.
@@ -1698,8 +1688,8 @@ mod tests {
         assert_eq!(merged.group_count(), whole.group_count());
         assert_eq!(merged.collected, whole.collected, "{monoids:?} x{partials}");
         assert_eq!(
-            merged.approx_bytes(48) - merged.index.len() as u64 * 4,
-            whole.approx_bytes(48) - whole.index.len() as u64 * 4,
+            merged.approx_bytes(48) - merged.index.slots.len() as u64 * 4,
+            whole.approx_bytes(48) - whole.index.slots.len() as u64 * 4,
         );
         assert_eq!(rows_of(merged), rows_of(whole), "{monoids:?} x{partials}");
     }

@@ -1,9 +1,9 @@
 //! Failpoint-style fault injection for chaos testing.
 //!
 //! The execution stack calls [`fire`] at a handful of named *sites*
-//! (plug-in decode, morsel dispatch, partial merge, cache build, and the
-//! concurrency tier: `scheduler.admit`, `scheduler.steal`, `service.read`,
-//! `service.write`). In
+//! (plug-in decode, morsel dispatch, partial merge, cache build, join build,
+//! and the concurrency tier: `scheduler.admit`, `scheduler.steal`,
+//! `service.read`, `service.write`). In
 //! production the whole module is a single relaxed atomic load per site —
 //! no lock, no allocation. Tests (or an operator, via the `PROTEUS_FAULTS`
 //! environment variable) arm a site with a [`FaultAction`]; the next time

@@ -327,6 +327,40 @@ fn worker_panic_under_execute_with_parallelism_leaves_the_global_pool_usable() {
 }
 
 #[test]
+fn join_build_panic_is_contained_and_the_join_answers_afterwards() {
+    // The join index is built on the submitting thread during `prepare`,
+    // outside the morsel loop's per-morsel containment.
+    let _scope = fault_scope();
+    let engine = csv_engine(
+        "join_build_panic",
+        4 * MORSEL,
+        EngineConfig::without_caching(),
+    );
+    let join = || {
+        LogicalPlan::scan("t", "l", Schema::empty())
+            .join(
+                LogicalPlan::scan("t", "r", Schema::empty()),
+                Expr::path("l.a").eq(Expr::path("r.a")),
+                JoinKind::Inner,
+            )
+            .reduce(vec![ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt")])
+    };
+
+    fault::configure("join.build", FaultAction::Panic);
+    match engine.execute_plan(join()).unwrap_err() {
+        EngineError::WorkerPanic { payload } => {
+            assert!(payload.contains("join.build"), "payload: {payload}")
+        }
+        other => panic!("expected WorkerPanic, got {other:?}"),
+    }
+    assert_eq!(fault::fired("join.build"), 1);
+
+    fault::clear();
+    let result = engine.execute_plan(join()).unwrap();
+    assert_eq!(count_of(&result), 4 * MORSEL);
+}
+
+#[test]
 fn injected_failures_agree_between_serial_and_parallel_execution() {
     let _scope = fault_scope();
     for parallelism in [1usize, 4] {
