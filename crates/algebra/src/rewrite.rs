@@ -304,7 +304,9 @@ pub fn merge_adjacent_selections(plan: LogicalPlan) -> LogicalPlan {
 }
 
 /// Projection pushdown: computes, for every scan, the exact set of fields
-/// referenced anywhere above it and records it in the scan node. Input
+/// referenced anywhere above it and records it in the scan node — nested
+/// leaves as dotted fields (`geo.lat`), so a plug-in that indexes them reads
+/// the leaf token instead of materializing the record around it. Input
 /// plug-ins use this list to generate access code for only those fields
 /// ("Proteus pushes field projections down to the scan operators so that it
 /// pays to extract only the fields necessary", §5.2).
@@ -321,19 +323,26 @@ fn annotate_scans(plan: LogicalPlan, required: &[crate::expr::Path]) -> LogicalP
             schema,
             ..
         } => {
-            let mut fields: BTreeSet<String> = BTreeSet::new();
-            for path in required {
-                if path.base == alias {
-                    if let Some(first) = path.segments.first() {
-                        fields.insert(first.clone());
-                    }
+            // A nested leaf (`e.geo.lat`) is projected as the dotted field
+            // `geo.lat`, unless some reference needs a record above it whole
+            // (`e.geo`), which then covers it. The sorted set visits a
+            // prefix before the paths it covers.
+            let paths: BTreeSet<&[String]> = required
+                .iter()
+                .filter(|path| path.base == alias && !path.segments.is_empty())
+                .map(|path| path.segments.as_slice())
+                .collect();
+            let mut fields: Vec<&[String]> = Vec::new();
+            for path in paths {
+                if !fields.iter().any(|kept| path.starts_with(kept)) {
+                    fields.push(path);
                 }
             }
             LogicalPlan::Scan {
                 dataset,
                 alias,
                 schema,
-                projected_fields: fields.into_iter().collect(),
+                projected_fields: fields.iter().map(|path| path.join(".")).collect(),
             }
         }
         other => map_children(other, |child| annotate_scans(child, required)),
@@ -553,6 +562,44 @@ mod tests {
         });
         assert_eq!(a_fields, vec!["x"]);
         assert_eq!(b_fields, vec!["x"]);
+    }
+
+    #[test]
+    fn projection_pushdown_keeps_nested_leaves_dotted() {
+        let fields_of = |plan: LogicalPlan| {
+            let mut fields = Vec::new();
+            push_down_projections(plan).visit(&mut |n| {
+                if let LogicalPlan::Scan {
+                    projected_fields, ..
+                } = n
+                {
+                    fields = projected_fields.clone();
+                }
+            });
+            fields
+        };
+        // Leaves only: each is its own scan field.
+        let leaves = count_plan(
+            scan("A", "a")
+                .select(Expr::path("a.geo.lon").lt(Expr::path("a.geo.lat")))
+                .select(Expr::path("a.x").lt(Expr::int(1))),
+        );
+        assert_eq!(fields_of(leaves), vec!["geo.lat", "geo.lon", "x"]);
+        // A reference to the record whole covers the leaves under it; a
+        // sibling that merely shares its spelling (`geo2`) is untouched.
+        let whole = count_plan(
+            scan("A", "a")
+                .select(Expr::path("a.geo.lat").lt(Expr::path("a.geo2.lat")))
+                .select(Expr::path("a.geo").eq(Expr::path("a.geo.pos.x"))),
+        );
+        assert_eq!(fields_of(whole), vec!["geo", "geo2.lat"]);
+        // An unnest needs its collection whole.
+        let unnest = count_plan(
+            scan("A", "a")
+                .unnest(crate::expr::Path::parse("a.order.items"), "i")
+                .select(Expr::path("i.qty").gt(Expr::int(3))),
+        );
+        assert_eq!(fields_of(unnest), vec!["order.items"]);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! bitmask ([`crate::exec::mask`]) — and a compiled-closure residual; for
 //! each reduce/nest sink it asks [`kernels::plan_sink`] to classify output
 //! specs and group keys; for each join side it asks
-//! [`kernels::plan_key_slots`] for an all-or-nothing typed-key plan. Every
+//! [`kernels::plan_key_slots`] for an all-or-nothing typed-key plan; for each
+//! unnest, `plan_typed_expand` decides between the plug-in's typed expand
+//! hook (element leaves become layout slots and typed lanes) and the closure
+//! floor, and writes the verdict into the IR line. Every
 //! classification *activates* the typed fills the kernels read
 //! (`try_activate_typed_slots`) and withholds `Value` hydration from slots
 //! nothing downstream reads in boxed form (`PlanCtx::value_refs` — the
@@ -35,7 +38,9 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use proteus_algebra::{BinaryOp, Expr, JoinKind, LogicalPlan, Monoid, Record, ReduceSpec, Value};
+use proteus_algebra::{
+    BinaryOp, Expr, JoinKind, LogicalPlan, Monoid, Path, Record, ReduceSpec, Value,
+};
 use proteus_optimizer::cache_match::cache_name_from_dataset;
 use proteus_plugins::{BatchFill, ColumnStats, PluginRegistry, TypedKind, ZoneMap};
 use proteus_storage::CacheStore;
@@ -48,7 +53,9 @@ use crate::exec::expr::{
 };
 use crate::exec::kernels;
 use crate::exec::metrics::ExecutionMetrics;
-use crate::exec::pipeline::{run_collect, run_nest, run_reduce, Producer, TypedSlotFill};
+use crate::exec::pipeline::{
+    run_collect, run_nest, run_reduce, ExpandLane, Producer, TypedSlotFill,
+};
 
 /// The query compiler: turns optimized plans into specialized pipelines.
 #[derive(Clone)]
@@ -68,6 +75,15 @@ pub struct Compiler {
 #[derive(Default)]
 struct PlanCtx {
     value_refs: HashSet<String>,
+    /// Per unnest alias: every path its own predicate and the operators above
+    /// it reference (`unnest_refs`; empty for plans without an unnest). How
+    /// an unnest learns, before its parents compile, whether everything
+    /// downstream reads its alias leaf by leaf, and which parent slots are
+    /// worth carrying across it.
+    unnest_refs: HashMap<String, Vec<Path>>,
+    /// The plan's root collects whole bindings, so every slot — an unnest
+    /// alias included — is read whole.
+    collects_bindings: bool,
     /// Cache builds the compiler deferred to the background path: the scan
     /// runs uncached (and fully parallel) while the engine offers these to
     /// the scheduler after the query completes.
@@ -85,12 +101,52 @@ impl PlanCtx {
     }
 
     /// Marks a whole layout as `Value`-consumed (rows copied wholesale:
-    /// collect/entries sinks, unnest and join-probe row rebuilding).
+    /// collect sinks).
     fn note_all(&mut self, layout: &BindingLayout) {
         for slot in layout.slots() {
             self.value_refs.insert(slot.clone());
         }
     }
+
+    /// The slots of `layout` (an unnest's input) that the unnest's own
+    /// predicate or anything above it references: the candidates for being
+    /// carried across. The collection path is not among them unless someone
+    /// else reads it too.
+    fn slots_read_above(&self, alias: &str, layout: &BindingLayout) -> Vec<usize> {
+        if self.collects_bindings {
+            return (0..layout.len()).collect();
+        }
+        let mut slots: Vec<usize> = self
+            .unnest_refs
+            .get(alias)
+            .into_iter()
+            .flatten()
+            .filter_map(|path| layout.resolve(path).map(|(slot, _)| slot))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots
+    }
+}
+
+/// Records, per unnest alias in `plan`, the paths referenced by the unnest's
+/// predicate and by every operator above it (`above` is the walk's running
+/// list). An alias two unnests share gets both lists.
+fn unnest_refs(plan: &LogicalPlan, above: &mut Vec<Path>, out: &mut HashMap<String, Vec<Path>>) {
+    let mark = above.len();
+    for expr in plan.node_expressions() {
+        above.extend(expr.referenced_paths());
+    }
+    if let LogicalPlan::Unnest { alias, path, .. } = plan {
+        out.entry(alias.clone())
+            .or_default()
+            .extend(above.iter().cloned());
+        above.push(path.clone());
+    }
+    for child in plan.children() {
+        unnest_refs(child, above, out);
+    }
+    above.truncate(mark);
 }
 
 impl Compiler {
@@ -151,6 +207,13 @@ impl Compiler {
         let mut ir = IrEmitter::new();
         let mut access_paths = Vec::new();
         let mut ctx = PlanCtx::default();
+        let mut has_unnest = false;
+        plan.visit(&mut |node| has_unnest |= matches!(node, LogicalPlan::Unnest { .. }));
+        if has_unnest {
+            unnest_refs(plan, &mut Vec::new(), &mut ctx.unnest_refs);
+            ctx.collects_bindings =
+                !matches!(plan, LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. });
+        }
 
         let (sink, mut producer, layout) = match plan {
             LogicalPlan::Reduce {
@@ -443,52 +506,9 @@ impl Compiler {
                 ctx,
             ),
             LogicalPlan::Select { input, predicate } => {
-                let (mut producer, layout) = self.compile_producer(input, ir, access_paths, ctx)?;
-                // Predicate planner: classify the conjunction against the
-                // typed slots the underlying scan can serve. Eligible
-                // conjuncts become a columnar kernel (and activate the
-                // typed fills they read); the rest stay a compiled closure.
-                let mut kernel = None;
-                let mut residual: Option<Expr> = Some(predicate.clone());
-                if self.vectorized {
-                    if let Some(typed_slots) = scan_typed_kinds(&producer) {
-                        // Conjuncts order by estimated selectivity (from the
-                        // scan's observed bounds) so the most selective
-                        // compare packs first and the evaluator's dead-mask
-                        // exit can retire the rest.
-                        if let Some(planned) = kernels::plan_predicate_with_stats(
-                            predicate,
-                            &layout,
-                            &typed_slots,
-                            scan_slot_stats(&producer),
-                        ) {
-                            try_activate_typed_slots(&mut producer, &planned.used_slots);
-                            kernel = Some(planned.kernel);
-                            residual = planned.residual;
-                        }
-                    }
-                }
-                let vect_note = if kernel.is_some() {
-                    "   // vectorized columnar kernel"
-                } else {
-                    ""
-                };
-                ir.line(1, &format!("if (eval({predicate})) {{{vect_note}"));
-                let compiled = match &residual {
-                    Some(expr) => {
-                        ctx.note_expr(expr, &layout);
-                        Some(compile_predicate(expr, &layout)?)
-                    }
-                    None => None,
-                };
-                Ok((
-                    Producer::Filter {
-                        input: Box::new(producer),
-                        kernel,
-                        predicate: compiled,
-                    },
-                    layout,
-                ))
+                let (producer, layout) = self.compile_producer(input, ir, access_paths, ctx)?;
+                let filter = self.compile_filter(producer, predicate, 1, &layout, ir, ctx)?;
+                Ok((filter, layout))
             }
             LogicalPlan::Unnest {
                 input,
@@ -498,35 +518,101 @@ impl Compiler {
                 outer,
             } => {
                 let (producer, mut layout) = self.compile_producer(input, ir, access_paths, ctx)?;
-                // Unnest rebuilds each surviving row into the output batch,
-                // so every input slot is consumed in Value form.
-                ctx.note_all(&layout);
-                let collection = compile_expr(&Expr::Path(path.clone()), &layout)?;
-                let slot = layout.slot_for(alias);
-                ir.line(
-                    1,
-                    &format!(
-                        "for {alias} in unnest({path}) {{   // unnestInit/HasNext/GetNext{}",
-                        if *outer { ", outer" } else { "" }
-                    ),
+                let header = format!(
+                    "for {alias} in unnest({path}) {{   // unnestInit/HasNext/GetNext{}",
+                    if *outer { ", outer" } else { "" }
                 );
-                let predicate = match predicate {
-                    Some(p) => {
-                        ir.line(2, &format!("if (eval({p})) {{"));
-                        Some(compile_predicate(p, &layout)?)
+                let typed = self.plan_typed_expand(
+                    &producer,
+                    &layout,
+                    path,
+                    alias,
+                    *outer && predicate.is_some(),
+                    ctx,
+                );
+                match typed {
+                    Ok((collection_slot, expand, leaves)) => {
+                        // Typed tier: element leaves are lanes of the
+                        // expanded batch, and the element predicate is an
+                        // ordinary selection over them — kernel-planned like
+                        // any other.
+                        ir.line(
+                            1,
+                            &format!("{header}, typed expand [{}]", leaves.join(", ")),
+                        );
+                        let parent_names = layout.slots().to_vec();
+                        let parent_live = ctx.slots_read_above(alias, &layout);
+                        let lanes = leaves
+                            .iter()
+                            .zip(&expand.kinds)
+                            .map(|(leaf, kind)| {
+                                let name = lane_name(alias, leaf);
+                                ExpandLane {
+                                    slot: layout.slot_for(&name),
+                                    name,
+                                    kind: *kind,
+                                    hydrate: false,
+                                }
+                            })
+                            .collect();
+                        let mut producer = Producer::Expand {
+                            input: Box::new(producer),
+                            expand: expand.expand,
+                            lanes,
+                            collection_slot,
+                            outer: *outer,
+                            parent_names,
+                            parent_typed: Vec::new(),
+                            parent_live,
+                        };
+                        if let Some(p) = predicate {
+                            producer = self.compile_filter(producer, p, 2, &layout, ir, ctx)?;
+                        }
+                        Ok((producer, layout))
                     }
-                    None => None,
-                };
-                Ok((
-                    Producer::Unnest {
-                        input: Box::new(producer),
-                        collection,
-                        slot,
-                        predicate,
-                        outer: *outer,
-                    },
-                    layout,
-                ))
+                    Err(why) => {
+                        // Closure floor: the collection is read as a `Value`
+                        // out of the input row, and each element is bound
+                        // whole to the alias slot.
+                        ir.line(1, &format!("{header}, closure floor: {why}"));
+                        ctx.note_expr(&Expr::Path(path.clone()), &layout);
+                        let (collection_slot, collection_path) =
+                            layout.resolve(path).ok_or_else(|| {
+                                EngineError::Unsupported(format!(
+                                    "path {path} is not bound by any slot (layout: {:?})",
+                                    layout.slots()
+                                ))
+                            })?;
+                        let parent_names = layout.slots().to_vec();
+                        // Reading the collection out of the input row is no
+                        // reason to copy it into every output row: only
+                        // references from here on up are. The finalize pass
+                        // narrows these to the ones read in `Value` form.
+                        let parent_live = ctx.slots_read_above(alias, &layout);
+                        let slot = layout.slot_for(alias);
+                        let predicate = match predicate {
+                            Some(p) => {
+                                ir.line(2, &format!("if (eval({p})) {{"));
+                                ctx.note_expr(p, &layout);
+                                Some(compile_predicate(p, &layout)?)
+                            }
+                            None => None,
+                        };
+                        Ok((
+                            Producer::Unnest {
+                                input: Box::new(producer),
+                                collection_slot,
+                                collection_path,
+                                slot,
+                                predicate,
+                                outer: *outer,
+                                parent_names,
+                                parent_live,
+                            },
+                            layout,
+                        ))
+                    }
+                }
             }
             LogicalPlan::Join {
                 left,
@@ -561,6 +647,145 @@ impl Compiler {
         }
     }
 
+    /// Compiles a selection over `producer`. The predicate planner
+    /// classifies the conjunction against the typed slots the producer can
+    /// serve: eligible conjuncts become a columnar kernel (and activate the
+    /// typed fills they read); the rest stay a compiled closure.
+    fn compile_filter(
+        &self,
+        mut producer: Producer,
+        predicate: &Expr,
+        indent: usize,
+        layout: &BindingLayout,
+        ir: &mut IrEmitter,
+        ctx: &mut PlanCtx,
+    ) -> Result<Producer> {
+        let mut kernel = None;
+        let mut residual: Option<Expr> = Some(predicate.clone());
+        if self.vectorized {
+            if let Some(typed_slots) = scan_typed_kinds(&producer) {
+                // Conjuncts order by estimated selectivity (from the
+                // scan's observed bounds) so the most selective
+                // compare packs first and the evaluator's dead-mask
+                // exit can retire the rest.
+                if let Some(planned) = kernels::plan_predicate_with_stats(
+                    predicate,
+                    layout,
+                    &typed_slots,
+                    scan_slot_stats(&producer),
+                ) {
+                    try_activate_typed_slots(&mut producer, &planned.used_slots);
+                    kernel = Some(planned.kernel);
+                    residual = planned.residual;
+                }
+            }
+        }
+        let vect_note = if kernel.is_some() {
+            "   // vectorized columnar kernel"
+        } else {
+            ""
+        };
+        ir.line(indent, &format!("if (eval({predicate})) {{{vect_note}"));
+        let compiled = match &residual {
+            Some(expr) => {
+                ctx.note_expr(expr, layout);
+                Some(compile_predicate(expr, layout)?)
+            }
+            None => None,
+        };
+        Ok(Producer::Filter {
+            input: Box::new(producer),
+            kernel,
+            predicate: compiled,
+        })
+    }
+
+    /// Decides whether an unnest runs on the typed tier: the scan slot of
+    /// its collection, the expand hook of the scanned plug-in and the element
+    /// leaves it renders — or why the closure floor has to run instead.
+    fn plan_typed_expand(
+        &self,
+        producer: &Producer,
+        layout: &BindingLayout,
+        path: &Path,
+        alias: &str,
+        outer_with_predicate: bool,
+        ctx: &PlanCtx,
+    ) -> std::result::Result<(usize, proteus_plugins::ExpandAccessors, Vec<String>), String> {
+        if !self.vectorized {
+            return Err("vectorization is off".into());
+        }
+        // Parent rows must still be scan rows: the hook addresses a
+        // collection by the OID its row stands for.
+        let Some(dataset) = plain_scan_dataset(producer) else {
+            return Err("the input is not a plain scan".into());
+        };
+        let collection_slot = match layout.index_of(&path.dotted()) {
+            Some(slot) if !path.segments.is_empty() => slot,
+            _ => return Err(format!("{path} is not a scan field")),
+        };
+        if outer_with_predicate {
+            return Err("an outer unnest with an embedded predicate".into());
+        }
+        if ctx.collects_bindings {
+            return Err(format!("{alias} is collected whole"));
+        }
+        let mut leaves: Vec<String> = Vec::new();
+        let references = ctx.unnest_refs.get(alias).into_iter().flatten();
+        for reference in references.filter(|p| p.base == alias) {
+            match reference.segments.as_slice() {
+                // The element itself: a lane when the elements are scalars.
+                [] => leaves.push(String::new()),
+                [leaf] => leaves.push(leaf.clone()),
+                _ => return Err(format!("{reference} is not an element leaf")),
+            }
+        }
+        leaves.sort_unstable();
+        leaves.dedup();
+        if leaves
+            .iter()
+            .any(|leaf| layout.index_of(&lane_name(alias, leaf)).is_some())
+        {
+            return Err(format!("{alias} shadows a bound name"));
+        }
+        let collection = path.segments.join(".");
+        let plugin = self.resolve_plugin(dataset).map_err(|e| e.to_string())?;
+        match plugin.generate_expand(&collection, &leaves) {
+            Some(expand) => Ok((collection_slot, expand, leaves)),
+            None => Err(format!(
+                "the plug-in offers no typed expand of {collection} for [{}] \
+                 (no hook, or tokens no single lane kind holds)",
+                leaves
+                    .iter()
+                    .map(|leaf| lane_name(alias, leaf))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            )),
+        }
+    }
+
+    /// Resolves a scanned dataset to its plug-in: a real dataset, or a
+    /// synthetic cache dataset spliced in by the optimizer's cache matching.
+    fn resolve_plugin(&self, dataset: &str) -> Result<Arc<dyn proteus_plugins::InputPlugin>> {
+        match cache_name_from_dataset(dataset) {
+            Some(cache_name) => {
+                let store = self.caches.as_ref().ok_or_else(|| {
+                    EngineError::Unsupported(
+                        "plan references a cache but caching is disabled".into(),
+                    )
+                })?;
+                let entry = store
+                    .get(cache_name)
+                    .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
+                Ok(Arc::new(proteus_plugins::cache::CachePlugin::new(entry)))
+            }
+            None => self
+                .registry
+                .get(dataset)
+                .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string())),
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn compile_scan(
         &self,
@@ -572,25 +797,7 @@ impl Compiler {
         access_paths: &mut Vec<String>,
         ctx: &mut PlanCtx,
     ) -> Result<(Producer, BindingLayout)> {
-        // Resolve the plug-in: either a real dataset or a synthetic cache
-        // dataset spliced in by the optimizer's cache matching.
-        let plugin: Arc<dyn proteus_plugins::InputPlugin> = match cache_name_from_dataset(dataset) {
-            Some(cache_name) => {
-                let store = self.caches.as_ref().ok_or_else(|| {
-                    EngineError::Unsupported(
-                        "plan references a cache but caching is disabled".into(),
-                    )
-                })?;
-                let entry = store
-                    .get(cache_name)
-                    .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-                Arc::new(proteus_plugins::cache::CachePlugin::new(entry))
-            }
-            None => self
-                .registry
-                .get(dataset)
-                .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?,
-        };
+        let plugin = self.resolve_plugin(dataset)?;
 
         // Field-of-interest list: what projection pushdown computed, falling
         // back to the full schema when the plan (or the query) needs it all.
@@ -602,7 +809,24 @@ impl Compiler {
             };
             names.into_iter().map(|s| s.to_string()).collect()
         } else {
-            projected_fields.to_vec()
+            // Pushdown projects nested leaves as dotted fields (`geo.lat`);
+            // only the JSON structural index serves those. Everyone else
+            // reads the top-level field whole and the path navigates it —
+            // unless the dotted name is itself a column (`sepal.length`).
+            let serves_leaves = plugin.format() == proteus_storage::SourceFormat::Json;
+            let mut fields: Vec<String> = Vec::with_capacity(projected_fields.len());
+            for field in projected_fields {
+                let field = match field.split_once('.') {
+                    Some((top, _)) if !serves_leaves && plugin.schema().field(field).is_none() => {
+                        top
+                    }
+                    _ => field.as_str(),
+                };
+                if !fields.iter().any(|kept| kept == field) {
+                    fields.push(field.to_string());
+                }
+            }
+            fields
         };
 
         let mut layout = BindingLayout::new();
@@ -961,14 +1185,41 @@ impl Compiler {
     }
 }
 
-/// The typed slot kinds an (optionally filter-wrapped) scan can serve, or
-/// `None` when the producer's batches carry no typed columns (unnest/join
-/// outputs are rebuilt row-wise).
+/// The typed slot kinds a producer's batches can carry — a scan's typed
+/// fills, seen through filters, plus the element lanes (and, from below, the
+/// gatherable parent columns) of a typed unnest — or `None` when the batches
+/// carry no typed columns (closure-floor unnest and join outputs are rebuilt
+/// row-wise).
 fn scan_typed_kinds(producer: &Producer) -> Option<HashMap<usize, TypedKind>> {
     match producer {
         Producer::Scan { typed, .. } => Some(typed.iter().map(|t| (t.slot, t.kind)).collect()),
         Producer::Filter { input, .. } => scan_typed_kinds(input),
+        Producer::Expand { input, lanes, .. } => {
+            let mut kinds = scan_typed_kinds(input)?;
+            kinds.extend(lanes.iter().map(|lane| (lane.slot, lane.kind)));
+            Some(kinds)
+        }
         _ => None,
+    }
+}
+
+/// The dataset of an (optionally filter-wrapped) scan — a spine whose batch
+/// rows are still the scan's rows — or `None` for anything else.
+fn plain_scan_dataset(producer: &Producer) -> Option<&str> {
+    match producer {
+        Producer::Scan { dataset, .. } => Some(dataset),
+        Producer::Filter { input, .. } => plain_scan_dataset(input),
+        _ => None,
+    }
+}
+
+/// The slot name an element leaf of a typed unnest lands in: `i.qty`, or the
+/// alias itself for the element lane of a collection of scalars.
+fn lane_name(alias: &str, leaf: &str) -> String {
+    if leaf.is_empty() {
+        alias.to_string()
+    } else {
+        format!("{alias}.{leaf}")
     }
 }
 
@@ -984,10 +1235,11 @@ fn scan_slot_stats(producer: &Producer) -> &[(usize, ColumnStats)] {
 }
 
 /// Activates the typed fills of the slots a planned kernel or join
-/// ingest/gather reads. Recurses through filters to the scan; producers
-/// with no typed scan underneath (join-output or unnest sides, where
-/// activation is an optimization rather than a planning invariant) are
-/// left untouched.
+/// ingest/gather reads. Recurses through filters to the scan; a typed unnest
+/// on the way keeps its own lanes and notes the parent slots it now has to
+/// gather as typed columns. Producers with no typed scan underneath
+/// (join-output or closure-unnest sides, where activation is an optimization
+/// rather than a planning invariant) are left untouched.
 fn try_activate_typed_slots(producer: &mut Producer, slots: &[usize]) {
     match producer {
         Producer::Scan { typed, .. } => {
@@ -998,6 +1250,28 @@ fn try_activate_typed_slots(producer: &mut Producer, slots: &[usize]) {
             }
         }
         Producer::Filter { input, .. } => try_activate_typed_slots(input, slots),
+        Producer::Expand {
+            input,
+            parent_names,
+            parent_typed,
+            ..
+        } => {
+            for &slot in slots {
+                if slot < parent_names.len() && !parent_typed.contains(&slot) {
+                    parent_typed.push(slot);
+                }
+            }
+            try_activate_typed_slots(input, parent_typed);
+        }
+        _ => {}
+    }
+}
+
+/// Drops the row-major fill of one scan slot (seen through filters).
+fn drop_value_fill(producer: &mut Producer, slot: usize) {
+    match producer {
+        Producer::Scan { fills, .. } => fills.retain(|(s, _)| *s != slot),
+        Producer::Filter { input, .. } => drop_value_fill(input, slot),
         _ => {}
     }
 }
@@ -1009,7 +1283,8 @@ fn try_activate_typed_slots(producer: &mut Producer, slots: &[usize]) {
 /// form. Joins learn their *live* slot sets the same way: only build slots
 /// someone reads are stored in the build arena, only probe slots someone
 /// reads are copied into the join output — everything else stays null and
-/// never touches a `Value`.
+/// never touches a `Value`. So do both unnests: per element they carry across
+/// only the parent slots someone reads.
 fn finalize_typed_fills(producer: &mut Producer, value_refs: &HashSet<String>) {
     match producer {
         Producer::Scan { fills, typed, .. } => {
@@ -1020,7 +1295,40 @@ fn finalize_typed_fills(producer: &mut Producer, value_refs: &HashSet<String>) {
                 }
             }
         }
-        Producer::Filter { input, .. } | Producer::Unnest { input, .. } => {
+        Producer::Filter { input, .. } => finalize_typed_fills(input, value_refs),
+        Producer::Unnest {
+            input,
+            parent_names,
+            parent_live,
+            ..
+        } => {
+            parent_live.retain(|slot| value_refs.contains(&parent_names[*slot]));
+            finalize_typed_fills(input, value_refs)
+        }
+        Producer::Expand {
+            input,
+            lanes,
+            collection_slot,
+            parent_names,
+            parent_typed,
+            parent_live,
+            ..
+        } => {
+            for lane in lanes.iter_mut() {
+                lane.hydrate = value_refs.contains(&lane.name);
+            }
+            parent_live.retain(|slot| value_refs.contains(&parent_names[*slot]));
+            // The hook reads the collection off the raw data: unless
+            // something (above or below) wants it whole, it never becomes a
+            // `Value`.
+            if !value_refs.contains(&parent_names[*collection_slot]) {
+                drop_value_fill(input, *collection_slot);
+            }
+            for slot in parent_typed.iter() {
+                if !parent_live.contains(slot) {
+                    parent_live.push(*slot);
+                }
+            }
             finalize_typed_fills(input, value_refs)
         }
         Producer::Join {

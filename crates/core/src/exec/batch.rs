@@ -6,7 +6,10 @@
 //! (unnest, join probe) — the steady-state scan path performs **zero
 //! per-tuple heap allocations**: the backing storage is recycled across
 //! morsels and only grows on first use (or on unnest/join fan-out beyond any
-//! previously seen batch size).
+//! previously seen batch size). A produced batch may carry typed columns of
+//! its own: the typed unnest lands element lanes and gathered parent columns
+//! in the second batch's typed slots, so the kernels run over expanded rows
+//! exactly as they run over scanned ones.
 
 use proteus_algebra::Value;
 use proteus_plugins::{TypedColumn, TypedKind};
@@ -116,7 +119,7 @@ impl BindingBatch {
     }
 
     /// Resets to an empty batch of the given width (rows appended via
-    /// [`BindingBatch::push_row`]).
+    /// [`BindingBatch::push_row_of`]).
     pub fn reset_empty(&mut self, width: usize) {
         self.width = width;
         self.rows = 0;
@@ -179,7 +182,7 @@ impl BindingBatch {
     pub fn compress_sel(&mut self, mask: &[u64]) {
         if self.sel.len() == self.rows {
             // The selection only ever shrinks from the identity built by
-            // `reset`/`push_row`, so full length ⟹ identity: rebuild it
+            // `reset`/`push_row_of`, so full length ⟹ identity: rebuild it
             // from the mask's set bits directly.
             self.sel.clear();
             crate::exec::mask::push_selected(mask, self.rows, &mut self.sel);
@@ -216,39 +219,19 @@ impl BindingBatch {
         &mut self.data
     }
 
-    /// Appends one row built from a prefix slice plus trailing nulls up to
-    /// the batch width, returning the new row's index.
-    pub fn push_row(&mut self, prefix: &[Value]) -> u32 {
-        debug_assert!(prefix.len() <= self.width);
+    /// Appends one row that copies `src`'s `live` slots and leaves every
+    /// other slot null (the unnest output shape: per element, only the
+    /// parent slots something downstream reads are cloned), returning the
+    /// new row's index.
+    pub fn push_row_of(&mut self, src: &[Value], live: &[usize]) -> u32 {
+        let base = self.data.len();
         let had_capacity = self.data.capacity();
-        self.data.extend(prefix.iter().cloned());
-        for _ in prefix.len()..self.width {
-            self.data.push(Value::Null);
-        }
+        self.data.resize(base + self.width, Value::Null);
         if self.data.capacity() > had_capacity {
             self.allocs += 1;
         }
-        let idx = self.rows as u32;
-        self.rows += 1;
-        self.sel.push(idx);
-        idx
-    }
-
-    /// Appends one row as `left ++ right`, padded with nulls to the width
-    /// (the join-probe output shape).
-    pub fn push_concat(&mut self, left: &[Value], right_at: usize, right: &[Value]) -> u32 {
-        debug_assert!(left.len() <= right_at && right_at + right.len() <= self.width);
-        let had_capacity = self.data.capacity();
-        self.data.extend(left.iter().cloned());
-        for _ in left.len()..right_at {
-            self.data.push(Value::Null);
-        }
-        self.data.extend(right.iter().cloned());
-        for _ in right_at + right.len()..self.width {
-            self.data.push(Value::Null);
-        }
-        if self.data.capacity() > had_capacity {
-            self.allocs += 1;
+        for &slot in live {
+            self.data[base + slot] = src[slot].clone();
         }
         let idx = self.rows as u32;
         self.rows += 1;
@@ -356,22 +339,16 @@ mod tests {
     }
 
     #[test]
-    fn push_row_pads_to_width() {
-        let mut batch = BindingBatch::new();
-        batch.reset_empty(3);
-        batch.push_row(&[Value::Int(1), Value::Int(2)]);
-        batch.set_last(2, Value::Int(9));
-        assert_eq!(batch.row(0), &[Value::Int(1), Value::Int(2), Value::Int(9)]);
-    }
-
-    #[test]
-    fn push_concat_places_both_sides() {
+    fn push_row_of_copies_only_the_live_slots() {
         let mut batch = BindingBatch::new();
         batch.reset_empty(4);
-        batch.push_concat(&[Value::Int(1)], 2, &[Value::Int(3), Value::Int(4)]);
+        let src = [Value::Int(1), Value::str("dead"), Value::Int(3)];
+        batch.push_row_of(&src, &[0, 2]);
+        batch.set_last(3, Value::Int(9));
         assert_eq!(
             batch.row(0),
-            &[Value::Int(1), Value::Null, Value::Int(3), Value::Int(4)]
+            &[Value::Int(1), Value::Null, Value::Int(3), Value::Int(9)]
         );
+        assert_eq!(batch.sel(), &[0]);
     }
 }

@@ -754,6 +754,9 @@ pub struct Scratch {
     values: Vec<Vec<Value>>,
     pairs: Vec<Vec<(u32, u32)>>,
     lanes: Vec<Vec<KeyLane>>,
+    /// The typed unnest's parent index and element lanes, recycled across
+    /// morsels.
+    expand: proteus_plugins::ExpandOutput,
     /// The query's numeric mode, carried to the spine stages (probe / build
     /// hashing) that have no [`SinkKernel`] to read it from.
     mode: NumericMode,
@@ -850,6 +853,17 @@ impl Scratch {
     pub(crate) fn put_pairs(&mut self, mut v: Vec<(u32, u32)>) {
         v.clear();
         self.pairs.push(v);
+    }
+
+    /// Borrows the recycled expand output (the typed unnest stage refills
+    /// it every morsel).
+    pub(crate) fn take_expand(&mut self) -> proteus_plugins::ExpandOutput {
+        std::mem::take(&mut self.expand)
+    }
+
+    /// Returns the expand output to the scratch.
+    pub(crate) fn put_expand(&mut self, out: proteus_plugins::ExpandOutput) {
+        self.expand = out;
     }
 
     /// Borrows a recycled key-lane buffer (the group-by ingest's per-morsel
@@ -1334,6 +1348,11 @@ fn lane_sum_nullable(vec: &NumVec<'_>, null_words: &[u64], rows: usize) -> (f64,
     let mut count = 0u64;
     for (wi, &word) in null_words.iter().enumerate() {
         let base = wi * 64;
+        if base >= rows {
+            // The selection is a prefix of a longer batch: the bitmap goes
+            // on past the rows being folded.
+            break;
+        }
         let end = (base + 64).min(rows);
         if word == 0 && end - base == 64 {
             for chunk_base in (base..end).step_by(FOLD_LANES) {

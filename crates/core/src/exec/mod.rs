@@ -2,7 +2,7 @@
 //!
 //! A reading-order map of the whole execution architecture — the five tiers
 //! (zone-map skipping → closure interpreter → morsel pipelines → typed
-//! kernels → typed sinks/joins), the kernel ≡ closure bit-exactness
+//! kernels → typed sinks/joins/unnests), the kernel ≡ closure bit-exactness
 //! contract, and the per-operator eligibility/fallback rules — lives in
 //! `ARCHITECTURE.md` at the repository root. This module doc covers the
 //! same ground closer to the code.
@@ -77,9 +77,10 @@
 //!   bits. String kernels compare each *unique* pooled string once per
 //!   morsel.
 //! * **Closure fallback.** Everything else — record/list-shaped
-//!   expressions, conditionals, division, nested paths, untyped slots —
-//!   stays on the compiled-closure path, as does any filter above an
-//!   unnest/join (those rebuild batches row-wise, dropping typed columns).
+//!   expressions, conditionals, division, paths navigated inside a slot's
+//!   value, untyped slots — stays on the compiled-closure path, as does any
+//!   filter above a join or a closure-floor unnest (those rebuild batches
+//!   row-wise, dropping typed columns).
 //! * **Hydration.** Typed slots whose `Value` form something downstream
 //!   still reads (closure residuals, sink expressions, collected rows) are
 //!   materialized *after* the kernels, for the surviving selection only;
@@ -140,6 +141,20 @@
 //!   per-element morsel tags, and [`radix::RadixGroupTable::absorb`] merges
 //!   element lists in tag order — identical to serial ingest at any worker
 //!   count.
+//!
+//! # Typed unnests
+//!
+//! An unnest directly over a scan whose alias is only ever read leaf by
+//! leaf (`i.qty`) does not bind elements at all: the plug-in's expand hook
+//! ([`proteus_plugins::InputPlugin::generate_expand`]) renders, per morsel,
+//! a parent-row index plus one typed lane per leaf, the lanes become typed
+//! columns of the output batch and the live parent slots are gathered
+//! across by the parent index (`pipeline`'s `Stage::Expand`). The typed
+//! slot map sees through it, so the element predicate is a kernel filter
+//! and the sink takes its aggregate kernels; hydration restarts after it.
+//! The closure unnest — collection `Value` borrowed from the row, one
+//! output row per element, only live parent slots cloned — is the floor for
+//! every other shape, and the generated IR names the tier and the reason.
 //!
 //! # Numeric modes: the relaxed explicit-lane tier
 //!

@@ -4,7 +4,12 @@
 //! execution the tree is *prepared*: every join build side is materialized
 //! by a morsel-parallel run of the build spine and indexed, on the preparing
 //! thread, into a shared [`RadixHashTable`], leaving a linear **spine** —
-//! scan → stage* — that streams batches. Execution then dispatches morsels
+//! scan → stage* — that streams batches. A stage shrinks the selection
+//! (kernel and closure filters), hydrates typed slots, or produces into the
+//! worker's second batch: the join probe, the closure-floor unnest (rows
+//! rebuilt from `Value`s) and the typed unnest (`Stage::Expand`: element
+//! lanes and gathered parent columns land as typed columns, so kernels keep
+//! running on the far side). Execution then dispatches morsels
 //! of [`MORSEL_SIZE`] tuples from an atomic work counter to its workers;
 //! each worker owns two recycled
 //! [`BindingBatch`]es and a private sink partial (accumulators / radix group
@@ -26,7 +31,9 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{JoinKind, Monoid, Value};
-use proteus_plugins::{BatchFill, ColumnStats, TypedFill, ZoneMap, ZONE_ROWS};
+use proteus_plugins::{
+    BatchFill, ColumnStats, TypedExpand, TypedFill, TypedKind, ZoneMap, ZONE_ROWS,
+};
 use proteus_storage::CacheStore;
 
 use crate::cache_builder::CacheBuilder;
@@ -70,13 +77,25 @@ pub(crate) struct TypedSlotFill {
     /// Dotted slot name (drives the hydration analysis).
     pub(crate) name: String,
     /// Element kind of the typed column (drives kernel planning).
-    pub(crate) kind: proteus_plugins::TypedKind,
+    pub(crate) kind: TypedKind,
     /// The plug-in's typed morsel filler.
     pub(crate) fill: TypedFill,
     /// Set once a kernel predicate references the slot.
     pub(crate) active: bool,
     /// Set when anything downstream of the kernels reads the slot's `Value`
     /// form (closure residuals, sink expressions, collected rows).
+    pub(crate) hydrate: bool,
+}
+
+/// One element lane of a typed unnest, planned by codegen.
+pub(crate) struct ExpandLane {
+    /// Batch slot the lane lands in.
+    pub(crate) slot: usize,
+    /// Dotted slot name (`i.qty`; drives the hydration analysis).
+    pub(crate) name: String,
+    /// Element kind of the lane (drives kernel planning).
+    pub(crate) kind: TypedKind,
+    /// Set when anything downstream reads the lane's `Value` form.
     pub(crate) hydrate: bool,
 }
 
@@ -117,13 +136,45 @@ pub(crate) enum Producer {
         kernel: Option<KernelPred>,
         predicate: Option<CompiledPredicate>,
     },
-    /// Unnest of a nested collection into a new slot.
+    /// Unnest of a nested collection into a new slot, through the
+    /// collection's `Value`: the closure floor every unnest can run on.
     Unnest {
         input: Box<Producer>,
-        collection: CompiledExpr,
+        /// Where the collection sits in an input row: a slot plus the
+        /// segments navigated inside its value (borrowed, never cloned out).
+        collection_slot: usize,
+        collection_path: Vec<String>,
         slot: usize,
         predicate: Option<CompiledPredicate>,
         outer: bool,
+        /// Input slot names in slot order, and the input slots something
+        /// downstream reads — the only ones copied per element. Codegen sets
+        /// them to the slots this operator's predicate or anything above it
+        /// references; its finalize pass keeps the ones read as `Value`s.
+        parent_names: Vec<String>,
+        parent_live: Vec<usize>,
+    },
+    /// Typed unnest directly over a scan: the plug-in's expand hook renders
+    /// the element leaves the query reads as typed lanes and the parent-row
+    /// index the live parent slots are gathered by; no collection or element
+    /// `Value` exists. The element predicate, if any, is an ordinary
+    /// [`Producer::Filter`] above it.
+    Expand {
+        input: Box<Producer>,
+        expand: TypedExpand,
+        /// One output slot per element lane, in the hook's lane order.
+        lanes: Vec<ExpandLane>,
+        /// The scan slot holding the collection, whose row-major fill the
+        /// finalize pass drops unless something reads the collection whole.
+        collection_slot: usize,
+        outer: bool,
+        parent_names: Vec<String>,
+        /// Input slots a downstream kernel reads as typed columns.
+        parent_typed: Vec<usize>,
+        /// Input slots carried across to the expanded rows: `parent_typed`
+        /// plus everything downstream reads in `Value` form (codegen, as
+        /// for [`Producer::Unnest`]).
+        parent_live: Vec<usize>,
     },
     /// Radix hash join: build side materialized, probe side streamed.
     Join {
@@ -190,14 +241,12 @@ enum Stage {
     /// that survived the kernels (inserted before the first stage — or the
     /// sink — that reads rows).
     Hydrate(Vec<usize>),
-    /// Expands each row once per collection element into the output batch.
-    Unnest {
-        collection: CompiledExpr,
-        slot: usize,
-        predicate: Option<CompiledPredicate>,
-        outer: bool,
-        width: usize,
-    },
+    /// Expands each row once per collection element into the output batch,
+    /// reading the collection's `Value` (the closure floor).
+    Unnest(UnnestStage),
+    /// Expands each row once per collection element into typed columns of
+    /// the output batch, through the plug-in's expand hook.
+    Expand(ExpandStage),
     /// Streams probe rows against the shared build table.
     Probe {
         table: Arc<RadixHashTable>,
@@ -217,6 +266,26 @@ enum Stage {
         /// per-build-entry matched flags.
         matched: Option<Arc<MatchedBitmap>>,
     },
+}
+
+struct UnnestStage {
+    collection_slot: usize,
+    collection_path: Vec<String>,
+    slot: usize,
+    predicate: Option<CompiledPredicate>,
+    outer: bool,
+    width: usize,
+    parent_live: Vec<usize>,
+}
+
+struct ExpandStage {
+    expand: TypedExpand,
+    /// Output slot per lane, and the lanes hydration has to cover.
+    lane_slots: Vec<usize>,
+    hydrate_lanes: Vec<usize>,
+    outer: bool,
+    width: usize,
+    parent_live: Vec<usize>,
 }
 
 struct PreparedPipeline {
@@ -292,20 +361,50 @@ fn prepare(
         }
         Producer::Unnest {
             input,
-            collection,
+            collection_slot,
+            collection_path,
             slot,
             predicate,
             outer,
+            parent_names: _,
+            parent_live,
         } => {
             let mut prepared = prepare(*input, env, metrics)?;
             let width = current_width(&prepared).max(slot + 1);
-            prepared.stages.push(Stage::Unnest {
-                collection,
+            prepared.stages.push(Stage::Unnest(UnnestStage {
+                collection_slot,
+                collection_path,
                 slot,
                 predicate,
                 outer,
                 width,
-            });
+                parent_live,
+            }));
+            Ok(prepared)
+        }
+        Producer::Expand {
+            input,
+            expand,
+            lanes,
+            collection_slot: _,
+            outer,
+            parent_names,
+            parent_typed: _,
+            parent_live,
+        } => {
+            let mut prepared = prepare(*input, env, metrics)?;
+            prepared.stages.push(Stage::Expand(ExpandStage {
+                expand,
+                lane_slots: lanes.iter().map(|lane| lane.slot).collect(),
+                hydrate_lanes: lanes
+                    .iter()
+                    .filter(|lane| lane.hydrate)
+                    .map(|lane| lane.slot)
+                    .collect(),
+                outer,
+                width: parent_names.len() + lanes.len(),
+                parent_live,
+            }));
             Ok(prepared)
         }
         Producer::Join {
@@ -367,53 +466,81 @@ fn current_width(prepared: &PreparedPipeline) -> usize {
         .iter()
         .rev()
         .find_map(|stage| match stage {
-            Stage::Unnest { width, .. } | Stage::Probe { width, .. } => Some(*width),
+            Stage::Unnest(UnnestStage { width, .. })
+            | Stage::Expand(ExpandStage { width, .. })
+            | Stage::Probe { width, .. } => Some(*width),
             Stage::KernelFilter(_) | Stage::Filter(_) | Stage::Hydrate(_) => None,
         })
         .unwrap_or(prepared.scan.width)
 }
 
-/// Inserts the hydration stage: typed slots whose `Value` form anything
+/// Inserts the hydration stages: typed slots whose `Value` form anything
 /// downstream reads are materialized (for the surviving selection only)
 /// right before the first row-consuming stage, or at the end of the stage
 /// chain when only the sink reads rows.
 ///
-/// When the first row-consuming stage is a *kernel-keyed probe*, hydration
-/// is skipped entirely: the probe reads no rows (keys hash from typed
-/// columns) and its gather copies live slots straight out of the typed
-/// columns, so only *matched* rows ever materialize a `Value` — everything
-/// after the probe reads the gathered join-output rows. The same applies
-/// when the pipeline ends at a typed-key build sink (`sink_reads_typed`):
-/// the build ingest keys and payload both read the typed columns.
+/// A typed unnest ([`Stage::Expand`]) reads no rows and hands typed columns
+/// on — its lanes, and the parent columns it gathered — so it starts a new
+/// stretch with the same rule: one hydration before the first row consumer
+/// after it. Each hydration lists every flagged slot; `hydrate` skips the
+/// ones the batch at hand holds no typed column for.
+///
+/// When the row-consuming stage is a *kernel-keyed probe*, hydration is
+/// skipped entirely: the probe reads no rows (keys hash from typed columns)
+/// and its gather copies live slots straight out of the typed columns, so
+/// only *matched* rows ever materialize a `Value` — everything after the
+/// probe reads the gathered join-output rows. The same applies when the
+/// pipeline ends at a typed-key build sink (`sink_reads_typed`): the build
+/// ingest keys and payload both read the typed columns.
 fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
-    let slots: Vec<usize> = pipeline
+    let mut slots: Vec<usize> = pipeline
         .scan
         .typed_fills
         .iter()
         .filter(|(_, _, hydrate)| *hydrate)
         .map(|(slot, _, _)| *slot)
         .collect();
+    for stage in &pipeline.stages {
+        if let Stage::Expand(expand) = stage {
+            slots.extend(&expand.hydrate_lanes);
+        }
+    }
     if slots.is_empty() {
         return;
     }
-    let at = pipeline
-        .stages
-        .iter()
-        .position(|stage| {
-            matches!(
-                stage,
-                Stage::Filter(_) | Stage::Unnest { .. } | Stage::Probe { .. }
-            )
-        })
-        .unwrap_or(pipeline.stages.len());
-    match pipeline.stages.get(at) {
-        Some(Stage::Probe {
-            key_slots: Some(_), ..
-        }) => return,
-        None if sink_reads_typed => return,
-        _ => {}
+    let mut hydrated = false;
+    let mut at = 0;
+    while at < pipeline.stages.len() {
+        match &pipeline.stages[at] {
+            Stage::KernelFilter(_) | Stage::Hydrate(_) => {}
+            Stage::Expand(_) => hydrated = false,
+            Stage::Filter(_) if hydrated => {}
+            Stage::Filter(_) => {
+                pipeline.stages.insert(at, Stage::Hydrate(slots.clone()));
+                hydrated = true;
+                at += 1;
+            }
+            // Past either of these the batch is rebuilt row-wise: no typed
+            // column survives, nothing is left to hydrate.
+            Stage::Unnest(_) | Stage::Probe { .. } => {
+                let typed_probe = matches!(
+                    &pipeline.stages[at],
+                    Stage::Probe {
+                        key_slots: Some(_),
+                        ..
+                    }
+                );
+                if !hydrated && !typed_probe {
+                    pipeline.stages.insert(at, Stage::Hydrate(slots));
+                }
+                return;
+            }
+        }
+        at += 1;
     }
-    pipeline.stages.insert(at, Stage::Hydrate(slots));
+    if !hydrated && !sink_reads_typed {
+        pipeline.stages.push(Stage::Hydrate(slots));
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -968,6 +1095,106 @@ fn fill_morsel(
     }
 }
 
+/// `Value::navigate` by reference: the value `path` leads to inside `value`,
+/// `None` where a segment is missing or crosses a non-record.
+fn navigate_ref<'a>(mut value: &'a Value, path: &[String]) -> Option<&'a Value> {
+    for segment in path {
+        match value {
+            Value::Record(record) => value = record.get(segment)?,
+            _ => return None,
+        }
+    }
+    Some(value)
+}
+
+/// The closure-floor unnest: one output row per element of each selected
+/// row's collection. The collection is borrowed from the row; per element
+/// only the live parent slots and the element itself are cloned.
+///
+/// Out of line (as is [`run_expand`]) so that growing either body leaves the
+/// code layout of [`process_stages`]' filter and probe arms alone.
+#[inline(never)]
+fn run_unnest(
+    stage: &UnnestStage,
+    cur: &mut BindingBatch,
+    spare: &mut BindingBatch,
+    metrics: &mut ExecutionMetrics,
+) {
+    spare.reset_empty(stage.width);
+    let mut evaluations = 0u64;
+    cur.for_each_selected(|row| {
+        let items = match navigate_ref(&row[stage.collection_slot], &stage.collection_path) {
+            Some(Value::List(items)) => items.as_slice(),
+            Some(Value::Null) | None => &[],
+            Some(other) => std::slice::from_ref(other),
+        };
+        let mut produced = false;
+        for item in items {
+            spare.push_row_of(row, &stage.parent_live);
+            spare.set_last(stage.slot, item.clone());
+            if let Some(pred) = &stage.predicate {
+                evaluations += 1;
+                if !pred(spare.last_row()) {
+                    spare.pop_row();
+                    continue;
+                }
+            }
+            produced = true;
+        }
+        if !produced && stage.outer {
+            // The element slot stays null.
+            spare.push_row_of(row, &stage.parent_live);
+        }
+    });
+    metrics.predicate_evals += evaluations;
+    metrics.fallback_rows += evaluations;
+    std::mem::swap(cur, spare);
+}
+
+/// The typed unnest: the plug-in's expand hook appends, for the selected
+/// rows of the scan morsel in `cur`, one entry per element to the parent
+/// index and to each element lane; the lanes become typed columns of
+/// `spare`, and the live parent slots are gathered across by the parent
+/// index — typed column to typed column where the scan filled one, `Value`
+/// to `Value` otherwise. Dead slots are left as the buffer held them:
+/// nothing downstream reads them (the liveness the join gather relies on).
+#[inline(never)]
+fn run_expand(
+    stage: &ExpandStage,
+    cur: &mut BindingBatch,
+    spare: &mut BindingBatch,
+    scratch: &mut kernels::Scratch,
+    morsel: u64,
+) {
+    let mut out = scratch.take_expand();
+    (stage.expand)(
+        morsel * MORSEL_SIZE as u64,
+        cur.sel(),
+        stage.outer,
+        &mut out,
+    );
+    let parents = &out.parents;
+    debug_assert!(parents.windows(2).all(|pair| pair[0] <= pair[1]));
+    debug_assert!(out.lanes.len() == stage.lane_slots.len());
+    debug_assert!(out.lanes.iter().all(|lane| lane.len() == parents.len()));
+    spare.reset_sparse(stage.width, parents.len());
+    for (lane, &slot) in out.lanes.iter_mut().zip(&stage.lane_slots) {
+        std::mem::swap(spare.typed_col_mut(slot), lane);
+    }
+    for &slot in &stage.parent_live {
+        match cur.typed_col(slot) {
+            Some(col) => spare.typed_col_mut(slot).gather_from(col, parents),
+            None => {
+                for (row, &parent) in parents.iter().enumerate() {
+                    spare.put(row, slot, cur.row(parent)[slot].clone());
+                }
+            }
+        }
+    }
+    scratch.put_expand(out);
+    std::mem::swap(cur, spare);
+}
+
 /// Applies `stages` to `cur` (ping-ponging with `spare`), then folds the
 /// surviving rows into the sink partial.
 #[allow(clippy::too_many_arguments)]
@@ -1004,39 +1231,8 @@ fn process_stages(
                 metrics.predicate_evals += evaluations;
                 metrics.fallback_rows += evaluations;
             }
-            Stage::Unnest {
-                collection,
-                slot,
-                predicate,
-                outer,
-                width,
-            } => {
-                spare.reset_empty(*width);
-                cur.for_each_selected(|row| {
-                    let items = match collection(row) {
-                        Value::List(items) => items,
-                        Value::Null => Vec::new(),
-                        other => vec![other],
-                    };
-                    let mut produced = false;
-                    for item in items {
-                        spare.push_row(row);
-                        spare.set_last(*slot, item);
-                        if let Some(pred) = predicate {
-                            if !pred(spare.last_row()) {
-                                spare.pop_row();
-                                continue;
-                            }
-                        }
-                        produced = true;
-                    }
-                    if !produced && *outer {
-                        spare.push_row(row);
-                        spare.set_last(*slot, Value::Null);
-                    }
-                });
-                std::mem::swap(cur, spare);
-            }
+            Stage::Unnest(unnest) => run_unnest(unnest, cur, spare, metrics),
+            Stage::Expand(expand) => run_expand(expand, cur, spare, scratch, morsel),
             Stage::Probe {
                 table,
                 probe_keys,
@@ -1588,7 +1784,7 @@ fn execute_pipeline(
             flags.for_each_unmatched(table.len(), |entry| {
                 // Null row, then the stored live slots — exactly the
                 // shape of a probe output row with a null probe side.
-                tail.push_row(&[]);
+                tail.push_row_of(&[], &[]);
                 for (comp, &slot) in store.live_slots().iter().enumerate() {
                     tail.set_last(slot, store.payload(entry)[comp].clone());
                 }

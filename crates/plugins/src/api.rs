@@ -8,6 +8,10 @@
 //!    specialized, monomorphic accessor per requested field (the reproduction
 //!    of the paper's generated data-access code). The per-tuple hot path then
 //!    contains exactly one indirect call per field and no type dispatch.
+//!    Nested collections go the same way: [`InputPlugin::generate_expand`]
+//!    returns a morsel expander ([`TypedExpand`]) that renders the element
+//!    leaves a query reads as typed lanes plus a parent-row index — the
+//!    paper's `unnestInit/HasNext/GetNext`, generated and typed.
 //! 2. The *interpreted baseline engines* and the expression generators, which
 //!    use the generic `read_value`/`read_path` entry points.
 //!
@@ -481,6 +485,53 @@ impl TypedColumn {
         self.len += values.len();
     }
 
+    /// Refills the column with `src[rows[0]], src[rows[1]], …` (null bits
+    /// included): how the typed unnest carries a parent column across to the
+    /// expanded batch without a `Value` per element. Of a string column only
+    /// the pool entries the gathered rows reference cross over (shared, not
+    /// copied), renumbered in first-use order.
+    pub fn gather_from(&mut self, src: &TypedColumn, rows: &[u32]) {
+        self.begin(src.kind(), rows.len());
+        match (&mut self.data, &src.data) {
+            (TypedData::I64(out), TypedData::I64(v)) => {
+                out.extend(rows.iter().map(|&r| v[r as usize]))
+            }
+            (TypedData::F64(out), TypedData::F64(v)) => {
+                out.extend(rows.iter().map(|&r| v[r as usize]))
+            }
+            (TypedData::Bool(out), TypedData::Bool(v)) => {
+                out.extend(rows.iter().map(|&r| v[r as usize]))
+            }
+            (
+                TypedData::Str { ids, pool },
+                TypedData::Str {
+                    ids: v,
+                    pool: src_pool,
+                },
+            ) => {
+                let mut moved = vec![u32::MAX; src_pool.len()];
+                for &r in rows {
+                    let old = v[r as usize] as usize;
+                    if moved[old] == u32::MAX {
+                        moved[old] = pool.len() as u32;
+                        pool.push(src_pool[old].clone());
+                        self.intern.insert(src_pool[old].clone(), moved[old]);
+                    }
+                    ids.push(moved[old]);
+                }
+            }
+            _ => unreachable!("begin() just made the kinds equal"),
+        }
+        self.len = rows.len();
+        if src.has_nulls() {
+            for (i, &r) in rows.iter().enumerate() {
+                if src.is_null(r as usize) {
+                    self.set_null_bit(i);
+                }
+            }
+        }
+    }
+
     /// The integer values (placeholders at null positions).
     pub fn i64_values(&self) -> &[i64] {
         match &self.data {
@@ -674,48 +725,40 @@ impl std::fmt::Debug for ScanAccessors {
     }
 }
 
-/// Cursor over a nested collection, produced by `unnest_init`.
-///
-/// The paper splits this into `unnestInit()` / `unnestHasNext()` /
-/// `unnestGetNext()`; the cursor carries the same state machine.
-#[derive(Debug)]
-pub struct UnnestCursor {
-    items: Vec<Value>,
-    position: usize,
+// ---------------------------------------------------------------------------
+// Typed unnest: the expand hook.
+// ---------------------------------------------------------------------------
+
+/// What one [`TypedExpand`] call appends: one entry per produced element, as
+/// a parent-row index plus one typed lane per requested element leaf. The
+/// buffers are recycled across morsels by the caller.
+#[derive(Debug, Default)]
+pub struct ExpandOutput {
+    /// For each element, the morsel-relative row of the parent it came from.
+    /// Non-decreasing: parents are visited in the order they were passed.
+    pub parents: Vec<u32>,
+    /// One lane per requested leaf, in request order, each exactly as long
+    /// as `parents` (a missing leaf, a `null` token or a non-record element
+    /// is a null bit).
+    pub lanes: Vec<TypedColumn>,
 }
 
-impl UnnestCursor {
-    /// Creates a cursor over already-extracted collection elements.
-    pub fn new(items: Vec<Value>) -> Self {
-        UnnestCursor { items, position: 0 }
-    }
+/// The morsel-at-a-time, typed form of the paper's `unnestInit()` /
+/// `unnestHasNext()` / `unnestGetNext()`: for the morsel starting at the
+/// given OID and its selected (morsel-relative, ascending) parent rows,
+/// walks each parent's collection once and appends its elements to the
+/// [`ExpandOutput`] (which the callee resets first). The flag asks for
+/// *outer* semantics: a parent without elements yields one all-null entry.
+pub type TypedExpand = Arc<dyn Fn(Oid, &[u32], bool, &mut ExpandOutput) + Send + Sync>;
 
-    /// `unnestHasNext()`.
-    pub fn has_next(&self) -> bool {
-        self.position < self.items.len()
-    }
-
-    /// `unnestGetNext()`.
-    pub fn get_next(&mut self) -> Option<Value> {
-        let item = self.items.get(self.position).cloned();
-        if item.is_some() {
-            self.position += 1;
-        }
-        item
-    }
-
-    /// Number of elements remaining.
-    pub fn remaining(&self) -> usize {
-        self.items.len() - self.position
-    }
-}
-
-impl Iterator for UnnestCursor {
-    type Item = Value;
-
-    fn next(&mut self) -> Option<Value> {
-        self.get_next()
-    }
+/// What a plug-in hands to a typed unnest operator (see
+/// [`InputPlugin::generate_expand`]).
+#[derive(Clone)]
+pub struct ExpandAccessors {
+    /// Lane kind per requested leaf, in request order.
+    pub kinds: Vec<TypedKind>,
+    /// The morsel expander.
+    pub expand: TypedExpand,
 }
 
 /// The input plug-in interface (Table 2).
@@ -749,9 +792,19 @@ pub trait InputPlugin: Send + Sync {
     /// identified by `oid`.
     fn read_path(&self, oid: Oid, path: &[String]) -> Result<Value>;
 
-    /// `unnestInit()` + `unnestHasNext()`/`unnestGetNext()`: returns a cursor
-    /// over the nested collection at `path` within the object.
-    fn unnest_init(&self, oid: Oid, path: &[String]) -> Result<UnnestCursor>;
+    /// `unnestInit()` + `unnestHasNext()`/`unnestGetNext()`, generated: a
+    /// typed expander over the nested collection at the dotted field `path`,
+    /// rendering one lane per element leaf in `leaves` (the empty leaf `""`
+    /// is the element itself, for collections of scalars) straight from the
+    /// raw data. `None` — the default — means "not offered": the format has
+    /// no nested collections, or some element of *this* dataset holds a
+    /// token no single lane kind can represent, and the engine unnests
+    /// through the collection's `Value` instead. An offered expander must
+    /// produce exactly the elements and leaf values that path yields.
+    fn generate_expand(&self, path: &str, leaves: &[String]) -> Option<ExpandAccessors> {
+        let _ = (path, leaves);
+        None
+    }
 
     /// `hashValue()`: a stable hash of a field value, used by the radix
     /// join/grouping operators.
@@ -834,6 +887,48 @@ mod tests {
     }
 
     #[test]
+    fn gather_carries_values_nulls_and_the_string_pool() {
+        let mut ints = TypedColumn::new(TypedKind::I64);
+        ints.begin(TypedKind::I64, 3);
+        ints.push_i64(7);
+        ints.push_null();
+        ints.push_i64(9);
+        let mut out = TypedColumn::new(TypedKind::Bool);
+        out.gather_from(&ints, &[0, 0, 1, 2, 2]);
+        let got: Vec<Value> = (0..out.len()).map(|i| out.value_at(i)).collect();
+        assert_eq!(
+            got,
+            vec![
+                Value::Int(7),
+                Value::Int(7),
+                Value::Null,
+                Value::Int(9),
+                Value::Int(9)
+            ]
+        );
+
+        let mut strs = TypedColumn::new(TypedKind::Str);
+        strs.begin(TypedKind::Str, 2);
+        strs.push_str("a");
+        strs.push_str("b");
+        out.gather_from(&strs, &[1, 1, 0]);
+        assert_eq!(out.str_parts().1.len(), 2);
+        assert_eq!(out.value_at(0), Value::Str("b".into()));
+        assert_eq!(out.value_at(2), Value::Str("a".into()));
+        // Still a well-formed column: a later push interns against the pool.
+        out.push_str("a");
+        assert_eq!(out.str_parts().1.len(), 2);
+        // Only the strings the gathered rows reference cross over.
+        out.gather_from(&strs, &[1, 1]);
+        assert_eq!(out.str_parts().0, [0, 0]);
+        assert_eq!(out.str_parts().1.len(), 1);
+        assert_eq!(out.value_at(1), Value::Str("b".into()));
+        // Gathering nothing yields an empty column of the source's kind.
+        out.gather_from(&ints, &[]);
+        assert!(out.is_empty() && out.kind() == TypedKind::I64);
+    }
+
+    #[test]
     fn batch_fill_matches_per_tuple_accessor() {
         let accessor = FieldAccessor::Int(Arc::new(|oid| oid as i64 * 3));
         let fill = accessor.batch_fill();
@@ -844,23 +939,5 @@ mod tests {
             assert_eq!(out[1 + i as usize * 2], accessor.value(5 + i));
             assert_eq!(out[i as usize * 2], Value::Null);
         }
-    }
-
-    #[test]
-    fn unnest_cursor_state_machine() {
-        let mut cursor = UnnestCursor::new(vec![Value::Int(1), Value::Int(2)]);
-        assert!(cursor.has_next());
-        assert_eq!(cursor.remaining(), 2);
-        assert_eq!(cursor.get_next(), Some(Value::Int(1)));
-        assert_eq!(cursor.get_next(), Some(Value::Int(2)));
-        assert!(!cursor.has_next());
-        assert_eq!(cursor.get_next(), None);
-    }
-
-    #[test]
-    fn unnest_cursor_is_an_iterator() {
-        let cursor = UnnestCursor::new(vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
-        let collected: Vec<Value> = cursor.collect();
-        assert_eq!(collected.len(), 3);
     }
 }

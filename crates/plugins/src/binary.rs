@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proteus_algebra::{DataType, Schema, Value};
 use proteus_storage::{ColumnData, ColumnTable, MemoryManager, RowTableReader, SourceFormat};
 
-use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors, UnnestCursor};
+use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
 use crate::zonemap::ZoneMap;
@@ -236,12 +236,6 @@ impl InputPlugin for ColumnPlugin {
         }
     }
 
-    fn unnest_init(&self, _oid: Oid, _path: &[String]) -> Result<UnnestCursor> {
-        Err(PluginError::Unsupported(
-            "binary relational data has no nested collections".into(),
-        ))
-    }
-
     fn statistics(&self) -> DatasetStats {
         self.inner.stats.clone()
     }
@@ -426,12 +420,6 @@ impl InputPlugin for RowPlugin {
         }
     }
 
-    fn unnest_init(&self, _oid: Oid, _path: &[String]) -> Result<UnnestCursor> {
-        Err(PluginError::Unsupported(
-            "binary relational data has no nested collections".into(),
-        ))
-    }
-
     fn statistics(&self) -> DatasetStats {
         self.inner.stats.clone()
     }
@@ -566,7 +554,6 @@ mod tests {
     #[test]
     fn row_plugin_rejects_nested_access() {
         let p = row_plugin();
-        assert!(p.unnest_init(0, &["items".to_string()]).is_err());
         assert!(p.read_path(0, &["a".to_string(), "b".to_string()]).is_err());
     }
 

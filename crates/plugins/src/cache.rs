@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proteus_algebra::{Field, Schema, Value};
 use proteus_storage::{CacheEntry, ColumnData, SourceFormat};
 
-use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors, UnnestCursor};
+use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats};
 use crate::zonemap::ZoneMap;
@@ -188,12 +188,6 @@ impl InputPlugin for CachePlugin {
         }
     }
 
-    fn unnest_init(&self, _oid: Oid, _path: &[String]) -> Result<UnnestCursor> {
-        Err(PluginError::Unsupported(
-            "caches hold flattened expression results".into(),
-        ))
-    }
-
     fn statistics(&self) -> DatasetStats {
         self.inner.stats.clone()
     }
@@ -284,7 +278,6 @@ mod tests {
     #[test]
     fn nested_access_is_rejected() {
         let p = CachePlugin::new(entry());
-        assert!(p.unnest_init(0, &["x".to_string()]).is_err());
         assert!(p.read_path(0, &["a".to_string(), "b".to_string()]).is_err());
     }
 

@@ -18,7 +18,7 @@ use bytes::Bytes;
 use proteus_algebra::{DataType, Schema, Value};
 use proteus_storage::{MemoryManager, SourceFormat};
 
-use crate::api::{BadRowPolicy, FieldAccessor, InputPlugin, Oid, ScanAccessors, UnnestCursor};
+use crate::api::{BadRowPolicy, FieldAccessor, InputPlugin, Oid, ScanAccessors};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
 use crate::zonemap::{derive_zone_maps, ZoneMap};
@@ -631,13 +631,6 @@ impl InputPlugin for CsvPlugin {
         }
     }
 
-    fn unnest_init(&self, _oid: Oid, path: &[String]) -> Result<UnnestCursor> {
-        Err(PluginError::Unsupported(format!(
-            "CSV data has no nested collections (requested {})",
-            path.join(".")
-        )))
-    }
-
     fn statistics(&self) -> DatasetStats {
         self.inner.stats.clone()
     }
@@ -845,9 +838,8 @@ mod tests {
     }
 
     #[test]
-    fn unnest_is_unsupported_for_flat_csv() {
+    fn nested_paths_are_unsupported_for_flat_csv() {
         let p = plugin();
-        assert!(p.unnest_init(0, &["l_comment".to_string()]).is_err());
         assert!(p.read_path(0, &["a".to_string(), "b".to_string()]).is_err());
     }
 

@@ -10,7 +10,10 @@
 //!   nested-record paths such as `c.d.d1` — to their Level-1 entries, so a
 //!   field lookup is a hash probe instead of a scan over the object's tokens.
 //!   Array *contents* are deliberately not registered: the explicit `unnest`
-//!   operator handles them uniformly.
+//!   operator handles them uniformly — the expand hook
+//!   ([`InputPlugin::generate_expand`]) walks an object's array token at query
+//!   time and renders the requested element leaves straight into typed lanes,
+//!   so the index does not grow and no `Value` tree is built.
 //!
 //! When every object turns out to have the same fields in the same order
 //! (machine-generated data), the plug-in drops Level 0 entirely and keeps a
@@ -19,6 +22,15 @@
 //!
 //! The file may be newline-delimited objects (NDJSON) or a single top-level
 //! array of objects; both forms appear in the paper's workloads.
+//!
+//! Nested-record leaves (`geo.lat`) are scan fields like any other: a leaf
+//! whose tokens are all of one kind — checked over the whole file the first
+//! time a query reads the leaf, then remembered — is served through the same
+//! null-preserving typed fills as the top-level numerics; a leaf of mixed
+//! kinds is read token by token, as navigating the materialized record would.
+//! Every path is resolved against the index once per `generate` call
+//! ([`JsonStructuralIndex::resolve`]); on deterministic layouts the per-value
+//! lookup is then an array index, not a hash of the path string.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -27,7 +39,10 @@ use bytes::Bytes;
 use proteus_algebra::{DataType, Field, Record, Schema, Value};
 use proteus_storage::{MemoryManager, SourceFormat};
 
-use crate::api::{BadRowPolicy, FieldAccessor, InputPlugin, Oid, ScanAccessors, UnnestCursor};
+use crate::api::{
+    BadRowPolicy, ExpandAccessors, ExpandOutput, FieldAccessor, InputPlugin, Oid, ScanAccessors,
+    TypedColumn, TypedExpand, TypedFill, TypedKind,
+};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
 use crate::zonemap::{derive_zone_maps, ZoneMap};
@@ -116,19 +131,51 @@ impl JsonStructuralIndex {
         level1 + level0 + shared
     }
 
-    /// Finds the Level-1 entry for a dotted path within an object.
-    pub fn lookup(&self, oid: usize, path: &str) -> Option<TokenEntry> {
+    /// Resolves a dotted path against the index once, so the per-object
+    /// lookups that follow skip the path-string hash.
+    pub fn resolve(&self, path: &str) -> PathSlot {
+        match &self.shared_layout {
+            Some(shared) => shared
+                .get(path)
+                .map_or(PathSlot::Absent, |slot| PathSlot::Fixed(*slot)),
+            None => PathSlot::PerObject,
+        }
+    }
+
+    /// Finds the Level-1 entry of a [resolved](Self::resolve) path within an
+    /// object. A key an object repeats reads as its last occurrence, on both
+    /// layouts (what `Record::set` does when the object is materialized).
+    pub fn lookup_resolved(&self, oid: usize, path: &str, slot: PathSlot) -> Option<TokenEntry> {
         let object = self.objects.get(oid)?;
-        let slot = match &self.shared_layout {
-            Some(shared) => *shared.get(path)?,
-            None => object
+        let slot = match slot {
+            PathSlot::Fixed(slot) => slot,
+            PathSlot::Absent => return None,
+            PathSlot::PerObject => object
                 .level0
                 .iter()
+                .rev()
                 .find(|(p, _)| p == path)
                 .map(|(_, slot)| *slot)?,
         };
         object.entries.get(slot as usize).copied()
     }
+
+    /// Finds the Level-1 entry for a dotted path within an object.
+    pub fn lookup(&self, oid: usize, path: &str) -> Option<TokenEntry> {
+        self.lookup_resolved(oid, path, self.resolve(path))
+    }
+}
+
+/// Where a dotted path lives, resolved once per dataset instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathSlot {
+    /// Deterministic layout: the path's Level-1 slot, the same in every
+    /// object.
+    Fixed(u32),
+    /// Deterministic layout, and no object has the path.
+    Absent,
+    /// Level 0 was kept: each object's own path list is searched.
+    PerObject,
 }
 
 // ---------------------------------------------------------------------------
@@ -292,33 +339,143 @@ impl<'a> JsonParser<'a> {
     }
 
     /// Parses the string starting at the current position (returning its
-    /// unescaped contents).
+    /// unescaped contents): unescaped spans are copied as UTF-8 and `\uXXXX`
+    /// escapes decode, surrogate pairs included. Lenient where the file was
+    /// only skipped over at registration: invalid UTF-8, a lone surrogate or
+    /// malformed hex digits read as U+FFFD, an unknown escape as its letter.
     fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
-        while let Some(c) = self.peek() {
-            self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
+        loop {
+            let span = self.pos;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.pos += 1;
+            }
+            out.push_str(&String::from_utf8_lossy(&self.data[span..self.pos]));
+            match self.peek() {
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(_) => {
+                    self.pos += 1;
                     let esc = self.peek().ok_or_else(|| self.error("bad escape"))?;
                     self.pos += 1;
-                    match esc {
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            // Keep \uXXXX escapes verbatim (sufficient for the
-                            // synthetic workloads; avoids full UTF-16 handling).
-                            out.push_str("\\u");
-                        }
-                        other => out.push(other as char),
-                    }
+                    out.push(match esc {
+                        b'n' => '\n',
+                        b't' => '\t',
+                        b'r' => '\r',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'u' => self.unicode_escape(),
+                        other => other as char,
+                    });
                 }
-                other => out.push(other as char),
+                None => return Err(self.error("unterminated string")),
             }
         }
-        Err(self.error("unterminated string"))
+    }
+
+    /// The four hex digits of a `\uXXXX` escape (the parser stands right
+    /// after the `u`); `None`, consuming nothing, when they are malformed.
+    fn hex4(&mut self) -> Option<u32> {
+        let digits = self.data.get(self.pos..self.pos + 4)?;
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return None;
+        }
+        let code = u32::from_str_radix(std::str::from_utf8(digits).ok()?, 16).ok()?;
+        self.pos += 4;
+        Some(code)
+    }
+
+    /// Decodes the `\uXXXX` escape whose digits start at the parser position,
+    /// pairing a high surrogate with the `\uXXXX` low surrogate after it.
+    fn unicode_escape(&mut self) -> char {
+        let Some(high) = self.hex4() else {
+            return char::REPLACEMENT_CHARACTER;
+        };
+        let mut code = high;
+        if (0xd800..0xdc00).contains(&high) && self.data[self.pos..].starts_with(b"\\u") {
+            let rewind = self.pos;
+            self.pos += 2;
+            match self.hex4() {
+                Some(low) if (0xdc00..0xe000).contains(&low) => {
+                    code = 0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00);
+                }
+                _ => self.pos = rewind,
+            }
+        }
+        char::from_u32(code).unwrap_or(char::REPLACEMENT_CHARACTER)
+    }
+
+    /// Reads one collection element standing at the parser position and
+    /// skips past it: `tokens[i]` becomes the token of leaf `leaves[i]`
+    /// (`""` is the element itself), `None` where the element is not a
+    /// record or lacks the key. A key the element repeats keeps its last
+    /// value, as `Record::set` does.
+    fn element_tokens(
+        &mut self,
+        leaves: &[String],
+        tokens: &mut [Option<TokenEntry>],
+    ) -> Result<()> {
+        tokens.fill(None);
+        self.skip_ws();
+        let whole = if self.peek() == Some(b'{') {
+            let start = self.pos as u64;
+            self.pos += 1;
+            self.skip_ws();
+            if self.peek() == Some(b'}') {
+                self.pos += 1;
+            } else {
+                loop {
+                    self.skip_ws();
+                    let key_at = self.pos;
+                    self.skip_string()?;
+                    let raw = &self.data[key_at + 1..self.pos - 1];
+                    // Keys almost never carry escapes: compare the raw bytes
+                    // and unescape only the ones that do.
+                    let unescaped = if raw.contains(&b'\\') {
+                        Some(JsonParser::new(self.data, key_at).parse_string()?)
+                    } else {
+                        None
+                    };
+                    self.skip_ws();
+                    self.expect(b':')?;
+                    let value = self.skip_value()?;
+                    for (leaf, token) in leaves.iter().zip(tokens.iter_mut()) {
+                        let hit = match &unescaped {
+                            Some(key) => key == leaf,
+                            None => raw == leaf.as_bytes(),
+                        };
+                        if hit && !leaf.is_empty() {
+                            *token = Some(value);
+                        }
+                    }
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => self.pos += 1,
+                        Some(b'}') => {
+                            self.pos += 1;
+                            break;
+                        }
+                        _ => return Err(self.error("expected ',' or '}'")),
+                    }
+                }
+            }
+            TokenEntry {
+                start,
+                end: self.pos as u64,
+                token_type: TokenType::Object,
+            }
+        } else {
+            self.skip_value()?
+        };
+        for (leaf, token) in leaves.iter().zip(tokens.iter_mut()) {
+            if leaf.is_empty() {
+                *token = Some(whole);
+            }
+        }
+        Ok(())
     }
 
     /// Fully parses one JSON value into a [`Value`].
@@ -631,6 +788,33 @@ struct JsonInner {
     /// Lazily derived per-morsel zone maps (one extra parse pass per column,
     /// memoized for the plug-in's lifetime).
     zone_maps: std::sync::Mutex<HashMap<String, Arc<ZoneMap>>>,
+    /// The lane kind of every nested leaf queries have read so far, from a
+    /// walk over every token the file holds for it; `None` = the tokens are
+    /// of two kinds, or of one no lane represents. Memoized per leaf, like
+    /// the zone maps, so any later set of known leaves is a lookup.
+    lane_kinds: std::sync::Mutex<HashMap<LaneKey, Option<TypedKind>>>,
+}
+
+/// A leaf and where it lives: in the elements of the collection at a path,
+/// or (`None`) in the objects themselves, as a dotted path (`geo.lat`).
+type LaneKey = (Option<String>, String);
+
+/// A field path bound to one dataset's index: resolved once (by `generate`,
+/// by the expand hook), so each per-value lookup is an array index on
+/// deterministic layouts and a Level-0 search otherwise.
+#[derive(Clone)]
+struct BoundPath {
+    dotted: String,
+    slot: PathSlot,
+}
+
+/// What one leaf token says about the lane that has to hold it.
+enum LaneEvidence {
+    /// Missing or `null`: any lane holds it as a null bit.
+    Nothing,
+    Kind(TypedKind),
+    /// A record, an array, or a number that does not parse.
+    Unrepresentable,
 }
 
 /// The JSON input plug-in.
@@ -695,6 +879,7 @@ impl JsonPlugin {
                 stats,
                 bad_rows,
                 zone_maps: Default::default(),
+                lane_kinds: Default::default(),
             }),
         })
     }
@@ -724,10 +909,9 @@ impl JsonPlugin {
                     Ok(text.parse::<i64>().map(Value::Int).unwrap_or(Value::Null))
                 }
             }
-            TokenType::String => {
-                let mut parser = JsonParser::new(&inner.data, entry.start as usize);
-                Ok(Value::Str(parser.parse_string()?))
-            }
+            TokenType::String => JsonParser::new(&inner.data, entry.start as usize)
+                .parse_string()
+                .map(Value::Str),
             TokenType::Object | TokenType::Array => parse_json_value(slice),
         }
     }
@@ -742,15 +926,255 @@ impl JsonPlugin {
         Ok(self.inner.index.lookup(oid as usize, dotted))
     }
 
+    fn bind(&self, dotted: &str) -> BoundPath {
+        BoundPath {
+            dotted: dotted.to_string(),
+            slot: self.inner.index.resolve(dotted),
+        }
+    }
+
+    /// The token at a bound path (`None` for a missing field or an OID past
+    /// the end).
+    fn token(&self, oid: Oid, path: &BoundPath) -> Option<TokenEntry> {
+        self.inner
+            .index
+            .lookup_resolved(oid as usize, &path.dotted, path.slot)
+    }
+
+    fn token_bytes(&self, entry: TokenEntry) -> &[u8] {
+        &self.inner.data[entry.start as usize..entry.end as usize]
+    }
+
     /// Raw token text of a numeric field, or `None` when the field is
     /// missing or holds a non-number token (e.g. `null`) — the shared miss
     /// definition of the nullable numeric accessors and typed fills.
-    fn numeric_field_text(&self, oid: Oid, dotted: &str) -> Option<&str> {
-        let entry = self.lookup_path(oid, dotted).ok().flatten()?;
+    fn numeric_field_text(&self, oid: Oid, path: &BoundPath) -> Option<&str> {
+        let entry = self.token(oid, path)?;
         if entry.token_type != TokenType::Number {
             return None;
         }
-        std::str::from_utf8(&self.inner.data[entry.start as usize..entry.end as usize]).ok()
+        std::str::from_utf8(self.token_bytes(entry)).ok()
+    }
+
+    fn int_at(&self, oid: Oid, path: &BoundPath) -> Option<i64> {
+        self.numeric_field_text(oid, path)?.trim().parse().ok()
+    }
+
+    fn float_at(&self, oid: Oid, path: &BoundPath) -> Option<f64> {
+        self.numeric_field_text(oid, path)?.trim().parse().ok()
+    }
+
+    /// The unescaped text of a string token; `None` for any other token.
+    fn string_token(&self, entry: TokenEntry) -> Option<String> {
+        if entry.token_type != TokenType::String {
+            return None;
+        }
+        JsonParser::new(&self.inner.data, entry.start as usize)
+            .parse_string()
+            .ok()
+    }
+
+    fn string_at(&self, oid: Oid, path: &BoundPath) -> Option<String> {
+        self.string_token(self.token(oid, path)?)
+    }
+
+    /// The null-preserving accessor / typed-fill pair of one field: both are
+    /// the same `read`, so a missing field, a `null` and a token of another
+    /// type are `Value::Null` on the row-major path and a null bit in the
+    /// typed column — aggregates skip them identically in both tiers.
+    fn nullable_field<T: 'static>(
+        &self,
+        path: BoundPath,
+        kind: TypedKind,
+        read: impl Fn(&JsonPlugin, Oid, &BoundPath) -> Option<T> + Copy + Send + Sync + 'static,
+        push: impl Fn(&mut TypedColumn, T) + Send + Sync + 'static,
+        wrap: impl Fn(T) -> Value + Send + Sync + 'static,
+    ) -> (FieldAccessor, Option<(TypedKind, TypedFill)>) {
+        let (plugin, fill_path) = (self.clone(), path.clone());
+        let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
+            out.begin(kind, count);
+            for oid in start..start + count as Oid {
+                match read(&plugin, oid, &fill_path) {
+                    Some(v) => push(out, v),
+                    None => out.push_null(),
+                }
+            }
+        });
+        let plugin = self.clone();
+        let accessor = FieldAccessor::Generic(Arc::new(move |oid| {
+            read(&plugin, oid, &path).map_or(Value::Null, &wrap)
+        }));
+        (accessor, Some((kind, fill)))
+    }
+
+    /// Visits the elements of one object's collection in order, handing each
+    /// element's leaf tokens (see `JsonParser::element_tokens`) to `visit`.
+    /// Mirrors what unnesting the collection's `Value` yields: a missing
+    /// field or `null` has no elements, an array has its items, and anything
+    /// else — a scalar or a record where an array was expected — is a
+    /// collection of one.
+    fn for_each_element(
+        &self,
+        oid: Oid,
+        collection: &BoundPath,
+        leaves: &[String],
+        tokens: &mut [Option<TokenEntry>],
+        mut visit: impl FnMut(&[Option<TokenEntry>]),
+    ) {
+        let Some(entry) = self.token(oid, collection) else {
+            return;
+        };
+        let mut parser = JsonParser::new(&self.inner.data, entry.start as usize);
+        match entry.token_type {
+            TokenType::Null => {}
+            TokenType::Array => {
+                parser.pos += 1;
+                loop {
+                    parser.skip_ws();
+                    match parser.peek() {
+                        Some(b',') => parser.pos += 1,
+                        Some(b']') | None => break,
+                        // The array was validated when the index was built;
+                        // an element that does not parse ends the walk.
+                        Some(_) => match parser.element_tokens(leaves, tokens) {
+                            Ok(()) => visit(tokens),
+                            Err(_) => break,
+                        },
+                    }
+                }
+            }
+            _ => {
+                if parser.element_tokens(leaves, tokens).is_ok() {
+                    visit(tokens);
+                }
+            }
+        }
+    }
+
+    fn lane_evidence(&self, token: Option<TokenEntry>) -> LaneEvidence {
+        let Some(entry) = token else {
+            return LaneEvidence::Nothing;
+        };
+        match entry.token_type {
+            TokenType::Null => LaneEvidence::Nothing,
+            TokenType::Bool => LaneEvidence::Kind(TypedKind::Bool),
+            TokenType::String => LaneEvidence::Kind(TypedKind::Str),
+            TokenType::Object | TokenType::Array => LaneEvidence::Unrepresentable,
+            // The split `parse_value` makes: a fraction or an exponent is a
+            // float, anything else must fit an `i64`.
+            TokenType::Number => match std::str::from_utf8(self.token_bytes(entry)) {
+                Ok(text) if text.contains(['.', 'e', 'E']) => match text.parse::<f64>() {
+                    Ok(_) => LaneEvidence::Kind(TypedKind::F64),
+                    Err(_) => LaneEvidence::Unrepresentable,
+                },
+                Ok(text) if text.parse::<i64>().is_ok() => LaneEvidence::Kind(TypedKind::I64),
+                _ => LaneEvidence::Unrepresentable,
+            },
+        }
+    }
+
+    /// The lane kind of each requested leaf — of the elements of
+    /// `collection`, or of the objects themselves (dotted paths) when there
+    /// is none — or `None` where the leaf's tokens are of two kinds (an int
+    /// and a float count as two) or of one no lane holds. A leaf nothing
+    /// ever sets is an all-null integer lane. Leaves not met before cost one
+    /// walk over the file, on the compiling thread; verdicts are kept per
+    /// leaf, so a leaf is walked for once only, whatever it is asked with.
+    fn lane_kinds(
+        &self,
+        collection: Option<&BoundPath>,
+        leaves: &[String],
+    ) -> Vec<Option<TypedKind>> {
+        let key = |leaf: &String| (collection.map(|c| c.dotted.clone()), leaf.clone());
+        let memo = || {
+            self.inner
+                .lane_kinds
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+        };
+        let known = memo();
+        let unknown: Vec<String> = leaves
+            .iter()
+            .filter(|leaf| !known.contains_key(&key(leaf)))
+            .cloned()
+            .collect();
+        drop(known);
+        if !unknown.is_empty() {
+            // Per unknown leaf: the one kind seen so far, and whether that
+            // still describes every token.
+            let mut seen: Vec<Option<TypedKind>> = vec![None; unknown.len()];
+            let mut uniform = vec![true; unknown.len()];
+            let mut observe = |tokens: &[Option<TokenEntry>]| {
+                for (i, token) in tokens.iter().enumerate() {
+                    match self.lane_evidence(*token) {
+                        LaneEvidence::Nothing => {}
+                        LaneEvidence::Kind(kind) if seen[i].is_none_or(|s| s == kind) => {
+                            seen[i] = Some(kind)
+                        }
+                        _ => uniform[i] = false,
+                    }
+                }
+            };
+            let mut tokens = vec![None; unknown.len()];
+            let paths: Vec<BoundPath> = match collection {
+                Some(_) => Vec::new(),
+                None => unknown.iter().map(|leaf| self.bind(leaf)).collect(),
+            };
+            for oid in 0..self.len() {
+                match collection {
+                    Some(collection) => {
+                        self.for_each_element(oid, collection, &unknown, &mut tokens, &mut observe)
+                    }
+                    None => {
+                        for (token, path) in tokens.iter_mut().zip(&paths) {
+                            *token = self.token(oid, path);
+                        }
+                        observe(&tokens);
+                    }
+                }
+            }
+            let mut memo = memo();
+            for (i, leaf) in unknown.iter().enumerate() {
+                let kind = uniform[i].then(|| seen[i].unwrap_or(TypedKind::I64));
+                memo.insert(key(leaf), kind);
+            }
+        }
+        let memo = memo();
+        leaves.iter().map(|leaf| memo[&key(leaf)]).collect()
+    }
+
+    /// Appends one leaf token to its lane. `lane_kinds` vouched that every
+    /// token in the file is null or of the lane's kind; anything else could
+    /// only be a null bit.
+    fn push_token(&self, lane: &mut TypedColumn, token: Option<TokenEntry>) {
+        let text = |entry: TokenEntry| std::str::from_utf8(self.token_bytes(entry)).ok();
+        let pushed = token.is_some_and(|entry| match (lane.kind(), entry.token_type) {
+            (TypedKind::I64, TokenType::Number) => text(entry)
+                .and_then(|t| t.parse().ok())
+                .map(|v| lane.push_i64(v))
+                .is_some(),
+            (TypedKind::F64, TokenType::Number) => text(entry)
+                .and_then(|t| t.parse().ok())
+                .map(|v| lane.push_f64(v))
+                .is_some(),
+            (TypedKind::Bool, TokenType::Bool) => {
+                lane.push_bool(self.token_bytes(entry).starts_with(b"true"));
+                true
+            }
+            (TypedKind::Str, TokenType::String) => {
+                let bytes = self.token_bytes(entry);
+                match std::str::from_utf8(&bytes[1..bytes.len() - 1]) {
+                    // No escapes: intern the bytes of the file in place.
+                    Ok(plain) if !plain.contains('\\') => lane.push_str(plain),
+                    _ => lane.push_str(&self.string_token(entry).unwrap_or_default()),
+                }
+                true
+            }
+            _ => false,
+        });
+        if !pushed {
+            lane.push_null();
+        }
     }
 }
 
@@ -833,8 +1257,9 @@ fn collect_stats(data: &[u8], index: &JsonStructuralIndex, schema: &Schema) -> D
             continue;
         }
         let mut collector = StatsCollector::new();
+        let slot = index.resolve(&field.name);
         for oid in 0..index.object_count() {
-            if let Some(entry) = index.lookup(oid, &field.name) {
+            if let Some(entry) = index.lookup_resolved(oid, &field.name, slot) {
                 let slice = &data[entry.start as usize..entry.end as usize];
                 let text = std::str::from_utf8(slice).unwrap_or("").trim();
                 let value = if matches!(field.data_type, DataType::Float) {
@@ -874,105 +1299,97 @@ impl InputPlugin for JsonPlugin {
         })?;
         let mut accessors = Vec::with_capacity(fields.len());
         let mut typed_fields = Vec::new();
+        // Nested-record leaves (`geo.lat`): Level 0 indexes them like
+        // top-level fields, so a leaf whose tokens are all of one kind is
+        // typed and served like one. Any other leaf is read token by token,
+        // dynamically — what navigating the materialized record yields.
+        let nested_leaves: Vec<String> = fields
+            .iter()
+            .filter(|field| field.contains('.') && self.inner.schema.field(field).is_none())
+            .cloned()
+            .collect();
+        let mut leaf_kinds = self.lane_kinds(None, &nested_leaves).into_iter();
         for field in fields {
-            let data_type = self
-                .inner
-                .schema
-                .field(field)
-                .map(|f| f.data_type.clone())
-                .unwrap_or(DataType::Any);
-            let plugin = self.clone();
-            let dotted = field.clone();
-            let accessor = match data_type {
-                // Numeric fields are null-preserving on *both* paths: the
-                // row-major accessor yields `Value::Null` for a missing
-                // field or a `null` token (matching `read_value` and what
-                // the row/document baselines load), and the hand-built
-                // typed fill lands the same misses in the typed column's
-                // packed null bitmap — so aggregates skip them identically
-                // in the closure and kernel tiers.
-                DataType::Int => {
-                    let fill_plugin = self.clone();
-                    let fill_path = field.clone();
-                    let fill: crate::api::TypedFill =
-                        Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
-                            out.begin(crate::api::TypedKind::I64, count);
-                            for oid in start..start + count as Oid {
-                                match fill_plugin
-                                    .numeric_field_text(oid, &fill_path)
-                                    .and_then(|s| s.trim().parse::<i64>().ok())
-                                {
-                                    Some(v) => out.push_i64(v),
-                                    None => out.push_null(),
-                                }
-                            }
-                        });
-                    typed_fields.push((field.clone(), crate::api::TypedKind::I64, fill));
-                    FieldAccessor::Generic(Arc::new(move |oid| {
-                        plugin
-                            .numeric_field_text(oid, &dotted)
-                            .and_then(|s| s.trim().parse::<i64>().ok())
-                            .map(Value::Int)
-                            .unwrap_or(Value::Null)
-                    }))
-                }
-                DataType::Float => {
-                    let fill_plugin = self.clone();
-                    let fill_path = field.clone();
-                    let fill: crate::api::TypedFill =
-                        Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
-                            out.begin(crate::api::TypedKind::F64, count);
-                            for oid in start..start + count as Oid {
-                                match fill_plugin
-                                    .numeric_field_text(oid, &fill_path)
-                                    .and_then(|s| s.trim().parse::<f64>().ok())
-                                {
-                                    Some(v) => out.push_f64(v),
-                                    None => out.push_null(),
-                                }
-                            }
-                        });
-                    typed_fields.push((field.clone(), crate::api::TypedKind::F64, fill));
-                    FieldAccessor::Generic(Arc::new(move |oid| {
-                        plugin
-                            .numeric_field_text(oid, &dotted)
-                            .and_then(|s| s.trim().parse::<f64>().ok())
-                            .map(Value::Float)
-                            .unwrap_or(Value::Null)
-                    }))
-                }
-                DataType::String => FieldAccessor::Str(Arc::new(move |oid| {
-                    plugin
-                        .lookup_path(oid, &dotted)
-                        .ok()
-                        .flatten()
-                        .and_then(|e| plugin.entry_value(e).ok())
-                        .and_then(|v| match v {
-                            Value::Str(s) => Some(s),
-                            _ => None,
-                        })
-                        .unwrap_or_default()
-                })),
-                _ => FieldAccessor::Generic(Arc::new(move |oid| {
-                    plugin
-                        .lookup_path(oid, &dotted)
-                        .ok()
-                        .flatten()
-                        .and_then(|e| plugin.entry_value(e).ok())
-                        .unwrap_or(Value::Null)
-                })),
+            let nested = field.contains('.');
+            let data_type = match self.inner.schema.field(field) {
+                Some(f) => f.data_type.clone(),
+                None if nested => match leaf_kinds.next().flatten() {
+                    Some(TypedKind::I64) => DataType::Int,
+                    Some(TypedKind::F64) => DataType::Float,
+                    Some(TypedKind::Str) => DataType::String,
+                    Some(TypedKind::Bool) => DataType::Bool,
+                    None => DataType::Any,
+                },
+                None => DataType::Any,
             };
+            let path = self.bind(field);
+            let plugin = self.clone();
+            let (accessor, typed) = match data_type {
+                DataType::Int => self.nullable_field(
+                    path,
+                    TypedKind::I64,
+                    JsonPlugin::int_at,
+                    TypedColumn::push_i64,
+                    Value::Int,
+                ),
+                DataType::Float => self.nullable_field(
+                    path,
+                    TypedKind::F64,
+                    JsonPlugin::float_at,
+                    TypedColumn::push_f64,
+                    Value::Float,
+                ),
+                // A nested string leaf is often absent: keep the null that
+                // reading it out of the whole record would have produced.
+                DataType::String if nested => self.nullable_field(
+                    path,
+                    TypedKind::Str,
+                    JsonPlugin::string_at,
+                    |col: &mut TypedColumn, s: String| col.push_str(&s),
+                    Value::Str,
+                ),
+                DataType::String => (
+                    FieldAccessor::Str(Arc::new(move |oid| {
+                        plugin.string_at(oid, &path).unwrap_or_default()
+                    })),
+                    None,
+                ),
+                _ => (
+                    FieldAccessor::Generic(Arc::new(move |oid| {
+                        plugin
+                            .token(oid, &path)
+                            .and_then(|e| plugin.entry_value(e).ok())
+                            .unwrap_or(Value::Null)
+                    })),
+                    None,
+                ),
+            };
+            if let Some((kind, fill)) = typed {
+                typed_fields.push((field.clone(), kind, fill));
+            }
             accessors.push((field.clone(), accessor));
         }
-        let access_path = if self.inner.index.is_deterministic() {
-            "json(structural-index, deterministic layout, level-0 dropped)".to_string()
+        let mut access_path = if self.inner.index.is_deterministic() {
+            "json(structural-index, deterministic layout, level-0 dropped".to_string()
         } else {
-            "json(structural-index level-0 + level-1)".to_string()
+            "json(structural-index level-0 + level-1".to_string()
         };
+        let typed_leaves: Vec<&str> = typed_fields
+            .iter()
+            .filter(|(name, _, _)| name.contains('.'))
+            .map(|(name, _, _)| name.as_str())
+            .collect();
+        if !typed_leaves.is_empty() {
+            access_path.push_str(&format!(
+                "; typed nested leaves [{}]",
+                typed_leaves.join(", ")
+            ));
+        }
+        access_path.push(')');
         // Morsel path: one structural-index walk per value but one accessor
-        // dispatch per (field, morsel). String fields get accessor-derived
-        // typed fills; the hand-built nullable Int/Float fills are appended
-        // on top; bool/nested fields stay on the closure path.
+        // dispatch per (field, morsel). Top-level string fields get
+        // accessor-derived typed fills; the null-preserving fills are
+        // appended on top; bool/record/array fields stay on the closure path.
         let mut scan = ScanAccessors::from_accessors(self.len(), accessors, access_path)
             .with_bad_rows(self.inner.bad_rows);
         scan.typed_fields.extend(typed_fields);
@@ -1009,19 +1426,42 @@ impl InputPlugin for JsonPlugin {
         }
     }
 
-    fn unnest_init(&self, oid: Oid, path: &[String]) -> Result<UnnestCursor> {
-        let dotted = path.join(".");
-        let entry = self.lookup_path(oid, &dotted)?;
-        match entry {
-            Some(entry) if entry.token_type == TokenType::Array => {
-                let value = self.entry_value(entry)?;
-                match value {
-                    Value::List(items) => Ok(UnnestCursor::new(items)),
-                    _ => Ok(UnnestCursor::new(Vec::new())),
+    fn generate_expand(&self, path: &str, leaves: &[String]) -> Option<ExpandAccessors> {
+        let collection = self.bind(path);
+        let kinds: Vec<TypedKind> = self
+            .lane_kinds(Some(&collection), leaves)
+            .into_iter()
+            .collect::<Option<_>>()?;
+        let (plugin, leaves, lane_kinds) = (self.clone(), leaves.to_vec(), kinds.clone());
+        // The expander decodes like a fill does: same chaos-harness site.
+        let faults_armed = crate::fault::armed();
+        let expand: TypedExpand = Arc::new(move |start, rows, outer, out: &mut ExpandOutput| {
+            if faults_armed {
+                crate::fault::check_infallible("json.decode");
+            }
+            out.parents.clear();
+            out.lanes
+                .resize_with(lane_kinds.len(), || TypedColumn::new(TypedKind::I64));
+            for (lane, kind) in out.lanes.iter_mut().zip(&lane_kinds) {
+                lane.begin(*kind, rows.len());
+            }
+            let mut tokens = vec![None; leaves.len()];
+            for &row in rows {
+                let before = out.parents.len();
+                let oid = start + Oid::from(row);
+                plugin.for_each_element(oid, &collection, &leaves, &mut tokens, |tokens| {
+                    out.parents.push(row);
+                    for (lane, token) in out.lanes.iter_mut().zip(tokens) {
+                        plugin.push_token(lane, *token);
+                    }
+                });
+                if outer && out.parents.len() == before {
+                    out.parents.push(row);
+                    out.lanes.iter_mut().for_each(TypedColumn::push_null);
                 }
             }
-            Some(_) | None => Ok(UnnestCursor::new(Vec::new())),
-        }
+        });
+        Some(ExpandAccessors { kinds, expand })
     }
 
     fn statistics(&self) -> DatasetStats {
@@ -1109,24 +1549,239 @@ mod tests {
         assert_eq!(plugin.read_value(0, "missing").unwrap(), Value::Null);
     }
 
+    /// Runs the expand hook over every object of `plugin` and renders what
+    /// it appended as `(parent row, lane values)` entries.
+    fn expand_all(
+        plugin: &JsonPlugin,
+        path: &str,
+        leaves: &[&str],
+        outer: bool,
+    ) -> Option<Vec<(u32, Vec<Value>)>> {
+        let leaves: Vec<String> = leaves.iter().map(|l| l.to_string()).collect();
+        let hook = plugin.generate_expand(path, &leaves)?;
+        assert_eq!(hook.kinds.len(), leaves.len());
+        let rows: Vec<u32> = (0..plugin.len() as u32).collect();
+        let mut out = ExpandOutput::default();
+        (hook.expand)(0, &rows, outer, &mut out);
+        assert!(out.lanes.iter().all(|lane| lane.len() == out.parents.len()));
+        for (lane, kind) in out.lanes.iter().zip(&hook.kinds) {
+            assert_eq!(lane.kind(), *kind);
+        }
+        Some(
+            out.parents
+                .iter()
+                .enumerate()
+                .map(|(i, parent)| (*parent, out.lanes.iter().map(|l| l.value_at(i)).collect()))
+                .collect(),
+        )
+    }
+
     #[test]
-    fn unnest_iterates_array_elements() {
+    fn expand_renders_element_leaves_as_typed_lanes() {
         let plugin =
             JsonPlugin::from_bytes("fig4", Bytes::from(figure_4_object().to_string())).unwrap();
-        let cursor = plugin.unnest_init(0, &["e".to_string()]).unwrap();
-        let items: Vec<Value> = cursor.collect();
-        assert_eq!(items, vec![Value::Int(10), Value::Int(20), Value::Int(30)]);
-        let cursor = plugin.unnest_init(0, &["f".to_string()]).unwrap();
-        assert_eq!(cursor.count(), 2);
-        // Unnesting a non-array or missing field yields an empty cursor.
+        // Scalar elements are their own lane.
         assert_eq!(
-            plugin.unnest_init(0, &["a".to_string()]).unwrap().count(),
-            0
+            expand_all(&plugin, "e", &[""], false).unwrap(),
+            vec![
+                (0, vec![Value::Int(10)]),
+                (0, vec![Value::Int(20)]),
+                (0, vec![Value::Int(30)])
+            ]
         );
+        // Record elements: one lane per requested leaf, missing → null.
         assert_eq!(
-            plugin.unnest_init(0, &["zzz".to_string()]).unwrap().count(),
-            0
+            expand_all(&plugin, "f", &["x", "nope"], false).unwrap(),
+            vec![
+                (0, vec![Value::Int(1), Value::Null]),
+                (0, vec![Value::Int(2), Value::Null])
+            ]
         );
+        // No leaves: the parent index alone.
+        assert_eq!(expand_all(&plugin, "f", &[], false).unwrap().len(), 2);
+        // A scalar where an array is expected is a collection of one; a
+        // missing field has no elements, one all-null entry when outer.
+        assert_eq!(
+            expand_all(&plugin, "a", &[""], false).unwrap(),
+            vec![(0, vec![Value::Int(1)])]
+        );
+        assert_eq!(expand_all(&plugin, "zzz", &["x"], false).unwrap(), vec![]);
+        assert_eq!(
+            expand_all(&plugin, "zzz", &["x"], true).unwrap(),
+            vec![(0, vec![Value::Null])]
+        );
+        // Records as the lane itself, or a nested path, are not representable.
+        assert!(expand_all(&plugin, "f", &[""], false).is_none());
+        assert!(expand_all(&plugin, "c", &["d"], false).is_none());
+    }
+
+    #[test]
+    fn expand_agrees_with_unnesting_the_materialized_value() {
+        // Odd whitespace, `]`/`}`/`\"` inside strings, duplicate and
+        // reordered keys, nested containers, non-record elements, nulls.
+        let data = r#"{"id": 0, "items": [ {"qty": 1, "sku": "a]b"} ,{"sku":"q\"}","qty":2}]}
+{"id": 1, "items": []}
+{"id": 2}
+{"id": 3, "items": null}
+{"id": 4, "items": [{"qty": 3, "qty": 4, "sub": {"qty": [9]}}, 7, null, {"sku": null}]}
+{"id": 5, "items": {"qty": 5, "sku": "one"}}
+{"id": 6, "items": [{"sku": "caf\u00e9 \ud83d\ude00", "qty": 6}]}"#;
+        let plugin = JsonPlugin::from_bytes("t", Bytes::from(data.to_string())).unwrap();
+        assert!(!plugin.structural_index().is_deterministic());
+        let got = expand_all(&plugin, "items", &["qty", "sku"], false).unwrap();
+        let mut expected = Vec::new();
+        for oid in 0..plugin.len() {
+            let items = match plugin.read_value(oid, "items").unwrap() {
+                Value::List(items) => items,
+                Value::Null => Vec::new(),
+                other => vec![other],
+            };
+            for item in items {
+                let leaf = |name: &str| item.navigate(&[name.to_string()]);
+                expected.push((oid as u32, vec![leaf("qty"), leaf("sku")]));
+            }
+        }
+        assert_eq!(got, expected);
+        assert_eq!(got.len(), 8);
+        assert_eq!(got[2], (4, vec![Value::Int(4), Value::Null]));
+        assert_eq!(got[7].1[1], Value::Str("café 😀".into()));
+    }
+
+    #[test]
+    fn expand_declines_lanes_of_mixed_kinds() {
+        let mixed = |leaf: &str| format!("{{\"items\": [{{\"v\": 1}}, {{\"v\": {leaf}}}]}}");
+        for unrepresentable in ["1.5", "\"s\"", "true", "[1]", "{}", "99999999999999999999"] {
+            let plugin = JsonPlugin::from_bytes("t", Bytes::from(mixed(unrepresentable))).unwrap();
+            assert!(
+                plugin
+                    .generate_expand("items", &["v".to_string()])
+                    .is_none(),
+                "{unrepresentable}"
+            );
+            // Leaves nobody mixes still expand, and the verdict is memoized.
+            assert!(plugin
+                .generate_expand("items", &["w".to_string()])
+                .is_some());
+            assert!(plugin
+                .generate_expand("items", &["v".to_string()])
+                .is_none());
+        }
+        let plugin = JsonPlugin::from_bytes("t", Bytes::from(mixed("null"))).unwrap();
+        assert!(plugin
+            .generate_expand("items", &["v".to_string()])
+            .is_some());
+    }
+
+    #[test]
+    fn strings_decode_utf8_and_unicode_escapes() {
+        // Regression: bytes were pushed `as char` (`cafÃ©`) and `\uXXXX`
+        // kept verbatim, so `WHERE name = 'café'` never matched.
+        let data = r#"{"name": "café", "u": "\u00e9\ud83d\ude00", "odd": "\ud83dx\u12", "items": [{"s": "naïve \u00fc"}]}"#;
+        let plugin = JsonPlugin::from_bytes("t", Bytes::from(data.to_string())).unwrap();
+        // Row-major accessor and read_value.
+        assert_eq!(
+            plugin.read_value(0, "name").unwrap(),
+            Value::Str("café".into())
+        );
+        assert_eq!(plugin.read_value(0, "u").unwrap(), Value::Str("é😀".into()));
+        // A lone surrogate and malformed digits degrade to U+FFFD, nothing is
+        // dropped after them.
+        assert_eq!(
+            plugin.read_value(0, "odd").unwrap(),
+            Value::Str("\u{fffd}x\u{fffd}12".into())
+        );
+        let scan = plugin
+            .generate(&["name".to_string(), "u".to_string()])
+            .unwrap();
+        assert_eq!(
+            scan.field("name").unwrap().value(0),
+            Value::Str("café".into())
+        );
+        // Typed string fill.
+        let (kind, fill) = scan.typed_field("u").unwrap();
+        let mut col = TypedColumn::new(kind);
+        fill(0, 1, &mut col);
+        assert_eq!(col.value_at(0), Value::Str("é😀".into()));
+        // Element string lane of the expand hook.
+        assert_eq!(
+            expand_all(&plugin, "items", &["s"], false).unwrap(),
+            vec![(0, vec![Value::Str("naïve ü".into())])]
+        );
+        // The whole-value parser decodes the same way.
+        assert_eq!(
+            parse_json_value(br#"["\u00e9", "caf\u00e9\n"]"#).unwrap(),
+            Value::List(vec![Value::Str("é".into()), Value::Str("café\n".into())])
+        );
+    }
+
+    #[test]
+    fn nested_leaves_are_typed_scan_fields() {
+        let mut data = String::new();
+        for i in 0..10 {
+            let lat = if i == 3 {
+                "null".to_string()
+            } else {
+                format!("{}.5", i)
+            };
+            let city = if i % 2 == 0 {
+                format!(", \"city\": \"c{i}\"")
+            } else {
+                String::new()
+            };
+            // Leaves of two kinds, far from the first object: an int leaf
+            // with one float, a string leaf with one int.
+            let m = if i == 8 { "2.5".into() } else { i.to_string() };
+            let s = if i == 9 {
+                "7".into()
+            } else {
+                format!("\"s{i}\"")
+            };
+            data.push_str(&format!(
+                "{{\"id\": {i}, \"geo\": {{\"lat\": {lat}, \"n\": {i}, \"m\": {m}, \"s\": {s}{city}}}}}\n"
+            ));
+        }
+        let plugin = JsonPlugin::from_bytes("t", Bytes::from(data)).unwrap();
+        let fields: Vec<String> = ["geo.lat", "geo.n", "geo.city", "geo.nope", "geo.m", "geo.s"]
+            .iter()
+            .map(|f| f.to_string())
+            .collect();
+        let scan = plugin.generate(&fields).unwrap();
+        assert!(
+            scan.access_path
+                .ends_with("typed nested leaves [geo.lat, geo.n, geo.city, geo.nope])"),
+            "{}",
+            scan.access_path
+        );
+        assert_eq!(scan.typed_field("geo.lat").unwrap().0, TypedKind::F64);
+        assert_eq!(scan.typed_field("geo.n").unwrap().0, TypedKind::I64);
+        assert_eq!(scan.typed_field("geo.city").unwrap().0, TypedKind::Str);
+        // A leaf no object sets is an all-null lane.
+        assert_eq!(scan.typed_field("geo.nope").unwrap().0, TypedKind::I64);
+        // Mixed leaves are not typed: every token reads as what it is.
+        assert!(scan.typed_field("geo.m").is_none() && scan.typed_field("geo.s").is_none());
+        let m = scan.field("geo.m").unwrap();
+        assert_eq!((m.value(7), m.value(8)), (Value::Int(7), Value::Float(2.5)));
+        assert_eq!(scan.field("geo.s").unwrap().value(9), Value::Int(7));
+        // Typed fill ≡ row-major accessor ≡ navigating the whole record.
+        for field in &fields {
+            let accessor = scan.field(field).unwrap();
+            let typed = scan.typed_field(field).map(|(kind, fill)| {
+                let mut col = TypedColumn::new(kind);
+                fill(0, 10, &mut col);
+                col
+            });
+            let leaf = field.split('.').nth(1).unwrap().to_string();
+            for oid in 0..10u64 {
+                let whole = plugin
+                    .read_value(oid, "geo")
+                    .unwrap()
+                    .navigate(std::slice::from_ref(&leaf));
+                assert_eq!(accessor.value(oid), whole, "{field} oid {oid}");
+                if let Some(col) = &typed {
+                    assert_eq!(col.value_at(oid as usize), whole, "{field} oid {oid}");
+                }
+            }
+        }
     }
 
     #[test]

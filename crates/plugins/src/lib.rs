@@ -4,7 +4,8 @@
 //!
 //! Every supported data format is wrapped by an *input plug-in* that exposes
 //! the uniform API of Table 2 (`generate`, `readValue`, `readPath`,
-//! `unnestInit`/`unnestHasNext`/`unnestGetNext`, `hashValue`, `flushValue`)
+//! `unnestInit`/`unnestHasNext`/`unnestGetNext` as one generated, typed
+//! expander, `hashValue`, `flushValue`)
 //! and, crucially, *specializes* its access primitives per query and per
 //! dataset instance:
 //!
@@ -44,8 +45,8 @@ pub mod stats;
 pub mod zonemap;
 
 pub use api::{
-    column_batch_fill, column_typed_fill, BadRowPolicy, BatchFill, FieldAccessor, InputPlugin, Oid,
-    ScanAccessors, TypedColumn, TypedFill, TypedKind, UnnestCursor,
+    column_batch_fill, column_typed_fill, BadRowPolicy, BatchFill, ExpandAccessors, ExpandOutput,
+    FieldAccessor, InputPlugin, Oid, ScanAccessors, TypedColumn, TypedExpand, TypedFill, TypedKind,
 };
 pub use error::{PluginError, Result};
 pub use registry::PluginRegistry;

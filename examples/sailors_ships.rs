@@ -50,15 +50,32 @@ fn main() {
     for row in result.flattened_rows() {
         println!("  {row}");
     }
+    // CI runs this example as its unnest smoke: the answers are pinned.
+    let triples: Vec<String> = result
+        .flattened_rows()
+        .iter()
+        .map(Value::to_string)
+        .collect();
+    assert_eq!(
+        triples,
+        [
+            r#"{s1_id: 1, s2_name: "Calypso", c_name: "ann"}"#,
+            r#"{s1_id: 2, s2_name: "Nautilus", c_name: "eve"}"#
+        ]
+    );
 
     // The same data also answers plain aggregations.
     let adults = engine
         .comprehension("for { s <- Sailor, c <- s.children, c.age > 18 } yield count")
         .unwrap();
     println!("\nadult children across all sailors: {}", adults.rows[0]);
+    assert_eq!(adults.scalar("result"), Some(Value::Int(2)));
 
     let oldest = engine
         .comprehension("for { s <- Sailor, c <- s.children } yield max c.age")
         .unwrap();
     println!("oldest child: {}", oldest.rows[0]);
+    assert_eq!(oldest.scalar("result"), Some(Value::Int(30)));
+    // Both aggregations read one element leaf: they run on the typed unnest.
+    assert!(oldest.ir.contains("typed expand [age]"), "{}", oldest.ir);
 }

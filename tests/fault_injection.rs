@@ -274,6 +274,34 @@ fn decode_faults_surface_structured_errors_in_every_format() {
 }
 
 #[test]
+fn a_decode_fault_inside_the_typed_unnest_is_contained() {
+    let _scope = fault_scope();
+    // The typed unnest reads no scan fill at all — the collection never
+    // becomes a `Value` — so its expand hook is the morsel path's decode
+    // site.
+    let path = scratch("expand_fault").join("t.json");
+    let text: String = (0..50)
+        .map(|i| format!("{{\"id\": {i}, \"items\": [{{\"qty\": {i}}}, {{\"qty\": 1}}]}}\n"))
+        .collect();
+    std::fs::write(&path, text).unwrap();
+    let engine = QueryEngine::new(EngineConfig::without_caching());
+    engine.register_json("t", &path).unwrap();
+    let query = "for { e <- t, i <- e.items, i.qty > 3 } yield count";
+    let healthy = engine.comprehension(query).unwrap();
+    assert!(healthy.ir.contains("typed expand [qty]"), "{}", healthy.ir);
+    assert_eq!(healthy.scalar("result"), Some(Value::Int(46)));
+
+    // Hit 0 is access-path generation; hit 1 is the hook, mid-morsel.
+    fault::configure_after("json.decode", FaultAction::Error, 1);
+    match engine.comprehension(query).unwrap_err() {
+        EngineError::Internal { detail, .. } => assert!(detail.contains("json.decode"), "{detail}"),
+        other => panic!("expected Internal, got {other:?}"),
+    }
+    fault::clear();
+    assert_eq!(engine.comprehension(query).unwrap().rows, healthy.rows);
+}
+
+#[test]
 fn worker_panic_is_contained_and_engine_stays_usable() {
     let _scope = fault_scope();
     let engine = csv_engine("worker_panic", 4 * MORSEL, EngineConfig::without_caching());

@@ -862,3 +862,624 @@ fn group_keys_follow_value_eq_across_morsels() {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Nested JSON: the typed unnest and dotted-leaf scan fields against the
+// closure floor.
+// ---------------------------------------------------------------------------
+
+/// What a nested fixture may contain.
+#[derive(Clone, Copy, PartialEq)]
+enum Fixture {
+    /// Every object spells the same paths in the same order (Level 0 is
+    /// dropped), every lane holds one kind.
+    Deterministic,
+    /// Keys reordered, fields missing, `null` / scalars / records where a
+    /// record / an array is expected — but still one kind per lane.
+    Ragged,
+    /// Ragged, plus leaves whose tokens no single lane kind holds.
+    Mixed,
+}
+
+/// One element of an `items` array, in every spelling the parser has to
+/// see through. `qty` is an int, `price` a float, `sku` a string wherever
+/// they are set at all (unless `mixed`).
+fn nested_element(rng: &mut StdRng, mixed: bool) -> String {
+    let qty = rng.gen_range(0i64..8);
+    let price = rng.gen_range(0i64..40) as f64 * 0.25;
+    let skus = ["a]b", "q\\\"}", "pl,ain", "caf\\u00e9", "naïve", ""];
+    let sku = skus[rng.gen_range(0usize..skus.len())];
+    match rng.gen_range(0u32..if mixed { 14 } else { 11 }) {
+        0 => format!("{{\"qty\": {qty}, \"price\": {price:.2}, \"sku\": \"{sku}\"}}"),
+        // Differing key order, odd whitespace.
+        1 => format!("{{ \"sku\" :\"{sku}\" ,\"price\":{price:.2},\n\t\"qty\" : {qty} }}"),
+        // Elements missing a leaf, or holding `null` for it.
+        2 => format!("{{\"price\": {price:.2}}}"),
+        3 => format!("{{\"qty\": null, \"sku\": null, \"price\": {price:.2}}}"),
+        // A repeated key: the last one wins.
+        4 => format!("{{\"qty\": 99, \"sku\": \"{sku}\", \"qty\": {qty}}}"),
+        // Nested arrays and records inside the element, brackets in strings.
+        5 => format!(
+            "{{\"sub\": {{\"qty\": [9, {{\"a\": \"]\"}}]}}, \"qty\": {qty}, \"arr\": [[1], [2, [3]]]}}"
+        ),
+        // Non-record elements.
+        6 => "7".to_string(),
+        7 => "\"str ] }\"".to_string(),
+        8 => "null".to_string(),
+        9 => "{}".to_string(),
+        10 => format!("{{\"qty\":{qty},\"price\":{price:.2}}}"),
+        // Mixed only: a string, a float and a container in the int lane.
+        11 => format!("{{\"qty\": \"{qty}\", \"price\": {price:.2}}}"),
+        12 => format!("{{\"qty\": {qty}.5, \"sku\": 3}}"),
+        _ => format!("{{\"qty\": [{qty}], \"price\": {qty}}}"),
+    }
+}
+
+/// The nested fixture: `id`, a nullable float `val`, a string `tag`, a `geo`
+/// record, an `items` array of records and a `tags` array of ints. The last
+/// object ends the file on an array, without a trailing newline.
+fn nested_fixture(seed: u64, objects: usize, fixture: Fixture) -> String {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let ragged = fixture != Fixture::Deterministic;
+    let mixed = fixture == Fixture::Mixed;
+    let mut out = String::new();
+    for id in 0..objects {
+        let val = match rng.gen_range(0u32..12) {
+            0 => "null".to_string(),
+            _ => format!("{:.2}", rng.gen_range(0i64..400) as f64 * 0.25),
+        };
+        let tag = ["ant", "bee", "cat", "d\\u00f6g"][rng.gen_range(0usize..4)];
+        let lat = rng.gen_range(-40i64..40) as f64 * 0.5;
+        let lon = rng.gen_range(0i64..200) as f64 * 0.5;
+        let n = rng.gen_range(0i64..9);
+        let city = ["ams", "ber", "z\\u00fcr"][rng.gen_range(0usize..3)];
+        // The first object is fully spelled: it is what the leaves type from.
+        let geo = match rng.gen_range(
+            0u32..if id == 0 {
+                1
+            } else if ragged {
+                9
+            } else {
+                3
+            },
+        ) {
+            0 => format!(
+                "{{\"lat\": {lat:.1}, \"lon\": {lon:.1}, \"city\": \"{city}\", \"n\": {n}}}"
+            ),
+            1 => format!("{{\"lat\": null, \"lon\": {lon:.1}, \"city\": null, \"n\": {n}}}"),
+            2 => format!("{{\"lat\": {lat:.1}, \"lon\": null, \"city\": \"{city}\", \"n\": null}}"),
+            3 => format!("{{\"n\": {n}, \"lon\": {lon:.1}}}"),
+            4 => "null".to_string(),
+            5 => "3".to_string(),
+            6 => format!("[{{\"lat\": {lat:.1}}}]"),
+            // A repeated key inside the record.
+            7 => format!("{{\"lat\": 1.5, \"lon\": {lon:.1}, \"lat\": {lat:.1}}}"),
+            // Mixed only: an int in the float leaf, a float in the int leaf,
+            // an int in the string leaf.
+            _ if mixed => format!(
+                "{{\"lat\": {}, \"lon\": {lon:.1}, \"n\": {n}.5, \"city\": 7}}",
+                lat as i64
+            ),
+            _ => "{}".to_string(),
+        };
+        let elements = |rng: &mut StdRng| {
+            let len = rng.gen_range(1usize..5);
+            let items: Vec<String> = (0..len).map(|_| nested_element(rng, mixed)).collect();
+            format!(
+                "[{}]",
+                items.join(if len % 2 == 0 { ", " } else { " ,\n " })
+            )
+        };
+        let last = id + 1 == objects;
+        let items = match rng.gen_range(
+            0u32..if last {
+                1
+            } else if ragged {
+                8
+            } else {
+                5
+            },
+        ) {
+            0..=2 => Some(elements(&mut rng)),
+            3 => Some("[]".to_string()),
+            4 => Some("null".to_string()),
+            // A scalar or a record where an array is expected: one element.
+            5 => Some("5".to_string()),
+            6 => Some(format!("{{\"qty\": {n}, \"sku\": \"solo\"}}")),
+            _ => None,
+        };
+        let tags = match rng.gen_range(0u32..if ragged { 6 } else { 4 }) {
+            0 | 1 => Some(format!("[{n}, {}, {}]", n + 1, rng.gen_range(0i64..9))),
+            2 => Some("[ ]".to_string()),
+            3 => Some("null".to_string()),
+            4 if mixed => Some(format!("[{n}, 2.5, {{\"x\": 1}}]")),
+            4 => Some(format!("{n}")),
+            _ => None,
+        };
+        let mut fields = vec![
+            format!("\"id\": {id}"),
+            format!("\"val\": {val}"),
+            format!("\"tag\": \"{tag}\""),
+            format!("\"geo\": {geo}"),
+        ];
+        if let Some(tags) = tags {
+            fields.push(format!("\"tags\": {tags}"));
+        }
+        if ragged && id > 0 {
+            let rotate = rng.gen_range(0usize..fields.len());
+            fields.rotate_left(rotate);
+        }
+        // `items` stays last, so the file can end on an array.
+        if let Some(items) = items {
+            fields.push(format!("\"items\": {items}"));
+        }
+        out.push_str(&format!("{{{}}}", fields.join(", ")));
+        if !last {
+            out.push('\n');
+        }
+    }
+    out
+}
+
+/// Which tier an unnest shape has to run on over lanes of one kind each.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Tier {
+    Typed,
+    Floor,
+}
+
+/// Unnest and nested-leaf shapes over `events as e`.
+fn nested_shapes() -> Vec<(&'static str, Tier, LogicalPlan)> {
+    let e = || LogicalPlan::scan("events", "e", Schema::empty());
+    let items = |plan: LogicalPlan| plan.unnest(Path::parse("e.items"), "i");
+    let outer_items = |plan: LogicalPlan| LogicalPlan::Unnest {
+        input: Box::new(plan),
+        path: Path::parse("e.items"),
+        alias: "i".into(),
+        predicate: None,
+        outer: true,
+    };
+    let count = || ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt");
+    let agg =
+        |monoid: Monoid, path: &str, alias: &str| ReduceSpec::new(monoid, Expr::path(path), alias);
+    vec![
+        // The `json_unnest` shape: everything on lanes and kernels.
+        (
+            "count qty>3",
+            Tier::Typed,
+            items(e())
+                .select(Expr::path("i.qty").gt(Expr::int(3)))
+                .reduce(vec![count()]),
+        ),
+        (
+            "no leaf at all",
+            Tier::Typed,
+            items(e()).reduce(vec![count()]),
+        ),
+        (
+            "lane aggregates",
+            Tier::Typed,
+            items(e()).reduce(vec![
+                agg(Monoid::Sum, "i.qty", "qty"),
+                agg(Monoid::Max, "i.price", "top"),
+                agg(Monoid::Min, "i.price", "low"),
+                count(),
+            ]),
+        ),
+        // A string lane in a kernel predicate, a closure residual on another
+        // lane, parent fields (numeric and string) read after the unnest.
+        (
+            "parents after",
+            Tier::Typed,
+            items(e())
+                .select(
+                    Expr::path("i.sku")
+                        .eq(Expr::string("a]b"))
+                        .and(Expr::path("i.price").lt(Expr::path("e.val"))),
+                )
+                .reduce(vec![
+                    agg(Monoid::Sum, "e.val", "val"),
+                    agg(Monoid::Bag, "e.tag", "tags"),
+                    agg(Monoid::Bag, "i.sku", "skus"),
+                    count(),
+                ]),
+        ),
+        (
+            "group by parent string",
+            Tier::Typed,
+            items(e()).nest(
+                vec![Expr::path("e.tag")],
+                vec!["tag".into()],
+                vec![
+                    agg(Monoid::Sum, "i.qty", "qty"),
+                    agg(Monoid::Sum, "e.val", "val"),
+                    count(),
+                ],
+            ),
+        ),
+        (
+            "group by lane",
+            Tier::Typed,
+            items(e()).nest(
+                vec![Expr::path("i.sku")],
+                vec!["sku".into()],
+                vec![agg(Monoid::Sum, "i.price", "total"), count()],
+            ),
+        ),
+        // A parent filter below the unnest (kernel and closure parts).
+        (
+            "parent filter below",
+            Tier::Typed,
+            items(
+                e().select(
+                    Expr::path("e.id")
+                        .lt(Expr::int(1500))
+                        .and(Expr::path("e.val").gt(Expr::float(10.0))),
+                ),
+            )
+            .select(Expr::path("i.qty").gt(Expr::int(1)))
+            .reduce(vec![
+                agg(Monoid::Sum, "i.qty", "qty"),
+                agg(Monoid::Sum, "e.id", "ids"),
+                count(),
+            ]),
+        ),
+        (
+            "outer",
+            Tier::Typed,
+            outer_items(e()).reduce(vec![
+                agg(Monoid::Sum, "i.qty", "qty"),
+                agg(Monoid::Sum, "e.id", "ids"),
+                count(),
+            ]),
+        ),
+        (
+            "bag of a lane",
+            Tier::Typed,
+            items(e().select(Expr::path("e.id").lt(Expr::int(40)))).reduce(vec![
+                agg(Monoid::Bag, "i.qty", "all"),
+                agg(Monoid::List, "i.sku", "skus"),
+            ]),
+        ),
+        // Scalar elements are their own lane.
+        (
+            "scalar elements",
+            Tier::Typed,
+            e().unnest(Path::parse("e.tags"), "t")
+                .select(Expr::path("t").gt(Expr::int(2)))
+                .reduce(vec![
+                    agg(Monoid::Sum, "t", "total"),
+                    agg(Monoid::Sum, "e.id", "ids"),
+                    count(),
+                ]),
+        ),
+        // Two collections of one parent: the second unnest sees expanded
+        // rows, not scan rows, and runs on the floor above the typed first.
+        (
+            "sibling collections",
+            Tier::Typed,
+            items(e())
+                .unnest(Path::parse("e.tags"), "t")
+                .select(Expr::path("t").lt(Expr::path("i.qty")))
+                .reduce(vec![agg(Monoid::Sum, "t", "total"), count()]),
+        ),
+        // The floor: the alias used whole, a non-leaf element path, an outer
+        // unnest with an embedded predicate, bindings collected at the root.
+        (
+            "yield bag i",
+            Tier::Floor,
+            items(e().select(Expr::path("e.id").lt(Expr::int(40))))
+                .select(Expr::path("i.qty").gt(Expr::int(3)))
+                .reduce(vec![agg(Monoid::Bag, "i", "all")]),
+        ),
+        (
+            "non-leaf path",
+            Tier::Floor,
+            items(e()).reduce(vec![
+                agg(Monoid::Bag, "i.sub.qty", "deep"),
+                agg(Monoid::Sum, "i.qty", "qty"),
+            ]),
+        ),
+        (
+            "outer with predicate",
+            Tier::Floor,
+            LogicalPlan::Unnest {
+                input: Box::new(e()),
+                path: Path::parse("e.items"),
+                alias: "i".into(),
+                predicate: Some(Expr::path("i.qty").gt(Expr::int(3))),
+                outer: true,
+            }
+            .reduce(vec![agg(Monoid::Sum, "i.qty", "qty"), count()]),
+        ),
+        (
+            "collect",
+            Tier::Floor,
+            items(e().select(Expr::path("e.id").lt(Expr::int(25))))
+                .select(Expr::path("i.qty").gt(Expr::int(3))),
+        ),
+        // Nested-record leaves as scan fields: the `json_nested` shape, a
+        // string leaf as a group key, an int leaf in arithmetic.
+        (
+            "nested leaves",
+            Tier::Typed,
+            e().select(Expr::path("e.geo.lon").lt(Expr::float(50.0)))
+                .reduce(vec![agg(Monoid::Sum, "e.geo.lat", "lat"), count()]),
+        ),
+        (
+            "nested string key",
+            Tier::Typed,
+            e().nest(
+                vec![Expr::path("e.geo.city")],
+                vec!["city".into()],
+                vec![
+                    agg(Monoid::Sum, "e.geo.n", "n"),
+                    agg(Monoid::Max, "e.geo.lat", "north"),
+                    count(),
+                ],
+            ),
+        ),
+        (
+            "nested leaves under an unnest",
+            Tier::Typed,
+            items(e().select(Expr::path("e.geo.n").gt(Expr::int(2)))).reduce(vec![
+                agg(Monoid::Sum, "e.geo.lon", "lon"),
+                agg(Monoid::Sum, "i.qty", "qty"),
+            ]),
+        ),
+        // The record whole and one of its leaves: the leaf is navigated.
+        (
+            "record whole",
+            Tier::Typed,
+            e().select(Expr::path("e.id").lt(Expr::int(30)))
+                .reduce(vec![
+                    agg(Monoid::Bag, "e.geo", "geos"),
+                    agg(Monoid::Sum, "e.geo.lat", "lat"),
+                ]),
+        ),
+    ]
+}
+
+fn has_unnest(plan: &LogicalPlan) -> bool {
+    matches!(plan, LogicalPlan::Unnest { .. }) || plan.children().iter().any(|c| has_unnest(c))
+}
+
+/// Numeric leaves within the relaxed-mode envelope, everything else exact.
+fn approx_eq(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+        (Value::Record(ra), Value::Record(rb)) => {
+            ra.len() == rb.len()
+                && ra
+                    .iter()
+                    .zip(rb.iter())
+                    .all(|((na, va), (nb, vb))| na == nb && approx_eq(va, vb))
+        }
+        _ => a.total_cmp(b) == std::cmp::Ordering::Equal,
+    }
+}
+
+#[test]
+fn nested_json_typed_tiers_equal_the_closure_floor() {
+    use proteus::plugins::json::JsonPlugin;
+    const OBJECTS: usize = 2 * 1024 + 300; // three morsels
+    for fixture in [Fixture::Deterministic, Fixture::Ragged, Fixture::Mixed] {
+        let text = nested_fixture(0xE1E ^ fixture as u64, OBJECTS, fixture);
+        assert!(text.ends_with("]}"), "the file ends on an array");
+        let plugin = JsonPlugin::from_bytes("events", bytes::Bytes::from(text.clone())).unwrap();
+        assert_eq!(
+            plugin.structural_index().is_deterministic(),
+            fixture == Fixture::Deterministic
+        );
+        // The objects as plain values, for the reference interpreter: every
+        // path navigates a materialized record there, so a leaf reads as
+        // whatever token the file holds — no schema, no lane kinds.
+        let objects: Vec<Value> = plugin
+            .structural_index()
+            .objects
+            .iter()
+            .map(|o| &text.as_bytes()[o.start as usize..o.end as usize])
+            .map(|object| proteus::plugins::json::parse_json_value(object).unwrap())
+            .collect();
+        let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
+        catalog.register("events", objects);
+        let engine = |config: EngineConfig| {
+            let engine = QueryEngine::new(config);
+            engine.register_plugin(std::sync::Arc::new(plugin.clone()));
+            engine
+        };
+        let closures = engine(EngineConfig::without_caching().with_vectorized(false));
+        for (mode, workers) in [
+            (NumericMode::Strict, 1),
+            (NumericMode::Strict, 3),
+            (NumericMode::Relaxed, 3),
+        ] {
+            let vectorized = engine(
+                EngineConfig::without_caching()
+                    .with_numeric_mode(mode)
+                    .with_parallelism(workers),
+            );
+            for (name, tier, plan) in nested_shapes() {
+                let label = format!("fixture {} {mode:?} x{workers} `{name}`", fixture as u8);
+                let plan = proteus::algebra::rewrite::rewrite(plan);
+                let fast = vectorized.execute_plan(plan.clone()).unwrap();
+                let slow = closures.execute_plan(plan.clone()).unwrap();
+                assert_eq!(fast.rows.len(), slow.rows.len(), "{label}");
+                // Group order is the order groups first appear in, which a
+                // parallel run does not fix: compare as sorted rows.
+                let sorted = |rows: &[Value]| {
+                    let mut rows = rows.to_vec();
+                    rows.sort_by(|a, b| a.total_cmp(b));
+                    rows
+                };
+                for (a, b) in sorted(&fast.rows).iter().zip(&sorted(&slow.rows)) {
+                    let equal = match mode {
+                        NumericMode::Strict => a.total_cmp(b) == std::cmp::Ordering::Equal,
+                        NumericMode::Relaxed => approx_eq(a, b),
+                    };
+                    assert!(equal, "{label}:\n kernel  {a:?}\n closure {b:?}");
+                }
+                assert!(workers == 1 || fast.metrics.threads_used > 1, "{label}");
+
+                // The nested-leaf shapes also have to give what navigating
+                // the materialized records gives (the interpreter is stricter
+                // than the engines about what an unnest accepts, so those
+                // shapes stay engine against engine). On the mixed fixture
+                // `geo.lat` and `geo.n` hold tokens of two kinds.
+                if !has_unnest(&plan) {
+                    let expected = proteus::algebra::interp::execute(&plan, &catalog).unwrap();
+                    for (a, b) in sorted(&slow.rows).iter().zip(&sorted(&expected)) {
+                        assert!(
+                            approx_eq(a, b),
+                            "{label}:\n closure     {a:?}\n interpreter {b:?}"
+                        );
+                    }
+                    assert_eq!(slow.rows.len(), expected.len(), "{label}");
+                }
+
+                // Which tier ran, as the IR names it. On the mixed fixture
+                // `qty`, `sku` and `tags` hold tokens of several kinds: the
+                // hook declines those lanes and the floor runs instead.
+                if !has_unnest(&plan) {
+                    continue;
+                }
+                assert!(
+                    slow.ir.contains("closure floor: vectorization is off"),
+                    "{label}"
+                );
+                let typed = fast.ir.contains("typed expand [");
+                assert!(
+                    typed || fast.ir.contains(", closure floor: "),
+                    "{label}:\n{}",
+                    fast.ir
+                );
+                match (tier, fixture) {
+                    (Tier::Floor, _) => assert!(!typed, "{label}:\n{}", fast.ir),
+                    (Tier::Typed, Fixture::Mixed) => {}
+                    (Tier::Typed, _) => assert!(typed, "{label}:\n{}", fast.ir),
+                }
+            }
+
+            // Engagement, on the `json_unnest` shape: the typed tier reports
+            // no closure row anywhere, the floor reports nothing else.
+            let (_, _, plan) = nested_shapes().remove(0);
+            let plan = proteus::algebra::rewrite::rewrite(plan);
+            let fast = vectorized.execute_plan(plan.clone()).unwrap().metrics;
+            let slow = closures.execute_plan(plan).unwrap().metrics;
+            assert!(
+                slow.kernel_rows == 0 && slow.fallback_rows > 0 && slow.agg_fallback_rows > 0,
+                "floor: {slow}"
+            );
+            assert_eq!(slow.agg_kernel_rows, 0, "floor: {slow}");
+            if fixture == Fixture::Mixed {
+                assert!(
+                    fast.fallback_rows > 0,
+                    "declined lanes run the floor: {fast}"
+                );
+            } else {
+                assert!(
+                    fast.fallback_rows == 0 && fast.agg_fallback_rows == 0 && fast.kernel_rows > 0,
+                    "typed: {fast}"
+                );
+                assert_eq!(
+                    fast.agg_kernel_rows, slow.agg_fallback_rows,
+                    "typed: {fast}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn nested_json_tiers_are_named_in_the_ir_and_the_access_path() {
+    use proteus::plugins::json::JsonPlugin;
+    let text = nested_fixture(7, 200, Fixture::Deterministic);
+    let engine = QueryEngine::new(EngineConfig::without_caching());
+    engine.register_plugin(std::sync::Arc::new(
+        JsonPlugin::from_bytes("events_json", bytes::Bytes::from(text)).unwrap(),
+    ));
+
+    // The `json_unnest` template of `proteus_e2e`'s `raw_hetero` workload.
+    let unnest = engine
+        .comprehension("for { e <- events_json, i <- e.items, i.qty > 3 } yield count")
+        .unwrap();
+    assert!(
+        unnest.ir.contains(
+            "for i in unnest(e.items) {   // unnestInit/HasNext/GetNext, typed expand [qty]\n    \
+             if (eval((i.qty > 3))) {   // vectorized columnar kernel"
+        ),
+        "{}",
+        unnest.ir
+    );
+    // Its floor says why it is the floor.
+    let whole = engine
+        .comprehension("for { e <- events_json, i <- e.items, i.qty > 3 } yield bag i")
+        .unwrap();
+    assert!(
+        whole.ir.contains(
+            "for i in unnest(e.items) {   // unnestInit/HasNext/GetNext, closure floor: \
+             the plug-in offers no typed expand of items for [i, i.qty] \
+             (no hook, or tokens no single lane kind holds)\n    \
+             if (eval((i.qty > 3))) {\n"
+        ),
+        "{}",
+        whole.ir
+    );
+
+    // The `json_nested` template.
+    let nested = engine
+        .sql("SELECT COUNT(*), SUM(geo.lat) FROM events_json WHERE geo.lon < 50.0")
+        .unwrap();
+    assert_eq!(
+        nested.access_paths,
+        vec![
+            "events_json: json(structural-index, deterministic layout, level-0 dropped; \
+             typed nested leaves [geo.lat, geo.lon])"
+        ]
+    );
+    assert!(nested.metrics.kernel_rows > 0 && nested.metrics.fallback_rows == 0);
+    assert_eq!(nested.metrics.agg_fallback_rows, 0);
+}
+
+/// A dot in a column name is not a nested path: pushdown's dotted scan
+/// fields fold to their first segment only for names the flat plug-in does
+/// not have as columns, and the full-schema fallback is never folded.
+#[test]
+fn dotted_column_names_of_flat_sources_are_columns() {
+    let dir = std::env::temp_dir().join(format!("proteus_dotted_cols_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("iris.csv");
+    std::fs::write(&path, "5.1|setosa\n7.25|versicolor\n").unwrap();
+    let schema = Schema::from_pairs(vec![
+        ("sepal.length", DataType::Float),
+        ("species", DataType::String),
+    ]);
+    let engine = QueryEngine::new(EngineConfig::without_caching());
+    engine
+        .register_csv("iris", &path, schema, CsvOptions::default())
+        .unwrap();
+    // No field referenced: the scan falls back to the whole schema.
+    let count = engine
+        .comprehension("for { t <- iris } yield count")
+        .unwrap();
+    assert_eq!(
+        count.rows,
+        vec![Value::record(vec![("result", Value::Int(2))])]
+    );
+    // The dotted column read by name.
+    let plan = LogicalPlan::scan("iris", "t", Schema::empty())
+        .select(Expr::path("t.sepal.length").gt(Expr::float(6.0)))
+        .reduce(vec![
+            ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+            ReduceSpec::new(Monoid::Sum, Expr::path("t.sepal.length"), "total"),
+        ]);
+    let rows = engine.execute_plan(plan).unwrap().rows;
+    assert_eq!(
+        rows,
+        vec![Value::record(vec![
+            ("cnt", Value::Int(1)),
+            ("total", Value::Float(7.25)),
+        ])]
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
