@@ -186,7 +186,7 @@ impl CacheBuilder {
 
 /// Looks up a cached column for `dataset.field` that covers the full dataset
 /// (identity OIDs), as required for transparently substituting a scan
-/// accessor. Returns the entry's handle and the column's index in it — the
+/// fill. Returns the entry's handle and the column's index in it — the
 /// caller reads the entry's own allocation — and records the hit.
 pub fn find_full_column_cache(
     store: &CacheStore,

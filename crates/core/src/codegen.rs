@@ -2,7 +2,7 @@
 //!
 //! The compiler traverses the physical plan once, post-order. Every visited
 //! operator contributes a specialized stage, and every scan asks the relevant
-//! input plug-in to `generate()` accessors specialized to the dataset
+//! input plug-in to `generate()` fills specialized to the dataset
 //! instance and the query's field-of-interest list. The stages are stitched
 //! ("blended") into a single fused pipeline per query: scans drive a tight
 //! loop, selections become inlined predicate closures, unnests expand in
@@ -42,7 +42,7 @@ use proteus_algebra::{
     BinaryOp, Expr, JoinKind, LogicalPlan, Monoid, Path, Record, ReduceSpec, Value,
 };
 use proteus_optimizer::cache_match::cache_name_from_dataset;
-use proteus_plugins::{BatchFill, ColumnStats, PluginRegistry, TypedKind, ZoneMap};
+use proteus_plugins::{BatchFill, ColumnStats, FieldFill, PluginRegistry, TypedKind, ZoneMap};
 use proteus_storage::CacheStore;
 
 use crate::cache_builder::{find_full_column_cache, should_cache_field, CacheBuilder};
@@ -830,11 +830,11 @@ impl Compiler {
         };
 
         let mut layout = BindingLayout::new();
-        let mut fills: Vec<(usize, BatchFill)> = Vec::new();
-        let mut typed: Vec<TypedSlotFill> = Vec::new();
         let mut served_from_cache: Vec<String> = Vec::new();
         let mut fields_from_plugin: Vec<String> = Vec::new();
         let mut slot_of_field: Vec<(String, usize)> = Vec::new();
+        // One fill per slot, from a cache entry or from the plug-in.
+        let mut field_fills: Vec<(usize, String, FieldFill)> = Vec::new();
         // Tier 0: per-morsel zone maps, keyed by typed slot. The kernel tier
         // is the consumer, so vectorization off implies skipping off.
         let zone_maps_wanted = self.vectorized && self.morsel_skipping;
@@ -851,22 +851,11 @@ impl Compiler {
                 {
                     // Handles to the entry's own column and to the zone maps
                     // memoized in it: a hit copies and derives nothing.
-                    let column = &entry.columns()[index].1;
-                    fills.push((slot, proteus_plugins::column_batch_fill(column.clone())));
+                    let column = entry.columns()[index].1.clone();
+                    field_fills.push((slot, field.clone(), FieldFill::Column(column)));
                     if zone_maps_wanted {
                         let maps = proteus_plugins::cache::entry_zone_maps(&entry);
                         zones.push((slot, maps[index].clone()));
-                    }
-                    if self.vectorized {
-                        let (kind, fill) = proteus_plugins::column_typed_fill(column.clone());
-                        typed.push(TypedSlotFill {
-                            slot,
-                            name: format!("{alias}.{field}"),
-                            kind,
-                            fill,
-                            active: false,
-                            hydrate: false,
-                        });
                     }
                     served_from_cache.push(format!("{field} (cache {})", entry.name));
                     continue;
@@ -880,33 +869,33 @@ impl Compiler {
             let scan = plugin.generate(&fields_from_plugin)?;
             access_paths.push(format!("{dataset}: {}", scan.access_path));
             bad_rows = scan.bad_rows;
-            for (field, fill) in scan.batch_fields {
+            for (field, fill) in scan.fields {
                 let slot = slot_of_field
                     .iter()
                     .find(|(f, _)| *f == field)
                     .map(|(_, s)| *s)
-                    .expect("generated accessor for an unrequested field");
-                fills.push((slot, fill));
-            }
-            if self.vectorized {
-                for (field, kind, fill) in scan.typed_fields {
-                    let slot = slot_of_field
-                        .iter()
-                        .find(|(f, _)| *f == field)
-                        .map(|(_, s)| *s)
-                        .expect("generated typed filler for an unrequested field");
-                    typed.push(TypedSlotFill {
-                        slot,
-                        name: format!("{alias}.{field}"),
-                        kind,
-                        fill,
-                        active: false,
-                        hydrate: false,
-                    });
-                }
+                    .expect("generated fill for an unrequested field");
+                field_fills.push((slot, field, fill));
             }
         } else {
             access_paths.push(format!("{dataset}: fully served from caches"));
+        }
+        // Lower each fill to its row-major filler and, when the field has a
+        // typed form, its (not yet activated) vectorized filler.
+        let mut fills: Vec<(usize, BatchFill)> = Vec::with_capacity(field_fills.len());
+        let mut typed: Vec<TypedSlotFill> = Vec::new();
+        for (slot, field, fill) in field_fills {
+            if let Some((kind, typed_fill)) = self.vectorized.then(|| fill.typed()).flatten() {
+                typed.push(TypedSlotFill {
+                    slot,
+                    name: format!("{alias}.{field}"),
+                    kind,
+                    fill: typed_fill,
+                    active: false,
+                    hydrate: false,
+                });
+            }
+            fills.push((slot, fill.values()));
         }
         if zone_maps_wanted && !fields_from_plugin.is_empty() {
             // Binary/cache plug-ins answer from their recorded maps; CSV and

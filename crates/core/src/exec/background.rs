@@ -258,7 +258,7 @@ impl BackgroundBuilds {
 
     /// Offers one deferred build to the scheduler. Best-effort on every
     /// axis: an already-running or already-registered build, a full
-    /// scheduler, or a failed accessor generation all just skip (returning
+    /// scheduler, or a failed fill generation all just skip (returning
     /// `false`) — the next query over the dataset re-offers it.
     #[allow(clippy::too_many_arguments)]
     pub fn spawn(
@@ -300,8 +300,8 @@ impl BackgroundBuilds {
         };
         let mut fills = Vec::with_capacity(field_names.len());
         for name in &field_names {
-            match scan.batch_field(name) {
-                Some(fill) => fills.push(fill.clone()),
+            match scan.fill(name) {
+                Some(fill) => fills.push(fill.values()),
                 None => return false,
             }
         }

@@ -16,7 +16,7 @@ use proteus_plugins::{TypedColumn, TypedKind};
 
 /// Number of tuples per morsel. Chosen so a morsel of a few projected
 /// columns stays comfortably inside L2 while amortizing per-morsel overhead
-/// (accessor dispatch, selection resets, work-queue claims).
+/// (fill dispatch, selection resets, work-queue claims).
 pub const MORSEL_SIZE: usize = 1024;
 
 /// A reusable, selectively-consumed batch of bindings.

@@ -473,7 +473,7 @@ fn plan_num(
         } => {
             // The closure's Neg only negates Int/Float *values*; a bare Date
             // literal under Neg evaluates to Null there, so it is not
-            // kernel-eligible. (Date *slots* are fine: the typed accessors
+            // kernel-eligible. (Date *slots* are fine: the typed fills
             // already render date fields as plain ints.)
             if matches!(inner.as_ref(), Expr::Literal(Value::Date(_))) {
                 return None;

@@ -5,9 +5,11 @@
 //! 1. The *generated query pipelines* of `proteus-core`. When a scan operator
 //!    "triggers" a plug-in, the plug-in inspects the query's field-of-interest
 //!    list and the dataset instance and returns [`ScanAccessors`]: one
-//!    specialized, monomorphic accessor per requested field (the reproduction
-//!    of the paper's generated data-access code). The per-tuple hot path then
-//!    contains exactly one indirect call per field and no type dispatch.
+//!    [`FieldFill`] per requested field (the reproduction of the paper's
+//!    generated data-access code) — a raw column, a typed filler, or a
+//!    `Value` filler for fields with no typed form. The scan calls it once
+//!    per (field, morsel), with no per-tuple dispatch; both execution tiers'
+//!    inputs are derived from that one fill.
 //!    Nested collections go the same way: [`InputPlugin::generate_expand`]
 //!    returns a morsel expander ([`TypedExpand`]) that renders the element
 //!    leaves a query reads as typed lanes plus a parent-row index — the
@@ -51,185 +53,16 @@ pub enum BadRowPolicy {
     Null,
 }
 
-/// A specialized accessor for one field of a dataset: given an OID it
-/// produces the field's value with no schema lookups or type dispatch on the
-/// hot path. The closure captured inside is built once per query by the
-/// plug-in (`generate()`), mirroring the code the paper's plug-ins emit.
-#[derive(Clone)]
-pub enum FieldAccessor {
-    /// Accessor for an integer (or date) field.
-    Int(Arc<dyn Fn(Oid) -> i64 + Send + Sync>),
-    /// Accessor for a float field.
-    Float(Arc<dyn Fn(Oid) -> f64 + Send + Sync>),
-    /// Accessor for a boolean field.
-    Bool(Arc<dyn Fn(Oid) -> bool + Send + Sync>),
-    /// Accessor for a string field.
-    Str(Arc<dyn Fn(Oid) -> String + Send + Sync>),
-    /// Fallback accessor producing a boxed value (nested fields, nulls).
-    Generic(Arc<dyn Fn(Oid) -> Value + Send + Sync>),
-}
-
-impl FieldAccessor {
-    /// Reads the field as a [`Value`] regardless of specialization.
-    pub fn value(&self, oid: Oid) -> Value {
-        match self {
-            FieldAccessor::Int(f) => Value::Int(f(oid)),
-            FieldAccessor::Float(f) => Value::Float(f(oid)),
-            FieldAccessor::Bool(f) => Value::Bool(f(oid)),
-            FieldAccessor::Str(f) => Value::Str(f(oid)),
-            FieldAccessor::Generic(f) => f(oid),
-        }
-    }
-
-    /// Reads the field as an `f64`, the common numeric fast path for
-    /// predicates and aggregates.
-    pub fn as_f64(&self, oid: Oid) -> f64 {
-        match self {
-            FieldAccessor::Int(f) => f(oid) as f64,
-            FieldAccessor::Float(f) => f(oid),
-            FieldAccessor::Bool(f) => f64::from(u8::from(f(oid))),
-            FieldAccessor::Str(_) | FieldAccessor::Generic(_) => match self.value(oid) {
-                Value::Int(i) => i as f64,
-                Value::Float(x) => x,
-                Value::Date(d) => d as f64,
-                _ => f64::NAN,
-            },
-        }
-    }
-
-    /// Reads the field as an `i64`.
-    pub fn as_i64(&self, oid: Oid) -> i64 {
-        match self {
-            FieldAccessor::Int(f) => f(oid),
-            FieldAccessor::Float(f) => f(oid) as i64,
-            FieldAccessor::Bool(f) => i64::from(f(oid)),
-            _ => match self.value(oid) {
-                Value::Int(i) => i,
-                Value::Float(x) => x as i64,
-                Value::Date(d) => d,
-                _ => 0,
-            },
-        }
-    }
-
-    /// True when the accessor is numeric-specialized (no boxing per call).
-    pub fn is_specialized_numeric(&self) -> bool {
-        matches!(self, FieldAccessor::Int(_) | FieldAccessor::Float(_))
-    }
-
-    /// Builds a [`BatchFill`] from this accessor: the enum dispatch happens
-    /// once here, and the returned closure runs a monomorphic loop per
-    /// morsel (one indirect call per *morsel* per field on the scan path,
-    /// instead of one per tuple).
-    pub fn batch_fill(&self) -> BatchFill {
-        match self {
-            FieldAccessor::Int(f) => {
-                let f = f.clone();
-                Arc::new(move |start, count, out: &mut [Value], base, stride| {
-                    for i in 0..count {
-                        out[base + i * stride] = Value::Int(f(start + i as Oid));
-                    }
-                })
-            }
-            FieldAccessor::Float(f) => {
-                let f = f.clone();
-                Arc::new(move |start, count, out: &mut [Value], base, stride| {
-                    for i in 0..count {
-                        out[base + i * stride] = Value::Float(f(start + i as Oid));
-                    }
-                })
-            }
-            FieldAccessor::Bool(f) => {
-                let f = f.clone();
-                Arc::new(move |start, count, out: &mut [Value], base, stride| {
-                    for i in 0..count {
-                        out[base + i * stride] = Value::Bool(f(start + i as Oid));
-                    }
-                })
-            }
-            FieldAccessor::Str(f) => {
-                let f = f.clone();
-                Arc::new(move |start, count, out: &mut [Value], base, stride| {
-                    for i in 0..count {
-                        out[base + i * stride] = Value::Str(f(start + i as Oid));
-                    }
-                })
-            }
-            FieldAccessor::Generic(f) => {
-                let f = f.clone();
-                Arc::new(move |start, count, out: &mut [Value], base, stride| {
-                    for i in 0..count {
-                        out[base + i * stride] = f(start + i as Oid);
-                    }
-                })
-            }
-        }
-    }
-
-    /// Builds a [`TypedFill`] from this accessor, when it is specialized:
-    /// the same closure [`FieldAccessor::batch_fill`] loops over, minus the
-    /// `Value` boxing — so the typed and row-major paths agree *by
-    /// construction*. `Generic` accessors (nested/nullable shapes) have no
-    /// typed form.
-    pub fn typed_fill(&self) -> Option<(TypedKind, TypedFill)> {
-        Some(match self {
-            FieldAccessor::Int(f) => {
-                let f = f.clone();
-                let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                    out.begin(TypedKind::I64, count);
-                    for i in 0..count {
-                        out.push_i64(f(start + i as Oid));
-                    }
-                });
-                (TypedKind::I64, fill)
-            }
-            FieldAccessor::Float(f) => {
-                let f = f.clone();
-                let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                    out.begin(TypedKind::F64, count);
-                    for i in 0..count {
-                        out.push_f64(f(start + i as Oid));
-                    }
-                });
-                (TypedKind::F64, fill)
-            }
-            FieldAccessor::Bool(f) => {
-                let f = f.clone();
-                let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                    out.begin(TypedKind::Bool, count);
-                    for i in 0..count {
-                        out.push_bool(f(start + i as Oid));
-                    }
-                });
-                (TypedKind::Bool, fill)
-            }
-            FieldAccessor::Str(f) => {
-                let f = f.clone();
-                let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                    out.begin(TypedKind::Str, count);
-                    for i in 0..count {
-                        out.push_str(&f(start + i as Oid));
-                    }
-                });
-                (TypedKind::Str, fill)
-            }
-            FieldAccessor::Generic(_) => return None,
-        })
-    }
-}
-
 /// A morsel filler for one field: writes the values of objects
 /// `start..start + count` into a row-major batch buffer, value `i` landing at
-/// `out[base + i * stride]`. Plug-ins may provide specialized fillers (e.g.
-/// direct column copies); [`FieldAccessor::batch_fill`] is the generic
-/// fallback.
+/// `out[base + i * stride]`. [`FieldFill::values`] derives it for every
+/// field.
 pub type BatchFill = Arc<dyn Fn(Oid, usize, &mut [Value], usize, usize) + Send + Sync>;
 
 /// Builds the columnar fast-path filler: a direct strided copy out of a
-/// shared raw column, one virtual call per (field, morsel). Used by the
-/// binary column plug-in, the cache plug-in and the engine's cache-served
-/// scan accessors.
-pub fn column_batch_fill(column: Arc<proteus_storage::ColumnData>) -> BatchFill {
+/// shared raw column, one virtual call per (field, morsel): the row-major
+/// form of [`FieldFill::Column`].
+fn column_batch_fill(column: Arc<proteus_storage::ColumnData>) -> BatchFill {
     Arc::new(move |start, count, out: &mut [Value], base, stride| {
         column.fill_values(start as usize, count, out, base, stride)
     })
@@ -242,8 +75,8 @@ pub fn column_batch_fill(column: Arc<proteus_storage::ColumnData>) -> BatchFill 
 /// Element type of a [`TypedColumn`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TypedKind {
-    /// 64-bit integers (also carries date fields, which the specialized
-    /// accessors already render as plain integers).
+    /// 64-bit integers (also carries date fields, which the scan fills
+    /// render as plain integers).
     I64,
     /// 64-bit floats.
     F64,
@@ -589,7 +422,7 @@ pub type TypedFill = Arc<dyn Fn(Oid, usize, &mut TypedColumn) + Send + Sync>;
 
 /// Builds the columnar typed filler over a shared raw column: a direct slice
 /// append for numeric/bool data, per-morsel interning for strings.
-pub fn column_typed_fill(column: Arc<proteus_storage::ColumnData>) -> (TypedKind, TypedFill) {
+fn column_typed_fill(column: Arc<proteus_storage::ColumnData>) -> (TypedKind, TypedFill) {
     use proteus_storage::ColumnData;
     let kind = match column.as_ref() {
         ColumnData::Int(_) => TypedKind::I64,
@@ -614,38 +447,96 @@ pub fn column_typed_fill(column: Arc<proteus_storage::ColumnData>) -> (TypedKind
     (kind, fill)
 }
 
-impl std::fmt::Debug for FieldAccessor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kind = match self {
-            FieldAccessor::Int(_) => "Int",
-            FieldAccessor::Float(_) => "Float",
-            FieldAccessor::Bool(_) => "Bool",
-            FieldAccessor::Str(_) => "Str",
-            FieldAccessor::Generic(_) => "Generic",
-        };
-        write!(f, "FieldAccessor::{kind}")
+/// The one access routine a plug-in's `generate()` emits for a requested
+/// field (the paper's generated data-access code). Both tiers' inputs are
+/// derived from it in one place, [`FieldFill::typed`] and
+/// [`FieldFill::values`], so the kernel and closure paths read the same
+/// values — a null bit in the typed column is `Value::Null` on the row-major
+/// path.
+#[derive(Clone)]
+pub enum FieldFill {
+    /// A raw binary column (binary column files, cache entries): both tiers
+    /// copy straight out of it.
+    Column(Arc<proteus_storage::ColumnData>),
+    /// A typed filler (CSV and JSON scalars, typed nested leaves, binary
+    /// rows); the row-major form is rendered from the typed column.
+    Typed(TypedKind, TypedFill),
+    /// A `Value` filler, for fields with no typed form (JSON records,
+    /// arrays, mixed-kind leaves, `Any`).
+    Values(BatchFill),
+}
+
+impl FieldFill {
+    /// The vectorized-tier filler, if the field has a typed form.
+    pub fn typed(&self) -> Option<(TypedKind, TypedFill)> {
+        match self {
+            FieldFill::Column(column) => Some(column_typed_fill(column.clone())),
+            FieldFill::Typed(kind, fill) => Some((*kind, fill.clone())),
+            FieldFill::Values(_) => None,
+        }
+    }
+
+    /// The row-major filler. A typed fill runs into a reused per-thread
+    /// [`TypedColumn`] and each row lands as [`TypedColumn::value_at`].
+    pub fn values(&self) -> BatchFill {
+        match self {
+            FieldFill::Column(column) => column_batch_fill(column.clone()),
+            FieldFill::Values(fill) => fill.clone(),
+            FieldFill::Typed(kind, fill) => {
+                let (kind, fill) = (*kind, fill.clone());
+                Arc::new(move |start, count, out: &mut [Value], base, stride| {
+                    SCRATCH.with(|scratch| {
+                        let col = &mut scratch.borrow_mut()[kind as usize];
+                        fill(start, count, col);
+                        for i in 0..count {
+                            out[base + i * stride] = col.value_at(i);
+                        }
+                    })
+                })
+            }
+        }
     }
 }
 
+#[cfg(test)]
+impl FieldFill {
+    /// Rows `start..start + count` through [`FieldFill::values`].
+    pub(crate) fn values_at(&self, start: Oid, count: usize) -> Vec<Value> {
+        let mut out = vec![Value::Null; count];
+        self.values()(start, count, &mut out, 0, 1);
+        out
+    }
+
+    /// Rows `start..start + count` through [`FieldFill::typed`], null bits
+    /// read as `Value::Null`; `None` without a typed form.
+    pub(crate) fn typed_at(&self, start: Oid, count: usize) -> Option<Vec<Value>> {
+        let (kind, fill) = self.typed()?;
+        let mut col = TypedColumn::new(kind);
+        fill(start, count, &mut col);
+        Some((0..count).map(|i| col.value_at(i)).collect())
+    }
+}
+
+thread_local! {
+    /// One scratch column per [`TypedKind`] (indexed by discriminant), so
+    /// alternating fields of different kinds keep their buffers.
+    static SCRATCH: std::cell::RefCell<[TypedColumn; 4]> = std::cell::RefCell::new([
+        TypedColumn::new(TypedKind::I64),
+        TypedColumn::new(TypedKind::F64),
+        TypedColumn::new(TypedKind::Bool),
+        TypedColumn::new(TypedKind::Str),
+    ]);
+}
+
 /// What a plug-in hands to the scan operator of the generated engine: the
-/// number of objects to scan and one specialized accessor per requested
-/// field (the "virtual memory buffers" get filled from these).
+/// number of objects to scan and one [`FieldFill`] per requested field (the
+/// "virtual memory buffers" get filled from these).
 #[derive(Clone)]
 pub struct ScanAccessors {
     /// Number of objects (tuples) the scan will produce.
     pub row_count: u64,
-    /// `(field name, accessor)` pairs in the order they were requested.
-    pub fields: Vec<(String, FieldAccessor)>,
-    /// `(field name, morsel filler)` pairs: the batched scan path. Same
-    /// order as `fields`; plug-ins with a native columnar layout install
-    /// direct-copy fillers, everyone else wraps the accessor.
-    pub batch_fields: Vec<(String, BatchFill)>,
-    /// `(field name, kind, typed filler)` for the fields this plug-in can
-    /// render directly into a [`TypedColumn`] (the vectorized scan path).
-    /// Empty for plug-ins without typed support; a typed filler must produce
-    /// exactly the values the corresponding `batch_fields` filler would
-    /// (nulls ↔ `Value::Null`), so the kernel and closure paths agree.
-    pub typed_fields: Vec<(String, TypedKind, TypedFill)>,
+    /// `(field name, fill)` pairs in the order they were requested.
+    pub fields: Vec<(String, FieldFill)>,
     /// Human-readable description of the access path the plug-in chose
     /// (shows up in the emitted pseudo-IR, e.g. `"csv(structural-index N=8)"`).
     pub access_path: String,
@@ -656,70 +547,18 @@ pub struct ScanAccessors {
 }
 
 impl ScanAccessors {
-    /// Builds accessors with the generic per-accessor batch fillers, and
-    /// typed fillers derived from the same specialized accessors (so the
-    /// vectorized and row-major paths cannot drift apart).
-    pub fn from_accessors(
-        row_count: u64,
-        fields: Vec<(String, FieldAccessor)>,
-        access_path: impl Into<String>,
-    ) -> ScanAccessors {
-        let batch_fields = fields
-            .iter()
-            .map(|(name, accessor)| (name.clone(), accessor.batch_fill()))
-            .collect();
-        let typed_fields = fields
-            .iter()
-            .filter_map(|(name, accessor)| {
-                accessor
-                    .typed_fill()
-                    .map(|(kind, fill)| (name.clone(), kind, fill))
-            })
-            .collect();
-        ScanAccessors {
-            row_count,
-            fields,
-            batch_fields,
-            typed_fields,
-            access_path: access_path.into(),
-            bad_rows: 0,
-        }
-    }
-
-    /// Records the dataset's registration-time bad-row count on these
-    /// accessors (builder style, used by the plug-ins' `generate()`).
-    pub fn with_bad_rows(mut self, bad_rows: u64) -> ScanAccessors {
-        self.bad_rows = bad_rows;
-        self
-    }
-
-    /// Looks up the accessor generated for a field.
-    pub fn field(&self, name: &str) -> Option<&FieldAccessor> {
-        self.fields.iter().find(|(n, _)| n == name).map(|(_, a)| a)
-    }
-
-    /// Looks up the morsel filler generated for a field.
-    pub fn batch_field(&self, name: &str) -> Option<&BatchFill> {
-        self.batch_fields
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, f)| f)
-    }
-
-    /// Looks up the typed morsel filler generated for a field, if any.
-    pub fn typed_field(&self, name: &str) -> Option<(TypedKind, &TypedFill)> {
-        self.typed_fields
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .map(|(_, kind, f)| (*kind, f))
+    /// Looks up the fill generated for a field.
+    pub fn fill(&self, name: &str) -> Option<&FieldFill> {
+        self.fields.iter().find(|(n, _)| n == name).map(|(_, f)| f)
     }
 }
 
 impl std::fmt::Debug for ScanAccessors {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let fields: Vec<&str> = self.fields.iter().map(|(n, _)| n.as_str()).collect();
         f.debug_struct("ScanAccessors")
             .field("row_count", &self.row_count)
-            .field("fields", &self.fields)
+            .field("fields", &fields)
             .field("access_path", &self.access_path)
             .finish()
     }
@@ -780,8 +619,8 @@ pub trait InputPlugin: Send + Sync {
         self.len() == 0
     }
 
-    /// `generate()`: builds the specialized scan accessors for the requested
-    /// fields, choosing the most appropriate access path for this dataset
+    /// `generate()`: builds one specialized [`FieldFill`] per requested
+    /// field, choosing the most appropriate access path for this dataset
     /// instance (structural index, deterministic layout, raw columns, ...).
     fn generate(&self, fields: &[String]) -> Result<ScanAccessors>;
 
@@ -850,40 +689,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accessor_value_conversions() {
-        let acc = FieldAccessor::Int(Arc::new(|oid| oid as i64 * 2));
-        assert_eq!(acc.value(3), Value::Int(6));
-        assert_eq!(acc.as_f64(3), 6.0);
-        assert_eq!(acc.as_i64(3), 6);
-        assert!(acc.is_specialized_numeric());
-
-        let acc = FieldAccessor::Str(Arc::new(|oid| format!("s{oid}")));
-        assert_eq!(acc.value(1), Value::Str("s1".into()));
-        assert!(!acc.is_specialized_numeric());
-        assert!(acc.as_f64(1).is_nan());
-    }
-
-    #[test]
-    fn generic_accessor_numeric_views() {
-        let acc = FieldAccessor::Generic(Arc::new(|oid| Value::Float(oid as f64 + 0.5)));
-        assert_eq!(acc.as_f64(2), 2.5);
-        assert_eq!(acc.as_i64(2), 2);
-    }
-
-    #[test]
     fn scan_accessors_field_lookup() {
-        let scan = ScanAccessors::from_accessors(
-            10,
-            vec![(
+        let scan = ScanAccessors {
+            row_count: 10,
+            fields: vec![(
                 "x".to_string(),
-                FieldAccessor::Int(Arc::new(|oid| oid as i64)),
+                FieldFill::Column(Arc::new(proteus_storage::ColumnData::Int(
+                    (0..10).collect(),
+                ))),
             )],
-            "test",
-        );
-        assert!(scan.field("x").is_some());
-        assert!(scan.field("y").is_none());
-        assert!(scan.batch_field("x").is_some());
-        assert!(scan.batch_field("y").is_none());
+            access_path: "test".into(),
+            bad_rows: 0,
+        };
+        assert!(scan.fill("x").is_some_and(|f| f.typed().is_some()));
+        assert!(scan.fill("y").is_none());
     }
 
     #[test]
@@ -928,16 +747,131 @@ mod tests {
         assert!(out.is_empty() && out.kind() == TypedKind::I64);
     }
 
-    #[test]
-    fn batch_fill_matches_per_tuple_accessor() {
-        let accessor = FieldAccessor::Int(Arc::new(|oid| oid as i64 * 3));
-        let fill = accessor.batch_fill();
-        // Strided destination: width-2 rows, slot 1.
-        let mut out = vec![Value::Null; 8];
-        fill(5, 4, &mut out, 1, 2);
-        for i in 0..4u64 {
-            assert_eq!(out[1 + i as usize * 2], accessor.value(5 + i));
-            assert_eq!(out[i as usize * 2], Value::Null);
+    /// The plug-in contract: for every field a plug-in serves, the row-major
+    /// fill (written strided into a morsel that does not start at OID 0),
+    /// the typed fill (null bits read as `Value::Null`) and `read_value`
+    /// agree. `exceptions` names the fields whose fills read `""` where
+    /// `read_value` reads null.
+    fn assert_fills_agree(plugin: &dyn InputPlugin, fields: &[&str], exceptions: &[&str]) {
+        let fields: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
+        let scan = plugin.generate(&fields).unwrap();
+        assert_eq!(scan.fields.len(), fields.len());
+        let (start, count) = (1, plugin.len() as usize - 1);
+        for (name, fill) in &scan.fields {
+            let label = format!("{:?} {name}", plugin.format());
+            // Width-3 rows, this field in the middle slot.
+            let mut out = vec![Value::Bool(true); count * 3];
+            fill.values()(start, count, &mut out, 1, 3);
+            for (i, row) in out.chunks(3).enumerate() {
+                let oid = start + i as Oid;
+                assert_eq!((&row[0], &row[2]), (&Value::Bool(true), &Value::Bool(true)));
+                let read = plugin.read_value(oid, name).unwrap();
+                if exceptions.contains(&name.as_str()) && read == Value::Null {
+                    assert_eq!(row[1], Value::Str(String::new()), "{label} oid {oid}");
+                } else {
+                    assert_eq!(row[1], read, "{label} oid {oid}");
+                }
+            }
+            if let Some(typed) = fill.typed_at(start, count) {
+                let values: Vec<Value> = out.chunks(3).map(|row| row[1].clone()).collect();
+                assert_eq!(typed, values, "{label}: typed vs row-major");
+            }
         }
+    }
+
+    #[test]
+    fn every_plugin_fill_agrees_with_read_value() {
+        use crate::binary::{ColumnPlugin, RowPlugin};
+        use crate::cache::CachePlugin;
+        use crate::csv::{CsvOptions, CsvPlugin};
+        use crate::json::JsonPlugin;
+        use bytes::Bytes;
+        use proteus_algebra::DataType;
+        use proteus_storage::{cache::make_entry, ColumnData, RowTable, RowTableReader};
+
+        let columns = || {
+            vec![
+                ("k".to_string(), ColumnData::Int(vec![3, -1, 7, 0, 9])),
+                (
+                    "q".to_string(),
+                    ColumnData::Float(vec![0.5, -0.0, 2.25, 1e9, 4.0]),
+                ),
+                (
+                    "b".to_string(),
+                    ColumnData::Bool(vec![true, false, true, true, false]),
+                ),
+                (
+                    "s".to_string(),
+                    ColumnData::Str(["a", "", "b", "a", "c"].map(String::from).to_vec()),
+                ),
+            ]
+        };
+        let binary = ColumnPlugin::from_pairs("t", columns()).unwrap();
+        assert_fills_agree(&binary, &["k", "q", "b", "s"], &[]);
+        let cache = CachePlugin::new(Arc::new(make_entry(
+            "t::k+q+b+s",
+            "Scan(t)",
+            "t",
+            proteus_storage::SourceFormat::Csv,
+            columns(),
+            (0..5).collect(),
+        )));
+        assert_fills_agree(&cache, &["k", "q", "b", "s"], &[]);
+
+        let schema = Schema::from_pairs(vec![
+            ("k", DataType::Int),
+            ("d", DataType::Date),
+            ("q", DataType::Float),
+            ("b", DataType::Bool),
+            ("s", DataType::String),
+        ]);
+        let rows: Vec<Value> = (0..5)
+            .map(|i| {
+                Value::record(vec![
+                    ("k", Value::Int(i * 3 - 4)),
+                    ("d", Value::Date(19_000 + i)),
+                    ("q", Value::Float(i as f64 / 4.0)),
+                    ("b", Value::Bool(i % 2 == 0)),
+                    ("s", Value::Str(format!("r{}", i % 2))),
+                ])
+            })
+            .collect();
+        let dir = std::env::temp_dir().join("proteus_fill_contract");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("rows_{}.prow", std::process::id()));
+        RowTable::write(&path, &schema, &rows).unwrap();
+        let reader = RowTableReader::open(Bytes::from(std::fs::read(&path).unwrap())).unwrap();
+        let row = RowPlugin::from_reader("t", reader);
+        assert_fills_agree(&row, &["k", "d", "q", "b", "s"], &[]);
+        let _ = std::fs::remove_file(&path);
+
+        // Empty and unparseable fields under every type (the default `Null`
+        // bad-row policy keeps the unparseable row).
+        let csv =
+            "1|19000|0.5|t|x\n2||||\n3|19002|2.5|f|y\nzz|nope|1.2.3|maybe| z \n5|19004|-0.0|1|\n";
+        let csv =
+            CsvPlugin::from_bytes("t", Bytes::from(csv), schema, CsvOptions::default()).unwrap();
+        assert_fills_agree(&csv, &["k", "d", "q", "b", "s"], &[]);
+
+        // Nulls, missing keys, records, arrays, typed nested leaves and a
+        // mixed-kind nested leaf (`geo.m`).
+        let json = r#"{"k": 1, "q": 0.5, "b": true, "name": "a", "geo": {"lat": 1.5, "m": 1, "city": "x"}, "xs": [1, 2]}
+{"k": null, "q": 1.5, "b": false, "geo": {"lat": null, "m": 2.5}, "xs": []}
+{"k": 3, "b": null, "name": null, "geo": {"m": "s", "city": "y"}, "xs": [3]}
+{"q": 2.0, "name": "c\u00e9", "geo": {"lat": 3.5, "m": true}}
+{"k": 5, "q": 4.25, "b": true, "name": "", "geo": {"lat": -0.0, "m": null, "city": "z"}, "xs": [{"a": 1}]}
+"#;
+        let json = JsonPlugin::from_bytes("t", Bytes::from(json)).unwrap();
+        let fields = [
+            "k", "q", "b", "name", "geo", "xs", "geo.lat", "geo.m", "geo.city",
+        ];
+        let scan = json.generate(&fields.map(String::from)).unwrap();
+        let typed = |f: &str| scan.fill(f).unwrap().typed().map(|(kind, _)| kind);
+        assert_eq!(typed("geo.lat"), Some(TypedKind::F64));
+        assert_eq!(typed("geo.city"), Some(TypedKind::Str));
+        assert_eq!(typed("geo.m"), None);
+        // The one documented divergence: a top-level string field reads `""`
+        // where the key is missing or not a string.
+        assert_fills_agree(&json, &fields, &["name"]);
     }
 }

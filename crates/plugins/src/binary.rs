@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proteus_algebra::{DataType, Schema, Value};
 use proteus_storage::{ColumnData, ColumnTable, MemoryManager, RowTableReader, SourceFormat};
 
-use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors};
+use crate::api::{FieldFill, InputPlugin, Oid, ScanAccessors, TypedColumn, TypedFill, TypedKind};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
 use crate::zonemap::ZoneMap;
@@ -148,9 +148,7 @@ impl InputPlugin for ColumnPlugin {
             dataset: self.inner.dataset.clone(),
             detail,
         })?;
-        let mut accessors = Vec::with_capacity(fields.len());
-        let mut batch_fields = Vec::with_capacity(fields.len());
-        let mut typed_fields = Vec::with_capacity(fields.len());
+        let mut fills = Vec::with_capacity(fields.len());
         for field in fields {
             let column = self.inner.columns.get(field).cloned().ok_or_else(|| {
                 PluginError::UnknownField {
@@ -158,51 +156,14 @@ impl InputPlugin for ColumnPlugin {
                     field: field.clone(),
                 }
             })?;
-            // Morsel path: a direct strided copy out of the raw column, one
-            // virtual call per (field, morsel).
-            batch_fields.push((field.clone(), crate::api::column_batch_fill(column.clone())));
-            // Vectorized path: the same raw column appended straight into a
-            // typed morsel column, no Value boxing at all.
-            let (kind, typed) = crate::api::column_typed_fill(column.clone());
-            typed_fields.push((field.clone(), kind, typed));
-            let accessor = match column.as_ref() {
-                ColumnData::Int(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Int(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Int(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Float(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Float(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Float(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Bool(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Bool(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Bool(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Str(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Str(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Str(v) => v[oid as usize].clone(),
-                        _ => unreachable!(),
-                    }))
-                }
-            };
-            accessors.push((field.clone(), accessor));
+            // Both tiers copy straight out of the raw column: a strided
+            // `Value` copy or a typed slice append, per (field, morsel).
+            fills.push((field.clone(), FieldFill::Column(column)));
         }
         Ok(crate::fault::instrument_scan(
             ScanAccessors {
                 row_count: self.len(),
-                fields: accessors,
-                batch_fields,
-                typed_fields,
+                fields: fills,
                 access_path: "binary-columns(direct positional reads)".into(),
                 bad_rows: 0,
             },
@@ -357,7 +318,7 @@ impl InputPlugin for RowPlugin {
             dataset: self.inner.dataset.clone(),
             detail,
         })?;
-        let mut accessors = Vec::with_capacity(fields.len());
+        let mut fills = Vec::with_capacity(fields.len());
         for field in fields {
             let field_idx = self.field_index(field)?;
             let data_type = self
@@ -371,34 +332,37 @@ impl InputPlugin for RowPlugin {
                 })?
                 .data_type
                 .clone();
-            let plugin = self.clone();
-            let accessor = match data_type {
-                DataType::Int | DataType::Date => FieldAccessor::Int(Arc::new(move |oid| {
-                    plugin.inner.reader.read_int(oid as usize, field_idx)
-                })),
-                DataType::Float => FieldAccessor::Float(Arc::new(move |oid| {
-                    plugin.inner.reader.read_float(oid as usize, field_idx)
-                })),
-                DataType::Bool => FieldAccessor::Bool(Arc::new(move |oid| {
-                    plugin.inner.reader.read_bool(oid as usize, field_idx)
-                })),
-                _ => FieldAccessor::Str(Arc::new(move |oid| {
-                    plugin
-                        .inner
-                        .reader
-                        .read_str(oid as usize, field_idx)
-                        .unwrap_or_default()
-                        .to_string()
-                })),
+            // Fixed-stride address arithmetic straight into the typed lane.
+            let kind = match data_type {
+                DataType::Int | DataType::Date => TypedKind::I64,
+                DataType::Float => TypedKind::F64,
+                DataType::Bool => TypedKind::Bool,
+                _ => TypedKind::Str,
             };
-            accessors.push((field.clone(), accessor));
+            let plugin = self.clone();
+            let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
+                let reader = &plugin.inner.reader;
+                out.begin(kind, count);
+                for row in start as usize..start as usize + count {
+                    match kind {
+                        TypedKind::I64 => out.push_i64(reader.read_int(row, field_idx)),
+                        TypedKind::F64 => out.push_f64(reader.read_float(row, field_idx)),
+                        TypedKind::Bool => out.push_bool(reader.read_bool(row, field_idx)),
+                        TypedKind::Str => {
+                            out.push_str(reader.read_str(row, field_idx).unwrap_or_default())
+                        }
+                    }
+                }
+            });
+            fills.push((field.clone(), FieldFill::Typed(kind, fill)));
         }
         Ok(crate::fault::instrument_scan(
-            ScanAccessors::from_accessors(
-                self.len(),
-                accessors,
-                "binary-rows(fixed-stride positions)",
-            ),
+            ScanAccessors {
+                row_count: self.len(),
+                fields: fills,
+                access_path: "binary-rows(fixed-stride positions)".into(),
+                bad_rows: 0,
+            },
             "binary.decode",
         ))
     }
@@ -476,9 +440,16 @@ mod tests {
         let scan = p
             .generate(&["l_orderkey".to_string(), "l_quantity".to_string()])
             .unwrap();
-        assert!(scan.field("l_orderkey").unwrap().is_specialized_numeric());
-        assert_eq!(scan.field("l_orderkey").unwrap().as_i64(42), 42);
-        assert_eq!(scan.field("l_quantity").unwrap().as_f64(10), 5.0);
+        // Raw columns serve both tiers: no per-row closure in between.
+        assert!(matches!(
+            scan.fill("l_orderkey"),
+            Some(FieldFill::Column(_))
+        ));
+        let (kind, fill) = scan.fill("l_quantity").unwrap().typed().unwrap();
+        assert_eq!(kind, TypedKind::F64);
+        let mut col = TypedColumn::new(kind);
+        fill(10, 2, &mut col);
+        assert_eq!(col.f64_values(), [5.0, 5.5]);
     }
 
     #[test]
@@ -539,15 +510,15 @@ mod tests {
         let scan = p
             .generate(&["o_orderkey".to_string(), "o_totalprice".to_string()])
             .unwrap();
-        for oid in 0..50u64 {
-            assert_eq!(
-                Value::Int(scan.field("o_orderkey").unwrap().as_i64(oid)),
-                p.read_value(oid, "o_orderkey").unwrap()
-            );
-            assert_eq!(
-                Value::Float(scan.field("o_totalprice").unwrap().as_f64(oid)),
-                p.read_value(oid, "o_totalprice").unwrap()
-            );
+        let mut out = vec![Value::Null; 100];
+        for (slot, field) in ["o_orderkey", "o_totalprice"].into_iter().enumerate() {
+            scan.fill(field).unwrap().values()(0, 50, &mut out, slot, 2);
+            for oid in 0..50u64 {
+                assert_eq!(
+                    out[oid as usize * 2 + slot],
+                    p.read_value(oid, field).unwrap()
+                );
+            }
         }
     }
 

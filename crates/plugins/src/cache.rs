@@ -12,7 +12,7 @@ use std::sync::Arc;
 use proteus_algebra::{Field, Schema, Value};
 use proteus_storage::{CacheEntry, ColumnData, SourceFormat};
 
-use crate::api::{FieldAccessor, InputPlugin, Oid, ScanAccessors};
+use crate::api::{FieldFill, InputPlugin, Oid, ScanAccessors};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats};
 use crate::zonemap::ZoneMap;
@@ -116,55 +116,16 @@ impl InputPlugin for CachePlugin {
     }
 
     fn generate(&self, fields: &[String]) -> Result<ScanAccessors> {
-        let mut accessors = Vec::with_capacity(fields.len());
-        let mut batch_fields = Vec::with_capacity(fields.len());
-        let mut typed_fields = Vec::with_capacity(fields.len());
+        let mut fills = Vec::with_capacity(fields.len());
         for field in fields {
-            // The entry's own allocation, not a copy of it.
+            // The entry's own allocation, not a copy of it: cached binary
+            // columns never round-trip through a per-row closure.
             let column = self.column(field)?.clone();
-            // Morsel path: cached columns copy straight into the batch.
-            batch_fields.push((field.clone(), crate::api::column_batch_fill(column.clone())));
-            // Vectorized path: cached binary columns never round-trip
-            // through Value.
-            let (kind, typed) = crate::api::column_typed_fill(column.clone());
-            typed_fields.push((field.clone(), kind, typed));
-            let accessor = match column.as_ref() {
-                ColumnData::Int(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Int(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Int(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Float(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Float(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Float(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Bool(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Bool(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Bool(v) => v[oid as usize],
-                        _ => unreachable!(),
-                    }))
-                }
-                ColumnData::Str(_) => {
-                    let col = column.clone();
-                    FieldAccessor::Str(Arc::new(move |oid| match col.as_ref() {
-                        ColumnData::Str(v) => v[oid as usize].clone(),
-                        _ => unreachable!(),
-                    }))
-                }
-            };
-            accessors.push((field.clone(), accessor));
+            fills.push((field.clone(), FieldFill::Column(column)));
         }
         Ok(ScanAccessors {
             row_count: self.len(),
-            fields: accessors,
-            batch_fields,
-            typed_fields,
+            fields: fills,
             access_path: format!("cache({})", self.inner.entry.name),
             bad_rows: 0,
         })
@@ -265,7 +226,9 @@ mod tests {
     fn accessors_read_cached_binary_values() {
         let p = CachePlugin::new(entry());
         let scan = p.generate(&["l_orderkey".to_string()]).unwrap();
-        assert_eq!(scan.field("l_orderkey").unwrap().as_i64(2), 9);
+        let mut out = vec![Value::Null; 3];
+        scan.fill("l_orderkey").unwrap().values()(0, 3, &mut out, 0, 1);
+        assert_eq!(out[2], Value::Int(9));
         assert!(scan.access_path.contains("cache("));
     }
 

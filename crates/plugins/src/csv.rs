@@ -18,7 +18,10 @@ use bytes::Bytes;
 use proteus_algebra::{DataType, Schema, Value};
 use proteus_storage::{MemoryManager, SourceFormat};
 
-use crate::api::{BadRowPolicy, FieldAccessor, InputPlugin, Oid, ScanAccessors};
+use crate::api::{
+    BadRowPolicy, BatchFill, FieldFill, InputPlugin, Oid, ScanAccessors, TypedColumn, TypedFill,
+    TypedKind,
+};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
 use crate::zonemap::{derive_zone_maps, ZoneMap};
@@ -379,12 +382,35 @@ fn parse_typed(bytes: &[u8], data_type: &DataType) -> Value {
             text.parse::<i64>().map(Value::Int).unwrap_or(Value::Null)
         }
         DataType::Float => text.parse::<f64>().map(Value::Float).unwrap_or(Value::Null),
-        DataType::Bool => match text {
-            "true" | "1" | "t" => Value::Bool(true),
-            "false" | "0" | "f" => Value::Bool(false),
-            _ => Value::Null,
-        },
+        DataType::Bool => parse_bool(text).map_or(Value::Null, Value::Bool),
         _ => Value::Str(text.to_string()),
+    }
+}
+
+fn parse_bool(text: &str) -> Option<bool> {
+    match text {
+        "true" | "1" | "t" => Some(true),
+        "false" | "0" | "f" => Some(false),
+        _ => None,
+    }
+}
+
+/// Appends one raw field to a typed lane under [`parse_typed`]'s rule,
+/// without the intermediate `Value`.
+fn push_field(out: &mut TypedColumn, bytes: &[u8]) {
+    let text = std::str::from_utf8(bytes).unwrap_or("").trim();
+    let pushed = !text.is_empty()
+        && match out.kind() {
+            TypedKind::I64 => text.parse().map(|v| out.push_i64(v)).is_ok(),
+            TypedKind::F64 => text.parse().map(|v| out.push_f64(v)).is_ok(),
+            TypedKind::Bool => parse_bool(text).map(|v| out.push_bool(v)).is_some(),
+            TypedKind::Str => {
+                out.push_str(text);
+                true
+            }
+        };
+    if !pushed {
+        out.push_null();
     }
 }
 
@@ -447,7 +473,7 @@ fn row_defect(
         let parses = match field.data_type {
             DataType::Int | DataType::Date => text.parse::<i64>().is_ok(),
             DataType::Float => text.parse::<f64>().is_ok(),
-            DataType::Bool => matches!(text, "true" | "1" | "t" | "false" | "0" | "f"),
+            DataType::Bool => parse_bool(text).is_some(),
             _ => true,
         };
         if !parses {
@@ -514,8 +540,7 @@ impl InputPlugin for CsvPlugin {
             dataset: self.inner.dataset.clone(),
             detail,
         })?;
-        let mut accessors = Vec::with_capacity(fields.len());
-        let mut typed_fields = Vec::with_capacity(fields.len());
+        let mut fills = Vec::with_capacity(fields.len());
         for field in fields {
             let field_idx = self.field_index(field)?;
             let data_type = self
@@ -528,79 +553,47 @@ impl InputPlugin for CsvPlugin {
                 })?
                 .data_type
                 .clone();
-            // Vectorized path for Bool fields: they go through the Generic
-            // accessor below (whose misses are Null), so their typed fill
-            // shares `parse_typed` directly — nullable bool columns, every
-            // miss landing a bit in the column's packed null bitmap
-            // (`TypedColumn::push_null` / `null_words`), which the kernel
-            // mask loops then fold in word-wise. The scalar
-            // Int/Float/String fields get accessor-derived typed fills from
-            // `from_accessors`.
-            if matches!(data_type, DataType::Bool) {
-                let plugin = self.clone();
-                let fill: crate::api::TypedFill =
-                    Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
-                        out.begin(crate::api::TypedKind::Bool, count);
-                        for oid in start..start + count as Oid {
-                            let bytes = plugin.raw_field(oid, field_idx).unwrap_or(b"");
-                            match parse_typed(bytes, &DataType::Bool) {
-                                Value::Bool(b) => out.push_bool(b),
-                                _ => out.push_null(),
-                            }
+            let plugin = self.clone();
+            let kind = match data_type {
+                DataType::Int | DataType::Date => TypedKind::I64,
+                DataType::Float => TypedKind::F64,
+                DataType::Bool => TypedKind::Bool,
+                DataType::String => TypedKind::Str,
+                // Records, collections and `Any` have no typed lane.
+                other => {
+                    let fill: BatchFill = Arc::new(move |start, count, out, base, stride| {
+                        for i in 0..count {
+                            let bytes = plugin.raw_field(start + i as Oid, field_idx);
+                            out[base + i * stride] =
+                                bytes.map_or(Value::Null, |b| parse_typed(b, &other));
                         }
                     });
-                typed_fields.push((field.clone(), crate::api::TypedKind::Bool, fill));
-            }
-            let plugin = self.clone();
-            let accessor = match data_type {
-                DataType::Int | DataType::Date => FieldAccessor::Int(Arc::new(move |oid| {
-                    plugin
-                        .raw_field(oid, field_idx)
-                        .ok()
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .and_then(|s| s.trim().parse::<i64>().ok())
-                        .unwrap_or(0)
-                })),
-                DataType::Float => FieldAccessor::Float(Arc::new(move |oid| {
-                    plugin
-                        .raw_field(oid, field_idx)
-                        .ok()
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .and_then(|s| s.trim().parse::<f64>().ok())
-                        .unwrap_or(0.0)
-                })),
-                DataType::String => FieldAccessor::Str(Arc::new(move |oid| {
-                    plugin
-                        .raw_field(oid, field_idx)
-                        .ok()
-                        .and_then(|b| std::str::from_utf8(b).ok())
-                        .map(|s| s.trim().to_string())
-                        .unwrap_or_default()
-                })),
-                other => {
-                    let dt = other.clone();
-                    FieldAccessor::Generic(Arc::new(move |oid| {
-                        plugin
-                            .raw_field(oid, field_idx)
-                            .map(|b| parse_typed(b, &dt))
-                            .unwrap_or(Value::Null)
-                    }))
+                    fills.push((field.clone(), FieldFill::Values(fill)));
+                    continue;
                 }
             };
-            accessors.push((field.clone(), accessor));
+            // Scalar fields parse straight into the typed lane under
+            // `parse_typed`'s rule: an empty or unparseable field is a null
+            // bit, which the row-major form reads as `Value::Null`.
+            let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
+                out.begin(kind, count);
+                for oid in start..start + count as Oid {
+                    push_field(out, plugin.raw_field(oid, field_idx).unwrap_or(b""));
+                }
+            });
+            fills.push((field.clone(), FieldFill::Typed(kind, fill)));
         }
         let access_path = if self.inner.index.is_fixed_layout() {
             "csv(deterministic fixed layout)".to_string()
         } else {
             format!("csv(structural-index N={})", self.inner.options.index_every)
         };
-        // The morsel path wraps the typed closures: parsing still happens
-        // per value, but accessor dispatch drops to one call per morsel.
-        // `from_accessors` derives the Int/Float/String typed fills; the
-        // hand-built nullable Bool fills are appended on top.
-        let mut scan = ScanAccessors::from_accessors(self.len(), accessors, access_path)
-            .with_bad_rows(self.inner.bad_rows);
-        scan.typed_fields.extend(typed_fields);
+        let scan = ScanAccessors {
+            row_count: self.len(),
+            fields: fills,
+            access_path,
+            bad_rows: self.inner.bad_rows,
+        };
         Ok(crate::fault::instrument_scan(scan, "csv.decode"))
     }
 
@@ -736,17 +729,15 @@ mod tests {
             .generate(&["l_orderkey".to_string(), "l_quantity".to_string()])
             .unwrap();
         assert_eq!(scan.row_count, 50);
-        let key = scan.field("l_orderkey").unwrap();
-        let qty = scan.field("l_quantity").unwrap();
-        for oid in 0..50u64 {
-            assert_eq!(
-                Value::Int(key.as_i64(oid)),
-                p.read_value(oid, "l_orderkey").unwrap()
-            );
-            assert_eq!(
-                Value::Float(qty.as_f64(oid)),
-                p.read_value(oid, "l_quantity").unwrap()
-            );
+        let mut out = vec![Value::Null; 100];
+        for (slot, field) in ["l_orderkey", "l_quantity"].into_iter().enumerate() {
+            scan.fill(field).unwrap().values()(0, 50, &mut out, slot, 2);
+            for oid in 0..50u64 {
+                assert_eq!(
+                    out[oid as usize * 2 + slot],
+                    p.read_value(oid, field).unwrap()
+                );
+            }
         }
     }
 

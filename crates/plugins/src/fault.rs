@@ -178,31 +178,40 @@ pub fn check_infallible(site: &str) {
     }
 }
 
-/// Wraps a scan's morsel fill closures with fault checks at `site` — only
-/// when some fault is armed, so production scans are untouched. Called by
-/// each plug-in at the end of `generate()`.
+/// Wraps each field's one fill with a fault check at `site` — only when
+/// some fault is armed, so production scans are untouched. A raw column
+/// becomes the equivalent typed fill, so whichever of
+/// [`FieldFill::typed`](crate::api::FieldFill::typed) /
+/// [`FieldFill::values`](crate::api::FieldFill::values) the engine calls
+/// fires the site. Called by each plug-in at the end of `generate()`.
 pub fn instrument_scan(
     mut scan: crate::api::ScanAccessors,
     site: &'static str,
 ) -> crate::api::ScanAccessors {
+    use crate::api::FieldFill;
+    use std::sync::Arc;
     if !armed() {
         return scan;
     }
-    for (_, fill) in scan.batch_fields.iter_mut() {
-        let inner = fill.clone();
-        *fill = std::sync::Arc::new(
-            move |start, count, out: &mut [proteus_algebra::Value], base, stride| {
-                check_infallible(site);
-                inner(start, count, out, base, stride);
-            },
-        ) as crate::api::BatchFill;
-    }
-    for (_, _, fill) in scan.typed_fields.iter_mut() {
-        let inner = fill.clone();
-        *fill = std::sync::Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
-            check_infallible(site);
-            inner(start, count, out);
-        });
+    for (_, fill) in scan.fields.iter_mut() {
+        *fill = match fill.typed() {
+            Some((kind, inner)) => FieldFill::Typed(
+                kind,
+                Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
+                    check_infallible(site);
+                    inner(start, count, out);
+                }),
+            ),
+            None => {
+                let inner = fill.values();
+                FieldFill::Values(Arc::new(
+                    move |start, count, out: &mut [proteus_algebra::Value], base, stride| {
+                        check_infallible(site);
+                        inner(start, count, out, base, stride);
+                    },
+                ))
+            }
+        };
     }
     scan
 }

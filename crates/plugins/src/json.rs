@@ -40,7 +40,7 @@ use proteus_algebra::{DataType, Field, Record, Schema, Value};
 use proteus_storage::{MemoryManager, SourceFormat};
 
 use crate::api::{
-    BadRowPolicy, ExpandAccessors, ExpandOutput, FieldAccessor, InputPlugin, Oid, ScanAccessors,
+    BadRowPolicy, ExpandAccessors, ExpandOutput, FieldFill, InputPlugin, Oid, ScanAccessors,
     TypedColumn, TypedExpand, TypedFill, TypedKind,
 };
 use crate::error::{PluginError, Result};
@@ -947,7 +947,7 @@ impl JsonPlugin {
 
     /// Raw token text of a numeric field, or `None` when the field is
     /// missing or holds a non-number token (e.g. `null`) — the shared miss
-    /// definition of the nullable numeric accessors and typed fills.
+    /// definition of the nullable numeric typed fills.
     fn numeric_field_text(&self, oid: Oid, path: &BoundPath) -> Option<&str> {
         let entry = self.token(oid, path)?;
         if entry.token_type != TokenType::Number {
@@ -978,33 +978,28 @@ impl JsonPlugin {
         self.string_token(self.token(oid, path)?)
     }
 
-    /// The null-preserving accessor / typed-fill pair of one field: both are
-    /// the same `read`, so a missing field, a `null` and a token of another
-    /// type are `Value::Null` on the row-major path and a null bit in the
-    /// typed column — aggregates skip them identically in both tiers.
-    fn nullable_field<T: 'static>(
+    /// The null-preserving typed fill of one field: a missing field, a
+    /// `null` and a token of another type are a null bit, which the
+    /// row-major form reads as `Value::Null` — aggregates skip them
+    /// identically in both tiers.
+    fn nullable_fill<T: 'static>(
         &self,
         path: BoundPath,
         kind: TypedKind,
-        read: impl Fn(&JsonPlugin, Oid, &BoundPath) -> Option<T> + Copy + Send + Sync + 'static,
+        read: impl Fn(&JsonPlugin, Oid, &BoundPath) -> Option<T> + Send + Sync + 'static,
         push: impl Fn(&mut TypedColumn, T) + Send + Sync + 'static,
-        wrap: impl Fn(T) -> Value + Send + Sync + 'static,
-    ) -> (FieldAccessor, Option<(TypedKind, TypedFill)>) {
-        let (plugin, fill_path) = (self.clone(), path.clone());
+    ) -> FieldFill {
+        let plugin = self.clone();
         let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
             out.begin(kind, count);
             for oid in start..start + count as Oid {
-                match read(&plugin, oid, &fill_path) {
+                match read(&plugin, oid, &path) {
                     Some(v) => push(out, v),
                     None => out.push_null(),
                 }
             }
         });
-        let plugin = self.clone();
-        let accessor = FieldAccessor::Generic(Arc::new(move |oid| {
-            read(&plugin, oid, &path).map_or(Value::Null, &wrap)
-        }));
-        (accessor, Some((kind, fill)))
+        FieldFill::Typed(kind, fill)
     }
 
     /// Visits the elements of one object's collection in order, handing each
@@ -1297,8 +1292,7 @@ impl InputPlugin for JsonPlugin {
             dataset: self.inner.dataset.clone(),
             detail,
         })?;
-        let mut accessors = Vec::with_capacity(fields.len());
-        let mut typed_fields = Vec::new();
+        let mut fills = Vec::with_capacity(fields.len());
         // Nested-record leaves (`geo.lat`): Level 0 indexes them like
         // top-level fields, so a leaf whose tokens are all of one kind is
         // typed and served like one. Any other leaf is read token by token,
@@ -1323,61 +1317,62 @@ impl InputPlugin for JsonPlugin {
                 None => DataType::Any,
             };
             let path = self.bind(field);
-            let plugin = self.clone();
-            let (accessor, typed) = match data_type {
-                DataType::Int => self.nullable_field(
+            let fill = match data_type {
+                DataType::Int => self.nullable_fill(
                     path,
                     TypedKind::I64,
                     JsonPlugin::int_at,
                     TypedColumn::push_i64,
-                    Value::Int,
                 ),
-                DataType::Float => self.nullable_field(
+                DataType::Float => self.nullable_fill(
                     path,
                     TypedKind::F64,
                     JsonPlugin::float_at,
                     TypedColumn::push_f64,
-                    Value::Float,
                 ),
                 // A nested string leaf is often absent: keep the null that
                 // reading it out of the whole record would have produced.
-                DataType::String if nested => self.nullable_field(
+                DataType::String if nested => self.nullable_fill(
                     path,
                     TypedKind::Str,
                     JsonPlugin::string_at,
                     |col: &mut TypedColumn, s: String| col.push_str(&s),
-                    Value::Str,
                 ),
-                DataType::String => (
-                    FieldAccessor::Str(Arc::new(move |oid| {
-                        plugin.string_at(oid, &path).unwrap_or_default()
-                    })),
-                    None,
+                // A top-level string field reads `""` where it is missing
+                // or not a string (ARCHITECTURE.md, "Scan fills: one per field").
+                DataType::String => self.nullable_fill(
+                    path,
+                    TypedKind::Str,
+                    |plugin: &JsonPlugin, oid, path: &BoundPath| {
+                        Some(plugin.string_at(oid, path).unwrap_or_default())
+                    },
+                    |col: &mut TypedColumn, s: String| col.push_str(&s),
                 ),
-                _ => (
-                    FieldAccessor::Generic(Arc::new(move |oid| {
-                        plugin
-                            .token(oid, &path)
-                            .and_then(|e| plugin.entry_value(e).ok())
-                            .unwrap_or(Value::Null)
-                    })),
-                    None,
-                ),
+                // Records, arrays, bools, mixed-kind leaves: token by token
+                // into `Value`s, with no typed form.
+                _ => {
+                    let plugin = self.clone();
+                    FieldFill::Values(Arc::new(move |start, count, out, base, stride| {
+                        for i in 0..count {
+                            out[base + i * stride] = plugin
+                                .token(start + i as Oid, &path)
+                                .and_then(|e| plugin.entry_value(e).ok())
+                                .unwrap_or(Value::Null);
+                        }
+                    }))
+                }
             };
-            if let Some((kind, fill)) = typed {
-                typed_fields.push((field.clone(), kind, fill));
-            }
-            accessors.push((field.clone(), accessor));
+            fills.push((field.clone(), fill));
         }
         let mut access_path = if self.inner.index.is_deterministic() {
             "json(structural-index, deterministic layout, level-0 dropped".to_string()
         } else {
             "json(structural-index level-0 + level-1".to_string()
         };
-        let typed_leaves: Vec<&str> = typed_fields
+        let typed_leaves: Vec<&str> = fills
             .iter()
-            .filter(|(name, _, _)| name.contains('.'))
-            .map(|(name, _, _)| name.as_str())
+            .filter(|(name, fill)| name.contains('.') && matches!(fill, FieldFill::Typed(..)))
+            .map(|(name, _)| name.as_str())
             .collect();
         if !typed_leaves.is_empty() {
             access_path.push_str(&format!(
@@ -1386,13 +1381,12 @@ impl InputPlugin for JsonPlugin {
             ));
         }
         access_path.push(')');
-        // Morsel path: one structural-index walk per value but one accessor
-        // dispatch per (field, morsel). Top-level string fields get
-        // accessor-derived typed fills; the null-preserving fills are
-        // appended on top; bool/record/array fields stay on the closure path.
-        let mut scan = ScanAccessors::from_accessors(self.len(), accessors, access_path)
-            .with_bad_rows(self.inner.bad_rows);
-        scan.typed_fields.extend(typed_fields);
+        let scan = ScanAccessors {
+            row_count: self.len(),
+            fields: fills,
+            access_path,
+            bad_rows: self.inner.bad_rows,
+        };
         Ok(crate::fault::instrument_scan(scan, "json.decode"))
     }
 
@@ -1678,7 +1672,7 @@ mod tests {
         // kept verbatim, so `WHERE name = 'café'` never matched.
         let data = r#"{"name": "café", "u": "\u00e9\ud83d\ude00", "odd": "\ud83dx\u12", "items": [{"s": "naïve \u00fc"}]}"#;
         let plugin = JsonPlugin::from_bytes("t", Bytes::from(data.to_string())).unwrap();
-        // Row-major accessor and read_value.
+        // Row-major fill and read_value.
         assert_eq!(
             plugin.read_value(0, "name").unwrap(),
             Value::Str("café".into())
@@ -1694,14 +1688,14 @@ mod tests {
             .generate(&["name".to_string(), "u".to_string()])
             .unwrap();
         assert_eq!(
-            scan.field("name").unwrap().value(0),
-            Value::Str("café".into())
+            scan.fill("name").unwrap().values_at(0, 1),
+            [Value::Str("café".into())]
         );
         // Typed string fill.
-        let (kind, fill) = scan.typed_field("u").unwrap();
-        let mut col = TypedColumn::new(kind);
-        fill(0, 1, &mut col);
-        assert_eq!(col.value_at(0), Value::Str("é😀".into()));
+        assert_eq!(
+            scan.fill("u").unwrap().typed_at(0, 1).unwrap(),
+            [Value::Str("é😀".into())]
+        );
         // Element string lane of the expand hook.
         assert_eq!(
             expand_all(&plugin, "items", &["s"], false).unwrap(),
@@ -1752,33 +1746,31 @@ mod tests {
             "{}",
             scan.access_path
         );
-        assert_eq!(scan.typed_field("geo.lat").unwrap().0, TypedKind::F64);
-        assert_eq!(scan.typed_field("geo.n").unwrap().0, TypedKind::I64);
-        assert_eq!(scan.typed_field("geo.city").unwrap().0, TypedKind::Str);
+        let kind = |field: &str| scan.fill(field).unwrap().typed().map(|(kind, _)| kind);
+        assert_eq!(kind("geo.lat"), Some(TypedKind::F64));
+        assert_eq!(kind("geo.n"), Some(TypedKind::I64));
+        assert_eq!(kind("geo.city"), Some(TypedKind::Str));
         // A leaf no object sets is an all-null lane.
-        assert_eq!(scan.typed_field("geo.nope").unwrap().0, TypedKind::I64);
+        assert_eq!(kind("geo.nope"), Some(TypedKind::I64));
         // Mixed leaves are not typed: every token reads as what it is.
-        assert!(scan.typed_field("geo.m").is_none() && scan.typed_field("geo.s").is_none());
-        let m = scan.field("geo.m").unwrap();
-        assert_eq!((m.value(7), m.value(8)), (Value::Int(7), Value::Float(2.5)));
-        assert_eq!(scan.field("geo.s").unwrap().value(9), Value::Int(7));
-        // Typed fill ≡ row-major accessor ≡ navigating the whole record.
+        assert!(kind("geo.m").is_none() && kind("geo.s").is_none());
+        let m = scan.fill("geo.m").unwrap().values_at(7, 2);
+        assert_eq!(m, [Value::Int(7), Value::Float(2.5)]);
+        assert_eq!(scan.fill("geo.s").unwrap().values_at(9, 1), [Value::Int(7)]);
+        // Typed fill ≡ row-major fill ≡ navigating the whole record.
         for field in &fields {
-            let accessor = scan.field(field).unwrap();
-            let typed = scan.typed_field(field).map(|(kind, fill)| {
-                let mut col = TypedColumn::new(kind);
-                fill(0, 10, &mut col);
-                col
-            });
+            let fill = scan.fill(field).unwrap();
+            let values = fill.values_at(0, 10);
+            let typed = fill.typed_at(0, 10);
             let leaf = field.split('.').nth(1).unwrap().to_string();
-            for oid in 0..10u64 {
+            for oid in 0..10usize {
                 let whole = plugin
-                    .read_value(oid, "geo")
+                    .read_value(oid as u64, "geo")
                     .unwrap()
                     .navigate(std::slice::from_ref(&leaf));
-                assert_eq!(accessor.value(oid), whole, "{field} oid {oid}");
-                if let Some(col) = &typed {
-                    assert_eq!(col.value_at(oid as usize), whole, "{field} oid {oid}");
+                assert_eq!(values[oid], whole, "{field} oid {oid}");
+                if let Some(typed) = &typed {
+                    assert_eq!(typed[oid], whole, "{field} oid {oid}");
                 }
             }
         }
@@ -1843,22 +1835,11 @@ mod tests {
                 "comment".to_string(),
             ])
             .unwrap();
-        let key = scan.field("orderkey").unwrap();
-        let price = scan.field("price").unwrap();
-        let comment = scan.field("comment").unwrap();
-        for oid in 0..plugin.len() {
-            assert_eq!(
-                Value::Int(key.as_i64(oid)),
-                plugin.read_value(oid, "orderkey").unwrap()
-            );
-            assert_eq!(
-                Value::Float(price.as_f64(oid)),
-                plugin.read_value(oid, "price").unwrap()
-            );
-            assert_eq!(
-                comment.value(oid),
-                plugin.read_value(oid, "comment").unwrap()
-            );
+        for (field, fill) in &scan.fields {
+            let values = fill.values_at(0, plugin.len() as usize);
+            for oid in 0..plugin.len() {
+                assert_eq!(values[oid as usize], plugin.read_value(oid, field).unwrap());
+            }
         }
     }
 

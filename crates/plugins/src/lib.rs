@@ -20,8 +20,8 @@
 //!   ([`binary::ColumnPlugin`]) and row-oriented ([`binary::RowPlugin`]).
 //! * [`cache`] — the plug-in that exposes materialized caches as an
 //!   additional input dataset (§6).
-//! * [`api`] — the plug-in trait plus the specialized accessors plug-ins
-//!   hand to the generated query pipelines.
+//! * [`api`] — the plug-in trait plus the one fill per field plug-ins hand
+//!   to the generated query pipelines.
 //! * [`stats`] — per-dataset statistics and the per-plug-in cost profiles the
 //!   optimizer consumes.
 //! * [`zonemap`] — per-morsel min/max/null zone maps: the statistics the
@@ -45,8 +45,8 @@ pub mod stats;
 pub mod zonemap;
 
 pub use api::{
-    column_batch_fill, column_typed_fill, BadRowPolicy, BatchFill, ExpandAccessors, ExpandOutput,
-    FieldAccessor, InputPlugin, Oid, ScanAccessors, TypedColumn, TypedExpand, TypedFill, TypedKind,
+    BadRowPolicy, BatchFill, ExpandAccessors, ExpandOutput, FieldFill, InputPlugin, Oid,
+    ScanAccessors, TypedColumn, TypedExpand, TypedFill, TypedKind,
 };
 pub use error::{PluginError, Result};
 pub use registry::PluginRegistry;

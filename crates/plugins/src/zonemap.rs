@@ -20,8 +20,8 @@
 //! [`ColumnData`] (a single pass at registration / cache-build time). CSV and
 //! JSON plug-ins derive them lazily from the same [`TypedFill`] closures the
 //! vectorized scan uses ([`derive_zone_maps`]), which guarantees the bounds
-//! agree with the lanes the kernels will see (e.g. a CSV parse miss fills
-//! `0`, and that `0` lands in the zone bounds too).
+//! agree with the lanes the kernels will see (e.g. an empty CSV field is a
+//! null bit in the lane and a null in the zone, never a bound).
 //!
 //! The same pass aggregates the dataset-level [`ColumnStats`] through
 //! [`ColumnStats::merge`], so the zone tier and the optimizer's statistics
@@ -380,10 +380,13 @@ pub fn derive_zone_maps(
         let mut cached = cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (name, kind, fill) in &scan.typed_fields {
+        for (name, fill) in &scan.fields {
+            let Some((kind, fill)) = fill.typed() else {
+                continue;
+            };
             let zm = cached
                 .entry(name.clone())
-                .or_insert_with(|| Arc::new(ZoneMap::from_typed_fill(scan.row_count, *kind, fill)))
+                .or_insert_with(|| Arc::new(ZoneMap::from_typed_fill(scan.row_count, kind, &fill)))
                 .clone();
             out.push((name.clone(), zm));
         }

@@ -271,6 +271,40 @@ fn decode_faults_surface_structured_errors_in_every_format() {
             100
         );
     }
+
+    // One more reader of the same fills: the background cache build, which
+    // reads each field's row-major form. Skipping every foreground hit
+    // (counted on an uncached twin) and the build's own generation hit puts
+    // the fault in the build's morsel fill: the build is abandoned, the
+    // query's answer is untouched, and a later build succeeds.
+    fault::configure("csv.decode", FaultAction::SleepMs(0));
+    let twin = csv_engine("decode_faults_twin", 100, EngineConfig::without_caching());
+    assert_eq!(count_of(&twin.execute_plan(count_plan("t")).unwrap()), 100);
+    let foreground_hits = fault::fired("csv.decode");
+    let engine = csv_engine(
+        "decode_faults_bg",
+        100,
+        EngineConfig::default().with_background_cache_builds(true),
+    );
+    fault::configure_after("csv.decode", FaultAction::Error, foreground_hits + 1);
+    assert_eq!(
+        count_of(&engine.execute_plan(count_plan("t")).unwrap()),
+        100
+    );
+    engine.wait_for_cache_builds(Duration::from_secs(10));
+    assert_eq!(
+        fault::fired("csv.decode"),
+        1,
+        "the build's fill hit the site"
+    );
+    assert!(engine.caches().caches_for_dataset("t").is_empty());
+    fault::clear();
+    assert_eq!(
+        count_of(&engine.execute_plan(count_plan("t")).unwrap()),
+        100
+    );
+    engine.wait_for_cache_builds(Duration::from_secs(10));
+    assert!(!engine.caches().caches_for_dataset("t").is_empty());
 }
 
 #[test]

@@ -448,7 +448,28 @@ fn kernels_equal_closures_over_json_and_csv() {
         let csv_path = dir.join(format!("t_{seed}.csv"));
         writers::write_csv(&csv_path, &records, &schema(), '|').unwrap();
 
+        // CSV cannot tell an empty string from a missing value: an empty
+        // field reads as null on every path, so that is the reference too.
+        let csv_records: Vec<Value> = records
+            .iter()
+            .map(|record| match record {
+                Value::Record(rec) => Value::record(
+                    rec.iter()
+                        .map(|(name, v)| match v {
+                            Value::Str(s) if s.is_empty() => (name, Value::Null),
+                            v => (name, v.clone()),
+                        })
+                        .collect(),
+                ),
+                other => other.clone(),
+            })
+            .collect();
         for format in ["json", "csv"] {
+            let records = if format == "csv" {
+                &csv_records
+            } else {
+                &records
+            };
             // Skipping off for the same reason as the binary suite above.
             let vectorized =
                 QueryEngine::new(EngineConfig::without_caching().with_morsel_skipping(false));
@@ -467,7 +488,7 @@ fn kernels_equal_closures_over_json_and_csv() {
                     engines_agree(
                         &vectorized,
                         &closures,
-                        &records,
+                        records,
                         &plan,
                         true,
                         &format!("{format} seed {seed} pred {pi} plan {qi}"),
