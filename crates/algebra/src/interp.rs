@@ -253,10 +253,6 @@ pub fn eval_bindings(plan: &LogicalPlan, catalog: &MemoryCatalog) -> Result<Vec<
             }
             Ok(out)
         }
-        LogicalPlan::CacheScan { input, .. } => {
-            // The reference interpreter ignores caching side effects.
-            eval_bindings(input, catalog)
-        }
         LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. } => {
             // A reduce/nest in the middle of a plan produces its output rows
             // bound under a synthetic variable name.

@@ -133,17 +133,6 @@ pub enum LogicalPlan {
         /// Embedded filter applied before grouping.
         predicate: Option<Expr>,
     },
-    /// Explicit caching operator: materializes the given expressions over its
-    /// input as a binary cache (one of the two cache-building modes of §6)
-    /// and passes its input through unchanged.
-    CacheScan {
-        /// Input plan.
-        input: Box<LogicalPlan>,
-        /// Expressions to materialize.
-        expressions: Vec<Expr>,
-        /// Cache identifier assigned by the caching manager.
-        cache_name: String,
-    },
 }
 
 impl LogicalPlan {
@@ -218,8 +207,7 @@ impl LogicalPlan {
             LogicalPlan::Select { input, .. }
             | LogicalPlan::Unnest { input, .. }
             | LogicalPlan::Reduce { input, .. }
-            | LogicalPlan::Nest { input, .. }
-            | LogicalPlan::CacheScan { input, .. } => vec![input],
+            | LogicalPlan::Nest { input, .. } => vec![input],
             LogicalPlan::Join { left, right, .. } => vec![left, right],
         }
     }
@@ -242,7 +230,6 @@ impl LogicalPlan {
             }
             LogicalPlan::Reduce { .. } => "Reduce",
             LogicalPlan::Nest { .. } => "Nest",
-            LogicalPlan::CacheScan { .. } => "CacheScan",
         }
     }
 
@@ -268,8 +255,7 @@ impl LogicalPlan {
             }
             LogicalPlan::Select { input, .. }
             | LogicalPlan::Reduce { input, .. }
-            | LogicalPlan::Nest { input, .. }
-            | LogicalPlan::CacheScan { input, .. } => input.collect_bound_variables(out),
+            | LogicalPlan::Nest { input, .. } => input.collect_bound_variables(out),
         }
     }
 
@@ -324,7 +310,6 @@ impl LogicalPlan {
                 v.extend(predicate.iter());
                 v
             }
-            LogicalPlan::CacheScan { expressions, .. } => expressions.iter().collect(),
         }
     }
 
@@ -344,112 +329,6 @@ impl LogicalPlan {
             }
         });
         set.into_iter().collect()
-    }
-
-    /// A canonical structural signature for cache matching (§6): two plan
-    /// subtrees match when they perform the same operations with the same
-    /// arguments over matching children. The signature is a deterministic
-    /// string rendering of the subtree with expressions included.
-    pub fn signature(&self) -> String {
-        let mut s = String::new();
-        self.write_signature(&mut s);
-        s
-    }
-
-    fn write_signature(&self, out: &mut String) {
-        out.push_str(self.name());
-        out.push('(');
-        match self {
-            LogicalPlan::Scan {
-                dataset,
-                alias,
-                projected_fields,
-                ..
-            } => {
-                out.push_str(dataset);
-                out.push_str(" as ");
-                out.push_str(alias);
-                if !projected_fields.is_empty() {
-                    out.push_str(&format!(" [{}]", projected_fields.join(",")));
-                }
-            }
-            LogicalPlan::Select { predicate, .. } => out.push_str(&predicate.to_string()),
-            LogicalPlan::Join { predicate, .. } => out.push_str(&predicate.to_string()),
-            LogicalPlan::Unnest {
-                path,
-                alias,
-                predicate,
-                ..
-            } => {
-                out.push_str(&format!("{path} as {alias}"));
-                if let Some(p) = predicate {
-                    out.push_str(&format!(" where {p}"));
-                }
-            }
-            LogicalPlan::Reduce {
-                outputs, predicate, ..
-            } => {
-                for (i, o) in outputs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&o.to_string());
-                }
-                if let Some(p) = predicate {
-                    out.push_str(&format!(" where {p}"));
-                }
-            }
-            LogicalPlan::Nest {
-                group_by,
-                outputs,
-                predicate,
-                ..
-            } => {
-                out.push_str("by ");
-                for (i, g) in group_by.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&g.to_string());
-                }
-                out.push_str("; ");
-                for (i, o) in outputs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&o.to_string());
-                }
-                if let Some(p) = predicate {
-                    out.push_str(&format!(" where {p}"));
-                }
-            }
-            LogicalPlan::CacheScan {
-                expressions,
-                cache_name,
-                ..
-            } => {
-                out.push_str(cache_name);
-                out.push(':');
-                for (i, e) in expressions.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&e.to_string());
-                }
-            }
-        }
-        out.push(')');
-        let children = self.children();
-        if !children.is_empty() {
-            out.push('[');
-            for (i, child) in children.iter().enumerate() {
-                if i > 0 {
-                    out.push(';');
-                }
-                child.write_signature(out);
-            }
-            out.push(']');
-        }
     }
 }
 
@@ -500,15 +379,6 @@ mod tests {
         let dotted: Vec<String> = paths.iter().map(|p| p.dotted()).collect();
         assert!(dotted.contains(&"l.l_orderkey".to_string()));
         assert!(dotted.contains(&"l.l_quantity".to_string()));
-    }
-
-    #[test]
-    fn signature_distinguishes_predicates() {
-        let a = lineitem_scan().select(Expr::path("l.l_orderkey").lt(Expr::int(100)));
-        let b = lineitem_scan().select(Expr::path("l.l_orderkey").lt(Expr::int(200)));
-        assert_ne!(a.signature(), b.signature());
-        let a2 = lineitem_scan().select(Expr::path("l.l_orderkey").lt(Expr::int(100)));
-        assert_eq!(a.signature(), a2.signature());
     }
 
     #[test]

@@ -73,14 +73,6 @@ fn write_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
                 out.push_str(&format!(" where {p}"));
             }
         }
-        LogicalPlan::CacheScan {
-            expressions,
-            cache_name,
-            ..
-        } => {
-            let exprs: Vec<String> = expressions.iter().map(|e| e.to_string()).collect();
-            out.push_str(&format!("Cache {cache_name} [{}]", exprs.join(", ")));
-        }
     }
     out.push('\n');
     for child in plan.children() {

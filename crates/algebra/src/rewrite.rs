@@ -195,21 +195,6 @@ fn try_push(pred: Expr, plan: LogicalPlan) -> (LogicalPlan, Option<Expr>) {
                 None,
             )
         }
-        LogicalPlan::CacheScan {
-            input,
-            expressions,
-            cache_name,
-        } => {
-            let (new_input, rest) = try_push(pred, *input);
-            (
-                LogicalPlan::CacheScan {
-                    input: Box::new(new_input),
-                    expressions,
-                    cache_name,
-                },
-                rest,
-            )
-        }
         // Scans, reduces and nests: cannot push further.
         leaf => (leaf, Some(pred)),
     }
@@ -402,15 +387,6 @@ fn map_children(plan: LogicalPlan, f: impl Fn(LogicalPlan) -> LogicalPlan) -> Lo
             group_aliases,
             outputs,
             predicate,
-        },
-        LogicalPlan::CacheScan {
-            input,
-            expressions,
-            cache_name,
-        } => LogicalPlan::CacheScan {
-            input: Box::new(f(*input)),
-            expressions,
-            cache_name,
         },
     }
 }

@@ -244,7 +244,6 @@ pub fn volcano_bindings(
             }
             Ok(out)
         }
-        LogicalPlan::CacheScan { input, .. } => volcano_bindings(input, fetch, use_hash_joins),
         LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. } => Err(AlgebraError::InvalidPlan(
             "aggregation below the root is not supported by the baseline engines".into(),
         )),

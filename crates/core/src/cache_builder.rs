@@ -12,8 +12,6 @@
 //! * the eviction bias (JSON ≻ CSV ≻ Binary) lives in
 //!   [`proteus_storage::CacheStore`].
 
-use std::sync::Arc;
-
 use proteus_algebra::{DataType, Value};
 use proteus_storage::cache::make_entry;
 use proteus_storage::{CacheEntry, CacheStore, ColumnData, SourceFormat};
@@ -23,13 +21,6 @@ use proteus_storage::{CacheEntry, CacheStore, ColumnData, SourceFormat};
 pub fn should_cache_field(format: SourceFormat, data_type: &DataType) -> bool {
     let verbose_source = matches!(format, SourceFormat::Csv | SourceFormat::Json);
     verbose_source && data_type.is_numeric()
-}
-
-/// Signature under which scan-side-effect caches are registered. Field-level
-/// reuse looks caches up by dataset + column name, so the signature only has
-/// to be stable per dataset.
-pub fn scan_cache_signature(dataset: &str) -> String {
-    format!("scanfields::{dataset}")
 }
 
 /// An in-flight cache being populated while a scan runs.
@@ -45,15 +36,21 @@ pub struct CacheBuilder {
     unusable: Vec<bool>,
     oids: Vec<u64>,
     enabled: bool,
+    /// The source dataset's revision when the builder was created, before
+    /// the scan read anything: registration is refused against a newer one.
+    revision: u64,
 }
 
 impl CacheBuilder {
     /// Creates a builder for the given fields (already filtered by
     /// [`should_cache_field`]). Passing no fields produces a disabled builder.
+    /// `revision` is the dataset's [`CacheStore::dataset_revision`],
+    /// captured before the plug-in the scan reads through was resolved.
     pub fn new(
         dataset: impl Into<String>,
         format: SourceFormat,
         fields: Vec<(String, DataType)>,
+        revision: u64,
     ) -> CacheBuilder {
         let enabled = !fields.is_empty();
         CacheBuilder {
@@ -66,6 +63,7 @@ impl CacheBuilder {
                 .collect(),
             oids: Vec::new(),
             enabled,
+            revision,
         }
     }
 
@@ -78,6 +76,7 @@ impl CacheBuilder {
             unusable: Vec::new(),
             oids: Vec::new(),
             enabled: false,
+            revision: 0,
         }
     }
 
@@ -118,22 +117,13 @@ impl CacheBuilder {
         self.oids.len()
     }
 
-    /// Finalizes the builder into the cache store. Returns the cache name if
-    /// an entry was inserted.
-    pub fn finish(self, store: &CacheStore) -> Option<String> {
-        let entry = self.into_entry()?;
-        let name = entry.name.clone();
-        match store.insert(entry) {
-            Ok(()) => Some(name),
-            Err(_) => None,
-        }
-    }
-
-    /// Finalizes only if the source dataset is still at `revision`
-    /// (captured via [`CacheStore::dataset_revision`] before the build
-    /// started) — the background-build path, where an invalidation may
-    /// race the scan and the stale result must be discarded.
-    pub fn finish_if_current(self, store: &CacheStore, revision: u64) -> Option<String> {
+    /// Finalizes the builder into the cache store, but only if the source
+    /// dataset is still at the revision captured when the builder was
+    /// created: an invalidation may race the scan (inline or background),
+    /// and the stale result must be discarded. Returns the cache name if an
+    /// entry was registered.
+    pub fn finish_if_current(self, store: &CacheStore) -> Option<String> {
+        let revision = self.revision;
         let entry = self.into_entry()?;
         let name = entry.name.clone();
         match store.insert_if_current(entry, revision) {
@@ -163,14 +153,7 @@ impl CacheBuilder {
         );
         let rows = self.oids.len() as u64;
         let fields = columns.len();
-        let mut entry = make_entry(
-            name,
-            scan_cache_signature(&self.dataset),
-            self.dataset.clone(),
-            self.format,
-            columns,
-            self.oids,
-        );
+        let mut entry = make_entry(name, self.dataset.clone(), self.format, columns, self.oids);
         // Stamp the rebuild cost from the optimizer's cost model: one full
         // scan of the source through its format's access profile. This is
         // the `build_cost` term of the store's eviction score.
@@ -184,34 +167,11 @@ impl CacheBuilder {
     }
 }
 
-/// Looks up a cached column for `dataset.field` that covers the full dataset
-/// (identity OIDs), as required for transparently substituting a scan
-/// fill. Returns the entry's handle and the column's index in it — the
-/// caller reads the entry's own allocation — and records the hit.
-pub fn find_full_column_cache(
-    store: &CacheStore,
-    dataset: &str,
-    field: &str,
-    dataset_len: u64,
-) -> Option<(Arc<CacheEntry>, usize)> {
-    for entry in store.caches_for_dataset(dataset) {
-        let Some(index) = entry.columns().iter().position(|(n, _)| n == field) else {
-            continue;
-        };
-        if entry.covers_dataset(dataset_len) {
-            // Per-column reuse is a hit like any other: it keeps the entry's
-            // eviction score live even when full cache matching never fires.
-            store.record_hit_on(&entry);
-            return Some((entry, index));
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proteus_storage::MemoryManager;
+    use std::sync::Arc;
 
     #[test]
     fn policy_caches_numerics_from_verbose_sources_only() {
@@ -228,15 +188,18 @@ mod tests {
             "lineitem",
             SourceFormat::Json,
             vec![("l_orderkey".to_string(), DataType::Int)],
+            store.dataset_revision("lineitem"),
         );
         assert!(builder.is_enabled());
         for oid in 0..10u64 {
             builder.observe(oid, &[Value::Int(oid as i64 * 2)]);
         }
         assert_eq!(builder.row_count(), 10);
-        let name = builder.finish(&store).unwrap();
+        let name = builder.finish_if_current(&store).unwrap();
         assert!(store.get(&name).is_some());
-        let (entry, index) = find_full_column_cache(&store, "lineitem", "l_orderkey", 10).unwrap();
+        let (entry, index) = store
+            .lookup_column("lineitem", "l_orderkey", 10, true)
+            .unwrap();
         assert_eq!(entry.name, name);
         let column = &entry.columns()[index].1;
         assert_eq!(column.value_at(3), Some(Value::Int(6)));
@@ -247,8 +210,20 @@ mod tests {
         assert!(Arc::ptr_eq(column, live.column("l_orderkey").unwrap()));
         assert_eq!(live.hits(), 1);
         assert_eq!(store.stats().hits, 1);
-        assert!(find_full_column_cache(&store, "lineitem", "ghost", 10).is_none());
+        assert!(store.lookup_column("lineitem", "ghost", 10, true).is_none());
         assert_eq!(store.stats().hits, 1);
+
+        // A builder created before an invalidation registers nothing.
+        let mut stale = CacheBuilder::new(
+            "lineitem",
+            SourceFormat::Json,
+            vec![("l_quantity".to_string(), DataType::Int)],
+            store.dataset_revision("lineitem"),
+        );
+        stale.observe(0, &[Value::Int(1)]);
+        store.invalidate_dataset("lineitem");
+        assert!(stale.finish_if_current(&store).is_none());
+        assert!(store.caches_for_dataset("lineitem").is_empty());
     }
 
     #[test]
@@ -257,7 +232,7 @@ mod tests {
         let mut builder = CacheBuilder::disabled();
         assert!(!builder.is_enabled());
         assert_eq!(builder.observe(0, &[Value::Int(1)]), 0);
-        assert!(builder.finish(&store).is_none());
+        assert!(builder.finish_if_current(&store).is_none());
     }
 
     #[test]
@@ -267,13 +242,18 @@ mod tests {
             "lineitem",
             SourceFormat::Json,
             vec![("l_orderkey".to_string(), DataType::Int)],
+            0,
         );
         for oid in 0..5u64 {
             builder.observe(oid * 2, &[Value::Int(oid as i64)]); // non-identity OIDs
         }
-        builder.finish(&store).unwrap();
-        assert!(find_full_column_cache(&store, "lineitem", "l_orderkey", 10).is_none());
-        assert!(find_full_column_cache(&store, "lineitem", "l_orderkey", 5).is_none());
+        builder.finish_if_current(&store).unwrap();
+        assert!(store
+            .lookup_column("lineitem", "l_orderkey", 10, true)
+            .is_none());
+        assert!(store
+            .lookup_column("lineitem", "l_orderkey", 5, true)
+            .is_none());
     }
 
     #[test]
@@ -283,11 +263,11 @@ mod tests {
             ("x".to_string(), DataType::Float),
             ("y".to_string(), DataType::Int),
         ];
-        let mut builder = CacheBuilder::new("t", SourceFormat::Csv, fields.clone());
+        let mut builder = CacheBuilder::new("t", SourceFormat::Csv, fields.clone(), 0);
         assert_eq!(builder.observe(0, &[Value::Float(1.5), Value::Int(1)]), 2);
         assert_eq!(builder.observe(1, &[Value::Null, Value::Int(2)]), 1);
         assert_eq!(builder.observe(2, &[Value::Float(2.5), Value::Int(3)]), 1);
-        let name = builder.finish(&store).unwrap();
+        let name = builder.finish_if_current(&store).unwrap();
         assert_eq!(name, "t::y");
         let entry = store.get(&name).unwrap();
         assert!(entry.column("x").is_none());
@@ -296,10 +276,10 @@ mod tests {
 
         // Nothing left to cache: no entry at all. A value of the wrong type
         // disqualifies a column the same way.
-        let mut builder = CacheBuilder::new("u", SourceFormat::Csv, fields);
+        let mut builder = CacheBuilder::new("u", SourceFormat::Csv, fields, 0);
         builder.observe(0, &[Value::Null, Value::str("oops")]);
         builder.observe(1, &[Value::Float(2.5), Value::Int(3)]);
-        assert!(builder.finish(&store).is_none());
+        assert!(builder.finish_if_current(&store).is_none());
         assert!(store.caches_for_dataset("u").is_empty());
     }
 }

@@ -41,11 +41,10 @@ use std::time::{Duration, Instant};
 use proteus_algebra::{
     BinaryOp, Expr, JoinKind, LogicalPlan, Monoid, Path, Record, ReduceSpec, Value,
 };
-use proteus_optimizer::cache_match::cache_name_from_dataset;
 use proteus_plugins::{BatchFill, ColumnStats, FieldFill, PluginRegistry, TypedKind, ZoneMap};
 use proteus_storage::CacheStore;
 
-use crate::cache_builder::{find_full_column_cache, should_cache_field, CacheBuilder};
+use crate::cache_builder::{should_cache_field, CacheBuilder};
 use crate::error::{EngineError, Result};
 use crate::exec::background::CacheBuildSpec;
 use crate::exec::expr::{
@@ -620,26 +619,6 @@ impl Compiler {
                 predicate,
                 kind,
             } => self.compile_join(left, right, predicate, *kind, ir, access_paths, ctx),
-            LogicalPlan::CacheScan {
-                input,
-                expressions,
-                cache_name,
-            } => {
-                // Explicit caching operators pass data through; the caching
-                // side-effect itself is handled by the scan-level builders.
-                ir.line(
-                    1,
-                    &format!(
-                        "cache[{cache_name}] <- materialize([{}])",
-                        expressions
-                            .iter()
-                            .map(|e| e.to_string())
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    ),
-                );
-                self.compile_producer(input, ir, access_paths, ctx)
-            }
             LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. } => Err(EngineError::Unsupported(
                 "aggregation below the plan root is not supported by the generated engine"
                     .to_string(),
@@ -764,26 +743,11 @@ impl Compiler {
         }
     }
 
-    /// Resolves a scanned dataset to its plug-in: a real dataset, or a
-    /// synthetic cache dataset spliced in by the optimizer's cache matching.
+    /// Resolves a scanned dataset to its plug-in.
     fn resolve_plugin(&self, dataset: &str) -> Result<Arc<dyn proteus_plugins::InputPlugin>> {
-        match cache_name_from_dataset(dataset) {
-            Some(cache_name) => {
-                let store = self.caches.as_ref().ok_or_else(|| {
-                    EngineError::Unsupported(
-                        "plan references a cache but caching is disabled".into(),
-                    )
-                })?;
-                let entry = store
-                    .get(cache_name)
-                    .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))?;
-                Ok(Arc::new(proteus_plugins::cache::CachePlugin::new(entry)))
-            }
-            None => self
-                .registry
-                .get(dataset)
-                .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string())),
-        }
+        self.registry
+            .get(dataset)
+            .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -797,7 +761,20 @@ impl Compiler {
         access_paths: &mut Vec<String>,
         ctx: &mut PlanCtx,
     ) -> Result<(Producer, BindingLayout)> {
+        // Revision fence of the cache-building side effect: captured before
+        // the plug-in is resolved, so a build over data an invalidation has
+        // since replaced is refused at registration.
+        let revision = self
+            .caches
+            .as_ref()
+            .map(|store| store.dataset_revision(dataset));
         let plugin = self.resolve_plugin(dataset)?;
+        let format = plugin.format();
+        // The type a field is cached as, if the caching policy caches it.
+        let cache_type = |field: &str| {
+            let data_type = &plugin.schema().field(field)?.data_type;
+            should_cache_field(format, data_type).then(|| data_type.clone())
+        };
 
         // Field-of-interest list: what projection pushdown computed, falling
         // back to the full schema when the plan (or the query) needs it all.
@@ -813,7 +790,7 @@ impl Compiler {
             // only the JSON structural index serves those. Everyone else
             // reads the top-level field whole and the path navigates it —
             // unless the dotted name is itself a column (`sepal.length`).
-            let serves_leaves = plugin.format() == proteus_storage::SourceFormat::Json;
+            let serves_leaves = format == proteus_storage::SourceFormat::Json;
             let mut fields: Vec<String> = Vec::with_capacity(projected_fields.len());
             for field in projected_fields {
                 let field = match field.split_once('.') {
@@ -844,10 +821,12 @@ impl Compiler {
             let slot = layout.slot_for(&format!("{alias}.{field}"));
             slot_of_field.push((field.clone(), slot));
             // Partial cache reuse ("replacing a part of an operator"): a
-            // previous query may have cached this column in binary form.
+            // previous query may have cached this column in binary form, in
+            // memory or spilled to disk.
             if let Some(store) = &self.caches {
+                let cacheable = cache_type(field).is_some();
                 if let Some((entry, index)) =
-                    find_full_column_cache(store, dataset, field, plugin.len())
+                    store.lookup_column(dataset, field, plugin.len(), cacheable)
                 {
                     // Handles to the entry's own column and to the zone maps
                     // memoized in it: a hit copies and derives nothing.
@@ -898,7 +877,7 @@ impl Compiler {
             fills.push((slot, fill.values()));
         }
         if zone_maps_wanted && !fields_from_plugin.is_empty() {
-            // Binary/cache plug-ins answer from their recorded maps; CSV and
+            // Binary plug-ins answer from their recorded maps; CSV and
             // JSON derive (and memoize) them from their own typed fills, so
             // the bounds agree with the lanes the kernels will compare.
             for (field, zm) in plugin.zone_maps(&fields_from_plugin) {
@@ -921,23 +900,11 @@ impl Compiler {
 
         // Cache-building side-effect: numeric fields read from verbose
         // sources that are not already cached.
-        let cache_builder = match &self.caches {
-            Some(_store) if cache_name_from_dataset(dataset).is_none() => {
-                let format = plugin.format();
+        let cache_builder = match revision {
+            Some(revision) => {
                 let to_cache: Vec<(String, proteus_algebra::DataType)> = fields_from_plugin
                     .iter()
-                    .filter_map(|field| {
-                        let dt = plugin
-                            .schema()
-                            .field(field)
-                            .map(|f| f.data_type.clone())
-                            .unwrap_or(proteus_algebra::DataType::Any);
-                        if should_cache_field(format, &dt) {
-                            Some((field.clone(), dt))
-                        } else {
-                            None
-                        }
-                    })
+                    .filter_map(|field| Some((field.clone(), cache_type(field)?)))
                     .collect();
                 if to_cache.is_empty() {
                     CacheBuilder::disabled()
@@ -976,10 +943,10 @@ impl Compiler {
                                 .join(", ")
                         ),
                     );
-                    CacheBuilder::new(dataset, format, to_cache)
+                    CacheBuilder::new(dataset, format, to_cache, revision)
                 }
             }
-            _ => CacheBuilder::disabled(),
+            None => CacheBuilder::disabled(),
         };
         let cache_field_slots: Vec<usize> = cache_builder
             .field_names()

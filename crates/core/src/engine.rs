@@ -35,7 +35,9 @@ use crate::exec::NumericMode;
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Enable the adaptive caching of §6 (cache building + cache matching).
+    /// Enable the adaptive caching of §6: scans cache the numeric fields
+    /// they read from CSV and JSON as binary columns, and later scans read
+    /// each such field from its cache entry instead of the raw file.
     pub caching_enabled: bool,
     /// Cache arena budget in bytes.
     pub cache_budget: usize,
@@ -103,9 +105,11 @@ pub struct EngineConfig {
     /// the cache is registered by the time the building query returns.
     pub background_cache_builds: bool,
     /// Directory for the cache store's disk tier. When set, evicted entries
-    /// that have recorded hits spill here instead of vanishing, and later
-    /// lookups transparently reload them (counted as hits + a rebuild of
-    /// arena bytes). `None` (the default) disables spilling.
+    /// that have recorded hits spill here instead of vanishing, and a later
+    /// scan of one of their fields reloads the entry from disk instead of
+    /// rebuilding it from the raw file (counted as a hit; the entry takes
+    /// arena bytes again, evicting colder ones). `None` (the default)
+    /// disables spilling.
     pub cache_spill_dir: Option<PathBuf>,
 }
 
@@ -234,7 +238,7 @@ pub struct QueryResult {
     pub ir: String,
     /// The optimized plan that was compiled.
     pub plan: LogicalPlan,
-    /// Cache rewrites applied by the optimizer (empty when none matched).
+    /// Always empty: kept only because the end-to-end benchmark reads it.
     pub cache_rewrites: Vec<CacheRewrite>,
     /// The access path every scanned dataset used.
     pub access_paths: Vec<String>,

@@ -178,7 +178,6 @@ impl BuildState {
 struct BuildTask {
     store: CacheStore,
     ctx: Arc<QueryContext>,
-    revision: u64,
     state: Mutex<Option<BuildState>>,
     done: Arc<DoneSignal>,
     permit: Mutex<Option<AdmissionPermit>>,
@@ -212,11 +211,7 @@ impl PoolTask for BuildTask {
             Ok(Step::More) => true,
             Ok(Step::Done) => {
                 if let Some(state) = guard.take() {
-                    if state
-                        .builder
-                        .finish_if_current(&self.store, self.revision)
-                        .is_some()
-                    {
+                    if state.builder.finish_if_current(&self.store).is_some() {
                         self.store.note_background_build();
                     }
                 }
@@ -284,6 +279,9 @@ impl BackgroundBuilds {
                 return false;
             }
         }
+        // Revision fence: captured before the plug-in is resolved, checked
+        // again under the store lock at registration.
+        let revision = store.dataset_revision(&spec.dataset);
         let Some(plugin) = registry.get(&spec.dataset) else {
             return false;
         };
@@ -291,9 +289,6 @@ impl BackgroundBuilds {
         let Ok(permit) = scheduler.try_admit(&ctx) else {
             return false;
         };
-        // Revision fence: captured before the scan reads anything, checked
-        // again under the store lock at registration.
-        let revision = store.dataset_revision(&spec.dataset);
         let field_names: Vec<String> = spec.fields.iter().map(|(n, _)| n.clone()).collect();
         let Ok(scan) = plugin.generate(&field_names) else {
             return false; // permit drops here, releasing the slot
@@ -306,7 +301,12 @@ impl BackgroundBuilds {
             }
         }
         let state = BuildState {
-            builder: CacheBuilder::new(spec.dataset.clone(), spec.format, spec.fields.clone()),
+            builder: CacheBuilder::new(
+                spec.dataset.clone(),
+                spec.format,
+                spec.fields.clone(),
+                revision,
+            ),
             nfields: fills.len(),
             fills,
             row_count: scan.row_count,
@@ -317,7 +317,6 @@ impl BackgroundBuilds {
         let task = Arc::new(BuildTask {
             store: store.clone(),
             ctx: ctx.clone(),
-            revision,
             state: Mutex::new(Some(state)),
             done: done.clone(),
             permit: Mutex::new(Some(permit)),

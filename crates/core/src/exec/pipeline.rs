@@ -1851,7 +1851,7 @@ fn execute_pipeline(
             .unwrap_or_else(|e| e.into_inner())
             .take();
         if let Some(builder) = builder {
-            builder.finish(&cache.store);
+            builder.finish_if_current(&cache.store);
         }
     }
 

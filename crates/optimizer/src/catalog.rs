@@ -23,7 +23,7 @@ pub struct DatasetMeta {
     pub stats: DatasetStats,
     /// Cost profile of the plug-in serving the dataset.
     pub cost: CostProfile,
-    /// Per-morsel zone maps already recorded by the plug-in (binary/cache
+    /// Per-morsel zone maps already recorded by the plug-in (binary columns
     /// record them eagerly; csv/json contribute whatever earlier scans
     /// derived). Used by [`crate::stats`] for clustering-aware selectivity.
     pub zone_maps: HashMap<String, Arc<ZoneMap>>,

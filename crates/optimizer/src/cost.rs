@@ -176,13 +176,6 @@ impl CostModel {
                     cost: child.cost + 2.0 * child.cardinality,
                 }
             }
-            LogicalPlan::CacheScan { input, .. } => {
-                let child = self.estimate(input);
-                CostEstimate {
-                    cardinality: child.cardinality,
-                    cost: child.cost + child.cardinality,
-                }
-            }
         }
     }
 }

@@ -9,17 +9,15 @@
 //!    `proteus-algebra::rewrite`);
 //! 3. this crate adds the *cost-based* transformations: access-path
 //!    selection and join re-ordering driven by statistics and cost formulas
-//!    that the relevant input plug-ins provide, plus the cache-matching pass
-//!    of §6 that splices materialized caches into new plans.
+//!    that the relevant input plug-ins provide. Caches (§6) are reused per
+//!    scanned field by the code generator, not matched here.
 
-pub mod cache_match;
 pub mod catalog;
 pub mod cost;
 pub mod optimizer;
 pub mod stats;
 
-pub use cache_match::{match_caches, CacheRewrite};
 pub use catalog::Catalog;
 pub use cost::{CostEstimate, CostModel};
-pub use optimizer::{OptimizedPlan, Optimizer};
+pub use optimizer::{CacheRewrite, OptimizedPlan, Optimizer};
 pub use stats::{zone_selectivity, zone_selectivity_eq, zone_selectivity_lt};

@@ -1,13 +1,23 @@
-//! The optimizer driver: rule-based rewrites, cost-based join ordering and
-//! cache matching, in the bottom-up order the paper describes.
+//! The optimizer driver: rule-based rewrites and cost-based join ordering,
+//! in the bottom-up order the paper describes. Caches are not matched here:
+//! they are reused per scanned field when the plan is compiled.
 
 use proteus_algebra::rewrite::rewrite as rule_rewrite;
 use proteus_algebra::{Expr, JoinKind, LogicalPlan};
 use proteus_storage::CacheStore;
 
-use crate::cache_match::{match_caches, CacheRewrite};
 use crate::catalog::Catalog;
 use crate::cost::{CostEstimate, CostModel};
+
+/// A plan-subtree replacement by a cache. The optimizer no longer makes
+/// any; kept only because the end-to-end benchmark still reads the list.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CacheRewrite {
+    /// Name of the cache that was spliced in.
+    pub cache_name: String,
+    /// Signature of the replaced subtree.
+    pub replaced_signature: String,
+}
 
 /// The result of optimization: the final plan plus what happened to it.
 #[derive(Debug, Clone)]
@@ -16,7 +26,7 @@ pub struct OptimizedPlan {
     pub plan: LogicalPlan,
     /// Cost estimate of the final plan.
     pub estimate: CostEstimate,
-    /// Cache rewrites applied, if any.
+    /// Always empty: kept only because the end-to-end benchmark reads it.
     pub cache_rewrites: Vec<CacheRewrite>,
     /// True if cost-based join reordering swapped any join inputs.
     pub joins_reordered: bool,
@@ -49,14 +59,12 @@ impl Optimizer {
         &self.cost_model
     }
 
-    /// Optimizes a plan: cache matching first (so later passes see the
-    /// cheaper access paths), then rule-based rewrites, then cost-based join
+    /// Optimizes a plan: rule-based rewrites, then cost-based join
     /// re-ordering, then a final projection-pushdown pass.
-    pub fn optimize(&self, plan: LogicalPlan, caches: Option<&CacheStore>) -> OptimizedPlan {
-        let (plan, cache_rewrites) = match caches {
-            Some(store) => match_caches(plan, store),
-            None => (plan, Vec::new()),
-        };
+    ///
+    /// `_caches` is ignored: kept only because the end-to-end benchmark
+    /// passes it.
+    pub fn optimize(&self, plan: LogicalPlan, _caches: Option<&CacheStore>) -> OptimizedPlan {
         let plan = rule_rewrite(plan);
         let (plan, joins_reordered) = self.reorder_joins(plan);
         let plan = proteus_algebra::rewrite::push_down_projections(plan);
@@ -64,7 +72,7 @@ impl Optimizer {
         OptimizedPlan {
             plan,
             estimate,
-            cache_rewrites,
+            cache_rewrites: Vec::new(),
             joins_reordered,
         }
     }
@@ -149,15 +157,6 @@ impl Optimizer {
                 group_aliases,
                 outputs,
                 predicate,
-            },
-            LogicalPlan::CacheScan {
-                input,
-                expressions,
-                cache_name,
-            } => LogicalPlan::CacheScan {
-                input: Box::new(self.reorder_node(*input, reordered)),
-                expressions,
-                cache_name,
             },
         }
     }
@@ -273,27 +272,5 @@ mod tests {
             }
         });
         assert!(projected >= 2);
-    }
-
-    #[test]
-    fn cache_matching_is_applied_when_store_given() {
-        use proteus_storage::cache::make_entry;
-        use proteus_storage::{ColumnData, MemoryManager, SourceFormat};
-        let optimizer = Optimizer::new(catalog());
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let base = scan("lineitem", "l");
-        store
-            .insert(make_entry(
-                "lineitem_cache",
-                base.signature(),
-                "lineitem",
-                SourceFormat::Json,
-                vec![("l_orderkey".to_string(), ColumnData::Int(vec![1, 2]))],
-                vec![0, 1],
-            ))
-            .unwrap();
-        let plan = base.reduce(vec![ReduceSpec::new(Monoid::Count, Expr::int(1), "c")]);
-        let optimized = optimizer.optimize(plan, Some(&store));
-        assert_eq!(optimized.cache_rewrites.len(), 1);
     }
 }

@@ -667,8 +667,8 @@ pub trait InputPlugin: Send + Sync {
 
     /// Per-morsel zone maps for the requested fields, building/deriving them
     /// if needed (the engine calls this at compile time when morsel skipping
-    /// is enabled). Binary columns and caches answer from maps recorded at
-    /// registration / cache-build time; CSV/JSON derive them once from their
+    /// is enabled). Binary columns answer from maps recorded at
+    /// registration; CSV/JSON derive them once from their
     /// typed fills and memoize. The default — no zone maps — simply disables
     /// skipping for the plug-in's scans.
     fn zone_maps(&self, fields: &[String]) -> Vec<(String, Arc<crate::zonemap::ZoneMap>)> {
@@ -782,12 +782,11 @@ mod tests {
     #[test]
     fn every_plugin_fill_agrees_with_read_value() {
         use crate::binary::{ColumnPlugin, RowPlugin};
-        use crate::cache::CachePlugin;
         use crate::csv::{CsvOptions, CsvPlugin};
         use crate::json::JsonPlugin;
         use bytes::Bytes;
         use proteus_algebra::DataType;
-        use proteus_storage::{cache::make_entry, ColumnData, RowTable, RowTableReader};
+        use proteus_storage::{ColumnData, RowTable, RowTableReader};
 
         let columns = || {
             vec![
@@ -808,15 +807,6 @@ mod tests {
         };
         let binary = ColumnPlugin::from_pairs("t", columns()).unwrap();
         assert_fills_agree(&binary, &["k", "q", "b", "s"], &[]);
-        let cache = CachePlugin::new(Arc::new(make_entry(
-            "t::k+q+b+s",
-            "Scan(t)",
-            "t",
-            proteus_storage::SourceFormat::Csv,
-            columns(),
-            (0..5).collect(),
-        )));
-        assert_fills_agree(&cache, &["k", "q", "b", "s"], &[]);
 
         let schema = Schema::from_pairs(vec![
             ("k", DataType::Int),

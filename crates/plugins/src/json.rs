@@ -182,14 +182,39 @@ pub enum PathSlot {
 // Position-tracking JSON parsing.
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of objects and arrays the parser follows. The parser
+/// recurses once per level, so without a cap a file of a few hundred KB of
+/// `[` overflows the stack; deeper input is reported as malformed. 512
+/// levels stay well inside a 2 MiB thread stack even in an unoptimized
+/// build.
+const MAX_DEPTH: usize = 512;
+
 struct JsonParser<'a> {
     data: &'a [u8],
     pos: usize,
+    /// Objects and arrays currently open.
+    depth: usize,
 }
 
 impl<'a> JsonParser<'a> {
     fn new(data: &'a [u8], pos: usize) -> Self {
-        JsonParser { data, pos }
+        JsonParser {
+            data,
+            pos,
+            depth: 0,
+        }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested<T>(&mut self, parse: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let parsed = parse(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn skip_ws(&mut self) {
@@ -216,11 +241,11 @@ impl<'a> JsonParser<'a> {
         let start = self.pos as u64;
         let token_type = match self.peek() {
             Some(b'{') => {
-                self.skip_object()?;
+                self.nested(Self::skip_object)?;
                 TokenType::Object
             }
             Some(b'[') => {
-                self.skip_array()?;
+                self.nested(Self::skip_array)?;
                 TokenType::Array
             }
             Some(b'"') => {
@@ -482,53 +507,8 @@ impl<'a> JsonParser<'a> {
     fn parse_value(&mut self) -> Result<Value> {
         self.skip_ws();
         match self.peek() {
-            Some(b'{') => {
-                self.pos += 1;
-                let mut rec = Record::empty();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Record(rec));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let value = self.parse_value()?;
-                    rec.set(key, value);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Record(rec));
-                        }
-                        _ => return Err(self.error("expected ',' or '}'")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::List(items));
-                }
-                loop {
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::List(items));
-                        }
-                        _ => return Err(self.error("expected ',' or ']'")),
-                    }
-                }
-            }
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::Str(self.parse_string()?)),
             Some(b't') => {
                 self.skip_literal()?;
@@ -560,6 +540,55 @@ impl<'a> JsonParser<'a> {
             _ => Err(self.error("unexpected character")),
         }
     }
+
+    fn parse_object(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut rec = Record::empty();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Record(rec));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let value = self.parse_value()?;
+            rec.set(key, value);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Record(rec));
+                }
+                _ => return Err(self.error("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn parse_array(&mut self) -> Result<Value> {
+        self.pos += 1;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::List(items));
+        }
+        loop {
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::List(items));
+                }
+                _ => return Err(self.error("expected ',' or ']'")),
+            }
+        }
+    }
 }
 
 /// Parses a standalone JSON value from a byte slice (exposed for tests and
@@ -587,7 +616,7 @@ fn index_object(data: &[u8], start: usize) -> Result<(ObjectIndex, usize)> {
 
     let mut entries = Vec::new();
     let mut level0 = Vec::new();
-    index_object_fields(data, &mut parser, "", &mut entries, &mut level0)?;
+    parser.nested(|parser| index_object_fields(parser, "", &mut entries, &mut level0))?;
 
     Ok((
         ObjectIndex {
@@ -603,7 +632,6 @@ fn index_object(data: &[u8], start: usize) -> Result<(ObjectIndex, usize)> {
 /// Indexes the fields of the object whose '{' is at the parser position,
 /// prefixing registered paths with `prefix`.
 fn index_object_fields(
-    data: &[u8],
     parser: &mut JsonParser<'_>,
     prefix: &str,
     entries: &mut Vec<TokenEntry>,
@@ -630,8 +658,7 @@ fn index_object_fields(
             // Nested record: register the object span itself and recurse so
             // nested leaves (c.d.d1) are directly addressable from Level 0.
             let start = parser.pos as u64;
-            let before_entries = entries.len();
-            index_object_fields(data, parser, &path, entries, level0)?;
+            parser.nested(|parser| index_object_fields(parser, &path, entries, level0))?;
             let entry = TokenEntry {
                 start,
                 end: parser.pos as u64,
@@ -639,14 +666,8 @@ fn index_object_fields(
             };
             entries.push(entry);
             level0.push((path, (entries.len() - 1) as u32));
-            let _ = before_entries;
         } else {
-            let entry = {
-                let mut sub = JsonParser::new(data, parser.pos);
-                let e = sub.skip_value()?;
-                parser.pos = sub.pos;
-                e
-            };
+            let entry = parser.skip_value()?;
             entries.push(entry);
             level0.push((path, (entries.len() - 1) as u32));
         }
@@ -1895,6 +1916,54 @@ mod tests {
         assert!(JsonPlugin::from_bytes("bad", Bytes::from_static(b"{\"a\": }")).is_err());
         assert!(JsonPlugin::from_bytes("bad", Bytes::from_static(b"{\"a\" 1}")).is_err());
         assert!(parse_json_value(b"[1, 2,").is_err());
+    }
+
+    /// `{"x":1,"a":[[…]]}` with `arrays` nested arrays, as one NDJSON line.
+    fn deep_line(arrays: usize) -> String {
+        format!(
+            "{{\"x\":1,\"a\":{}{}}}\n",
+            "[".repeat(arrays),
+            "]".repeat(arrays)
+        )
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_malformed_not_a_stack_overflow() {
+        // ~200 KB of `[`: without the cap the recursive descent overflows
+        // this test thread's stack and aborts the process.
+        match JsonPlugin::from_bytes("deep", Bytes::from(deep_line(100_000))) {
+            Err(PluginError::Malformed { detail, .. }) => {
+                assert!(detail.contains("nesting deeper than"), "{detail}");
+                // The offset of the first `[` past the cap.
+                let offset = r#"{"x":1,"a":"#.len() + MAX_DEPTH - 1;
+                assert!(detail.contains(&format!("at byte {offset}")), "{detail}");
+            }
+            Err(other) => panic!("expected Malformed, got {other:?}"),
+            Ok(_) => panic!("a 100 000-level nesting was accepted"),
+        }
+        // Nested records hit the same cap, and so does a standalone value.
+        let records = "{\"a\":".repeat(100_000) + "1" + &"}".repeat(100_000);
+        assert!(matches!(
+            JsonPlugin::from_bytes("deep", Bytes::from(records)),
+            Err(PluginError::Malformed { .. })
+        ));
+        let array = "[".repeat(100_000) + &"]".repeat(100_000);
+        assert!(parse_json_value(array.as_bytes()).is_err());
+
+        // Under a lenient policy the deep object is one bad row.
+        let text = deep_line(100_000) + "{\"x\":2,\"a\":[]}\n";
+        let plugin =
+            JsonPlugin::from_bytes_with_policy("deep", Bytes::from(text), BadRowPolicy::Skip)
+                .unwrap();
+        assert_eq!(plugin.len(), 1);
+        assert_eq!(plugin.read_value(0, "x").unwrap(), Value::Int(2));
+
+        // Up to the cap (the object itself is one level) nothing changes.
+        let text = deep_line(MAX_DEPTH - 1);
+        let plugin = JsonPlugin::from_bytes("deep", Bytes::from(text.clone())).unwrap();
+        assert_eq!(plugin.read_value(0, "x").unwrap(), Value::Int(1));
+        assert!(JsonPlugin::from_bytes("deep", Bytes::from(deep_line(MAX_DEPTH))).is_err());
+        assert!(parse_json_value(text.trim_end().as_bytes()).is_ok());
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!   order.
 //! * [`binary`] — relational binary data, both column-oriented
 //!   ([`binary::ColumnPlugin`]) and row-oriented ([`binary::RowPlugin`]).
-//! * [`cache`] — the plug-in that exposes materialized caches as an
-//!   additional input dataset (§6).
+//! * [`cache`] — the zone maps of a cache entry (§6), derived once and kept
+//!   inside the entry.
 //! * [`api`] — the plug-in trait plus the one fill per field plug-ins hand
 //!   to the generated query pipelines.
 //! * [`stats`] — per-dataset statistics and the per-plug-in cost profiles the

@@ -226,16 +226,6 @@ impl CostProfile {
         }
     }
 
-    /// Cost profile of a binary cache (cheapest possible access).
-    pub fn cache() -> CostProfile {
-        CostProfile {
-            per_tuple_scan: 0.5,
-            per_field_access: 0.5,
-            per_path_step: 0.5,
-            cold_cost_per_byte: 0.0,
-        }
-    }
-
     /// Estimated cost of scanning `tuples` objects touching `fields` fields
     /// each — the textbook formula the default plug-in skeleton provides.
     pub fn scan_cost(&self, tuples: u64, fields: usize) -> f64 {
@@ -336,7 +326,6 @@ mod tests {
         let json = CostProfile::json().scan_cost(1000, 3);
         let csv = CostProfile::csv().scan_cost(1000, 3);
         let bin = CostProfile::binary().scan_cost(1000, 3);
-        let cache = CostProfile::cache().scan_cost(1000, 3);
-        assert!(json > csv && csv > bin && bin > cache);
+        assert!(json > csv && csv > bin);
     }
 }

@@ -1,27 +1,28 @@
 //! The adaptive cache store (§6, "Adapting Storage to Workload").
 //!
 //! Proteus populates binary caches as a side-effect of query execution.
-//! Every cache holds the materialized result of an algebraic expression
-//! (field projections, arithmetic expressions, record constructions) over one
-//! source dataset, stored as packed binary columns. Caches are keyed by the
-//! signature of the plan subtree that produced them so the cache-matching
-//! pass can splice them into later plans.
+//! Every entry holds fields scanned from one source dataset, stored as
+//! packed binary columns aligned with the source objects' OIDs. §6 reads a
+//! cache "as an additional input": a later scan of the dataset looks each
+//! field up by (dataset, field) ([`CacheStore::lookup_column`]) and, on a
+//! hit, reads the entry's column instead of the raw file.
 //!
 //! Beyond the paper's single-session store, this store is a production
 //! subsystem:
 //!
 //! * **Global memory budget with cost/benefit eviction.** Every entry's full
-//!   footprint (columns, string pools, the zone maps the cache plug-in will
-//!   build, OIDs) is accounted against the arena budget. When an insert
+//!   footprint (columns, string pools, the zone maps the plug-in layer will
+//!   derive, OIDs) is accounted against the arena budget. When an insert
 //!   would exceed it, the entry with the lowest benefit density —
 //!   `(build_cost × (1 + hits)) / bytes` — is evicted first, so cheap-to-
 //!   rebuild and cold entries go before hot, expensive ones. `build_cost`
 //!   is stamped by the builder from the optimizer's cost model; hits are
-//!   recorded live by cache matching.
+//!   recorded live by the per-field lookup.
 //! * **Disk spill.** With a spill directory configured, an evicted entry
 //!   that had at least one hit is written to disk (checksummed, versioned —
-//!   see [`crate::persist`]) instead of discarded; a later signature lookup
-//!   that misses in memory reloads it transparently, heat intact.
+//!   see [`crate::persist`]) instead of discarded; a later per-field lookup
+//!   that finds no live entry reloads it, heat intact, instead of the
+//!   query rebuilding it from the raw file.
 //! * **Concurrent readers during rebuild.** Entries are handed out as
 //!   [`Arc<CacheEntry>`]: replacing or invalidating an entry swaps the map
 //!   slot while in-flight queries keep reading the handle they hold. Reads
@@ -33,9 +34,10 @@
 //!   entry ([`CacheEntry::sidecar_or_init`]) and so lives and dies with it.
 //! * **Atomic invalidation.** [`CacheStore::invalidate_dataset`] drops the
 //!   entry (its memoized zone maps with it) and any spilled file in one
-//!   critical section, and bumps the dataset's revision so an in-flight
-//!   background build for the old data can never register a stale cache
-//!   ([`CacheStore::insert_if_current`]).
+//!   critical section, and bumps the dataset's revision. Every registration
+//!   — inline builds, background builds and spill reloads alike — captured
+//!   the revision before reading its source and goes through
+//!   [`CacheStore::insert_if_current`], so none can register a stale cache.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -74,22 +76,9 @@ impl SourceFormat {
     }
 }
 
-/// Degree of eagerness used when the cache was built (§6): a cache may hold
-/// fully converted binary values, just the byte positions of the values in
-/// the original file, or only the OIDs of qualifying entries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheEagerness {
-    /// Fully converted binary values.
-    Values,
-    /// Byte positions of the values in the source file.
-    Positions,
-    /// Only the OIDs of qualifying objects.
-    OidsOnly,
-}
-
 /// Rows per zone-map entry. Must equal the plug-in layer's `ZONE_ROWS`
 /// (compile-asserted there): the store accounts each entry's zone-map
-/// footprint against the budget before the cache plug-in builds the maps.
+/// footprint against the budget before the plug-in layer derives the maps.
 pub const CACHE_ZONE_ROWS: usize = 1024;
 
 /// Accounted bytes per zone-map entry (rows + null count + min/max + flags,
@@ -101,22 +90,17 @@ const ZONE_ENTRY_FOOTPRINT: usize = 32;
 /// already counts.
 const STRING_POOL_OVERHEAD: usize = 24;
 
-/// One cached expression result.
+/// One cache entry: fields of one dataset as binary columns.
 #[derive(Debug)]
 pub struct CacheEntry {
     /// Unique cache name.
     pub name: String,
-    /// Signature of the plan subtree whose output this cache holds; used as
-    /// the search key during cache matching.
-    pub plan_signature: String,
     /// Human-readable rendering of the cached expressions.
     pub expressions: Vec<String>,
     /// Dataset the cache was derived from.
     pub source_dataset: String,
     /// Format of that dataset (drives the default build cost).
     pub source_format: SourceFormat,
-    /// How eagerly values were materialized.
-    pub eagerness: CacheEagerness,
     /// The cached columns, one per expression, aligned by OID order. Shared
     /// handles: a query served from this entry reads these allocations.
     /// Private together with `oids` because `identity_oids` and the sidecar
@@ -133,8 +117,8 @@ pub struct CacheEntry {
     /// cost-model units (stamped by the cache builder; a zero value is
     /// defaulted from the source format's weight on insert).
     pub build_cost: u64,
-    /// Cache-matching hits against this entry (live input to the eviction
-    /// score; survives spill/reload).
+    /// Lookups this entry served (live input to the eviction score;
+    /// survives spill/reload).
     hit_count: AtomicU64,
     /// Logical timestamp of the last use (eviction tie-break).
     last_used: AtomicU64,
@@ -166,7 +150,7 @@ impl CacheEntry {
     }
 
     /// True when the entry covers a `dataset_len`-object dataset in order
-    /// (row `i` is object `i`), as substituting a scan accessor requires.
+    /// (row `i` is object `i`), as substituting a scan fill requires.
     pub fn covers_dataset(&self, dataset_len: u64) -> bool {
         self.identity_oids && self.oids.len() as u64 == dataset_len
     }
@@ -177,7 +161,7 @@ impl CacheEntry {
         self.sidecar.get_or_init(derive)
     }
 
-    /// Cache-matching hits recorded against this entry.
+    /// Lookups this entry served.
     pub fn hits(&self) -> u64 {
         self.hit_count.load(Ordering::Relaxed)
     }
@@ -189,7 +173,7 @@ impl CacheEntry {
     }
 
     /// Full memory footprint accounted against the budget: column payloads,
-    /// string-pool overhead, the zone maps the cache plug-in derives (one
+    /// string-pool overhead, the zone maps the plug-in layer derives (one
     /// entry per [`CACHE_ZONE_ROWS`] rows per column), OIDs, and the entry's
     /// own strings.
     pub fn footprint(&self) -> usize {
@@ -210,7 +194,6 @@ impl CacheEntry {
             + zone_maps
             + self.oids.len() * 8
             + self.name.len()
-            + self.plan_signature.len()
             + self.expressions.iter().map(|e| e.len()).sum::<usize>()
     }
 
@@ -225,16 +208,18 @@ impl CacheEntry {
     }
 }
 
-/// Aggregate statistics of the cache store.
+/// Aggregate statistics of the cache store. Every field stays public and
+/// named as it is: the end-to-end benchmark builds this struct field by
+/// field.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Number of live in-memory cache entries.
     pub entries: usize,
     /// Total bytes pinned (always ≤ the arena budget).
     pub bytes: usize,
-    /// Successful cache-matching lookups (including spill reloads).
+    /// Scanned fields served from an entry (spill reloads included).
     pub hits: u64,
-    /// Failed lookups.
+    /// Scanned fields the caching policy would cache that no entry served.
     pub misses: u64,
     /// Entries evicted so far.
     pub evictions: u64,
@@ -256,11 +241,14 @@ pub type CacheSidecar = Arc<dyn Any + Send + Sync>;
 /// operation gracefully.
 pub type FaultProbe = Arc<dyn Fn(&str) -> std::result::Result<(), String> + Send + Sync>;
 
-/// A spilled (evicted-but-hot) entry's on-disk record.
+/// A spilled (evicted-but-hot) entry's on-disk record: where it is and what
+/// it could serve, so the per-field lookup can pick it without reading it.
 struct SpillRecord {
     path: PathBuf,
-    plan_signature: String,
     source_dataset: String,
+    columns: Vec<String>,
+    /// The source dataset's length when the entry covers it in order.
+    covers: Option<u64>,
 }
 
 #[derive(Default)]
@@ -283,7 +271,7 @@ struct StoreInner {
     spill_dir: Option<PathBuf>,
 }
 
-/// The caching manager: stores, matches, evicts, spills and restores caches.
+/// The caching manager: stores, looks up, evicts, spills and reloads caches.
 #[derive(Clone)]
 pub struct CacheStore {
     memory: MemoryManager,
@@ -323,7 +311,7 @@ impl CacheStore {
     }
 
     /// Enables disk spill: evicted entries with at least one hit are written
-    /// under `dir` and reloaded transparently on a later signature lookup.
+    /// under `dir` and reloaded by a later [`CacheStore::lookup_column`].
     pub fn set_spill_dir(&self, dir: impl Into<PathBuf>) -> Result<()> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
@@ -331,24 +319,22 @@ impl CacheStore {
         Ok(())
     }
 
-    /// Records one cache-matching hit against the live entry `name` (live
-    /// input to the eviction score).
+    /// Records one hit against the live entry `name` (live input to the
+    /// eviction score).
     pub fn record_hit(&self, name: &str) {
         if let Some(entry) = self.inner.read().entries.get(name) {
             self.record_hit_on(entry);
         }
     }
 
-    /// Records one hit through a handle the caller already holds (per-column
-    /// cache reuse at compile time): no lock, no name lookup.
-    pub fn record_hit_on(&self, entry: &CacheEntry) {
+    fn record_hit_on(&self, entry: &CacheEntry) {
         entry.hit_count.fetch_add(1, Ordering::Relaxed);
         entry.last_used.store(self.tick(), Ordering::Relaxed);
         self.counters.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Current revision of a dataset (bumped by every invalidation). A
-    /// background build captures this before scanning and passes it to
+    /// build captures this before scanning and passes it to
     /// [`CacheStore::insert_if_current`].
     pub fn dataset_revision(&self, dataset: &str) -> u64 {
         self.inner
@@ -363,7 +349,7 @@ impl CacheStore {
     /// budget requires it. Returns an error only if the entry cannot fit
     /// even after evicting everything else.
     pub fn insert(&self, entry: CacheEntry) -> Result<()> {
-        self.insert_inner(entry, None).map(|_| ())
+        self.insert_inner(entry, None).map(drop)
     }
 
     /// Inserts only if `dataset` is still at `revision` (captured via
@@ -372,9 +358,16 @@ impl CacheStore {
     /// invalidation raced the build.
     pub fn insert_if_current(&self, entry: CacheEntry, revision: u64) -> Result<bool> {
         self.insert_inner(entry, Some(revision))
+            .map(|inserted| inserted.is_some())
     }
 
-    fn insert_inner(&self, mut entry: CacheEntry, revision: Option<u64>) -> Result<bool> {
+    /// Registers `entry` (fenced by `revision` when given) and returns the
+    /// handle now in the map, or `None` when the fence refused it.
+    fn insert_inner(
+        &self,
+        mut entry: CacheEntry,
+        revision: Option<u64>,
+    ) -> Result<Option<Arc<CacheEntry>>> {
         entry.byte_size = entry.footprint();
         if entry.build_cost == 0 {
             // No stamped cost: default from the format bias so the
@@ -412,20 +405,22 @@ impl CacheStore {
             if current != required {
                 drop(inner);
                 self.memory.release_arena(entry.byte_size);
-                return Ok(false);
+                return Ok(None);
             }
         }
         let name = entry.name.clone();
-        // A replaced entry's spill record describes the old data: drop it in
-        // the same critical section.
+        // A replaced entry's spill record describes the old data (or, for a
+        // reload, is the file just read): drop it in the same critical
+        // section.
         if let Some(record) = inner.spilled.remove(&name) {
             let _ = std::fs::remove_file(&record.path);
         }
-        if let Some(old) = inner.entries.insert(name, Arc::new(entry)) {
+        let entry = Arc::new(entry);
+        if let Some(old) = inner.entries.insert(name, entry.clone()) {
             self.retire(&old);
             self.memory.release_arena(old.byte_size);
         }
-        Ok(true)
+        Ok(Some(entry))
     }
 
     /// Counts readers left holding a removed/replaced entry.
@@ -481,8 +476,9 @@ impl CacheStore {
                             entry.name.clone(),
                             SpillRecord {
                                 path,
-                                plan_signature: entry.plan_signature.clone(),
                                 source_dataset: entry.source_dataset.clone(),
+                                columns: entry.columns.iter().map(|(n, _)| n.clone()).collect(),
+                                covers: entry.identity_oids.then_some(entry.oids.len() as u64),
                             },
                         );
                     }
@@ -492,63 +488,83 @@ impl CacheStore {
         true
     }
 
-    /// Looks a cache up by the signature of the plan subtree it replaces.
-    /// A hit refreshes the entry's LRU timestamp and hit count; a miss
-    /// falls through to the spill directory before giving up.
-    pub fn lookup_by_signature(&self, signature: &str) -> Option<Arc<CacheEntry>> {
-        let tick = self.tick();
-        {
-            let inner = self.inner.read();
-            if let Some(entry) = inner
-                .entries
-                .values()
-                .find(|e| e.plan_signature == signature)
-            {
-                entry.last_used.store(tick, Ordering::Relaxed);
-                entry.hit_count.fetch_add(1, Ordering::Relaxed);
-                self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                return Some(entry.clone());
+    /// The one cache lookup: a column holding `dataset.field` for all
+    /// `dataset_len` objects in order (identity OIDs), as substituting a
+    /// scan fill requires. Live entries answer first; otherwise a spilled
+    /// entry that holds the column is reloaded from disk and re-admitted
+    /// under the budget (which may evict colder residents). Returns the
+    /// entry's handle and the column's index in it — the caller reads the
+    /// entry's own allocation — and records a hit. A miss is counted only
+    /// when `cacheable` (the caching policy would build this field), so
+    /// the hit rate speaks of fields a cache could have served.
+    pub fn lookup_column(
+        &self,
+        dataset: &str,
+        field: &str,
+        dataset_len: u64,
+        cacheable: bool,
+    ) -> Option<(Arc<CacheEntry>, usize)> {
+        let found = self
+            .live_column(dataset, field, dataset_len)
+            .or_else(|| self.reload_column(dataset, field, dataset_len));
+        match &found {
+            Some((entry, _)) => self.record_hit_on(entry),
+            None if cacheable => {
+                self.counters.misses.fetch_add(1, Ordering::Relaxed);
             }
+            None => {}
         }
-        if let Some(entry) = self.load_spilled(signature) {
-            return Some(entry);
-        }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        found
     }
 
-    /// Reloads a spilled entry whose signature matches, re-admitting it
-    /// under the budget (which may evict colder residents). Corrupt files
-    /// and injected `cache.load` faults degrade to a clean miss.
-    fn load_spilled(&self, signature: &str) -> Option<Arc<CacheEntry>> {
-        let path = {
+    fn live_column(
+        &self,
+        dataset: &str,
+        field: &str,
+        dataset_len: u64,
+    ) -> Option<(Arc<CacheEntry>, usize)> {
+        let inner = self.inner.read();
+        inner
+            .entries
+            .values()
+            .filter(|e| e.source_dataset == dataset && e.covers_dataset(dataset_len))
+            .find_map(|e| column_index(e, field).map(|index| (e.clone(), index)))
+    }
+
+    /// Reloads a spilled entry holding the column. It registers like a
+    /// build, fenced by the dataset revision captured before the spill
+    /// record is read; corrupt files and injected `cache.load` faults
+    /// degrade to a clean miss.
+    fn reload_column(
+        &self,
+        dataset: &str,
+        field: &str,
+        dataset_len: u64,
+    ) -> Option<(Arc<CacheEntry>, usize)> {
+        let revision = self.dataset_revision(dataset);
+        let (name, path) = {
             let inner = self.inner.read();
             inner
                 .spilled
-                .values()
-                .find(|r| r.plan_signature == signature)
-                .map(|r| r.path.clone())
+                .iter()
+                .find(|(_, r)| {
+                    r.source_dataset == dataset
+                        && r.covers == Some(dataset_len)
+                        && r.columns.iter().any(|c| c == field)
+                })
+                .map(|(name, r)| (name.clone(), r.path.clone()))
         }?;
-        if self.probe("cache.load").is_err() {
-            return None;
-        }
+        self.probe("cache.load").ok()?;
         let entry = persist::read_entry(&path).ok()?;
-        if entry.plan_signature != signature {
+        if entry.name != name
+            || entry.source_dataset != dataset
+            || !entry.covers_dataset(dataset_len)
+        {
             return None;
         }
-        let name = entry.name.clone();
-        // The reload bumps the hit count like any other hit, so a reloaded
-        // entry does not come back as the immediate next eviction victim.
-        entry.hit_count.fetch_add(1, Ordering::Relaxed);
-        if self.insert(entry).is_err() {
-            return None;
-        }
-        let mut inner = self.inner.write();
-        if let Some(record) = inner.spilled.remove(&name) {
-            let _ = std::fs::remove_file(&record.path);
-        }
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        inner.entries.get(&name).cloned()
+        let index = column_index(&entry, field)?;
+        let entry = self.insert_inner(entry, Some(revision)).ok()??;
+        Some((entry, index))
     }
 
     /// Looks a cache up by name without touching hit/miss statistics.
@@ -660,7 +676,6 @@ impl CacheStore {
 /// OIDs are the identity.
 pub fn make_entry(
     name: impl Into<String>,
-    plan_signature: impl Into<String>,
     source_dataset: impl Into<String>,
     source_format: SourceFormat,
     columns: Vec<(String, ColumnData)>,
@@ -668,11 +683,9 @@ pub fn make_entry(
 ) -> CacheEntry {
     CacheEntry {
         name: name.into(),
-        plan_signature: plan_signature.into(),
         expressions: columns.iter().map(|(n, _)| n.clone()).collect(),
         source_dataset: source_dataset.into(),
         source_format,
-        eagerness: CacheEagerness::Values,
         columns: columns
             .into_iter()
             .map(|(name, col)| (name, Arc::new(col)))
@@ -687,6 +700,10 @@ pub fn make_entry(
     }
 }
 
+fn column_index(entry: &CacheEntry, field: &str) -> Option<usize> {
+    entry.columns.iter().position(|(name, _)| name == field)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,7 +711,6 @@ mod tests {
     fn int_entry(name: &str, format: SourceFormat, rows: usize) -> CacheEntry {
         make_entry(
             name,
-            format!("sig-{name}"),
             "lineitem",
             format,
             vec![("x".to_string(), ColumnData::Int((0..rows as i64).collect()))],
@@ -703,19 +719,54 @@ mod tests {
     }
 
     #[test]
-    fn insert_and_lookup_by_signature() {
+    fn insert_and_lookup_column() {
         let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
         store
             .insert(int_entry("c1", SourceFormat::Json, 100))
             .unwrap();
-        let hit = store.lookup_by_signature("sig-c1").unwrap();
-        assert_eq!(hit.row_count(), 100);
+        let (hit, index) = store.lookup_column("lineitem", "x", 100, true).unwrap();
+        assert_eq!((hit.name.as_str(), index), ("c1", 0));
         assert_eq!(hit.hits(), 1);
-        assert!(store.lookup_by_signature("sig-unknown").is_none());
+        // Another field, another dataset, or a dataset of another length
+        // (the entry must cover every object in order): misses.
+        assert!(store.lookup_column("lineitem", "y", 100, true).is_none());
+        assert!(store.lookup_column("orders", "x", 100, true).is_none());
+        assert!(store.lookup_column("lineitem", "x", 101, true).is_none());
+        // A field the caching policy would not cache is no miss.
+        assert!(store.lookup_column("lineitem", "s", 100, false).is_none());
         let stats = store.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.entries, 1);
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 3, 1));
+    }
+
+    #[test]
+    fn lookup_column_hands_out_the_entrys_own_allocation() {
+        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
+        store.insert(int_entry("c", SourceFormat::Csv, 10)).unwrap();
+        let live = store.get("c").unwrap();
+        let (entry, index) = store.lookup_column("lineitem", "x", 10, true).unwrap();
+        assert!(Arc::ptr_eq(&entry, &live));
+        assert!(Arc::ptr_eq(
+            &entry.columns()[index].1,
+            live.column("x").unwrap()
+        ));
+    }
+
+    #[test]
+    fn source_oids_are_preserved() {
+        let entry = make_entry(
+            "sparse",
+            "lineitem",
+            SourceFormat::Json,
+            vec![("x".to_string(), ColumnData::Int(vec![5, 6, 9]))],
+            vec![10, 11, 14],
+        );
+        assert_eq!(entry.oids(), [10, 11, 14]);
+        assert!(!entry.covers_dataset(3));
+        // A store never serves it for a full scan, whatever the length.
+        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
+        store.insert(entry).unwrap();
+        assert!(store.lookup_column("lineitem", "x", 3, true).is_none());
+        assert!(store.lookup_column("lineitem", "x", 15, true).is_none());
     }
 
     #[test]
@@ -738,7 +789,6 @@ mod tests {
         let raw = strings.byte_size();
         let entry = make_entry(
             "s",
-            "sig-s",
             "d",
             SourceFormat::Csv,
             vec![("s".to_string(), strings)],
@@ -759,7 +809,7 @@ mod tests {
             .unwrap();
         // Touch the binary cache so it is the most recently used (and even
         // has a hit on its side).
-        assert!(store.lookup_by_signature("sig-bin_cache").is_some());
+        store.record_hit("bin_cache");
         // Inserting a third entry forces an eviction; despite being LRU-cold
         // and hitless, the JSON cache must survive because its build cost
         // dominates the benefit score.
@@ -783,7 +833,7 @@ mod tests {
             .unwrap();
         // 40 hits on the binary entry: benefit 22×41 > 352×1.
         for _ in 0..40 {
-            assert!(store.lookup_by_signature("sig-bin_hot").is_some());
+            store.record_hit("bin_hot");
         }
         store
             .insert(int_entry("csv_new", SourceFormat::Csv, 10))
@@ -821,7 +871,7 @@ mod tests {
         store
             .insert(int_entry("c", SourceFormat::Json, 10))
             .unwrap();
-        let reader = store.lookup_by_signature("sig-c").unwrap();
+        let reader = store.get("c").unwrap();
         store
             .insert(int_entry("c", SourceFormat::Json, 10))
             .unwrap();
@@ -877,7 +927,6 @@ mod tests {
         assert!(!full.covers_dataset(6));
         let sparse = make_entry(
             "b",
-            "sig-b",
             "lineitem",
             SourceFormat::Json,
             vec![("x".to_string(), ColumnData::Int(vec![1, 2, 3]))],
@@ -943,11 +992,11 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = CacheStore::new(MemoryManager::with_budget(500));
         store.set_spill_dir(&dir).unwrap();
-        store
-            .insert(int_entry("hot", SourceFormat::Json, 10))
-            .unwrap();
+        let mut hot = int_entry("hot", SourceFormat::Json, 10);
+        hot.source_dataset = "orders".into();
+        store.insert(hot).unwrap();
         // Make it hot, then crowd it out with two hotter/costlier entries.
-        assert!(store.lookup_by_signature("sig-hot").is_some());
+        assert!(store.lookup_column("orders", "x", 10, true).is_some());
         let mut big = int_entry("big1", SourceFormat::Json, 10);
         big.build_cost = u64::MAX / 4096;
         store.insert(big).unwrap();
@@ -959,15 +1008,19 @@ mod tests {
         let stats = store.stats();
         assert!(stats.spilled_bytes > 0);
 
-        // Lookup reloads it from disk, bit-exact, evicting a resident.
-        let reloaded = store.lookup_by_signature("sig-hot").unwrap();
+        // The per-field lookup reloads it from disk, bit-exact, heat intact,
+        // evicting a resident; the reload is a hit, not a miss.
+        let (reloaded, index) = store.lookup_column("orders", "x", 10, true).unwrap();
         assert_eq!(
-            **reloaded.column("x").unwrap(),
+            *reloaded.columns()[index].1,
             ColumnData::Int((0..10).collect())
         );
+        assert_eq!(reloaded.hits(), 2);
         assert!(store.names().contains(&"hot".to_string()));
         assert!(store.spilled_names().is_empty());
-        assert!(store.stats().bytes <= 500);
+        let after = store.stats();
+        assert_eq!((after.hits, after.misses), (2, 0));
+        assert!(after.bytes <= 500);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

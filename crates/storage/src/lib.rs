@@ -11,9 +11,10 @@
 //! * [`row`] — the on-disk binary row format (row-oriented relational binary
 //!   data, one of the plug-in formats of §5.2).
 //! * [`cache`] — the adaptive cache store of §6 grown into a production
-//!   subsystem: caches of query-defined shape, keyed by plan signature,
-//!   budgeted with cost/benefit eviction, spilled to disk when hot, and
-//!   handed out as `Arc` handles so readers survive rebuilds.
+//!   subsystem: scanned fields cached as binary columns, looked up per
+//!   (dataset, field), budgeted with cost/benefit eviction, spilled to disk
+//!   when hot and reloaded on the next lookup, and handed out as `Arc`
+//!   handles so readers survive rebuilds.
 //! * [`persist`] — checksummed, versioned on-disk cache frames backing
 //!   spill and warm-restart snapshots.
 

@@ -7,9 +7,9 @@
 //! "PCHE" | version u16 | reserved u16 | body_len u64 | body_crc32 u32 | body
 //! ```
 //!
-//! The body carries the complete [`CacheEntry`] — identity (name, plan
-//! signature, source dataset/format/eagerness), heat (build cost, hit
-//! count), OIDs, every column in the `PCOL` layout, and per-column zone
+//! The body carries the complete [`CacheEntry`] — identity (name, source
+//! dataset and format), heat (build cost, hit count), OIDs, every column in
+//! the `PCOL` layout, and per-column zone
 //! frames (min/max/null-count per 1024-row chunk). The zone frames are
 //! redundant with the columns by construction; the reader recomputes them
 //! and rejects the file on any bitwise mismatch, so a file whose payload
@@ -17,18 +17,24 @@
 //! unknown versions, truncation and CRC mismatches are all surfaced as
 //! [`StorageError::Corrupt`] — callers degrade to a cache miss, never to a
 //! wrong answer.
+//!
+//! Spill files are read back by the store's per-field lookup
+//! (`CacheStore::lookup_column`) inside the query that needs the entry, and
+//! written by the eviction inside the query whose build evicted it, so both
+//! directions sit on a query's path: the checksum is table-driven.
 
 use std::path::Path;
 
-use crate::cache::{CacheEagerness, CacheEntry, CacheStore, SourceFormat, CACHE_ZONE_ROWS};
+use crate::cache::{CacheEntry, CacheStore, SourceFormat, CACHE_ZONE_ROWS};
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
 
 const MAGIC: &[u8; 4] = b"PCHE";
 
 /// On-disk snapshot format version; bumped on any layout change so stale
-/// files from older builds are rejected instead of misread.
-pub const CACHE_SNAPSHOT_VERSION: u16 = 1;
+/// files from older builds are rejected instead of misread. Version 2
+/// dropped the plan signature and the eagerness code from the body.
+pub const CACHE_SNAPSHOT_VERSION: u16 = 2;
 
 const HEADER_LEN: usize = 4 + 2 + 2 + 8 + 4;
 
@@ -46,16 +52,32 @@ pub struct WarmReport {
 }
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, reflected, bitwise — no table, cold path only).
+// CRC32 (IEEE 802.3, reflected), one table lookup per byte.
+
+const CRC_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 == 1 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
 
 fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for byte in data {
-        crc ^= *byte as u32;
-        for _ in 0..8 {
-            let mask = 0u32.wrapping_sub(crc & 1);
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
+        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ *byte as u32) & 0xFF) as usize];
     }
     !crc
 }
@@ -212,25 +234,6 @@ fn format_from_code(code: u8) -> Result<SourceFormat> {
     }
 }
 
-fn eagerness_code(e: CacheEagerness) -> u8 {
-    match e {
-        CacheEagerness::Values => 0,
-        CacheEagerness::Positions => 1,
-        CacheEagerness::OidsOnly => 2,
-    }
-}
-
-fn eagerness_from_code(code: u8) -> Result<CacheEagerness> {
-    match code {
-        0 => Ok(CacheEagerness::Values),
-        1 => Ok(CacheEagerness::Positions),
-        2 => Ok(CacheEagerness::OidsOnly),
-        other => Err(StorageError::Corrupt(format!(
-            "unknown eagerness code {other}"
-        ))),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Entry files.
 
@@ -253,10 +256,8 @@ pub fn entry_file_name(name: &str) -> String {
 fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
     let mut w = Writer::new();
     w.str(&entry.name);
-    w.str(&entry.plan_signature);
     w.str(&entry.source_dataset);
     w.u8(format_code(entry.source_format));
-    w.u8(eagerness_code(entry.eagerness));
     w.u64(entry.build_cost);
     w.u64(entry.hits());
     w.u32(entry.expressions.len() as u32);
@@ -287,10 +288,8 @@ fn encode_entry(entry: &CacheEntry) -> Vec<u8> {
 fn decode_entry(body: &[u8]) -> Result<CacheEntry> {
     let mut r = Reader::new(body);
     let name = r.str()?;
-    let plan_signature = r.str()?;
     let source_dataset = r.str()?;
     let source_format = format_from_code(r.u8()?)?;
-    let eagerness = eagerness_from_code(r.u8()?)?;
     let build_cost = r.u64()?;
     let hit_count = r.u64()?;
     let expr_count = r.u32()? as usize;
@@ -354,15 +353,7 @@ fn decode_entry(body: &[u8]) -> Result<CacheEntry> {
             body.len() - r.pos
         )));
     }
-    let mut entry = crate::cache::make_entry(
-        name,
-        plan_signature,
-        source_dataset,
-        source_format,
-        columns,
-        oids,
-    );
-    entry.eagerness = eagerness;
+    let mut entry = crate::cache::make_entry(name, source_dataset, source_format, columns, oids);
     entry.expressions = expressions;
     entry.build_cost = build_cost;
     entry.set_hits(hit_count);
@@ -492,7 +483,6 @@ mod tests {
     fn sample_entry() -> CacheEntry {
         let mut entry = make_entry(
             "lineitem::price+qty",
-            "sig-price-qty",
             "lineitem",
             SourceFormat::Json,
             vec![
@@ -528,7 +518,6 @@ mod tests {
         write_entry(&entry, &path).unwrap();
         let restored = read_entry(&path).unwrap();
         assert_eq!(restored.name, entry.name);
-        assert_eq!(restored.plan_signature, entry.plan_signature);
         assert_eq!(restored.source_dataset, entry.source_dataset);
         assert_eq!(restored.source_format, entry.source_format);
         assert_eq!(restored.columns(), entry.columns());
@@ -570,6 +559,44 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// The bitwise CRC the table is derived from.
+    fn reference_crc32(data: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for byte in data {
+            crc ^= *byte as u32;
+            for _ in 0..8 {
+                let mask = 0u32.wrapping_sub(crc & 1);
+                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    #[test]
+    fn table_crc_matches_the_bitwise_reference() {
+        assert_eq!(crc32(&[]), 0);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next_byte = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u8
+        };
+        for seed in 0..8 {
+            for len in 1..=17 {
+                let data: Vec<u8> = (0..len).map(|_| next_byte()).collect();
+                assert_eq!(
+                    crc32(&data),
+                    reference_crc32(&data),
+                    "seed {seed} len {len}"
+                );
+            }
+        }
+        let body: Vec<u8> = (0..1_400_000).map(|_| next_byte()).collect();
+        assert_eq!(crc32(&body), reference_crc32(&body));
+    }
+
     #[test]
     fn stale_version_is_rejected() {
         let dir = tmp_dir("version");
@@ -581,6 +608,14 @@ mod tests {
         data[5] = 0xFF;
         std::fs::write(&path, &data).unwrap();
         assert!(matches!(read_entry(&path), Err(StorageError::Corrupt(_))));
+        // A version-1 file (the layout with a plan signature) is refused,
+        // and a warm restart counts it as rejected.
+        data[4..6].copy_from_slice(&1u16.to_le_bytes());
+        std::fs::write(&path, &data).unwrap();
+        assert!(matches!(read_entry(&path), Err(StorageError::Corrupt(_))));
+        let store = CacheStore::new(MemoryManager::with_budget(1 << 22));
+        let report = warm(&store, &dir).unwrap();
+        assert_eq!((report.loaded, report.rejected), (0, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -600,7 +635,7 @@ mod tests {
         store.insert(sample_entry()).unwrap();
         let mut second = sample_entry();
         second.name = "other".into();
-        second.plan_signature = "sig-other".into();
+        second.source_dataset = "orders".into();
         store.insert(second).unwrap();
         assert_eq!(snapshot(&store, &dir).unwrap(), 2);
 
@@ -608,8 +643,9 @@ mod tests {
         let report = warm(&restored, &dir).unwrap();
         assert_eq!(report.loaded, 2);
         assert_eq!(report.rejected, 0);
-        let entry = restored.lookup_by_signature("sig-price-qty").unwrap();
+        let entry = restored.get("lineitem::price+qty").unwrap();
         assert_eq!(entry.columns(), sample_entry().columns());
+        assert_eq!(restored.get("other").unwrap().source_dataset, "orders");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Demonstrates §6: caches built as a side-effect of execution speed up later
-//! queries over verbose formats, cache matching rewrites plans, and updates
-//! invalidate affected caches.
+//! queries over verbose formats (each cached field is read from its cache
+//! entry instead of the raw file), and updates invalidate affected caches.
 //!
 //! Run with: `cargo run --example adaptive_caching --release`
 

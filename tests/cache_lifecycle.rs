@@ -97,6 +97,12 @@ impl Lcg {
     }
 }
 
+/// The one column of a synthetic entry: named after the entry, so a
+/// per-field lookup of (dataset, field) names exactly one entry.
+fn field_of(name: &str) -> String {
+    format!("v_{name}")
+}
+
 /// A synthetic entry with deterministic contents derived from (name, len):
 /// lookups can verify bit-exactness against a recomputation.
 fn synth_entry(name: &str, dataset: &str, len: usize, format: SourceFormat) -> CacheEntryFixture {
@@ -105,13 +111,34 @@ fn synth_entry(name: &str, dataset: &str, len: usize, format: SourceFormat) -> C
         .collect();
     let entry = make_entry(
         name,
-        format!("sig::{name}"),
         dataset,
         format,
-        vec![("v".to_string(), ColumnData::Int(values.clone()))],
+        vec![(field_of(name), ColumnData::Int(values.clone()))],
         (0..len as u64).collect(),
     );
     CacheEntryFixture { entry, values }
+}
+
+/// Looks `name`'s column up the way a scan of `dataset` (`len` objects)
+/// does, and checks a hit bit-exactly against `expected`. Returns whether
+/// the lookup hit.
+fn lookup_exact(
+    store: &CacheStore,
+    name: &str,
+    dataset: &str,
+    len: usize,
+    expected: Option<&Vec<i64>>,
+) -> bool {
+    let Some((entry, index)) = store.lookup_column(dataset, &field_of(name), len as u64, true)
+    else {
+        return false;
+    };
+    let expected = expected.unwrap_or_else(|| panic!("lookup returned evicted-and-dropped {name}"));
+    match entry.columns()[index].1.as_ref() {
+        ColumnData::Int(got) => assert_eq!(got, expected, "{name}"),
+        other => panic!("wrong column shape: {other:?}"),
+    }
+    true
 }
 
 struct CacheEntryFixture {
@@ -155,18 +182,16 @@ fn property_interleavings_keep_bytes_under_budget_and_lookups_exact() {
                 6..=8 => {
                     let id = rng.next() % 8;
                     let name = format!("e{id}");
-                    if let Some(entry) = store.lookup_by_signature(&format!("sig::{name}")) {
-                        // Hit ⇒ bit-exact against the model (never torn,
-                        // never a stale survivor of invalidate/clear).
-                        let expected = model.get(&name).unwrap_or_else(|| {
-                            panic!("lookup returned evicted-and-dropped {name}")
-                        });
-                        match entry.column("v").map(Arc::as_ref) {
-                            Some(ColumnData::Int(got)) => assert_eq!(got, expected),
-                            other => panic!("wrong column shape: {other:?}"),
-                        }
-                    }
-                    // Miss is always acceptable: evicted cold, or dropped.
+                    let dataset = format!("ds{}", id % 3);
+                    let expected = model.get(&name);
+                    // The scan's length is the modelled one, or any length
+                    // once the entry is gone.
+                    let len = expected.map_or((rng.next() % 200 + 1) as usize, Vec::len);
+                    // Hit (live or reloaded from spill) ⇒ bit-exact against
+                    // the model: never torn, never a stale survivor of
+                    // invalidate/clear. A miss is always acceptable: evicted
+                    // cold, or dropped.
+                    lookup_exact(&store, &name, &dataset, len, expected);
                 }
                 9 => {
                     let ds = format!("ds{}", rng.next() % 3);
@@ -393,7 +418,8 @@ fn spill_and_load_fault_sites_degrade_to_discard_and_miss() {
     fault::clear();
 
     // With the site clear, a hot eviction spills; failing the load site
-    // turns the reload into a clean miss (and the file stays for later).
+    // turns the per-field reload into a clean miss (and the file stays for
+    // later).
     let hot = synth_entry("hot", "ds", 120, SourceFormat::Json);
     store.insert(hot.entry).unwrap();
     store.record_hit("hot");
@@ -406,16 +432,136 @@ fn spill_and_load_fault_sites_degrade_to_discard_and_miss() {
     }
     if store.get("hot").is_none() {
         assert!(store.spilled_names().contains(&"hot".to_string()));
-        fault::configure("cache.load", FaultAction::Error);
-        assert!(store.lookup_by_signature("sig::hot").is_none());
-        fault::clear();
-        let reloaded = store.lookup_by_signature("sig::hot").unwrap();
         let expected = synth_entry("hot", "ds", 120, SourceFormat::Json).values;
-        match reloaded.column("v").map(Arc::as_ref) {
-            Some(ColumnData::Int(got)) => assert_eq!(got, &expected),
-            other => panic!("wrong column shape: {other:?}"),
-        }
+        fault::configure("cache.load", FaultAction::Error);
+        assert!(!lookup_exact(&store, "hot", "ds", 120, Some(&expected)));
+        assert!(store.spilled_names().contains(&"hot".to_string()));
+        fault::clear();
+        assert!(lookup_exact(&store, "hot", "ds", 120, Some(&expected)));
+        assert!(store.get("hot").is_some());
+        assert!(store.spilled_names().is_empty());
+        assert!(store.stats().bytes <= 4 * 1024);
     }
+}
+
+// -- per-field reuse through the disk tier --------------------------------
+
+/// One two-column 2000-row entry is ~48 KiB: the arena holds one dataset's
+/// entry, so building another's evicts it.
+const ONE_ENTRY_BUDGET: usize = 64 * 1024;
+const SPILL_QUERY: &str = "SELECT COUNT(*), MAX(b), SUM(b) FROM ta WHERE a >= 500";
+
+/// An engine over datasets `ta`, `tb`, `tc` whose `ta` entry was built,
+/// hit, then evicted to the spill directory by the builds over `tb` and
+/// `tc`.
+/// Returns the engine and the expected (uncached) answer to `SPILL_QUERY`.
+fn engine_with_spilled_entry(dir: &std::path::Path) -> (QueryEngine, Vec<Value>) {
+    let engine = QueryEngine::new(
+        EngineConfig {
+            cache_budget: ONE_ENTRY_BUDGET,
+            ..Default::default()
+        }
+        .with_cache_spill_dir(dir.join("spill")),
+    );
+    let uncached = QueryEngine::new(EngineConfig::without_caching());
+    for table in ["ta", "tb", "tc"] {
+        register_csv(&engine, dir, table, 2000);
+        register_csv(&uncached, dir, table, 2000);
+    }
+    let expected = uncached.sql(SPILL_QUERY).unwrap().rows;
+    assert!(engine.sql(SPILL_QUERY).unwrap().metrics.cached_values > 0);
+    let warm = engine.sql(SPILL_QUERY).unwrap();
+    assert_eq!(warm.metrics.cached_values, 0);
+    assert!(warm.access_paths[0].contains("fully served"));
+    for table in ["tb", "tc"] {
+        engine
+            .sql(&format!(
+                "SELECT COUNT(*), MAX(b) FROM {table} WHERE a >= 0"
+            ))
+            .unwrap();
+    }
+    assert!(engine.caches().caches_for_dataset("ta").is_empty());
+    assert_eq!(engine.caches().spilled_names(), vec!["ta::a+b".to_string()]);
+    assert!(engine.cache_stats().bytes <= ONE_ENTRY_BUDGET);
+    (engine, expected)
+}
+
+#[test]
+fn a_spilled_entry_is_reloaded_by_the_next_scan_instead_of_rebuilt() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("spill_reload");
+    let (engine, expected) = engine_with_spilled_entry(&dir);
+    let hits = engine.cache_stats().hits;
+    let reloaded = engine.sql(SPILL_QUERY).unwrap();
+    assert_eq!(reloaded.rows, expected);
+    // Served from the reloaded entry: nothing rebuilt from the raw file.
+    assert_eq!(reloaded.metrics.cached_values, 0);
+    assert!(reloaded.access_paths[0].contains("fully served"));
+    assert!(engine.cache_stats().hits > hits);
+    assert!(engine.caches().spilled_names().is_empty());
+    assert!(engine.caches().get("ta::a+b").is_some());
+    assert!(engine.cache_stats().bytes <= ONE_ENTRY_BUDGET);
+}
+
+#[test]
+fn an_update_drops_the_spilled_entry_and_the_next_scan_rebuilds() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("spill_update");
+    let (engine, expected) = engine_with_spilled_entry(&dir);
+    assert_eq!(engine.notify_update("ta"), 1);
+    assert!(engine.caches().spilled_names().is_empty());
+    let rebuilt = engine.sql(SPILL_QUERY).unwrap();
+    assert_eq!(rebuilt.rows, expected);
+    assert!(rebuilt.metrics.cached_values > 0);
+    assert!(engine.caches().get("ta::a+b").is_some());
+}
+
+#[test]
+fn a_failed_reload_degrades_to_a_clean_rebuild() {
+    let _scope = fault_scope();
+    let dir = scratch("spill_load_fault");
+    let (engine, expected) = engine_with_spilled_entry(&dir);
+    fault::configure("cache.load", FaultAction::Error);
+    let rebuilt = engine.sql(SPILL_QUERY).unwrap();
+    assert!(fault::fired("cache.load") >= 1);
+    assert_eq!(rebuilt.rows, expected);
+    assert!(rebuilt.metrics.cached_values > 0);
+    // The rebuilt entry replaced the spilled one, file and all.
+    assert!(engine.caches().spilled_names().is_empty());
+    assert!(engine.caches().get("ta::a+b").is_some());
+    fault::clear();
+    let warm = engine.sql(SPILL_QUERY).unwrap();
+    assert_eq!(warm.rows, expected);
+    assert_eq!(warm.metrics.cached_values, 0);
+}
+
+#[test]
+fn a_reload_racing_an_update_registers_nothing() {
+    let _scope = fault_scope();
+    let dir = scratch("spill_reload_race");
+    let (engine, expected) = engine_with_spilled_entry(&dir);
+    // The reload sleeps at its load site; the update lands meanwhile.
+    fault::configure("cache.load", FaultAction::SleepMs(500));
+    let answer = std::thread::scope(|scope| {
+        let query = scope.spawn(|| engine.sql(SPILL_QUERY));
+        while fault::fired("cache.load") == 0 {
+            assert!(!query.is_finished(), "the query never reached the reload");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        engine.notify_update("ta");
+        query.join().unwrap()
+    });
+    let answer = answer.unwrap();
+    assert_eq!(answer.rows, expected);
+    // Neither the reload nor the query's own build (compiled against the
+    // old revision) registered anything.
+    assert!(engine.caches().caches_for_dataset("ta").is_empty());
+    assert!(engine.caches().spilled_names().is_empty());
+    fault::clear();
+    assert_eq!(engine.sql(SPILL_QUERY).unwrap().rows, expected);
+    assert!(engine.caches().get("ta::a+b").is_some());
 }
 
 // -- persistence ----------------------------------------------------------
@@ -444,7 +590,6 @@ fn snapshot_round_trip_is_bit_exact() {
     assert_eq!(report.skipped, 0);
     for original in store.entries_snapshot() {
         let back = restored.get(&original.name).unwrap();
-        assert_eq!(back.plan_signature, original.plan_signature);
         assert_eq!(back.source_dataset, original.source_dataset);
         assert_eq!(back.source_format, original.source_format);
         assert_eq!(back.columns(), original.columns());
@@ -675,6 +820,27 @@ fn compile(engine: &QueryEngine, sql: &str) -> proteus::core::CompiledQuery {
     proteus::core::Compiler::new(registry, Some(engine.caches().clone()))
         .compile(&optimized.plan)
         .unwrap()
+}
+
+#[test]
+fn a_build_compiled_before_an_invalidation_registers_nothing() {
+    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    let _scope = fault_scope();
+    let dir = scratch("inline_fence");
+    let engine = QueryEngine::with_defaults();
+    register_csv(&engine, &dir, "t", 3000);
+    let q = "SELECT COUNT(*), MAX(b) FROM t WHERE a >= 0";
+    let compiled = compile(&engine, q);
+    assert!(compiled.ir.contains("cache[t] += ["));
+    engine.caches().invalidate_dataset("t");
+    let result = compiled.execute().unwrap();
+    // The scan built the entry; the revision fence refused it.
+    assert!(result.metrics.cached_values > 0);
+    assert!(engine.caches().caches_for_dataset("t").is_empty());
+    assert_eq!(engine.cache_stats().bytes, 0);
+    // A query compiled after the invalidation registers its own.
+    assert_eq!(engine.sql(q).unwrap().rows, result.rows);
+    assert_eq!(engine.caches().caches_for_dataset("t").len(), 1);
 }
 
 #[test]
