@@ -14,6 +14,7 @@ fn main() {
         "{:<22}{:>12}{:>16}{:>16}{:>10}",
         "template", "selectivity", "baseline ms", "cached ms", "speedup"
     );
+    let mut cache_bytes = 0;
     for (name, template) in [
         (
             "projection (4 agg)",
@@ -41,6 +42,7 @@ fn main() {
             let start = Instant::now();
             let cached_rows = cached_engine.execute_plan(plan).unwrap().rows;
             let cached = start.elapsed();
+            cache_bytes = cache_bytes.max(cached_engine.cache_stats().bytes);
 
             assert!(
                 proteus_bench::harness::checksums_agree(
@@ -60,5 +62,13 @@ fn main() {
             );
         }
     }
-    println!("(cache size / file size ratio is reported by the microbench_indexes binary)");
+    let file_bytes = std::fs::metadata(setup.dir.join("lineitem.json"))
+        .unwrap()
+        .len() as usize;
+    println!(
+        "largest cache: {} KiB, {:.1}% of the {} KiB lineitem.json",
+        cache_bytes / 1024,
+        100.0 * cache_bytes as f64 / file_bytes as f64,
+        file_bytes / 1024
+    );
 }

@@ -3,17 +3,13 @@
 //! Symantec CSV), index construction vs. baseline loading time, engine
 //! generation ("compile") time ≤ ~50 ms, and the software proxies for the
 //! join micro-analysis (intermediate tuples, predicate evaluations, hash
-//! probes). Plus the §5.2 secondary access paths: sorted and hash indexes
-//! over the binary columns, answering predicates as packed bitmask words
-//! that compose with residual kernel masks via word-wise AND.
+//! probes). The "indexes" in the name are the plug-ins' structural indexes;
+//! the engine keeps no secondary indexes — per-morsel zone maps are its only
+//! Tier 0 access path.
 
 use std::time::Instant;
 
 use proteus_bench::harness::{BenchSetup, EngineKind, QueryTemplate};
-use proteus_core::exec::index::{HashIndex, IndexKey, SortedIndex};
-use proteus_core::exec::kernels::CmpOp;
-use proteus_core::exec::mask;
-use proteus_storage::ColumnData;
 
 fn main() {
     let setup = BenchSetup::tpch(proteus_bench::harness::default_scale());
@@ -89,100 +85,6 @@ fn main() {
     println!(
         "\n=== Engine generation ===\nworst-case compile time over 4 templates: {:.3} ms (paper: <= ~50 ms)",
         worst.as_secs_f64() * 1e3
-    );
-
-    // --- Secondary indexes feeding the bitmask tier. ---
-    let plugin = proteus_plugins::binary::ColumnPlugin::open(
-        "lineitem_idx",
-        setup.dir.join("lineitem_cols"),
-    )
-    .unwrap();
-    let orderkey = plugin.column("l_orderkey").unwrap();
-    let quantity = plugin.column("l_quantity").unwrap();
-    let rows = orderkey.len();
-    let ColumnData::Int(orderkeys) = orderkey.as_ref() else {
-        unreachable!("l_orderkey is an int column");
-    };
-    let ColumnData::Float(quantities) = quantity.as_ref() else {
-        unreachable!("l_quantity is a float column");
-    };
-
-    let start = Instant::now();
-    let sorted = SortedIndex::build(&orderkey).unwrap();
-    let sorted_build = start.elapsed();
-    let start = Instant::now();
-    let hash = HashIndex::build(&orderkey).unwrap();
-    let hash_build = start.elapsed();
-
-    // Range probe at 2% selectivity, answered without touching row data.
-    let threshold = setup.threshold(2);
-    let start = Instant::now();
-    let (range_mask, range_rows) = sorted.eval(CmpOp::Lt, threshold as f64);
-    let range_probe = start.elapsed();
-    let scan_rows = orderkeys.iter().filter(|&&k| k < threshold).count();
-    assert_eq!(
-        range_rows, scan_rows,
-        "sorted-index range answer diverged from a full scan"
-    );
-
-    // Equality probe through the postings lists.
-    let key = setup.threshold(50);
-    let start = Instant::now();
-    let (_, eq_rows) = hash.eval_eq(IndexKey::I64(key));
-    let eq_probe = start.elapsed();
-    assert_eq!(
-        eq_rows,
-        orderkeys.iter().filter(|&&k| k == key).count(),
-        "hash-index equality answer diverged from a full scan"
-    );
-
-    // Compose the index answer with a residual predicate the index cannot
-    // answer (`l_quantity < 25`): render the residual as a second packed
-    // mask and AND word-wise — the same contract the kernel tier uses for
-    // one more conjunct.
-    let mut residual = Vec::new();
-    mask::fill(&mut residual, rows, false);
-    for (i, &q) in quantities.iter().enumerate() {
-        if q < 25.0 {
-            mask::set(&mut residual, i);
-        }
-    }
-    let mut composed = range_mask;
-    mask::and(&mut composed, &residual);
-    let composed_rows = mask::count_ones(&composed);
-    let scan_both = orderkeys
-        .iter()
-        .zip(quantities)
-        .filter(|&(&k, &q)| k < threshold && q < 25.0)
-        .count();
-    assert_eq!(
-        composed_rows, scan_both,
-        "index-mask AND residual-mask diverged from scanning the conjunction"
-    );
-
-    // Rows answered by index probes alone (no per-row compares) feed the
-    // `index_rows` execution counter.
-    let mut index_metrics = proteus_core::ExecutionMetrics::new();
-    index_metrics.index_rows = (range_rows + eq_rows) as u64;
-
-    println!("\n=== Secondary indexes (binary l_orderkey, {rows} rows) ===");
-    println!(
-        "sorted index: {} KiB, built in {:.1} ms; 2% range probe {:.3} ms -> {} rows",
-        sorted.size_bytes() / 1024,
-        sorted_build.as_secs_f64() * 1e3,
-        range_probe.as_secs_f64() * 1e3,
-        range_rows
-    );
-    println!(
-        "hash index:   {} distinct keys, built in {:.1} ms; equality probe {:.3} ms -> {} rows",
-        hash.distinct_keys(),
-        hash_build.as_secs_f64() * 1e3,
-        eq_probe.as_secs_f64() * 1e3,
-        eq_rows
-    );
-    println!(
-        "composed with residual `l_quantity < 25` via word-wise AND -> {composed_rows} rows; index_rows={}",
-        index_metrics.index_rows
     );
 
     // --- Join micro-analysis proxies (paper: dTLB/LLC misses, branches). ---

@@ -1,5 +1,12 @@
 //! Cache construction as a side-effect of execution (§6).
 //!
+//! A cache is built in exactly one way: inline, by the query whose scan
+//! reads the raw file. That scan runs serially (the entry needs its OIDs in
+//! order), feeds every row's cacheable values to a [`CacheBuilder`], and
+//! registers the entry through [`CacheBuilder::finish_if_current`] before
+//! the query returns — fenced by the dataset revision captured when the
+//! scan was compiled, so an invalidation that raced the scan wins.
+//!
 //! The caching policy follows the paper:
 //!
 //! * caches are built primarily for *non-binary, verbose* sources (CSV and
@@ -92,6 +99,8 @@ impl CacheBuilder {
 
     /// Records the values of one scanned object. `values` must follow the
     /// order of the builder's fields. Returns the number of values cached.
+    /// Once every column is unusable the builder disables itself: nothing it
+    /// holds could be registered, so the scan stops feeding it.
     pub fn observe(&mut self, oid: u64, values: &[Value]) -> u64 {
         if !self.enabled {
             return 0;
@@ -109,6 +118,10 @@ impl CacheBuilder {
                 cached += 1;
             }
         }
+        if cached == 0 && self.unusable.iter().all(|&unusable| unusable) {
+            self.enabled = false;
+            self.oids = Vec::new();
+        }
         cached
     }
 
@@ -119,9 +132,8 @@ impl CacheBuilder {
 
     /// Finalizes the builder into the cache store, but only if the source
     /// dataset is still at the revision captured when the builder was
-    /// created: an invalidation may race the scan (inline or background),
-    /// and the stale result must be discarded. Returns the cache name if an
-    /// entry was registered.
+    /// created: an invalidation may race the scan, and the stale result
+    /// must be discarded. Returns the cache name if an entry was registered.
     pub fn finish_if_current(self, store: &CacheStore) -> Option<String> {
         let revision = self.revision;
         let entry = self.into_entry()?;
@@ -274,11 +286,18 @@ mod tests {
         assert_eq!(**entry.column("y").unwrap(), ColumnData::Int(vec![1, 2, 3]));
         assert_eq!(entry.expressions, vec!["y".to_string()]);
 
-        // Nothing left to cache: no entry at all. A value of the wrong type
-        // disqualifies a column the same way.
+        // Nothing left to cache: the builder turns itself off at once and
+        // drops its OIDs, so the scan stops feeding it, and no entry is
+        // registered. A value of the wrong type disqualifies a column the
+        // same way.
         let mut builder = CacheBuilder::new("u", SourceFormat::Csv, fields, 0);
-        builder.observe(0, &[Value::Null, Value::str("oops")]);
-        builder.observe(1, &[Value::Float(2.5), Value::Int(3)]);
+        builder.observe(0, &[Value::Float(1.5), Value::str("oops")]);
+        assert!(builder.is_enabled());
+        builder.observe(1, &[Value::Null, Value::Int(3)]);
+        assert!(!builder.is_enabled());
+        assert_eq!(builder.row_count(), 0);
+        assert_eq!(builder.observe(2, &[Value::Float(2.5), Value::Int(4)]), 0);
+        assert_eq!(builder.row_count(), 0);
         assert!(builder.finish_if_current(&store).is_none());
         assert!(store.caches_for_dataset("u").is_empty());
     }

@@ -46,7 +46,6 @@ use proteus_storage::CacheStore;
 
 use crate::cache_builder::{should_cache_field, CacheBuilder};
 use crate::error::{EngineError, Result};
-use crate::exec::background::CacheBuildSpec;
 use crate::exec::expr::{
     compile_expr, compile_predicate, BindingLayout, CompiledExpr, CompiledPredicate,
 };
@@ -64,7 +63,6 @@ pub struct Compiler {
     vectorized: bool,
     morsel_skipping: bool,
     numeric_mode: kernels::NumericMode,
-    background_builds: bool,
 }
 
 /// Per-compilation planner state: which slot names any compiled closure
@@ -83,10 +81,6 @@ struct PlanCtx {
     /// The plan's root collects whole bindings, so every slot — an unnest
     /// alias included — is read whole.
     collects_bindings: bool,
-    /// Cache builds the compiler deferred to the background path: the scan
-    /// runs uncached (and fully parallel) while the engine offers these to
-    /// the scheduler after the query completes.
-    pending_builds: Vec<CacheBuildSpec>,
 }
 
 impl PlanCtx {
@@ -158,7 +152,6 @@ impl Compiler {
             vectorized: true,
             morsel_skipping: true,
             numeric_mode: kernels::NumericMode::Strict,
-            background_builds: false,
         }
     }
 
@@ -187,16 +180,6 @@ impl Compiler {
     /// chunked explicit-lane loops.
     pub fn with_numeric_mode(mut self, mode: kernels::NumericMode) -> Compiler {
         self.numeric_mode = mode;
-        self
-    }
-
-    /// Defers scan-side-effect cache builds to the background (builder
-    /// style; off by default). The foreground scan then runs without the
-    /// in-order serial pinning a live builder forces, and the compiled
-    /// query carries [`CacheBuildSpec`]s for the engine to offer to the
-    /// scheduler once the query finishes.
-    pub fn with_background_builds(mut self, background: bool) -> Compiler {
-        self.background_builds = background;
         self
     }
 
@@ -272,7 +255,6 @@ impl Compiler {
             ir: ir.finish(),
             compile_time: started.elapsed(),
             access_paths,
-            pending_cache_builds: std::mem::take(&mut ctx.pending_builds),
         })
     }
 
@@ -495,15 +477,7 @@ impl Compiler {
                 alias,
                 schema,
                 projected_fields,
-            } => self.compile_scan(
-                dataset,
-                alias,
-                schema,
-                projected_fields,
-                ir,
-                access_paths,
-                ctx,
-            ),
+            } => self.compile_scan(dataset, alias, schema, projected_fields, ir, access_paths),
             LogicalPlan::Select { input, predicate } => {
                 let (producer, layout) = self.compile_producer(input, ir, access_paths, ctx)?;
                 let filter = self.compile_filter(producer, predicate, 1, &layout, ir, ctx)?;
@@ -750,7 +724,6 @@ impl Compiler {
             .ok_or_else(|| EngineError::UnknownDataset(dataset.to_string()))
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn compile_scan(
         &self,
         dataset: &str,
@@ -759,7 +732,6 @@ impl Compiler {
         projected_fields: &[String],
         ir: &mut IrEmitter,
         access_paths: &mut Vec<String>,
-        ctx: &mut PlanCtx,
     ) -> Result<(Producer, BindingLayout)> {
         // Revision fence of the cache-building side effect: captured before
         // the plug-in is resolved, so a build over data an invalidation has
@@ -907,28 +879,6 @@ impl Compiler {
                     .filter_map(|field| Some((field.clone(), cache_type(field)?)))
                     .collect();
                 if to_cache.is_empty() {
-                    CacheBuilder::disabled()
-                } else if self.background_builds {
-                    // Deferred: the foreground scan stays fully parallel;
-                    // the engine offers this build to the scheduler after
-                    // the query completes.
-                    ir.line(
-                        1,
-                        &format!(
-                            "defer cache[{}] += [{}]   // background build",
-                            dataset,
-                            to_cache
-                                .iter()
-                                .map(|(n, _)| n.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    );
-                    ctx.pending_builds.push(CacheBuildSpec {
-                        dataset: dataset.to_string(),
-                        format,
-                        fields: to_cache,
-                    });
                     CacheBuilder::disabled()
                 } else {
                     ir.line(
@@ -1373,9 +1323,6 @@ pub struct CompiledQuery {
     pub compile_time: Duration,
     /// The access path each plug-in chose (one entry per scanned dataset).
     pub access_paths: Vec<String>,
-    /// Cache builds deferred to the background (only populated when the
-    /// compiler ran `with_background_builds(true)`).
-    pub(crate) pending_cache_builds: Vec<CacheBuildSpec>,
 }
 
 impl CompiledQuery {

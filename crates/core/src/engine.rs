@@ -26,7 +26,6 @@ use proteus_storage::{CacheStore, MemoryManager};
 
 use crate::codegen::{CompiledQuery, Compiler};
 use crate::error::Result;
-use crate::exec::background::BackgroundBuilds;
 use crate::exec::context::{CancellationToken, QueryContext};
 use crate::exec::metrics::ExecutionMetrics;
 use crate::exec::scheduler::{AdmissionConfig, DrainReport, Scheduler, SchedulerConfig};
@@ -43,9 +42,9 @@ pub struct EngineConfig {
     pub cache_budget: usize,
     /// Morsel workers per query: `1` (the default) runs the serial path,
     /// `0` uses one worker per available CPU (overridable with
-    /// `PROTEUS_THREADS`), any other value is taken literally. Scans with a
-    /// pending cache-building side effect always run serially because cache
-    /// entries require in-order OIDs.
+    /// `PROTEUS_THREADS`), any other value is taken literally. A scan that
+    /// builds a cache always runs serially, whatever this says: the cache is
+    /// built inline with the scan, and its entries require in-order OIDs.
     pub parallelism: usize,
     /// Evaluate kernel-eligible selection predicates with vectorized
     /// columnar kernels over typed morsel columns (the default). `false`
@@ -97,13 +96,6 @@ pub struct EngineConfig {
     /// with [`crate::EngineError::Overloaded`]). `None` (the default)
     /// admits everything and shares the process-wide pool.
     pub admission: Option<AdmissionConfig>,
-    /// Run scan-side-effect cache builds as background scheduler tasks
-    /// instead of inline with the scan. The foreground query then runs the
-    /// uncached plan at full parallelism (no in-order serial pinning) and
-    /// the cache appears shortly after — queries between the two see a
-    /// clean miss. `false` (the default) keeps the synchronous semantics:
-    /// the cache is registered by the time the building query returns.
-    pub background_cache_builds: bool,
     /// Directory for the cache store's disk tier. When set, evicted entries
     /// that have recorded hits spill here instead of vanishing, and a later
     /// scan of one of their fields reloads the entry from disk instead of
@@ -127,7 +119,6 @@ impl Default for EngineConfig {
             bad_row_policy: None,
             lifecycle: true,
             admission: None,
-            background_cache_builds: false,
             cache_spill_dir: None,
         }
     }
@@ -211,14 +202,6 @@ impl EngineConfig {
         self
     }
 
-    /// Defers scan-side-effect cache builds to background scheduler tasks
-    /// (builder style; off by default — see
-    /// [`EngineConfig::background_cache_builds`]).
-    pub fn with_background_cache_builds(mut self, background: bool) -> EngineConfig {
-        self.background_cache_builds = background;
-        self
-    }
-
     /// Enables the cache store's disk tier under `dir` (builder style):
     /// hot entries spill on eviction and reload on the next lookup.
     pub fn with_cache_spill_dir(mut self, dir: impl Into<PathBuf>) -> EngineConfig {
@@ -276,7 +259,6 @@ pub struct QueryEngine {
     caches: CacheStore,
     scheduler: Arc<Scheduler>,
     workload_metrics: parking_lot::Mutex<ExecutionMetrics>,
-    builds: BackgroundBuilds,
 }
 
 impl QueryEngine {
@@ -309,7 +291,6 @@ impl QueryEngine {
             config,
             scheduler,
             workload_metrics: parking_lot::Mutex::new(ExecutionMetrics::new()),
-            builds: BackgroundBuilds::default(),
         }
     }
 
@@ -414,13 +395,12 @@ impl QueryEngine {
 
     /// Signals that a dataset's contents changed: affected caches are dropped
     /// (memory, the zone maps memoized in them and spill files alike) and
-    /// will be rebuilt lazily (§4, "Implementation Scope"). In-flight background builds over
-    /// the dataset are cancelled — the revision fence would reject their
-    /// results anyway, this just stops them from scanning on.
+    /// will be rebuilt lazily by the next scan that reads the raw file (§4,
+    /// "Implementation Scope"). The dataset's revision is bumped too, so a
+    /// caching scan that started before this call registers nothing. Returns
+    /// the number of entries dropped.
     pub fn notify_update(&self, dataset: &str) -> usize {
-        let dropped = self.caches.invalidate_dataset(dataset);
-        self.builds.cancel_dataset(dataset);
-        dropped
+        self.caches.invalidate_dataset(dataset)
     }
 
     // -- query execution ------------------------------------------------------
@@ -473,8 +453,7 @@ impl QueryEngine {
         )
         .with_vectorization(self.config.vectorized)
         .with_morsel_skipping(self.config.morsel_skipping)
-        .with_numeric_mode(self.config.numeric_mode)
-        .with_background_builds(self.config.background_cache_builds);
+        .with_numeric_mode(self.config.numeric_mode);
         let compiled = compiler.compile(&optimized.plan)?;
         Ok((optimized, compiled))
     }
@@ -490,7 +469,6 @@ impl QueryEngine {
         let (optimized, compiled) = self.prepare(plan)?;
         let ir = compiled.ir.clone();
         let access_paths = compiled.access_paths.clone();
-        let pending_builds = compiled.pending_cache_builds.clone();
         let ctx = Arc::new(QueryContext::new(
             cancel,
             self.config.timeout,
@@ -509,21 +487,6 @@ impl QueryEngine {
         )?;
         drop(permit);
         output.metrics.queue_wait_us += queue_wait_us;
-
-        // Offer any deferred cache builds only after the query succeeded
-        // and released its slot — the builds are admitted in their own
-        // right and never compete with the query that requested them.
-        for spec in pending_builds {
-            self.builds.spawn(
-                &self.scheduler,
-                &self.registry,
-                &self.caches,
-                spec,
-                self.config.timeout,
-                self.config.memory_budget,
-                self.config.lifecycle,
-            );
-        }
 
         self.workload_metrics.lock().merge(&output.metrics);
 
@@ -583,19 +546,6 @@ impl QueryEngine {
     /// [`QueryEngine::snapshot_caches`] saw.
     pub fn warm_from(&self, dir: impl AsRef<Path>) -> Result<proteus_storage::WarmReport> {
         Ok(proteus_storage::persist::warm(&self.caches, dir.as_ref())?)
-    }
-
-    /// Blocks until every in-flight background cache build finishes (with
-    /// any outcome), up to `timeout`. Returns the number still pending at
-    /// the deadline (0 = all settled). Mostly for tests and orderly
-    /// shutdown; queries never need to wait.
-    pub fn wait_for_cache_builds(&self, timeout: Duration) -> usize {
-        self.builds.wait_all(timeout)
-    }
-
-    /// Number of background cache builds currently in flight.
-    pub fn pending_cache_builds(&self) -> usize {
-        self.builds.len()
     }
 
     /// Aggregate metrics across every query run so far (workload totals, as
@@ -848,29 +798,23 @@ mod tests {
         let path = dir.join("data.json");
         fs::write(&path, "{\"x\": 1, \"y\": 2.5}\n{\"x\": 2, \"y\": 3.5}\n").unwrap();
         let query = "SELECT COUNT(*), MAX(y) FROM data WHERE x < 5";
-        for (background, cache_line) in [
-            (false, "cache[data] += ["),
-            (true, "defer cache[data] += ["),
-        ] {
-            let engine =
-                QueryEngine::new(EngineConfig::default().with_background_cache_builds(background));
-            engine.register_json("data", &path).unwrap();
-            // EXPLAIN first: the query itself builds the cache, and a warm
-            // engine compiles a different (cache-reading) scan.
-            let explained = engine.explain_sql(query).unwrap();
-            let executed = engine.sql(query).unwrap();
-            assert!(
-                executed.ir.contains(cache_line),
-                "background={background}: executed IR lacks `{cache_line}`:\n{}",
-                executed.ir
-            );
-            assert!(
-                explained.ends_with(&executed.ir),
-                "background={background}: EXPLAIN printed\n{explained}\nbut the query ran\n{}",
-                executed.ir
-            );
-            engine.wait_for_cache_builds(Duration::from_secs(10));
-        }
+        let cache_line = "cache[data] += [";
+        let engine = QueryEngine::with_defaults();
+        engine.register_json("data", &path).unwrap();
+        // EXPLAIN first: the query itself builds the cache, and a warm
+        // engine compiles a different (cache-reading) scan.
+        let explained = engine.explain_sql(query).unwrap();
+        let executed = engine.sql(query).unwrap();
+        assert!(
+            executed.ir.contains(cache_line),
+            "executed IR lacks `{cache_line}`:\n{}",
+            executed.ir
+        );
+        assert!(
+            explained.ends_with(&executed.ir),
+            "EXPLAIN printed\n{explained}\nbut the query ran\n{}",
+            executed.ir
+        );
     }
 
     #[test]

@@ -36,12 +36,6 @@ pub fn get(mask: &[u64], i: usize) -> bool {
     mask[i >> 6] >> (i & 63) & 1 == 1
 }
 
-/// Sets bit `i` of the mask.
-#[inline]
-pub fn set(mask: &mut [u64], i: usize) {
-    mask[i >> 6] |= 1 << (i & 63);
-}
-
 /// Resets the mask to `rows` rows of `value` (tail bits zero).
 pub fn fill(mask: &mut Vec<u64>, rows: usize, value: bool) {
     mask.clear();
@@ -264,7 +258,7 @@ mod tests {
         let mut mask = vec![0u64; words_for(bools.len())];
         for (i, &b) in bools.iter().enumerate() {
             if b {
-                set(&mut mask, i);
+                mask[i >> 6] |= 1 << (i & 63);
             }
         }
         mask

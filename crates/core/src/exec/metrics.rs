@@ -75,11 +75,10 @@ pub struct ExecutionMetrics {
     /// every row: the compare kernels were bypassed and the selection
     /// short-circuited to an identity bitmask.
     pub morsels_short_circuited: u64,
-    /// Rows answered by a secondary index (`exec::index`) instead of the
-    /// compare kernels. Nothing in the engine increments it: no plan can
-    /// reach an index today, so it is always 0. The field stays because the
-    /// end-to-end harness reads it by name; it goes, or becomes a real
-    /// count, in a `[benchmark]` PR.
+    /// Always 0: the engine has no secondary indexes (zone maps are its
+    /// only Tier 0 access path), so no row is ever answered by one. The
+    /// field stays because the end-to-end harness reads it by name; it goes
+    /// in a `[benchmark]` PR.
     pub index_rows: u64,
     /// Per-tuple `Binding` heap materializations (join build sides,
     /// collected output rows). **Zero on the steady-state scan path** —

@@ -222,11 +222,9 @@
 //! enforced by seed-sweep property tests in [`kernels`] and engine-level
 //! inner/left-outer suites in `tests/kernel_equivalence.rs`.
 
-pub mod background;
 pub mod batch;
 pub mod context;
 pub mod expr;
-pub mod index;
 pub mod kernels;
 pub mod mask;
 pub mod metrics;
@@ -234,7 +232,6 @@ pub mod pipeline;
 pub mod radix;
 pub mod scheduler;
 
-pub use background::CacheBuildSpec;
 pub use batch::{BindingBatch, MORSEL_SIZE};
 pub use context::{CancellationToken, MemoryBudget, QueryContext};
 pub use expr::{compile_expr, compile_predicate, BindingLayout, CompiledExpr, CompiledPredicate};

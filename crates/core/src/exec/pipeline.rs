@@ -1083,7 +1083,9 @@ fn fill_morsel(
         // injected error/panic here exercises the half-built-cache path.
         proteus_plugins::fault::check_infallible("cache.build");
         let mut guard = cache.builder.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(builder) = guard.as_mut() {
+        // A builder left with no usable column has turned itself off: skip
+        // the per-row copy for the rest of the scan.
+        if let Some(builder) = guard.as_mut().filter(|builder| builder.is_enabled()) {
             let mut values: Vec<Value> = Vec::with_capacity(cache.slots.len());
             for i in 0..count {
                 values.clear();

@@ -472,44 +472,6 @@ impl Scheduler {
         })
     }
 
-    /// Non-blocking admission for best-effort work (background cache
-    /// builds): takes a slot only if one is free right now, never queues.
-    /// Returns [`EngineError::Overloaded`] when the scheduler is draining
-    /// or at its concurrency limit — callers are expected to simply skip
-    /// the work and retry on a later occasion. The admitted context is
-    /// registered like any foreground query, so a drain cancels it too.
-    pub fn try_admit(self: &Arc<Self>, ctx: &Arc<QueryContext>) -> Result<AdmissionPermit> {
-        let mut state = self.lock_admit();
-        let capacity = self
-            .admission
-            .as_ref()
-            .map_or(0, |cfg| cfg.queue_capacity as u64);
-        let retry_after_ms = self
-            .admission
-            .as_ref()
-            .map_or(DEFAULT_RETRY_AFTER_MS, |cfg| cfg.retry_after_ms);
-        let at_limit = self
-            .admission
-            .as_ref()
-            .is_some_and(|cfg| state.running >= cfg.max_concurrent);
-        if state.draining || at_limit {
-            return Err(EngineError::Overloaded {
-                queued: state.queued as u64,
-                capacity,
-                retry_after_ms,
-            });
-        }
-        state.running += 1;
-        let ticket = state.next_ticket;
-        state.next_ticket += 1;
-        state.active.push((ticket, ctx.clone()));
-        Ok(AdmissionPermit {
-            scheduler: self.clone(),
-            ticket,
-            queue_wait: Duration::ZERO,
-        })
-    }
-
     /// In-flight (admitted, not yet released) queries.
     pub fn running(&self) -> usize {
         self.lock_admit().running

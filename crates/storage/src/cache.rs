@@ -35,8 +35,8 @@
 //! * **Atomic invalidation.** [`CacheStore::invalidate_dataset`] drops the
 //!   entry (its memoized zone maps with it) and any spilled file in one
 //!   critical section, and bumps the dataset's revision. Every registration
-//!   — inline builds, background builds and spill reloads alike — captured
-//!   the revision before reading its source and goes through
+//!   — the inline build of a caching scan and a spill reload alike —
+//!   captured the revision before reading its source and goes through
 //!   [`CacheStore::insert_if_current`], so none can register a stale cache.
 
 use std::any::Any;
@@ -225,7 +225,9 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Bytes written to the spill directory by hot evictions.
     pub spilled_bytes: u64,
-    /// Cache entries registered by completed background builds.
+    /// Always 0: caches are only built inline by the scan that reads the
+    /// raw file, so there are no background builds to count. Kept because
+    /// the end-to-end benchmark builds this struct field by field.
     pub background_builds: u64,
     /// Reads that were still outstanding when their entry was replaced or
     /// invalidated (the readers finish on the old handle).
@@ -257,7 +259,6 @@ struct Counters {
     misses: AtomicU64,
     evictions: AtomicU64,
     spilled_bytes: AtomicU64,
-    background_builds: AtomicU64,
     stale_reads: AtomicU64,
 }
 
@@ -265,8 +266,9 @@ struct Counters {
 struct StoreInner {
     entries: HashMap<String, Arc<CacheEntry>>,
     spilled: HashMap<String, SpillRecord>,
-    /// Bumped by every `invalidate_dataset`; background builds capture the
-    /// revision at start and refuse to register against a newer one.
+    /// Bumped by every `invalidate_dataset`; a caching scan and a spill
+    /// reload capture the revision before reading and refuse to register
+    /// against a newer one.
     revisions: HashMap<String, u64>,
     spill_dir: Option<PathBuf>,
 }
@@ -588,19 +590,11 @@ impl CacheStore {
         self.inner.read().entries.values().cloned().collect()
     }
 
-    /// Counts one completed background cache build (called by the engine's
-    /// build task on successful registration).
-    pub fn note_background_build(&self) {
-        self.counters
-            .background_builds
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Drops every cache derived from `dataset` (the paper's reaction to
     /// data updates: "Proteus currently drops and rebuilds any affected
     /// parts of existing auxiliary structures"). Entries and their spilled
     /// files go in one critical section, and the dataset revision is bumped
-    /// so racing background builds abort.
+    /// so a caching scan that started before the call registers nothing.
     pub fn invalidate_dataset(&self, dataset: &str) -> usize {
         let mut inner = self.inner.write();
         *inner.revisions.entry(dataset.to_string()).or_insert(0) += 1;
@@ -655,7 +649,7 @@ impl CacheStore {
             misses: self.counters.misses.load(Ordering::Relaxed),
             evictions: self.counters.evictions.load(Ordering::Relaxed),
             spilled_bytes: self.counters.spilled_bytes.load(Ordering::Relaxed),
-            background_builds: self.counters.background_builds.load(Ordering::Relaxed),
+            background_builds: 0,
             stale_reads: self.counters.stale_reads.load(Ordering::Relaxed),
         }
     }

@@ -1,9 +1,9 @@
 //! Cache-lifecycle chaos/property suite.
 //!
 //! Pins the adaptive cache's whole life: budgeted admission with
-//! cost/benefit eviction, background builds racing queries and
-//! invalidations, disk spill/reload and snapshot/warm-restart persistence,
-//! and concurrent readers during rebuilds. The contracts under test:
+//! cost/benefit eviction, invalidations, disk spill/reload and
+//! snapshot/warm-restart persistence, and concurrent readers during
+//! rebuilds. The contracts under test:
 //!
 //! * `CacheStats::bytes` never exceeds the arena budget, under any
 //!   interleaving of inserts, lookups, invalidations and clears;
@@ -11,8 +11,8 @@
 //!   reloaded from spill) or a clean miss — never a torn or stale entry;
 //! * eviction order is a deterministic function of (build cost, hits,
 //!   size, last use), so two stores fed the same history agree;
-//! * background builds honor cancellation and the revision fence: there is
-//!   no such thing as a half-built or stale-registered cache;
+//! * cache builds honor the revision fence: there is no such thing as a
+//!   half-built or stale-registered cache;
 //! * persistence round-trips bit-exactly and rejects corrupt/truncated
 //!   files gracefully (a count in the report, never an error or a panic).
 //!
@@ -23,7 +23,6 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-use proteus::core::EngineError;
 use proteus::datagen::writers;
 use proteus::plugins::fault::{self, FaultAction};
 use proteus::prelude::*;
@@ -283,114 +282,6 @@ fn cost_benefit_eviction_keeps_hot_expensive_entries() {
     assert!(store.stats().evictions > 0);
 }
 
-// -- background builds ----------------------------------------------------
-
-#[test]
-fn background_build_completes_and_serves_later_queries() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
-    let _scope = fault_scope();
-    let dir = scratch("bg_build");
-    let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
-    register_csv(&engine, &dir, "t", 3000);
-    let q = "SELECT COUNT(*), MAX(b) FROM t WHERE a >= 0";
-    let first = engine.sql(q).unwrap();
-    // The foreground query did not build inline.
-    assert_eq!(first.metrics.cached_values, 0);
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    let stats = engine.cache_stats();
-    assert!(stats.background_builds >= 1, "stats: {stats:?}");
-    assert!(stats.entries >= 1);
-    // The cache the background build registered is bit-exact: a query
-    // served from it agrees with the uncached run.
-    let second = engine.sql(q).unwrap();
-    assert_eq!(first.scalar("count_0"), second.scalar("count_0"));
-    assert_eq!(first.scalar("max_1"), second.scalar("max_1"));
-    assert!(second
-        .access_paths
-        .iter()
-        .any(|p| p.contains("cache") || p.contains("fully served")));
-}
-
-#[test]
-fn query_racing_a_background_build_sees_clean_miss_or_finished_cache() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
-    let _scope = fault_scope();
-    let dir = scratch("bg_race");
-    let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
-    register_csv(&engine, &dir, "t", 4000);
-    let q = "SELECT COUNT(*), MAX(b) FROM t WHERE a >= 0";
-    let baseline = engine.sql(q).unwrap();
-    // Immediately re-query while the build may be anywhere in its life.
-    for _ in 0..10 {
-        let racing = engine.sql(q).unwrap();
-        assert_eq!(baseline.scalar("count_0"), racing.scalar("count_0"));
-        assert_eq!(baseline.scalar("max_1"), racing.scalar("max_1"));
-    }
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    let after = engine.sql(q).unwrap();
-    assert_eq!(baseline.scalar("count_0"), after.scalar("count_0"));
-}
-
-#[test]
-fn invalidation_cancels_in_flight_build_and_engine_stays_usable() {
-    let _scope = fault_scope();
-    let dir = scratch("bg_cancel");
-    let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
-    register_csv(&engine, &dir, "t", 50_000);
-    // Slow every build chunk down so the invalidation lands mid-build.
-    fault::configure("cache.build", FaultAction::SleepMs(40));
-    let q = "SELECT COUNT(*) FROM t WHERE a >= 0";
-    engine.sql(q).unwrap();
-    // The build is in flight (or about to be); invalidate the dataset.
-    engine.notify_update("t");
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    // No half-built or stale cache registered.
-    assert!(engine.caches().caches_for_dataset("t").is_empty());
-    fault::clear();
-    // Engine is fully reusable: the next query re-offers the build and it
-    // completes normally.
-    engine.sql(q).unwrap();
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    assert!(!engine.caches().caches_for_dataset("t").is_empty());
-}
-
-#[test]
-fn build_fault_site_aborts_build_without_registering() {
-    let _scope = fault_scope();
-    let dir = scratch("bg_fault");
-    let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
-    register_csv(&engine, &dir, "t", 3000);
-    fault::configure("cache.build", FaultAction::Error);
-    let q = "SELECT COUNT(*) FROM t WHERE a >= 0";
-    let r1 = engine.sql(q).unwrap();
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    assert_eq!(engine.cache_stats().background_builds, 0);
-    assert_eq!(engine.cache_stats().entries, 0);
-    fault::clear();
-    // Next query re-offers; the build now completes.
-    let r2 = engine.sql(q).unwrap();
-    assert_eq!(r1.scalar("count_0"), r2.scalar("count_0"));
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    assert!(engine.cache_stats().background_builds >= 1);
-}
-
-#[test]
-fn build_panic_is_contained_and_engine_survives() {
-    let _scope = fault_scope();
-    let dir = scratch("bg_panic");
-    let engine = QueryEngine::new(EngineConfig::default().with_background_cache_builds(true));
-    register_csv(&engine, &dir, "t", 3000);
-    fault::configure("cache.build", FaultAction::Panic);
-    let q = "SELECT COUNT(*) FROM t WHERE a >= 0";
-    engine.sql(q).unwrap();
-    assert_eq!(engine.wait_for_cache_builds(Duration::from_secs(10)), 0);
-    assert_eq!(engine.cache_stats().entries, 0);
-    fault::clear();
-    // The pool worker that absorbed the panic still serves queries.
-    let again = engine.sql(q).unwrap();
-    assert_eq!(again.scalar("count_0"), Some(Value::Int(3000)));
-}
-
 // -- spill / load fault sites ---------------------------------------------
 
 #[test]
@@ -488,7 +379,7 @@ fn engine_with_spilled_entry(dir: &std::path::Path) -> (QueryEngine, Vec<Value>)
 
 #[test]
 fn a_spilled_entry_is_reloaded_by_the_next_scan_instead_of_rebuilt() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("spill_reload");
     let (engine, expected) = engine_with_spilled_entry(&dir);
@@ -506,7 +397,7 @@ fn a_spilled_entry_is_reloaded_by_the_next_scan_instead_of_rebuilt() {
 
 #[test]
 fn an_update_drops_the_spilled_entry_and_the_next_scan_rebuilds() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("spill_update");
     let (engine, expected) = engine_with_spilled_entry(&dir);
@@ -632,7 +523,7 @@ fn corrupt_and_truncated_snapshots_are_rejected_not_fatal() {
 
 #[test]
 fn engine_warm_restart_restores_and_serves_bit_identically() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("warm_engine");
     let snap = dir.join("snapshot");
@@ -673,7 +564,7 @@ fn engine_warm_restart_restores_and_serves_bit_identically() {
 
 #[test]
 fn concurrent_readers_during_rebuild_stay_bit_identical() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("rebuild_readers");
     let engine = Arc::new(QueryEngine::with_defaults());
@@ -729,7 +620,7 @@ fn concurrent_readers_during_rebuild_stay_bit_identical() {
 
 #[test]
 fn steady_mix_under_small_budget_stays_bounded_with_hits_and_warm_restart() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     // Each 600-row 2-column cache entry is ~14.5 KiB: the budget holds two
     // of the three working-set entries, so the steady mix produces hits on
@@ -824,7 +715,7 @@ fn compile(engine: &QueryEngine, sql: &str) -> proteus::core::CompiledQuery {
 
 #[test]
 fn a_build_compiled_before_an_invalidation_registers_nothing() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("inline_fence");
     let engine = QueryEngine::with_defaults();
@@ -845,7 +736,7 @@ fn a_build_compiled_before_an_invalidation_registers_nothing() {
 
 #[test]
 fn updated_file_is_never_answered_from_the_old_entry() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("update_rewrite");
     let q = "SELECT COUNT(*), MAX(b), SUM(b) FROM t WHERE a >= 1000";
@@ -888,7 +779,7 @@ fn updated_file_is_never_answered_from_the_old_entry() {
 
 #[test]
 fn query_compiled_before_invalidation_or_eviction_runs_on_its_snapshot() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("compiled_snapshot");
     // One two-column 2000-row entry is ~48 KiB: the arena holds one
@@ -935,7 +826,7 @@ fn query_compiled_before_invalidation_or_eviction_runs_on_its_snapshot() {
 
 #[test]
 fn nullable_columns_are_not_answered_from_a_cache() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
+    // Builds caches, so it must not overlap a test that arms a cache fault site.
     let _scope = fault_scope();
     let dir = scratch("nullable");
     let vals = [
@@ -996,33 +887,4 @@ fn nullable_columns_are_not_answered_from_a_cache() {
             assert!(entries[0].column("val").is_none(), "{case}");
         }
     }
-}
-
-// -- admission interplay ---------------------------------------------------
-
-#[test]
-fn background_builds_never_steal_admission_slots_from_queries() {
-    // Builds caches, so it must not overlap a test that arms `cache.build`.
-    let _scope = fault_scope();
-    let dir = scratch("bg_admission");
-    let engine = QueryEngine::new(
-        EngineConfig::default()
-            .with_background_cache_builds(true)
-            .with_admission(proteus::core::AdmissionConfig::new(1, 4)),
-    );
-    register_csv(&engine, &dir, "t", 3000);
-    let q = "SELECT COUNT(*) FROM t WHERE a >= 0";
-    // With max_concurrent=1 the build can only take the slot *between*
-    // queries; a back-to-back query stream must never be shed because of
-    // it (queries queue, builds skip).
-    for _ in 0..6 {
-        match engine.sql(q) {
-            Ok(result) => assert_eq!(result.scalar("count_0"), Some(Value::Int(3000))),
-            Err(EngineError::Overloaded { .. }) => {
-                panic!("query shed while only background builds competed")
-            }
-            Err(other) => panic!("unexpected error: {other:?}"),
-        }
-    }
-    engine.wait_for_cache_builds(Duration::from_secs(10));
 }

@@ -272,38 +272,22 @@ fn decode_faults_surface_structured_errors_in_every_format() {
         );
     }
 
-    // One more reader of the same fills: the background cache build, which
-    // reads each field's row-major form. Skipping every foreground hit
-    // (counted on an uncached twin) and the build's own generation hit puts
-    // the fault in the build's morsel fill: the build is abandoned, the
-    // query's answer is untouched, and a later build succeeds.
-    fault::configure("csv.decode", FaultAction::SleepMs(0));
-    let twin = csv_engine("decode_faults_twin", 100, EngineConfig::without_caching());
-    assert_eq!(count_of(&twin.execute_plan(count_plan("t")).unwrap()), 100);
-    let foreground_hits = fault::fired("csv.decode");
-    let engine = csv_engine(
-        "decode_faults_bg",
-        100,
-        EngineConfig::default().with_background_cache_builds(true),
-    );
-    fault::configure_after("csv.decode", FaultAction::Error, foreground_hits + 1);
-    assert_eq!(
-        count_of(&engine.execute_plan(count_plan("t")).unwrap()),
-        100
-    );
-    engine.wait_for_cache_builds(Duration::from_secs(10));
-    assert_eq!(
-        fault::fired("csv.decode"),
-        1,
-        "the build's fill hit the site"
-    );
+    // The same fault in the morsel fill of a cache-building scan: the query
+    // fails with the structured error, and the builder the fill fed
+    // registers nothing. Disarmed, the same query answers and caches.
+    let engine = csv_engine("decode_faults_cache", 100, EngineConfig::default());
+    let query = "SELECT COUNT(*), SUM(b) FROM t WHERE a >= 0";
+    fault::configure_after("csv.decode", FaultAction::Error, 1);
+    match engine.sql(query).unwrap_err() {
+        EngineError::Internal { detail, .. } => {
+            assert!(detail.contains("csv.decode"), "cache build: {detail}")
+        }
+        other => panic!("cache build: expected Internal, got {other:?}"),
+    }
     assert!(engine.caches().caches_for_dataset("t").is_empty());
     fault::clear();
-    assert_eq!(
-        count_of(&engine.execute_plan(count_plan("t")).unwrap()),
-        100
-    );
-    engine.wait_for_cache_builds(Duration::from_secs(10));
+    let result = engine.sql(query).unwrap();
+    assert_eq!(result.scalar("count_0"), Some(Value::Int(100)));
     assert!(!engine.caches().caches_for_dataset("t").is_empty());
 }
 
@@ -637,22 +621,26 @@ fn failed_cache_build_registers_no_cache() {
 
     let query = "SELECT COUNT(*), SUM(b) FROM t WHERE a < 2000";
 
-    // The first run would build a positional-map/values cache as a side
-    // effect; an injected fault in that build must fail the query and leave
-    // *nothing* registered.
-    fault::configure("cache.build", FaultAction::Error);
-    let err = engine.sql(query).unwrap_err();
-    match &err {
-        EngineError::Internal { detail, .. } => {
-            assert!(detail.contains("cache.build"), "detail: {detail}")
+    // The first run would build a values cache as a side effect; an
+    // injected error or panic in that build must fail the query with a
+    // structured error and leave *nothing* registered.
+    for action in [FaultAction::Error, FaultAction::Panic] {
+        fault::configure("cache.build", action);
+        match engine.sql(query).unwrap_err() {
+            EngineError::Internal { detail, .. } if action == FaultAction::Error => {
+                assert!(detail.contains("cache.build"), "detail: {detail}")
+            }
+            EngineError::WorkerPanic { payload } if action == FaultAction::Panic => {
+                assert!(payload.contains("cache.build"), "payload: {payload}")
+            }
+            other => panic!("{action:?}: unexpected {other:?}"),
         }
-        other => panic!("expected Internal, got {other:?}"),
+        assert_eq!(
+            engine.cache_stats().entries,
+            0,
+            "{action:?}: a failed build must not register a half-built cache"
+        );
     }
-    assert_eq!(
-        engine.cache_stats().entries,
-        0,
-        "a failed build must not register a half-built cache"
-    );
 
     // Disarmed, the cache builds cleanly and serves the repeat run.
     fault::clear();
