@@ -70,10 +70,13 @@ pub enum LogicalPlan {
         alias: String,
         /// Schema of the dataset, if known at plan time.
         schema: Schema,
-        /// Fields actually needed by the query (filled by projection
-        /// pushdown; empty means "all"). Input plug-ins use this to generate
-        /// code that extracts only the required fields (§5.2).
-        projected_fields: Vec<String>,
+        /// Fields actually needed by the query, filled by projection
+        /// pushdown: `None` means "all" (not annotated, or the scanned
+        /// records are read whole); `Some` lists exactly the fields to
+        /// extract, and an empty list reads none — the scan still yields one
+        /// binding per record. Input plug-ins use this to generate code that
+        /// extracts only the required fields (§5.2).
+        projected_fields: Option<Vec<String>>,
     },
     /// σ: filter.
     Select {
@@ -142,7 +145,7 @@ impl LogicalPlan {
             dataset: dataset.into(),
             alias: alias.into(),
             schema,
-            projected_fields: Vec::new(),
+            projected_fields: None,
         }
     }
 

@@ -22,8 +22,8 @@ fn write_node(plan: &LogicalPlan, depth: usize, out: &mut String) {
             ..
         } => {
             out.push_str(&format!("Scan {dataset} as {alias}"));
-            if !projected_fields.is_empty() {
-                out.push_str(&format!(" [{}]", projected_fields.join(", ")));
+            if let Some(fields) = projected_fields {
+                out.push_str(&format!(" [{}]", fields.join(", ")));
             }
         }
         LogicalPlan::Select { predicate, .. } => {
@@ -107,7 +107,7 @@ mod tests {
             dataset: "t".into(),
             alias: "t".into(),
             schema: Schema::empty(),
-            projected_fields: vec!["a".into(), "b".into()],
+            projected_fields: Some(vec!["a".into(), "b".into()]),
         };
         assert!(explain(&plan).contains("[a, b]"));
     }

@@ -295,12 +295,21 @@ pub fn merge_adjacent_selections(plan: LogicalPlan) -> LogicalPlan {
 /// plug-ins use this list to generate access code for only those fields
 /// ("Proteus pushes field projections down to the scan operators so that it
 /// pays to extract only the fields necessary", §5.2).
+///
+/// A scan whose records are referenced whole (`yield e`) reads every field.
+/// A scan nothing references reads none under an aggregating root
+/// (`COUNT(*)`), and every field under a root that yields its bindings.
 pub fn push_down_projections(plan: LogicalPlan) -> LogicalPlan {
     let required = plan.required_paths();
-    annotate_scans(plan, &required)
+    let aggregates = matches!(plan, LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. });
+    annotate_scans(plan, &required, aggregates)
 }
 
-fn annotate_scans(plan: LogicalPlan, required: &[crate::expr::Path]) -> LogicalPlan {
+fn annotate_scans(
+    plan: LogicalPlan,
+    required: &[crate::expr::Path],
+    aggregates: bool,
+) -> LogicalPlan {
     match plan {
         LogicalPlan::Scan {
             dataset,
@@ -314,9 +323,11 @@ fn annotate_scans(plan: LogicalPlan, required: &[crate::expr::Path]) -> LogicalP
             // prefix before the paths it covers.
             let paths: BTreeSet<&[String]> = required
                 .iter()
-                .filter(|path| path.base == alias && !path.segments.is_empty())
+                .filter(|path| path.base == alias)
                 .map(|path| path.segments.as_slice())
                 .collect();
+            // The empty path is the record itself.
+            let whole = paths.contains(&[][..]) || (paths.is_empty() && !aggregates);
             let mut fields: Vec<&[String]> = Vec::new();
             for path in paths {
                 if !fields.iter().any(|kept| path.starts_with(kept)) {
@@ -327,10 +338,11 @@ fn annotate_scans(plan: LogicalPlan, required: &[crate::expr::Path]) -> LogicalP
                 dataset,
                 alias,
                 schema,
-                projected_fields: fields.iter().map(|path| path.join(".")).collect(),
+                projected_fields: (!whole)
+                    .then(|| fields.iter().map(|path| path.join(".")).collect()),
             }
         }
-        other => map_children(other, |child| annotate_scans(child, required)),
+        other => map_children(other, |child| annotate_scans(child, required, aggregates)),
     }
 }
 
@@ -530,14 +542,45 @@ mod tests {
             } = n
             {
                 if dataset == "A" {
-                    a_fields = projected_fields.clone();
+                    a_fields = projected_fields.clone().unwrap_or_default();
                 } else {
-                    b_fields = projected_fields.clone();
+                    b_fields = projected_fields.clone().unwrap_or_default();
                 }
             }
         });
         assert_eq!(a_fields, vec!["x"]);
         assert_eq!(b_fields, vec!["x"]);
+    }
+
+    #[test]
+    fn projection_pushdown_tells_no_field_from_every_field() {
+        let projected = |plan: LogicalPlan| {
+            let mut fields = Vec::new();
+            push_down_projections(plan).visit(&mut |n| {
+                if let LogicalPlan::Scan {
+                    projected_fields, ..
+                } = n
+                {
+                    fields.push(projected_fields.clone());
+                }
+            });
+            fields
+        };
+        // `COUNT(*)`: nothing is read, and that is not "everything".
+        assert_eq!(projected(count_plan(scan("A", "a"))), vec![Some(vec![])]);
+        // A record referenced whole reads every field.
+        let whole =
+            scan("A", "a").reduce(vec![ReduceSpec::new(Monoid::Bag, Expr::path("a"), "rows")]);
+        assert_eq!(projected(whole), vec![None]);
+        // A root that yields its bindings reads an unreferenced scan whole.
+        assert_eq!(projected(scan("A", "a")), vec![None]);
+        // Only the referenced side of a join reads fields.
+        let join = count_plan(scan("A", "a").join(
+            scan("B", "b"),
+            Expr::path("a.x").lt(Expr::int(3)),
+            JoinKind::Inner,
+        ));
+        assert_eq!(projected(join), vec![Some(vec!["x".into()]), Some(vec![])]);
     }
 
     #[test]
@@ -549,7 +592,7 @@ mod tests {
                     projected_fields, ..
                 } = n
                 {
-                    fields = projected_fields.clone();
+                    fields = projected_fields.clone().unwrap_or_default();
                 }
             });
             fields

@@ -477,7 +477,14 @@ impl Compiler {
                 alias,
                 schema,
                 projected_fields,
-            } => self.compile_scan(dataset, alias, schema, projected_fields, ir, access_paths),
+            } => self.compile_scan(
+                dataset,
+                alias,
+                schema,
+                projected_fields.as_deref(),
+                ir,
+                access_paths,
+            ),
             LogicalPlan::Select { input, predicate } => {
                 let (producer, layout) = self.compile_producer(input, ir, access_paths, ctx)?;
                 let filter = self.compile_filter(producer, predicate, 1, &layout, ir, ctx)?;
@@ -729,7 +736,7 @@ impl Compiler {
         dataset: &str,
         alias: &str,
         schema: &proteus_algebra::Schema,
-        projected_fields: &[String],
+        projected_fields: Option<&[String]>,
         ir: &mut IrEmitter,
         access_paths: &mut Vec<String>,
     ) -> Result<(Producer, BindingLayout)> {
@@ -748,16 +755,10 @@ impl Compiler {
             should_cache_field(format, data_type).then(|| data_type.clone())
         };
 
-        // Field-of-interest list: what projection pushdown computed, falling
-        // back to the full schema when the plan (or the query) needs it all.
-        let fields: Vec<String> = if projected_fields.is_empty() {
-            let names = if schema.is_empty() {
-                plugin.schema().names()
-            } else {
-                schema.names()
-            };
-            names.into_iter().map(|s| s.to_string()).collect()
-        } else {
+        // Field-of-interest list: what projection pushdown computed (possibly
+        // no field at all: `COUNT(*)`), falling back to the full schema when
+        // the plan (or the query) needs it all.
+        let fields: Vec<String> = if let Some(projected_fields) = projected_fields {
             // Pushdown projects nested leaves as dotted fields (`geo.lat`);
             // only the JSON structural index serves those. Everyone else
             // reads the top-level field whole and the path navigates it —
@@ -776,6 +777,13 @@ impl Compiler {
                 }
             }
             fields
+        } else {
+            let names = if schema.is_empty() {
+                plugin.schema().names()
+            } else {
+                schema.names()
+            };
+            names.into_iter().map(|s| s.to_string()).collect()
         };
 
         let mut layout = BindingLayout::new();
@@ -816,7 +824,9 @@ impl Compiler {
         }
 
         let mut bad_rows = 0;
-        if !fields_from_plugin.is_empty() {
+        // A scan that reads no field still asks the plug-in for its access
+        // path and its bad-row count.
+        if !fields_from_plugin.is_empty() || fields.is_empty() {
             let scan = plugin.generate(&fields_from_plugin)?;
             access_paths.push(format!("{dataset}: {}", scan.access_path));
             bad_rows = scan.bad_rows;

@@ -144,6 +144,14 @@ impl BindingBatch {
         &mut self.typed[slot]
     }
 
+    /// The selection alongside slot `slot`'s typed column (marked live, as
+    /// by [`BindingBatch::typed_col_mut`]): how a column is filled for the
+    /// selected rows only.
+    pub fn sel_and_typed_col_mut(&mut self, slot: usize) -> (&[u32], &mut TypedColumn) {
+        self.typed_col_mut(slot);
+        (&self.sel, &mut self.typed[slot])
+    }
+
     /// The live typed column of a slot, if the scan filled one this morsel.
     pub fn typed_col(&self, slot: usize) -> Option<&TypedColumn> {
         if self.typed_live.get(slot).copied().unwrap_or(false) {

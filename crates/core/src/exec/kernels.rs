@@ -3529,15 +3529,15 @@ mod tests {
         use proteus_plugins::{TypedColumn, TypedFill, TypedKind};
         use ZoneVerdict::*;
         // Zone 0: values 0..1024 with every third row null; zone 1 all null.
-        let fill: TypedFill = Arc::new(|start, count, out: &mut TypedColumn| {
-            out.begin(TypedKind::I64, count);
-            for oid in start..start + count as u64 {
+        let fill: TypedFill = Arc::new(|start, count, sel: &[u32], out: &mut TypedColumn| {
+            out.fill_selected(TypedKind::I64, count, sel, |out, row| {
+                let oid = start + u64::from(row);
                 if oid >= 1024 || oid % 3 == 0 {
                     out.push_null();
                 } else {
                     out.push_i64(oid as i64);
                 }
-            }
+            });
         });
         let zm = Arc::new(ZoneMap::from_typed_fill(2048, TypedKind::I64, &fill));
         let zones = vec![(0usize, zm)];

@@ -64,7 +64,9 @@
 //!   [`proteus_plugins::TypedColumn`] — raw `i64`/`f64`/`bool` vectors or
 //!   per-morsel interned strings, each with a null bitmap — instead of the
 //!   row-major `Value` buffer. Binary and cached columnar data is a plain
-//!   slice append; CSV/JSON parse their raw bytes straight into the vector.
+//!   lane copy; CSV/JSON parse their raw bytes straight into the vector.
+//!   Behind a leading kernel filter the slots it does not read render only
+//!   for its survivors (filter-first, `pipeline::split_filter_first`).
 //! * **Kernels.** The predicate planner (`codegen`) classifies each
 //!   selection conjunct at prepare time. Eligible conjuncts (comparisons,
 //!   `+`/`-`/`*` arithmetic, `AND`/`OR`/`NOT`, `IS NULL`, string

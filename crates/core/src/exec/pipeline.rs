@@ -32,7 +32,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{JoinKind, Monoid, Value};
 use proteus_plugins::{
-    BatchFill, ColumnStats, TypedExpand, TypedFill, TypedKind, ZoneMap, ZONE_ROWS,
+    all_rows, BatchFill, ColumnStats, TypedExpand, TypedFill, TypedKind, ZoneMap, ZONE_ROWS,
 };
 use proteus_storage::CacheStore;
 
@@ -217,11 +217,17 @@ struct CacheSideEffect {
     store: CacheStore,
 }
 
+/// The executable scan: what [`fill_morsel`] renders into every morsel's
+/// batch. A scan whose spine leads with a kernel filter and that builds no
+/// cache is split filter-first ([`split_filter_first`]): `typed_fills` then
+/// holds only the slots the filter reads, and the payload fills move to the
+/// [`Stage::FillSelected`] right behind the filter, which renders them for
+/// the filter's survivors only.
 struct PreparedScan {
     row_count: u64,
     width: usize,
     fills: Vec<(usize, BatchFill)>,
-    /// Activated typed fills: `(slot, filler, hydrate?)`.
+    /// Activated typed fills, rendered densely: `(slot, filler, hydrate?)`.
     typed_fills: Vec<(usize, TypedFill, bool)>,
     cache: Option<CacheSideEffect>,
     /// Per-morsel zone maps keyed by typed slot (Tier 0: morsel skipping).
@@ -235,6 +241,10 @@ const _: () = assert!(MORSEL_SIZE == ZONE_ROWS);
 enum Stage {
     /// Shrinks the selection via a vectorized columnar kernel.
     KernelFilter(KernelPred),
+    /// Renders the listed typed scan slots `(slot, filler)` for the selected
+    /// rows only: the payload half of a filter-first scan, right behind its
+    /// leading kernel filter (see [`split_filter_first`]).
+    FillSelected(Vec<(usize, TypedFill)>),
     /// Shrinks the selection in place with a compiled closure.
     Filter(CompiledPredicate),
     /// Materializes the listed typed slots into `Value` form for the rows
@@ -469,7 +479,10 @@ fn current_width(prepared: &PreparedPipeline) -> usize {
             Stage::Unnest(UnnestStage { width, .. })
             | Stage::Expand(ExpandStage { width, .. })
             | Stage::Probe { width, .. } => Some(*width),
-            Stage::KernelFilter(_) | Stage::Filter(_) | Stage::Hydrate(_) => None,
+            Stage::KernelFilter(_)
+            | Stage::FillSelected(_)
+            | Stage::Filter(_)
+            | Stage::Hydrate(_) => None,
         })
         .unwrap_or(prepared.scan.width)
 }
@@ -512,7 +525,7 @@ fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
     let mut at = 0;
     while at < pipeline.stages.len() {
         match &pipeline.stages[at] {
-            Stage::KernelFilter(_) | Stage::Hydrate(_) => {}
+            Stage::KernelFilter(_) | Stage::FillSelected(_) | Stage::Hydrate(_) => {}
             Stage::Expand(_) => hydrated = false,
             Stage::Filter(_) if hydrated => {}
             Stage::Filter(_) => {
@@ -540,6 +553,37 @@ fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
     }
     if !hydrated && !sink_reads_typed {
         pipeline.stages.push(Stage::Hydrate(slots));
+    }
+}
+
+/// Filter-first raw scans (NoDB / RAW's selective parsing): when the spine
+/// leads with a kernel filter and no cache side effect observes every row,
+/// the scan keeps the typed fills of the slots the filter reads
+/// ([`KernelPred::slots`]) and every other typed fill — read by a closure
+/// residual, a probe key, a group key or the sink — moves to a
+/// [`Stage::FillSelected`] right behind the filter, so a payload field is
+/// located and parsed only for the rows that pass. A zone map's `AllPass`
+/// drops the filter and the payload renders densely; `NonePass` skips the
+/// morsel before any fill. Runs after [`insert_hydration`], which never
+/// places a stage ahead of a leading kernel filter.
+fn split_filter_first(pipeline: &mut PreparedPipeline) {
+    let Some(Stage::KernelFilter(kernel)) = pipeline.stages.first() else {
+        return;
+    };
+    if pipeline.scan.cache.is_some() {
+        return;
+    }
+    let predicate_slots = kernel.slots();
+    let (dense, payload): (Vec<_>, Vec<_>) = std::mem::take(&mut pipeline.scan.typed_fills)
+        .into_iter()
+        .partition(|(slot, _, _)| predicate_slots.contains(slot));
+    pipeline.scan.typed_fills = dense;
+    if !payload.is_empty() {
+        let payload = payload
+            .into_iter()
+            .map(|(slot, fill, _)| (slot, fill))
+            .collect();
+        pipeline.stages.insert(1, Stage::FillSelected(payload));
     }
 }
 
@@ -1059,7 +1103,11 @@ impl SinkSpec {
 // The morsel executor.
 // ---------------------------------------------------------------------------
 
-/// Fills one morsel's worth of scan output into `batch`.
+/// Fills one morsel's worth of scan output into `batch`: every row-major
+/// fill and every typed fill of the scan, densely (the identity selection).
+/// Under a filter-first split the scan holds only the leading kernel
+/// filter's slots; the payload renders later, over the filter's survivors,
+/// in [`Stage::FillSelected`].
 fn fill_morsel(
     scan: &PreparedScan,
     start: u64,
@@ -1073,8 +1121,9 @@ fn fill_morsel(
     for (slot, fill) in &scan.fills {
         fill(start, count, data, *slot, width);
     }
+    let rows = all_rows(count);
     for (slot, fill, _) in &scan.typed_fills {
-        fill(start, count, batch.typed_col_mut(*slot));
+        fill(start, count, &rows, batch.typed_col_mut(*slot));
     }
     metrics.tuples_scanned += count as u64;
 
@@ -1221,6 +1270,14 @@ fn process_stages(
                 metrics.kernel_rows += active;
                 metrics.predicate_evals += active;
             }
+            Stage::FillSelected(fills) => {
+                let start = morsel * MORSEL_SIZE as u64;
+                let count = cur.rows();
+                for (slot, fill) in fills {
+                    let (sel, col) = cur.sel_and_typed_col_mut(*slot);
+                    fill(start, count, sel, col);
+                }
+            }
             Stage::Hydrate(slots) => {
                 cur.hydrate(slots);
             }
@@ -1359,7 +1416,11 @@ fn process_stages(
             }
         }
     }
-    sink.consume(state, cur, scratch, morsel, metrics);
+    // A batch nothing survived folds nothing — and may lack the payload
+    // columns a sink kernel would bind.
+    if !cur.is_empty() {
+        sink.consume(state, cur, scratch, morsel, metrics);
+    }
     metrics.batch_grows += cur.take_alloc_events() + spare.take_alloc_events();
 }
 
@@ -1884,6 +1945,7 @@ pub(crate) fn run_reduce(
 ) -> Result<Vec<Accumulator>> {
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, false);
+    split_filter_first(&mut pipeline);
     let spec = SinkSpec::Reduce {
         specs,
         predicate,
@@ -1909,6 +1971,7 @@ pub(crate) fn run_nest(
 ) -> Result<RadixGroupTable> {
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, false);
+    split_filter_first(&mut pipeline);
     let spec = SinkSpec::Nest {
         keys,
         monoids,
@@ -1930,6 +1993,7 @@ pub(crate) fn run_collect(
 ) -> Result<Vec<Binding>> {
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, false);
+    split_filter_first(&mut pipeline);
     match execute_pipeline(pipeline, SinkSpec::Collect, env, metrics)? {
         SinkResult::Rows(rows) => Ok(rows),
         _ => unreachable!(),
@@ -1949,6 +2013,7 @@ fn run_entries(
 ) -> Result<BuildStore> {
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, key_slots.is_some());
+    split_filter_first(&mut pipeline);
     let spec = SinkSpec::Entries {
         keys,
         key_slots,
@@ -1957,5 +2022,137 @@ fn run_entries(
     match execute_pipeline(pipeline, spec, env, metrics)? {
         SinkResult::Entries(store) => Ok(store),
         _ => unreachable!(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    use proteus_algebra::{DataType, Schema, Value};
+    use proteus_plugins::{
+        CostProfile, DatasetStats, FieldFill, InputPlugin, Oid, ScanAccessors, TypedColumn,
+        TypedFill, TypedKind,
+    };
+    use proteus_storage::SourceFormat;
+
+    use crate::engine::{EngineConfig, QueryEngine};
+
+    /// Rows each typed fill rendered, and the calls it took, per field.
+    #[derive(Default)]
+    struct Rendered {
+        rows: [AtomicU64; 2],
+        calls: [AtomicU64; 2],
+    }
+
+    /// Three morsels of `k` (the predicate field: `row % 100`, except in the
+    /// last morsel, where it never drops below 50) and `v` (the payload:
+    /// the row number), through typed fills that count what they render.
+    struct Counting {
+        schema: Schema,
+        rendered: Arc<Rendered>,
+    }
+
+    const ROWS: u64 = 3 * 1024;
+
+    fn k_at(row: Oid) -> i64 {
+        if row < 2048 {
+            (row % 100) as i64
+        } else {
+            50 + (row % 50) as i64
+        }
+    }
+
+    impl InputPlugin for Counting {
+        fn dataset(&self) -> &str {
+            "t"
+        }
+        fn format(&self) -> SourceFormat {
+            SourceFormat::Binary
+        }
+        fn schema(&self) -> &Schema {
+            &self.schema
+        }
+        fn len(&self) -> u64 {
+            ROWS
+        }
+        fn generate(&self, fields: &[String]) -> proteus_plugins::Result<ScanAccessors> {
+            let fields = fields
+                .iter()
+                .map(|name| {
+                    let field = usize::from(name == "v");
+                    let rendered = Arc::clone(&self.rendered);
+                    let fill: TypedFill =
+                        Arc::new(move |start, count, sel: &[u32], out: &mut TypedColumn| {
+                            rendered.rows[field].fetch_add(sel.len() as u64, Ordering::Relaxed);
+                            rendered.calls[field].fetch_add(1, Ordering::Relaxed);
+                            out.fill_selected(TypedKind::I64, count, sel, |out, row| {
+                                let oid = start + Oid::from(row);
+                                out.push_i64(if field == 0 { k_at(oid) } else { oid as i64 })
+                            });
+                        });
+                    (name.clone(), FieldFill::Typed(TypedKind::I64, fill))
+                })
+                .collect();
+            Ok(ScanAccessors {
+                row_count: ROWS,
+                fields,
+                access_path: "counting".into(),
+                bad_rows: 0,
+            })
+        }
+        fn read_value(&self, oid: Oid, field: &str) -> proteus_plugins::Result<Value> {
+            Ok(Value::Int(if field == "k" {
+                k_at(oid)
+            } else {
+                oid as i64
+            }))
+        }
+        fn read_path(&self, oid: Oid, path: &[String]) -> proteus_plugins::Result<Value> {
+            self.read_value(oid, &path.join("."))
+        }
+        fn statistics(&self) -> DatasetStats {
+            DatasetStats::with_cardinality(ROWS)
+        }
+        fn cost_profile(&self) -> CostProfile {
+            CostProfile::binary()
+        }
+    }
+
+    #[test]
+    fn payload_fields_render_only_the_rows_the_leading_kernel_filter_keeps() {
+        let rendered = Arc::new(Rendered::default());
+        let engine = QueryEngine::new(EngineConfig::without_caching());
+        engine.register_plugin(Arc::new(Counting {
+            schema: Schema::from_pairs(vec![("k", DataType::Int), ("v", DataType::Int)]),
+            rendered: Arc::clone(&rendered),
+        }));
+        // 2% of the first two morsels pass; none of the third does.
+        let result = engine
+            .sql("SELECT COUNT(*), SUM(v) FROM t WHERE k < 2")
+            .unwrap();
+        let survivors: Vec<i64> = (0..ROWS)
+            .filter(|&r| k_at(r) < 2)
+            .map(|r| r as i64)
+            .collect();
+        assert_eq!(
+            result.scalar("count_0"),
+            Some(Value::Int(survivors.len() as i64))
+        );
+        assert_eq!(
+            result.scalar("sum_1"),
+            Some(Value::Int(survivors.iter().sum()))
+        );
+        let load =
+            |counters: &[AtomicU64; 2]| counters.each_ref().map(|c| c.load(Ordering::Relaxed));
+        // The predicate field renders every row, once per morsel.
+        assert_eq!(load(&rendered.rows)[0], ROWS);
+        assert_eq!(load(&rendered.calls)[0], 3);
+        // The payload renders exactly the survivors (2% of the rows), and
+        // the morsel without one makes no payload call.
+        assert_eq!(load(&rendered.rows)[1], survivors.len() as u64);
+        assert_eq!(survivors.len(), 42);
+        assert_eq!(load(&rendered.calls)[1], 2);
     }
 }

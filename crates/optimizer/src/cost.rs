@@ -109,10 +109,9 @@ impl CostModel {
                     .as_ref()
                     .map(|m| m.stats.cardinality as f64)
                     .unwrap_or(1000.0);
-                let field_count = if projected_fields.is_empty() {
-                    schema.len().max(1)
-                } else {
-                    projected_fields.len()
+                let field_count = match projected_fields {
+                    None => schema.len().max(1),
+                    Some(fields) => fields.len(),
                 };
                 let cost = meta
                     .map(|m| m.cost.scan_cost(cardinality as u64, field_count))

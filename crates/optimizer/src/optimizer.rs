@@ -268,7 +268,7 @@ mod tests {
                 projected_fields, ..
             } = n
             {
-                projected += projected_fields.len();
+                projected += projected_fields.as_ref().map_or(0, Vec::len);
             }
         });
         assert!(projected >= 2);

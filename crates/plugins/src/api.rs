@@ -107,7 +107,9 @@ enum TypedData {
 /// vectorized predicate kernels evaluate over them column-at-a-time.
 ///
 /// Values at null positions hold an arbitrary placeholder (0 / 0.0 / false /
-/// pool id 0); consumers must consult [`TypedColumn::is_null`].
+/// pool id 0); consumers must consult [`TypedColumn::is_null`]. Rows a
+/// selection-aware fill ([`TypedFill`]) was not asked for hold the kind's
+/// zero value (`0`, `0.0`, `false`, `""`) with no null bit.
 #[derive(Debug, Clone)]
 pub struct TypedColumn {
     data: TypedData,
@@ -271,6 +273,56 @@ impl TypedColumn {
         self.len += 1;
     }
 
+    /// Appends zero placeholders (`0`, `0.0`, `false`, `""`; no null bit)
+    /// until the column holds `len` rows.
+    #[inline]
+    fn pad_to(&mut self, len: usize) {
+        if self.len >= len {
+            return;
+        }
+        match &mut self.data {
+            TypedData::I64(v) => v.resize(len, 0),
+            TypedData::F64(v) => v.resize(len, 0.0),
+            TypedData::Bool(v) => v.resize(len, false),
+            TypedData::Str { .. } => {
+                self.push_str("");
+                if let TypedData::Str { ids, .. } = &mut self.data {
+                    let blank = ids[ids.len() - 1];
+                    ids.resize(len, blank);
+                }
+            }
+        }
+        self.len = len;
+    }
+
+    /// Renders one call of a selection-aware fill ([`TypedFill`]): begins a
+    /// `count`-row column of `kind`, calls `push` once per selected row, in
+    /// order, to append that row's value or null, and leaves every other
+    /// row a zero placeholder with no null bit.
+    #[inline(always)]
+    pub fn fill_selected(
+        &mut self,
+        kind: TypedKind,
+        count: usize,
+        sel: &[u32],
+        mut push: impl FnMut(&mut TypedColumn, u32),
+    ) {
+        self.begin(kind, count);
+        // A sorted set of distinct rows below `count` is full only as the
+        // identity: nothing to pad.
+        if sel.len() == count {
+            (0..count as u32).for_each(|row| push(self, row));
+            debug_assert_eq!(self.len, count, "one value per selected row");
+            return;
+        }
+        for &row in sel {
+            self.pad_to(row as usize);
+            push(self, row);
+            debug_assert_eq!(self.len, row as usize + 1, "one value per selected row");
+        }
+        self.pad_to(count);
+    }
+
     /// Appends a null (a placeholder value plus a null bit).
     pub fn push_null(&mut self) {
         let at = self.len;
@@ -289,33 +341,6 @@ impl TypedColumn {
         }
         self.len += 1;
         self.set_null_bit(at);
-    }
-
-    /// Bulk-appends a non-null integer slice (the binary/cache fast path).
-    pub fn extend_i64(&mut self, values: &[i64]) {
-        match &mut self.data {
-            TypedData::I64(vec) => vec.extend_from_slice(values),
-            _ => unreachable!("extend_i64 on a non-I64 typed column"),
-        }
-        self.len += values.len();
-    }
-
-    /// Bulk-appends a non-null float slice.
-    pub fn extend_f64(&mut self, values: &[f64]) {
-        match &mut self.data {
-            TypedData::F64(vec) => vec.extend_from_slice(values),
-            _ => unreachable!("extend_f64 on a non-F64 typed column"),
-        }
-        self.len += values.len();
-    }
-
-    /// Bulk-appends a non-null bool slice.
-    pub fn extend_bool(&mut self, values: &[bool]) {
-        match &mut self.data {
-            TypedData::Bool(vec) => vec.extend_from_slice(values),
-            _ => unreachable!("extend_bool on a non-Bool typed column"),
-        }
-        self.len += values.len();
     }
 
     /// Refills the column with `src[rows[0]], src[rows[1]], …` (null bits
@@ -412,16 +437,42 @@ impl TypedColumn {
     }
 }
 
-/// A typed morsel filler for one field: renders the values of objects
-/// `start..start + count` into a [`TypedColumn`] (calling
-/// [`TypedColumn::begin`] itself), never materializing intermediate
-/// [`Value`]s. Plug-ins advertise these only for fields whose raw data can be
-/// rendered typed; the planner activates them for slots referenced by
-/// kernel-eligible predicates.
-pub type TypedFill = Arc<dyn Fn(Oid, usize, &mut TypedColumn) + Send + Sync>;
+/// A typed morsel filler for one field, selection-aware: for the morsel of
+/// objects `start..start + count` and its ascending, morsel-relative
+/// selection `sel`, renders each selected row's value at its own position
+/// of a `count`-row [`TypedColumn`] (calling [`TypedColumn::begin`] itself,
+/// usually through [`TypedColumn::fill_selected`]) and leaves every other
+/// row a zero placeholder with no null bit — so a column reads as nullable
+/// only when a selected row is null. No intermediate [`Value`] exists. A
+/// dense fill is the identity selection ([`all_rows`]); the scan renders
+/// payload fields over the survivors of its leading kernel filter.
+/// Plug-ins advertise these only for fields whose raw data can be rendered
+/// typed; the planner activates them for the slots its kernels read.
+pub type TypedFill = Arc<dyn Fn(Oid, usize, &[u32], &mut TypedColumn) + Send + Sync>;
 
-/// Builds the columnar typed filler over a shared raw column: a direct slice
-/// append for numeric/bool data, per-morsel interning for strings.
+/// The identity selection `0..count`: how a dense [`TypedFill`] call is
+/// made. Borrowed for up to one morsel of rows.
+pub fn all_rows(count: usize) -> std::borrow::Cow<'static, [u32]> {
+    const MORSEL: usize = crate::zonemap::ZONE_ROWS;
+    static IDENTITY: [u32; MORSEL] = {
+        let mut rows = [0u32; MORSEL];
+        let mut i = 0;
+        while i < MORSEL {
+            rows[i] = i as u32;
+            i += 1;
+        }
+        rows
+    };
+    match IDENTITY.get(..count) {
+        Some(rows) => std::borrow::Cow::Borrowed(rows),
+        None => std::borrow::Cow::Owned((0..count as u32).collect()),
+    }
+}
+
+/// Builds the columnar typed filler over a shared raw column: a lane copy
+/// for numeric/bool data (the whole morsel on a dense call, the selected
+/// rows over zeroes otherwise), per-morsel interning of the selected rows
+/// for strings.
 fn column_typed_fill(column: Arc<proteus_storage::ColumnData>) -> (TypedKind, TypedFill) {
     use proteus_storage::ColumnData;
     let kind = match column.as_ref() {
@@ -430,21 +481,36 @@ fn column_typed_fill(column: Arc<proteus_storage::ColumnData>) -> (TypedKind, Ty
         ColumnData::Bool(_) => TypedKind::Bool,
         ColumnData::Str(_) => TypedKind::Str,
     };
-    let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-        let start = start as usize;
-        out.begin(kind, count);
-        match column.as_ref() {
-            ColumnData::Int(v) => out.extend_i64(&v[start..start + count]),
-            ColumnData::Float(v) => out.extend_f64(&v[start..start + count]),
-            ColumnData::Bool(v) => out.extend_bool(&v[start..start + count]),
-            ColumnData::Str(v) => {
-                for s in &v[start..start + count] {
-                    out.push_str(s);
-                }
-            }
+    let fill: TypedFill = Arc::new(move |start, count, sel: &[u32], out: &mut TypedColumn| {
+        let rows = start as usize..start as usize + count;
+        if let ColumnData::Str(v) = column.as_ref() {
+            let v = &v[rows];
+            return out.fill_selected(kind, count, sel, |out, row| out.push_str(&v[row as usize]));
         }
+        out.begin(kind, count);
+        match (column.as_ref(), &mut out.data) {
+            (ColumnData::Int(v), TypedData::I64(lane)) => copy_selected(lane, &v[rows], sel),
+            (ColumnData::Float(v), TypedData::F64(lane)) => copy_selected(lane, &v[rows], sel),
+            (ColumnData::Bool(v), TypedData::Bool(lane)) => copy_selected(lane, &v[rows], sel),
+            _ => unreachable!("begin() gave the lane the column's kind"),
+        }
+        out.len = count;
     });
     (kind, fill)
+}
+
+/// Fills an empty lane from `src`, one morsel of a column with no nulls:
+/// the identity selection copies it whole; any other zeroes the lane and
+/// copies only the selected rows.
+fn copy_selected<T: Copy + Default>(lane: &mut Vec<T>, src: &[T], sel: &[u32]) {
+    if sel.len() == src.len() {
+        lane.extend_from_slice(src);
+        return;
+    }
+    lane.resize(src.len(), T::default());
+    for &row in sel {
+        lane[row as usize] = src[row as usize];
+    }
 }
 
 /// The one access routine a plug-in's `generate()` emits for a requested
@@ -487,7 +553,7 @@ impl FieldFill {
                 Arc::new(move |start, count, out: &mut [Value], base, stride| {
                     SCRATCH.with(|scratch| {
                         let col = &mut scratch.borrow_mut()[kind as usize];
-                        fill(start, count, col);
+                        fill(start, count, &all_rows(count), col);
                         for i in 0..count {
                             out[base + i * stride] = col.value_at(i);
                         }
@@ -512,7 +578,7 @@ impl FieldFill {
     pub(crate) fn typed_at(&self, start: Oid, count: usize) -> Option<Vec<Value>> {
         let (kind, fill) = self.typed()?;
         let mut col = TypedColumn::new(kind);
-        fill(start, count, &mut col);
+        fill(start, count, &all_rows(count), &mut col);
         Some((0..count).map(|i| col.value_at(i)).collect())
     }
 }
@@ -747,11 +813,40 @@ mod tests {
         assert!(out.is_empty() && out.kind() == TypedKind::I64);
     }
 
+    /// The selections every typed fill is checked under, over `count` rows:
+    /// empty, one row, the first and last row, every other row, all rows,
+    /// and a seeded random one.
+    fn selections(count: usize) -> Vec<Vec<u32>> {
+        let all: Vec<u32> = (0..count as u32).collect();
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let random = all
+            .iter()
+            .copied()
+            .filter(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state.is_multiple_of(3)
+            })
+            .collect();
+        let last = count as u32 - 1;
+        vec![
+            Vec::new(),
+            vec![last / 2],
+            vec![0, last],
+            all.iter().copied().step_by(2).collect(),
+            all,
+            random,
+        ]
+    }
+
     /// The plug-in contract: for every field a plug-in serves, the row-major
     /// fill (written strided into a morsel that does not start at OID 0),
     /// the typed fill (null bits read as `Value::Null`) and `read_value`
-    /// agree. `exceptions` names the fields whose fills read `""` where
-    /// `read_value` reads null.
+    /// agree. Under every selection of [`selections`] the typed fill renders
+    /// each selected row as `read_value` does and leaves every other row a
+    /// zero placeholder with no null bit. `exceptions` names the fields
+    /// whose fills read `""` where `read_value` reads null.
     fn assert_fills_agree(plugin: &dyn InputPlugin, fields: &[&str], exceptions: &[&str]) {
         let fields: Vec<String> = fields.iter().map(|f| f.to_string()).collect();
         let scan = plugin.generate(&fields).unwrap();
@@ -759,23 +854,57 @@ mod tests {
         let (start, count) = (1, plugin.len() as usize - 1);
         for (name, fill) in &scan.fields {
             let label = format!("{:?} {name}", plugin.format());
+            let expected: Vec<Value> = (0..count)
+                .map(|i| {
+                    let read = plugin.read_value(start + i as Oid, name).unwrap();
+                    if exceptions.contains(&name.as_str()) && read == Value::Null {
+                        Value::Str(String::new())
+                    } else {
+                        read
+                    }
+                })
+                .collect();
             // Width-3 rows, this field in the middle slot.
             let mut out = vec![Value::Bool(true); count * 3];
             fill.values()(start, count, &mut out, 1, 3);
             for (i, row) in out.chunks(3).enumerate() {
-                let oid = start + i as Oid;
                 assert_eq!((&row[0], &row[2]), (&Value::Bool(true), &Value::Bool(true)));
-                let read = plugin.read_value(oid, name).unwrap();
-                if exceptions.contains(&name.as_str()) && read == Value::Null {
-                    assert_eq!(row[1], Value::Str(String::new()), "{label} oid {oid}");
-                } else {
-                    assert_eq!(row[1], read, "{label} oid {oid}");
-                }
+                assert_eq!(row[1], expected[i], "{label} oid {}", start + i as Oid);
             }
             if let Some(typed) = fill.typed_at(start, count) {
-                let values: Vec<Value> = out.chunks(3).map(|row| row[1].clone()).collect();
-                assert_eq!(typed, values, "{label}: typed vs row-major");
+                assert_eq!(typed, expected, "{label}: typed vs row-major");
             }
+            assert_selected_fills_agree(fill, start, &expected, &label);
+        }
+    }
+
+    /// The selection-aware half of the contract for one fill, whose rows
+    /// `start..` should read `expected`.
+    fn assert_selected_fills_agree(fill: &FieldFill, start: Oid, expected: &[Value], label: &str) {
+        let Some((kind, typed)) = fill.typed() else {
+            return;
+        };
+        let zero = match kind {
+            TypedKind::I64 => Value::Int(0),
+            TypedKind::F64 => Value::Float(0.0),
+            TypedKind::Bool => Value::Bool(false),
+            TypedKind::Str => Value::Str(String::new()),
+        };
+        // One column across every selection: each call starts afresh.
+        let mut col = TypedColumn::new(kind);
+        for sel in selections(expected.len()) {
+            typed(start, expected.len(), &sel, &mut col);
+            assert_eq!(col.len(), expected.len(), "{label} {sel:?}");
+            for (i, want) in expected.iter().enumerate() {
+                if sel.contains(&(i as u32)) {
+                    assert_eq!(&col.value_at(i), want, "{label} {sel:?} row {i}");
+                } else {
+                    assert!(!col.is_null(i), "{label} {sel:?}: placeholder {i} is null");
+                    assert_eq!(col.value_at(i), zero, "{label} {sel:?} row {i}");
+                }
+            }
+            let selected_null = sel.iter().any(|&r| expected[r as usize] == Value::Null);
+            assert_eq!(col.has_nulls(), selected_null, "{label} {sel:?}");
         }
     }
 
@@ -863,5 +992,44 @@ mod tests {
         // The one documented divergence: a top-level string field reads `""`
         // where the key is missing or not a string.
         assert_fills_agree(&json, &fields, &["name"]);
+
+        // Cache-entry columns: what a cache hit serves in place of the
+        // plug-in's fill, an entry built from the source's own values.
+        let json = r#"{"k": 4, "q": 0.25, "s": "a", "b": true}
+{"k": -2, "q": -0.0, "s": "", "b": false}
+{"k": 9, "q": 1e9, "s": "a", "b": true}
+{"k": 0, "q": 3.5, "s": "z", "b": false}
+{"k": 7, "q": 2.0, "s": "y", "b": true}
+"#;
+        let source = JsonPlugin::from_bytes("t", Bytes::from(json)).unwrap();
+        let read = |field: &str| -> Vec<Value> {
+            (0..source.len())
+                .map(|oid| source.read_value(oid, field).unwrap())
+                .collect()
+        };
+        let as_column = |values: Vec<Value>| match &values[0] {
+            Value::Int(_) => ColumnData::Int(values.iter().map(|v| v.as_int().unwrap()).collect()),
+            Value::Float(_) => {
+                ColumnData::Float(values.iter().map(|v| v.as_float().unwrap()).collect())
+            }
+            Value::Bool(_) => {
+                ColumnData::Bool(values.iter().map(|v| v.as_bool().unwrap()).collect())
+            }
+            _ => ColumnData::Str(values.iter().map(|v| v.as_str().unwrap().into()).collect()),
+        };
+        let fields = ["k", "q", "s", "b"];
+        let entry = proteus_storage::cache::make_entry(
+            "t_cache",
+            "t",
+            proteus_storage::SourceFormat::Json,
+            fields.map(|f| (f.to_string(), as_column(read(f)))).to_vec(),
+            (0..source.len()).collect(),
+        );
+        for (name, column) in entry.columns() {
+            let fill = FieldFill::Column(column.clone());
+            let expected = read(name)[1..].to_vec();
+            assert_eq!(fill.values_at(1, expected.len()), expected, "cache {name}");
+            assert_selected_fills_agree(&fill, 1, &expected, &format!("cache {name}"));
+        }
     }
 }

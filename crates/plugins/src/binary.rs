@@ -157,7 +157,7 @@ impl InputPlugin for ColumnPlugin {
                 }
             })?;
             // Both tiers copy straight out of the raw column: a strided
-            // `Value` copy or a typed slice append, per (field, morsel).
+            // `Value` copy or a typed lane copy, per (field, morsel).
             fills.push((field.clone(), FieldFill::Column(column)));
         }
         Ok(crate::fault::instrument_scan(
@@ -340,20 +340,22 @@ impl InputPlugin for RowPlugin {
                 _ => TypedKind::Str,
             };
             let plugin = self.clone();
-            let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                let reader = &plugin.inner.reader;
-                out.begin(kind, count);
-                for row in start as usize..start as usize + count {
-                    match kind {
-                        TypedKind::I64 => out.push_i64(reader.read_int(row, field_idx)),
-                        TypedKind::F64 => out.push_f64(reader.read_float(row, field_idx)),
-                        TypedKind::Bool => out.push_bool(reader.read_bool(row, field_idx)),
-                        TypedKind::Str => {
-                            out.push_str(reader.read_str(row, field_idx).unwrap_or_default())
+            // Only the selected rows are gathered.
+            let fill: TypedFill =
+                Arc::new(move |start, count, sel: &[u32], out: &mut TypedColumn| {
+                    let reader = &plugin.inner.reader;
+                    out.fill_selected(kind, count, sel, |out, row| {
+                        let row = start as usize + row as usize;
+                        match kind {
+                            TypedKind::I64 => out.push_i64(reader.read_int(row, field_idx)),
+                            TypedKind::F64 => out.push_f64(reader.read_float(row, field_idx)),
+                            TypedKind::Bool => out.push_bool(reader.read_bool(row, field_idx)),
+                            TypedKind::Str => {
+                                out.push_str(reader.read_str(row, field_idx).unwrap_or_default())
+                            }
                         }
-                    }
-                }
-            });
+                    });
+                });
             fills.push((field.clone(), FieldFill::Typed(kind, fill)));
         }
         Ok(crate::fault::instrument_scan(
@@ -448,7 +450,7 @@ mod tests {
         let (kind, fill) = scan.fill("l_quantity").unwrap().typed().unwrap();
         assert_eq!(kind, TypedKind::F64);
         let mut col = TypedColumn::new(kind);
-        fill(10, 2, &mut col);
+        fill(10, 2, &crate::api::all_rows(2), &mut col);
         assert_eq!(col.f64_values(), [5.0, 5.5]);
     }
 

@@ -574,13 +574,19 @@ impl InputPlugin for CsvPlugin {
             };
             // Scalar fields parse straight into the typed lane under
             // `parse_typed`'s rule: an empty or unparseable field is a null
-            // bit, which the row-major form reads as `Value::Null`.
-            let fill: TypedFill = Arc::new(move |start, count, out: &mut TypedColumn| {
-                out.begin(kind, count);
-                for oid in start..start + count as Oid {
-                    push_field(out, plugin.raw_field(oid, field_idx).unwrap_or(b""));
-                }
-            });
+            // bit, which the row-major form reads as `Value::Null`. Only the
+            // selected rows' fields are located and parsed.
+            let fill: TypedFill =
+                Arc::new(move |start, count, sel: &[u32], out: &mut TypedColumn| {
+                    out.fill_selected(kind, count, sel, |out, row| {
+                        push_field(
+                            out,
+                            plugin
+                                .raw_field(start + Oid::from(row), field_idx)
+                                .unwrap_or(b""),
+                        )
+                    });
+                });
             fills.push((field.clone(), FieldFill::Typed(kind, fill)));
         }
         let access_path = if self.inner.index.is_fixed_layout() {

@@ -197,10 +197,12 @@ pub fn instrument_scan(
         *fill = match fill.typed() {
             Some((kind, inner)) => FieldFill::Typed(
                 kind,
-                Arc::new(move |start, count, out: &mut crate::api::TypedColumn| {
-                    check_infallible(site);
-                    inner(start, count, out);
-                }),
+                Arc::new(
+                    move |start, count, sel: &[u32], out: &mut crate::api::TypedColumn| {
+                        check_infallible(site);
+                        inner(start, count, sel, out);
+                    },
+                ),
             ),
             None => {
                 let inner = fill.values();

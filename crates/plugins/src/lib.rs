@@ -45,7 +45,7 @@ pub mod stats;
 pub mod zonemap;
 
 pub use api::{
-    BadRowPolicy, BatchFill, ExpandAccessors, ExpandOutput, FieldFill, InputPlugin, Oid,
+    all_rows, BadRowPolicy, BatchFill, ExpandAccessors, ExpandOutput, FieldFill, InputPlugin, Oid,
     ScanAccessors, TypedColumn, TypedExpand, TypedFill, TypedKind,
 };
 pub use error::{PluginError, Result};

@@ -33,7 +33,7 @@ use std::sync::{Arc, Mutex};
 use proteus_algebra::Value;
 use proteus_storage::ColumnData;
 
-use crate::api::{ScanAccessors, TypedColumn, TypedFill, TypedKind};
+use crate::api::{all_rows, ScanAccessors, TypedColumn, TypedFill, TypedKind};
 use crate::stats::ColumnStats;
 
 /// Rows covered by one zone entry. Must stay equal to the engine's morsel
@@ -290,7 +290,7 @@ impl ZoneMap {
         let mut start = 0u64;
         while start < row_count {
             let count = ((row_count - start) as usize).min(ZONE_ROWS);
-            fill(start, count, &mut col);
+            fill(start, count, &all_rows(count), &mut col);
             match kind {
                 TypedKind::I64 => {
                     for (i, &x) in col.i64_values()[..count].iter().enumerate() {
@@ -555,15 +555,15 @@ mod tests {
     #[test]
     fn typed_fill_derivation_tracks_nulls() {
         // A fill that nulls every third row.
-        let fill: TypedFill = Arc::new(|start, count, out: &mut TypedColumn| {
-            out.begin(TypedKind::I64, count);
-            for oid in start..start + count as u64 {
+        let fill: TypedFill = Arc::new(|start, count, sel: &[u32], out: &mut TypedColumn| {
+            out.fill_selected(TypedKind::I64, count, sel, |out, row| {
+                let oid = start + u64::from(row);
                 if oid % 3 == 0 {
                     out.push_null();
                 } else {
                     out.push_i64(oid as i64);
                 }
-            }
+            });
         });
         let zm = ZoneMap::from_typed_fill(2000, TypedKind::I64, &fill);
         assert_eq!(zm.entries().len(), 2);
@@ -580,11 +580,8 @@ mod tests {
 
     #[test]
     fn all_null_zone_is_marked() {
-        let fill: TypedFill = Arc::new(|_, count, out: &mut TypedColumn| {
-            out.begin(TypedKind::F64, count);
-            for _ in 0..count {
-                out.push_null();
-            }
+        let fill: TypedFill = Arc::new(|_, count, sel: &[u32], out: &mut TypedColumn| {
+            out.fill_selected(TypedKind::F64, count, sel, |out, _| out.push_null());
         });
         let zm = ZoneMap::from_typed_fill(100, TypedKind::F64, &fill);
         let e = zm.entry(0).unwrap();

@@ -81,6 +81,17 @@ fn count_plan(table: &str) -> LogicalPlan {
     )])
 }
 
+/// `COUNT(x.a)`: a count that reads a field, so every morsel runs that
+/// field's fill — a decode site in every format. (`COUNT(*)` reads no field,
+/// so its morsels decode nothing.)
+fn count_a_plan(table: &str) -> LogicalPlan {
+    LogicalPlan::scan(table, "x", Schema::empty()).reduce(vec![ReduceSpec::new(
+        Monoid::Count,
+        Expr::path("x.a"),
+        "cnt",
+    )])
+}
+
 fn count_of(result: &QueryResult) -> i64 {
     result.rows[0]
         .as_record()
@@ -241,7 +252,7 @@ fn decode_faults_surface_structured_errors_in_every_format() {
         // Site armed on every hit: fires during access-path generation and
         // surfaces as a structured plug-in error naming the site.
         fault::configure(site, FaultAction::Error);
-        let err = engine.execute_plan(count_plan("t")).unwrap_err();
+        let err = engine.execute_plan(count_a_plan("t")).unwrap_err();
         assert!(
             err.to_string().contains(site),
             "{site}: error names its site: {err}"
@@ -250,7 +261,7 @@ fn decode_faults_surface_structured_errors_in_every_format() {
         // Disarmed, the same engine answers the same query.
         fault::clear();
         assert_eq!(
-            count_of(&engine.execute_plan(count_plan("t")).unwrap()),
+            count_of(&engine.execute_plan(count_a_plan("t")).unwrap()),
             100
         );
 
@@ -258,7 +269,7 @@ fn decode_faults_surface_structured_errors_in_every_format() {
         // fill, where it has no error channel: the sentinel panic must come
         // back as a structured internal error, not a worker panic.
         fault::configure_after(site, FaultAction::Error, 1);
-        let err = engine.execute_plan(count_plan("t")).unwrap_err();
+        let err = engine.execute_plan(count_a_plan("t")).unwrap_err();
         match &err {
             EngineError::Internal { detail, .. } => {
                 assert!(detail.contains(site), "{site}: {detail}")
@@ -267,7 +278,7 @@ fn decode_faults_surface_structured_errors_in_every_format() {
         }
         fault::clear();
         assert_eq!(
-            count_of(&engine.execute_plan(count_plan("t")).unwrap()),
+            count_of(&engine.execute_plan(count_a_plan("t")).unwrap()),
             100
         );
     }
