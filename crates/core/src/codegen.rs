@@ -62,7 +62,6 @@ pub struct Compiler {
     caches: Option<CacheStore>,
     vectorized: bool,
     morsel_skipping: bool,
-    numeric_mode: kernels::NumericMode,
 }
 
 /// Per-compilation planner state: which slot names any compiled closure
@@ -151,7 +150,6 @@ impl Compiler {
             caches,
             vectorized: true,
             morsel_skipping: true,
-            numeric_mode: kernels::NumericMode::Strict,
         }
     }
 
@@ -173,13 +171,10 @@ impl Compiler {
         self
     }
 
-    /// Selects the query's numeric mode (builder style; `strict` by
-    /// default). Under [`NumericMode::Relaxed`](kernels::NumericMode) the
-    /// generated engine's `sum`/`avg` folds lane-split (permitting float
-    /// reassociation) and batch hashing / numeric probe compares take their
-    /// chunked explicit-lane loops.
-    pub fn with_numeric_mode(mut self, mode: kernels::NumericMode) -> Compiler {
-        self.numeric_mode = mode;
+    /// A no-op: strict, bit-exact folds are the only numeric mode. Kept
+    /// only so the benchmark harness's call still compiles; it goes with
+    /// that call (ROADMAP 3(b)).
+    pub fn with_numeric_mode(self, _mode: kernels::NumericMode) -> Compiler {
         self
     }
 
@@ -251,7 +246,6 @@ impl Compiler {
             sink,
             producer,
             layout,
-            numeric_mode: self.numeric_mode,
             ir: ir.finish(),
             compile_time: started.elapsed(),
             access_paths,
@@ -274,8 +268,7 @@ impl Compiler {
             return None;
         }
         let typed_slots = scan_typed_kinds(producer)?;
-        let mut planned = kernels::plan_sink(outputs, group_by, predicate, layout, &typed_slots)?;
-        planned.kernel.mode = self.numeric_mode;
+        let planned = kernels::plan_sink(outputs, group_by, predicate, layout, &typed_slots)?;
         try_activate_typed_slots(producer, &planned.used_slots);
         Some(planned)
     }
@@ -292,16 +285,9 @@ impl Compiler {
     ) -> Result<Sink> {
         let planned = self.plan_sink_kernel(outputs, &[], predicate, producer, layout);
         let is_kernel = |i: usize| planned.as_ref().is_some_and(|p| p.kernel.aggs[i].is_some());
-        let lane_fold = |i: usize, monoid: Monoid| {
-            is_kernel(i)
-                && self.numeric_mode == kernels::NumericMode::Relaxed
-                && matches!(monoid, Monoid::Sum | Monoid::Avg)
-        };
         let mut specs = Vec::with_capacity(outputs.len());
         for (i, output) in outputs.iter().enumerate() {
-            let vect_note = if lane_fold(i, output.monoid) {
-                "   // vectorized aggregate kernel (relaxed lanes)"
-            } else if is_kernel(i) {
+            let vect_note = if is_kernel(i) {
                 "   // vectorized aggregate kernel"
             } else {
                 ""
@@ -437,12 +423,7 @@ impl Compiler {
                     output.alias,
                     output.monoid,
                     output.expr,
-                    if is_kernel(i)
-                        && self.numeric_mode == kernels::NumericMode::Relaxed
-                        && matches!(output.monoid, Monoid::Sum | Monoid::Avg)
-                    {
-                        "   // vectorized aggregate kernel (relaxed lanes)"
-                    } else if is_kernel(i) {
+                    if is_kernel(i) {
                         "   // vectorized aggregate kernel"
                     } else {
                         ""
@@ -1324,9 +1305,6 @@ pub struct CompiledQuery {
     sink: Sink,
     producer: Producer,
     layout: BindingLayout,
-    /// The numeric mode the engine was generated under (seeded into every
-    /// pipeline worker's scratch at execution time).
-    numeric_mode: kernels::NumericMode,
     /// Pseudo-IR of the generated engine (Figure 3 analogue).
     pub ir: String,
     /// Time spent generating the engine.
@@ -1398,7 +1376,6 @@ impl CompiledQuery {
     ) -> Result<QueryOutput> {
         let env = crate::exec::pipeline::ExecEnv {
             threads: resolve_parallelism(parallelism),
-            mode: self.numeric_mode,
             ctx,
             scheduler,
         };

@@ -58,14 +58,10 @@ pub struct EngineConfig {
     /// the compare kernels on every morsel — used by the skipping-vs-full
     /// benchmarks and equivalence tests.
     pub morsel_skipping: bool,
-    /// Per-query numeric-reduction semantics. [`NumericMode::Strict`] (the
-    /// default) keeps the kernel ≡ closure bit-exactness guarantee:
-    /// generated engines reproduce row-order f64 additions bit for bit.
-    /// [`NumericMode::Relaxed`] permits reassociation — `sum`/`avg` folds
-    /// lane-split into independent partial accumulators and the batch
-    /// hashing / numeric probe loops take chunked explicit-lane forms —
-    /// trading bit-reproducibility for throughput (see `ARCHITECTURE.md`,
-    /// "Numeric modes", for the epsilon contract).
+    /// Always [`NumericMode::Strict`], the only mode: generated engines
+    /// reproduce row-order f64 additions bit for bit. Kept only so the
+    /// benchmark harness's `Compiler::with_numeric_mode` call still
+    /// compiles; it goes with that call (ROADMAP 3(b)).
     pub numeric_mode: NumericMode,
     /// Wall-clock deadline per query. A query running past it fails with
     /// [`crate::EngineError::DeadlineExceeded`] (carrying the metrics of the
@@ -158,12 +154,6 @@ impl EngineConfig {
     /// Enables or disables zone-map morsel skipping (builder style).
     pub fn with_morsel_skipping(mut self, morsel_skipping: bool) -> EngineConfig {
         self.morsel_skipping = morsel_skipping;
-        self
-    }
-
-    /// Selects the numeric mode queries run under (builder style).
-    pub fn with_numeric_mode(mut self, mode: NumericMode) -> EngineConfig {
-        self.numeric_mode = mode;
         self
     }
 
@@ -452,8 +442,7 @@ impl QueryEngine {
             self.config.caching_enabled.then(|| self.caches.clone()),
         )
         .with_vectorization(self.config.vectorized)
-        .with_morsel_skipping(self.config.morsel_skipping)
-        .with_numeric_mode(self.config.numeric_mode);
+        .with_morsel_skipping(self.config.morsel_skipping);
         let compiled = compiler.compile(&optimized.plan)?;
         Ok((optimized, compiled))
     }

@@ -64,7 +64,7 @@ use proteus_plugins::{ColumnStats, TypedColumn, TypedKind, ZoneMap};
 use crate::exec::batch::BindingBatch;
 use crate::exec::expr::BindingLayout;
 use crate::exec::mask;
-use crate::exec::radix::{BuildStore, KeyHash, KeyLane, RadixGroupTable, HASH_LANES};
+use crate::exec::radix::{BuildStore, KeyHash, KeyLane, RadixGroupTable};
 
 // ---------------------------------------------------------------------------
 // The kernel plan.
@@ -721,26 +721,18 @@ fn classify_cmp_zone(op: CmpOp, e: &ZoneEntry, c: f64) -> ZoneVerdict {
 // Evaluation: dense mask kernels + compress-store selection update.
 // ---------------------------------------------------------------------------
 
-/// Per-query float-reduction semantics of the kernel tier.
+/// Float-reduction semantics of the kernel tier: kernel folds reproduce the
+/// closure engine's row-order f64 additions bit for bit, so every tier gives
+/// one answer per query.
 ///
-/// The kernel ≡ closure contract pins `strict` folds to the closure engine's
-/// row-order f64 additions bit for bit. `relaxed` makes that contract a
-/// per-query choice — the "engine per query" axis applied to numeric
-/// semantics: queries that opt in trade bit-reproducibility for the
-/// explicit-lane loops (see `ARCHITECTURE.md`, "Numeric modes").
+/// Kept only so the benchmark harness's `Compiler::with_numeric_mode` call
+/// still compiles; it goes with that call (ROADMAP 3(b)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NumericMode {
-    /// Bit-exact (the default): kernel folds reproduce a row-order sequence
-    /// of `Accumulator::merge` calls exactly.
+    /// Bit-exact: kernel folds reproduce a row-order sequence of
+    /// `Accumulator::merge` calls exactly.
     #[default]
     Strict,
-    /// Permits reassociation: `Sum`/`Avg` folds lane-split into
-    /// [`FOLD_LANES`] independent partial accumulators combined pairwise,
-    /// and batch hashing / probe compares take their chunked explicit-lane
-    /// loops (those two stay bit-identical — only float summation order
-    /// changes). Results are within the relative epsilon documented in
-    /// `ARCHITECTURE.md`; signed zero of a sum is not preserved.
-    Relaxed,
 }
 
 /// Recycled per-worker scratch buffers for masks and arithmetic temporaries.
@@ -757,28 +749,12 @@ pub struct Scratch {
     /// The typed unnest's parent index and element lanes, recycled across
     /// morsels.
     expand: proteus_plugins::ExpandOutput,
-    /// The query's numeric mode, carried to the spine stages (probe / build
-    /// hashing) that have no [`SinkKernel`] to read it from.
-    mode: NumericMode,
 }
 
 impl Scratch {
     /// Fresh scratch (buffers allocate lazily and are recycled).
     pub fn new() -> Scratch {
         Scratch::default()
-    }
-
-    /// Fresh scratch carrying the query's numeric mode.
-    pub fn with_mode(mode: NumericMode) -> Scratch {
-        Scratch {
-            mode,
-            ..Scratch::default()
-        }
-    }
-
-    /// The query's numeric mode.
-    pub fn mode(&self) -> NumericMode {
-        self.mode
     }
 
     /// Borrows a recycled packed bitmask buffer (see [`crate::exec::mask`]).
@@ -1262,205 +1238,6 @@ fn eval_num<'a>(
 }
 
 // ---------------------------------------------------------------------------
-// Relaxed-tier lane folds: explicit fixed-width accumulator lanes.
-// ---------------------------------------------------------------------------
-
-/// Accumulator lanes of the relaxed-tier float folds. Eight `f64` lanes fill
-/// one cache line and two AVX2 registers; the fixed-width chunk loops below
-/// reliably autovectorize on stable rustc, and even where they stay scalar
-/// the eight independent partial sums break the one-add-per-~4-cycles
-/// dependent chain of the strict fold.
-pub const FOLD_LANES: usize = 8;
-
-/// Pairwise combine of the partial-sum lanes (balanced tree, not a serial
-/// left fold — part of the documented relaxed summation order).
-#[inline]
-fn combine_lanes(acc: [f64; FOLD_LANES]) -> f64 {
-    ((acc[0] + acc[4]) + (acc[2] + acc[6])) + ((acc[1] + acc[5]) + (acc[3] + acc[7]))
-}
-
-/// True when a strictly-ascending selection is the identity over
-/// `0..rows_idx.len()` (selection vectors ascend, so checking the endpoints
-/// suffices) — the dense fast path of the lane folds.
-#[inline]
-fn identity_sel(rows_idx: &[u32]) -> bool {
-    rows_idx.first() == Some(&0) && rows_idx.last() == Some(&(rows_idx.len() as u32 - 1))
-}
-
-/// Lane-split sum of a dense `f64` slice.
-fn lane_sum_f64(v: &[f64]) -> f64 {
-    let mut acc = [0.0f64; FOLD_LANES];
-    let mut chunks = v.chunks_exact(FOLD_LANES);
-    for chunk in &mut chunks {
-        for (a, &x) in acc.iter_mut().zip(chunk) {
-            *a += x;
-        }
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += x;
-    }
-    combine_lanes(acc) + tail
-}
-
-/// Lane-split sum of a dense `i64` slice through the float view.
-fn lane_sum_i64(v: &[i64]) -> f64 {
-    let mut acc = [0.0f64; FOLD_LANES];
-    let mut chunks = v.chunks_exact(FOLD_LANES);
-    for chunk in &mut chunks {
-        for (a, &x) in acc.iter_mut().zip(chunk) {
-            *a += x as f64;
-        }
-    }
-    let mut tail = 0.0;
-    for &x in chunks.remainder() {
-        tail += x as f64;
-    }
-    combine_lanes(acc) + tail
-}
-
-/// Lane-split sum gathered through a selection (`FOLD_LANES` rows per
-/// chunk; the gather defeats packed loads but the independent accumulator
-/// lanes still break the dependent-add chain).
-fn lane_sum_rows(vec: &NumVec<'_>, rows_idx: &[u32]) -> f64 {
-    let mut acc = [0.0f64; FOLD_LANES];
-    let mut chunks = rows_idx.chunks_exact(FOLD_LANES);
-    for chunk in &mut chunks {
-        for (a, &r) in acc.iter_mut().zip(chunk) {
-            *a += vec.f64_at(r as usize);
-        }
-    }
-    let mut tail = 0.0;
-    for &r in chunks.remainder() {
-        tail += vec.f64_at(r as usize);
-    }
-    combine_lanes(acc) + tail
-}
-
-/// Lane-split null-skipping sum over an identity selection: the packed
-/// null bitmap folds per 64-row word group, so an all-valid word runs the
-/// dense lane chunks and only words with null bits fall back to per-bit
-/// tests (composing with the [`crate::exec::mask`] word layout). Returns
-/// `(sum, non-null count)`.
-fn lane_sum_nullable(vec: &NumVec<'_>, null_words: &[u64], rows: usize) -> (f64, u64) {
-    let mut acc = [0.0f64; FOLD_LANES];
-    let mut tail = 0.0;
-    let mut count = 0u64;
-    for (wi, &word) in null_words.iter().enumerate() {
-        let base = wi * 64;
-        if base >= rows {
-            // The selection is a prefix of a longer batch: the bitmap goes
-            // on past the rows being folded.
-            break;
-        }
-        let end = (base + 64).min(rows);
-        if word == 0 && end - base == 64 {
-            for chunk_base in (base..end).step_by(FOLD_LANES) {
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += vec.f64_at(chunk_base + j);
-                }
-            }
-            count += 64;
-        } else {
-            for i in base..end {
-                if word >> (i - base) & 1 == 0 {
-                    tail += vec.f64_at(i);
-                    count += 1;
-                }
-            }
-        }
-    }
-    // The zero-tail invariant of packed masks covers `rows` exactly; rows
-    // past the last word (absent with a well-formed bitmap) count as valid.
-    for i in null_words.len() * 64..rows {
-        tail += vec.f64_at(i);
-        count += 1;
-    }
-    (combine_lanes(acc) + tail, count)
-}
-
-/// Lane-split null-skipping sum gathered through a selection: a branchless
-/// zero-select per lane instead of the strict path's skip branch. Returns
-/// `(sum, non-null count)`.
-fn lane_sum_nullable_rows(vec: &NumVec<'_>, null_words: &[u64], rows_idx: &[u32]) -> (f64, u64) {
-    let mut acc = [0.0f64; FOLD_LANES];
-    let mut count = 0u64;
-    let mut chunks = rows_idx.chunks_exact(FOLD_LANES);
-    for chunk in &mut chunks {
-        for (a, &r) in acc.iter_mut().zip(chunk) {
-            let i = r as usize;
-            let valid = !mask::get(null_words, i);
-            *a += if valid { vec.f64_at(i) } else { 0.0 };
-            count += valid as u64;
-        }
-    }
-    let mut tail = 0.0;
-    for &r in chunks.remainder() {
-        let i = r as usize;
-        if !mask::get(null_words, i) {
-            tail += vec.f64_at(i);
-            count += 1;
-        }
-    }
-    (combine_lanes(acc) + tail, count)
-}
-
-/// The relaxed-tier `Sum`/`Avg` fold: dispatches to the lane loop matching
-/// the operand shape (dense slice / gathered / null-masked). Returns the
-/// batch-partial `(sum, non-null count)`; adding that partial onto the
-/// running accumulator is itself one more (permitted) reassociation.
-fn lane_fold(vec: &NumVec<'_>, nulls: &Option<Vec<u64>>, rows_idx: &[u32]) -> (f64, u64) {
-    match nulls {
-        None => {
-            let sum = if identity_sel(rows_idx) {
-                let rows = rows_idx.len();
-                match vec {
-                    NumVec::F64(v) => lane_sum_f64(&v[..rows]),
-                    NumVec::TmpF64(v) => lane_sum_f64(&v[..rows]),
-                    NumVec::I64(v) => lane_sum_i64(&v[..rows]),
-                    NumVec::TmpI64(v) => lane_sum_i64(&v[..rows]),
-                    NumVec::ConstI64(_) | NumVec::ConstF64(_) => lane_sum_rows(vec, rows_idx),
-                }
-            } else {
-                lane_sum_rows(vec, rows_idx)
-            };
-            (sum, rows_idx.len() as u64)
-        }
-        Some(words) => {
-            if identity_sel(rows_idx) {
-                lane_sum_nullable(vec, words, rows_idx.len())
-            } else {
-                lane_sum_nullable_rows(vec, words, rows_idx)
-            }
-        }
-    }
-}
-
-/// Mixes one component's hashes into the running key-hash states in
-/// [`HASH_LANES`]-wide chunks: gather the component hashes of eight rows
-/// into a fixed-width block, then advance eight independent mix chains at
-/// once ([`KeyHash::mix_lanes`]). Bit-identical to the scalar mix loop —
-/// no row's chain reads another row's state.
-// Invariant: the `try_into` converts a slice of exactly `HASH_LANES`
-// elements (the loop bound guarantees it), so it cannot fail.
-#[allow(clippy::unwrap_used)]
-fn mix_chunked(out: &mut [u64], rows_idx: &[u32], comp: impl Fn(usize) -> u64) {
-    let mut i = 0;
-    while i + HASH_LANES <= rows_idx.len() {
-        let mut comps = [0u64; HASH_LANES];
-        for (c, &r) in comps.iter_mut().zip(&rows_idx[i..i + HASH_LANES]) {
-            *c = comp(r as usize);
-        }
-        let states: &mut [u64; HASH_LANES] = (&mut out[i..i + HASH_LANES]).try_into().unwrap();
-        KeyHash::mix_lanes(states, &comps);
-        i += HASH_LANES;
-    }
-    for (h, &r) in out[i..].iter_mut().zip(&rows_idx[i..]) {
-        *h = KeyHash::mix(*h, comp(r as usize));
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The aggregation tier: kernel plans for reduce / group-by sinks.
 // ---------------------------------------------------------------------------
 
@@ -1502,9 +1279,6 @@ pub struct SinkKernel {
     /// Typed slots serving the group-by key components, in key order
     /// (empty for reduce sinks).
     pub key_slots: Vec<usize>,
-    /// The query's numeric mode: under [`NumericMode::Relaxed`] the
-    /// `Sum`/`Avg` folds take the lane-split path.
-    pub mode: NumericMode,
 }
 
 impl SinkKernel {
@@ -1541,10 +1315,7 @@ impl SinkKernel {
                 })
             })
             .collect();
-        RenderedAggs {
-            slots,
-            relaxed: self.mode == NumericMode::Relaxed,
-        }
+        RenderedAggs { slots }
     }
 }
 
@@ -1563,9 +1334,6 @@ enum RenderedAgg<'a> {
 /// The rendered kernel aggregate inputs of one batch.
 pub struct RenderedAggs<'a> {
     slots: Vec<Option<RenderedAgg<'a>>>,
-    /// Whether the sink runs under [`NumericMode::Relaxed`] — gates the
-    /// lane-split `Sum`/`Avg` arms of [`RenderedAggs::fold_rows`].
-    relaxed: bool,
 }
 
 /// Calls `f(at, value)` for every `(at, row)` pair whose row is non-null in
@@ -1605,21 +1373,10 @@ impl RenderedAggs<'_> {
 
     /// Folds every row of `rows_idx` into `acc` for output spec `spec`.
     ///
-    /// Under `strict` this reproduces a row-order sequence of
-    /// `Accumulator::merge` calls exactly (running float adds in row order,
-    /// strict-replace extremes, `count` counting nulls, `sum`/`avg` skipping
-    /// them). Under `relaxed` the `Sum`/`Avg` arms lane-split instead
-    /// (`lane_fold`); everything else stays strict either way.
-    ///
-    /// Returns the number of rows folded through the relaxed lane path
-    /// (feeding the `simd_rows` metric; 0 on every strict arm).
-    pub fn fold_rows(
-        &self,
-        spec: usize,
-        monoid: Monoid,
-        acc: &mut Accumulator,
-        rows_idx: &[u32],
-    ) -> u64 {
+    /// Reproduces a row-order sequence of `Accumulator::merge` calls
+    /// exactly (running float adds in row order, strict-replace extremes,
+    /// `count` counting nulls, `sum`/`avg` skipping them).
+    pub fn fold_rows(&self, spec: usize, monoid: Monoid, acc: &mut Accumulator, rows_idx: &[u32]) {
         let Some(rendered) = &self.slots[spec] else {
             unreachable!("fold_rows on a closure-fallback spec");
         };
@@ -1628,11 +1385,6 @@ impl RenderedAggs<'_> {
                 *count += rows_idx.len() as i64;
             }
             (RenderedAgg::Num { vec, nulls, .. }, Monoid::Sum, Accumulator::Float(total)) => {
-                if self.relaxed {
-                    let (part, _) = lane_fold(vec, nulls, rows_idx);
-                    *total += part;
-                    return rows_idx.len() as u64;
-                }
                 match (vec, nulls) {
                     (NumVec::F64(v), None) => {
                         for &r in rows_idx {
@@ -1658,37 +1410,29 @@ impl RenderedAggs<'_> {
                 RenderedAgg::Num { vec, nulls, .. },
                 Monoid::Avg,
                 Accumulator::AvgState { sum, count },
-            ) => {
-                if self.relaxed {
-                    let (part, n) = lane_fold(vec, nulls, rows_idx);
-                    *sum += part;
-                    *count += n;
-                    return rows_idx.len() as u64;
+            ) => match (vec, nulls) {
+                (NumVec::F64(v), None) => {
+                    for &r in rows_idx {
+                        *sum += v[r as usize];
+                    }
+                    *count += rows_idx.len() as u64;
                 }
-                match (vec, nulls) {
-                    (NumVec::F64(v), None) => {
-                        for &r in rows_idx {
-                            *sum += v[r as usize];
-                        }
-                        *count += rows_idx.len() as u64;
+                (NumVec::I64(v), None) => {
+                    for &r in rows_idx {
+                        *sum += v[r as usize] as f64;
                     }
-                    (NumVec::I64(v), None) => {
-                        for &r in rows_idx {
-                            *sum += v[r as usize] as f64;
-                        }
-                        *count += rows_idx.len() as u64;
-                    }
-                    (vec, nulls) => {
-                        for &r in rows_idx {
-                            let i = r as usize;
-                            if !null_at(nulls, i) {
-                                *sum += vec.f64_at(i);
-                                *count += 1;
-                            }
+                    *count += rows_idx.len() as u64;
+                }
+                (vec, nulls) => {
+                    for &r in rows_idx {
+                        let i = r as usize;
+                        if !null_at(nulls, i) {
+                            *sum += vec.f64_at(i);
+                            *count += 1;
                         }
                     }
                 }
-            }
+            },
             (
                 RenderedAgg::Num { vec, nulls, int },
                 Monoid::Max | Monoid::Min,
@@ -1735,7 +1479,6 @@ impl RenderedAggs<'_> {
             }
             _ => unreachable!("rendered aggregate does not match its monoid's accumulator"),
         }
-        0
     }
 
     /// Folds one row into `acc` for output spec `spec` (the group-by ingest
@@ -1800,14 +1543,9 @@ impl RenderedAggs<'_> {
     /// group `gids[j]`'s accumulator, `accs[gid * stride + spec]` (the flat
     /// arena of a [`RadixGroupTable`]). One dispatch on the spec's shape per
     /// morsel, then a tight loop over `(gid, row)` — each arm is
-    /// [`RenderedAggs::fold_row`] with the `match` hoisted out, so under
-    /// `strict` every group's accumulator sees exactly the sequence of
-    /// updates a row-at-a-time ingest gives it (float adds in row order).
-    ///
-    /// Under `relaxed`, runs of adjacent rows landing in the same group
-    /// (clustered keys) fold through [`RenderedAggs::fold_rows`] — the
-    /// lane-split `Sum`/`Avg` — and single rows through `fold_row`. Returns
-    /// the rows folded through the lane path (the `simd_rows` metric).
+    /// [`RenderedAggs::fold_row`] with the `match` hoisted out, so every
+    /// group's accumulator sees exactly the sequence of updates a
+    /// row-at-a-time ingest gives it (float adds in row order).
     ///
     /// [`RadixGroupTable`]: crate::exec::radix::RadixGroupTable
     pub fn fold_groups(
@@ -1818,27 +1556,8 @@ impl RenderedAggs<'_> {
         stride: usize,
         gids: &[u32],
         rows_idx: &[u32],
-    ) -> u64 {
+    ) {
         debug_assert_eq!(gids.len(), rows_idx.len());
-        if self.relaxed {
-            let mut lane_rows = 0;
-            let mut i = 0;
-            while i < gids.len() {
-                let gid = gids[i];
-                let mut end = i + 1;
-                while end < gids.len() && gids[end] == gid {
-                    end += 1;
-                }
-                let acc = &mut accs[gid as usize * stride + spec];
-                if end - i > 1 {
-                    lane_rows += self.fold_rows(spec, monoid, acc, &rows_idx[i..end]);
-                } else {
-                    self.fold_row(spec, monoid, acc, rows_idx[i] as usize);
-                }
-                i = end;
-            }
-            return lane_rows;
-        }
         let Some(rendered) = &self.slots[spec] else {
             unreachable!("fold_groups on a closure-fallback spec");
         };
@@ -1910,7 +1629,6 @@ impl RenderedAggs<'_> {
             }
             _ => unreachable!("rendered aggregate does not match its monoid"),
         }
-        0
     }
 
     /// Returns the rendered buffers to the scratch pools.
@@ -1941,10 +1659,6 @@ impl RenderedAggs<'_> {
 /// groups exactly like the hydrated closure path.
 pub struct TypedKeys<'a> {
     comps: Vec<(&'a TypedColumn, Vec<u64>)>,
-    /// Under [`NumericMode::Relaxed`], batch hashing and the numeric probe
-    /// take their chunked explicit-lane loops (bit-identical outputs — the
-    /// per-row hash chains are independent, so only the loop shape changes).
-    relaxed: bool,
 }
 
 impl<'a> TypedKeys<'a> {
@@ -1964,17 +1678,7 @@ impl<'a> TypedKeys<'a> {
                 (col, pool_hashes)
             })
             .collect();
-        TypedKeys {
-            comps,
-            relaxed: false,
-        }
-    }
-
-    /// Applies the query's numeric mode (the lane loops engage under
-    /// [`NumericMode::Relaxed`]).
-    pub fn with_mode(mut self, mode: NumericMode) -> Self {
-        self.relaxed = mode == NumericMode::Relaxed;
-        self
+        TypedKeys { comps }
     }
 
     /// The stable hash of one key component at `row` — the single source of
@@ -2008,47 +1712,16 @@ impl<'a> TypedKeys<'a> {
     /// Columnwise batch hashing: `out[j]` becomes the key hash of row
     /// `rows_idx[j]` (identical to [`TypedKeys::hash`] per row). The kind
     /// dispatch runs once per *component* instead of once per row, leaving
-    /// dense mix loops over the raw lanes. Under [`NumericMode::Relaxed`]
-    /// the dense loops chunk into [`HASH_LANES`] independent mix chains
-    /// ([`KeyHash::mix_lanes`]) — the output stays bit-identical, because
-    /// each row's chain never reads another row's state.
-    ///
-    /// Returns the number of component-rows mixed through the chunked lane
-    /// loop (feeding the `simd_rows` metric; 0 under `strict`).
-    pub fn hash_rows(&self, rows_idx: &[u32], out: &mut Vec<u64>) -> u64 {
+    /// dense mix loops over the raw lanes.
+    pub fn hash_rows(&self, rows_idx: &[u32], out: &mut Vec<u64>) {
         out.clear();
         out.resize(rows_idx.len(), KeyHash::seed(self.comps.len()));
-        let mut lane_rows = 0u64;
         for (col, pool_hashes) in &self.comps {
             if col.has_nulls() {
                 // Nullable columns take the per-row branchy path.
                 for (h, &r) in out.iter_mut().zip(rows_idx) {
                     *h = KeyHash::mix(*h, Self::component_hash(col, pool_hashes, r as usize));
                 }
-                continue;
-            }
-            if self.relaxed {
-                match col.kind() {
-                    TypedKind::I64 => {
-                        let lanes = col.i64_values();
-                        mix_chunked(out, rows_idx, |i| {
-                            Value::stable_hash_numeric(lanes[i] as f64)
-                        });
-                    }
-                    TypedKind::F64 => {
-                        let lanes = col.f64_values();
-                        mix_chunked(out, rows_idx, |i| Value::stable_hash_numeric(lanes[i]));
-                    }
-                    TypedKind::Bool => {
-                        let lanes = col.bool_values();
-                        mix_chunked(out, rows_idx, |i| Value::stable_hash_bool(lanes[i]));
-                    }
-                    TypedKind::Str => {
-                        let (ids, _) = col.str_parts();
-                        mix_chunked(out, rows_idx, |i| pool_hashes[ids[i] as usize]);
-                    }
-                }
-                lane_rows += rows_idx.len() as u64;
                 continue;
             }
             match col.kind() {
@@ -2078,7 +1751,6 @@ impl<'a> TypedKeys<'a> {
                 }
             }
         }
-        lane_rows
     }
 
     /// [`Value::value_eq`] between one typed lane and a stored component
@@ -2248,59 +1920,6 @@ impl<'a> TypedKeys<'a> {
         if !ints && !matches!(col.kind(), TypedKind::F64) {
             return false;
         }
-        if self.relaxed {
-            // Chunked probe: the lane gather — a fixed-width `[f64;
-            // FOLD_LANES]` block plus a null byte — is hoisted out of the
-            // candidate compares, and the whole chunk's bucket prefetches
-            // issue *before* the gather, so up to eight independent table
-            // fetches are in flight while the key lanes load (deeper
-            // memory-level parallelism than the scalar loop's rolling
-            // single-lookahead). Match set and emission order are identical
-            // to the scalar loop below.
-            let mut base = 0;
-            while base < sel.len() {
-                let chunk = (sel.len() - base).min(FOLD_LANES);
-                for &hash in &hashes[base..base + chunk] {
-                    table.prefetch(hash);
-                }
-                let mut lanes = [0.0f64; FOLD_LANES];
-                let mut null_bits = 0u8;
-                for (j, &r) in sel[base..base + chunk].iter().enumerate() {
-                    let row = r as usize;
-                    if col.is_null(row) {
-                        null_bits |= 1 << j;
-                    } else {
-                        lanes[j] = if ints {
-                            col.i64_values()[row] as f64
-                        } else {
-                            col.f64_values()[row]
-                        };
-                    }
-                }
-                for (j, &lane) in lanes.iter().enumerate().take(chunk) {
-                    let i = base + j;
-                    let r = sel[i];
-                    if null_bits >> j & 1 == 1 {
-                        table.probe_hashed(
-                            hashes[i],
-                            |entry| store.key_component(entry, 0).is_null(),
-                            |entry| on_match(entry, r),
-                        );
-                    } else {
-                        table.probe_hashed(
-                            hashes[i],
-                            |entry| {
-                                !store.key_component(entry, 0).is_null()
-                                    && lane.total_cmp(&view[entry as usize]) == Ordering::Equal
-                            },
-                            |entry| on_match(entry, r),
-                        );
-                    }
-                }
-                base += chunk;
-            }
-            return true;
-        }
         for (i, (&r, &hash)) in sel.iter().zip(hashes).enumerate() {
             if let Some(&ahead) = hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD) {
                 table.prefetch(ahead);
@@ -2428,9 +2047,6 @@ pub fn plan_sink(
             aggs,
             predicate: kernel_pred,
             key_slots,
-            // The planner classifies shape only; codegen stamps the query's
-            // actual mode on the plan afterwards.
-            mode: NumericMode::Strict,
         },
         pred_residual,
         used_slots,

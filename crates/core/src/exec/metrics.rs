@@ -54,12 +54,6 @@ pub struct ExecutionMetrics {
     /// Join build/probe rows whose keys fell back to compiled per-tuple key
     /// closures (untyped slots, computed or record-shaped key expressions).
     pub join_fallback_rows: u64,
-    /// Rows processed by the relaxed-tier explicit-lane loops (lane-split
-    /// `sum`/`avg` folds, chunked batch hashing counted per component pass,
-    /// chunked numeric probe compares). Always 0 under the default `strict`
-    /// numeric mode — the counter is how callers assert the lane path
-    /// actually engaged when a query opts into `relaxed`.
-    pub simd_rows: u64,
     /// Hash-table probes performed by joins and group-bys.
     pub hash_probes: u64,
     /// Values appended to caches as a side-effect of execution.
@@ -177,7 +171,6 @@ counter_table! {
     agg_fallback_rows: Sum,
     join_kernel_rows: Sum,
     join_fallback_rows: Sum,
-    simd_rows: Sum,
     hash_probes: Sum,
     cached_values: Sum,
     morsels: Sum,

@@ -158,21 +158,13 @@
 //! output row per element, only live parent slots cloned — is the floor for
 //! every other shape, and the generated IR names the tier and the reason.
 //!
-//! # Numeric modes: the relaxed explicit-lane tier
+//! # One numeric mode
 //!
-//! The kernel ≡ closure bit-exactness contract above is itself a per-query
-//! choice ([`NumericMode`], default [`NumericMode::Strict`]). A query that
-//! opts into [`NumericMode::Relaxed`] permits float reassociation, and the
-//! hot scalar loops take fixed-width explicit-lane forms: `sum`/`avg` folds
-//! lane-split into [`kernels::FOLD_LANES`] independent partial accumulators
-//! combined pairwise (null words folding per 64-row lane group), batch key
-//! hashing chunks into [`radix::HASH_LANES`] independent mix chains, and
-//! the single-numeric-key probe hoists its compares into eight-wide lane
-//! gathers. Hashing and probing stay bit-identical (per-row chains never
-//! interact); only float summation order changes, within the relative
-//! epsilon documented in `ARCHITECTURE.md` ("Numeric modes").
-//! `ExecutionMetrics::simd_rows` counts rows the lane loops processed —
-//! always 0 under `strict`.
+//! The kernel ≡ closure bit-exactness contract above holds for every query:
+//! kernel `sum`/`avg` folds add in row order, exactly as the closure engine
+//! does, so every tier gives one answer. There is no reassociating mode —
+//! [`NumericMode`] has the single variant `Strict` and is kept only for an
+//! existing caller (see `ARCHITECTURE.md`, "Numeric semantics").
 //!
 //! `ExecutionMetrics::agg_kernel_rows` / `agg_fallback_rows` report which
 //! tier folded each (row × output spec); aggregate kernel ≡ closure

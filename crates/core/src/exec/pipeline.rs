@@ -52,12 +52,11 @@ use crate::exec::scheduler::{PoolTask, Scheduler};
 use crate::exec::Binding;
 
 /// Everything a pipeline run needs from the dispatcher: the worker cap, the
-/// numeric mode, the query's lifecycle context, and the scheduler to offer
-/// runs to. One `ExecEnv` serves the whole query — nested runs (join build
-/// sides) inherit it.
+/// query's lifecycle context, and the scheduler to offer runs to. One
+/// `ExecEnv` serves the whole query — nested runs (join build sides)
+/// inherit it.
 pub(crate) struct ExecEnv {
     pub(crate) threads: usize,
-    pub(crate) mode: kernels::NumericMode,
     pub(crate) ctx: Arc<QueryContext>,
     pub(crate) scheduler: Arc<Scheduler>,
 }
@@ -301,9 +300,6 @@ struct ExpandStage {
 struct PreparedPipeline {
     scan: PreparedScan,
     stages: Vec<Stage>,
-    /// The query's numeric mode, seeded into every worker's
-    /// [`kernels::Scratch`] so spine stages (probe, build hashing) see it.
-    mode: kernels::NumericMode,
 }
 
 /// Flattens a producer tree into a prepared spine, executing every join
@@ -352,7 +348,6 @@ fn prepare(
                     zones,
                 },
                 stages: Vec::new(),
-                mode: env.mode,
             })
         }
         Producer::Filter {
@@ -773,7 +768,7 @@ impl SinkSpec {
                         let ReducePartial::Scalar(acc) = &mut partials[i] else {
                             unreachable!("kernel-classified collection monoid");
                         };
-                        metrics.simd_rows += rendered.fold_rows(i, *monoid, acc, &masked);
+                        rendered.fold_rows(i, *monoid, acc, &masked);
                     } else {
                         closure_specs += 1;
                         for &r in &masked {
@@ -823,10 +818,9 @@ impl SinkSpec {
                     scratch.put_sel(masked);
                     return;
                 }
-                let typed_keys = kernels::TypedKeys::bind(&sink_kernel.key_slots, batch)
-                    .with_mode(sink_kernel.mode);
+                let typed_keys = kernels::TypedKeys::bind(&sink_kernel.key_slots, batch);
                 let mut hashes = scratch.take_u64s();
-                metrics.simd_rows += typed_keys.hash_rows(&masked, &mut hashes);
+                typed_keys.hash_rows(&masked, &mut hashes);
                 // Resolve every row's group id first, then fold columnwise:
                 // one tight loop per kernel spec over (group id, row).
                 let mut gids = scratch.take_sel();
@@ -836,7 +830,7 @@ impl SinkSpec {
                 for spec in 0..stride {
                     if rendered.is_kernel(spec) {
                         let monoid = table.monoids()[spec];
-                        metrics.simd_rows += rendered.fold_groups(
+                        rendered.fold_groups(
                             spec,
                             monoid,
                             table.accs_mut(),
@@ -861,17 +855,9 @@ impl SinkSpec {
                         });
                     }
                 }
-                // One probe per row; under `Relaxed`, one per run of
-                // adjacent rows in the same group (what folds as one
-                // `fold_rows` call).
-                let probes = if sink_kernel.mode == kernels::NumericMode::Relaxed {
-                    1 + gids.windows(2).filter(|pair| pair[0] != pair[1]).count()
-                } else {
-                    gids.len()
-                };
+                metrics.hash_probes += gids.len() as u64;
                 scratch.put_sel(gids);
                 let kernel_specs = sink_kernel.kernel_specs() as u64;
-                metrics.hash_probes += probes as u64;
                 metrics.agg_kernel_rows += masked.len() as u64 * kernel_specs;
                 metrics.agg_fallback_rows +=
                     masked.len() as u64 * (value_exprs.len() as u64 - kernel_specs);
@@ -939,15 +925,14 @@ impl SinkSpec {
                     Some(slots) => {
                         // Kernel ingest: batch-hash the whole selection from
                         // the typed columns, materialize components lane-wise.
-                        let typed_keys =
-                            kernels::TypedKeys::bind(slots, batch).with_mode(scratch.mode());
+                        let typed_keys = kernels::TypedKeys::bind(slots, batch);
                         // Live payload slots read the typed columns where
                         // the scan filled them (hydration is skipped ahead
                         // of a typed-key build sink).
                         let live_cols: Vec<_> =
                             live_slots.iter().map(|&s| batch.typed_col(s)).collect();
                         let mut hashes = scratch.take_u64s();
-                        metrics.simd_rows += typed_keys.hash_rows(batch.sel(), &mut hashes);
+                        typed_keys.hash_rows(batch.sel(), &mut hashes);
                         for (&r, &hash) in batch.sel().iter().zip(&hashes) {
                             partial.tags.push(morsel);
                             partial.hashes.push(hash);
@@ -1310,23 +1295,17 @@ fn process_stages(
                         // the typed columns, then walk the clustered hash
                         // runs with lane-vs-stored-key compares. No `Value`
                         // is materialized per probe row.
-                        let typed_keys =
-                            kernels::TypedKeys::bind(slots, cur).with_mode(scratch.mode());
+                        let typed_keys = kernels::TypedKeys::bind(slots, cur);
                         let mut hashes = scratch.take_u64s();
-                        metrics.simd_rows += typed_keys.hash_rows(cur.sel(), &mut hashes);
+                        typed_keys.hash_rows(cur.sel(), &mut hashes);
                         // Single numeric keys take the specialized loop;
                         // everything else runs the generic componentwise
                         // compares. Batch hashing buys both a fixed probe
                         // lookahead: pull each row's clustered sub-run
                         // toward cache while earlier rows are confirmed.
-                        if typed_keys.probe_rows_numeric(table, cur.sel(), &hashes, |entry, r| {
+                        if !typed_keys.probe_rows_numeric(table, cur.sel(), &hashes, |entry, r| {
                             pairs.push((entry, r))
                         }) {
-                            if scratch.mode() == kernels::NumericMode::Relaxed {
-                                // The chunked lane-gather probe engaged.
-                                metrics.simd_rows += cur.active() as u64;
-                            }
-                        } else {
                             for (i, (&r, &hash)) in cur.sel().iter().zip(&hashes).enumerate() {
                                 if let Some(&ahead) =
                                     hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD)
@@ -1499,13 +1478,13 @@ struct WorkerPartial {
 }
 
 impl WorkerPartial {
-    fn new(sink: &SinkSpec, mode: kernels::NumericMode) -> WorkerPartial {
+    fn new(sink: &SinkSpec) -> WorkerPartial {
         WorkerPartial {
             state: sink.new_state(),
             metrics: ExecutionMetrics::new(),
             cur: BindingBatch::new(),
             spare: BindingBatch::new(),
-            scratch: kernels::Scratch::with_mode(mode),
+            scratch: kernels::Scratch::new(),
             failed: false,
             state_bytes: 0,
             cache_bytes: 0,
@@ -1576,7 +1555,7 @@ impl<'a> AttachGuard<'a> {
         let partial = run
             .lock_parked()
             .pop()
-            .unwrap_or_else(|| WorkerPartial::new(&run.sink, run.pipeline.mode));
+            .unwrap_or_else(|| WorkerPartial::new(&run.sink));
         AttachGuard {
             run,
             partial: Some(partial),
@@ -1855,7 +1834,7 @@ fn execute_pipeline(
             if !tail.is_empty() {
                 let mut spare = BindingBatch::new();
                 let mut state = sink.new_state();
-                let mut scratch = kernels::Scratch::with_mode(pipeline.mode);
+                let mut scratch = kernels::Scratch::new();
                 // Tag tail rows past every real morsel so they sort last.
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     process_stages(

@@ -68,23 +68,7 @@ impl KeyHash {
     pub fn finish(self) -> u64 {
         self.0
     }
-
-    /// One mixing step over [`HASH_LANES`] independent states at once: the
-    /// relaxed-tier batch-hashing kernel. Each lane is exactly
-    /// [`KeyHash::mix`] — the chains never interact, so chunking changes
-    /// the loop shape, not the hashes.
-    #[inline]
-    pub fn mix_lanes(states: &mut [u64; HASH_LANES], component_hashes: &[u64; HASH_LANES]) {
-        for (state, &comp) in states.iter_mut().zip(component_hashes) {
-            *state = Self::mix(*state, comp);
-        }
-    }
 }
-
-/// Width of the chunked batch-hash loop ([`KeyHash::mix_lanes`]): eight
-/// 64-bit states fill two AVX2 registers, and the multiply-xor mix body
-/// vectorizes (or at least pipelines) across independent lanes.
-pub const HASH_LANES: usize = 8;
 
 /// Hashes a multi-column key from its components *in place* — no
 /// `Value::List` is materialized per entry. Consistent with

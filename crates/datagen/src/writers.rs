@@ -2,19 +2,23 @@
 //! rows and binary columns so every engine and every experiment reads its
 //! native representation of identical data.
 
+use std::fmt::Write;
 use std::fs;
 use std::path::Path;
 
 use proteus_algebra::{Schema, Value};
 use proteus_storage::{ColumnData, ColumnTable, RowTable};
 
-/// Renders a value as JSON text.
+/// Renders a value as JSON text. Non-finite floats render as `null` (JSON
+/// has no NaN or infinity); names and strings escape `"`, `\` and every
+/// byte below 0x20.
 pub fn value_to_json(value: &Value) -> String {
     match value {
         Value::Null => "null".to_string(),
         Value::Bool(b) => b.to_string(),
         Value::Int(i) => i.to_string(),
         Value::Date(d) => d.to_string(),
+        Value::Float(f) if !f.is_finite() => "null".to_string(),
         Value::Float(f) => {
             if f.fract() == 0.0 {
                 format!("{f:.1}")
@@ -22,7 +26,7 @@ pub fn value_to_json(value: &Value) -> String {
                 format!("{f}")
             }
         }
-        Value::Str(s) => format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\"")),
+        Value::Str(s) => json_string(s),
         Value::List(items) => {
             let rendered: Vec<String> = items.iter().map(value_to_json).collect();
             format!("[{}]", rendered.join(", "))
@@ -30,11 +34,34 @@ pub fn value_to_json(value: &Value) -> String {
         Value::Record(record) => {
             let rendered: Vec<String> = record
                 .iter()
-                .map(|(name, v)| format!("\"{name}\": {}", value_to_json(v)))
+                .map(|(name, v)| json_member(name, v))
                 .collect();
             format!("{{{}}}", rendered.join(", "))
         }
     }
+}
+
+/// `s` as a quoted JSON string.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// One `"name": value` member of a JSON object.
+fn json_member(name: &str, value: &Value) -> String {
+    format!("{}: {}", json_string(name), value_to_json(value))
 }
 
 /// Writes rows as newline-delimited JSON objects. When `shuffle_fields` is
@@ -56,7 +83,7 @@ pub fn write_json(
                     let rotated: Vec<String> = (0..fields.len())
                         .map(|i| {
                             let (name, value) = fields[(i + rotation) % fields.len()];
-                            format!("\"{name}\": {}", value_to_json(value))
+                            json_member(name, value)
                         })
                         .collect();
                     format!("{{{}}}", rotated.join(", "))
@@ -195,6 +222,43 @@ mod tests {
                 .navigate(&["x".to_string()]),
             Value::Bool(true)
         );
+    }
+
+    #[test]
+    fn escapes_and_non_finite_floats_round_trip_through_the_plugin_parser() {
+        // Every control character, a quote and a backslash, in a field name
+        // and in a string value.
+        let awkward: String = (0u8..0x20).map(char::from).chain(['"', '\\']).collect();
+        let name = format!("k{awkward}");
+        let row = Value::Record(proteus_algebra::Record::new(vec![
+            (name.clone(), Value::Str(awkward.clone())),
+            ("nan".to_string(), Value::Float(f64::NAN)),
+            ("inf".to_string(), Value::Float(f64::INFINITY)),
+            ("neg_inf".to_string(), Value::Float(f64::NEG_INFINITY)),
+        ]));
+        let text = value_to_json(&row);
+        assert!(!text.contains('\n'), "one NDJSON line: {text}");
+        let parsed = proteus_plugins::json::parse_json_value(text.as_bytes()).unwrap();
+        let record = parsed.as_record().unwrap();
+        assert_eq!(record.get(&name), Some(&Value::Str(awkward)));
+        // JSON has no NaN or infinity: they are written as null.
+        for field in ["nan", "inf", "neg_inf"] {
+            assert_eq!(record.get(field), Some(&Value::Null), "{field}");
+        }
+        // The same through the NDJSON writer, with the field shuffle that
+        // renders members on their own.
+        let dir = temp_dir("escapes");
+        let path = dir.join("rows.json");
+        write_json(&path, &[row.clone(), row], true).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), 2);
+        let plugin =
+            proteus_plugins::json::JsonPlugin::from_bytes("rows", bytes::Bytes::from(text))
+                .unwrap();
+        assert_eq!(plugin.len(), 2);
+        for oid in 0..2 {
+            assert_eq!(plugin.read_value(oid, "nan").unwrap(), Value::Null);
+        }
     }
 
     #[test]

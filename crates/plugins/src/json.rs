@@ -592,11 +592,15 @@ impl<'a> JsonParser<'a> {
 }
 
 /// Parses a standalone JSON value from a byte slice (exposed for tests and
-/// for the document-store baseline which ingests JSON).
+/// for the document-store baseline which ingests JSON). The slice must hold
+/// exactly one value: anything but whitespace after it is an error.
 pub fn parse_json_value(data: &[u8]) -> Result<Value> {
     let mut parser = JsonParser::new(data, 0);
     let value = parser.parse_value()?;
     parser.skip_ws();
+    if parser.pos < data.len() {
+        return Err(parser.error("trailing bytes after the value"));
+    }
     Ok(value)
 }
 
@@ -1976,6 +1980,11 @@ mod tests {
         assert!(JsonPlugin::from_bytes("bad", Bytes::from_static(b"{\"a\": }")).is_err());
         assert!(JsonPlugin::from_bytes("bad", Bytes::from_static(b"{\"a\" 1}")).is_err());
         assert!(parse_json_value(b"[1, 2,").is_err());
+        // One value and nothing but whitespace after it.
+        assert!(parse_json_value(b"1 2").is_err());
+        assert!(parse_json_value(b"{\"a\":1} garbage").is_err());
+        assert!(parse_json_value(b"[1]]").is_err());
+        assert_eq!(parse_json_value(b" 1 \n").unwrap(), Value::Int(1));
     }
 
     /// `{"x":1,"a":[[…]]}` with `arrays` nested arrays, as one NDJSON line.

@@ -842,7 +842,6 @@ mod tests {
             agg_fallback_rows: 9,
             join_kernel_rows: 10,
             join_fallback_rows: 11,
-            simd_rows: 12,
             hash_probes: 13,
             cached_values: 14,
             morsels: 15,
@@ -865,7 +864,7 @@ mod tests {
              \"tuples_output\": 2, \"intermediate_tuples\": 3, \"intermediate_bytes\": 4, \
              \"predicate_evals\": 5, \"kernel_rows\": 6, \"fallback_rows\": 7, \
              \"agg_kernel_rows\": 8, \"agg_fallback_rows\": 9, \"join_kernel_rows\": 10, \
-             \"join_fallback_rows\": 11, \"simd_rows\": 12, \"hash_probes\": 13, \
+             \"join_fallback_rows\": 11, \"hash_probes\": 13, \
              \"cached_values\": 14, \"morsels\": 15, \"morsels_skipped\": 16, \
              \"morsels_short_circuited\": 17, \"index_rows\": 18, \"binding_allocs\": 19, \
              \"batch_grows\": 20, \"bad_rows\": 21, \"threads_used\": 22, \

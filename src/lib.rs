@@ -38,7 +38,7 @@ pub mod prelude {
     pub use proteus_algebra::{
         DataType, Expr, JoinKind, LogicalPlan, Monoid, Path, ReduceSpec, Schema, Value,
     };
-    pub use proteus_core::{EngineConfig, ExecutionMetrics, NumericMode, QueryEngine, QueryResult};
+    pub use proteus_core::{EngineConfig, ExecutionMetrics, QueryEngine, QueryResult};
     pub use proteus_plugins::csv::CsvOptions;
     pub use proteus_plugins::{InputPlugin, PluginRegistry};
     pub use proteus_storage::{CacheStore, MemoryManager, SourceFormat};

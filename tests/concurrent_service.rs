@@ -574,9 +574,9 @@ fn drain_under_load_flushes_in_flight_responses() {
     let server = Server::start(Arc::clone(&engine), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
 
-    // ~5 ms per morsel: queries run ~40 ms, so the shutdown below lands
+    // ~20 ms per morsel: queries run ~80 ms, so the shutdown below lands
     // while they are mid-flight.
-    fault::configure("dispatch.morsel", FaultAction::SleepMs(5));
+    fault::configure("dispatch.morsel", FaultAction::SleepMs(20));
 
     std::thread::scope(|scope| {
         let clients: Vec<_> = (0..3)
@@ -587,7 +587,17 @@ fn drain_under_load_flushes_in_flight_responses() {
                 })
             })
             .collect();
-        std::thread::sleep(Duration::from_millis(20));
+        // Shut down only once all three queries are admitted: a query that
+        // reaches admission after the drain starts is refused, not in
+        // flight, and a fixed sleep loses that race on a loaded host.
+        let started = Instant::now();
+        while engine.scheduler().running() < 3 {
+            assert!(
+                started.elapsed() < Duration::from_secs(2),
+                "queries never all started"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let report = server.shutdown(Duration::from_secs(5));
 
         for client in clients {
