@@ -138,24 +138,6 @@ fn strict_mode_is_bit_exact_against_closures() {
             }
         }
     }
-
-    // A nullable column: the first rows are non-null (so inference types
-    // `qty` as Float and the typed fill engages), then a >64-row null run
-    // produces fully-null bitmap words, followed by a dense tail.
-    let rows = 2 * 1024 + 63;
-    let path = write_nullable_json("nullrun", rows, |i| (200..1400).contains(&i));
-    let (strict, closures) = json_engines("nullrun", &path);
-    let plan = LogicalPlan::scan("nullrun", "r", Schema::empty()).reduce(vec![
-        ReduceSpec::new(Monoid::Sum, Expr::path("r.qty"), "total"),
-        ReduceSpec::new(Monoid::Avg, Expr::path("r.qty"), "mean"),
-    ]);
-    let s = strict.execute_plan(plan.clone()).expect("strict");
-    let c = closures.execute_plan(plan).expect("closures");
-    assert_eq!(s.rows, c.rows, "strict vs closures on null-run column");
-    assert!(
-        s.metrics.agg_kernel_rows > 0,
-        "kernels never folded the null-run column"
-    );
 }
 
 #[test]
@@ -249,6 +231,29 @@ fn all_null_columns_aggregate_exactly_in_every_mode() {
     assert_eq!(s.rows, c.rows, "strict vs closures on all-null column");
     assert_eq!(scalar(&s, "total"), Value::Int(0));
     assert_eq!(scalar(&s, "cnt"), Value::Int(1025));
+}
+
+#[test]
+fn long_null_runs_fold_through_relaxed_lanes() {
+    // Kept under its historical name: the lane fold is gone, and the null
+    // runs now fold through the strict kernel. The first rows are non-null
+    // (so inference types `qty` as Float and the typed fill engages), then
+    // a >64-row null run produces fully-null bitmap words — the packed
+    // `null_words()` skip path — followed by a dense tail.
+    let rows = 2 * 1024 + 63;
+    let path = write_nullable_json("nullrun", rows, |i| (200..1400).contains(&i));
+    let (strict, closures) = json_engines("nullrun", &path);
+    let plan = LogicalPlan::scan("nullrun", "r", Schema::empty()).reduce(vec![
+        ReduceSpec::new(Monoid::Sum, Expr::path("r.qty"), "total"),
+        ReduceSpec::new(Monoid::Avg, Expr::path("r.qty"), "mean"),
+    ]);
+    let s = strict.execute_plan(plan.clone()).expect("strict");
+    let c = closures.execute_plan(plan).expect("closures");
+    assert_eq!(s.rows, c.rows, "strict vs closures on null-run column");
+    assert!(
+        s.metrics.agg_kernel_rows > 0,
+        "kernels never folded the null-run column"
+    );
 }
 
 #[test]
