@@ -1,11 +1,14 @@
 //! Cache construction as a side-effect of execution (§6).
 //!
 //! A cache is built in exactly one way: inline, by the query whose scan
-//! reads the raw file. That scan runs serially (the entry needs its OIDs in
-//! order), feeds every row's cacheable values to a [`CacheBuilder`], and
-//! registers the entry through [`CacheBuilder::finish_if_current`] before
-//! the query returns — fenced by the dataset revision captured when the
-//! scan was compiled, so an invalidation that raced the scan wins.
+//! reads the raw file. That scan is an ordinary parallel kernel-tier scan:
+//! every field the builder caches is an active typed fill, and each worker
+//! copies the lanes it rendered for a morsel into a [`CacheChunk`] tagged
+//! with the morsel's first OID. When the run succeeds the chunks of all
+//! workers are joined in tag order and the entry is registered through
+//! [`CacheBuilder::finish_if_current`] before the query returns — fenced by
+//! the dataset revision captured when the scan was compiled, so an
+//! invalidation that raced the scan wins.
 //!
 //! The caching policy follows the paper:
 //!
@@ -19,7 +22,8 @@
 //! * the eviction bias (JSON ≻ CSV ≻ Binary) lives in
 //!   [`proteus_storage::CacheStore`].
 
-use proteus_algebra::{DataType, Value};
+use proteus_algebra::DataType;
+use proteus_plugins::{TypedColumn, TypedKind};
 use proteus_storage::cache::make_entry;
 use proteus_storage::{CacheEntry, CacheStore, ColumnData, SourceFormat};
 
@@ -30,128 +34,92 @@ pub fn should_cache_field(format: SourceFormat, data_type: &DataType) -> bool {
     verbose_source && data_type.is_numeric()
 }
 
-/// An in-flight cache being populated while a scan runs.
-#[derive(Debug)]
+/// One morsel of a caching scan: the OID of its first row, and the typed
+/// lane the scan rendered for each cached field, in the builder's field
+/// order.
+pub type CacheChunk = (u64, Vec<TypedColumn>);
+
+/// The cache a scan builds as it runs: which of its slots to copy, and
+/// where and under which revision to register what they held.
 pub struct CacheBuilder {
+    store: CacheStore,
     dataset: String,
     format: SourceFormat,
-    columns: Vec<(String, ColumnData)>,
-    /// Per column: a value arrived that the column cannot hold — a null
-    /// (cached columns carry no null bitmap, and a stand-in zero would be
-    /// aggregated as data) or one of another type. Such a column falls
-    /// behind the OIDs and is left out of the entry.
-    unusable: Vec<bool>,
-    oids: Vec<u64>,
-    enabled: bool,
+    /// `(field name, batch slot)` per cached field, in column order.
+    fields: Vec<(String, usize)>,
     /// The source dataset's revision when the builder was created, before
     /// the scan read anything: registration is refused against a newer one.
     revision: u64,
 }
 
 impl CacheBuilder {
-    /// Creates a builder for the given fields (already filtered by
-    /// [`should_cache_field`]). Passing no fields produces a disabled builder.
-    /// `revision` is the dataset's [`CacheStore::dataset_revision`],
-    /// captured before the plug-in the scan reads through was resolved.
+    /// Creates a builder for the given `(field, slot)` pairs (already
+    /// filtered by [`should_cache_field`]). `revision` is the dataset's
+    /// [`CacheStore::dataset_revision`], captured before the plug-in the
+    /// scan reads through was resolved.
     pub fn new(
+        store: CacheStore,
         dataset: impl Into<String>,
         format: SourceFormat,
-        fields: Vec<(String, DataType)>,
+        fields: Vec<(String, usize)>,
         revision: u64,
     ) -> CacheBuilder {
-        let enabled = !fields.is_empty();
         CacheBuilder {
+            store,
             dataset: dataset.into(),
             format,
-            unusable: vec![false; fields.len()],
-            columns: fields
-                .into_iter()
-                .map(|(name, dt)| (name, ColumnData::empty_of(&dt)))
-                .collect(),
-            oids: Vec::new(),
-            enabled,
+            fields,
             revision,
         }
     }
 
-    /// A builder that caches nothing.
-    pub fn disabled() -> CacheBuilder {
-        CacheBuilder {
-            dataset: String::new(),
-            format: SourceFormat::Binary,
-            columns: Vec::new(),
-            unusable: Vec::new(),
-            oids: Vec::new(),
-            enabled: false,
-            revision: 0,
-        }
+    /// The batch slots of the cached fields, in column order: what each
+    /// morsel's [`CacheChunk`] copies.
+    pub(crate) fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.fields.iter().map(|(_, slot)| *slot)
     }
 
-    /// True if the builder is collecting values.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Field names being cached, in column order.
-    pub fn field_names(&self) -> Vec<&str> {
-        self.columns.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    /// Records the values of one scanned object. `values` must follow the
-    /// order of the builder's fields. Returns the number of values cached.
-    /// Once every column is unusable the builder disables itself: nothing it
-    /// holds could be registered, so the scan stops feeding it.
-    pub fn observe(&mut self, oid: u64, values: &[Value]) -> u64 {
-        if !self.enabled {
-            return 0;
-        }
-        self.oids.push(oid);
-        let mut cached = 0;
-        let columns = self.columns.iter_mut().zip(&mut self.unusable);
-        for (((_, column), unusable), value) in columns.zip(values) {
-            if *unusable {
-                continue;
-            }
-            if value.is_null() || column.push_value(value).is_err() {
-                *unusable = true;
-            } else {
-                cached += 1;
-            }
-        }
-        if cached == 0 && self.unusable.iter().all(|&unusable| unusable) {
-            self.enabled = false;
-            self.oids = Vec::new();
-        }
-        cached
-    }
-
-    /// Number of objects observed so far.
-    pub fn row_count(&self) -> usize {
-        self.oids.len()
-    }
-
-    /// Finalizes the builder into the cache store, but only if the source
-    /// dataset is still at the revision captured when the builder was
-    /// created: an invalidation may race the scan, and the stale result
-    /// must be discarded. Returns the cache name if an entry was registered.
-    pub fn finish_if_current(self, store: &CacheStore) -> Option<String> {
-        let revision = self.revision;
-        let entry = self.into_entry()?;
+    /// Joins `chunks` (in tag order) into an entry and registers it, but
+    /// only if the source dataset is still at the revision captured when the
+    /// builder was created: an invalidation may race the scan, and the stale
+    /// result must be discarded. Returns the cache name if an entry was
+    /// registered.
+    pub fn finish_if_current(&self, chunks: &[CacheChunk]) -> Option<String> {
+        let entry = self.entry(chunks)?;
         let name = entry.name.clone();
-        match store.insert_if_current(entry, revision) {
+        match self.store.insert_if_current(entry, self.revision) {
             Ok(true) => Some(name),
             Ok(false) | Err(_) => None,
         }
     }
 
-    fn into_entry(self) -> Option<CacheEntry> {
+    /// The entry the chunks make, or `None` when they do not tile the
+    /// dataset from OID 0 without a gap, hold no row, or leave no usable
+    /// column. A column is usable when every chunk holds it as one numeric
+    /// lane kind with no null bit: cached columns carry no null bitmap, and
+    /// a stand-in zero would be aggregated as data.
+    fn entry(&self, chunks: &[CacheChunk]) -> Option<CacheEntry> {
+        let mut rows = 0u64;
+        for (start, lanes) in chunks {
+            let len = lanes.first().map_or(0, TypedColumn::len);
+            if *start != rows || lanes.len() != self.fields.len() {
+                return None;
+            }
+            if lanes.iter().any(|lane| lane.len() != len) {
+                return None;
+            }
+            rows += len as u64;
+        }
+        if rows == 0 {
+            return None;
+        }
         let columns: Vec<(String, ColumnData)> = self
-            .columns
-            .into_iter()
-            .zip(self.unusable)
-            .filter_map(|(column, unusable)| (!unusable).then_some(column))
+            .fields
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (name, _))| Some((name.clone(), join_lanes(chunks, i, rows)?)))
             .collect();
-        if !self.enabled || self.oids.is_empty() || columns.is_empty() {
+        if columns.is_empty() {
             return None;
         }
         let name = format!(
@@ -163,9 +131,9 @@ impl CacheBuilder {
                 .collect::<Vec<_>>()
                 .join("+")
         );
-        let rows = self.oids.len() as u64;
         let fields = columns.len();
-        let mut entry = make_entry(name, self.dataset.clone(), self.format, columns, self.oids);
+        let oids = (0..rows).collect();
+        let mut entry = make_entry(name, self.dataset.clone(), self.format, columns, oids);
         // Stamp the rebuild cost from the optimizer's cost model: one full
         // scan of the source through its format's access profile. This is
         // the `build_cost` term of the store's eviction score.
@@ -179,11 +147,71 @@ impl CacheBuilder {
     }
 }
 
+/// Lane `i` of every chunk, concatenated into one column of `rows` values;
+/// `None` when a chunk holds it with a null or as another kind than the
+/// first chunk does, or when its kind has no numeric column.
+fn join_lanes(chunks: &[CacheChunk], i: usize, rows: u64) -> Option<ColumnData> {
+    let kind = chunks.first()?.1[i].kind();
+    let lanes = chunks.iter().map(|(_, lanes)| &lanes[i]);
+    if lanes
+        .clone()
+        .any(|lane| lane.kind() != kind || lane.has_nulls())
+    {
+        return None;
+    }
+    let rows = rows as usize;
+    match kind {
+        TypedKind::I64 => {
+            let mut column = Vec::with_capacity(rows);
+            lanes.for_each(|lane| column.extend_from_slice(lane.i64_values()));
+            Some(ColumnData::Int(column))
+        }
+        TypedKind::F64 => {
+            let mut column = Vec::with_capacity(rows);
+            lanes.for_each(|lane| column.extend_from_slice(lane.f64_values()));
+            Some(ColumnData::Float(column))
+        }
+        TypedKind::Bool | TypedKind::Str => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proteus_algebra::Value;
     use proteus_storage::MemoryManager;
     use std::sync::Arc;
+
+    fn store() -> CacheStore {
+        CacheStore::new(MemoryManager::with_budget(1 << 20))
+    }
+
+    /// A rendered lane: `None` is a null bit.
+    fn int_lane(values: &[Option<i64>]) -> TypedColumn {
+        let mut lane = TypedColumn::new(TypedKind::I64);
+        for value in values {
+            match value {
+                Some(v) => lane.push_i64(*v),
+                None => lane.push_null(),
+            }
+        }
+        lane
+    }
+
+    fn float_lane(values: &[Option<f64>]) -> TypedColumn {
+        let mut lane = TypedColumn::new(TypedKind::F64);
+        for value in values {
+            match value {
+                Some(v) => lane.push_f64(*v),
+                None => lane.push_null(),
+            }
+        }
+        lane
+    }
+
+    fn ints(values: impl IntoIterator<Item = i64>) -> TypedColumn {
+        int_lane(&values.into_iter().map(Some).collect::<Vec<_>>())
+    }
 
     #[test]
     fn policy_caches_numerics_from_verbose_sources_only() {
@@ -195,26 +223,29 @@ mod tests {
 
     #[test]
     fn builder_collects_and_inserts() {
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let mut builder = CacheBuilder::new(
+        let store = store();
+        let builder = CacheBuilder::new(
+            store.clone(),
             "lineitem",
             SourceFormat::Json,
-            vec![("l_orderkey".to_string(), DataType::Int)],
+            vec![("l_orderkey".to_string(), 3)],
             store.dataset_revision("lineitem"),
         );
-        assert!(builder.is_enabled());
-        for oid in 0..10u64 {
-            builder.observe(oid, &[Value::Int(oid as i64 * 2)]);
-        }
-        assert_eq!(builder.row_count(), 10);
-        let name = builder.finish_if_current(&store).unwrap();
+        assert_eq!(builder.slots().collect::<Vec<_>>(), vec![3]);
+        let chunks = vec![
+            (0, vec![ints((0..4).map(|oid| oid * 2))]),
+            (4, vec![ints((4..10).map(|oid| oid * 2))]),
+        ];
+        let name = builder.finish_if_current(&chunks).unwrap();
         assert!(store.get(&name).is_some());
         let (entry, index) = store
             .lookup_column("lineitem", "l_orderkey", 10, true)
             .unwrap();
         assert_eq!(entry.name, name);
+        assert_eq!(entry.oids(), (0..10).collect::<Vec<u64>>());
         let column = &entry.columns()[index].1;
         assert_eq!(column.value_at(3), Some(Value::Int(6)));
+        assert_eq!(column.value_at(9), Some(Value::Int(18)));
         // The handle is the store's entry, the column its allocation; the
         // hit went to that entry.
         let live = store.get(&name).unwrap();
@@ -226,79 +257,127 @@ mod tests {
         assert_eq!(store.stats().hits, 1);
 
         // A builder created before an invalidation registers nothing.
-        let mut stale = CacheBuilder::new(
+        let stale = CacheBuilder::new(
+            store.clone(),
             "lineitem",
             SourceFormat::Json,
-            vec![("l_quantity".to_string(), DataType::Int)],
+            vec![("l_quantity".to_string(), 0)],
             store.dataset_revision("lineitem"),
         );
-        stale.observe(0, &[Value::Int(1)]);
         store.invalidate_dataset("lineitem");
-        assert!(stale.finish_if_current(&store).is_none());
+        assert!(stale.finish_if_current(&[(0, vec![ints([1])])]).is_none());
         assert!(store.caches_for_dataset("lineitem").is_empty());
     }
 
     #[test]
     fn disabled_builder_does_nothing() {
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let mut builder = CacheBuilder::disabled();
-        assert!(!builder.is_enabled());
-        assert_eq!(builder.observe(0, &[Value::Int(1)]), 0);
-        assert!(builder.finish_if_current(&store).is_none());
+        // A builder with no field, or a run that rendered no row, registers
+        // nothing.
+        let store = store();
+        let empty = CacheBuilder::new(store.clone(), "t", SourceFormat::Csv, Vec::new(), 0);
+        assert_eq!(empty.slots().count(), 0);
+        assert!(empty.finish_if_current(&[(0, Vec::new())]).is_none());
+        let builder = CacheBuilder::new(
+            store.clone(),
+            "t",
+            SourceFormat::Csv,
+            vec![("x".to_string(), 0)],
+            0,
+        );
+        assert!(builder.finish_if_current(&[]).is_none());
+        assert!(builder.finish_if_current(&[(0, vec![ints([])])]).is_none());
+        assert!(store.caches_for_dataset("t").is_empty());
     }
 
     #[test]
     fn partial_coverage_cache_is_not_used_for_full_scans() {
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let mut builder = CacheBuilder::new(
+        let store = store();
+        let builder = CacheBuilder::new(
+            store.clone(),
             "lineitem",
             SourceFormat::Json,
-            vec![("l_orderkey".to_string(), DataType::Int)],
+            vec![("l_orderkey".to_string(), 0)],
             0,
         );
-        for oid in 0..5u64 {
-            builder.observe(oid * 2, &[Value::Int(oid as i64)]); // non-identity OIDs
-        }
-        builder.finish_if_current(&store).unwrap();
+        // Chunks with a gap between them cover no prefix of the dataset:
+        // nothing is registered.
+        let gapped = vec![(0, vec![ints(0..5)]), (10, vec![ints(10..15)])];
+        assert!(builder.finish_if_current(&gapped).is_none());
+        assert!(store.caches_for_dataset("lineitem").is_empty());
+        // Five rows cover a five-row dataset, not a ten-row one.
+        builder.finish_if_current(&[(0, vec![ints(0..5)])]).unwrap();
         assert!(store
             .lookup_column("lineitem", "l_orderkey", 10, true)
             .is_none());
         assert!(store
             .lookup_column("lineitem", "l_orderkey", 5, true)
-            .is_none());
+            .is_some());
     }
 
     #[test]
     fn a_column_that_saw_a_null_is_not_registered() {
-        let store = CacheStore::new(MemoryManager::with_budget(1 << 20));
-        let fields = vec![
-            ("x".to_string(), DataType::Float),
-            ("y".to_string(), DataType::Int),
+        let store = store();
+        let fields = vec![("x".to_string(), 0), ("y".to_string(), 1)];
+        let builder = CacheBuilder::new(store.clone(), "t", SourceFormat::Csv, fields.clone(), 0);
+        let chunks = vec![
+            (0, vec![float_lane(&[Some(1.5)]), ints([1])]),
+            (1, vec![float_lane(&[None, Some(2.5)]), ints([2, 3])]),
         ];
-        let mut builder = CacheBuilder::new("t", SourceFormat::Csv, fields.clone(), 0);
-        assert_eq!(builder.observe(0, &[Value::Float(1.5), Value::Int(1)]), 2);
-        assert_eq!(builder.observe(1, &[Value::Null, Value::Int(2)]), 1);
-        assert_eq!(builder.observe(2, &[Value::Float(2.5), Value::Int(3)]), 1);
-        let name = builder.finish_if_current(&store).unwrap();
+        let name = builder.finish_if_current(&chunks).unwrap();
         assert_eq!(name, "t::y");
         let entry = store.get(&name).unwrap();
         assert!(entry.column("x").is_none());
         assert_eq!(**entry.column("y").unwrap(), ColumnData::Int(vec![1, 2, 3]));
         assert_eq!(entry.expressions, vec!["y".to_string()]);
 
-        // Nothing left to cache: the builder turns itself off at once and
-        // drops its OIDs, so the scan stops feeding it, and no entry is
-        // registered. A value of the wrong type disqualifies a column the
-        // same way.
-        let mut builder = CacheBuilder::new("u", SourceFormat::Csv, fields, 0);
-        builder.observe(0, &[Value::Float(1.5), Value::str("oops")]);
-        assert!(builder.is_enabled());
-        builder.observe(1, &[Value::Null, Value::Int(3)]);
-        assert!(!builder.is_enabled());
-        assert_eq!(builder.row_count(), 0);
-        assert_eq!(builder.observe(2, &[Value::Float(2.5), Value::Int(4)]), 0);
-        assert_eq!(builder.row_count(), 0);
-        assert!(builder.finish_if_current(&store).is_none());
+        // Nothing left to cache: no entry is registered. A lane of another
+        // kind disqualifies a column the same way a null does.
+        let builder = CacheBuilder::new(store.clone(), "u", SourceFormat::Csv, fields, 0);
+        let mut text = TypedColumn::new(TypedKind::Str);
+        text.push_str("oops");
+        let chunks = vec![
+            (0, vec![float_lane(&[Some(1.5)]), text]),
+            (1, vec![float_lane(&[None]), ints([3])]),
+        ];
+        assert!(builder.finish_if_current(&chunks).is_none());
         assert!(store.caches_for_dataset("u").is_empty());
+    }
+
+    #[test]
+    fn a_null_in_a_late_morsel_of_another_worker_drops_the_column() {
+        // Two workers' partials, each in its own claim order, joined by the
+        // executor's ordered merge: the null sits in the last morsel, which
+        // the second worker rendered.
+        let store = store();
+        let morsel = |start: i64, null: bool| {
+            let mut values: Vec<Option<i64>> = (start..start + 4).map(Some).collect();
+            if null {
+                values[2] = None;
+            }
+            int_lane(&values)
+        };
+        let first = vec![
+            (0, vec![morsel(0, false), ints(0..4)]),
+            (8, vec![morsel(8, false), ints(8..12)]),
+        ];
+        let second = vec![
+            (4, vec![morsel(4, false), ints(4..8)]),
+            (12, vec![morsel(12, true), ints(12..16)]),
+        ];
+        let chunks = crate::exec::pipeline::in_tag_order(vec![first, second]);
+        assert_eq!(
+            chunks.iter().map(|(tag, _)| *tag).collect::<Vec<_>>(),
+            [0, 4, 8, 12]
+        );
+        let fields = vec![("n".to_string(), 0), ("id".to_string(), 1)];
+        let builder = CacheBuilder::new(store.clone(), "t", SourceFormat::Json, fields, 0);
+        let name = builder.finish_if_current(&chunks).unwrap();
+        assert_eq!(name, "t::id");
+        let entry = store.get(&name).unwrap();
+        assert_eq!(
+            **entry.column("id").unwrap(),
+            ColumnData::Int((0..16).collect())
+        );
+        assert_eq!(entry.oids(), (0..16).collect::<Vec<u64>>());
     }
 }

@@ -724,16 +724,18 @@ impl Compiler {
         // Revision fence of the cache-building side effect: captured before
         // the plug-in is resolved, so a build over data an invalidation has
         // since replaced is refused at registration.
-        let revision = self
+        let fence = self
             .caches
             .as_ref()
-            .map(|store| store.dataset_revision(dataset));
+            .map(|store| (store.clone(), store.dataset_revision(dataset)));
         let plugin = self.resolve_plugin(dataset)?;
         let format = plugin.format();
-        // The type a field is cached as, if the caching policy caches it.
-        let cache_type = |field: &str| {
-            let data_type = &plugin.schema().field(field)?.data_type;
-            should_cache_field(format, data_type).then(|| data_type.clone())
+        // Whether the caching policy caches a field.
+        let cacheable = |field: &str| {
+            plugin
+                .schema()
+                .field(field)
+                .is_some_and(|f| should_cache_field(format, &f.data_type))
         };
 
         // Field-of-interest list: what projection pushdown computed (possibly
@@ -785,9 +787,8 @@ impl Compiler {
             // previous query may have cached this column in binary form, in
             // memory or spilled to disk.
             if let Some(store) = &self.caches {
-                let cacheable = cache_type(field).is_some();
                 if let Some((entry, index)) =
-                    store.lookup_column(dataset, field, plugin.len(), cacheable)
+                    store.lookup_column(dataset, field, plugin.len(), cacheable(field))
                 {
                     // Handles to the entry's own column and to the zone maps
                     // memoized in it: a hit copies and derives nothing.
@@ -822,20 +823,34 @@ impl Compiler {
         } else {
             access_paths.push(format!("{dataset}: fully served from caches"));
         }
+        // Cache-building side effect: numeric fields read from verbose
+        // sources that are not already cached, when the engine caches.
+        let caching = |field: &str| {
+            fence.is_some() && fields_from_plugin.iter().any(|f| f == field) && cacheable(field)
+        };
         // Lower each fill to its row-major filler and, when the field has a
-        // typed form, its (not yet activated) vectorized filler.
+        // typed form, its (not yet activated) vectorized filler. A field the
+        // scan caches keeps its typed fill, active with vectorization on or
+        // off: the builder copies its lanes.
         let mut fills: Vec<(usize, BatchFill)> = Vec::with_capacity(field_fills.len());
         let mut typed: Vec<TypedSlotFill> = Vec::new();
+        let mut to_cache: Vec<(String, usize)> = Vec::new();
         for (slot, field, fill) in field_fills {
-            if let Some((kind, typed_fill)) = self.vectorized.then(|| fill.typed()).flatten() {
+            let cached = caching(&field);
+            if let Some((kind, typed_fill)) =
+                (self.vectorized || cached).then(|| fill.typed()).flatten()
+            {
                 typed.push(TypedSlotFill {
                     slot,
                     name: format!("{alias}.{field}"),
                     kind,
                     fill: typed_fill,
-                    active: false,
+                    active: cached,
                     hydrate: false,
                 });
+                if cached {
+                    to_cache.push((field.clone(), slot));
+                }
             }
             fills.push((slot, fill.values()));
         }
@@ -861,49 +876,26 @@ impl Compiler {
             Vec::new()
         };
 
-        // Cache-building side-effect: numeric fields read from verbose
-        // sources that are not already cached.
-        let cache_builder = match revision {
-            Some(revision) => {
-                let to_cache: Vec<(String, proteus_algebra::DataType)> = fields_from_plugin
-                    .iter()
-                    .filter_map(|field| Some((field.clone(), cache_type(field)?)))
-                    .collect();
-                if to_cache.is_empty() {
-                    CacheBuilder::disabled()
-                } else {
-                    ir.line(
-                        1,
-                        &format!(
-                            "cache[{}] += [{}]   // output plug-in, eager numeric caching",
-                            dataset,
-                            to_cache
-                                .iter()
-                                .map(|(n, _)| n.as_str())
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    );
-                    CacheBuilder::new(dataset, format, to_cache, revision)
-                }
+        let cache_builder = match fence {
+            Some((store, revision)) if !to_cache.is_empty() => {
+                ir.line(
+                    1,
+                    &format!(
+                        "cache[{}] += [{}]   // output plug-in, eager numeric caching",
+                        dataset,
+                        to_cache
+                            .iter()
+                            .map(|(n, _)| n.as_str())
+                            .collect::<Vec<_>>()
+                            .join(", ")
+                    ),
+                );
+                Some(CacheBuilder::new(
+                    store, dataset, format, to_cache, revision,
+                ))
             }
-            None => CacheBuilder::disabled(),
+            _ => None,
         };
-        let cache_field_slots: Vec<usize> = cache_builder
-            .field_names()
-            .iter()
-            .map(|name| {
-                slot_of_field
-                    .iter()
-                    .find(|(f, _)| f == name)
-                    .map(|(_, s)| *s)
-                    .expect("cached field must have a slot")
-            })
-            .collect();
-        // The cache-building side effect observes every scanned row's Value
-        // form before filtering; fields it captures must stay on the
-        // row-major fill path.
-        typed.retain(|t| !cache_field_slots.contains(&t.slot));
 
         ir.line(
             0,
@@ -929,8 +921,6 @@ impl Compiler {
                 typed,
                 width: layout.len(),
                 cache_builder,
-                cache_field_slots,
-                cache_store: self.caches.clone(),
                 zones,
                 slot_stats,
                 bad_rows,
@@ -1321,9 +1311,9 @@ impl CompiledQuery {
 
     /// Executes the generated pipeline with up to `parallelism` morsel
     /// workers (`0` = one worker per available CPU) from the process-wide
-    /// pool, with no lifecycle limits. Scans with a pending cache-building
-    /// side effect run serially regardless, because cache entries require
-    /// in-order OIDs.
+    /// pool, with no lifecycle limits. A scan that builds a cache runs in
+    /// parallel like any other: its workers' lane chunks are joined in
+    /// morsel order when the run succeeds.
     pub fn execute_with_parallelism(self, parallelism: usize) -> Result<QueryOutput> {
         self.execute_with_scheduler(
             parallelism,

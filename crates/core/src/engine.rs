@@ -43,8 +43,7 @@ pub struct EngineConfig {
     /// Morsel workers per query: `1` (the default) runs the serial path,
     /// `0` uses one worker per available CPU (overridable with
     /// `PROTEUS_THREADS`), any other value is taken literally. A scan that
-    /// builds a cache always runs serially, whatever this says: the cache is
-    /// built inline with the scan, and its entries require in-order OIDs.
+    /// builds a cache runs on these workers too.
     pub parallelism: usize,
     /// Evaluate kernel-eligible selection predicates with vectorized
     /// columnar kernels over typed morsel columns (the default). `false`

@@ -56,7 +56,9 @@ pub struct ExecutionMetrics {
     pub join_fallback_rows: u64,
     /// Hash-table probes performed by joins and group-bys.
     pub hash_probes: u64,
-    /// Values appended to caches as a side-effect of execution.
+    /// Values copied into cache-build chunks as a side effect of execution:
+    /// one per cached field and scanned row, whether or not the entry is
+    /// then registered.
     pub cached_values: u64,
     /// Morsels dispatched to pipeline workers.
     pub morsels: u64,

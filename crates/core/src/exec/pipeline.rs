@@ -34,9 +34,8 @@ use proteus_algebra::{JoinKind, Monoid, Value};
 use proteus_plugins::{
     all_rows, BatchFill, ColumnStats, TypedExpand, TypedFill, TypedKind, ZoneMap, ZONE_ROWS,
 };
-use proteus_storage::CacheStore;
 
-use crate::cache_builder::CacheBuilder;
+use crate::cache_builder::{CacheBuilder, CacheChunk};
 use crate::error::{EngineError, Result};
 use crate::exec::batch::{BindingBatch, MORSEL_SIZE};
 use crate::exec::context::QueryContext;
@@ -79,7 +78,8 @@ pub(crate) struct TypedSlotFill {
     pub(crate) kind: TypedKind,
     /// The plug-in's typed morsel filler.
     pub(crate) fill: TypedFill,
-    /// Set once a kernel predicate references the slot.
+    /// Set once a kernel references the slot, or from the start when the
+    /// scan caches the field.
     pub(crate) active: bool,
     /// Set when anything downstream of the kernels reads the slot's `Value`
     /// form (closure residuals, sink expressions, collected rows).
@@ -109,12 +109,12 @@ pub(crate) enum Producer {
         /// `(slot, morsel filler)` per projected field.
         fills: Vec<(usize, BatchFill)>,
         /// Typed columnar fills the plug-in offers; entries activated by the
-        /// kernel planner replace the slot's `Value` fill.
+        /// kernel planner or the cache build replace the slot's `Value` fill.
         typed: Vec<TypedSlotFill>,
         width: usize,
-        cache_builder: CacheBuilder,
-        cache_field_slots: Vec<usize>,
-        cache_store: Option<CacheStore>,
+        /// The cache this scan builds as a side effect; its slots are
+        /// active typed fills.
+        cache_builder: Option<CacheBuilder>,
         /// Per-morsel zone maps keyed by typed slot (empty when morsel
         /// skipping is off or the plug-in has none). Zone `z` describes
         /// exactly morsel `z` (`ZONE_ROWS == MORSEL_SIZE`, asserted below).
@@ -208,14 +208,6 @@ pub(crate) enum Producer {
 // Prepared (executable) form: a scan driving a linear stage chain.
 // ---------------------------------------------------------------------------
 
-/// Cache-building side effect attached to a scan. Requires in-order OIDs, so
-/// its presence forces the spine onto the serial path.
-struct CacheSideEffect {
-    builder: Mutex<Option<CacheBuilder>>,
-    slots: Vec<usize>,
-    store: CacheStore,
-}
-
 /// The executable scan: what [`fill_morsel`] renders into every morsel's
 /// batch. A scan whose spine leads with a kernel filter and that builds no
 /// cache is split filter-first ([`split_filter_first`]): `typed_fills` then
@@ -228,7 +220,9 @@ struct PreparedScan {
     fills: Vec<(usize, BatchFill)>,
     /// Activated typed fills, rendered densely: `(slot, filler, hydrate?)`.
     typed_fills: Vec<(usize, TypedFill, bool)>,
-    cache: Option<CacheSideEffect>,
+    /// The cache-building side effect: every morsel's lanes of its slots
+    /// are copied into the worker's [`CacheChunk`]s.
+    cache: Option<CacheBuilder>,
     /// Per-morsel zone maps keyed by typed slot (Tier 0: morsel skipping).
     zones: Vec<(usize, Arc<ZoneMap>)>,
 }
@@ -318,21 +312,11 @@ fn prepare(
             typed,
             width,
             cache_builder,
-            cache_field_slots,
-            cache_store,
             zones,
             slot_stats: _,
             bad_rows,
         } => {
             metrics.bad_rows += bad_rows;
-            let cache = match (cache_builder.is_enabled(), cache_store) {
-                (true, Some(store)) => Some(CacheSideEffect {
-                    builder: Mutex::new(Some(cache_builder)),
-                    slots: cache_field_slots,
-                    store,
-                }),
-                _ => None,
-            };
             let typed_fills = typed
                 .into_iter()
                 .filter(|t| t.active)
@@ -344,7 +328,7 @@ fn prepare(
                     width,
                     fills,
                     typed_fills,
-                    cache,
+                    cache: cache_builder,
                     zones,
                 },
                 stages: Vec::new(),
@@ -552,8 +536,8 @@ fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
 }
 
 /// Filter-first raw scans (NoDB / RAW's selective parsing): when the spine
-/// leads with a kernel filter and no cache side effect observes every row,
-/// the scan keeps the typed fills of the slots the filter reads
+/// leads with a kernel filter and builds no cache (whose entry needs every
+/// row), the scan keeps the typed fills of the slots the filter reads
 /// ([`KernelPred::slots`]) and every other typed fill — read by a closure
 /// residual, a probe key, a group key or the sink — moves to a
 /// [`Stage::FillSelected`] right behind the filter, so a payload field is
@@ -1019,14 +1003,16 @@ impl SinkSpec {
                 SinkResult::Groups(merged)
             }
             SinkSpec::Collect => {
-                let mut tagged: Vec<(u64, Binding)> = Vec::new();
-                for partial in partials {
-                    if let SinkState::Collect(rows) = partial {
-                        tagged.extend(rows);
-                    }
-                }
-                tagged.sort_by_key(|(morsel, _)| *morsel);
-                SinkResult::Rows(tagged.into_iter().map(|(_, row)| row).collect())
+                let parts = partials.into_iter().filter_map(|p| match p {
+                    SinkState::Collect(rows) => Some(rows),
+                    _ => None,
+                });
+                SinkResult::Rows(
+                    in_tag_order(parts)
+                        .into_iter()
+                        .map(|(_, row)| row)
+                        .collect(),
+                )
             }
             SinkSpec::Entries {
                 keys, live_slots, ..
@@ -1084,6 +1070,16 @@ impl SinkSpec {
     }
 }
 
+/// The ordered merge of morsel-tagged worker outputs (collected rows, cache
+/// chunks): every item in ascending tag order, the items of one tag in the
+/// order they were pushed. Each morsel belongs to one worker, so this is the
+/// order a serial run produces.
+pub(crate) fn in_tag_order<T>(parts: impl IntoIterator<Item = Vec<(u64, T)>>) -> Vec<(u64, T)> {
+    let mut tagged: Vec<(u64, T)> = parts.into_iter().flatten().collect();
+    tagged.sort_by_key(|(tag, _)| *tag);
+    tagged
+}
+
 // ---------------------------------------------------------------------------
 // The morsel executor.
 // ---------------------------------------------------------------------------
@@ -1092,12 +1088,15 @@ impl SinkSpec {
 /// fill and every typed fill of the scan, densely (the identity selection).
 /// Under a filter-first split the scan holds only the leading kernel
 /// filter's slots; the payload renders later, over the filter's survivors,
-/// in [`Stage::FillSelected`].
+/// in [`Stage::FillSelected`]. A caching scan then copies the lanes of its
+/// cached slots into `cache_chunks`, tagged with `start`, before any stage
+/// runs.
 fn fill_morsel(
     scan: &PreparedScan,
     start: u64,
     count: usize,
     batch: &mut BindingBatch,
+    cache_chunks: &mut Vec<CacheChunk>,
     metrics: &mut ExecutionMetrics,
 ) {
     batch.reset(scan.width, count);
@@ -1112,22 +1111,18 @@ fn fill_morsel(
     }
     metrics.tuples_scanned += count as u64;
 
-    if let Some(cache) = &scan.cache {
+    if let Some(builder) = &scan.cache {
         // Chaos-harness site: fires inside the worker's catch_unwind, so an
         // injected error/panic here exercises the half-built-cache path.
         proteus_plugins::fault::check_infallible("cache.build");
-        let mut guard = cache.builder.lock().unwrap_or_else(|e| e.into_inner());
-        // A builder left with no usable column has turned itself off: skip
-        // the per-row copy for the rest of the scan.
-        if let Some(builder) = guard.as_mut().filter(|builder| builder.is_enabled()) {
-            let mut values: Vec<Value> = Vec::with_capacity(cache.slots.len());
-            for i in 0..count {
-                values.clear();
-                let row = batch.row(i as u32);
-                values.extend(cache.slots.iter().map(|slot| row[*slot].clone()));
-                metrics.cached_values += builder.observe(start + i as u64, &values);
-            }
-        }
+        // A cached slot is always an active typed fill; a lane missing
+        // anyway leaves the chunk short, and the builder refuses it.
+        let lanes: Vec<_> = builder
+            .slots()
+            .filter_map(|slot| batch.typed_col(slot).cloned())
+            .collect();
+        metrics.cached_values += (count * lanes.len()) as u64;
+        cache_chunks.push((start, lanes));
     }
 }
 
@@ -1474,6 +1469,9 @@ struct WorkerPartial {
     /// mid-update and is discarded at merge (its metrics still count).
     failed: bool,
     state_bytes: u64,
+    /// The lanes this worker copied for the scan's cache build, tagged with
+    /// their morsel's first OID.
+    cache_chunks: Vec<CacheChunk>,
     cache_bytes: u64,
 }
 
@@ -1487,6 +1485,7 @@ impl WorkerPartial {
             scratch: kernels::Scratch::new(),
             failed: false,
             state_bytes: 0,
+            cache_chunks: Vec::new(),
             cache_bytes: 0,
         }
     }
@@ -1612,8 +1611,8 @@ fn drive_run(
     let ctx = &run.ctx;
     let faults_armed = proteus_plugins::fault::armed();
     // Tier 0, morsel skipping: engages only when the spine leads with a
-    // kernel filter, the scan recorded zone maps, and no cache side effect
-    // needs to observe every row. Each morsel is classified against the
+    // kernel filter, the scan recorded zone maps, and it builds no cache
+    // (whose entry needs every row). Each morsel is classified against the
     // zone bounds before its lanes render.
     let skip_pred = match pipeline.stages.first() {
         Some(Stage::KernelFilter(kernel))
@@ -1652,6 +1651,7 @@ fn drive_run(
         }
         p.metrics.morsels += 1;
         let state = &mut p.state;
+        let cache_chunks = &mut p.cache_chunks;
         let cur = &mut p.cur;
         let spare = &mut p.spare;
         let scratch = &mut p.scratch;
@@ -1680,7 +1680,7 @@ fn drive_run(
                 }
                 let start = morsel * MORSEL_SIZE as u64;
                 let count = ((pipeline.scan.row_count - start) as usize).min(MORSEL_SIZE);
-                fill_morsel(&pipeline.scan, start, count, cur, metrics);
+                fill_morsel(&pipeline.scan, start, count, cur, cache_chunks, metrics);
                 let stages = if verdict == ZoneVerdict::AllPass {
                     // Every row passes: keep the identity selection and drop
                     // straight past the leading kernel filter.
@@ -1706,8 +1706,9 @@ fn drive_run(
                 continue;
             }
         }
-        // Memory budget: debit this morsel's sink-state growth (and cache
-        // growth when a cache build rides the scan).
+        // Memory budget: debit this morsel's sink-state growth (and, when a
+        // cache build rides the scan, the 8 bytes per value of the lanes
+        // this worker holds for it).
         if ctx.budgeted() {
             let bytes = approx_state_bytes(&p.state);
             let site = state_site(&p.state);
@@ -1717,7 +1718,7 @@ fn drive_run(
             }
             p.state_bytes = bytes;
             if pipeline.scan.cache.is_some() {
-                let bytes = p.metrics.cached_values * 24;
+                let bytes = p.metrics.cached_values * 8;
                 if !ctx.debit("cache build", bytes.saturating_sub(p.cache_bytes)) {
                     p.failed = true;
                     continue;
@@ -1758,7 +1759,8 @@ impl PoolTask for PipelineRun {
 /// drain, and the *first* recorded failure is returned — with all partial
 /// sink state discarded. The cache side effect is finalized **only** when
 /// the whole run succeeded, so a failed or cancelled query never registers
-/// a half-built cache.
+/// a half-built cache: the chunks of every worker are then joined in tag
+/// order, by the same merge the collect sink uses.
 fn execute_pipeline(
     pipeline: PreparedPipeline,
     sink: SinkSpec,
@@ -1766,12 +1768,7 @@ fn execute_pipeline(
     metrics: &mut ExecutionMetrics,
 ) -> Result<SinkResult> {
     let morsel_count = pipeline.scan.row_count.div_ceil(MORSEL_SIZE as u64);
-    // A cache-building side effect needs in-order OIDs: stay serial.
-    let threads = if pipeline.scan.cache.is_some() {
-        1
-    } else {
-        env.threads.max(1).min(morsel_count.max(1) as usize)
-    };
+    let threads = env.threads.max(1).min(morsel_count.max(1) as usize);
     metrics.threads_used = metrics.threads_used.max(threads as u64);
 
     let run = Arc::new(PipelineRun::new(pipeline, sink, Arc::clone(&env.ctx)));
@@ -1795,10 +1792,12 @@ fn execute_pipeline(
     metrics.workers_touched = metrics.workers_touched.max(touched.max(1));
 
     let mut partials: Vec<SinkState> = Vec::new();
+    let mut cache_chunks: Vec<Vec<CacheChunk>> = Vec::new();
     for partial in run.take_partials() {
         metrics.merge_counters(&partial.metrics);
         if !partial.failed {
             partials.push(partial.state);
+            cache_chunks.push(partial.cache_chunks);
         }
     }
 
@@ -1886,15 +1885,8 @@ fn execute_pipeline(
 
     // Finalize the cache side effect only now that the whole run succeeded:
     // a failed query drops its half-built cache instead of registering it.
-    if let Some(cache) = &pipeline.scan.cache {
-        let builder = cache
-            .builder
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(builder) = builder {
-            builder.finish_if_current(&cache.store);
-        }
+    if let Some(builder) = &pipeline.scan.cache {
+        builder.finish_if_current(&in_tag_order(cache_chunks));
     }
 
     Ok(merged)

@@ -207,10 +207,10 @@ impl ColumnData {
         let payload = &data[13..];
         match type_code {
             0 | 1 => {
-                if payload.len() < count * 8 {
+                let need = payload_bytes(count, 8)?;
+                if payload.len() < need {
                     return Err(StorageError::Corrupt(format!(
-                        "truncated numeric payload: need {} bytes at byte offset 13, have {}",
-                        count * 8,
+                        "truncated numeric payload: need {need} bytes at byte offset 13, have {}",
                         payload.len()
                     )));
                 }
@@ -245,10 +245,10 @@ impl ColumnData {
                 ))
             }
             3 => {
-                if payload.len() < count * 4 {
+                let need = payload_bytes(count, 4)?;
+                if payload.len() < need {
                     return Err(StorageError::Corrupt(format!(
-                        "truncated string offsets: need {} bytes at byte offset 13, have {}",
-                        count * 4,
+                        "truncated string offsets: need {need} bytes at byte offset 13, have {}",
                         payload.len()
                     )));
                 }
@@ -259,7 +259,7 @@ impl ColumnData {
                     );
                 }
                 let mut strings = Vec::with_capacity(count);
-                let mut offset = count * 4;
+                let mut offset = need;
                 for len in lengths {
                     if offset + len > payload.len() {
                         return Err(StorageError::Corrupt(format!(
@@ -284,6 +284,17 @@ impl ColumnData {
             ))),
         }
     }
+}
+
+/// Bytes `count` values of `width` bytes take: a header whose row count
+/// overflows that product is corrupt (it would otherwise pass the length
+/// check with a wrapped size and abort on the allocation).
+fn payload_bytes(count: usize, width: usize) -> Result<usize> {
+    count.checked_mul(width).ok_or_else(|| {
+        StorageError::Corrupt(format!(
+            "row count {count} overflows the payload size ({width} bytes per row)"
+        ))
+    })
 }
 
 /// A table stored column-by-column on disk.
@@ -431,6 +442,30 @@ mod tests {
         let mut bytes = ColumnData::Int(vec![1, 2, 3]).to_bytes();
         bytes.truncate(bytes.len() - 4);
         assert!(ColumnData::from_bytes(&bytes).is_err());
+    }
+
+    #[test]
+    fn a_row_count_that_overflows_the_payload_size_is_corrupt() {
+        // Each count times its value width wraps to 8 in 64-bit arithmetic,
+        // so an unchecked length check would pass on the 8 payload bytes.
+        for (type_code, count) in [
+            (0u8, (1u64 << 61) + 1),
+            (1, (1 << 61) + 1),
+            (3, (1 << 62) + 2),
+        ] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.push(type_code);
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes.extend_from_slice(&[0; 8]);
+            assert_eq!(bytes.len(), 21);
+            assert!(
+                matches!(
+                    ColumnData::from_bytes(&bytes),
+                    Err(StorageError::Corrupt(_))
+                ),
+                "type code {type_code}"
+            );
+        }
     }
 
     #[test]
