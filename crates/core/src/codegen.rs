@@ -54,6 +54,7 @@ use crate::exec::metrics::ExecutionMetrics;
 use crate::exec::pipeline::{
     run_collect, run_nest, run_reduce, ExpandLane, Producer, TypedSlotFill,
 };
+use crate::exec::radix::DenseKey;
 
 /// The query compiler: turns optimized plans into specialized pipelines.
 #[derive(Clone)]
@@ -355,7 +356,10 @@ impl Compiler {
         ir: &mut IrEmitter,
         ctx: &mut PlanCtx,
     ) -> Result<Sink> {
-        let planned = self.plan_sink_kernel(outputs, group_by, predicate, producer, layout);
+        let mut planned = self.plan_sink_kernel(outputs, group_by, predicate, producer, layout);
+        if let Some(p) = &mut planned {
+            p.kernel.dense = self.dense_key_bounds(producer, &p.kernel.key_slots);
+        }
         let is_kernel = |i: usize| planned.as_ref().is_some_and(|p| p.kernel.aggs[i].is_some());
         // Typed key ingest reads (hashes, compares, materializes) the key
         // components straight from the typed columns; without it the keys
@@ -399,17 +403,21 @@ impl Compiler {
                 output.alias.clone(),
             ));
         }
+        let ids = match planned.as_ref().and_then(|p| p.kernel.dense.as_deref()) {
+            Some(bounds) => dense_ids_note(&key_aliases, bounds),
+            None => "hashed ids".to_string(),
+        };
         ir.line(
             1,
             &format!(
-                "group := radix_group(key = [{}]){}",
+                "group := radix_group(key = [{}])   // {}{ids}",
                 group_by
                     .iter()
                     .map(|g| g.to_string())
                     .collect::<Vec<_>>()
                     .join(", "),
                 if planned.is_some() {
-                    "   // typed key ingest"
+                    "typed key ingest, "
                 } else {
                     ""
                 }
@@ -443,6 +451,47 @@ impl Compiler {
             predicate,
             kernel: planned.map(|p| p.kernel),
         })
+    }
+
+    /// Dense group ids for a typed-key group-by over a plain scan (through
+    /// filters): every key must be an `i64` slot, bounded by the totals of
+    /// its zone map ([`kernels::plan_dense_keys`]). The maps are the ones the
+    /// scan skips morsels with, or — with skipping off — fetched from the
+    /// plug-in the same way (binary maps are recorded at load, CSV and JSON
+    /// ones derived from the typed fills and memoised).
+    fn dense_key_bounds(&self, producer: &Producer, key_slots: &[usize]) -> Option<Vec<DenseKey>> {
+        let Producer::Scan {
+            dataset,
+            row_count,
+            typed,
+            zones,
+            ..
+        } = plain_scan(producer)?
+        else {
+            return None;
+        };
+        let mut maps = Vec::with_capacity(key_slots.len());
+        for slot in key_slots {
+            let fill = typed.iter().find(|t| t.slot == *slot)?;
+            if fill.kind != TypedKind::I64 {
+                return None;
+            }
+            let map = match zones.iter().find(|(s, _)| s == slot) {
+                Some((_, map)) => map.clone(),
+                None => {
+                    let (_, field) = fill.name.split_once('.')?;
+                    let plugin = self.resolve_plugin(dataset).ok()?;
+                    let (_, map) = plugin.zone_maps(&[field.to_string()]).into_iter().next()?;
+                    map
+                }
+            };
+            if map.kind() != TypedKind::I64 {
+                return None;
+            }
+            maps.push(map);
+        }
+        let stats: Vec<&ColumnStats> = maps.iter().map(|m| m.column_stats()).collect();
+        kernels::plan_dense_keys(&stats, *row_count)
     }
 
     fn compile_producer(
@@ -1090,14 +1139,54 @@ fn scan_typed_kinds(producer: &Producer) -> Option<HashMap<usize, TypedKind>> {
     }
 }
 
-/// The dataset of an (optionally filter-wrapped) scan — a spine whose batch
+/// The scan under an (optionally filter-wrapped) scan — a spine whose batch
 /// rows are still the scan's rows — or `None` for anything else.
-fn plain_scan_dataset(producer: &Producer) -> Option<&str> {
+fn plain_scan(producer: &Producer) -> Option<&Producer> {
     match producer {
-        Producer::Scan { dataset, .. } => Some(dataset),
-        Producer::Filter { input, .. } => plain_scan_dataset(input),
+        Producer::Scan { .. } => Some(producer),
+        Producer::Filter { input, .. } => plain_scan(input),
         _ => None,
     }
+}
+
+/// The dataset of a [`plain_scan`] spine.
+fn plain_scan_dataset(producer: &Producer) -> Option<&str> {
+    match plain_scan(producer)? {
+        Producer::Scan { dataset, .. } => Some(dataset),
+        _ => None,
+    }
+}
+
+/// The IR note of dense group ids: `dense ids g∈[0,999] × h∈[0,15] (16 000
+/// slots)`, a nullable key's range followed by `+null`.
+fn dense_ids_note(aliases: &[String], bounds: &[DenseKey]) -> String {
+    let ranges: Vec<String> = aliases
+        .iter()
+        .zip(bounds)
+        .map(|(alias, b)| {
+            let null = if b.nullable { "+null" } else { "" };
+            format!("{alias}∈[{},{}]{null}", b.min, b.max)
+        })
+        .collect();
+    let slots: usize = bounds.iter().map(|b| b.span()).product();
+    format!(
+        "dense ids {} ({} slots)",
+        ranges.join(" × "),
+        digit_groups(slots)
+    )
+}
+
+/// `n` with its digits in groups of three: `16 000`.
+fn digit_groups(n: usize) -> String {
+    let digits = n.to_string();
+    let mut out = String::with_capacity(digits.len() * 4 / 3);
+    for (i, d) in digits.chars().enumerate() {
+        if i > 0 && (digits.len() - i).is_multiple_of(3) {
+            out.push(' ');
+        }
+        out.push(d);
+    }
+    out
 }
 
 /// The slot name an element leaf of a typed unnest lands in: `i.qty`, or the

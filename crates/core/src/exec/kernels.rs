@@ -43,11 +43,13 @@
 //! where the closure skips them). A kernel-eligible sink *predicate* folds
 //! into the same pass as a mask, so `SUM(x) WHERE p` never calls a closure.
 //! Group-by sinks additionally read their key components straight from the
-//! typed columns ([`TypedKeys`]): rows are hashed lane-wise (via the
-//! `Value::stable_hash_*` component helpers), resolved to group ids through
-//! flat compare lanes ([`TypedKeys::resolve_groups`]) — key `Value`s are
-//! only materialized when a group is first inserted — and each aggregate
-//! then folds in one loop over `(group id, row)`
+//! typed columns ([`TypedKeys`]): bounded `i64` keys map straight to dense
+//! group ids ([`TypedKeys::dense_ids`], bounds from [`plan_dense_keys`]);
+//! other rows are hashed lane-wise (via the `Value::stable_hash_*` component
+//! helpers) and resolved to group ids through flat compare lanes
+//! ([`TypedKeys::resolve_groups`]) — key `Value`s are only materialized when
+//! a group is first inserted — and each aggregate then folds in one loop
+//! over `(group id, row)` into its typed group lane
 //! ([`RenderedAggs::fold_groups`]). Collection monoids
 //! (bag/set/list) and ineligible expressions stay on the closure path,
 //! spec by spec.
@@ -64,7 +66,9 @@ use proteus_plugins::{ColumnStats, TypedColumn, TypedKind, ZoneMap};
 use crate::exec::batch::BindingBatch;
 use crate::exec::expr::BindingLayout;
 use crate::exec::mask;
-use crate::exec::radix::{BuildStore, KeyHash, KeyLane, RadixGroupTable};
+use crate::exec::radix::{
+    AggLane, BuildStore, DenseKey, KeyHash, KeyLane, LaneKind, RadixGroupTable, DENSE_MAX_SLOTS,
+};
 
 // ---------------------------------------------------------------------------
 // The kernel plan.
@@ -1279,12 +1283,41 @@ pub struct SinkKernel {
     /// Typed slots serving the group-by key components, in key order
     /// (empty for reduce sinks).
     pub key_slots: Vec<usize>,
+    /// The keys' compile-time bounds when every key is an `i64` slot whose
+    /// zone-map totals fit [`plan_dense_keys`]: group ids are then dense
+    /// offsets ([`TypedKeys::dense_ids`]) instead of hashed.
+    pub dense: Option<Vec<DenseKey>>,
 }
 
 impl SinkKernel {
     /// Number of kernel-classified output specs.
     pub fn kernel_specs(&self) -> usize {
         self.aggs.iter().filter(|a| a.is_some()).count()
+    }
+
+    /// The typed group-state lane of each output spec (parallel to
+    /// `monoids`): kernel-classified specs get one — extremes keep their
+    /// input's integer-ness — closure-fallback specs none.
+    pub fn lane_kinds(&self, monoids: &[Monoid]) -> Vec<Option<LaneKind>> {
+        self.aggs
+            .iter()
+            .zip(monoids)
+            .map(|(agg, &monoid)| {
+                Some(match (agg.as_ref()?, monoid) {
+                    (_, Monoid::Count) => LaneKind::Count,
+                    (_, Monoid::Sum) => LaneKind::Sum,
+                    (_, Monoid::Avg) => LaneKind::Avg,
+                    (AggKernel::Num(expr), Monoid::Max | Monoid::Min) => LaneKind::Extreme {
+                        max: monoid == Monoid::Max,
+                        int: expr.is_int(),
+                    },
+                    (_, Monoid::And | Monoid::Or) => LaneKind::Bool {
+                        or: monoid == Monoid::Or,
+                    },
+                    _ => unreachable!("{monoid} classified as an aggregate kernel"),
+                })
+            })
+            .collect()
     }
 
     /// Renders every kernel-classified aggregate input for one batch:
@@ -1481,153 +1514,80 @@ impl RenderedAggs<'_> {
         }
     }
 
-    /// Folds one row into `acc` for output spec `spec` (the group-by ingest
-    /// path, where each row lands in a different group's accumulator).
-    #[inline]
-    pub fn fold_row(&self, spec: usize, monoid: Monoid, acc: &mut Accumulator, row: usize) {
-        let Some(rendered) = &self.slots[spec] else {
-            unreachable!("fold_row on a closure-fallback spec");
-        };
-        match (rendered, monoid, acc) {
-            (RenderedAgg::Count, Monoid::Count, Accumulator::Int(count)) => *count += 1,
-            (RenderedAgg::Num { vec, nulls, .. }, Monoid::Sum, Accumulator::Float(total)) => {
-                if !null_at(nulls, row) {
-                    *total += vec.f64_at(row);
-                }
-            }
-            (
-                RenderedAgg::Num { vec, nulls, .. },
-                Monoid::Avg,
-                Accumulator::AvgState { sum, count },
-            ) => {
-                if !null_at(nulls, row) {
-                    *sum += vec.f64_at(row);
-                    *count += 1;
-                }
-            }
-            (
-                RenderedAgg::Num { vec, nulls, int },
-                Monoid::Max | Monoid::Min,
-                Accumulator::Extreme(state),
-            ) => {
-                if null_at(nulls, row) {
-                    return;
-                }
-                let view = vec.f64_at(row);
-                let want = if monoid == Monoid::Max {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                };
-                let replace = match state {
-                    None => true,
-                    Some(current) => {
-                        view.total_cmp(&current.as_float().unwrap_or(f64::NAN)) == want
-                    }
-                };
-                if replace {
-                    *state = Some(vec.value_at(row, *int));
-                }
-            }
-            (RenderedAgg::Bool(bits), Monoid::And, Accumulator::Bool(b)) => {
-                *b = *b && mask::get(bits, row);
-            }
-            (RenderedAgg::Bool(bits), Monoid::Or, Accumulator::Bool(b)) => {
-                *b = *b || mask::get(bits, row);
-            }
-            _ => unreachable!("rendered aggregate does not match its monoid's accumulator"),
-        }
-    }
-
     /// The group-by fold of output spec `spec`: row `rows_idx[j]` folds into
-    /// group `gids[j]`'s accumulator, `accs[gid * stride + spec]` (the flat
-    /// arena of a [`RadixGroupTable`]). One dispatch on the spec's shape per
-    /// morsel, then a tight loop over `(gid, row)` — each arm is
-    /// [`RenderedAggs::fold_row`] with the `match` hoisted out, so every
-    /// group's accumulator sees exactly the sequence of updates a
-    /// row-at-a-time ingest gives it (float adds in row order).
+    /// group `gids[j]` of the spec's typed lane ([`AggLane`], one slot per
+    /// group of a [`RadixGroupTable`]). One dispatch on the spec's shape per
+    /// morsel, then a tight loop over `(gid, row)` — each arm is one
+    /// `Accumulator::merge` over a flat lane, so every group sees exactly
+    /// the sequence of updates a row-at-a-time ingest into its
+    /// `Accumulator` gives it (float adds in row order, strict-replace
+    /// extremes compared through the float view, first-seen ties kept).
     ///
     /// [`RadixGroupTable`]: crate::exec::radix::RadixGroupTable
-    pub fn fold_groups(
-        &self,
-        spec: usize,
-        monoid: Monoid,
-        accs: &mut [Accumulator],
-        stride: usize,
-        gids: &[u32],
-        rows_idx: &[u32],
-    ) {
+    pub fn fold_groups(&self, spec: usize, lane: &mut AggLane, gids: &[u32], rows_idx: &[u32]) {
         debug_assert_eq!(gids.len(), rows_idx.len());
         let Some(rendered) = &self.slots[spec] else {
             unreachable!("fold_groups on a closure-fallback spec");
         };
-        // One accumulator per (group, row) pair, in row order.
+        // One lane slot per (group, row) pair, in row order.
         let pairs = gids
             .iter()
             .zip(rows_idx)
-            .map(|(&gid, &r)| (gid as usize * stride + spec, r as usize));
-        match (rendered, monoid) {
-            (RenderedAgg::Count, Monoid::Count) => {
-                for (at, _) in pairs {
-                    let Accumulator::Int(count) = &mut accs[at] else {
-                        unreachable!("count accumulates in an Int");
-                    };
-                    *count += 1;
+            .map(|(&gid, &r)| (gid as usize, r as usize));
+        match (rendered, lane) {
+            (RenderedAgg::Count, AggLane::Count(counts)) => {
+                for (g, _) in pairs {
+                    counts[g] += 1;
                 }
             }
-            (RenderedAgg::Num { vec, nulls, .. }, Monoid::Sum) => {
-                for_each_non_null(vec, nulls, pairs, |at, value| {
-                    let Accumulator::Float(total) = &mut accs[at] else {
-                        unreachable!("sum accumulates in a Float");
-                    };
-                    *total += value;
+            (RenderedAgg::Num { vec, nulls, .. }, AggLane::Sum(sums)) => {
+                for_each_non_null(vec, nulls, pairs, |g, value| sums[g] += value);
+            }
+            (RenderedAgg::Num { vec, nulls, .. }, AggLane::Avg { sums, counts }) => {
+                for_each_non_null(vec, nulls, pairs, |g, value| {
+                    sums[g] += value;
+                    counts[g] += 1;
                 });
             }
-            (RenderedAgg::Num { vec, nulls, .. }, Monoid::Avg) => {
-                for_each_non_null(vec, nulls, pairs, |at, value| {
-                    let Accumulator::AvgState { sum, count } = &mut accs[at] else {
-                        unreachable!("avg accumulates in an AvgState");
-                    };
-                    *sum += value;
-                    *count += 1;
-                });
-            }
-            (RenderedAgg::Num { vec, nulls, int }, Monoid::Max | Monoid::Min) => {
-                let want = if monoid == Monoid::Max {
+            (
+                RenderedAgg::Num { vec, nulls, int },
+                AggLane::Extreme {
+                    max,
+                    int: lane_int,
+                    values,
+                    present,
+                },
+            ) => {
+                debug_assert_eq!(int, lane_int);
+                let want = if *max {
                     Ordering::Greater
                 } else {
                     Ordering::Less
                 };
-                for (at, i) in pairs {
+                for (g, i) in pairs {
                     if null_at(nulls, i) {
                         continue;
                     }
-                    let Accumulator::Extreme(state) = &mut accs[at] else {
-                        unreachable!("min/max accumulate in an Extreme");
-                    };
                     let view = vec.f64_at(i);
-                    let replace = match state {
-                        None => true,
-                        Some(current) => {
-                            view.total_cmp(&current.as_float().unwrap_or(f64::NAN)) == want
-                        }
-                    };
+                    let replace = !present[g]
+                        || view.total_cmp(&AggLane::extreme_view(*int, values[g])) == want;
                     if replace {
-                        *state = Some(vec.value_at(i, *int));
+                        values[g] = if *int {
+                            vec.i64_at(i) as u64
+                        } else {
+                            view.to_bits()
+                        };
+                        present[g] = true;
                     }
                 }
             }
-            (RenderedAgg::Bool(bits), Monoid::And | Monoid::Or) => {
-                let or = monoid == Monoid::Or;
-                for (at, i) in pairs {
-                    let Accumulator::Bool(b) = &mut accs[at] else {
-                        unreachable!("and/or accumulate in a Bool");
-                    };
+            (RenderedAgg::Bool(bits), AggLane::Bool { or, bits: lane }) => {
+                for (g, i) in pairs {
                     let bit = mask::get(bits, i);
-                    *b = if or { *b || bit } else { *b && bit };
+                    lane[g] = if *or { lane[g] || bit } else { lane[g] && bit };
                 }
             }
-            _ => unreachable!("rendered aggregate does not match its monoid"),
+            _ => unreachable!("rendered aggregate does not match its lane"),
         }
     }
 
@@ -1865,6 +1825,64 @@ impl<'a> TypedKeys<'a> {
         scratch.put_lanes(lanes);
     }
 
+    /// The dense group-by ingest: `gids[j]` becomes the offset of row
+    /// `rows_idx[j]`'s key within `keys` (the last key varies fastest; a
+    /// null takes its key's slot after `max`). Fails — without a word of the
+    /// offsets trusted — when a component is not an `i64` lane or a lane
+    /// lies outside its compiled bound: a wrong group would be silent.
+    pub fn dense_ids(
+        &self,
+        keys: &[DenseKey],
+        rows_idx: &[u32],
+        gids: &mut Vec<u32>,
+    ) -> Result<(), String> {
+        debug_assert_eq!(keys.len(), self.comps.len());
+        gids.clear();
+        gids.resize(rows_idx.len(), 0);
+        for (comp, ((col, _), key)) in self.comps.iter().zip(keys).enumerate() {
+            if col.kind() != TypedKind::I64 {
+                return Err(format!("group key {comp} is not an i64 lane"));
+            }
+            let values = col.i64_values();
+            let span = key.span() as u32;
+            let range = key.max.abs_diff(key.min);
+            let mut out_of_bounds = false;
+            if col.has_nulls() {
+                for (gid, &r) in gids.iter_mut().zip(rows_idx) {
+                    let r = r as usize;
+                    let digit = if col.is_null(r) {
+                        out_of_bounds |= !key.nullable;
+                        range + 1
+                    } else {
+                        let digit = values[r].wrapping_sub(key.min) as u64;
+                        out_of_bounds |= digit > range;
+                        digit
+                    };
+                    *gid = gid.wrapping_mul(span).wrapping_add(digit as u32);
+                }
+            } else {
+                for (gid, &r) in gids.iter_mut().zip(rows_idx) {
+                    let digit = values[r as usize].wrapping_sub(key.min) as u64;
+                    out_of_bounds |= digit > range;
+                    *gid = gid.wrapping_mul(span).wrapping_add(digit as u32);
+                }
+            }
+            if out_of_bounds {
+                return Err(format!(
+                    "group key {comp} has a lane outside its compiled bound [{}, {}]{}",
+                    key.min,
+                    key.max,
+                    if key.nullable {
+                        " or null"
+                    } else {
+                        " (no nulls)"
+                    }
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// The lane-vs-stored-key compare of the kernel probe path: componentwise
     /// [`Value::value_eq`] between row `row` of the bound typed columns and
     /// build entry `entry` of a join [`BuildStore`]. Numeric components take
@@ -2047,10 +2065,48 @@ pub fn plan_sink(
             aggs,
             predicate: kernel_pred,
             key_slots,
+            dense: None,
         },
         pred_residual,
         used_slots,
     })
+}
+
+/// Largest key magnitude whose integers the `f64` view still tells apart:
+/// within ±2⁵³ grouping by the float view (what `Value::value_eq` does) is
+/// grouping by the integer.
+const EXACT_INT_VIEW: u64 = 1 << 53;
+
+/// Dense group ids for keys whose totals (one [`ColumnStats`] per key, from
+/// the zone maps) bound them: every key needs integer bounds within ±2⁵³,
+/// and the product of the spans — each key's values plus one null slot when
+/// its map counts nulls — may exceed neither [`DENSE_MAX_SLOTS`] nor the
+/// scan's `row_count`. `None` keeps the hashed ids.
+pub fn plan_dense_keys(stats: &[&ColumnStats], row_count: u64) -> Option<Vec<DenseKey>> {
+    if stats.is_empty() {
+        return None;
+    }
+    let mut slots = 1u64;
+    let mut keys = Vec::with_capacity(stats.len());
+    for s in stats {
+        let (Value::Int(min), Value::Int(max)) = (&s.min, &s.max) else {
+            return None;
+        };
+        if min.unsigned_abs() > EXACT_INT_VIEW || max.unsigned_abs() > EXACT_INT_VIEW {
+            return None;
+        }
+        let key = DenseKey {
+            min: *min,
+            max: *max,
+            nullable: s.nulls > 0,
+        };
+        slots = slots.saturating_mul(key.span() as u64);
+        if slots > DENSE_MAX_SLOTS {
+            return None;
+        }
+        keys.push(key);
+    }
+    (slots <= row_count).then_some(keys)
 }
 
 /// Classifies one aggregate output spec.
@@ -2643,9 +2699,9 @@ mod tests {
                 .iter()
                 .map(|g| compile_expr(g, &layout).unwrap())
                 .collect();
-            let stride = monoids.len();
+            let lanes = planned.kernel.lane_kinds(&monoids);
             let mut expected = RadixGroupTable::new(group_by.len(), monoids.clone());
-            let mut got = RadixGroupTable::new(group_by.len(), monoids.clone());
+            let mut got = RadixGroupTable::hashed(group_by.len(), monoids.clone(), &lanes);
             for morsel in 0..3u64 {
                 let rows = rng.gen_range(1usize..200);
                 let mut batch = random_batch(&mut rng, rows);
@@ -2677,20 +2733,18 @@ mod tests {
                 let mut gids = Vec::new();
                 typed_keys.resolve_groups(&mut got, &masked, &hashes, &mut gids, &mut scratch);
                 let rendered = planned.kernel.render(&batch, rows, &mut scratch);
-                for (spec, monoid) in monoids.iter().enumerate() {
-                    if rendered.is_kernel(spec) {
-                        let accs = got.accs_mut();
-                        rendered.fold_groups(spec, *monoid, accs, stride, &gids, &masked);
+                for spec in 0..monoids.len() {
+                    if let Some(lane) = got.lane_mut(spec) {
+                        rendered.fold_groups(spec, lane, &gids, &masked);
                     }
                 }
                 for (&gid, &r) in gids.iter().zip(&masked) {
-                    got.fold_group(gid, morsel, |accumulators, table_monoids| {
-                        for (spec, (acc, monoid)) in
-                            accumulators.iter_mut().zip(table_monoids).enumerate()
+                    got.fold_group(gid, morsel, |accumulators, acc_monoids| {
+                        let fallback = (0..monoids.len()).filter(|&s| !rendered.is_kernel(s));
+                        for ((acc, monoid), spec) in
+                            accumulators.iter_mut().zip(acc_monoids).zip(fallback)
                         {
-                            if !rendered.is_kernel(spec) {
-                                let _ = acc.merge(*monoid, exprs[spec](batch.row(r)));
-                            }
+                            let _ = acc.merge(*monoid, exprs[spec](batch.row(r)));
                         }
                     });
                 }
@@ -2781,6 +2835,88 @@ mod tests {
         for seed in 0..CASES {
             aggregates_match(seed, true, false, true);
         }
+    }
+
+    #[test]
+    fn dense_keys_need_integer_bounds_within_the_slot_and_row_caps() {
+        let stats = |min: Value, max: Value, nulls: u64| ColumnStats {
+            min,
+            max,
+            distinct: 0,
+            nulls,
+        };
+        let int = |min: i64, max: i64| stats(Value::Int(min), Value::Int(max), 0);
+        let plan = |keys: &[ColumnStats], rows: u64| {
+            plan_dense_keys(&keys.iter().collect::<Vec<_>>(), rows)
+        };
+        let rows = 1 << 20;
+        // 1 000 × 16 slots; a null adds one slot to its key's span.
+        let keys = plan(&[int(0, 999), int(0, 15)], rows).unwrap();
+        assert_eq!(keys.iter().map(DenseKey::span).product::<usize>(), 16_000);
+        let nullable = plan(&[stats(Value::Int(-3), Value::Int(3), 1)], rows).unwrap();
+        assert_eq!(nullable[0].span(), 8);
+        // Exactly 65 536 slots fit, 65 537 do not — with or without a null.
+        assert!(plan(&[int(0, 65_535)], rows).is_some());
+        assert!(plan(&[int(-1, 65_535)], rows).is_none());
+        assert!(plan(&[stats(Value::Int(0), Value::Int(65_535), 2)], rows).is_none());
+        assert!(plan(&[int(0, 255), int(0, 255)], rows).is_some());
+        assert!(plan(&[int(0, 255), int(0, 256)], rows).is_none());
+        // No more slots than the scan has rows.
+        assert!(plan(&[int(0, 99)], 100).is_some());
+        assert!(plan(&[int(0, 99)], 99).is_none());
+        // Bounds within ±2⁵³ only, and integer ones.
+        let two_53 = 1i64 << 53;
+        assert!(plan(&[int(two_53 - 10, two_53)], rows).is_some());
+        assert!(plan(&[int(two_53 - 10, two_53 + 1)], rows).is_none());
+        assert!(plan(&[int(-two_53 - 1, -two_53 + 10)], rows).is_none());
+        assert!(plan(&[stats(Value::Float(0.0), Value::Float(9.0), 0)], rows).is_none());
+        assert!(plan(&[stats(Value::Null, Value::Null, 5)], rows).is_none());
+        assert!(plan(&[], rows).is_none());
+    }
+
+    #[test]
+    fn dense_ids_are_offsets_and_refuse_lanes_outside_their_bounds() {
+        let rows = 300;
+        let batch = random_batch(&mut StdRng::seed_from_u64(31), rows);
+        let col = typed(&batch, 0);
+        let lanes: Vec<i64> = (0..rows)
+            .filter(|&r| !col.is_null(r))
+            .map(|r| col.i64_values()[r])
+            .collect();
+        let (min, max) = (*lanes.iter().min().unwrap(), *lanes.iter().max().unwrap());
+        assert!(lanes.len() < rows, "the fixture has null keys");
+        let bound = |min, max, nullable| [DenseKey { min, max, nullable }];
+        let sel: Vec<u32> = (0..rows as u32).collect();
+        let keys = TypedKeys::bind(&[0], &batch);
+        let mut gids = Vec::new();
+        // Exact bounds: a lane's id is its offset from `min`, a null takes
+        // the slot after `max`.
+        keys.dense_ids(&bound(min, max, true), &sel, &mut gids)
+            .unwrap();
+        for (r, &gid) in gids.iter().enumerate() {
+            let expected = match col.is_null(r) {
+                true => max - min + 1,
+                false => col.i64_values()[r] - min,
+            };
+            assert_eq!(gid as i64, expected, "row {r}");
+        }
+        // A bound one short on either side, or a null without its slot,
+        // must fail rather than fold a row into a neighbour's group.
+        for wrong in [
+            bound(min + 1, max, true),
+            bound(min, max - 1, true),
+            bound(min, max, false),
+        ] {
+            assert!(
+                keys.dense_ids(&wrong, &sel, &mut gids).is_err(),
+                "{wrong:?}"
+            );
+        }
+        // Only `i64` lanes have dense ids.
+        let floats = TypedKeys::bind(&[1], &batch);
+        assert!(floats
+            .dense_ids(&bound(min, max, true), &sel, &mut gids)
+            .is_err());
     }
 
     // -- join-tier property tests --------------------------------------------

@@ -111,26 +111,36 @@
 //!   (`SUM(x) WHERE p`) becomes a mask in the same pass; only residual
 //!   conjuncts and ineligible specs (collection monoids, division,
 //!   record/list shapes) fall back to closures, spec by spec.
-//! * **Group-by sinks.** The group table ([`radix::RadixGroupTable`]) is a
-//!   hash table in the plain sense: group state lives in flat arenas indexed
-//!   by group id (key hash, key components, one accumulator per monoid) and
-//!   one open-addressed index of group ids finds a row's group in O(1)
-//!   whatever the group count. When every group key resolves to a typed
-//!   slot the ingest is columnar, in two steps per morsel: components hash
+//! * **Group-by sinks.** The group table ([`radix::RadixGroupTable`]) keeps
+//!   one typed group state: every kernel-classified output spec owns a flat
+//!   [`radix::AggLane`] indexed by group id (`i64` counts, `f64` sums, sum
+//!   and count for `avg`, a typed extreme plus a presence bit for
+//!   `min`/`max`, booleans for `and`/`or`); only collection monoids,
+//!   closure-fallback specs and the closure tier keep an `Accumulator` per
+//!   group. Group ids come one of two ways, picked at compile time from the
+//!   data. **Dense ids**: when every key is an `i64` slot whose zone-map
+//!   totals bound it ([`kernels::plan_dense_keys`]: |min|, |max| ≤ 2⁵³, the
+//!   product of the spans — one null slot per key whose map counts nulls —
+//!   at most 65 536 and at most the scan's rows), a row's group id is its
+//!   key's mixed-radix offset ([`kernels::TypedKeys::dense_ids`]) into a
+//!   state allocated once per worker: no hash, no index walk, no stored key;
+//!   a lane outside its bound fails the query with `EngineError::Internal`
+//!   instead of mis-grouping. **Hashed ids** otherwise: components hash
 //!   lane-wise (pool strings pre-hashed per morsel) through the same mixer
-//!   as `hash_key_components` and every row's group id is resolved
-//!   ([`kernels::TypedKeys::resolve_groups`] — numeric, boolean and null
-//!   components compare as flat [`radix::KeyLane`]s, the `f64` bit pattern
-//!   that `value_eq`'s float view compares; strings are confirmed against
-//!   the stored `Value`; key `Value`s are materialized only when a group is
-//!   first inserted); then each kernel-classified aggregate folds in its
-//!   own tight loop over `(group id, row)`
+//!   as `hash_key_components` and one open-addressed index of group ids
+//!   resolves every row ([`kernels::TypedKeys::resolve_groups`] — numeric,
+//!   boolean and null components compare as flat [`radix::KeyLane`]s, the
+//!   `f64` bit pattern that `value_eq`'s float view compares; strings are
+//!   confirmed against the stored `Value`; key `Value`s are materialized
+//!   only when a group is first inserted). Either way each kernel spec then
+//!   folds in its own tight loop over `(group id, row)`
 //!   ([`kernels::RenderedAggs::fold_groups`], one dispatch per spec per
 //!   morsel), closure-fallback specs per row into the same resolved groups.
 //!   The closure tier reuses a scratch key buffer, clones it on first
 //!   insertion only, and goes through the same index
 //!   ([`radix::RadixGroupTable::merge_with`]). Groups leave in
-//!   `(hash & 63, hash)` order at every worker count.
+//!   `(hash & 63, hash)` order at every worker count — dense groups hash
+//!   their rendered key once each, at emit.
 //! * **Hydration.** Slots only the sink's kernels read are never hydrated —
 //!   codegen classifies sinks at compile time, activates typed fills for
 //!   aggregate-input and key slots, and drops their `Value` fills.

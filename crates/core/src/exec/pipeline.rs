@@ -676,9 +676,23 @@ impl SinkSpec {
             SinkSpec::Reduce { specs, .. } => {
                 SinkState::Reduce(specs.iter().map(|(m, _)| ReducePartial::new(*m)).collect())
             }
-            SinkSpec::Nest { keys, monoids, .. } => {
-                SinkState::Nest(RadixGroupTable::new(keys.len(), monoids.clone()))
-            }
+            SinkSpec::Nest {
+                keys,
+                monoids,
+                kernel,
+                ..
+            } => SinkState::Nest(match kernel {
+                Some(kernel) => {
+                    let lanes = kernel.lane_kinds(monoids);
+                    match &kernel.dense {
+                        Some(bounds) => {
+                            RadixGroupTable::dense(bounds.clone(), monoids.clone(), &lanes)
+                        }
+                        None => RadixGroupTable::hashed(keys.len(), monoids.clone(), &lanes),
+                    }
+                }
+                None => RadixGroupTable::new(keys.len(), monoids.clone()),
+            }),
             SinkSpec::Collect => SinkState::Collect(Vec::new()),
             SinkSpec::Entries { .. } => SinkState::Entries(EntriesPartial::default()),
         }
@@ -721,7 +735,8 @@ impl SinkSpec {
         masked
     }
 
-    /// Folds one batch into a worker-local partial.
+    /// Folds one batch into a worker-local partial. Fails only when a dense
+    /// group-by meets a key outside its compiled bounds.
     fn consume(
         &self,
         state: &mut SinkState,
@@ -729,7 +744,7 @@ impl SinkSpec {
         scratch: &mut kernels::Scratch,
         morsel: u64,
         metrics: &mut ExecutionMetrics,
-    ) {
+    ) -> Result<()> {
         match (self, state) {
             (
                 SinkSpec::Reduce {
@@ -743,7 +758,7 @@ impl SinkSpec {
                     Self::masked_rows(sink_kernel.predicate.as_ref(), predicate, batch, scratch);
                 if masked.is_empty() {
                     scratch.put_sel(masked);
-                    return;
+                    return Ok(());
                 }
                 let rendered = sink_kernel.render(batch, batch.rows(), scratch);
                 let mut closure_specs = 0u64;
@@ -800,53 +815,61 @@ impl SinkSpec {
                     Self::masked_rows(sink_kernel.predicate.as_ref(), predicate, batch, scratch);
                 if masked.is_empty() {
                     scratch.put_sel(masked);
-                    return;
+                    return Ok(());
                 }
                 let typed_keys = kernels::TypedKeys::bind(&sink_kernel.key_slots, batch);
-                let mut hashes = scratch.take_u64s();
-                typed_keys.hash_rows(&masked, &mut hashes);
                 // Resolve every row's group id first, then fold columnwise:
-                // one tight loop per kernel spec over (group id, row).
+                // one tight loop per kernel spec over (group id, row). Dense
+                // ids are the keys' offsets; hashed ones go through the index.
                 let mut gids = scratch.take_sel();
-                typed_keys.resolve_groups(table, &masked, &hashes, &mut gids, scratch);
+                match table.dense_keys() {
+                    Some(bounds) => {
+                        if let Err(detail) = typed_keys.dense_ids(bounds, &masked, &mut gids) {
+                            scratch.put_sel(gids);
+                            scratch.put_sel(masked);
+                            return Err(EngineError::Internal {
+                                site: "dense group ids".to_string(),
+                                detail,
+                            });
+                        }
+                        table.mark_seen(&gids);
+                    }
+                    None => {
+                        let mut hashes = scratch.take_u64s();
+                        typed_keys.hash_rows(&masked, &mut hashes);
+                        typed_keys.resolve_groups(table, &masked, &hashes, &mut gids, scratch);
+                        scratch.put_u64s(hashes);
+                        metrics.hash_probes += gids.len() as u64;
+                    }
+                }
                 let rendered = sink_kernel.render(batch, batch.rows(), scratch);
                 let stride = value_exprs.len();
                 for spec in 0..stride {
-                    if rendered.is_kernel(spec) {
-                        let monoid = table.monoids()[spec];
-                        rendered.fold_groups(
-                            spec,
-                            monoid,
-                            table.accs_mut(),
-                            stride,
-                            &gids,
-                            &masked,
-                        );
+                    if let Some(lane) = table.lane_mut(spec) {
+                        rendered.fold_groups(spec, lane, &gids, &masked);
                     }
                 }
                 if sink_kernel.kernel_specs() < stride {
                     // Closure-fallback specs (collection monoids, untyped
-                    // inputs) fold per row into the same resolved groups.
+                    // inputs) fold per row into the same resolved groups:
+                    // the table hands over their accumulators in spec order.
                     for (&gid, &r) in gids.iter().zip(&masked) {
                         table.fold_group(gid, morsel, |accumulators, monoids| {
-                            for (spec, (acc, monoid)) in
-                                accumulators.iter_mut().zip(monoids).enumerate()
+                            let fallback = (0..stride).filter(|&spec| !rendered.is_kernel(spec));
+                            for ((acc, monoid), spec) in
+                                accumulators.iter_mut().zip(monoids).zip(fallback)
                             {
-                                if !rendered.is_kernel(spec) {
-                                    let _ = acc.merge(*monoid, value_exprs[spec](batch.row(r)));
-                                }
+                                let _ = acc.merge(*monoid, value_exprs[spec](batch.row(r)));
                             }
                         });
                     }
                 }
-                metrics.hash_probes += gids.len() as u64;
                 scratch.put_sel(gids);
                 let kernel_specs = sink_kernel.kernel_specs() as u64;
                 metrics.agg_kernel_rows += masked.len() as u64 * kernel_specs;
                 metrics.agg_fallback_rows +=
                     masked.len() as u64 * (value_exprs.len() as u64 - kernel_specs);
                 rendered.release(scratch);
-                scratch.put_u64s(hashes);
                 scratch.put_sel(masked);
             }
             (
@@ -953,6 +976,7 @@ impl SinkSpec {
             }
             _ => unreachable!("sink state does not match sink spec"),
         }
+        Ok(())
     }
 
     /// Merges worker partials (in worker order) into the final result.
@@ -987,16 +1011,17 @@ impl SinkSpec {
                 }
                 SinkResult::Accumulators(merged)
             }
-            SinkSpec::Nest { keys, monoids, .. } => {
+            SinkSpec::Nest { .. } => {
                 // The first partial *is* the merged table (the serial path
                 // moves nothing); the rest are absorbed in worker order.
                 let mut tables = partials.into_iter().filter_map(|p| match p {
                     SinkState::Nest(table) => Some(table),
                     _ => None,
                 });
-                let mut merged = tables
-                    .next()
-                    .unwrap_or_else(|| RadixGroupTable::new(keys.len(), monoids.clone()));
+                let mut merged = tables.next().unwrap_or_else(|| match self.new_state() {
+                    SinkState::Nest(table) => table,
+                    _ => unreachable!("a nest sink's state is a group table"),
+                });
                 for table in tables {
                     merged.absorb(table);
                 }
@@ -1227,7 +1252,7 @@ fn run_expand(
 }
 
 /// Applies `stages` to `cur` (ping-ponging with `spare`), then folds the
-/// surviving rows into the sink partial.
+/// surviving rows into the sink partial (whose failure it returns).
 #[allow(clippy::too_many_arguments)]
 fn process_stages(
     stages: &[Stage],
@@ -1238,7 +1263,7 @@ fn process_stages(
     scratch: &mut kernels::Scratch,
     morsel: u64,
     metrics: &mut ExecutionMetrics,
-) {
+) -> Result<()> {
     for stage in stages {
         if cur.is_empty() {
             break;
@@ -1392,10 +1417,13 @@ fn process_stages(
     }
     // A batch nothing survived folds nothing — and may lack the payload
     // columns a sink kernel would bind.
-    if !cur.is_empty() {
-        sink.consume(state, cur, scratch, morsel, metrics);
-    }
+    let consumed = if cur.is_empty() {
+        Ok(())
+    } else {
+        sink.consume(state, cur, scratch, morsel, metrics)
+    };
     metrics.batch_grows += cur.take_alloc_events() + spare.take_alloc_events();
+    consumed
 }
 
 /// Rough per-`Value` cost (enum size plus small-heap overhead) used by the
@@ -1423,6 +1451,28 @@ fn approx_state_bytes(state: &SinkState) -> u64 {
             (p.keys.len() + p.payload.len()) as u64 * VALUE_COST + p.hashes.len() as u64 * 16
         }
     }
+}
+
+/// A dense group state spans its whole id space at once: debits it, then
+/// allocates it, before the worker's first morsel (a no-op for every other
+/// sink state and for a state already allocated). False when the budget
+/// refuses it.
+fn reserve_group_state(state: &mut SinkState, state_bytes: &mut u64, ctx: &QueryContext) -> bool {
+    let SinkState::Nest(table) = state else {
+        return true;
+    };
+    let bytes = table.unallocated_bytes(VALUE_COST);
+    if bytes == 0 {
+        return true;
+    }
+    if ctx.budgeted() {
+        if !ctx.debit("group table", bytes) {
+            return false;
+        }
+        *state_bytes += bytes;
+    }
+    table.allocate();
+    true
 }
 
 /// The budget site name reported when a sink partial trips the cap.
@@ -1640,6 +1690,11 @@ fn drive_run(
         if claimed == 0 {
             run.workers_mask
                 .fetch_or(1u64 << (worker_bit.min(63)), Ordering::Relaxed);
+            // A refused debit poisons the query: the checkpoint below then
+            // drains this worker's morsels unexecuted.
+            if !reserve_group_state(&mut p.state, &mut p.state_bytes, ctx) {
+                p.failed = true;
+            }
         }
         claimed += 1;
         // The cooperative checkpoint: poisoned / cancelled / past-deadline
@@ -1689,8 +1744,7 @@ fn drive_run(
                 } else {
                     &pipeline.stages[..]
                 };
-                process_stages(stages, cur, spare, sink, state, scratch, morsel, metrics);
-                Ok(())
+                process_stages(stages, cur, spare, sink, state, scratch, morsel, metrics)
             },
         ));
         match outcome {
@@ -1845,11 +1899,18 @@ fn execute_pipeline(
                         &mut scratch,
                         run.morsel_count,
                         metrics,
-                    );
+                    )
                 }));
-                if let Err(payload) = outcome {
-                    ctx.fail(panic_error(payload, "left-outer tail"));
-                    return Err(take_failure(ctx));
+                match outcome {
+                    Ok(Ok(())) => {}
+                    Ok(Err(err)) => {
+                        ctx.fail(err);
+                        return Err(take_failure(ctx));
+                    }
+                    Err(payload) => {
+                        ctx.fail(panic_error(payload, "left-outer tail"));
+                        return Err(take_failure(ctx));
+                    }
                 }
                 partials.push(state);
             }

@@ -13,11 +13,16 @@
 //!   open-addressed index of its entry ids (`IdIndex`, one slot per distinct
 //!   hash, repeats chained behind it); nothing is scattered or sorted to be
 //!   indexed, and entries of one key match in entry-id order.
-//! * **Grouping** ([`RadixGroupTable`]): flat per-group arenas (hash, key
-//!   components, accumulators) behind the same index, of group ids — an O(1)
-//!   find-or-create per row. The only radix left is the *emission order*:
-//!   groups leave in `(hash & 63, hash)` order ([`GROUP_EMIT_RADIX_BITS`]),
-//!   the order every ordered comparison in the suites was pinned on.
+//! * **Grouping** ([`RadixGroupTable`]): one typed lane per kernel spec
+//!   ([`AggLane`]) and accumulators for the rest, indexed by group id. Ids
+//!   come from the same index over per-group hashes and keys — an O(1)
+//!   find-or-create per row — or, when the compiler bounded every key
+//!   ([`DenseKey`]), are the key's offset in a dense id space that stores no
+//!   key at all. The only radix left is the *emission order*: groups leave
+//!   in `(hash & 63, hash)` order ([`GROUP_EMIT_RADIX_BITS`]), the order
+//!   every ordered comparison in the suites was pinned on.
+
+use std::cmp::Ordering;
 
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{Monoid, Value};
@@ -616,36 +621,325 @@ fn lanes_match(
 /// Slots a fresh group index starts with (room for 32 groups at load ½).
 const INITIAL_INDEX_SLOTS: usize = 64;
 
-/// The grouping (aggregation) hash table: the runtime of the `nest`
-/// operator. In a morsel-parallel pipeline every worker folds into a private
-/// table and the partials are [`absorb`](RadixGroupTable::absorb)ed in
-/// worker order at the end.
+/// Most slots a dense group state may span (see [`DenseKey`]).
+pub const DENSE_MAX_SLOTS: u64 = 65_536;
+
+/// The compile-time bound of one dense group-key component: an `i64` key
+/// whose values all lie in `min..=max` (its zone-map totals), plus one slot
+/// for null when the map counts nulls. With every key bounded, a group's id
+/// is the mixed-radix offset of its key — `(g − g_min)·h_span + (h − h_min)`
+/// for two keys — so finding a row's group needs no hash, no index walk and
+/// no stored key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DenseKey {
+    /// Smallest key value.
+    pub min: i64,
+    /// Largest key value.
+    pub max: i64,
+    /// Whether null keys get the slot after `max`.
+    pub nullable: bool,
+}
+
+impl DenseKey {
+    /// Slots this component spans: its values, then the null slot.
+    pub fn span(&self) -> usize {
+        (self.max - self.min) as usize + 1 + usize::from(self.nullable)
+    }
+
+    /// The key of digit `digit`, as `TypedColumn::value_at` renders the lane.
+    fn value_of(&self, digit: usize) -> Value {
+        if self.nullable && digit + 1 == self.span() {
+            Value::Null
+        } else {
+            Value::Int(self.min + digit as i64)
+        }
+    }
+}
+
+/// The typed shape of a kernel-classified output spec's group state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneKind {
+    /// `count`: an `i64` per group.
+    Count,
+    /// `sum`: a running `f64` per group.
+    Sum,
+    /// `avg`: a running `f64` sum and a `u64` count per group.
+    Avg,
+    /// `max` (`max: true`) or `min`: the extreme — the `i64` when the input
+    /// is integral (`int`), else the `f64` — plus a presence bit per group.
+    Extreme {
+        /// `max` rather than `min`.
+        max: bool,
+        /// The input expression is integral.
+        int: bool,
+    },
+    /// `or` (`or: true`) or `and`: a running boolean per group.
+    Bool {
+        /// `or` rather than `and`.
+        or: bool,
+    },
+}
+
+/// The group state of one kernel-classified output spec: a flat lane
+/// indexed by group id. Each variant reproduces its monoid's
+/// [`Accumulator`] bit for bit: `RenderedAggs::fold_groups` is its
+/// `merge`, absorbing a partial's lane is its `combine`, and finishing a
+/// group is its `finish`.
+pub enum AggLane {
+    /// `count`.
+    Count(Vec<i64>),
+    /// `sum`.
+    Sum(Vec<f64>),
+    /// `avg`.
+    Avg {
+        /// Running sums.
+        sums: Vec<f64>,
+        /// Non-null inputs folded.
+        counts: Vec<u64>,
+    },
+    /// `min` / `max`.
+    Extreme {
+        /// `max` rather than `min`.
+        max: bool,
+        /// Values are `i64`s (else `f64` bit patterns).
+        int: bool,
+        /// The running extreme's bits (`i64 as u64` or `f64::to_bits`).
+        values: Vec<u64>,
+        /// Whether a non-null input reached the group.
+        present: Vec<bool>,
+    },
+    /// `and` / `or`.
+    Bool {
+        /// `or` rather than `and`.
+        or: bool,
+        /// Running booleans.
+        bits: Vec<bool>,
+    },
+}
+
+impl AggLane {
+    /// An empty lane of `kind`.
+    pub fn new(kind: LaneKind) -> AggLane {
+        match kind {
+            LaneKind::Count => AggLane::Count(Vec::new()),
+            LaneKind::Sum => AggLane::Sum(Vec::new()),
+            LaneKind::Avg => AggLane::Avg {
+                sums: Vec::new(),
+                counts: Vec::new(),
+            },
+            LaneKind::Extreme { max, int } => AggLane::Extreme {
+                max,
+                int,
+                values: Vec::new(),
+                present: Vec::new(),
+            },
+            LaneKind::Bool { or } => AggLane::Bool {
+                or,
+                bits: Vec::new(),
+            },
+        }
+    }
+
+    /// Grows the lane to `groups` groups, the new ones at the monoid's zero.
+    fn resize(&mut self, groups: usize) {
+        match self {
+            AggLane::Count(counts) => counts.resize(groups, 0),
+            AggLane::Sum(sums) => sums.resize(groups, 0.0),
+            AggLane::Avg { sums, counts } => {
+                sums.resize(groups, 0.0);
+                counts.resize(groups, 0);
+            }
+            AggLane::Extreme {
+                values, present, ..
+            } => {
+                values.resize(groups, 0);
+                present.resize(groups, false);
+            }
+            AggLane::Bool { or, bits } => bits.resize(groups, !*or),
+        }
+    }
+
+    /// Bytes one group takes in the lane.
+    fn bytes_per_group(&self) -> u64 {
+        match self {
+            AggLane::Count(_) | AggLane::Sum(_) => 8,
+            AggLane::Avg { .. } => 16,
+            AggLane::Extreme { .. } => 9,
+            AggLane::Bool { .. } => 1,
+        }
+    }
+
+    /// The float view the extremes compare through (`i64 as f64` for
+    /// integral lanes, as `Value::total_cmp` orders them).
+    #[inline]
+    pub fn extreme_view(int: bool, bits: u64) -> f64 {
+        if int {
+            bits as i64 as f64
+        } else {
+            f64::from_bits(bits)
+        }
+    }
+
+    /// Folds group `src` of `other` (a lane of the same kind) into group
+    /// `dst`: `Accumulator::combine`, or — when `fresh`, a group no input
+    /// reached yet — a plain copy, as a moved accumulator would be.
+    fn absorb(&mut self, dst: usize, other: &AggLane, src: usize, fresh: bool) {
+        match (self, other) {
+            (AggLane::Count(ours), AggLane::Count(theirs)) => {
+                ours[dst] = if fresh { 0 } else { ours[dst] } + theirs[src];
+            }
+            (AggLane::Sum(ours), AggLane::Sum(theirs)) => {
+                ours[dst] = if fresh {
+                    theirs[src]
+                } else {
+                    ours[dst] + theirs[src]
+                };
+            }
+            (
+                AggLane::Avg { sums, counts },
+                AggLane::Avg {
+                    sums: their_sums,
+                    counts: their_counts,
+                },
+            ) => {
+                if fresh {
+                    sums[dst] = their_sums[src];
+                    counts[dst] = their_counts[src];
+                } else {
+                    sums[dst] += their_sums[src];
+                    counts[dst] += their_counts[src];
+                }
+            }
+            (
+                AggLane::Extreme {
+                    max,
+                    int,
+                    values,
+                    present,
+                },
+                AggLane::Extreme {
+                    values: their_values,
+                    present: their_present,
+                    ..
+                },
+            ) => {
+                if fresh {
+                    values[dst] = their_values[src];
+                    present[dst] = their_present[src];
+                } else if their_present[src] {
+                    let want = if *max {
+                        Ordering::Greater
+                    } else {
+                        Ordering::Less
+                    };
+                    let theirs = Self::extreme_view(*int, their_values[src]);
+                    let replace = !present[dst]
+                        || theirs.total_cmp(&Self::extreme_view(*int, values[dst])) == want;
+                    if replace {
+                        values[dst] = their_values[src];
+                        present[dst] = true;
+                    }
+                }
+            }
+            (AggLane::Bool { or, bits }, AggLane::Bool { bits: theirs, .. }) => {
+                bits[dst] = if fresh {
+                    theirs[src]
+                } else if *or {
+                    bits[dst] || theirs[src]
+                } else {
+                    bits[dst] && theirs[src]
+                };
+            }
+            _ => unreachable!("absorbing a lane of another kind"),
+        }
+    }
+
+    /// The output value of group `gid`: what `Accumulator::finish` renders
+    /// (integral sums as `Int`, an empty average or extreme as null).
+    fn finish(&self, gid: usize) -> Value {
+        match self {
+            AggLane::Count(counts) => Value::Int(counts[gid]),
+            AggLane::Sum(sums) => Accumulator::Float(sums[gid]).finish(Monoid::Sum),
+            AggLane::Avg { sums, counts } => Accumulator::AvgState {
+                sum: sums[gid],
+                count: counts[gid],
+            }
+            .finish(Monoid::Avg),
+            AggLane::Extreme {
+                int,
+                values,
+                present,
+                ..
+            } => match (present[gid], *int) {
+                (false, _) => Value::Null,
+                (true, true) => Value::Int(values[gid] as i64),
+                (true, false) => Value::Float(f64::from_bits(values[gid])),
+            },
+            AggLane::Bool { bits, .. } => Value::Bool(bits[gid]),
+        }
+    }
+}
+
+/// How a [`RadixGroupTable`] finds a row's group id.
+enum GroupIds {
+    /// By hash: an `IdIndex` of group ids over the per-group key hashes,
+    /// each group's key stored as `Value`s and as [`KeyLane`]s.
+    Hashed {
+        /// The group ids, by key hash.
+        index: IdIndex,
+        /// Per group: the key hash.
+        hashes: Vec<u64>,
+        /// Flattened key components: group `g` at `g*arity .. (g+1)*arity`.
+        keys: Vec<Value>,
+        /// Flattened compare lanes, parallel to `keys`.
+        lanes: Vec<KeyLane>,
+    },
+    /// By offset: the group id is the mixed-radix offset of the key within
+    /// the compiled [`DenseKey`] bounds (the last key varies fastest).
+    Dense {
+        /// The compiled bounds, one per key component.
+        keys: Vec<DenseKey>,
+        /// The product of the spans: the id space.
+        slots: usize,
+        /// Per slot: whether a row reached it. Empty until the state is
+        /// [allocated](RadixGroupTable::allocate).
+        seen: Vec<bool>,
+    },
+}
+
+/// The grouping (aggregation) table: the runtime of the `nest` operator. In
+/// a morsel-parallel pipeline every worker folds into a private table and
+/// the partials are [`absorb`](RadixGroupTable::absorb)ed in worker order at
+/// the end.
 ///
 /// Group state is flat: a group is its id, and everything about it lives in
-/// dense arenas indexed by that id — the key hash, `arity` key components
-/// (as `Value`s and as [`KeyLane`]s), one accumulator per monoid, and (only
-/// when a collection monoid is present) one morsel-tag list per collection
-/// output. Lookup goes through an `IdIndex` of group ids (rebuilt from the
-/// stored hashes on growth), so finding a row's group costs O(1) whatever the
-/// group count.
-/// The closure tier ([`merge_with`](RadixGroupTable::merge_with)), the typed
-/// ingest ([`resolve_lanes`](RadixGroupTable::resolve_lanes)) and `absorb`
-/// all resolve groups through that one index.
+/// arenas indexed by that id. Each kernel-classified output spec owns one
+/// typed [`AggLane`]; the remaining specs — collection monoids, closure
+/// fallbacks, and every spec of the closure tier — keep one [`Accumulator`]
+/// per group, and (only when a collection monoid is present) one morsel-tag
+/// list per collection output.
+///
+/// Ids come one of two ways (`GroupIds`): through an `IdIndex` over the
+/// stored key hashes (the closure tier's
+/// [`merge_with`](RadixGroupTable::merge_with), the typed ingest's
+/// [`resolve_lanes`](RadixGroupTable::resolve_lanes)), or — when the
+/// compiler bounded every key ([`RadixGroupTable::dense`]) — as the key's
+/// offset in a preallocated id space, where the table stores no key, lane or
+/// hash per group.
 pub struct RadixGroupTable {
     arity: usize,
     monoids: Vec<Monoid>,
-    /// Indices of the collection-monoid output specs (ascending), whose
+    ids: GroupIds,
+    /// Per output spec: its typed lane, or `None` when the spec folds
+    /// through the accumulator arena.
+    lanes: Vec<Option<AggLane>>,
+    /// The monoids of the accumulator specs, in spec order.
+    acc_monoids: Vec<Monoid>,
+    /// Positions (in `acc_monoids`) of the collection monoids, whose
     /// per-element morsel tags are tracked for order-exact parallel merge.
     collection_specs: Vec<usize>,
-    /// The group ids, by key hash.
-    index: IdIndex,
-    /// Per group: the key hash.
-    hashes: Vec<u64>,
-    /// Flattened key components: group `g` at `g*arity .. (g+1)*arity`.
-    keys: Vec<Value>,
-    /// Flattened compare lanes, parallel to `keys`.
-    lanes: Vec<KeyLane>,
-    /// Flattened accumulators: group `g` at `g*m .. (g+1)*m`, `m` monoids.
+    /// Flattened accumulators: group `g` at `g*a .. (g+1)*a`, `a`
+    /// accumulator specs.
     accs: Vec<Accumulator>,
     /// Flattened per-collection-spec tag lists (group `g`, collection spec
     /// `ci` at `g*c + ci`, `c` collection specs; empty without any): the
@@ -715,10 +1009,65 @@ fn merge_tagged(
 }
 
 impl RadixGroupTable {
-    /// Creates a table for keys of `arity` components whose per-group
-    /// accumulators follow `monoids`.
+    /// A hashed table for keys of `arity` components whose every output
+    /// spec folds through accumulators (the closure tier).
     pub fn new(arity: usize, monoids: Vec<Monoid>) -> RadixGroupTable {
-        let collection_specs = monoids
+        let kinds = vec![None; monoids.len()];
+        RadixGroupTable::hashed(arity, monoids, &kinds)
+    }
+
+    /// A hashed table whose specs with a lane kind keep typed lanes
+    /// (`lane_kinds` is parallel to `monoids`).
+    pub fn hashed(
+        arity: usize,
+        monoids: Vec<Monoid>,
+        lane_kinds: &[Option<LaneKind>],
+    ) -> RadixGroupTable {
+        let ids = GroupIds::Hashed {
+            index: IdIndex::build(INITIAL_INDEX_SLOTS, &[], None),
+            hashes: Vec::new(),
+            keys: Vec::new(),
+            lanes: Vec::new(),
+        };
+        RadixGroupTable::with_ids(arity, monoids, lane_kinds, ids)
+    }
+
+    /// A dense-id table over the compiled key bounds. Nothing is allocated
+    /// until [`RadixGroupTable::allocate`] (the pipeline debits
+    /// [`RadixGroupTable::unallocated_bytes`] first).
+    pub fn dense(
+        keys: Vec<DenseKey>,
+        monoids: Vec<Monoid>,
+        lane_kinds: &[Option<LaneKind>],
+    ) -> RadixGroupTable {
+        let (arity, slots) = (keys.len(), keys.iter().map(DenseKey::span).product());
+        debug_assert!(slots as u64 <= DENSE_MAX_SLOTS);
+        let ids = GroupIds::Dense {
+            keys,
+            slots,
+            seen: Vec::new(),
+        };
+        RadixGroupTable::with_ids(arity, monoids, lane_kinds, ids)
+    }
+
+    fn with_ids(
+        arity: usize,
+        monoids: Vec<Monoid>,
+        lane_kinds: &[Option<LaneKind>],
+        ids: GroupIds,
+    ) -> RadixGroupTable {
+        debug_assert_eq!(lane_kinds.len(), monoids.len());
+        let acc_monoids: Vec<Monoid> = monoids
+            .iter()
+            .zip(lane_kinds)
+            .filter(|(_, kind)| kind.is_none())
+            .map(|(m, _)| *m)
+            .collect();
+        debug_assert!(monoids
+            .iter()
+            .zip(lane_kinds)
+            .all(|(m, kind)| kind.is_none() || !m.is_collection()));
+        let collection_specs = acc_monoids
             .iter()
             .enumerate()
             .filter(|(_, m)| m.is_collection())
@@ -726,12 +1075,11 @@ impl RadixGroupTable {
             .collect();
         RadixGroupTable {
             arity,
+            lanes: lane_kinds.iter().map(|k| k.map(AggLane::new)).collect(),
             monoids,
+            ids,
+            acc_monoids,
             collection_specs,
-            index: IdIndex::build(INITIAL_INDEX_SLOTS, &[], None),
-            hashes: Vec::new(),
-            keys: Vec::new(),
-            lanes: Vec::new(),
             accs: Vec::new(),
             tags: Vec::new(),
             collected: 0,
@@ -739,22 +1087,53 @@ impl RadixGroupTable {
         }
     }
 
-    /// The per-group monoids (the stride of [`RadixGroupTable::accs_mut`]).
-    pub fn monoids(&self) -> &[Monoid] {
-        &self.monoids
-    }
-
     /// Number of groups formed.
     pub fn group_count(&self) -> usize {
-        self.hashes.len()
+        match &self.ids {
+            GroupIds::Hashed { hashes, .. } => hashes.len(),
+            GroupIds::Dense { seen, .. } => seen.iter().filter(|&&s| s).count(),
+        }
     }
 
-    /// The flat accumulator arena: group `g`, output spec `s` at
-    /// `g * monoids().len() + s`. The columnwise kernel folds write scalar
-    /// accumulators here directly; collection accumulators must go through
-    /// [`RadixGroupTable::fold_group`], which tags what it appends.
-    pub fn accs_mut(&mut self) -> &mut [Accumulator] {
-        &mut self.accs
+    /// The compiled key bounds, when group ids are dense.
+    pub fn dense_keys(&self) -> Option<&[DenseKey]> {
+        match &self.ids {
+            GroupIds::Dense { keys, .. } => Some(keys),
+            GroupIds::Hashed { .. } => None,
+        }
+    }
+
+    /// The typed lane of output spec `spec`, if it has one.
+    pub fn lane_mut(&mut self, spec: usize) -> Option<&mut AggLane> {
+        self.lanes[spec].as_mut()
+    }
+
+    /// Bytes one group's state takes, at `value_cost` per accumulator.
+    fn group_bytes(&self, value_cost: u64) -> u64 {
+        let lanes: u64 = self
+            .lanes
+            .iter()
+            .flatten()
+            .map(AggLane::bytes_per_group)
+            .sum();
+        lanes + self.acc_monoids.len() as u64 * value_cost
+    }
+
+    /// Bytes a dense state not yet allocated will take (its seen map, lanes
+    /// and accumulators over every slot); 0 once allocated and for hashed
+    /// ids, which grow group by group.
+    pub fn unallocated_bytes(&self, value_cost: u64) -> u64 {
+        match &self.ids {
+            GroupIds::Dense { slots, .. } if self.unallocated() => {
+                *slots as u64 * (1 + self.group_bytes(value_cost))
+            }
+            _ => 0,
+        }
+    }
+
+    /// Whether a dense state still waits for [`RadixGroupTable::allocate`].
+    fn unallocated(&self) -> bool {
+        matches!(&self.ids, GroupIds::Dense { seen, .. } if seen.is_empty())
     }
 
     /// Estimated bytes held by the table, at `value_cost` bytes per stored
@@ -762,49 +1141,65 @@ impl RadixGroupTable {
     /// count of collected elements (each with its 8-byte morsel tag) — never
     /// a walk over the groups.
     pub fn approx_bytes(&self, value_cost: u64) -> u64 {
-        (self.keys.len() + self.accs.len()) as u64 * value_cost
-            + self.hashes.len() as u64 * 8
-            + (self.lanes.len() * std::mem::size_of::<KeyLane>()) as u64
-            + self.index.slots.len() as u64 * 4
-            + self.collected * (value_cost + 8)
+        let (groups, ids) = match &self.ids {
+            GroupIds::Hashed {
+                index,
+                hashes,
+                keys,
+                lanes,
+            } => (
+                hashes.len() as u64,
+                keys.len() as u64 * value_cost
+                    + hashes.len() as u64 * 8
+                    + (lanes.len() * std::mem::size_of::<KeyLane>()) as u64
+                    + index.slots.len() as u64 * 4,
+            ),
+            GroupIds::Dense { seen, .. } => (seen.len() as u64, seen.len() as u64),
+        };
+        ids + groups * self.group_bytes(value_cost) + self.collected * (value_cost + 8)
     }
 
-    /// Makes room for one more group, doubling the index (rebuilt from the
-    /// stored hashes) when its load would pass ½.
-    #[inline]
-    fn reserve_one(&mut self) {
-        if (self.hashes.len() + 1) * 2 > self.index.slots.len() {
-            self.grow();
+    /// Grows every per-group arena to `groups` groups, new groups at the
+    /// monoids' zeros.
+    fn grow_state(&mut self, groups: usize) {
+        for lane in self.lanes.iter_mut().flatten() {
+            lane.resize(groups);
+        }
+        let stride = self.acc_monoids.len();
+        if let Some(have) = self.accs.len().checked_div(stride) {
+            for _ in have..groups {
+                self.accs
+                    .extend(self.acc_monoids.iter().map(|m| Accumulator::zero(*m)));
+            }
+        }
+        let collections = self.collection_specs.len();
+        self.tags.resize_with(groups * collections, Vec::new);
+    }
+
+    /// Allocates a dense state: every slot's lanes and accumulators at the
+    /// monoids' zeros, and the seen map. A no-op once allocated and for
+    /// hashed ids.
+    pub fn allocate(&mut self) {
+        if let GroupIds::Dense { slots, seen, .. } = &mut self.ids {
+            if seen.is_empty() {
+                *seen = vec![false; *slots];
+                let slots = *slots;
+                self.grow_state(slots);
+            }
         }
     }
 
-    #[cold]
-    fn grow(&mut self) {
-        self.index = IdIndex::build(self.index.slots.len() * 2, &self.hashes, None);
-        self.check_invariants();
-    }
-
-    /// Claims `slot` for a new group of `hash` whose key components and
-    /// lanes the caller has just appended (its accumulators and tag lists
-    /// are the caller's to append too).
-    fn claim(&mut self, slot: usize, hash: u64) -> u32 {
-        let gid = self.hashes.len();
-        debug_assert!(gid < EMPTY_SLOT as usize);
-        debug_assert_eq!(self.keys.len(), (gid + 1) * self.arity);
-        debug_assert_eq!(self.lanes.len(), (gid + 1) * self.arity);
-        self.index.slots[slot] = gid as u32;
-        self.hashes.push(hash);
-        gid as u32
-    }
-
-    /// [`claim`](RadixGroupTable::claim) for a group first seen by an
-    /// ingest: its accumulators start at the monoids' zeros.
-    fn claim_zeroed(&mut self, slot: usize, hash: u64) -> u32 {
-        self.accs
-            .extend(self.monoids.iter().map(|m| Accumulator::zero(*m)));
-        self.tags
-            .extend(self.collection_specs.iter().map(|_| Vec::new()));
-        self.claim(slot, hash)
+    /// Dense ids: records that rows reached the groups `gids` — the offsets
+    /// the caller computed from the key lanes — allocating the state on
+    /// first use.
+    pub fn mark_seen(&mut self, gids: &[u32]) {
+        self.allocate();
+        let GroupIds::Dense { seen, .. } = &mut self.ids else {
+            unreachable!("mark_seen on hashed group ids");
+        };
+        for &gid in gids {
+            seen[gid as usize] = true;
+        }
     }
 
     /// The generic find-or-create: the id of the group of a pre-hashed key
@@ -819,18 +1214,24 @@ impl RadixGroupTable {
         key_eq: impl Fn(&[Value]) -> bool,
         push_key: impl FnOnce(&mut Vec<Value>),
     ) -> u32 {
-        self.reserve_one();
         let arity = self.arity;
-        match self.index.walk(&self.hashes, hash, |g| {
-            key_eq(&self.keys[g * arity..(g + 1) * arity])
-        }) {
-            Ok(slot) => self.index.slots[slot],
+        let GroupIds::Hashed {
+            index,
+            hashes,
+            keys,
+            lanes,
+        } = &mut self.ids
+        else {
+            unreachable!("hashed resolve on dense group ids");
+        };
+        reserve_one(index, hashes);
+        match index.walk(hashes, hash, |g| key_eq(&keys[g * arity..(g + 1) * arity])) {
+            Ok(slot) => index.slots[slot],
             Err(slot) => {
-                let start = self.keys.len();
-                push_key(&mut self.keys);
-                self.lanes
-                    .extend(self.keys[start..].iter().map(KeyLane::of));
-                self.claim_zeroed(slot, hash)
+                let start = keys.len();
+                push_key(keys);
+                lanes.extend(keys[start..].iter().map(KeyLane::of));
+                self.claim(slot, hash)
             }
         }
     }
@@ -849,33 +1250,66 @@ impl RadixGroupTable {
         push_key: impl FnOnce(&mut Vec<Value>),
     ) -> u32 {
         debug_assert_eq!(probe.len(), self.arity);
-        self.reserve_one();
         let arity = self.arity;
-        let found = self.index.walk(&self.hashes, hash, |g| {
+        let GroupIds::Hashed {
+            index,
+            hashes,
+            keys,
+            lanes,
+        } = &mut self.ids
+        else {
+            unreachable!("hashed resolve on dense group ids");
+        };
+        reserve_one(index, hashes);
+        let found = index.walk(hashes, hash, |g| {
             let base = g * arity;
-            lanes_match(&self.lanes[base..base + arity], probe, |comp| {
-                other_eq(comp, &self.keys[base + comp])
+            lanes_match(&lanes[base..base + arity], probe, |comp| {
+                other_eq(comp, &keys[base + comp])
             })
         });
         match found {
-            Ok(slot) => self.index.slots[slot],
+            Ok(slot) => index.slots[slot],
             Err(slot) => {
-                let start = self.keys.len();
-                push_key(&mut self.keys);
-                debug_assert!(self.keys[start..]
+                let start = keys.len();
+                push_key(keys);
+                debug_assert!(keys[start..]
                     .iter()
                     .map(KeyLane::of)
                     .eq(probe.iter().copied()));
-                self.lanes.extend_from_slice(probe);
-                self.claim_zeroed(slot, hash)
+                lanes.extend_from_slice(probe);
+                self.claim(slot, hash)
             }
         }
     }
 
-    /// Hands group `gid`'s accumulators to `fold`. `tag` is the caller's
-    /// morsel index: elements `fold` appends to collection accumulators are
-    /// recorded under it, so parallel partials can later merge in exact
-    /// serial order (pass 0 when serial).
+    /// Claims index slot `slot` for a new hashed group of `hash`, whose key
+    /// components and lanes the caller has just appended; its lanes and
+    /// accumulators start at the monoids' zeros.
+    fn claim(&mut self, slot: usize, hash: u64) -> u32 {
+        let GroupIds::Hashed {
+            index,
+            hashes,
+            keys,
+            lanes,
+        } = &mut self.ids
+        else {
+            unreachable!("claim on dense group ids");
+        };
+        let gid = hashes.len();
+        debug_assert!(gid < EMPTY_SLOT as usize);
+        debug_assert_eq!(keys.len(), (gid + 1) * self.arity);
+        debug_assert_eq!(lanes.len(), (gid + 1) * self.arity);
+        index.slots[slot] = gid as u32;
+        hashes.push(hash);
+        self.grow_state(gid + 1);
+        gid as u32
+    }
+
+    /// Hands group `gid`'s accumulators — one per accumulator spec, with
+    /// their monoids — to `fold`. `tag` is the caller's morsel index:
+    /// elements `fold` appends to collection accumulators are recorded under
+    /// it, so parallel partials can later merge in exact serial order (pass
+    /// 0 when serial).
     #[inline]
     pub fn fold_group(
         &mut self,
@@ -883,11 +1317,11 @@ impl RadixGroupTable {
         tag: u64,
         fold: impl FnOnce(&mut [Accumulator], &[Monoid]),
     ) {
-        let stride = self.monoids.len();
+        let stride = self.acc_monoids.len();
         let base = gid as usize * stride;
         let accs = &mut self.accs[base..base + stride];
         if self.collection_specs.is_empty() {
-            fold(accs, &self.monoids);
+            fold(accs, &self.acc_monoids);
             return;
         }
         // Tag whatever elements the fold appends: record the collection
@@ -899,7 +1333,7 @@ impl RadixGroupTable {
                 .iter()
                 .map(|&spec| collection_len(&accs[spec])),
         );
-        fold(accs, &self.monoids);
+        fold(accs, &self.acc_monoids);
         let tag_base = gid as usize * self.collection_specs.len();
         for (ci, &spec) in self.collection_specs.iter().enumerate() {
             let added = collection_len(&accs[spec]) - self.len_scratch[ci];
@@ -928,7 +1362,8 @@ impl RadixGroupTable {
 
     /// Folds one input: finds (or creates) the group of `key` and merges the
     /// per-monoid values. (Serial convenience over
-    /// [`RadixGroupTable::merge_with`] — morsel tag 0.)
+    /// [`RadixGroupTable::merge_with`] — morsel tag 0; every spec must fold
+    /// through accumulators.)
     pub fn merge(&mut self, key: Vec<Value>, values: Vec<Value>) {
         // Hash the key components in place — no cloned Value::List per entry.
         let hash = hash_key_components(&key);
@@ -945,123 +1380,271 @@ impl RadixGroupTable {
         );
     }
 
-    /// Absorbs another table's partial groups (same arity and monoids),
-    /// moving them out of its arenas: scalar accumulator states are combined
-    /// under the monoid's associative ⊕; collection accumulators merge
-    /// element-wise in morsel-tag order (`merge_tagged`), so the result is
-    /// identical to a serial ingest.
-    // Invariant: every group carries exactly one tag list per collection
-    // spec (enforced at insertion), so the `next().expect` in the spec loop
-    // always yields.
-    #[allow(clippy::expect_used)]
-    pub fn absorb(&mut self, other: RadixGroupTable) {
+    /// Absorbs another table's partial groups (same ids, lanes and
+    /// monoids), moving them out of its arenas. Groups new to this table
+    /// take the other's state as it is; shared ones combine — lanes through
+    /// [`AggLane`]'s ⊕, scalar accumulators under the monoid's ⊕, collection
+    /// accumulators element-wise in morsel-tag order (`merge_tagged`) — so
+    /// the result is identical to a serial ingest. Dense ids merge slot by
+    /// slot; hashed ids find or create each group of `other`, in its id
+    /// order.
+    pub fn absorb(&mut self, mut other: RadixGroupTable) {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert_eq!(self.monoids, other.monoids);
-        let arity = self.arity;
-        let stride = self.monoids.len();
-        let tag_stride = self.collection_specs.len();
+        if other.unallocated() {
+            return;
+        }
+        if self.unallocated() {
+            *self = other;
+            return;
+        }
         self.collected += other.collected;
-        let mut in_keys = other.keys.into_iter();
-        let mut in_accs = other.accs.into_iter();
-        let mut in_tags = other.tags.into_iter();
-        for (in_gid, hash) in other.hashes.into_iter().enumerate() {
-            self.reserve_one();
-            let in_lanes = &other.lanes[in_gid * arity..(in_gid + 1) * arity];
-            let in_key = &in_keys.as_slice()[..arity];
-            let found = self.index.walk(&self.hashes, hash, |g| {
-                let base = g * arity;
-                lanes_match(&self.lanes[base..base + arity], in_lanes, |comp| {
-                    self.keys[base + comp].value_eq(&in_key[comp])
-                })
-            });
-            match found {
-                Ok(slot) => {
-                    let gid = self.index.slots[slot] as usize;
-                    in_keys.by_ref().take(arity).for_each(drop);
-                    let base = gid * stride;
-                    let mut ci = 0;
-                    for (spec, partial) in in_accs.by_ref().take(stride).enumerate() {
-                        let monoid = self.monoids[spec];
-                        let acc = &mut self.accs[base + spec];
-                        if !monoid.is_collection() {
-                            let _ = acc.combine(monoid, partial);
-                            continue;
-                        }
-                        let (Accumulator::Collection(ours), Accumulator::Collection(theirs)) =
-                            (acc, partial)
-                        else {
-                            unreachable!("collection spec holds a scalar accumulator");
-                        };
-                        let their_tags = in_tags.next().expect("tag list per collection spec");
-                        let offered = (ours.len() + theirs.len()) as u64;
-                        let our_tags = &mut self.tags[gid * tag_stride + ci];
-                        merge_tagged(monoid, ours, our_tags, theirs, their_tags);
-                        // A `set` merge may drop duplicates both sides held.
-                        self.collected -= offered - ours.len() as u64;
-                        ci += 1;
-                    }
+        let arity = self.arity;
+        let their_ids = std::mem::replace(&mut other.ids, GroupIds::dense_placeholder());
+        match their_ids {
+            GroupIds::Dense {
+                seen: their_seen, ..
+            } => {
+                for (slot, _) in their_seen.iter().enumerate().filter(|(_, &s)| s) {
+                    let GroupIds::Dense { seen, .. } = &mut self.ids else {
+                        unreachable!("absorbing dense ids into hashed ones");
+                    };
+                    let fresh = !std::mem::replace(&mut seen[slot], true);
+                    self.absorb_group(slot, &mut other, slot, fresh);
                 }
-                Err(slot) => {
-                    self.keys.extend(in_keys.by_ref().take(arity));
-                    self.lanes.extend_from_slice(in_lanes);
-                    self.accs.extend(in_accs.by_ref().take(stride));
-                    self.tags.extend(in_tags.by_ref().take(tag_stride));
-                    self.claim(slot, hash);
+            }
+            GroupIds::Hashed {
+                hashes: their_hashes,
+                keys: mut their_keys,
+                lanes: their_lanes,
+                ..
+            } => {
+                for (src, &hash) in their_hashes.iter().enumerate() {
+                    let in_lanes = &their_lanes[src * arity..(src + 1) * arity];
+                    let in_key = &mut their_keys[src * arity..(src + 1) * arity];
+                    let GroupIds::Hashed {
+                        index,
+                        hashes,
+                        keys,
+                        lanes,
+                    } = &mut self.ids
+                    else {
+                        unreachable!("absorbing hashed ids into dense ones");
+                    };
+                    reserve_one(index, hashes);
+                    let found = index.walk(hashes, hash, |g| {
+                        let base = g * arity;
+                        lanes_match(&lanes[base..base + arity], in_lanes, |comp| {
+                            keys[base + comp].value_eq(&in_key[comp])
+                        })
+                    });
+                    let (dst, fresh) = match found {
+                        Ok(slot) => (index.slots[slot] as usize, false),
+                        Err(slot) => {
+                            keys.extend(
+                                in_key.iter_mut().map(|v| std::mem::replace(v, Value::Null)),
+                            );
+                            lanes.extend_from_slice(in_lanes);
+                            (self.claim(slot, hash) as usize, true)
+                        }
+                    };
+                    self.absorb_group(dst, &mut other, src, fresh);
                 }
             }
         }
         self.check_invariants();
     }
 
+    /// Folds group `src` of `other` into group `dst` (`fresh`: `dst` holds
+    /// no input yet and takes `src`'s state as it is).
+    // Invariant: every group carries exactly one tag list per collection
+    // spec, so the tag lists indexed below exist.
+    fn absorb_group(&mut self, dst: usize, other: &mut RadixGroupTable, src: usize, fresh: bool) {
+        for (ours, theirs) in self.lanes.iter_mut().zip(&other.lanes) {
+            if let (Some(ours), Some(theirs)) = (ours, theirs) {
+                ours.absorb(dst, theirs, src, fresh);
+            }
+        }
+        let stride = self.acc_monoids.len();
+        let tag_stride = self.collection_specs.len();
+        let mut ci = 0;
+        for (spec, &monoid) in self.acc_monoids.iter().enumerate() {
+            let partial =
+                std::mem::replace(&mut other.accs[src * stride + spec], Accumulator::Int(0));
+            let acc = &mut self.accs[dst * stride + spec];
+            if !monoid.is_collection() {
+                if fresh {
+                    *acc = partial;
+                } else {
+                    let _ = acc.combine(monoid, partial);
+                }
+                continue;
+            }
+            let their_tags = std::mem::take(&mut other.tags[src * tag_stride + ci]);
+            let our_tags = &mut self.tags[dst * tag_stride + ci];
+            ci += 1;
+            if fresh {
+                *acc = partial;
+                *our_tags = their_tags;
+                continue;
+            }
+            let (Accumulator::Collection(ours), Accumulator::Collection(theirs)) = (acc, partial)
+            else {
+                unreachable!("collection spec holds a scalar accumulator");
+            };
+            let offered = (ours.len() + theirs.len()) as u64;
+            merge_tagged(monoid, ours, our_tags, theirs, their_tags);
+            // A `set` merge may drop duplicates both sides held.
+            self.collected -= offered - ours.len() as u64;
+        }
+    }
+
     /// The table's structural invariants, armed by `debug_assertions` only
     /// (CI's `release-debug-assertions` job runs them on the optimized
     /// paths): after every index rebuild and every `absorb`, the arenas hold
-    /// exactly `groups × stride` elements and the index holds every group id
-    /// ([`IdIndex::check_invariants`]).
+    /// exactly `groups × stride` elements and a hashed index holds every
+    /// group id ([`IdIndex::check_invariants`]).
     fn check_invariants(&self) {
-        let groups = self.hashes.len();
-        debug_assert_eq!(self.keys.len(), groups * self.arity);
-        debug_assert_eq!(self.lanes.len(), groups * self.arity);
-        debug_assert_eq!(self.accs.len(), groups * self.monoids.len());
+        let groups = match &self.ids {
+            GroupIds::Hashed {
+                index,
+                hashes,
+                keys,
+                lanes,
+            } => {
+                debug_assert_eq!(keys.len(), hashes.len() * self.arity);
+                debug_assert_eq!(lanes.len(), hashes.len() * self.arity);
+                index.check_invariants(hashes, None);
+                hashes.len()
+            }
+            GroupIds::Dense { seen, .. } => seen.len(),
+        };
+        debug_assert_eq!(self.accs.len(), groups * self.acc_monoids.len());
         debug_assert_eq!(self.tags.len(), groups * self.collection_specs.len());
-        self.index.check_invariants(&self.hashes, None);
+        debug_assert!(self
+            .lanes
+            .iter()
+            .flatten()
+            .all(|lane| lane_len(lane) == groups));
+    }
+
+    /// The groups in emission order, `(hash & 63, hash)` with ties in
+    /// group-id order. Dense groups hash their rendered key here, once each.
+    fn emit_order(&self) -> Vec<u32> {
+        // Rotating the low radix bits to the top makes one integer compare
+        // order by (hash & 63, hash).
+        let mut order: Vec<(u64, u32)> = match &self.ids {
+            GroupIds::Hashed { hashes, .. } => hashes
+                .iter()
+                .enumerate()
+                .map(|(gid, hash)| (hash.rotate_right(GROUP_EMIT_RADIX_BITS), gid as u32))
+                .collect(),
+            GroupIds::Dense { keys, seen, .. } => {
+                let mut key = vec![Value::Null; keys.len()];
+                seen.iter()
+                    .enumerate()
+                    .filter(|(_, &s)| s)
+                    .map(|(gid, _)| {
+                        render_dense_key(keys, gid, &mut key);
+                        let hash = hash_key_components(&key);
+                        (hash.rotate_right(GROUP_EMIT_RADIX_BITS), gid as u32)
+                    })
+                    .collect()
+            }
+        };
+        order.sort_unstable();
+        order.into_iter().map(|(_, gid)| gid).collect()
     }
 
     /// Finalizes the table into one `T` per group: `row(key components,
     /// finished outputs)` may move the values out of the two slices. Rows
     /// leave in `(hash & 63, hash)` order (ties in group-id order), so
     /// serial and parallel executions of the same query produce the same row
-    /// order. (Collection elements are already tag-ordered by
-    /// [`RadixGroupTable::absorb`]; the tags drop here.)
-    pub fn into_rows<T>(self, mut row: impl FnMut(&mut [Value], &mut [Value]) -> T) -> Vec<T> {
-        let (arity, stride) = (self.arity, self.monoids.len());
-        // Rotating the low radix bits to the top makes one integer compare
-        // order by (hash & 63, hash).
-        let mut order: Vec<(u64, u32)> = self
-            .hashes
-            .iter()
-            .enumerate()
-            .map(|(gid, hash)| (hash.rotate_right(GROUP_EMIT_RADIX_BITS), gid as u32))
-            .collect();
-        order.sort_unstable();
-        let mut keys = self.keys;
-        let mut outputs: Vec<Value> = self
-            .accs
-            .into_iter()
-            .zip(self.monoids.iter().cycle())
-            .map(|(acc, monoid)| acc.finish(*monoid))
-            .collect();
-        order
-            .into_iter()
-            .map(|(_, gid)| {
-                let g = gid as usize;
-                row(
-                    &mut keys[g * arity..(g + 1) * arity],
-                    &mut outputs[g * stride..(g + 1) * stride],
-                )
-            })
-            .collect()
+    /// order. Dense keys are rendered from their offsets, lanes finish as
+    /// their accumulators would. (Collection elements are already
+    /// tag-ordered by [`RadixGroupTable::absorb`]; the tags drop here.)
+    pub fn into_rows<T>(mut self, mut row: impl FnMut(&mut [Value], &mut [Value]) -> T) -> Vec<T> {
+        let order = self.emit_order();
+        let acc_stride = self.acc_monoids.len();
+        let mut key = vec![Value::Null; self.arity];
+        let mut outputs = vec![Value::Null; self.monoids.len()];
+        let mut rows = Vec::with_capacity(order.len());
+        for gid in order {
+            let g = gid as usize;
+            match &mut self.ids {
+                GroupIds::Hashed { keys, .. } => {
+                    for (out, stored) in key.iter_mut().zip(&mut keys[g * self.arity..]) {
+                        *out = std::mem::replace(stored, Value::Null);
+                    }
+                }
+                GroupIds::Dense { keys, .. } => render_dense_key(keys, g, &mut key),
+            }
+            let mut accs = self.accs[g * acc_stride..(g + 1) * acc_stride]
+                .iter_mut()
+                .zip(&self.acc_monoids);
+            for (out, lane) in outputs.iter_mut().zip(&self.lanes) {
+                *out = match lane {
+                    Some(lane) => lane.finish(g),
+                    None => match accs.next() {
+                        Some((acc, monoid)) => {
+                            std::mem::replace(acc, Accumulator::Int(0)).finish(*monoid)
+                        }
+                        None => unreachable!("an accumulator per accumulator spec"),
+                    },
+                };
+            }
+            rows.push(row(&mut key, &mut outputs));
+        }
+        rows
     }
+}
+
+impl GroupIds {
+    /// An empty stand-in left behind when a partial's ids are moved out.
+    fn dense_placeholder() -> GroupIds {
+        GroupIds::Dense {
+            keys: Vec::new(),
+            slots: 0,
+            seen: Vec::new(),
+        }
+    }
+}
+
+/// Groups held by a lane.
+fn lane_len(lane: &AggLane) -> usize {
+    match lane {
+        AggLane::Count(v) => v.len(),
+        AggLane::Sum(v) => v.len(),
+        AggLane::Avg { sums, .. } => sums.len(),
+        AggLane::Extreme { values, .. } => values.len(),
+        AggLane::Bool { bits, .. } => bits.len(),
+    }
+}
+
+/// Renders the key of dense group `gid` into `out`: the mixed-radix digits
+/// of the offset (the last key varies fastest), each as its key value.
+fn render_dense_key(keys: &[DenseKey], gid: usize, out: &mut [Value]) {
+    let mut rest = gid;
+    for (key, out) in keys.iter().zip(out.iter_mut()).rev() {
+        let span = key.span();
+        *out = key.value_of(rest % span);
+        rest /= span;
+    }
+}
+
+/// Makes room for one more hashed group, doubling the index (rebuilt from
+/// the stored hashes) when its load would pass ½.
+#[inline]
+fn reserve_one(index: &mut IdIndex, hashes: &[u64]) {
+    if (hashes.len() + 1) * 2 > index.slots.len() {
+        grow_index(index, hashes);
+    }
+}
+
+#[cold]
+fn grow_index(index: &mut IdIndex, hashes: &[u64]) {
+    *index = IdIndex::build(index.slots.len() * 2, hashes, None);
+    index.check_invariants(hashes, None);
 }
 
 #[cfg(test)]
@@ -1318,6 +1901,14 @@ mod tests {
         assert_eq!(key, vec![Value::Null]);
     }
 
+    /// Slots of a hashed table's index.
+    fn index_slots(table: &RadixGroupTable) -> usize {
+        match &table.ids {
+            GroupIds::Hashed { index, .. } => index.slots.len(),
+            GroupIds::Dense { .. } => unreachable!("dense ids have no index"),
+        }
+    }
+
     /// The finished groups of a table, in emission order.
     fn rows_of(table: RadixGroupTable) -> Vec<(Vec<Value>, Vec<Value>)> {
         table.into_rows(|key, outputs| (key.to_vec(), outputs.to_vec()))
@@ -1555,7 +2146,7 @@ mod tests {
             ids.push(gid);
         }
         // 64 slots at birth, load ≤ ½: 20 000 groups took ten rebuilds.
-        assert_eq!(table.index.slots.len(), 65_536);
+        assert_eq!(index_slots(&table), 65_536);
         assert_eq!(table.group_count(), GROUPS as usize);
         // Every key still resolves to the id it was given before the
         // rebuilds, through either entry, and no group is created.
@@ -1672,8 +2263,8 @@ mod tests {
         assert_eq!(merged.group_count(), whole.group_count());
         assert_eq!(merged.collected, whole.collected, "{monoids:?} x{partials}");
         assert_eq!(
-            merged.approx_bytes(48) - merged.index.slots.len() as u64 * 4,
-            whole.approx_bytes(48) - whole.index.slots.len() as u64 * 4,
+            merged.approx_bytes(48) - index_slots(&merged) as u64 * 4,
+            whole.approx_bytes(48) - index_slots(&whole) as u64 * 4,
         );
         assert_eq!(rows_of(merged), rows_of(whole), "{monoids:?} x{partials}");
     }
@@ -1762,6 +2353,203 @@ mod tests {
         }
         table.absorb(other);
         assert_eq!(rows_of(table), vec![(vec![], vec![Value::Int(10)])]);
+    }
+
+    /// Folds one input into group `g` of a typed lane the way
+    /// `RenderedAggs::fold_groups` does (the reference is `Accumulator::merge`).
+    fn fold_lane(lane: &mut AggLane, g: usize, value: &Value) {
+        let float = || value.as_float().unwrap();
+        match lane {
+            AggLane::Count(counts) => counts[g] += 1,
+            AggLane::Sum(sums) if !value.is_null() => sums[g] += float(),
+            AggLane::Avg { sums, counts } if !value.is_null() => {
+                sums[g] += float();
+                counts[g] += 1;
+            }
+            AggLane::Extreme {
+                max,
+                int,
+                values,
+                present,
+            } if !value.is_null() => {
+                let want = if *max {
+                    Ordering::Greater
+                } else {
+                    Ordering::Less
+                };
+                let view = float();
+                if !present[g] || view.total_cmp(&AggLane::extreme_view(*int, values[g])) == want {
+                    values[g] = if *int {
+                        value.as_int().unwrap() as u64
+                    } else {
+                        view.to_bits()
+                    };
+                    present[g] = true;
+                }
+            }
+            AggLane::Bool { or, bits } => {
+                let bit = *value == Value::Bool(true);
+                bits[g] = if *or { bits[g] || bit } else { bits[g] && bit };
+            }
+            _ => {}
+        }
+    }
+
+    /// The dense id of a key: its mixed-radix offset within `keys`.
+    fn dense_id(keys: &[DenseKey], key: &[Value]) -> u32 {
+        keys.iter().zip(key).fold(0, |id, (k, v)| {
+            let digit = match v {
+                Value::Null => k.span() - 1,
+                v => (v.as_int().unwrap() - k.min) as usize,
+            };
+            id * k.span() as u32 + digit as u32
+        })
+    }
+
+    #[test]
+    fn dense_ids_group_exactly_like_hashed_ids() {
+        // Keys g∈[-3,4] with nulls and h∈[0,2]; lanes of every kind beside
+        // a collection spec on accumulators. The same rows go through the
+        // closure tier's table (accumulators only, hashed), a hashed table
+        // with typed lanes, and a dense one — split over 1, 2 and 4 partials
+        // absorbed in worker order — and must finish to the same rows.
+        let monoids = vec![
+            Monoid::Count,
+            Monoid::Sum,
+            Monoid::Min,
+            Monoid::Max,
+            Monoid::Avg,
+            Monoid::Or,
+            Monoid::List,
+        ];
+        let kinds = [
+            Some(LaneKind::Count),
+            Some(LaneKind::Sum),
+            Some(LaneKind::Extreme {
+                max: false,
+                int: true,
+            }),
+            Some(LaneKind::Extreme {
+                max: true,
+                int: false,
+            }),
+            Some(LaneKind::Avg),
+            Some(LaneKind::Bool { or: true }),
+            None,
+        ];
+        let bounds = vec![
+            DenseKey {
+                min: -3,
+                max: 4,
+                nullable: true,
+            },
+            DenseKey {
+                min: 0,
+                max: 2,
+                nullable: false,
+            },
+        ];
+        let floats = [0.5, -0.0, 0.0, f64::NAN, -2.25, 7.0];
+        let input = |i: i64| {
+            let g = if i % 7 == 0 {
+                Value::Null
+            } else {
+                Value::Int(i % 8 - 3)
+            };
+            let int = if i % 5 == 0 {
+                Value::Null
+            } else {
+                Value::Int((i * 37) % 23 - 11)
+            };
+            let float = Value::Float(floats[(i % 6) as usize]);
+            let values = vec![
+                Value::Int(1),
+                float.clone(),
+                int.clone(),
+                float.clone(),
+                int,
+                Value::Bool(i % 13 == 0),
+                Value::Int(i),
+            ];
+            (vec![g, Value::Int(i % 3)], values)
+        };
+        let mut whole = RadixGroupTable::new(2, monoids.clone());
+        for i in 0..700 {
+            let (key, values) = input(i);
+            whole.merge(key, values);
+        }
+        let expected = format!("{:?}", rows_of(whole));
+        for partials in [1usize, 2, 4] {
+            for dense in [false, true] {
+                let new_table = || match dense {
+                    true => RadixGroupTable::dense(bounds.clone(), monoids.clone(), &kinds),
+                    false => RadixGroupTable::hashed(2, monoids.clone(), &kinds),
+                };
+                let mut parts: Vec<RadixGroupTable> = (0..partials).map(|_| new_table()).collect();
+                for i in 0..700i64 {
+                    let morsel = (i / 16) as u64;
+                    let table = &mut parts[morsel as usize % partials];
+                    let (key, values) = input(i);
+                    let gid = if dense {
+                        let gid = dense_id(&bounds, &key);
+                        table.mark_seen(&[gid]);
+                        gid
+                    } else {
+                        resolve_value(table, &key)
+                    };
+                    for (spec, value) in values.iter().enumerate() {
+                        if let Some(lane) = table.lane_mut(spec) {
+                            fold_lane(lane, gid as usize, value);
+                        }
+                    }
+                    table.fold_group(gid, morsel, |accs, acc_monoids| {
+                        accs[0].merge(acc_monoids[0], values[6].clone()).unwrap();
+                    });
+                }
+                let mut parts = parts.into_iter();
+                let mut merged = parts.next().unwrap();
+                for part in parts {
+                    merged.absorb(part);
+                }
+                assert_eq!(merged.dense_keys().is_some(), dense);
+                assert_eq!(merged.group_count(), 27, "x{partials} dense {dense}");
+                assert_eq!(
+                    format!("{:?}", rows_of(merged)),
+                    expected,
+                    "x{partials} dense {dense}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_state_is_sized_before_it_is_allocated() {
+        let bounds = vec![DenseKey {
+            min: 10,
+            max: 19,
+            nullable: false,
+        }];
+        let kinds = [Some(LaneKind::Count), Some(LaneKind::Avg), None];
+        let monoids = vec![Monoid::Count, Monoid::Avg, Monoid::Bag];
+        let mut table = RadixGroupTable::dense(bounds, monoids, &kinds);
+        // Ten slots of a seen byte, an 8-byte count, a 16-byte average and
+        // one 48-byte accumulator.
+        assert_eq!(table.unallocated_bytes(48), 10 * (1 + 8 + 16 + 48));
+        assert_eq!(table.approx_bytes(48), 0);
+        assert_eq!(table.group_count(), 0);
+        table.allocate();
+        assert_eq!(table.unallocated_bytes(48), 0);
+        assert_eq!(table.approx_bytes(48), 10 * (1 + 8 + 16 + 48));
+        // Unseen slots are no groups: nothing is emitted for them.
+        table.mark_seen(&[3, 3, 9]);
+        assert_eq!(table.group_count(), 2);
+        let keys: Vec<Value> = rows_of(table)
+            .into_iter()
+            .map(|(k, _)| k[0].clone())
+            .collect();
+        let mut sorted = keys.clone();
+        sorted.sort_by(|a, b| a.total_cmp(b));
+        assert_eq!(sorted, vec![Value::Int(13), Value::Int(19)]);
     }
 
     #[test]

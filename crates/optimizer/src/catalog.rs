@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 use proteus_algebra::Schema;
-use proteus_plugins::{CostProfile, DatasetStats, PluginRegistry, ZoneMap};
+use proteus_plugins::{ColumnStats, CostProfile, DatasetStats, PluginRegistry, ZoneMap};
 
 /// Metadata for one dataset.
 #[derive(Debug, Clone)]
@@ -80,6 +80,17 @@ impl Catalog {
     /// Metadata of a dataset.
     pub fn get(&self, name: &str) -> Option<DatasetMeta> {
         self.datasets.read().get(name).cloned()
+    }
+
+    /// Statistics of one column of a dataset (without copying the rest of
+    /// its metadata).
+    pub fn column_stats(&self, dataset: &str, column: &str) -> Option<ColumnStats> {
+        self.datasets
+            .read()
+            .get(dataset)?
+            .stats
+            .column(column)
+            .cloned()
     }
 
     /// Schema of a dataset (used by the SQL front-end).

@@ -6,7 +6,7 @@
 //! plug-in's cost formulas with those cardinalities. The optimizer proper
 //! uses these estimates bottom-up for join ordering and access-path choice.
 
-use proteus_algebra::{BinaryOp, Expr, LogicalPlan};
+use proteus_algebra::{BinaryOp, Expr, LogicalPlan, Value};
 use proteus_plugins::stats::DEFAULT_SELECTIVITY;
 
 use crate::catalog::Catalog;
@@ -95,6 +95,43 @@ impl CostModel {
         DEFAULT_SELECTIVITY
     }
 
+    /// How many distinct keys a group-by over `input` can form, when every
+    /// key is a column of a scan in `input` with integer bounds:
+    /// Π(max − min + 1), one more per key whose column has nulls. `None`
+    /// for any other key.
+    fn key_domain(&self, input: &LogicalPlan, keys: &[Expr]) -> Option<f64> {
+        if keys.is_empty() {
+            return None;
+        }
+        keys.iter()
+            .map(|key| {
+                let Expr::Path(path) = key else {
+                    return None;
+                };
+                let [attr] = path.segments.as_slice() else {
+                    return None;
+                };
+                let mut dataset = None;
+                input.visit(&mut |node| {
+                    if let LogicalPlan::Scan {
+                        dataset: d, alias, ..
+                    } = node
+                    {
+                        if *alias == path.base {
+                            dataset = Some(d.clone());
+                        }
+                    }
+                });
+                let stats = self.catalog.column_stats(&dataset?, attr)?;
+                let (Value::Int(min), Value::Int(max)) = (stats.min, stats.max) else {
+                    return None;
+                };
+                let nulls = if stats.nulls > 0 { 1.0 } else { 0.0 };
+                Some(max as f64 - min as f64 + 1.0 + nulls)
+            })
+            .product()
+    }
+
     /// Estimates cardinality and cost of a plan bottom-up.
     pub fn estimate(&self, plan: &LogicalPlan) -> CostEstimate {
         match plan {
@@ -169,7 +206,9 @@ impl CostModel {
                 input, group_by, ..
             } => {
                 let child = self.estimate(input);
-                let groups = (child.cardinality * 0.1).max(1.0) * group_by.len().max(1) as f64;
+                let groups = self.key_domain(input, group_by).unwrap_or_else(|| {
+                    (child.cardinality * 0.1).max(1.0) * group_by.len().max(1) as f64
+                });
                 CostEstimate {
                     cardinality: groups.min(child.cardinality),
                     cost: child.cost + 2.0 * child.cardinality,
@@ -301,6 +340,53 @@ mod tests {
         let plan =
             scan("lineitem", "l").reduce(vec![ReduceSpec::new(Monoid::Count, Expr::int(1), "c")]);
         assert_eq!(model.estimate(&plan).cardinality, 1.0);
+    }
+
+    #[test]
+    fn group_count_follows_integer_key_bounds() {
+        let catalog = Catalog::new();
+        let mut stats = DatasetStats::with_cardinality(400_000);
+        let bounds = |min: i64, max: i64, nulls: u64| ColumnStats {
+            min: Value::Int(min),
+            max: Value::Int(max),
+            distinct: 4096,
+            nulls,
+        };
+        stats.columns.insert("g".into(), bounds(0, 999, 0));
+        stats.columns.insert("h".into(), bounds(0, 15, 0));
+        stats.columns.insert("n".into(), bounds(-2, 2, 7));
+        stats.columns.insert("id".into(), bounds(0, 10_000_000, 0));
+        catalog.insert(crate::catalog::DatasetMeta {
+            name: "fact".into(),
+            schema: Schema::from_pairs(vec![
+                ("g", DataType::Int),
+                ("h", DataType::Int),
+                ("n", DataType::Int),
+                ("id", DataType::Int),
+                ("v", DataType::Float),
+            ]),
+            stats,
+            cost: CostProfile::binary(),
+            zone_maps: Default::default(),
+        });
+        let model = CostModel::new(catalog);
+        let groups = |keys: &[&str]| {
+            let plan = scan("fact", "f").nest(
+                keys.iter().map(|k| Expr::path(&format!("f.{k}"))).collect(),
+                keys.iter().map(|k| k.to_string()).collect(),
+                vec![ReduceSpec::new(Monoid::Count, Expr::int(1), "c")],
+            );
+            model.estimate(&plan).cardinality
+        };
+        assert_eq!(groups(&["g"]), 1_000.0);
+        assert_eq!(groups(&["g", "h"]), 16_000.0);
+        // A key with nulls has one more group: [-2, 2] and null.
+        assert_eq!(groups(&["n"]), 6.0);
+        // Never more groups than rows.
+        assert_eq!(groups(&["id"]), 400_000.0);
+        // A key without integer bounds keeps the 10%-per-key heuristic.
+        assert_eq!(groups(&["v"]), 40_000.0);
+        assert_eq!(groups(&["g", "v"]), 80_000.0);
     }
 
     #[test]
