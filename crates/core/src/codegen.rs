@@ -1096,6 +1096,8 @@ impl Compiler {
                 // pass once every downstream `Value` reference is known.
                 build_live: Vec::new(),
                 probe_live: Vec::new(),
+                build_typed: Vec::new(),
+                probe_typed: Vec::new(),
                 kind,
             },
             combined,
@@ -1123,9 +1125,11 @@ impl Compiler {
 
 /// The typed slot kinds a producer's batches can carry — a scan's typed
 /// fills, seen through filters, plus the element lanes (and, from below, the
-/// gatherable parent columns) of a typed unnest — or `None` when the batches
-/// carry no typed columns (closure-floor unnest and join outputs are rebuilt
-/// row-wise).
+/// gatherable parent columns) of a typed unnest, and a join's output: the
+/// build side's lane kinds (its store keeps strings as `Value`s) and the
+/// probe side's kinds, shifted past the build slots — or `None` when the
+/// batches carry no typed columns (a closure-floor unnest rebuilds rows
+/// from `Value`s).
 fn scan_typed_kinds(producer: &Producer) -> Option<HashMap<usize, TypedKind>> {
     match producer {
         Producer::Scan { typed, .. } => Some(typed.iter().map(|t| (t.slot, t.kind)).collect()),
@@ -1135,7 +1139,26 @@ fn scan_typed_kinds(producer: &Producer) -> Option<HashMap<usize, TypedKind>> {
             kinds.extend(lanes.iter().map(|lane| (lane.slot, lane.kind)));
             Some(kinds)
         }
-        _ => None,
+        Producer::Join {
+            build,
+            probe,
+            build_width,
+            ..
+        } => {
+            let mut kinds: HashMap<usize, TypedKind> = scan_typed_kinds(build)
+                .unwrap_or_default()
+                .into_iter()
+                .filter(|(_, kind)| *kind != TypedKind::Str)
+                .collect();
+            let probe = scan_typed_kinds(probe).unwrap_or_default();
+            kinds.extend(
+                probe
+                    .into_iter()
+                    .map(|(slot, kind)| (build_width + slot, kind)),
+            );
+            Some(kinds)
+        }
+        Producer::Unnest { .. } => None,
     }
 }
 
@@ -1213,9 +1236,9 @@ fn scan_slot_stats(producer: &Producer) -> &[(usize, ColumnStats)] {
 /// Activates the typed fills of the slots a planned kernel or join
 /// ingest/gather reads. Recurses through filters to the scan; a typed unnest
 /// on the way keeps its own lanes and notes the parent slots it now has to
-/// gather as typed columns. Producers with no typed scan underneath
-/// (join-output or closure-unnest sides, where activation is an optimization
-/// rather than a planning invariant) are left untouched.
+/// gather as typed columns, and a join notes the slots of each side its
+/// output has to carry typed and recurses into that side. A closure-floor
+/// unnest, with no typed column above it, is left untouched.
 fn try_activate_typed_slots(producer: &mut Producer, slots: &[usize]) {
     match producer {
         Producer::Scan { typed, .. } => {
@@ -1239,7 +1262,27 @@ fn try_activate_typed_slots(producer: &mut Producer, slots: &[usize]) {
             }
             try_activate_typed_slots(input, parent_typed);
         }
-        _ => {}
+        Producer::Join {
+            build,
+            probe,
+            build_width,
+            build_typed,
+            probe_typed,
+            ..
+        } => {
+            for &slot in slots {
+                let (side, slot) = match slot.checked_sub(*build_width) {
+                    Some(probe_slot) => (&mut *probe_typed, probe_slot),
+                    None => (&mut *build_typed, slot),
+                };
+                if !side.contains(&slot) {
+                    side.push(slot);
+                }
+            }
+            try_activate_typed_slots(build, build_typed);
+            try_activate_typed_slots(probe, probe_typed);
+        }
+        Producer::Unnest { .. } => {}
     }
 }
 
@@ -1318,14 +1361,17 @@ fn finalize_typed_fills(producer: &mut Producer, value_refs: &HashSet<String>) {
             probe_live,
             ..
         } => {
+            // Slots read as `Value`s above the join; the slots kernels read
+            // typed were noted in `build_typed` / `probe_typed` when they
+            // were activated.
             *build_live = live_slots_of(build_names, value_refs);
             *probe_live = live_slots_of(probe_names, value_refs);
-            // On kernel-keyed sides the ingest/gather reads live slots
-            // straight from typed columns and full-side hydration is
-            // skipped, so only matched rows materialize a `Value` —
-            // activate the typed fills those reads come from (slots the
-            // scan cannot serve typed keep their row-major fills and are
-            // read as rows).
+            // On kernel-keyed sides no hydration runs ahead of the build
+            // ingest or the probe: the store and the probe output take the
+            // live slots as typed columns, and only the output rows that
+            // survive to a `Value` reader are hydrated — activate the typed
+            // fills those reads come from (slots the scan cannot serve typed
+            // keep their row-major fills and are read as rows).
             if build_key_slots.is_some() {
                 try_activate_typed_slots(build, build_live);
             }

@@ -67,7 +67,8 @@ use crate::exec::batch::BindingBatch;
 use crate::exec::expr::BindingLayout;
 use crate::exec::mask;
 use crate::exec::radix::{
-    AggLane, BuildStore, DenseKey, KeyHash, KeyLane, LaneKind, RadixGroupTable, DENSE_MAX_SLOTS,
+    AggLane, BuildStore, DenseKey, KeyHash, KeyLane, LaneKind, RadixGroupTable, StoreColumn,
+    DENSE_MAX_SLOTS,
 };
 
 // ---------------------------------------------------------------------------
@@ -748,7 +749,6 @@ pub struct Scratch {
     sels: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
     values: Vec<Vec<Value>>,
-    pairs: Vec<Vec<(u32, u32)>>,
     lanes: Vec<Vec<KeyLane>>,
     /// The typed unnest's parent index and element lanes, recycled across
     /// morsels.
@@ -823,18 +823,6 @@ impl Scratch {
         self.values.push(v);
     }
 
-    /// Borrows a recycled `(entry, row)` pair buffer (the probe stage's
-    /// per-morsel match list).
-    pub(crate) fn take_pairs(&mut self) -> Vec<(u32, u32)> {
-        self.pairs.pop().unwrap_or_default()
-    }
-
-    /// Returns a pair buffer to the pool.
-    pub(crate) fn put_pairs(&mut self, mut v: Vec<(u32, u32)>) {
-        v.clear();
-        self.pairs.push(v);
-    }
-
     /// Borrows the recycled expand output (the typed unnest stage refills
     /// it every morsel).
     pub(crate) fn take_expand(&mut self) -> proteus_plugins::ExpandOutput {
@@ -870,13 +858,13 @@ pub fn apply_filter(pred: &KernelPred, batch: &mut BindingBatch, scratch: &mut S
     scratch.put_mask(mask);
 }
 
-// Invariant: the predicate planner only emits kernel predicates over slots
-// whose typed fills it activated, so the column is always live here.
+// Invariant: the planners only emit kernels (and typed build columns) over
+// slots whose typed fills they activated, so the column is always live here.
 #[allow(clippy::expect_used)]
-fn typed(batch: &BindingBatch, slot: usize) -> &TypedColumn {
+pub(crate) fn typed(batch: &BindingBatch, slot: usize) -> &TypedColumn {
     batch
         .typed_col(slot)
-        .expect("kernel predicate over a slot without a live typed column")
+        .expect("a typed read of a slot without a live typed column")
 }
 
 /// Evaluates `pred` over rows `0..rows` into the packed bitmask `mask`
@@ -1883,87 +1871,65 @@ impl<'a> TypedKeys<'a> {
         Ok(())
     }
 
-    /// The lane-vs-stored-key compare of the kernel probe path: componentwise
-    /// [`Value::value_eq`] between row `row` of the bound typed columns and
-    /// build entry `entry` of a join [`BuildStore`]. Numeric components take
-    /// the store's `f64` total-order fast view when it exists; everything
-    /// else compares against the stored component values.
+    /// The lane-vs-stored-key compare of the kernel probe path: whether row
+    /// `row` of the bound typed columns joins build entry `entry` of a join
+    /// [`BuildStore`] — componentwise
+    /// [`join_key_eq`](crate::exec::radix::join_key_eq), so a null component
+    /// joins nothing. A typed key column is compared lane to lane
+    /// (`lane_eq`); a `Value` one against the stored component.
     pub fn eq_store(&self, row: usize, store: &BuildStore, entry: u32) -> bool {
         debug_assert_eq!(store.arity(), self.comps.len());
-        self.comps.iter().enumerate().all(|(comp, (col, _))| {
-            if let Some(view) = store.num_view(comp) {
-                let lane = match col.kind() {
-                    TypedKind::I64 if !col.is_null(row) => col.i64_values()[row] as f64,
-                    TypedKind::F64 if !col.is_null(row) => col.f64_values()[row],
-                    // Null or non-numeric lane: only exact value compare
-                    // (null == null, bool/str never equal a numeric view).
-                    _ => {
-                        return Self::component_eq_value(col, row, store.key_component(entry, comp))
-                    }
-                };
-                // The view covers every numeric entry; null entries hide
-                // behind the stored-null check.
-                !store.key_component(entry, comp).is_null()
-                    && lane.total_cmp(&view[entry as usize]) == Ordering::Equal
-            } else {
-                Self::component_eq_value(col, row, store.key_component(entry, comp))
-            }
-        })
+        self.comps
+            .iter()
+            .enumerate()
+            .all(|(comp, (col, _))| match store.key(comp) {
+                StoreColumn::Lanes(lanes) => lane_eq(col, row, lanes, entry as usize),
+                StoreColumn::Values(values) => {
+                    let stored = &values[entry as usize];
+                    !stored.is_null() && Self::component_eq_value(col, row, stored)
+                }
+            })
     }
 
     /// The single-numeric-key probe fast path: when the key is exactly one
-    /// `i64`/`f64` column and the build store carries its `f64` total-order
-    /// view, probes every selected row with the lane hoisted out of the
+    /// `i64`/`f64` column and the build key is an `i64`/`f64` lane, probes
+    /// every selected row with its lane's float view hoisted out of the
     /// candidate compares (and the same lookahead prefetch as the generic
     /// loop). Parity with [`TypedKeys::eq_store`] row by row: a null lane
-    /// matches exactly the null-keyed entries, a numeric lane matches by
-    /// `total_cmp` against the view. Returns `false` when ineligible — the
-    /// caller runs the generic loop instead.
+    /// matches nothing (and is not probed), a numeric lane matches the
+    /// non-null entries whose float view it equals by `total_cmp`. Returns
+    /// `false` when ineligible — the caller runs the generic loop instead.
     pub fn probe_rows_numeric(
         &self,
         table: &crate::exec::radix::RadixHashTable,
         sel: &[u32],
         hashes: &[u64],
-        mut on_match: impl FnMut(u32, u32),
+        on_match: impl FnMut(u32, u32),
     ) -> bool {
-        if self.comps.len() != 1 {
-            return false;
-        }
-        let (col, _) = &self.comps[0];
-        let store = table.store();
-        let Some(view) = store.num_view(0) else {
+        let [(col, _)] = self.comps.as_slice() else {
             return false;
         };
-        let ints = matches!(col.kind(), TypedKind::I64);
-        if !ints && !matches!(col.kind(), TypedKind::F64) {
+        let StoreColumn::Lanes(build) = table.store().key(0) else {
             return false;
-        }
-        for (i, (&r, &hash)) in sel.iter().zip(hashes).enumerate() {
-            if let Some(&ahead) = hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD) {
-                table.prefetch(ahead);
+        };
+        match (col.kind(), build.kind()) {
+            (TypedKind::I64, TypedKind::I64) => {
+                let (p, b) = (col.i64_values(), build.i64_values());
+                probe_numeric(table, sel, hashes, col, p, build, b, on_match)
             }
-            let row = r as usize;
-            if col.is_null(row) {
-                table.probe_hashed(
-                    hash,
-                    |entry| store.key_component(entry, 0).is_null(),
-                    |entry| on_match(entry, r),
-                );
-                continue;
+            (TypedKind::I64, TypedKind::F64) => {
+                let (p, b) = (col.i64_values(), build.f64_values());
+                probe_numeric(table, sel, hashes, col, p, build, b, on_match)
             }
-            let lane = if ints {
-                col.i64_values()[row] as f64
-            } else {
-                col.f64_values()[row]
-            };
-            table.probe_hashed(
-                hash,
-                |entry| {
-                    !store.key_component(entry, 0).is_null()
-                        && lane.total_cmp(&view[entry as usize]) == Ordering::Equal
-                },
-                |entry| on_match(entry, r),
-            );
+            (TypedKind::F64, TypedKind::I64) => {
+                let (p, b) = (col.f64_values(), build.i64_values());
+                probe_numeric(table, sel, hashes, col, p, build, b, on_match)
+            }
+            (TypedKind::F64, TypedKind::F64) => {
+                let (p, b) = (col.f64_values(), build.f64_values());
+                probe_numeric(table, sel, hashes, col, p, build, b, on_match)
+            }
+            _ => return false,
         }
         true
     }
@@ -1982,6 +1948,90 @@ impl<'a> TypedKeys<'a> {
     /// allocated).
     pub fn materialize_into(&self, row: usize, out: &mut Vec<Value>) {
         out.extend(self.comps.iter().map(|(col, _)| col.value_at(row)));
+    }
+}
+
+/// Whether row `row` of a probe key lane joins entry `entry` of a typed
+/// build key lane, without a `Value` ([`join_key_eq`]): a null joins
+/// nothing, numerics compare their float views by `total_cmp` (`3` ≡ `3.0`,
+/// `-0.0` ≠ `+0.0`, NaN by bits), booleans by value, and a numeric never
+/// equals a boolean or a string.
+///
+/// [`join_key_eq`]: crate::exec::radix::join_key_eq
+#[inline]
+fn lane_eq(probe: &TypedColumn, row: usize, build: &TypedColumn, entry: usize) -> bool {
+    if probe.is_null(row) || build.is_null(entry) {
+        return false;
+    }
+    let view = |col: &TypedColumn, i: usize| match col.kind() {
+        TypedKind::I64 => Some(col.i64_values()[i] as f64),
+        TypedKind::F64 => Some(col.f64_values()[i]),
+        _ => None,
+    };
+    match (probe.kind(), build.kind()) {
+        (TypedKind::Bool, TypedKind::Bool) => {
+            probe.bool_values()[row] == build.bool_values()[entry]
+        }
+        _ => match (view(probe, row), view(build, entry)) {
+            (Some(p), Some(b)) => p.total_cmp(&b) == Ordering::Equal,
+            _ => false,
+        },
+    }
+}
+
+/// A numeric key lane's float view: what `Value::value_eq` compares.
+trait FloatView: Copy {
+    fn view(self) -> f64;
+}
+
+impl FloatView for i64 {
+    #[inline]
+    fn view(self) -> f64 {
+        self as f64
+    }
+}
+
+impl FloatView for f64 {
+    #[inline]
+    fn view(self) -> f64 {
+        self
+    }
+}
+
+/// The loop of [`TypedKeys::probe_rows_numeric`], monomorphised per pair of
+/// lane kinds: `probe` and `build` are the two key columns, `probe_lane`
+/// and `build_lane` their values.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn probe_numeric<P: FloatView, B: FloatView>(
+    table: &crate::exec::radix::RadixHashTable,
+    sel: &[u32],
+    hashes: &[u64],
+    probe: &TypedColumn,
+    probe_lane: &[P],
+    build: &TypedColumn,
+    build_lane: &[B],
+    mut on_match: impl FnMut(u32, u32),
+) {
+    let build_nulls = build.has_nulls();
+    for (i, (&r, &hash)) in sel.iter().zip(hashes).enumerate() {
+        if let Some(&ahead) = hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD) {
+            table.prefetch(ahead);
+        }
+        let row = r as usize;
+        if probe.is_null(row) {
+            continue;
+        }
+        let lane = probe_lane[row].view();
+        table.probe_hashed(
+            hash,
+            |entry| {
+                let entry = entry as usize;
+                !(build_nulls && build.is_null(entry))
+                    && lane.total_cmp(&build_lane[entry].view()) == Ordering::Equal
+            },
+            |entry| on_match(entry, r),
+        );
     }
 }
 

@@ -35,8 +35,9 @@
 //!   batches per worker).
 //! * Join build sides are materialized once into a shared radix hash table
 //!   ([`radix::RadixHashTable`]); probe morsels then stream against it from
-//!   every worker. Left-outer joins track per-entry match flags and emit the
-//!   null-padded tail after the probe drains.
+//!   every worker. Left-outer joins track per-entry match flags and, after
+//!   the probe drains, run the unmatched entries through the rest of the
+//!   spine in morsel-sized batches with a null probe side.
 //! * Morsels are claimed from an atomic counter by the submitting thread
 //!   and by workers of the shared pool that steal slices of the run
 //!   ([`pipeline`], [`scheduler`]); every worker folds into a *private* sink
@@ -180,46 +181,52 @@
 //! tier folded each (row × output spec); aggregate kernel ≡ closure
 //! equivalence is enforced by the same seed-sweep suites.
 //!
-//! # Vectorized joins: typed-key build & probe
+//! # Vectorized joins: typed build store, typed probe output
 //!
 //! Radix hash joins run on the same typed tier, so a kernel-eligible
-//! equi-join never materializes a per-tuple `Value` on either side:
+//! equi-join never materializes a per-tuple `Value` on either side — nor
+//! above it:
 //!
-//! * **Columnar build store.** The build side materializes into a
-//!   [`radix::BuildStore`] — per-entry key hash, key components and *live*
-//!   payload values flattened into contiguous arenas indexed by entry id —
-//!   instead of a `(Value, Vec<Value>)` pair per entry. The
-//!   [`radix::RadixHashTable`] indexes the store's entry ids through the
-//!   open-addressed index the group table also uses (4-byte slots, linear
-//!   probing, load ≤ ½) — one slot per distinct hash, repeats chained behind
-//!   it — so a probe walks a handful of slots from its hash's home slot
-//!   however often keys repeat; no entry data moves, and entries of one key
-//!   match in build-scan order. Numeric key columns additionally carry an
-//!   `f64` total-order view, so probe compares against them are one
-//!   branchless float comparison (single numeric keys take a dedicated
-//!   hoisted-lane loop). Because the kernel path hashes whole morsels up
-//!   front, the probe loop prefetches each row's home slot (and each match's
-//!   payload) a fixed lookahead ahead — memory latency the one-row-at-a-time
-//!   closure fallback cannot hide.
+//! * **Lane-typed build store.** The build side materializes into a
+//!   [`radix::BuildStore`]: the per-entry key hash plus one column per key
+//!   component and per *live* payload slot, each a [`radix::StoreColumn`] —
+//!   typed lanes (`i64`, `f64`, `bool`, with null words) where the build
+//!   scan filled the slot typed, `Value`s for strings, closure-evaluated
+//!   keys and nested values. The [`radix::RadixHashTable`] indexes the
+//!   store's entry ids through the open-addressed index the group table also
+//!   uses (4-byte slots, linear probing, load ≤ ½) — one slot per distinct
+//!   hash, repeats chained behind it — so a probe walks a handful of slots
+//!   from its hash's home slot however often keys repeat; no entry data
+//!   moves, and entries of one key match in build-scan order.
 //! * **Key classification.** Codegen classifies each join side on its own
-//!   at prepare time: when every equi-key resolves to a typed scan slot
+//!   at compile time: when every equi-key resolves to a typed slot
 //!   ([`kernels::plan_key_slots`] — all-or-nothing per side, so every
 //!   component hashes through one tier), that side's keys are batch-hashed
 //!   columnwise by [`kernels::TypedKeys`] (the group-by machinery) with
-//!   `Value::stable_hash` parity, and probe rows confirm candidates with
-//!   lane-vs-stored-key `value_eq` compares ([`kernels::TypedKeys::eq_store`]).
-//!   Nested paths, computed keys and untyped slots keep that side on the
-//!   closure-fallback path — which also stopped boxing: key components
-//!   evaluate into the store arenas (build) or a recycled scratch buffer
-//!   (probe) componentwise, with no `Value::List` wrapper at any arity.
+//!   `Value::stable_hash` parity, and probe rows confirm candidates lane to
+//!   lane against the build key column ([`kernels::TypedKeys::eq_store`]:
+//!   float views by `total_cmp`, so `3` ≡ `3.0`; single numeric keys take a
+//!   dedicated hoisted-lane loop). A null key component joins nothing
+//!   ([`radix::join_key_eq`]). Because the kernel path hashes whole morsels
+//!   up front, the probe loop prefetches each row's home slot a fixed
+//!   lookahead ahead. Nested paths, computed keys and untyped slots keep
+//!   that side on the closure-fallback path, whose key components evaluate
+//!   into a scratch key (no `Value::List` wrapper at any arity).
+//! * **Typed probe output.** Matches gather the build store's lane columns
+//!   by entry id and the probe batch's typed columns through the match list
+//!   into typed columns of the output batch; `Value` columns are copied
+//!   value by value. Codegen's `scan_typed_kinds` sees through the join, so
+//!   filters, reduces and group-bys above it are planned like over a scan,
+//!   and the slots they read are activated on the side they come from.
 //! * **Liveness.** The referenced-name analysis runs over *both* join
-//!   layouts: only build slots something downstream reads are stored in the
-//!   arena, and only live probe slots are gathered (columnwise) into the
-//!   join output batch — a `COUNT(*)` over a join hydrates nothing at all.
-//! * **Parallelism.** Worker-private build partials keep the same flattened
-//!   arenas and merge by morsel tag (a k-way merge that *moves* values), so
-//!   the store — and therefore probe/match order — is bit-identical to the
-//!   serial build at any worker count, for inner and left-outer kinds.
+//!   layouts: only build slots something downstream reads (as `Value`s or
+//!   through a kernel) are stored, and only live probe slots are gathered
+//!   into the join output — a `COUNT(*)` over a join hydrates nothing.
+//! * **Parallelism.** Each worker fills a store chunk per run of consecutive
+//!   morsels, tagged with the run's first morsel; the chunks are joined in
+//!   tag order, so the store — and therefore probe/match order — is
+//!   bit-identical to the serial build at any worker count, for inner and
+//!   left-outer kinds.
 //!
 //! `ExecutionMetrics::join_kernel_rows` / `join_fallback_rows` report which
 //! tier keyed each build/probe row; join kernel ≡ closure equivalence is

@@ -45,7 +45,7 @@ use crate::exec::mask;
 use crate::exec::metrics::ExecutionMetrics;
 use crate::exec::radix::{
     hash_key_components, key_components_eq, BuildStore, MatchedBitmap, RadixGroupTable,
-    RadixHashTable,
+    RadixHashTable, StoreColumn,
 };
 use crate::exec::scheduler::{PoolTask, Scheduler};
 use crate::exec::Binding;
@@ -195,11 +195,17 @@ pub(crate) enum Producer {
         /// the referenced-name liveness analysis in codegen's finalize pass).
         build_names: Vec<String>,
         probe_names: Vec<String>,
-        /// Build-side slots something downstream of the join reads — the
-        /// only slots the build store materializes (filled by codegen).
+        /// Build-side slots something downstream of the join reads as
+        /// `Value`s (filled by codegen's finalize pass).
         build_live: Vec<usize>,
-        /// Probe-side slots copied into the join output (filled by codegen).
+        /// Probe-side slots read downstream as `Value`s (likewise).
         probe_live: Vec<usize>,
+        /// Build-side slots a downstream kernel reads as typed columns (set
+        /// when a kernel above the join activates them). The build store
+        /// keeps, and the probe output carries, `build_live ∪ build_typed`.
+        build_typed: Vec<usize>,
+        /// Probe-side slots a downstream kernel reads as typed columns.
+        probe_typed: Vec<usize>,
         kind: JoinKind,
     },
 }
@@ -251,24 +257,7 @@ enum Stage {
     /// the output batch, through the plug-in's expand hook.
     Expand(ExpandStage),
     /// Streams probe rows against the shared build table.
-    Probe {
-        table: Arc<RadixHashTable>,
-        /// Closure key extractors (the fallback path).
-        probe_keys: Vec<CompiledExpr>,
-        /// Typed slots serving the probe key components: the kernel path
-        /// batch-hashes the whole selection straight from the typed columns.
-        key_slots: Option<Vec<usize>>,
-        residual: Option<CompiledPredicate>,
-        /// Offset of the probe slots in the join output rows.
-        build_width: usize,
-        width: usize,
-        /// Probe-side slots copied into the output (the rest stay null —
-        /// nothing downstream reads them).
-        probe_live: Vec<usize>,
-        /// Present for left-outer joins: the shared packed bitmap of
-        /// per-build-entry matched flags.
-        matched: Option<Arc<MatchedBitmap>>,
-    },
+    Probe(ProbeStage),
 }
 
 struct UnnestStage {
@@ -279,6 +268,36 @@ struct UnnestStage {
     outer: bool,
     width: usize,
     parent_live: Vec<usize>,
+}
+
+/// The join probe: matches each selected row against the shared build
+/// table and gathers the matches into the output batch — typed columns
+/// where the build store or the probe batch holds the slot typed, `Value`s
+/// for the rest.
+struct ProbeStage {
+    table: Arc<RadixHashTable>,
+    /// Closure key extractors (the fallback path).
+    probe_keys: Vec<CompiledExpr>,
+    /// Typed slots serving the probe key components: the kernel path
+    /// batch-hashes the whole selection straight from the typed columns.
+    key_slots: Option<Vec<usize>>,
+    residual: Option<CompiledPredicate>,
+    /// Offset of the probe slots in the join output rows.
+    build_width: usize,
+    width: usize,
+    /// Probe-side slots copied into the output (the rest are never read).
+    probe_live: Vec<usize>,
+    /// Parallel to `probe_live`: the kind of each slot's typed column in
+    /// the probe batches, `None` for a `Value` slot — the shape of the
+    /// null columns a left-outer tail pads the probe side with.
+    probe_kinds: Vec<Option<TypedKind>>,
+    /// Output slots something downstream reads as `Value`s: hydrated for
+    /// the residual here, and by the `Stage::Hydrate` placed behind the
+    /// probe for everything else.
+    hydrate: Vec<usize>,
+    /// Present for left-outer joins: the shared packed bitmap of
+    /// per-build-entry matched flags.
+    matched: Option<Arc<MatchedBitmap>>,
 }
 
 struct ExpandStage {
@@ -294,6 +313,11 @@ struct ExpandStage {
 struct PreparedPipeline {
     scan: PreparedScan,
     stages: Vec<Stage>,
+    /// Per slot of the batches the last stage hands on: the kind of the
+    /// slot's typed column, `None` where the slot is a `Value` (or dead).
+    /// How a join build learns its column kinds, and a left-outer tail the
+    /// kinds of the probe side it pads with nulls.
+    kinds: Vec<Option<TypedKind>>,
 }
 
 /// Flattens a producer tree into a prepared spine, executing every join
@@ -317,10 +341,14 @@ fn prepare(
             bad_rows,
         } => {
             metrics.bad_rows += bad_rows;
+            let mut kinds = vec![None; width];
             let typed_fills = typed
                 .into_iter()
                 .filter(|t| t.active)
-                .map(|t| (t.slot, t.fill, t.hydrate))
+                .map(|t| {
+                    kinds[t.slot] = Some(t.kind);
+                    (t.slot, t.fill, t.hydrate)
+                })
                 .collect();
             Ok(PreparedPipeline {
                 scan: PreparedScan {
@@ -332,6 +360,7 @@ fn prepare(
                     zones,
                 },
                 stages: Vec::new(),
+                kinds,
             })
         }
         Producer::Filter {
@@ -360,6 +389,8 @@ fn prepare(
         } => {
             let mut prepared = prepare(*input, env, metrics)?;
             let width = current_width(&prepared).max(slot + 1);
+            // Rows are rebuilt from `Value`s: no typed column survives.
+            prepared.kinds = vec![None; width];
             prepared.stages.push(Stage::Unnest(UnnestStage {
                 collection_slot,
                 collection_path,
@@ -382,6 +413,15 @@ fn prepare(
             parent_live,
         } => {
             let mut prepared = prepare(*input, env, metrics)?;
+            let width = parent_names.len() + lanes.len();
+            let mut kinds = vec![None; width];
+            for &slot in &parent_live {
+                kinds[slot] = prepared.kinds.get(slot).copied().flatten();
+            }
+            for lane in &lanes {
+                kinds[lane.slot] = Some(lane.kind);
+            }
+            prepared.kinds = kinds;
             prepared.stages.push(Stage::Expand(ExpandStage {
                 expand,
                 lane_slots: lanes.iter().map(|lane| lane.slot).collect(),
@@ -391,7 +431,7 @@ fn prepare(
                     .map(|lane| lane.slot)
                     .collect(),
                 outer,
-                width: parent_names.len() + lanes.len(),
+                width,
                 parent_live,
             }));
             Ok(prepared)
@@ -409,14 +449,21 @@ fn prepare(
             probe_names: _,
             build_live,
             probe_live,
+            build_typed,
+            probe_typed,
             kind,
         } => {
+            let hydrate: Vec<usize> = build_live
+                .iter()
+                .copied()
+                .chain(probe_live.iter().map(|slot| build_width + slot))
+                .collect();
             // Materialize the build side with its own morsel run.
             let store = run_entries(
                 *build,
                 build_keys,
                 build_key_slots,
-                build_live,
+                union(build_live, build_typed),
                 env,
                 metrics,
             )?;
@@ -432,9 +479,23 @@ fn prepare(
 
             let mut prepared = prepare(*probe, env, metrics)?;
             let probe_width = current_width(&prepared);
+            let probe_live = union(probe_live, probe_typed);
+            let probe_kinds: Vec<Option<TypedKind>> = probe_live
+                .iter()
+                .map(|&slot| prepared.kinds.get(slot).copied().flatten())
+                .collect();
+            let mut kinds = vec![None; build_width + probe_width];
+            let store = table.store();
+            for (col, &slot) in store.payload().iter().zip(store.live_slots()) {
+                kinds[slot] = col.kind();
+            }
+            for (&slot, &kind) in probe_live.iter().zip(&probe_kinds) {
+                kinds[build_width + slot] = kind;
+            }
+            prepared.kinds = kinds;
             let matched =
                 (kind == JoinKind::LeftOuter).then(|| Arc::new(MatchedBitmap::new(table.len())));
-            prepared.stages.push(Stage::Probe {
+            prepared.stages.push(Stage::Probe(ProbeStage {
                 table,
                 probe_keys,
                 key_slots: probe_key_slots,
@@ -442,11 +503,21 @@ fn prepare(
                 build_width,
                 width: build_width + probe_width,
                 probe_live,
+                probe_kinds,
+                hydrate,
                 matched,
-            });
+            }));
             Ok(prepared)
         }
     }
+}
+
+/// The ascending union of two slot lists.
+fn union(mut a: Vec<usize>, b: Vec<usize>) -> Vec<usize> {
+    a.extend(b);
+    a.sort_unstable();
+    a.dedup();
+    a
 }
 
 fn current_width(prepared: &PreparedPipeline) -> usize {
@@ -457,7 +528,7 @@ fn current_width(prepared: &PreparedPipeline) -> usize {
         .find_map(|stage| match stage {
             Stage::Unnest(UnnestStage { width, .. })
             | Stage::Expand(ExpandStage { width, .. })
-            | Stage::Probe { width, .. } => Some(*width),
+            | Stage::Probe(ProbeStage { width, .. }) => Some(*width),
             Stage::KernelFilter(_)
             | Stage::FillSelected(_)
             | Stage::Filter(_)
@@ -474,16 +545,19 @@ fn current_width(prepared: &PreparedPipeline) -> usize {
 /// A typed unnest ([`Stage::Expand`]) reads no rows and hands typed columns
 /// on — its lanes, and the parent columns it gathered — so it starts a new
 /// stretch with the same rule: one hydration before the first row consumer
-/// after it. Each hydration lists every flagged slot; `hydrate` skips the
-/// ones the batch at hand holds no typed column for.
+/// after it. So does a join probe: its output carries the typed columns of
+/// the build store and of the probe batch, and the slots its `hydrate` list
+/// names are hydrated in the stretch behind it (a residual hydrates them
+/// inside the probe, for the rows it tests). Each hydration lists every
+/// flagged slot; `hydrate` skips the ones the batch at hand holds no typed
+/// column for. The closure unnest rebuilds rows from `Value`s, so nothing
+/// is left to hydrate behind it.
 ///
-/// When the row-consuming stage is a *kernel-keyed probe*, hydration is
-/// skipped entirely: the probe reads no rows (keys hash from typed columns)
-/// and its gather copies live slots straight out of the typed columns, so
-/// only *matched* rows ever materialize a `Value` — everything after the
-/// probe reads the gathered join-output rows. The same applies when the
-/// pipeline ends at a typed-key build sink (`sink_reads_typed`): the build
-/// ingest keys and payload both read the typed columns.
+/// A *kernel-keyed probe* reads no rows (keys hash from typed columns, the
+/// gather copies typed columns), so no hydration is placed ahead of it. The
+/// same applies when the pipeline ends at a typed-key build sink
+/// (`sink_reads_typed`): the build ingest keys and payload both read the
+/// typed columns.
 fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
     let mut slots: Vec<usize> = pipeline
         .scan
@@ -492,45 +566,37 @@ fn insert_hydration(pipeline: &mut PreparedPipeline, sink_reads_typed: bool) {
         .filter(|(_, _, hydrate)| *hydrate)
         .map(|(slot, _, _)| *slot)
         .collect();
-    for stage in &pipeline.stages {
-        if let Stage::Expand(expand) = stage {
-            slots.extend(&expand.hydrate_lanes);
-        }
-    }
-    if slots.is_empty() {
-        return;
-    }
     let mut hydrated = false;
     let mut at = 0;
     while at < pipeline.stages.len() {
+        let reads_rows = match &pipeline.stages[at] {
+            Stage::Filter(_) | Stage::Unnest(_) => true,
+            Stage::Probe(probe) => probe.key_slots.is_none(),
+            Stage::KernelFilter(_)
+            | Stage::FillSelected(_)
+            | Stage::Hydrate(_)
+            | Stage::Expand(_) => false,
+        };
+        if reads_rows && !hydrated && !slots.is_empty() {
+            pipeline.stages.insert(at, Stage::Hydrate(slots.clone()));
+            at += 1;
+        }
+        hydrated |= reads_rows;
         match &pipeline.stages[at] {
-            Stage::KernelFilter(_) | Stage::FillSelected(_) | Stage::Hydrate(_) => {}
-            Stage::Expand(_) => hydrated = false,
-            Stage::Filter(_) if hydrated => {}
-            Stage::Filter(_) => {
-                pipeline.stages.insert(at, Stage::Hydrate(slots.clone()));
-                hydrated = true;
-                at += 1;
+            Stage::Expand(expand) => {
+                slots.extend(&expand.hydrate_lanes);
+                hydrated = false;
             }
-            // Past either of these the batch is rebuilt row-wise: no typed
-            // column survives, nothing is left to hydrate.
-            Stage::Unnest(_) | Stage::Probe { .. } => {
-                let typed_probe = matches!(
-                    &pipeline.stages[at],
-                    Stage::Probe {
-                        key_slots: Some(_),
-                        ..
-                    }
-                );
-                if !hydrated && !typed_probe {
-                    pipeline.stages.insert(at, Stage::Hydrate(slots));
-                }
-                return;
+            Stage::Unnest(_) => slots.clear(),
+            Stage::Probe(probe) => {
+                slots = probe.hydrate.clone();
+                hydrated = false;
             }
+            _ => {}
         }
         at += 1;
     }
-    if !hydrated && !sink_reads_typed {
+    if !hydrated && !sink_reads_typed && !slots.is_empty() {
         pipeline.stages.push(Stage::Hydrate(slots));
     }
 }
@@ -589,8 +655,8 @@ enum SinkSpec {
         kernel: Option<SinkKernel>,
     },
     Collect,
-    /// Join-build materialization into a columnar [`BuildStore`]: key
-    /// components + live payload slots, flattened per entry.
+    /// Join-build materialization into a columnar [`BuildStore`]: one
+    /// column per key component and per live payload slot.
     Entries {
         /// Closure key extractors (the fallback ingest).
         keys: Vec<CompiledExpr>,
@@ -599,6 +665,11 @@ enum SinkSpec {
         key_slots: Option<Vec<usize>>,
         /// Build slots something downstream of the join reads.
         live_slots: Vec<usize>,
+        /// The lane kind of each key component's and each live slot's store
+        /// column (`None`: a `Value` column): the kinds of the typed columns
+        /// the batches carry, closure keys always `Value`s.
+        key_kinds: Vec<Option<TypedKind>>,
+        live_kinds: Vec<Option<TypedKind>>,
     },
 }
 
@@ -639,27 +710,28 @@ impl ReducePartial {
     }
 }
 
-/// One worker's columnar build-side partial: per-entry morsel tag and key
-/// hash, with key components and live payload values flattened into arenas —
-/// no per-entry `Vec<Value>` is ever allocated. Tags ascend within a
-/// partial (workers claim morsels in increasing order), so the merge is a
-/// k-way merge by morsel.
-#[derive(Default)]
-struct EntriesPartial {
-    tags: Vec<u64>,
-    hashes: Vec<u64>,
-    keys: Vec<Value>,
-    payload: Vec<Value>,
+/// One worker's share of a join build: a [`BuildStore`] chunk per run of
+/// consecutive morsels it took, tagged with the run's first morsel. No
+/// other worker holds a morsel inside a run, so the chunks joined in tag
+/// order ([`in_tag_order`]) are the store a serial run fills — and a serial
+/// run's one chunk *is* that store.
+struct BuildChunks {
+    chunks: Vec<(u64, BuildStore)>,
+    /// The last morsel the worker ingested.
+    last: u64,
+    /// Entries over all chunks, and what one costs the memory budget.
+    entries: u64,
+    entry_cost: u64,
 }
 
 /// A worker-private sink partial.
 enum SinkState {
     Reduce(Vec<ReducePartial>),
-    Nest(RadixGroupTable),
+    Nest(Box<RadixGroupTable>),
     /// Rows tagged with their morsel index so the merged output preserves
     /// scan order regardless of which worker claimed which morsel.
     Collect(Vec<(u64, Binding)>),
-    Entries(EntriesPartial),
+    Entries(BuildChunks),
 }
 
 /// The merged result of a pipeline run.
@@ -681,7 +753,7 @@ impl SinkSpec {
                 monoids,
                 kernel,
                 ..
-            } => SinkState::Nest(match kernel {
+            } => SinkState::Nest(Box::new(match kernel {
                 Some(kernel) => {
                     let lanes = kernel.lane_kinds(monoids);
                     match &kernel.dense {
@@ -692,9 +764,21 @@ impl SinkSpec {
                     }
                 }
                 None => RadixGroupTable::new(keys.len(), monoids.clone()),
-            }),
+            })),
             SinkSpec::Collect => SinkState::Collect(Vec::new()),
-            SinkSpec::Entries { .. } => SinkState::Entries(EntriesPartial::default()),
+            SinkSpec::Entries {
+                key_kinds,
+                live_kinds,
+                ..
+            } => SinkState::Entries(BuildChunks {
+                chunks: Vec::new(),
+                last: 0,
+                entries: 0,
+                entry_cost: BuildStore::entry_cost(
+                    key_kinds.iter().chain(live_kinds).copied(),
+                    VALUE_COST,
+                ),
+            }),
         }
     }
 
@@ -925,53 +1009,64 @@ impl SinkSpec {
                     keys,
                     key_slots,
                     live_slots,
+                    key_kinds,
+                    live_kinds,
                 },
                 SinkState::Entries(partial),
             ) => {
+                let sel = batch.sel();
+                // A morsel right after (or the same as) the worker's last
+                // one extends its chunk; any other starts one.
+                let extends = !partial.chunks.is_empty()
+                    && (morsel == partial.last || morsel == partial.last + 1);
+                if !extends {
+                    let chunk = BuildStore::with_kinds(key_kinds, live_slots.clone(), live_kinds);
+                    partial.chunks.push((morsel, chunk));
+                }
+                partial.last = morsel;
+                partial.entries += sel.len() as u64;
+                let Some((_, store)) = partial.chunks.last_mut() else {
+                    unreachable!("a chunk was just ensured");
+                };
                 match key_slots {
                     Some(slots) => {
                         // Kernel ingest: batch-hash the whole selection from
-                        // the typed columns, materialize components lane-wise.
+                        // the typed columns; components land lane-wise.
                         let typed_keys = kernels::TypedKeys::bind(slots, batch);
-                        // Live payload slots read the typed columns where
-                        // the scan filled them (hydration is skipped ahead
-                        // of a typed-key build sink).
-                        let live_cols: Vec<_> =
-                            live_slots.iter().map(|&s| batch.typed_col(s)).collect();
                         let mut hashes = scratch.take_u64s();
-                        typed_keys.hash_rows(batch.sel(), &mut hashes);
-                        for (&r, &hash) in batch.sel().iter().zip(&hashes) {
-                            partial.tags.push(morsel);
-                            partial.hashes.push(hash);
-                            typed_keys.materialize_into(r as usize, &mut partial.keys);
-                            partial
-                                .payload
-                                .extend(live_slots.iter().zip(&live_cols).map(
-                                    |(&s, col)| match col {
-                                        Some(col) => col.value_at(r as usize),
-                                        None => batch.row(r)[s].clone(),
-                                    },
-                                ));
+                        typed_keys.hash_rows(sel, &mut hashes);
+                        store.hashes_mut().extend_from_slice(&hashes);
+                        scratch.put_u64s(hashes);
+                        for (comp, &slot) in slots.iter().enumerate() {
+                            extend_column(store.key_mut(comp), batch, slot);
                         }
                         metrics.join_kernel_rows += batch.active() as u64;
-                        scratch.put_u64s(hashes);
                     }
                     None => {
-                        // Closure fallback: key components evaluate into the
-                        // arena directly — no `Value::List` wrapper at any
-                        // arity, and single keys are just one component.
-                        batch.for_each_selected(|row| {
-                            let start = partial.keys.len();
-                            partial.keys.extend(keys.iter().map(|k| k(row)));
-                            let hash = hash_key_components(&partial.keys[start..]);
-                            partial.hashes.push(hash);
-                            partial.tags.push(morsel);
-                            partial
-                                .payload
-                                .extend(live_slots.iter().map(|&s| row[s].clone()));
-                        });
+                        // Closure fallback: key components evaluate into a
+                        // scratch key, hash in place, then move into the
+                        // `Value` key columns.
+                        let mut key_buf = scratch.take_values();
+                        for &r in sel {
+                            let row = batch.row(r);
+                            key_buf.clear();
+                            key_buf.extend(keys.iter().map(|k| k(row)));
+                            store.hashes_mut().push(hash_key_components(&key_buf));
+                            for (comp, value) in key_buf.drain(..).enumerate() {
+                                match store.key_mut(comp) {
+                                    StoreColumn::Values(values) => values.push(value),
+                                    StoreColumn::Lanes(_) => {
+                                        unreachable!("closure keys are stored as values")
+                                    }
+                                }
+                            }
+                        }
+                        scratch.put_values(key_buf);
                         metrics.join_fallback_rows += batch.active() as u64;
                     }
+                }
+                for (col, &slot) in live_slots.iter().enumerate() {
+                    extend_column(store.payload_mut(col), batch, slot);
                 }
             }
             _ => unreachable!("sink state does not match sink spec"),
@@ -1023,9 +1118,9 @@ impl SinkSpec {
                     _ => unreachable!("a nest sink's state is a group table"),
                 });
                 for table in tables {
-                    merged.absorb(table);
+                    merged.absorb(*table);
                 }
-                SinkResult::Groups(merged)
+                SinkResult::Groups(*merged)
             }
             SinkSpec::Collect => {
                 let parts = partials.into_iter().filter_map(|p| match p {
@@ -1040,58 +1135,42 @@ impl SinkSpec {
                 )
             }
             SinkSpec::Entries {
-                keys, live_slots, ..
+                key_kinds,
+                live_slots,
+                live_kinds,
+                ..
             } => {
-                let arity = keys.len();
-                let mut parts: Vec<EntriesPartial> = partials
-                    .into_iter()
-                    .filter_map(|p| match p {
-                        SinkState::Entries(e) => Some(e),
-                        _ => None,
-                    })
-                    .collect();
-                // Serial fast path: one partial's arenas *are* the store.
-                if parts.len() == 1 {
-                    if let Some(p) = parts.pop() {
-                        return SinkResult::Entries(BuildStore::from_parts(
-                            arity,
-                            live_slots.clone(),
-                            p.hashes,
-                            p.keys,
-                            p.payload,
-                        ));
-                    }
-                }
-                // Restore scan order across workers: per-partial tags
-                // ascend and every morsel belongs to one worker, so a k-way
-                // merge by (tag, worker index) reproduces the serial entry
-                // order exactly. Values are moved, not cloned.
-                let live_width = live_slots.len();
-                let total: usize = parts.iter().map(|p| p.hashes.len()).sum();
-                let mut store = BuildStore::new(arity, live_slots.clone());
-                let mut cursors = vec![0usize; parts.len()];
-                for _ in 0..total {
-                    // `total` is the sum of the partial lengths, so some
-                    // cursor always has entries left; the else arm is
-                    // unreachable but keeps the merge abort-free.
-                    let Some(w) = (0..parts.len())
-                        .filter(|&w| cursors[w] < parts[w].tags.len())
-                        .min_by_key(|&w| (parts[w].tags[cursors[w]], w))
-                    else {
-                        break;
-                    };
-                    let i = cursors[w];
-                    cursors[w] += 1;
-                    let p = &mut parts[w];
-                    store.push_taken(
-                        p.hashes[i],
-                        &mut p.keys[i * arity..(i + 1) * arity],
-                        &mut p.payload[i * live_width..(i + 1) * live_width],
-                    );
+                let chunks = partials.into_iter().filter_map(|p| match p {
+                    SinkState::Entries(partial) => Some(partial.chunks),
+                    _ => None,
+                });
+                let chunks = in_tag_order(chunks);
+                let entries: usize = chunks.iter().map(|(_, chunk)| chunk.len()).sum();
+                let mut chunks = chunks.into_iter().map(|(_, chunk)| chunk);
+                let mut store = chunks.next().unwrap_or_else(|| {
+                    BuildStore::with_kinds(key_kinds, live_slots.clone(), live_kinds)
+                });
+                store.reserve(entries - store.len());
+                for chunk in chunks {
+                    store.append(chunk);
                 }
                 SinkResult::Entries(store)
             }
         }
+    }
+}
+
+/// Appends the selected rows of one batch slot to a build store column:
+/// lanes from the slot's typed column, `Value`s from its typed column
+/// (strings) or its row-major form.
+fn extend_column(col: &mut StoreColumn, batch: &BindingBatch, slot: usize) {
+    let sel = batch.sel();
+    match col {
+        StoreColumn::Lanes(lanes) => lanes.extend_gathered(kernels::typed(batch, slot), sel),
+        StoreColumn::Values(values) => match batch.typed_col(slot) {
+            Some(typed) => values.extend(sel.iter().map(|&r| typed.value_at(r as usize))),
+            None => values.extend(sel.iter().map(|&r| batch.row(r)[slot].clone())),
+        },
     }
 }
 
@@ -1251,6 +1330,128 @@ fn run_expand(
     std::mem::swap(cur, spare);
 }
 
+/// The join probe: matches every selected row of `cur` against the build
+/// table into a match list — entry ids and probe rows, in probe-row order
+/// and, per row, entry-id order — then gathers the matches into `spare`
+/// ([`gather_build`] and the probe's live slots: typed column to typed
+/// column, `Value` to `Value`). The residual, if any, filters the output,
+/// and a left-outer join marks the entries whose output rows survived it.
+#[inline(never)]
+fn run_probe(
+    stage: &ProbeStage,
+    cur: &mut BindingBatch,
+    spare: &mut BindingBatch,
+    scratch: &mut kernels::Scratch,
+    metrics: &mut ExecutionMetrics,
+) {
+    let table = &stage.table;
+    let store = table.store();
+    // The tail pads the probe side with null columns of these kinds: they
+    // must be the kinds the probe batches really carry.
+    debug_assert!(stage
+        .probe_live
+        .iter()
+        .zip(&stage.probe_kinds)
+        .all(|(&slot, &kind)| cur.typed_col(slot).map(|col| col.kind()) == kind));
+    let mut entries = scratch.take_sel();
+    let mut rows = scratch.take_sel();
+    let mut on_match = |entry: u32, r: u32| {
+        entries.push(entry);
+        rows.push(r);
+    };
+    match &stage.key_slots {
+        Some(slots) => {
+            // Kernel probe: batch-hash the whole selection from the typed
+            // columns, then compare lane to lane. Single numeric keys take
+            // the specialized loop; everything else runs the generic
+            // componentwise compares. Batch hashing buys both a fixed probe
+            // lookahead: pull each row's index slot toward cache while
+            // earlier rows are confirmed.
+            let typed_keys = kernels::TypedKeys::bind(slots, cur);
+            let mut hashes = scratch.take_u64s();
+            typed_keys.hash_rows(cur.sel(), &mut hashes);
+            if !typed_keys.probe_rows_numeric(table, cur.sel(), &hashes, &mut on_match) {
+                for (i, (&r, &hash)) in cur.sel().iter().zip(&hashes).enumerate() {
+                    if let Some(&ahead) = hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD) {
+                        table.prefetch(ahead);
+                    }
+                    table.probe_hashed(
+                        hash,
+                        |entry| typed_keys.eq_store(r as usize, store, entry),
+                        |entry| on_match(entry, r),
+                    );
+                }
+            }
+            metrics.join_kernel_rows += cur.active() as u64;
+            scratch.put_u64s(hashes);
+        }
+        None => {
+            // Closure fallback: key components evaluate into a recycled
+            // scratch buffer (no `Value::List` wrapper at any arity),
+            // hash/compare componentwise.
+            let mut key_buf = scratch.take_values();
+            for &r in cur.sel() {
+                let row = cur.row(r);
+                key_buf.clear();
+                key_buf.extend(stage.probe_keys.iter().map(|k| k(row)));
+                table.probe_hashed(
+                    hash_key_components(&key_buf),
+                    |entry| store.key_eq_values(entry, &key_buf),
+                    |entry| on_match(entry, r),
+                );
+            }
+            metrics.join_fallback_rows += cur.active() as u64;
+            scratch.put_values(key_buf);
+        }
+    }
+    metrics.hash_probes += cur.active() as u64;
+
+    // Only live slots are written; dead slots are never read (liveness
+    // covers every downstream reader, and a collect sink marks all slots
+    // live), so the reset skips null-filling them.
+    spare.reset_sparse(stage.width, entries.len());
+    gather_build(store, &entries, spare);
+    for &slot in &stage.probe_live {
+        let out = stage.build_width + slot;
+        match cur.typed_col(slot) {
+            Some(col) => spare.typed_col_mut(out).gather_from(col, &rows),
+            None => {
+                for (i, &r) in rows.iter().enumerate() {
+                    spare.put(i, out, cur.row(r)[slot].clone());
+                }
+            }
+        }
+    }
+    if let Some(pred) = &stage.residual {
+        spare.hydrate(&stage.hydrate);
+        spare.retain(|row| pred(row));
+    }
+    if let Some(flags) = &stage.matched {
+        for &out_row in spare.sel() {
+            flags.set(entries[out_row as usize] as usize);
+        }
+    }
+    scratch.put_sel(entries);
+    scratch.put_sel(rows);
+    std::mem::swap(cur, spare);
+}
+
+/// Gathers the stored live build slots of `entries` into rows `0..` of
+/// `out`: a lane column by entry id into the slot's typed column, a `Value`
+/// column value by value.
+fn gather_build(store: &BuildStore, entries: &[u32], out: &mut BindingBatch) {
+    for (col, &slot) in store.payload().iter().zip(store.live_slots()) {
+        match col {
+            StoreColumn::Lanes(lanes) => out.typed_col_mut(slot).gather_from(lanes, entries),
+            StoreColumn::Values(values) => {
+                for (i, &entry) in entries.iter().enumerate() {
+                    out.put(i, slot, values[entry as usize].clone());
+                }
+            }
+        }
+    }
+}
+
 /// Applies `stages` to `cur` (ping-ponging with `spare`), then folds the
 /// surviving rows into the sink partial (whose failure it returns).
 #[allow(clippy::too_many_arguments)]
@@ -1297,122 +1498,7 @@ fn process_stages(
             }
             Stage::Unnest(unnest) => run_unnest(unnest, cur, spare, metrics),
             Stage::Expand(expand) => run_expand(expand, cur, spare, scratch, morsel),
-            Stage::Probe {
-                table,
-                probe_keys,
-                key_slots,
-                residual,
-                build_width,
-                width,
-                probe_live,
-                matched,
-            } => {
-                let store = table.store();
-                let mut pairs = scratch.take_pairs();
-                match key_slots {
-                    Some(slots) => {
-                        // Kernel probe: batch-hash the whole selection from
-                        // the typed columns, then walk the clustered hash
-                        // runs with lane-vs-stored-key compares. No `Value`
-                        // is materialized per probe row.
-                        let typed_keys = kernels::TypedKeys::bind(slots, cur);
-                        let mut hashes = scratch.take_u64s();
-                        typed_keys.hash_rows(cur.sel(), &mut hashes);
-                        // Single numeric keys take the specialized loop;
-                        // everything else runs the generic componentwise
-                        // compares. Batch hashing buys both a fixed probe
-                        // lookahead: pull each row's clustered sub-run
-                        // toward cache while earlier rows are confirmed.
-                        if !typed_keys.probe_rows_numeric(table, cur.sel(), &hashes, |entry, r| {
-                            pairs.push((entry, r))
-                        }) {
-                            for (i, (&r, &hash)) in cur.sel().iter().zip(&hashes).enumerate() {
-                                if let Some(&ahead) =
-                                    hashes.get(i + crate::exec::radix::PROBE_LOOKAHEAD)
-                                {
-                                    table.prefetch(ahead);
-                                }
-                                table.probe_hashed(
-                                    hash,
-                                    |entry| typed_keys.eq_store(r as usize, store, entry),
-                                    |entry| pairs.push((entry, r)),
-                                );
-                            }
-                        }
-                        metrics.join_kernel_rows += cur.active() as u64;
-                        scratch.put_u64s(hashes);
-                    }
-                    None => {
-                        // Closure fallback: key components evaluate into a
-                        // recycled scratch buffer (no `Value::List` wrapper
-                        // at any arity), hash/compare componentwise.
-                        let mut key_buf = scratch.take_values();
-                        for &r in cur.sel() {
-                            let row = cur.row(r);
-                            key_buf.clear();
-                            key_buf.extend(probe_keys.iter().map(|k| k(row)));
-                            table.probe_hashed(
-                                hash_key_components(&key_buf),
-                                |entry| key_components_eq(store.key_components(entry), &key_buf),
-                                |entry| pairs.push((entry, r)),
-                            );
-                        }
-                        metrics.join_fallback_rows += cur.active() as u64;
-                        scratch.put_values(key_buf);
-                    }
-                }
-                metrics.hash_probes += cur.active() as u64;
-
-                // Gather the matched rows columnwise into the output batch:
-                // only live slots are written; dead slots are never read
-                // (liveness covers every downstream reader, and a collect
-                // sink marks all slots live), so the reset skips
-                // null-filling them.
-                spare.reset_sparse(*width, pairs.len());
-                for (comp, &slot) in store.live_slots().iter().enumerate() {
-                    for (out_row, &(entry, _)) in pairs.iter().enumerate() {
-                        // Matched entries scatter over the payload arena;
-                        // pull upcoming entries in while copying (an entry's
-                        // payload values are contiguous, so the first
-                        // component's pass covers them all).
-                        if comp == 0 {
-                            if let Some(&(ahead, _)) = pairs.get(out_row + 8) {
-                                store.prefetch_payload(ahead);
-                            }
-                        }
-                        spare.put(out_row, slot, store.payload(entry)[comp].clone());
-                    }
-                }
-                for &slot in probe_live {
-                    let out_slot = build_width + slot;
-                    // Typed slots gather straight from the column — matched
-                    // rows are the only ones that ever become a `Value`
-                    // (hydration is skipped ahead of a kernel-keyed probe).
-                    match cur.typed_col(slot) {
-                        Some(col) => {
-                            for (out_row, &(_, r)) in pairs.iter().enumerate() {
-                                spare.put(out_row, out_slot, col.value_at(r as usize));
-                            }
-                        }
-                        None => {
-                            for (out_row, &(_, r)) in pairs.iter().enumerate() {
-                                spare.put(out_row, out_slot, cur.row(r)[slot].clone());
-                            }
-                        }
-                    }
-                }
-                if let Some(pred) = residual {
-                    spare.retain(|row| pred(row));
-                }
-                if let Some(flags) = matched {
-                    for &out_row in spare.sel() {
-                        let (entry, _) = pairs[out_row as usize];
-                        flags.set(entry as usize);
-                    }
-                }
-                scratch.put_pairs(pairs);
-                std::mem::swap(cur, spare);
-            }
+            Stage::Probe(probe) => run_probe(probe, cur, spare, scratch, metrics),
         }
     }
     // A batch nothing survived folds nothing — and may lack the payload
@@ -1447,9 +1533,7 @@ fn approx_state_bytes(state: &SinkState) -> u64 {
             let width = rows.first().map(|(_, r)| r.len()).unwrap_or(0) as u64;
             rows.len() as u64 * (16 + width * VALUE_COST)
         }
-        SinkState::Entries(p) => {
-            (p.keys.len() + p.payload.len()) as u64 * VALUE_COST + p.hashes.len() as u64 * 16
-        }
+        SinkState::Entries(p) => p.entries * p.entry_cost,
     }
 }
 
@@ -1803,6 +1887,26 @@ impl PoolTask for PipelineRun {
     }
 }
 
+/// One batch of a left-outer tail: the unmatched build `entries`, shaped
+/// like probe output rows whose probe side is null — the stored build
+/// slots gathered by entry id, each live probe slot an all-null column of
+/// the kind the probe batches hold it in (or null `Value`s).
+fn fill_tail(probe: &ProbeStage, entries: &[u32], tail: &mut BindingBatch) {
+    tail.reset_sparse(probe.width, entries.len());
+    gather_build(probe.table.store(), entries, tail);
+    for (&slot, &kind) in probe.probe_live.iter().zip(&probe.probe_kinds) {
+        let out = probe.build_width + slot;
+        match kind {
+            Some(kind) => tail.typed_col_mut(out).begin_nulls(kind, entries.len()),
+            None => {
+                for row in 0..entries.len() {
+                    tail.put(row, out, Value::Null);
+                }
+            }
+        }
+    }
+}
+
 /// Runs a prepared pipeline into a sink with up to `env.threads` workers:
 /// the calling thread drives the run to completion; when more than one
 /// worker is allowed, the run is also offered to the scheduler's pool, whose
@@ -1862,34 +1966,31 @@ fn execute_pipeline(
 
     let pipeline = &run.pipeline;
     let sink = &run.sink;
-    // Left-outer tails: emit unmatched build rows padded with nulls and run
-    // them through the remaining stages into one extra partial. Runs on the
-    // calling thread, with the same panic containment as the workers.
+    // Left-outer tails: the unmatched build entries leave in batches of at
+    // most a morsel, padded with a null probe side, and run through the
+    // remaining stages into one extra partial. Runs on the calling thread,
+    // with the same panic containment as the workers.
     for (idx, stage) in pipeline.stages.iter().enumerate() {
-        if let Stage::Probe {
-            table,
-            width,
-            matched: Some(flags),
-            ..
-        } = stage
+        if let Stage::Probe(
+            probe @ ProbeStage {
+                matched: Some(flags),
+                ..
+            },
+        ) = stage
         {
-            let store = table.store();
+            let mut unmatched = Vec::new();
+            flags.for_each_unmatched(probe.table.len(), |entry| unmatched.push(entry));
+            if unmatched.is_empty() {
+                continue;
+            }
             let mut tail = BindingBatch::new();
-            tail.reset_empty(*width);
-            flags.for_each_unmatched(table.len(), |entry| {
-                // Null row, then the stored live slots — exactly the
-                // shape of a probe output row with a null probe side.
-                tail.push_row_of(&[], &[]);
-                for (comp, &slot) in store.live_slots().iter().enumerate() {
-                    tail.set_last(slot, store.payload(entry)[comp].clone());
-                }
-            });
-            if !tail.is_empty() {
-                let mut spare = BindingBatch::new();
-                let mut state = sink.new_state();
-                let mut scratch = kernels::Scratch::new();
-                // Tag tail rows past every real morsel so they sort last.
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut spare = BindingBatch::new();
+            let mut state = sink.new_state();
+            let mut scratch = kernels::Scratch::new();
+            // Tag tail rows past every real morsel so they sort last.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for entries in unmatched.chunks(MORSEL_SIZE) {
+                    fill_tail(probe, entries, &mut tail);
                     process_stages(
                         &pipeline.stages[idx + 1..],
                         &mut tail,
@@ -1899,21 +2000,22 @@ fn execute_pipeline(
                         &mut scratch,
                         run.morsel_count,
                         metrics,
-                    )
-                }));
-                match outcome {
-                    Ok(Ok(())) => {}
-                    Ok(Err(err)) => {
-                        ctx.fail(err);
-                        return Err(take_failure(ctx));
-                    }
-                    Err(payload) => {
-                        ctx.fail(panic_error(payload, "left-outer tail"));
-                        return Err(take_failure(ctx));
-                    }
+                    )?;
                 }
-                partials.push(state);
+                Ok(())
+            }));
+            match outcome {
+                Ok(Ok(())) => {}
+                Ok(Err(err)) => {
+                    ctx.fail(err);
+                    return Err(take_failure(ctx));
+                }
+                Err(payload) => {
+                    ctx.fail(panic_error(payload, "left-outer tail"));
+                    return Err(take_failure(ctx));
+                }
             }
+            partials.push(state);
         }
     }
 
@@ -2046,10 +2148,18 @@ fn run_entries(
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, key_slots.is_some());
     split_filter_first(&mut pipeline);
+    let kind_of = |slot: usize| pipeline.kinds.get(slot).copied().flatten();
+    let key_kinds = match &key_slots {
+        Some(slots) => slots.iter().map(|&slot| kind_of(slot)).collect(),
+        None => vec![None; keys.len()],
+    };
+    let live_kinds = live_slots.iter().map(|&slot| kind_of(slot)).collect();
     let spec = SinkSpec::Entries {
         keys,
         key_slots,
         live_slots,
+        key_kinds,
+        live_kinds,
     };
     match execute_pipeline(pipeline, spec, env, metrics)? {
         SinkResult::Entries(store) => Ok(store),

@@ -7,12 +7,17 @@
 //! wrapped in a C++ function." The same split exists here: key extraction is
 //! a compiled closure (or a typed-column reader) per query; the machinery
 //! below is ordinary pre-existing library code invoked by the generated
-//! pipeline.
+//! pipeline. Key and payload access is specialised to the data's own layout
+//! the way the paper generates it: a slot the build scan filled typed stays
+//! a typed lane in the store, is compared lane to lane by the probe and
+//! leaves the probe as a typed column.
 //!
-//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] behind an
-//!   open-addressed index of its entry ids (`IdIndex`, one slot per distinct
-//!   hash, repeats chained behind it); nothing is scattered or sorted to be
-//!   indexed, and entries of one key match in entry-id order.
+//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] — one
+//!   [`StoreColumn`] per key component and live payload slot, typed lanes or
+//!   `Value`s — behind an open-addressed index of its entry ids (`IdIndex`,
+//!   one slot per distinct hash, repeats chained behind it); nothing is
+//!   scattered or sorted to be indexed, entries of one key match in entry-id
+//!   order, and a null key component matches nothing ([`join_key_eq`]).
 //! * **Grouping** ([`RadixGroupTable`]): one typed lane per kernel spec
 //!   ([`AggLane`]) and accumulators for the rest, indexed by group id. Ids
 //!   come from the same index over per-group hashes and keys — an O(1)
@@ -26,6 +31,7 @@ use std::cmp::Ordering;
 
 use proteus_algebra::monoid::Accumulator;
 use proteus_algebra::{Monoid, Value};
+use proteus_plugins::{TypedColumn, TypedKind};
 
 /// Low key-hash bits that lead the emission order of a [`RadixGroupTable`]:
 /// groups leave sorted by `(hash & 63, hash)`. Nothing is partitioned on
@@ -87,94 +93,203 @@ pub fn hash_key_components(values: &[Value]) -> u64 {
     h.finish()
 }
 
+/// Whether two key components join: [`Value::value_eq`], except that a
+/// null joins nothing, not even another null — an equi-join key is compared
+/// as `=` compares (`null = null` is false), so a row with a null key
+/// component matches no row of the other side.
+#[inline]
+pub fn join_key_eq(stored: &Value, probe: &Value) -> bool {
+    !stored.is_null() && !probe.is_null() && stored.value_eq(probe)
+}
+
 /// Componentwise [`Value::value_eq`] between a stored key and a probe key
-/// (equal-arity slices; the closure-fallback probe compare).
+/// (equal-arity slices; the closure-tier group-by compare, where null keys
+/// group together).
 pub fn key_components_eq(stored: &[Value], probe: &[Value]) -> bool {
     stored.len() == probe.len() && stored.iter().zip(probe).all(|(a, b)| a.value_eq(b))
 }
 
+/// One column of a [`BuildStore`]: a key component or a live payload slot,
+/// one value per entry, in the representation the build scan handed over.
+#[derive(Debug, Clone)]
+pub enum StoreColumn {
+    /// Typed lanes (`I64`, `F64` or `Bool`, with null words): a slot the
+    /// build scan filled typed. No entry of it is ever a `Value`.
+    Lanes(TypedColumn),
+    /// Everything else: strings, closure-evaluated keys, nested values.
+    Values(Vec<Value>),
+}
+
+impl StoreColumn {
+    /// An empty column: lanes of `kind` when it is a lane kind, `Value`s
+    /// otherwise (`None`, or strings — a store pools no strings).
+    pub fn new(kind: Option<TypedKind>) -> StoreColumn {
+        match kind {
+            Some(kind @ (TypedKind::I64 | TypedKind::F64 | TypedKind::Bool)) => {
+                StoreColumn::Lanes(TypedColumn::new(kind))
+            }
+            _ => StoreColumn::Values(Vec::new()),
+        }
+    }
+
+    /// The lane kind of a typed column, `None` for a `Value` column.
+    pub fn kind(&self) -> Option<TypedKind> {
+        match self {
+            StoreColumn::Lanes(lanes) => Some(lanes.kind()),
+            StoreColumn::Values(_) => None,
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            StoreColumn::Lanes(lanes) => lanes.len(),
+            StoreColumn::Values(values) => values.len(),
+        }
+    }
+
+    /// Entry `entry` as a [`Value`] (the closure-tier compare and tests).
+    pub fn value_at(&self, entry: u32) -> Value {
+        match self {
+            StoreColumn::Lanes(lanes) => lanes.value_at(entry as usize),
+            StoreColumn::Values(values) => values[entry as usize].clone(),
+        }
+    }
+
+    /// Appends the entries of a column of the same representation.
+    fn append(&mut self, other: StoreColumn) {
+        match (self, other) {
+            (StoreColumn::Lanes(lanes), StoreColumn::Lanes(other)) => lanes.append(&other),
+            (StoreColumn::Values(values), StoreColumn::Values(mut other)) => {
+                values.append(&mut other)
+            }
+            _ => unreachable!("build chunks of one store share their column kinds"),
+        }
+    }
+
+    /// Bytes one entry of a column of `kind` holds: 8 for an `i64` / `f64`
+    /// lane, 1 for a boolean one, `value_bytes` for a `Value`.
+    fn entry_bytes(kind: Option<TypedKind>, value_bytes: u64) -> u64 {
+        match kind {
+            Some(TypedKind::Bool) => 1,
+            Some(TypedKind::I64 | TypedKind::F64) => 8,
+            _ => value_bytes,
+        }
+    }
+}
+
 /// The columnar build side of a radix hash join.
 ///
-/// Entries live in flattened arenas indexed by entry id — `arity` key
-/// components and `live_slots.len()` payload values per entry, plus the
-/// precomputed key hash — so materializing a build row costs **zero**
-/// per-entry heap allocations (no `(Value, Vec<Value>)` pair per tuple).
-/// The payload keeps only the *live* subset of the build binding: the slots
-/// something downstream of the join actually reads.
+/// One column per key component and one per *live* payload slot (the build
+/// slots something downstream of the join reads), plus the precomputed key
+/// hash per entry, all indexed by entry id. A column keeps the
+/// representation the build scan filled the slot in ([`StoreColumn`]): typed
+/// lanes for `I64` / `F64` / `Bool` slots, `Value`s for the rest — so a
+/// typed slot never becomes a `Value` between the build scan and the probe
+/// output. Workers fill one store per run of consecutive morsels; the runs
+/// are joined in morsel order (`BuildStore::append`).
+#[derive(Debug)]
 pub struct BuildStore {
-    arity: usize,
     /// Build-binding slot index of each stored payload column (ascending).
     live_slots: Vec<usize>,
     /// Per entry: the key hash ([`hash_key_components`] of the components).
     hashes: Vec<u64>,
-    /// Flattened key components: entry `e` at `e*arity .. (e+1)*arity`.
-    keys: Vec<Value>,
-    /// Flattened live payload: entry `e` at `e*lw .. (e+1)*lw`.
-    payload: Vec<Value>,
-    /// Per key component: the `f64` total-order view of every entry, built
-    /// when all non-null components of the column are numeric — the typed
-    /// fast path of the lane-vs-stored-key probe compares.
-    num_views: Vec<Option<Vec<f64>>>,
+    keys: Vec<StoreColumn>,
+    payload: Vec<StoreColumn>,
 }
 
 impl BuildStore {
     /// Empty store for keys of `arity` components storing the given build
-    /// slots.
+    /// slots, every column of `Value`s (the closure-tier shape; tests and
+    /// benches fill it through [`BuildStore::push_entry`]).
     pub fn new(arity: usize, live_slots: Vec<usize>) -> BuildStore {
+        let key_kinds = vec![None; arity];
+        let payload_kinds = vec![None; live_slots.len()];
+        BuildStore::with_kinds(&key_kinds, live_slots, &payload_kinds)
+    }
+
+    /// Empty store whose key components and payload columns (parallel to
+    /// `live_slots`) take the given lane kinds ([`StoreColumn::new`]).
+    pub fn with_kinds(
+        key_kinds: &[Option<TypedKind>],
+        live_slots: Vec<usize>,
+        payload_kinds: &[Option<TypedKind>],
+    ) -> BuildStore {
+        debug_assert_eq!(live_slots.len(), payload_kinds.len());
         BuildStore {
-            arity,
             live_slots,
             hashes: Vec::new(),
-            keys: Vec::new(),
-            payload: Vec::new(),
-            num_views: Vec::new(),
+            keys: key_kinds.iter().map(|&k| StoreColumn::new(k)).collect(),
+            payload: payload_kinds.iter().map(|&k| StoreColumn::new(k)).collect(),
         }
     }
 
-    /// Wraps already-flattened arenas (the serial single-partial fast path:
-    /// the sink's buffers become the store without copying).
-    pub fn from_parts(
-        arity: usize,
-        live_slots: Vec<usize>,
-        hashes: Vec<u64>,
-        keys: Vec<Value>,
-        payload: Vec<Value>,
-    ) -> BuildStore {
-        debug_assert_eq!(keys.len(), hashes.len() * arity);
-        debug_assert_eq!(payload.len(), hashes.len() * live_slots.len());
-        BuildStore {
-            arity,
-            live_slots,
-            hashes,
-            keys,
-            payload,
-            num_views: Vec::new(),
-        }
-    }
-
-    /// Appends one entry, hashing and cloning its components (test/bench
-    /// convenience; the pipeline uses [`BuildStore::push_taken`]).
+    /// Appends one entry to an all-`Value` store, hashing and cloning its
+    /// components (test and bench convenience; the pipeline fills the
+    /// columns a morsel at a time).
     pub fn push_entry(&mut self, key: &[Value], payload: &[Value]) {
-        debug_assert_eq!(key.len(), self.arity);
+        debug_assert_eq!(key.len(), self.arity());
         debug_assert_eq!(payload.len(), self.live_slots.len());
         self.hashes.push(hash_key_components(key));
-        self.keys.extend(key.iter().cloned());
-        self.payload.extend(payload.iter().cloned());
+        for (col, value) in self
+            .keys
+            .iter_mut()
+            .chain(&mut self.payload)
+            .zip(key.iter().chain(payload))
+        {
+            match col {
+                StoreColumn::Values(values) => values.push(value.clone()),
+                StoreColumn::Lanes(_) => unreachable!("push_entry into a typed store column"),
+            }
+        }
     }
 
-    /// Appends one entry with a precomputed hash, *moving* the values out of
-    /// the caller's buffers (the multi-worker ordered merge).
-    pub fn push_taken(&mut self, hash: u64, key: &mut [Value], payload: &mut [Value]) {
-        debug_assert_eq!(key.len(), self.arity);
-        debug_assert_eq!(payload.len(), self.live_slots.len());
-        self.hashes.push(hash);
-        self.keys
-            .extend(key.iter_mut().map(|v| std::mem::replace(v, Value::Null)));
-        self.payload.extend(
-            payload
-                .iter_mut()
-                .map(|v| std::mem::replace(v, Value::Null)),
-        );
+    /// The per-entry key hashes, for the ingest to extend.
+    pub(crate) fn hashes_mut(&mut self) -> &mut Vec<u64> {
+        &mut self.hashes
+    }
+
+    /// Key component `comp`'s column, for the ingest to extend.
+    pub(crate) fn key_mut(&mut self, comp: usize) -> &mut StoreColumn {
+        &mut self.keys[comp]
+    }
+
+    /// Payload column `col` (parallel to [`BuildStore::live_slots`]), for
+    /// the ingest to extend.
+    pub(crate) fn payload_mut(&mut self, col: usize) -> &mut StoreColumn {
+        &mut self.payload[col]
+    }
+
+    /// Makes room for `additional` more entries in every column.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.hashes.reserve(additional);
+        for col in self.keys.iter_mut().chain(&mut self.payload) {
+            match col {
+                StoreColumn::Lanes(lanes) => lanes.reserve(additional),
+                StoreColumn::Values(values) => values.reserve(additional),
+            }
+        }
+    }
+
+    /// Appends `other`'s entries after this store's (the morsel-ordered join
+    /// of the workers' chunks; both stores have the same column kinds).
+    pub(crate) fn append(&mut self, other: BuildStore) {
+        self.hashes.extend_from_slice(&other.hashes);
+        for (col, other) in self.keys.iter_mut().zip(other.keys) {
+            col.append(other);
+        }
+        for (col, other) in self.payload.iter_mut().zip(other.payload) {
+            col.append(other);
+        }
+        self.check_lengths();
+    }
+
+    /// Every column holds one value per entry (armed by `debug_assertions`).
+    fn check_lengths(&self) {
+        debug_assert!(self
+            .keys
+            .iter()
+            .chain(&self.payload)
+            .all(|col| col.len() == self.hashes.len()));
     }
 
     /// Number of entries.
@@ -189,7 +304,7 @@ impl BuildStore {
 
     /// Key component arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.keys.len()
     }
 
     /// The stored build-binding slots, in payload-column order.
@@ -197,71 +312,48 @@ impl BuildStore {
         &self.live_slots
     }
 
-    /// The key components of one entry.
+    /// Key component `comp`'s column.
     #[inline]
-    pub fn key_components(&self, entry: u32) -> &[Value] {
-        let start = entry as usize * self.arity;
-        &self.keys[start..start + self.arity]
+    pub fn key(&self, comp: usize) -> &StoreColumn {
+        &self.keys[comp]
     }
 
-    /// One key component of one entry.
-    #[inline]
-    pub fn key_component(&self, entry: u32, comp: usize) -> &Value {
-        &self.keys[entry as usize * self.arity + comp]
+    /// The payload columns, parallel to [`BuildStore::live_slots`].
+    pub fn payload(&self) -> &[StoreColumn] {
+        &self.payload
     }
 
-    /// The numeric fast view of key component `comp`, when every non-null
-    /// stored component is numeric (indexed by entry id; lanes at null
-    /// entries are placeholders, guarded by the component's null check).
-    #[inline]
-    pub fn num_view(&self, comp: usize) -> Option<&[f64]> {
-        self.num_views.get(comp)?.as_deref()
-    }
-
-    /// The live payload values of one entry (parallel to
-    /// [`BuildStore::live_slots`]).
-    #[inline]
-    pub fn payload(&self, entry: u32) -> &[Value] {
-        let lw = self.live_slots.len();
-        let start = entry as usize * lw;
-        &self.payload[start..start + lw]
-    }
-
-    /// Hints the CPU to pull one entry's payload values toward cache (the
-    /// probe gather walks matched entries in probe order — a random scatter
-    /// over the arena). No-op outside x86-64.
-    #[inline]
-    pub fn prefetch_payload(&self, entry: u32) {
-        let start = entry as usize * self.live_slots.len();
-        if let Some(first) = self.payload.get(start) {
-            prefetch_ptr(first);
-        }
-    }
-
-    /// Builds the per-component numeric views ("typed where eligible"):
-    /// a column qualifies when every non-null component is numeric, so the
-    /// probe compare reduces to one `f64` total-order comparison per
-    /// candidate instead of a `Value` match.
-    fn build_num_views(&mut self) {
-        self.num_views = (0..self.arity)
-            .map(|comp| {
-                let eligible = (0..self.len() as u32)
-                    .map(|e| self.key_component(e, comp))
-                    .all(|v| v.is_null() || v.is_numeric());
-                eligible.then(|| {
-                    (0..self.len() as u32)
-                        .map(|e| self.key_component(e, comp).as_float().unwrap_or(f64::NAN))
-                        .collect()
-                })
+    /// Whether entry `entry`'s key joins a hydrated probe key (the
+    /// closure-tier probe compare): componentwise [`join_key_eq`].
+    pub fn key_eq_values(&self, entry: u32, key: &[Value]) -> bool {
+        self.keys.len() == key.len()
+            && self.keys.iter().zip(key).all(|(col, probe)| match col {
+                StoreColumn::Values(values) => join_key_eq(&values[entry as usize], probe),
+                StoreColumn::Lanes(lanes) => join_key_eq(&lanes.value_at(entry as usize), probe),
             })
-            .collect();
     }
 
-    /// Approximate bytes materialized by the build side (for metrics).
+    /// Approximate bytes materialized by the build side (for metrics): per
+    /// entry 16 for the hash, its chain link and its share of the index,
+    /// plus each column's value — 8 for an `i64` / `f64` lane, 1 for a
+    /// boolean one, 16 for a `Value`.
     pub fn materialized_bytes(&self) -> u64 {
-        // Hash + chain link + index slots, key components, live payload values
-        // (Value ≈ 16 B).
-        self.len() as u64 * (16 + (self.arity + self.live_slots.len()) as u64 * 16)
+        self.len() as u64
+            * BuildStore::entry_cost(
+                self.keys.iter().chain(&self.payload).map(StoreColumn::kind),
+                16,
+            )
+    }
+
+    /// Bytes one entry of a store whose columns have these kinds costs: 16
+    /// for the hash, its chain link and its share of the index, plus each
+    /// column's value, a `Value` counted at `value_bytes` (the memory
+    /// budget charges its own estimate).
+    pub fn entry_cost(kinds: impl IntoIterator<Item = Option<TypedKind>>, value_bytes: u64) -> u64 {
+        16 + kinds
+            .into_iter()
+            .map(|kind| StoreColumn::entry_bytes(kind, value_bytes))
+            .sum::<u64>()
     }
 }
 
@@ -445,8 +537,8 @@ fn prefetch_ptr<T>(value: &T) {
 
 impl RadixHashTable {
     /// Builds the table: indexes the store's entry ids by their key hash.
-    pub fn build(mut store: BuildStore) -> RadixHashTable {
-        store.build_num_views();
+    pub fn build(store: BuildStore) -> RadixHashTable {
+        store.check_lengths();
         let mut next = vec![EMPTY_SLOT; store.len()];
         let slot_count = (store.len() * 2).next_power_of_two();
         let index = IdIndex::build(slot_count, &store.hashes, Some(&mut next));
@@ -512,7 +604,7 @@ impl RadixHashTable {
     pub fn probe_components(&self, key: &[Value], on_match: impl FnMut(u32)) -> usize {
         self.probe_hashed(
             hash_key_components(key),
-            |entry| key_components_eq(self.store.key_components(entry), key),
+            |entry| self.store.key_eq_values(entry, key),
             on_match,
         )
     }
@@ -535,8 +627,8 @@ const LANE_NUM: u8 = 2;
 const LANE_OTHER: u8 = 3;
 
 /// The flat compare lane of one group-key component, stored beside the
-/// `Value` keys of a [`RadixGroupTable`] (what [`BuildStore::num_view`] is to
-/// joins). Two components are [`Value::value_eq`] only if their lanes are
+/// `Value` keys of a [`RadixGroupTable`] (what a typed key lane of a
+/// [`BuildStore`] is to joins). Two components are [`Value::value_eq`] only if their lanes are
 /// equal, and for nulls, booleans and numerics equal lanes are also
 /// *sufficient*: `f64::total_cmp` calls two floats equal exactly when their
 /// bit patterns are, so comparing `bits` reproduces the float-view compare
@@ -1668,7 +1760,7 @@ mod tests {
         assert_eq!(table.len(), 1000);
         let mut matches = Vec::new();
         let count = table.probe_components(&[Value::Int(7)], |e| {
-            matches.push(table.store().payload(e)[0].clone())
+            matches.push(table.store().payload()[0].value_at(e))
         });
         assert_eq!(count, 10);
         assert!(matches.iter().all(|v| v.as_int().unwrap() % 100 == 7));
@@ -1679,8 +1771,18 @@ mod tests {
     fn join_table_handles_int_float_key_equivalence() {
         let table = RadixHashTable::build(store_of(&[(Value::Int(3), Value::Int(1))]));
         assert_eq!(table.probe_components(&[Value::Float(3.0)], |_| {}), 1);
-        // The numeric fast view is built for the all-int key column.
-        assert!(table.store().num_view(0).is_some());
+        // A typed `i64` key lane compares through its float view too.
+        let mut lanes = TypedColumn::new(TypedKind::I64);
+        lanes.push_i64(3);
+        let mut store = BuildStore::with_kinds(&[Some(TypedKind::I64)], vec![], &[]);
+        store
+            .hashes_mut()
+            .push(hash_key_components(&[Value::Int(3)]));
+        *store.key_mut(0) = StoreColumn::Lanes(lanes);
+        let typed = RadixHashTable::build(store);
+        assert_eq!(typed.probe_components(&[Value::Float(3.0)], |_| {}), 1);
+        assert_eq!(typed.probe_components(&[Value::Float(3.5)], |_| {}), 0);
+        assert_eq!(typed.store().key(0).kind(), Some(TypedKind::I64));
     }
 
     #[test]
@@ -1693,8 +1795,9 @@ mod tests {
         assert_eq!(table.probe_components(&[Value::str("a")], |_| {}), 2);
         assert!(table.materialized_bytes() > 0);
         assert!(!table.is_empty());
-        // Strings have no numeric view; compares go through the components.
-        assert!(table.store().num_view(0).is_none());
+        // Strings are stored as values, whatever kind the probe lanes are.
+        assert_eq!(table.store().key(0).kind(), None);
+        assert_eq!(StoreColumn::new(Some(TypedKind::Str)).kind(), None);
     }
 
     #[test]
@@ -1708,7 +1811,7 @@ mod tests {
         table.probe_components(&[Value::Int(1)], |id| ids.push(id));
         // Duplicate keys match in entry-id (build scan) order.
         assert_eq!(ids, vec![0, 2]);
-        assert_eq!(table.store().key_components(2), &[Value::Int(1)]);
+        assert_eq!(table.store().key(0).value_at(2), Value::Int(1));
     }
 
     #[test]
@@ -1727,7 +1830,13 @@ mod tests {
         // Numeric component matches through the float view (Int vs Float).
         table.probe_components(&[Value::Float(1.0), Value::str("y")], |e| hits.push(e));
         assert_eq!(hits, vec![1]);
-        assert_eq!(table.store().payload(1), &[Value::Int(20), Value::Int(200)]);
+        let payload: Vec<Value> = table
+            .store()
+            .payload()
+            .iter()
+            .map(|c| c.value_at(1))
+            .collect();
+        assert_eq!(payload, [Value::Int(20), Value::Int(200)]);
         assert_eq!(table.store().live_slots(), &[0, 2]);
         assert_eq!(table.store().arity(), 2);
     }
@@ -1737,7 +1846,7 @@ mod tests {
     fn naive_matches(store: &BuildStore, hash: u64, key: &[Value]) -> Vec<u32> {
         (0..store.len() as u32)
             .filter(|&e| store.hashes[e as usize] == hash)
-            .filter(|&e| key_components_eq(store.key_components(e), key))
+            .filter(|&e| store.key_eq_values(e, key))
             .collect()
     }
 
@@ -1746,7 +1855,7 @@ mod tests {
         let mut ids = Vec::new();
         let count = table.probe_hashed(
             hash,
-            |e| key_components_eq(table.store().key_components(e), key),
+            |e| table.store().key_eq_values(e, key),
             |e| ids.push(e),
         );
         assert_eq!(count, ids.len());
@@ -1812,8 +1921,11 @@ mod tests {
         // hash but not a key — each pair is one slot plus a chain link.
         let hashes: Vec<u64> = vec![0x1F, 0x2F, 0x3F, 0x4F, 0x2F, 0x3F];
         let keys: Vec<Value> = [10, 20, 30, 40, 20, 31].map(Value::Int).to_vec();
-        let payload: Vec<Value> = (0..6).map(Value::Int).collect();
-        let store = BuildStore::from_parts(1, vec![0], hashes.clone(), keys.clone(), payload);
+        let mut store = BuildStore::new(1, vec![0]);
+        for (key, payload) in keys.iter().zip((0..6).map(Value::Int)) {
+            store.push_entry(std::slice::from_ref(key), &[payload]);
+        }
+        store.hashes = hashes.clone();
         let table = RadixHashTable::build(store);
         assert_eq!(table.index.slots.len(), 16);
         assert_eq!(table.index.slots[15], 2);
@@ -1855,7 +1967,7 @@ mod tests {
     }
 
     #[test]
-    fn numeric_and_null_keys_probe_like_value_eq() {
+    fn numeric_keys_probe_like_value_eq_and_null_keys_join_nothing() {
         let keys = [
             Value::Int(3),
             Value::Null,
@@ -1875,30 +1987,79 @@ mod tests {
             assert_eq!(ids, expected, "probe {probe:?}");
         }
         // `Int(3)` ≡ `Float(3.0)`, through either spelling; null keys are
-        // stored and found like any other (`value_eq`: null ≡ null).
+        // stored (a left-outer join still emits them) but join nothing, as
+        // `null = null` is false.
         for three in [Value::Int(3), Value::Float(3.0)] {
             let mut ids = Vec::new();
             table.probe_components(&[three], |e| ids.push(e));
             assert_eq!(ids, vec![0, 2]);
         }
-        let mut nulls = Vec::new();
-        table.probe_components(&[Value::Null], |e| nulls.push(e));
-        assert_eq!(nulls, vec![1, 4]);
+        assert_eq!(table.len(), keys.len());
+        assert_eq!(table.probe_components(&[Value::Null], |_| {}), 0);
     }
 
     #[test]
-    fn push_taken_moves_values_and_matches_push_entry() {
-        let mut a = BuildStore::new(1, vec![0]);
-        a.push_entry(&[Value::str("k")], &[Value::Int(1)]);
-        let mut key = vec![Value::str("k")];
-        let mut payload = vec![Value::Int(1)];
-        let mut b = BuildStore::new(1, vec![0]);
-        b.push_taken(hash_key_components(&key), &mut key, &mut payload);
-        assert_eq!(a.hashes, b.hashes);
-        assert_eq!(a.keys, b.keys);
-        assert_eq!(a.payload, b.payload);
-        // The donor buffers were drained to nulls.
-        assert_eq!(key, vec![Value::Null]);
+    fn append_joins_chunks_in_entry_order() {
+        // Three chunks of a typed-key store with a nullable `f64` payload
+        // lane and a `Value` payload column, appended, equal the store the
+        // whole input fills at once: hashes, lanes, null bits and values.
+        let rows: Vec<(i64, Option<f64>, Value)> = (0..200)
+            .map(|i| {
+                (
+                    i % 7,
+                    (i % 5 != 0).then_some(i as f64 / 4.0),
+                    Value::str(format!("s{i}")),
+                )
+            })
+            .collect();
+        let fill = |rows: &[(i64, Option<f64>, Value)]| {
+            let mut store = BuildStore::with_kinds(
+                &[Some(TypedKind::I64)],
+                vec![1, 2],
+                &[Some(TypedKind::F64), Some(TypedKind::Str)],
+            );
+            let (mut key, mut w) = (
+                TypedColumn::new(TypedKind::I64),
+                TypedColumn::new(TypedKind::F64),
+            );
+            for (k, f, s) in rows {
+                store
+                    .hashes_mut()
+                    .push(hash_key_components(&[Value::Int(*k)]));
+                key.push_i64(*k);
+                match f {
+                    Some(f) => w.push_f64(*f),
+                    None => w.push_null(),
+                }
+                match store.payload_mut(1) {
+                    StoreColumn::Values(values) => values.push(s.clone()),
+                    StoreColumn::Lanes(_) => unreachable!("strings are stored as values"),
+                }
+            }
+            *store.key_mut(0) = StoreColumn::Lanes(key);
+            *store.payload_mut(0) = StoreColumn::Lanes(w);
+            store
+        };
+        let whole = fill(&rows);
+        let mut joined = fill(&rows[..63]);
+        joined.append(fill(&rows[63..64]));
+        joined.append(fill(&rows[64..]));
+        assert_eq!(joined.hashes, whole.hashes);
+        for e in 0..rows.len() as u32 {
+            assert_eq!(joined.key(0).value_at(e), whole.key(0).value_at(e));
+            for col in 0..2 {
+                assert_eq!(
+                    joined.payload()[col].value_at(e),
+                    whole.payload()[col].value_at(e)
+                );
+            }
+        }
+        assert_eq!(joined.payload()[0].value_at(5), Value::Null);
+        assert_eq!(joined.materialized_bytes(), 200 * (16 + 8 + 8 + 16));
+        let table = RadixHashTable::build(joined);
+        let mut ids = Vec::new();
+        table.probe_components(&[Value::Float(3.0)], |e| ids.push(e));
+        assert_eq!(ids, (0..200).filter(|i| i % 7 == 3).collect::<Vec<u32>>());
     }
 
     /// Slots of a hashed table's index.

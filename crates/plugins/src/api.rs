@@ -350,6 +350,16 @@ impl TypedColumn {
     /// copied), renumbered in first-use order.
     pub fn gather_from(&mut self, src: &TypedColumn, rows: &[u32]) {
         self.begin(src.kind(), rows.len());
+        self.extend_gathered(src, rows);
+    }
+
+    /// Appends `src[rows[0]], src[rows[1]], …` (null bits included) after
+    /// the values the column already holds, which must be of `src`'s kind:
+    /// [`TypedColumn::gather_from`] without the reset. How a join build
+    /// store takes a morsel's selected rows into its key and payload lanes.
+    /// Strings the column already pools are reused, not pooled twice.
+    pub fn extend_gathered(&mut self, src: &TypedColumn, rows: &[u32]) {
+        let base = self.len;
         match (&mut self.data, &src.data) {
             (TypedData::I64(out), TypedData::I64(v)) => {
                 out.extend(rows.iter().map(|&r| v[r as usize]))
@@ -371,22 +381,71 @@ impl TypedColumn {
                 for &r in rows {
                     let old = v[r as usize] as usize;
                     if moved[old] == u32::MAX {
-                        moved[old] = pool.len() as u32;
-                        pool.push(src_pool[old].clone());
-                        self.intern.insert(src_pool[old].clone(), moved[old]);
+                        moved[old] = match self.intern.get(&src_pool[old]) {
+                            Some(&id) => id,
+                            None => {
+                                let id = pool.len() as u32;
+                                pool.push(src_pool[old].clone());
+                                self.intern.insert(src_pool[old].clone(), id);
+                                id
+                            }
+                        };
                     }
                     ids.push(moved[old]);
                 }
             }
-            _ => unreachable!("begin() just made the kinds equal"),
+            _ => unreachable!("extend_gathered across column kinds"),
         }
-        self.len = rows.len();
+        self.len = base + rows.len();
         if src.has_nulls() {
             for (i, &r) in rows.iter().enumerate() {
                 if src.is_null(r as usize) {
-                    self.set_null_bit(i);
+                    self.set_null_bit(base + i);
                 }
             }
+        }
+    }
+
+    /// Appends every value of `src` (of this column's kind), null bits
+    /// included: how the morsel chunks of a join build store are joined.
+    pub fn append(&mut self, src: &TypedColumn) {
+        let base = self.len;
+        match (&mut self.data, &src.data) {
+            (TypedData::I64(out), TypedData::I64(v)) => out.extend_from_slice(v),
+            (TypedData::F64(out), TypedData::F64(v)) => out.extend_from_slice(v),
+            (TypedData::Bool(out), TypedData::Bool(v)) => out.extend_from_slice(v),
+            (TypedData::Str { .. }, TypedData::Str { .. }) => {
+                let rows: Vec<u32> = (0..src.len as u32).collect();
+                return self.extend_gathered(src, &rows);
+            }
+            _ => unreachable!("append across column kinds"),
+        }
+        self.len = base + src.len;
+        for (wi, &word) in src.nulls.iter().enumerate() {
+            let mut w = word;
+            while w != 0 {
+                self.set_null_bit(base + wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+    }
+
+    /// Makes room for `additional` more values without reallocating.
+    pub fn reserve(&mut self, additional: usize) {
+        match &mut self.data {
+            TypedData::I64(v) => v.reserve(additional),
+            TypedData::F64(v) => v.reserve(additional),
+            TypedData::Bool(v) => v.reserve(additional),
+            TypedData::Str { ids, .. } => ids.reserve(additional),
+        }
+    }
+
+    /// Resets the column to `rows` nulls of `kind`: the side of a left-outer
+    /// join row that matched nothing.
+    pub fn begin_nulls(&mut self, kind: TypedKind, rows: usize) {
+        self.begin(kind, rows);
+        for _ in 0..rows {
+            self.push_null();
         }
     }
 
@@ -734,7 +793,7 @@ pub trait InputPlugin: Send + Sync {
     /// Per-morsel zone maps for the requested fields, building/deriving them
     /// if needed (the engine calls this at compile time when morsel skipping
     /// is enabled). Binary columns answer from maps recorded at
-    /// registration; CSV/JSON derive them once from their
+    /// registration; CSV, JSON and binary rows derive them once from their
     /// typed fills and memoize. The default — no zone maps — simply disables
     /// skipping for the plug-in's scans.
     fn zone_maps(&self, fields: &[String]) -> Vec<(String, Arc<crate::zonemap::ZoneMap>)> {
@@ -811,6 +870,62 @@ mod tests {
         // Gathering nothing yields an empty column of the source's kind.
         out.gather_from(&ints, &[]);
         assert!(out.is_empty() && out.kind() == TypedKind::I64);
+    }
+
+    #[test]
+    fn extending_and_appending_keep_values_null_bits_and_pooled_strings() {
+        // Nulls on both sides of a word boundary: the appended bits land at
+        // their new positions.
+        let mut src = TypedColumn::new(TypedKind::F64);
+        for i in 0..70 {
+            if i % 33 == 0 {
+                src.push_null();
+            } else {
+                src.push_f64(i as f64);
+            }
+        }
+        let mut out = TypedColumn::new(TypedKind::F64);
+        out.extend_gathered(&src, &[1, 0]);
+        out.append(&src);
+        out.extend_gathered(&src, &[66, 2]);
+        assert_eq!(out.len(), 74);
+        let expected: Vec<Value> = [1, 0]
+            .into_iter()
+            .chain(0..70)
+            .chain([66, 2])
+            .map(|i| src.value_at(i))
+            .collect();
+        let got: Vec<Value> = (0..out.len()).map(|i| out.value_at(i)).collect();
+        assert_eq!(got, expected);
+        assert_eq!(got[1], Value::Null);
+        assert_eq!(got[2 + 66], Value::Null);
+
+        let mut strs = TypedColumn::new(TypedKind::Str);
+        strs.push_str("x");
+        strs.push_str("y");
+        let mut pooled = TypedColumn::new(TypedKind::Str);
+        pooled.push_str("y");
+        pooled.extend_gathered(&strs, &[1, 0, 1]);
+        pooled.append(&strs);
+        assert_eq!(pooled.str_parts().1.len(), 2, "each string pooled once");
+        let got: Vec<Value> = (0..pooled.len()).map(|i| pooled.value_at(i)).collect();
+        let [x, y] = [Value::Str("x".into()), Value::Str("y".into())];
+        assert_eq!(
+            got,
+            [
+                y.clone(),
+                y.clone(),
+                x.clone(),
+                y,
+                x,
+                Value::Str("y".into())
+            ]
+        );
+
+        let mut nulls = TypedColumn::new(TypedKind::Str);
+        nulls.begin_nulls(TypedKind::Bool, 3);
+        assert_eq!(nulls.kind(), TypedKind::Bool);
+        assert!((0..3).all(|i| nulls.value_at(i) == Value::Null));
     }
 
     /// The selections every typed fill is checked under, over `count` rows:

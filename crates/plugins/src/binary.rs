@@ -15,7 +15,7 @@ use proteus_storage::{ColumnData, ColumnTable, MemoryManager, RowTableReader, So
 use crate::api::{FieldFill, InputPlugin, Oid, ScanAccessors, TypedColumn, TypedFill, TypedKind};
 use crate::error::{PluginError, Result};
 use crate::stats::{CostProfile, DatasetStats, StatsCollector};
-use crate::zonemap::ZoneMap;
+use crate::zonemap::{derive_zone_maps, ZoneMap};
 
 // ---------------------------------------------------------------------------
 // Column-oriented plug-in.
@@ -234,6 +234,8 @@ struct RowInner {
     dataset: String,
     reader: RowTableReader,
     stats: DatasetStats,
+    /// Zone maps derived from the typed fills on first request, memoized.
+    zone_maps: std::sync::Mutex<HashMap<String, Arc<ZoneMap>>>,
 }
 
 /// Plug-in over the binary row format.
@@ -263,6 +265,7 @@ impl RowPlugin {
                 dataset,
                 reader,
                 stats,
+                zone_maps: Default::default(),
             }),
         }
     }
@@ -392,6 +395,22 @@ impl InputPlugin for RowPlugin {
 
     fn cost_profile(&self) -> CostProfile {
         CostProfile::binary()
+    }
+
+    fn zone_maps(&self, fields: &[String]) -> Vec<(String, Arc<ZoneMap>)> {
+        derive_zone_maps(&self.inner.zone_maps, fields, |missing| {
+            self.generate(missing).ok()
+        })
+    }
+
+    fn cached_zone_maps(&self) -> Vec<(String, Arc<ZoneMap>)> {
+        self.inner
+            .zone_maps
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .iter()
+            .map(|(n, zm)| (n.clone(), zm.clone()))
+            .collect()
     }
 }
 

@@ -1281,42 +1281,32 @@ fn token_data_type(data: &[u8], entry: &TokenEntry) -> DataType {
     }
 }
 
-/// Infers a top-level schema from the first object's tokens (skipping the
-/// empty sentinels a `Null` bad-row policy leaves behind, so a damaged
-/// leading object does not erase the schema).
+/// Infers a top-level schema. Objects that share one layout take its
+/// fields, typed by the first object's tokens; otherwise the schema is the
+/// union of every object's top-level fields in first-seen order (the empty
+/// sentinels a `Null` bad-row policy leaves behind add none). A field is
+/// typed by its first non-null token: a leading `null` says nothing about
+/// the field's type, so a nullable numeric column still types (and
+/// vectorizes) as numeric.
 fn infer_schema(data: &[u8], index: &JsonStructuralIndex) -> Schema {
     let mut fields = Vec::new();
-    let first = if index.shared_layout.is_some() {
-        index.objects.first()
-    } else {
-        index
-            .objects
-            .iter()
-            .find(|o| !o.level0.is_empty())
-            .or_else(|| index.objects.first())
-    };
-    if let Some(first) = first {
-        let paths: Vec<(String, u32)> = if let Some(shared) = &index.shared_layout {
-            let mut v: Vec<(String, u32)> = shared.iter().map(|(p, s)| (p.clone(), *s)).collect();
-            v.sort_by_key(|(_, slot)| *slot);
-            v
-        } else {
-            first.level0.clone()
+    if let Some(shared) = &index.shared_layout {
+        let Some(first) = index.objects.first() else {
+            return Schema::new(fields);
         };
+        let mut paths: Vec<(&String, u32)> = shared.iter().map(|(p, s)| (p, *s)).collect();
+        paths.sort_by_key(|(_, slot)| *slot);
         for (path, slot) in paths {
             // Top-level fields only (nested ones are reachable via readPath).
             if path.contains('.') {
                 continue;
             }
-            let entry = first.entries[slot as usize];
-            let mut data_type = token_data_type(data, &entry);
+            let mut data_type = token_data_type(data, &first.entries[slot as usize]);
             if matches!(data_type, DataType::Any) {
-                // A leading `null` says nothing about the field's type: look
-                // ahead a bounded number of objects for the first non-null
-                // token so a nullable numeric column still types (and
-                // vectorizes) as numeric.
+                // Look ahead a bounded number of objects for the first
+                // non-null token.
                 for oid in 1..index.object_count().min(64) {
-                    if let Some(later) = index.lookup(oid, &path) {
+                    if let Some(later) = index.lookup(oid, path) {
                         if later.token_type != TokenType::Null {
                             data_type = token_data_type(data, &later);
                             break;
@@ -1324,7 +1314,33 @@ fn infer_schema(data: &[u8], index: &JsonStructuralIndex) -> Schema {
                     }
                 }
             }
-            fields.push(Field::nullable(path, data_type));
+            fields.push(Field::nullable(path.clone(), data_type));
+        }
+        return Schema::new(fields);
+    }
+    // Per top-level path, in first-seen order: its position in `fields` and
+    // whether a non-null token has typed it yet.
+    let mut seen: HashMap<&str, (usize, bool)> = HashMap::new();
+    for object in &index.objects {
+        for (path, slot) in &object.level0 {
+            if path.contains('.') {
+                continue;
+            }
+            let entry = &object.entries[*slot as usize];
+            let typed = entry.token_type != TokenType::Null;
+            match seen.get_mut(path.as_str()) {
+                Some((_, true)) => {}
+                Some((at, known)) => {
+                    if typed {
+                        fields[*at] = Field::nullable(path.clone(), token_data_type(data, entry));
+                        *known = true;
+                    }
+                }
+                None => {
+                    seen.insert(path, (fields.len(), typed));
+                    fields.push(Field::nullable(path.clone(), token_data_type(data, entry)));
+                }
+            }
         }
     }
     Schema::new(fields)

@@ -19,6 +19,7 @@
 //! without out-of-band schema knowledge.
 
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 
 use proteus_algebra::{DataType, Field, Schema, Value};
@@ -195,41 +196,26 @@ impl ColumnData {
 
     /// Parses a column from its binary layout.
     pub fn from_bytes(data: &[u8]) -> Result<ColumnData> {
-        if data.len() < 13 || &data[0..4] != MAGIC {
-            return Err(StorageError::Corrupt("bad column magic".into()));
-        }
-        let type_code = data[4];
-        let count = u64::from_le_bytes(
-            data[5..13]
-                .try_into()
-                .map_err(|_| StorageError::Corrupt("truncated header".into()))?,
-        ) as usize;
-        let payload = &data[13..];
+        let (type_code, count) = parse_header(data)?;
+        let payload = &data[HEADER_BYTES..];
         match type_code {
             0 | 1 => {
-                let need = payload_bytes(count, 8)?;
+                let need = payload_bytes(type_code, count)?;
                 if payload.len() < need {
                     return Err(StorageError::Corrupt(format!(
                         "truncated numeric payload: need {need} bytes at byte offset 13, have {}",
                         payload.len()
                     )));
                 }
+                let words = payload[..need].chunks_exact(8).map(|word| {
+                    let mut bytes = [0u8; 8];
+                    bytes.copy_from_slice(word);
+                    bytes
+                });
                 if type_code == 0 {
-                    let mut v = Vec::with_capacity(count);
-                    for i in 0..count {
-                        v.push(i64::from_le_bytes(
-                            payload[i * 8..i * 8 + 8].try_into().unwrap(),
-                        ));
-                    }
-                    Ok(ColumnData::Int(v))
+                    Ok(ColumnData::Int(words.map(i64::from_le_bytes).collect()))
                 } else {
-                    let mut v = Vec::with_capacity(count);
-                    for i in 0..count {
-                        v.push(f64::from_le_bytes(
-                            payload[i * 8..i * 8 + 8].try_into().unwrap(),
-                        ));
-                    }
-                    Ok(ColumnData::Float(v))
+                    Ok(ColumnData::Float(words.map(f64::from_le_bytes).collect()))
                 }
             }
             2 => {
@@ -245,7 +231,7 @@ impl ColumnData {
                 ))
             }
             3 => {
-                let need = payload_bytes(count, 4)?;
+                let need = payload_bytes(type_code, count)?;
                 if payload.len() < need {
                     return Err(StorageError::Corrupt(format!(
                         "truncated string offsets: need {need} bytes at byte offset 13, have {}",
@@ -286,10 +272,40 @@ impl ColumnData {
     }
 }
 
-/// Bytes `count` values of `width` bytes take: a header whose row count
-/// overflows that product is corrupt (it would otherwise pass the length
-/// check with a wrapped size and abort on the allocation).
-fn payload_bytes(count: usize, width: usize) -> Result<usize> {
+/// Bytes of a column file's header: magic, type code, row count.
+const HEADER_BYTES: usize = 13;
+
+/// The type code and row count of a column file's header (its first
+/// [`HEADER_BYTES`] bytes): corrupt when the magic is wrong or the bytes run
+/// short.
+fn parse_header(data: &[u8]) -> Result<(u8, usize)> {
+    if data.len() < HEADER_BYTES || &data[0..4] != MAGIC {
+        return Err(StorageError::Corrupt("bad column magic".into()));
+    }
+    let mut count = [0u8; 8];
+    count.copy_from_slice(&data[5..HEADER_BYTES]);
+    let count = u64::from_le_bytes(count);
+    let count = usize::try_from(count).map_err(|_| {
+        StorageError::Corrupt(format!("row count {count} does not fit this platform"))
+    })?;
+    Ok((data[4], count))
+}
+
+/// The fewest payload bytes `count` rows of `type_code` take (for strings,
+/// the length table): corrupt for an unknown type code, and for a row count
+/// that overflows the product (it would otherwise pass the length check with
+/// a wrapped size and abort on the allocation).
+fn payload_bytes(type_code: u8, count: usize) -> Result<usize> {
+    let width = match type_code {
+        0 | 1 => 8,
+        2 => 1,
+        3 => 4,
+        other => {
+            return Err(StorageError::Corrupt(format!(
+                "unknown column type code {other}"
+            )))
+        }
+    };
     count.checked_mul(width).ok_or_else(|| {
         StorageError::Corrupt(format!(
             "row count {count} overflows the payload size ({width} bytes per row)"
@@ -366,10 +382,7 @@ impl ColumnTable {
         }
         let schema = Schema::new(fields);
         let row_count = match schema.fields().first() {
-            Some(field) => {
-                let col = Self::read_column_file(&dir, &field.name)?;
-                col.len()
-            }
+            Some(field) => Self::row_count_of(&dir, &field.name)?,
             None => 0,
         };
         Ok(ColumnTable {
@@ -388,6 +401,26 @@ impl ColumnTable {
             )));
         }
         Self::read_column_file(&self.dir, name)
+    }
+
+    /// The row count of one column file, from its header alone: the header
+    /// must be sound and the file long enough for that many rows (for
+    /// strings, their length table), so a truncated or corrupt column is
+    /// refused without its payload being read or decoded.
+    fn row_count_of(dir: &Path, name: &str) -> Result<usize> {
+        let file = fs::File::open(dir.join(format!("{name}.col")))?;
+        let file_len = file.metadata()?.len();
+        let mut header = Vec::with_capacity(HEADER_BYTES);
+        file.take(HEADER_BYTES as u64).read_to_end(&mut header)?;
+        let (type_code, count) = parse_header(&header)?;
+        let need = payload_bytes(type_code, count)?;
+        let have = file_len.saturating_sub(HEADER_BYTES as u64);
+        if have < need as u64 {
+            return Err(StorageError::Corrupt(format!(
+                "truncated column {name}: {count} rows need {need} payload bytes at byte offset {HEADER_BYTES}, the file has {have}"
+            )));
+        }
+        Ok(count)
     }
 
     fn read_column_file(dir: &Path, name: &str) -> Result<ColumnData> {
@@ -464,6 +497,70 @@ mod tests {
                     Err(StorageError::Corrupt(_))
                 ),
                 "type code {type_code}"
+            );
+        }
+    }
+
+    /// A two-column table directory whose column `a` or `b` holds `bytes`
+    /// (the other one two valid rows).
+    fn table_with(name: &str, corrupt_first: bool, bytes: &[u8]) -> PathBuf {
+        let dir = temp_dir(name);
+        fs::write(dir.join("_schema.txt"), "a:int\nb:int\n").unwrap();
+        let valid = ColumnData::Int(vec![1, 2]).to_bytes();
+        let (a, b) = if corrupt_first {
+            (bytes, valid.as_slice())
+        } else {
+            (valid.as_slice(), bytes)
+        };
+        fs::write(dir.join("a.col"), a).unwrap();
+        fs::write(dir.join("b.col"), b).unwrap();
+        dir
+    }
+
+    #[test]
+    fn corrupt_columns_are_refused_at_open_and_at_read() {
+        let header = |code: u8, count: u64| {
+            let mut bytes = MAGIC.to_vec();
+            bytes.push(code);
+            bytes.extend_from_slice(&count.to_le_bytes());
+            bytes
+        };
+        let mut bad_magic = ColumnData::Int(vec![1, 2]).to_bytes();
+        bad_magic[0] = b'X';
+        let mut unknown_code = ColumnData::Int(vec![1, 2]).to_bytes();
+        unknown_code[4] = 9;
+        let mut huge = header(0, (1 << 61) + 1);
+        huge.extend_from_slice(&[0; 8]);
+        let mut max = header(1, u64::MAX);
+        max.extend_from_slice(&[0; 8]);
+        let mut short_ints = ColumnData::Int(vec![1, 2, 3]).to_bytes();
+        short_ints.pop();
+        let mut short_bools = ColumnData::Bool(vec![true, false]).to_bytes();
+        short_bools.pop();
+        let mut short_strings = ColumnData::Str(vec!["ab".into(), "c".into()]).to_bytes();
+        short_strings.truncate(HEADER_BYTES + 7);
+        let cases = [
+            ("bad magic", bad_magic),
+            ("unknown type code", unknown_code),
+            ("2^61 + 1 rows", huge),
+            ("u64::MAX rows", max),
+            ("ints one byte short", short_ints),
+            ("bools one byte short", short_bools),
+            ("string lengths one byte short", short_strings),
+            ("a short header", MAGIC.to_vec()),
+        ];
+        for (i, (what, bytes)) in cases.iter().enumerate() {
+            let dir = table_with(&format!("corrupt_open_{i}"), true, bytes);
+            assert!(
+                matches!(ColumnTable::open(&dir), Err(StorageError::Corrupt(_))),
+                "open, {what}"
+            );
+            let dir = table_with(&format!("corrupt_read_{i}"), false, bytes);
+            let table = ColumnTable::open(&dir).unwrap();
+            assert_eq!(table.row_count, 2);
+            assert!(
+                matches!(table.read_column("b"), Err(StorageError::Corrupt(_))),
+                "read, {what}"
             );
         }
     }

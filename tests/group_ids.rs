@@ -7,8 +7,7 @@
 //! the IR); any other key keeps the hashed ids. Either way the rows, their
 //! order and every value must be exactly what the closure tier (vectorized
 //! off) returns, and the values what `algebra::interp` computes. The sweep
-//! runs over binary columns, binary rows (no zone maps: always hashed), CSV,
-//! JSON and a cache entry, at one and four workers, over key shapes at the
+//! runs over binary columns, binary rows, CSV, JSON and a cache entry, at one and four workers, over key shapes at the
 //! edges of the dense rule: negative minimums, a one-value domain, null and
 //! missing keys, ints beyond ±2⁵³, a span of exactly 65 536 slots and one of
 //! 65 537, and an empty input.
@@ -48,11 +47,6 @@ impl Source {
     /// NaN survives the binary formats only.
     fn nans(self) -> bool {
         matches!(self, Source::Columns | Source::Rows)
-    }
-
-    /// Row tables keep no zone maps, so their keys have no bounds.
-    fn bounded(self) -> bool {
-        self != Source::Rows
     }
 }
 
@@ -369,7 +363,10 @@ fn sweep(source: Source) {
                     fast.access_paths
                 );
             }
-            let dense = shape.dense && source.bounded();
+            // Every source bounds its keys: binary columns record zone maps
+            // at load; binary rows, CSV and JSON derive them from their
+            // typed fills.
+            let dense = shape.dense;
             let ids = if dense { "dense ids" } else { "hashed ids" };
             assert!(
                 fast.ir.contains(ids),
@@ -508,6 +505,37 @@ fn explain_names_the_group_id_strategy() {
         .unwrap();
     assert!(hashed.ir.contains("hashed ids"), "{}", hashed.ir);
     assert_eq!(hashed.metrics.hash_probes, rows as u64);
+}
+
+/// JSON objects without a shared layout: the schema is the union of every
+/// object's top-level fields, so a field the first object lacks still gets
+/// a typed fill, and a group-by on it ingests typed keys.
+#[test]
+fn a_json_field_missing_from_the_first_object_groups_typed() {
+    let path = scratch("json_union").join("late.json");
+    let mut text = String::from("{\"v\": 1.5}\n");
+    for i in 0..3_000 {
+        text.push_str(&format!(
+            "{{\"v\": {}, \"n\": {}}}\n",
+            i as f64 / 4.0,
+            i % 7
+        ));
+    }
+    std::fs::write(&path, text).unwrap();
+    let engine = QueryEngine::new(EngineConfig::without_caching());
+    engine.register_json("late", &path).unwrap();
+    let schema = engine.registry().schema_of("late").unwrap();
+    assert_eq!(schema.names(), vec!["v", "n"]);
+    assert_eq!(schema.field("n").unwrap().data_type, DataType::Int);
+    let query = "SELECT n, COUNT(*), SUM(v) FROM late GROUP BY n";
+    let explained = engine.explain_sql(query).unwrap();
+    assert!(explained.contains("typed key ingest"), "{explained}");
+    let result = engine.sql(query).unwrap();
+    // Seven values of `n` plus the first object's missing one.
+    assert_eq!(result.rows.len(), 8);
+    let closures = QueryEngine::new(EngineConfig::without_caching().with_vectorized(false));
+    closures.register_json("late", &path).unwrap();
+    assert_eq!(result.rows, closures.sql(query).unwrap().rows);
 }
 
 /// The dense state is debited at the `group table` site before it is

@@ -274,6 +274,27 @@ fn reference(rows: &[Value], plan: &LogicalPlan) -> Vec<Value> {
     proteus::algebra::interp::execute(plan, &catalog).unwrap()
 }
 
+/// The rows of `name` as the engine reads them (slot names stripped back
+/// to field names).
+fn rows_as_read(engine: &QueryEngine, name: &str) -> Vec<Value> {
+    let prefix = format!("{name}.");
+    engine
+        .execute_plan(LogicalPlan::scan(name, name, Schema::empty()))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|row| {
+            let record = row.as_record().unwrap();
+            Value::record(
+                record
+                    .iter()
+                    .map(|(slot, v)| (slot.strip_prefix(&prefix).unwrap_or(slot), v.clone()))
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
 fn join_reference(probe: &[Value], build: &[Value], plan: &LogicalPlan) -> Vec<Value> {
     let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
     catalog.register("t", probe.to_vec());
@@ -656,13 +677,17 @@ fn join_kernels_equal_closures_over_json_and_csv() {
                         .unwrap();
                 }
             }
+            // The interpreter reads the rows as the engine does: CSV reads
+            // an empty string field as null, and a null key joins nothing.
+            let (probe_read, build_read) =
+                (rows_as_read(&closures, "t"), rows_as_read(&closures, "o"));
             for (pi, pred) in predicate_shapes(&mut rng).into_iter().enumerate() {
                 for (qi, plan) in join_plans_for(pred).into_iter().enumerate() {
                     join_engines_agree(
                         &vectorized,
                         &closures,
-                        &probe_records,
-                        &build_records,
+                        &probe_read,
+                        &build_read,
                         &plan,
                         &format!("{format} join seed {seed} pred {pi} plan {qi}"),
                     );
@@ -674,11 +699,13 @@ fn join_kernels_equal_closures_over_json_and_csv() {
 
 #[test]
 fn join_fallback_split_agrees_with_closures() {
-    // A nested join: the outer probe side is itself a join output, so its
-    // keys cannot resolve to typed scan slots and fall back to closure
-    // extraction, while the inner join (and the outer build side) stay on
-    // the kernel tier — both tiers run inside one plan and must agree with
-    // the closure-only engine and the interpreter.
+    // Nested joins: the outer probe side is itself a join output. Keyed on
+    // the inner probe side's `t.k`, the outer probe reads typed key lanes
+    // from that output, so every join runs on the kernel tier. Keyed on the
+    // inner build side's string `o.oc` — which the build store keeps as
+    // `Value`s — the outer probe falls back to closure extraction while the
+    // inner join and the outer build stay typed: both tiers run inside one
+    // plan. Either way the engines and the interpreter must agree.
     let mut rng = StdRng::seed_from_u64(0x5111);
     let probe_rows = random_rows(&mut rng);
     let build_rows = random_build_rows(&mut rng);
@@ -692,36 +719,45 @@ fn join_fallback_split_agrees_with_closures() {
         engine.register_plugin(std::sync::Arc::new(build_plugin(&build_rows)));
     }
 
-    let inner = LogicalPlan::scan("o", "o", Schema::empty()).join(
-        LogicalPlan::scan("t", "t", Schema::empty()),
-        Expr::path("o.ok").eq(Expr::path("t.k")),
-        JoinKind::Inner,
-    );
-    let plan = proteus::algebra::rewrite::rewrite(
-        LogicalPlan::scan("o", "o2", Schema::empty())
-            .join(
-                inner,
-                Expr::path("o2.ok").eq(Expr::path("t.k")),
-                JoinKind::Inner,
-            )
-            .reduce(vec![
-                ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
-                ReduceSpec::new(Monoid::Sum, Expr::path("o.ov"), "total"),
-            ]),
-    );
+    for (outer_key, typed_outer_probe) in [("t.k", true), ("o.oc", false)] {
+        let inner = LogicalPlan::scan("o", "o", Schema::empty()).join(
+            LogicalPlan::scan("t", "t", Schema::empty()),
+            Expr::path("o.ok").eq(Expr::path("t.k")),
+            JoinKind::Inner,
+        );
+        let outer_build_key = if typed_outer_probe { "o2.ok" } else { "o2.oc" };
+        let plan = proteus::algebra::rewrite::rewrite(
+            LogicalPlan::scan("o", "o2", Schema::empty())
+                .join(
+                    inner,
+                    Expr::path(outer_build_key).eq(Expr::path(outer_key)),
+                    JoinKind::Inner,
+                )
+                .reduce(vec![
+                    ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+                    ReduceSpec::new(Monoid::Sum, Expr::path("o.ov"), "total"),
+                ]),
+        );
 
-    let fast = vectorized.execute_plan(plan.clone()).unwrap();
-    let slow = closures.execute_plan(plan.clone()).unwrap();
-    assert_eq!(fast.rows, slow.rows);
-    let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
-    catalog.register("t", probe_records);
-    catalog.register("o", build_records);
-    let expected = proteus::algebra::interp::execute(&plan, &catalog).unwrap();
-    assert_eq!(fast.rows, expected);
-    // Inner join + outer build ran typed keys; the outer probe fell back.
-    assert!(fast.metrics.join_kernel_rows > 0, "{}", fast.metrics);
-    assert!(fast.metrics.join_fallback_rows > 0, "{}", fast.metrics);
-    assert_eq!(slow.metrics.join_kernel_rows, 0);
+        let fast = vectorized.execute_plan(plan.clone()).unwrap();
+        let slow = closures.execute_plan(plan.clone()).unwrap();
+        assert_eq!(fast.rows, slow.rows, "{outer_key}");
+        let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
+        catalog.register("t", probe_records.clone());
+        catalog.register("o", build_records.clone());
+        let expected = proteus::algebra::interp::execute(&plan, &catalog).unwrap();
+        assert_eq!(fast.rows, expected, "{outer_key}");
+        assert!(fast.metrics.join_kernel_rows > 0, "{}", fast.metrics);
+        assert_eq!(
+            fast.metrics.join_fallback_rows > 0,
+            !typed_outer_probe,
+            "{outer_key}: {}",
+            fast.metrics
+        );
+        // Above the joins `SUM(o.ov)` folds the gathered `f64` lane.
+        assert_eq!(fast.metrics.agg_fallback_rows, 0, "{}", fast.metrics);
+        assert_eq!(slow.metrics.join_kernel_rows, 0);
+    }
 }
 
 #[test]
