@@ -54,7 +54,7 @@ use crate::exec::metrics::ExecutionMetrics;
 use crate::exec::pipeline::{
     run_collect, run_nest, run_reduce, ExpandLane, Producer, TypedSlotFill,
 };
-use crate::exec::radix::DenseKey;
+use crate::exec::radix::{DenseKey, StoreColumn};
 
 /// The query compiler: turns optimized plans into specialized pipelines.
 #[derive(Clone)]
@@ -1148,7 +1148,7 @@ fn scan_typed_kinds(producer: &Producer) -> Option<HashMap<usize, TypedKind>> {
             let mut kinds: HashMap<usize, TypedKind> = scan_typed_kinds(build)
                 .unwrap_or_default()
                 .into_iter()
-                .filter(|(_, kind)| *kind != TypedKind::Str)
+                .filter(|&(_, kind)| StoreColumn::is_lane_kind(kind))
                 .collect();
             let probe = scan_typed_kinds(probe).unwrap_or_default();
             kinds.extend(

@@ -121,11 +121,18 @@ pub enum StoreColumn {
 }
 
 impl StoreColumn {
-    /// An empty column: lanes of `kind` when it is a lane kind, `Value`s
-    /// otherwise (`None`, or strings — a store pools no strings).
+    /// Whether a slot filled typed as `kind` is stored as lanes: `I64`,
+    /// `F64` and `Bool` are; strings are kept as `Value`s (a store pools no
+    /// strings).
+    pub fn is_lane_kind(kind: TypedKind) -> bool {
+        matches!(kind, TypedKind::I64 | TypedKind::F64 | TypedKind::Bool)
+    }
+
+    /// An empty column: lanes of `kind` when it is a lane kind
+    /// ([`StoreColumn::is_lane_kind`]), `Value`s otherwise.
     pub fn new(kind: Option<TypedKind>) -> StoreColumn {
         match kind {
-            Some(kind @ (TypedKind::I64 | TypedKind::F64 | TypedKind::Bool)) => {
+            Some(kind) if StoreColumn::is_lane_kind(kind) => {
                 StoreColumn::Lanes(TypedColumn::new(kind))
             }
             _ => StoreColumn::Values(Vec::new()),

@@ -357,7 +357,6 @@ impl TypedColumn {
     /// the values the column already holds, which must be of `src`'s kind:
     /// [`TypedColumn::gather_from`] without the reset. How a join build
     /// store takes a morsel's selected rows into its key and payload lanes.
-    /// Strings the column already pools are reused, not pooled twice.
     pub fn extend_gathered(&mut self, src: &TypedColumn, rows: &[u32]) {
         let base = self.len;
         match (&mut self.data, &src.data) {
@@ -381,15 +380,9 @@ impl TypedColumn {
                 for &r in rows {
                     let old = v[r as usize] as usize;
                     if moved[old] == u32::MAX {
-                        moved[old] = match self.intern.get(&src_pool[old]) {
-                            Some(&id) => id,
-                            None => {
-                                let id = pool.len() as u32;
-                                pool.push(src_pool[old].clone());
-                                self.intern.insert(src_pool[old].clone(), id);
-                                id
-                            }
-                        };
+                        moved[old] = pool.len() as u32;
+                        pool.push(src_pool[old].clone());
+                        self.intern.insert(src_pool[old].clone(), moved[old]);
                     }
                     ids.push(moved[old]);
                 }
@@ -414,11 +407,7 @@ impl TypedColumn {
             (TypedData::I64(out), TypedData::I64(v)) => out.extend_from_slice(v),
             (TypedData::F64(out), TypedData::F64(v)) => out.extend_from_slice(v),
             (TypedData::Bool(out), TypedData::Bool(v)) => out.extend_from_slice(v),
-            (TypedData::Str { .. }, TypedData::Str { .. }) => {
-                let rows: Vec<u32> = (0..src.len as u32).collect();
-                return self.extend_gathered(src, &rows);
-            }
-            _ => unreachable!("append across column kinds"),
+            _ => unreachable!("append across column kinds or of strings"),
         }
         self.len = base + src.len;
         for (wi, &word) in src.nulls.iter().enumerate() {
@@ -848,77 +837,6 @@ mod tests {
                 Value::Null,
                 Value::Int(9),
                 Value::Int(9)
-            ]
-        );
-
-        let mut strs = TypedColumn::new(TypedKind::Str);
-        strs.begin(TypedKind::Str, 2);
-        strs.push_str("a");
-        strs.push_str("b");
-        out.gather_from(&strs, &[1, 1, 0]);
-        assert_eq!(out.str_parts().1.len(), 2);
-        assert_eq!(out.value_at(0), Value::Str("b".into()));
-        assert_eq!(out.value_at(2), Value::Str("a".into()));
-        // Still a well-formed column: a later push interns against the pool.
-        out.push_str("a");
-        assert_eq!(out.str_parts().1.len(), 2);
-        // Only the strings the gathered rows reference cross over.
-        out.gather_from(&strs, &[1, 1]);
-        assert_eq!(out.str_parts().0, [0, 0]);
-        assert_eq!(out.str_parts().1.len(), 1);
-        assert_eq!(out.value_at(1), Value::Str("b".into()));
-        // Gathering nothing yields an empty column of the source's kind.
-        out.gather_from(&ints, &[]);
-        assert!(out.is_empty() && out.kind() == TypedKind::I64);
-    }
-
-    #[test]
-    fn extending_and_appending_keep_values_null_bits_and_pooled_strings() {
-        // Nulls on both sides of a word boundary: the appended bits land at
-        // their new positions.
-        let mut src = TypedColumn::new(TypedKind::F64);
-        for i in 0..70 {
-            if i % 33 == 0 {
-                src.push_null();
-            } else {
-                src.push_f64(i as f64);
-            }
-        }
-        let mut out = TypedColumn::new(TypedKind::F64);
-        out.extend_gathered(&src, &[1, 0]);
-        out.append(&src);
-        out.extend_gathered(&src, &[66, 2]);
-        assert_eq!(out.len(), 74);
-        let expected: Vec<Value> = [1, 0]
-            .into_iter()
-            .chain(0..70)
-            .chain([66, 2])
-            .map(|i| src.value_at(i))
-            .collect();
-        let got: Vec<Value> = (0..out.len()).map(|i| out.value_at(i)).collect();
-        assert_eq!(got, expected);
-        assert_eq!(got[1], Value::Null);
-        assert_eq!(got[2 + 66], Value::Null);
-
-        let mut strs = TypedColumn::new(TypedKind::Str);
-        strs.push_str("x");
-        strs.push_str("y");
-        let mut pooled = TypedColumn::new(TypedKind::Str);
-        pooled.push_str("y");
-        pooled.extend_gathered(&strs, &[1, 0, 1]);
-        pooled.append(&strs);
-        assert_eq!(pooled.str_parts().1.len(), 2, "each string pooled once");
-        let got: Vec<Value> = (0..pooled.len()).map(|i| pooled.value_at(i)).collect();
-        let [x, y] = [Value::Str("x".into()), Value::Str("y".into())];
-        assert_eq!(
-            got,
-            [
-                y.clone(),
-                y.clone(),
-                x.clone(),
-                y,
-                x,
-                Value::Str("y".into())
             ]
         );
 

@@ -274,21 +274,19 @@ fn reference(rows: &[Value], plan: &LogicalPlan) -> Vec<Value> {
     proteus::algebra::interp::execute(plan, &catalog).unwrap()
 }
 
-/// The rows of `name` as the engine reads them (slot names stripped back
-/// to field names).
-fn rows_as_read(engine: &QueryEngine, name: &str) -> Vec<Value> {
-    let prefix = format!("{name}.");
-    engine
-        .execute_plan(LogicalPlan::scan(name, name, Schema::empty()))
-        .unwrap()
-        .rows
+/// `records` as a CSV scan reads them back: an empty string field is null.
+fn empty_strings_as_null(records: &[Value]) -> Vec<Value> {
+    records
         .iter()
         .map(|row| {
-            let record = row.as_record().unwrap();
             Value::record(
-                record
+                row.as_record()
+                    .unwrap()
                     .iter()
-                    .map(|(slot, v)| (slot.strip_prefix(&prefix).unwrap_or(slot), v.clone()))
+                    .map(|(field, v)| match v {
+                        Value::Str(s) if s.is_empty() => (field, Value::Null),
+                        _ => (field, v.clone()),
+                    })
                     .collect(),
             )
         })
@@ -677,10 +675,16 @@ fn join_kernels_equal_closures_over_json_and_csv() {
                         .unwrap();
                 }
             }
-            // The interpreter reads the rows as the engine does: CSV reads
-            // an empty string field as null, and a null key joins nothing.
-            let (probe_read, build_read) =
-                (rows_as_read(&closures, "t"), rows_as_read(&closures, "o"));
+            // CSV reads an empty string field as null (and a null key joins
+            // nothing), so the reference sees the generated records that way.
+            let (probe_read, build_read) = if format == "json" {
+                (probe_records.clone(), build_records.clone())
+            } else {
+                (
+                    empty_strings_as_null(&probe_records),
+                    empty_strings_as_null(&build_records),
+                )
+            };
             for (pi, pred) in predicate_shapes(&mut rng).into_iter().enumerate() {
                 for (qi, plan) in join_plans_for(pred).into_iter().enumerate() {
                     join_engines_agree(

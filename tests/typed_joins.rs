@@ -203,28 +203,6 @@ fn register(engine: &QueryEngine, source: Source, name: &str, rows: &[Value], sc
     }
 }
 
-/// The rows of `name` as the engine reads them (slot names stripped back
-/// to field names): the reference interpreter's input.
-fn rows_as_read(engine: &QueryEngine, name: &str) -> Vec<Value> {
-    let scan = LogicalPlan::scan(name, name, Schema::empty());
-    let prefix = format!("{name}.");
-    engine
-        .execute_plan(scan)
-        .unwrap()
-        .rows
-        .iter()
-        .map(|row| {
-            let record = row.as_record().unwrap();
-            Value::record(
-                record
-                    .iter()
-                    .map(|(slot, v)| (slot.strip_prefix(&prefix).unwrap_or(slot), v.clone()))
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
 /// One join shape: the key pair, and the filters that sit right on the
 /// build and probe scans (inside the join, so they shape its sides).
 struct Shape {
@@ -463,10 +441,6 @@ fn sweep(source: Source) {
             (workers, typed, closures)
         })
         .collect();
-    let (b_read, p_read) = (
-        rows_as_read(&engines[0].2, "b"),
-        rows_as_read(&engines[0].2, "p"),
-    );
     for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
         for shape in SHAPES {
             let join = join_of(shape, kind);
@@ -474,8 +448,8 @@ fn sweep(source: Source) {
             // only the fields the shape's queries read.
             let (b_key, p_key) = (&shape.keys.0[2..], &shape.keys.1[2..]);
             let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
-            catalog.register("b", narrowed(&b_read, &[b_key, "k", "w", "x"]));
-            catalog.register("p", narrowed(&p_read, &[p_key, "k", "v", "y"]));
+            catalog.register("b", narrowed(&b, &[b_key, "k", "w", "x"]));
+            catalog.register("p", narrowed(&p, &[p_key, "k", "v", "y"]));
             let expected = interpreted(&join, &catalog);
             for (workers, typed, closures) in &engines {
                 for ((query, plan), (_, expected)) in
