@@ -296,9 +296,10 @@ pub fn merge_adjacent_selections(plan: LogicalPlan) -> LogicalPlan {
 /// ("Proteus pushes field projections down to the scan operators so that it
 /// pays to extract only the fields necessary", §5.2).
 ///
-/// A scan whose records are referenced whole (`yield e`) reads every field.
-/// A scan nothing references reads none under an aggregating root
-/// (`COUNT(*)`), and every field under a root that yields its bindings.
+/// A scan whose records are referenced whole (`yield e`) reads every field,
+/// and so does every scan under a root that yields its bindings (not a
+/// `Reduce` or `Nest`): the bindings themselves are the answer. A scan
+/// nothing references reads none under an aggregating root (`COUNT(*)`).
 pub fn push_down_projections(plan: LogicalPlan) -> LogicalPlan {
     let required = plan.required_paths();
     let aggregates = matches!(plan, LogicalPlan::Reduce { .. } | LogicalPlan::Nest { .. });
@@ -327,7 +328,7 @@ fn annotate_scans(
                 .map(|path| path.segments.as_slice())
                 .collect();
             // The empty path is the record itself.
-            let whole = paths.contains(&[][..]) || (paths.is_empty() && !aggregates);
+            let whole = !aggregates || paths.contains(&[][..]);
             let mut fields: Vec<&[String]> = Vec::new();
             for path in paths {
                 if !fields.iter().any(|kept| path.starts_with(kept)) {
@@ -572,8 +573,15 @@ mod tests {
         let whole =
             scan("A", "a").reduce(vec![ReduceSpec::new(Monoid::Bag, Expr::path("a"), "rows")]);
         assert_eq!(projected(whole), vec![None]);
-        // A root that yields its bindings reads an unreferenced scan whole.
+        // A root that yields its bindings reads every scan whole, however
+        // little of it the plan references.
         assert_eq!(projected(scan("A", "a")), vec![None]);
+        let bare_join = scan("A", "a").join(
+            scan("B", "b"),
+            Expr::path("a.k").eq(Expr::path("b.k")),
+            JoinKind::Inner,
+        );
+        assert_eq!(projected(bare_join), vec![None, None]);
         // Only the referenced side of a join reads fields.
         let join = count_plan(scan("A", "a").join(
             scan("B", "b"),

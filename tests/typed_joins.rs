@@ -15,7 +15,8 @@
 //! keys repeated on both sides, an `i64` key joined to an `f64` one (`3` ≡
 //! `3.0`), string keys, an empty build side, an empty probe side, no match
 //! and every entry matched — with COUNT, SUM, MIN, MAX and AVG above the
-//! join, a filter above it, a group-by above it, and a collect.
+//! join, a filter above it, a group-by above it, and a collect of the whole
+//! bindings.
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
@@ -377,9 +378,10 @@ fn interpreted(
         .collect()
 }
 
-/// `j` records flattened onto the slots of the engine's collected rows
-/// (projection pushdown reads only the fields a plan references; a probe
-/// side the left-outer join left null reads null in every slot).
+/// `j` records flattened onto the slots of the engine's collected rows (a
+/// probe side the left-outer join left null reads null in every slot),
+/// after checking that those slots are every field of both bindings: a
+/// plan that yields its bindings reads its scans whole.
 fn flattened(records: &[Value], like: &[Value]) -> Vec<Value> {
     let slots: Vec<String> = like
         .first()
@@ -391,6 +393,21 @@ fn flattened(records: &[Value], like: &[Value]) -> Vec<Value> {
                 .collect()
         })
         .unwrap_or_default();
+    if !like.is_empty() {
+        let mut every: Vec<String> = [("b", b_schema()), ("p", p_schema())]
+            .iter()
+            .flat_map(|(alias, schema)| {
+                schema
+                    .names()
+                    .into_iter()
+                    .map(move |f| format!("{alias}.{f}"))
+            })
+            .collect();
+        let mut got = slots.clone();
+        every.sort();
+        got.sort();
+        assert_eq!(got, every, "a collect reads both bindings whole");
+    }
     records
         .iter()
         .map(|record| {
@@ -401,22 +418,6 @@ fn flattened(records: &[Value], like: &[Value]) -> Vec<Value> {
                         let segments: Vec<String> = slot.split('.').map(str::to_string).collect();
                         (slot.as_str(), record.navigate(&segments))
                     })
-                    .collect(),
-            )
-        })
-        .collect()
-}
-
-/// `rows` with only the named fields.
-fn narrowed(rows: &[Value], keep: &[&str]) -> Vec<Value> {
-    rows.iter()
-        .map(|row| {
-            let record = row.as_record().unwrap();
-            Value::record(
-                record
-                    .iter()
-                    .filter(|(name, _)| keep.contains(name))
-                    .map(|(name, v)| (name, v.clone()))
                     .collect(),
             )
         })
@@ -444,12 +445,9 @@ fn sweep(source: Source) {
     for kind in [JoinKind::Inner, JoinKind::LeftOuter] {
         for shape in SHAPES {
             let join = join_of(shape, kind);
-            // The interpreter copies a binding per pair it tries: give it
-            // only the fields the shape's queries read.
-            let (b_key, p_key) = (&shape.keys.0[2..], &shape.keys.1[2..]);
             let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
-            catalog.register("b", narrowed(&b, &[b_key, "k", "w", "x"]));
-            catalog.register("p", narrowed(&p, &[p_key, "k", "v", "y"]));
+            catalog.register("b", b.clone());
+            catalog.register("p", p.clone());
             let expected = interpreted(&join, &catalog);
             for (workers, typed, closures) in &engines {
                 for ((query, plan), (_, expected)) in
