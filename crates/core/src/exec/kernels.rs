@@ -45,10 +45,12 @@
 //! Group-by sinks additionally read their key components straight from the
 //! typed columns ([`TypedKeys`]): bounded `i64` keys map straight to dense
 //! group ids ([`TypedKeys::dense_ids`], bounds from [`plan_dense_keys`]);
-//! other rows are hashed lane-wise (via the `Value::stable_hash_*` component
-//! helpers) and resolved to group ids through flat compare lanes
-//! ([`TypedKeys::resolve_groups`]) — key `Value`s are only materialized when
-//! a group is first inserted — and each aggregate then folds in one loop
+//! other keys are hashed lane-wise (via the `Value::stable_hash_*` component
+//! helpers) and resolved to group ids against the table's key store — the
+//! join's key columns, compared lane to stored column by the join's compare
+//! ([`TypedKeys::eq_store`]) under the group null rule
+//! ([`TypedKeys::resolve_groups`]); a key is stored only when its group is
+//! first inserted — and each aggregate then folds in one loop
 //! over `(group id, row)` into its typed group lane
 //! ([`RenderedAggs::fold_groups`]). Collection monoids
 //! (bag/set/list) and ineligible expressions stay on the closure path,
@@ -67,8 +69,8 @@ use crate::exec::batch::BindingBatch;
 use crate::exec::expr::BindingLayout;
 use crate::exec::mask;
 use crate::exec::radix::{
-    AggLane, BuildStore, DenseKey, KeyHash, KeyLane, LaneKind, RadixGroupTable, StoreColumn,
-    DENSE_MAX_SLOTS,
+    AggLane, BuildStore, DenseKey, KeyHash, LaneKind, RadixGroupTable, StoreColumn,
+    DENSE_MAX_SLOTS, GROUP_NULLS,
 };
 
 // ---------------------------------------------------------------------------
@@ -749,7 +751,6 @@ pub struct Scratch {
     sels: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
     values: Vec<Vec<Value>>,
-    lanes: Vec<Vec<KeyLane>>,
     /// The typed unnest's parent index and element lanes, recycled across
     /// morsels.
     expand: proteus_plugins::ExpandOutput,
@@ -832,18 +833,6 @@ impl Scratch {
     /// Returns the expand output to the scratch.
     pub(crate) fn put_expand(&mut self, out: proteus_plugins::ExpandOutput) {
         self.expand = out;
-    }
-
-    /// Borrows a recycled key-lane buffer (the group-by ingest's per-morsel
-    /// probe lanes).
-    fn take_lanes(&mut self) -> Vec<KeyLane> {
-        self.lanes.pop().unwrap_or_default()
-    }
-
-    /// Returns a key-lane buffer to the pool.
-    fn put_lanes(&mut self, mut v: Vec<KeyLane>) {
-        v.clear();
-        self.lanes.push(v);
     }
 }
 
@@ -1597,14 +1586,16 @@ impl RenderedAggs<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Typed group keys: hash + compare + materialize straight from the columns.
+// Typed keys: hash + compare straight from the columns.
 // ---------------------------------------------------------------------------
 
-/// A group-by key reader bound to one batch's typed columns. Hashes key
-/// components lane-wise — string pools are pre-hashed once per morsel — and
-/// compares rows against stored group keys with [`Value::value_eq`]
-/// semantics (numerics through their float view), so the typed ingest path
-/// groups exactly like the hydrated closure path.
+/// A key reader bound to one batch's typed columns, for group-bys and join
+/// probes alike. Hashes key components lane-wise — string pools are
+/// pre-hashed once per morsel — and compares rows against the key columns
+/// of a [`BuildStore`] by the store's one rule
+/// ([`key_eq`](crate::exec::radix::key_eq): numerics through their float
+/// view), so the typed paths group and join exactly like the hydrated
+/// closure paths.
 pub struct TypedKeys<'a> {
     comps: Vec<(&'a TypedColumn, Vec<u64>)>,
 }
@@ -1630,9 +1621,9 @@ impl<'a> TypedKeys<'a> {
     }
 
     /// The stable hash of one key component at `row` — the single source of
-    /// truth for lane↔`Value` hash parity (both [`TypedKeys::hash`] and the
-    /// nullable arm of [`TypedKeys::hash_rows`] go through here; the dense
-    /// `hash_rows` loops are per-kind specializations of this dispatch).
+    /// truth for lane↔`Value` hash parity (the nullable arm of
+    /// [`TypedKeys::hash_rows`] goes through here; its dense loops are
+    /// per-kind specializations of this dispatch).
     #[inline]
     fn component_hash(col: &TypedColumn, pool_hashes: &[u64], row: usize) -> u64 {
         if col.is_null(row) {
@@ -1646,19 +1637,10 @@ impl<'a> TypedKeys<'a> {
         }
     }
 
-    /// The key hash of one row, identical to
-    /// [`hash_key_components`](crate::exec::radix::hash_key_components) over
-    /// the hydrated key values.
-    pub fn hash(&self, row: usize) -> u64 {
-        let mut h = KeyHash::new(self.comps.len());
-        for (col, pool_hashes) in &self.comps {
-            h.push(Self::component_hash(col, pool_hashes, row));
-        }
-        h.finish()
-    }
-
     /// Columnwise batch hashing: `out[j]` becomes the key hash of row
-    /// `rows_idx[j]` (identical to [`TypedKeys::hash`] per row). The kind
+    /// `rows_idx[j]`, identical to
+    /// [`hash_key_components`](crate::exec::radix::hash_key_components) over
+    /// the hydrated key values. The kind
     /// dispatch runs once per *component* instead of once per row, leaving
     /// dense mix loops over the raw lanes.
     pub fn hash_rows(&self, rows_idx: &[u32], out: &mut Vec<u64>) {
@@ -1701,116 +1683,33 @@ impl<'a> TypedKeys<'a> {
         }
     }
 
-    /// [`Value::value_eq`] between one typed lane and a stored component
-    /// value (the string confirmation of [`TypedKeys::resolve_groups`] and
-    /// the view-less arm of [`TypedKeys::eq_store`]).
-    #[inline]
-    fn component_eq_value(col: &TypedColumn, row: usize, stored: &Value) -> bool {
-        if col.is_null(row) {
-            return stored.is_null();
-        }
-        match col.kind() {
-            TypedKind::I64 => {
-                stored.is_numeric()
-                    && (col.i64_values()[row] as f64)
-                        .total_cmp(&stored.as_float().unwrap_or(f64::NAN))
-                        == Ordering::Equal
-            }
-            TypedKind::F64 => {
-                stored.is_numeric()
-                    && col.f64_values()[row].total_cmp(&stored.as_float().unwrap_or(f64::NAN))
-                        == Ordering::Equal
-            }
-            TypedKind::Bool => *stored == Value::Bool(col.bool_values()[row]),
-            TypedKind::Str => {
-                let (ids, pool) = col.str_parts();
-                matches!(stored, Value::Str(s) if *s == *pool[ids[row] as usize])
-            }
-        }
-    }
-
-    /// The compare lane of one key component at `row`: what
-    /// [`KeyLane::of`] gives the hydrated component (string lanes carry the
-    /// pool's pre-computed hash).
-    #[inline]
-    fn component_lane(col: &TypedColumn, pool_hashes: &[u64], row: usize) -> KeyLane {
-        if col.is_null(row) {
-            return KeyLane::NULL;
-        }
-        match col.kind() {
-            TypedKind::I64 => KeyLane::num(col.i64_values()[row] as f64),
-            TypedKind::F64 => KeyLane::num(col.f64_values()[row]),
-            TypedKind::Bool => KeyLane::bool(col.bool_values()[row]),
-            TypedKind::Str => KeyLane::other(pool_hashes[col.str_parts().0[row] as usize]),
-        }
-    }
-
     /// The typed group-by ingest, step one: `gids[j]` becomes the id of the
-    /// group of row `rows_idx[j]` in `table` (created on first sight, its
-    /// key components materialized from the lanes), given the rows' key
-    /// hashes from [`TypedKeys::hash_rows`].
-    ///
-    /// Probe lanes are rendered columnwise first — the kind dispatch runs
-    /// once per *component*, like the hashing — so the per-row work is one
-    /// index probe plus a flat lane compare: numeric and boolean components
-    /// never touch a `Value`, strings are confirmed against the stored one
-    /// (a different morsel's pool may have interned them differently).
+    /// group of row `rows_idx[j]` in `table`, given the rows' key hashes
+    /// from [`TypedKeys::hash_rows`]. Each row finds its group through the
+    /// table's one resolve, compared lane to stored column by
+    /// [`TypedKeys::eq_store`] under the group null rule; a new group's key
+    /// is appended to the key columns from the lanes (strings as `Value`s,
+    /// confirmed by content: each morsel interns its own pool).
     pub fn resolve_groups(
         &self,
         table: &mut RadixGroupTable,
         rows_idx: &[u32],
         hashes: &[u64],
         gids: &mut Vec<u32>,
-        scratch: &mut Scratch,
     ) {
         debug_assert_eq!(rows_idx.len(), hashes.len());
-        let arity = self.comps.len();
-        let mut lanes = scratch.take_lanes();
-        lanes.resize(rows_idx.len() * arity, KeyLane::NULL);
-        for (comp, (col, pool_hashes)) in self.comps.iter().enumerate() {
-            let out = lanes
-                .chunks_exact_mut(arity)
-                .map(|key| &mut key[comp])
-                .zip(rows_idx);
-            if col.has_nulls() {
-                for (lane, &r) in out {
-                    *lane = Self::component_lane(col, pool_hashes, r as usize);
-                }
-                continue;
-            }
-            match col.kind() {
-                TypedKind::I64 => {
-                    let v = col.i64_values();
-                    out.for_each(|(lane, &r)| *lane = KeyLane::num(v[r as usize] as f64));
-                }
-                TypedKind::F64 => {
-                    let v = col.f64_values();
-                    out.for_each(|(lane, &r)| *lane = KeyLane::num(v[r as usize]));
-                }
-                TypedKind::Bool => {
-                    let v = col.bool_values();
-                    out.for_each(|(lane, &r)| *lane = KeyLane::bool(v[r as usize]));
-                }
-                TypedKind::Str => {
-                    let (ids, _) = col.str_parts();
-                    out.for_each(|(lane, &r)| {
-                        *lane = KeyLane::other(pool_hashes[ids[r as usize] as usize])
-                    });
-                }
-            }
-        }
         gids.clear();
-        gids.reserve(rows_idx.len());
-        for (j, (&r, &hash)) in rows_idx.iter().zip(hashes).enumerate() {
-            let row = r as usize;
-            gids.push(table.resolve_lanes(
+        gids.extend(rows_idx.iter().zip(hashes).map(|(&r, &hash)| {
+            table.resolve(
                 hash,
-                &lanes[j * arity..(j + 1) * arity],
-                |comp, stored| Self::component_eq_value(self.comps[comp].0, row, stored),
-                |arena| self.materialize_into(row, arena),
-            ));
-        }
-        scratch.put_lanes(lanes);
+                |store, group| self.eq_store(r as usize, store, group, GROUP_NULLS),
+                |store| {
+                    for (comp, (col, _)) in self.comps.iter().enumerate() {
+                        store.key_mut(comp).extend_rows(col, &[r]);
+                    }
+                },
+            )
+        }));
     }
 
     /// The dense group-by ingest: `gids[j]` becomes the offset of row
@@ -1871,34 +1770,29 @@ impl<'a> TypedKeys<'a> {
         Ok(())
     }
 
-    /// The lane-vs-stored-key compare of the kernel probe path: whether row
-    /// `row` of the bound typed columns joins build entry `entry` of a join
-    /// [`BuildStore`] — componentwise
-    /// [`join_key_eq`](crate::exec::radix::join_key_eq), so a null component
-    /// joins nothing. A typed key column is compared lane to lane
-    /// (`lane_eq`); a `Value` one against the stored component.
-    pub fn eq_store(&self, row: usize, store: &BuildStore, entry: u32) -> bool {
+    /// The lane-vs-stored-key compare: whether row `row` of the bound typed
+    /// columns and entry `entry` of a [`BuildStore`] are one key —
+    /// componentwise [`key_eq`](crate::exec::radix::key_eq) under the null
+    /// rule (`JOIN_NULLS` for a join probe, `GROUP_NULLS` for a group-by).
+    /// A typed key column is compared lane to lane, a `Value` one against
+    /// the stored component, and no lane becomes a `Value`.
+    pub fn eq_store(&self, row: usize, store: &BuildStore, entry: u32, nulls_equal: bool) -> bool {
         debug_assert_eq!(store.arity(), self.comps.len());
         self.comps
             .iter()
             .enumerate()
-            .all(|(comp, (col, _))| match store.key(comp) {
-                StoreColumn::Lanes(lanes) => lane_eq(col, row, lanes, entry as usize),
-                StoreColumn::Values(values) => {
-                    let stored = &values[entry as usize];
-                    !stored.is_null() && Self::component_eq_value(col, row, stored)
-                }
-            })
+            .all(|(comp, (col, _))| store.key(comp).eq_lane(entry, col, row, nulls_equal))
     }
 
     /// The single-numeric-key probe fast path: when the key is exactly one
     /// `i64`/`f64` column and the build key is an `i64`/`f64` lane, probes
     /// every selected row with its lane's float view hoisted out of the
     /// candidate compares (and the same lookahead prefetch as the generic
-    /// loop). Parity with [`TypedKeys::eq_store`] row by row: a null lane
-    /// matches nothing (and is not probed), a numeric lane matches the
-    /// non-null entries whose float view it equals by `total_cmp`. Returns
-    /// `false` when ineligible — the caller runs the generic loop instead.
+    /// loop). Parity with [`TypedKeys::eq_store`] under the join null rule,
+    /// row by row: a null lane matches nothing (and is not probed), a
+    /// numeric lane matches the non-null entries whose float view it equals
+    /// by `total_cmp`. Returns `false` when ineligible — the caller runs the
+    /// generic loop instead.
     pub fn probe_rows_numeric(
         &self,
         table: &crate::exec::radix::RadixHashTable,
@@ -1932,50 +1826,6 @@ impl<'a> TypedKeys<'a> {
             _ => return false,
         }
         true
-    }
-
-    /// The row's key components as a fresh `Vec` (a convenience for tests;
-    /// the ingests append to their arenas through
-    /// [`TypedKeys::materialize_into`]).
-    pub fn materialize(&self, row: usize) -> Vec<Value> {
-        let mut key = Vec::with_capacity(self.comps.len());
-        self.materialize_into(row, &mut key);
-        key
-    }
-
-    /// Appends the row's key components to a flattened arena (the join
-    /// build ingest and a group's first insertion — no per-row `Vec` is
-    /// allocated).
-    pub fn materialize_into(&self, row: usize, out: &mut Vec<Value>) {
-        out.extend(self.comps.iter().map(|(col, _)| col.value_at(row)));
-    }
-}
-
-/// Whether row `row` of a probe key lane joins entry `entry` of a typed
-/// build key lane, without a `Value` ([`join_key_eq`]): a null joins
-/// nothing, numerics compare their float views by `total_cmp` (`3` ≡ `3.0`,
-/// `-0.0` ≠ `+0.0`, NaN by bits), booleans by value, and a numeric never
-/// equals a boolean or a string.
-///
-/// [`join_key_eq`]: crate::exec::radix::join_key_eq
-#[inline]
-fn lane_eq(probe: &TypedColumn, row: usize, build: &TypedColumn, entry: usize) -> bool {
-    if probe.is_null(row) || build.is_null(entry) {
-        return false;
-    }
-    let view = |col: &TypedColumn, i: usize| match col.kind() {
-        TypedKind::I64 => Some(col.i64_values()[i] as f64),
-        TypedKind::F64 => Some(col.f64_values()[i]),
-        _ => None,
-    };
-    match (probe.kind(), build.kind()) {
-        (TypedKind::Bool, TypedKind::Bool) => {
-            probe.bool_values()[row] == build.bool_values()[entry]
-        }
-        _ => match (view(probe, row), view(build, entry)) {
-            (Some(p), Some(b)) => p.total_cmp(&b) == Ordering::Equal,
-            _ => false,
-        },
     }
 }
 
@@ -2587,7 +2437,16 @@ mod tests {
     // -- aggregation-tier property tests ------------------------------------
 
     use crate::exec::expr::{compile_expr, CompiledExpr, CompiledPredicate};
-    use crate::exec::radix::{hash_key_components, RadixGroupTable};
+    use crate::exec::radix::{hash_key_components, RadixGroupTable, JOIN_NULLS};
+
+    /// Row `row`'s key components as `Value`s: the closure tier's view of
+    /// the typed key.
+    fn hydrated(keys: &TypedKeys<'_>, row: u32) -> Vec<Value> {
+        keys.comps
+            .iter()
+            .map(|(col, _)| col.value_at(row as usize))
+            .collect()
+    }
 
     /// A kernel-eligible numeric aggregate input (fig05/fig11 shapes:
     /// plain columns, computed expressions, literals).
@@ -2751,7 +2610,13 @@ mod tests {
                 .collect();
             let lanes = planned.kernel.lane_kinds(&monoids);
             let mut expected = RadixGroupTable::new(group_by.len(), monoids.clone());
-            let mut got = RadixGroupTable::hashed(group_by.len(), monoids.clone(), &lanes);
+            let key_kinds: Vec<Option<TypedKind>> = planned
+                .kernel
+                .key_slots
+                .iter()
+                .map(|slot| typed.get(slot).copied())
+                .collect();
+            let mut got = RadixGroupTable::hashed(&key_kinds, monoids.clone(), &lanes);
             for morsel in 0..3u64 {
                 let rows = rng.gen_range(1usize..200);
                 let mut batch = random_batch(&mut rng, rows);
@@ -2776,12 +2641,12 @@ mod tests {
                 for (&r, &hash) in masked.iter().zip(&hashes) {
                     assert_eq!(
                         hash,
-                        hash_key_components(&typed_keys.materialize(r as usize)),
+                        hash_key_components(&hydrated(&typed_keys, r)),
                         "seed {seed}: typed key hash diverges from component hash"
                     );
                 }
                 let mut gids = Vec::new();
-                typed_keys.resolve_groups(&mut got, &masked, &hashes, &mut gids, &mut scratch);
+                typed_keys.resolve_groups(&mut got, &masked, &hashes, &mut gids);
                 let rendered = planned.kernel.render(&batch, rows, &mut scratch);
                 for spec in 0..monoids.len() {
                     if let Some(lane) = got.lane_mut(spec) {
@@ -2995,7 +2860,7 @@ mod tests {
                 })
                 .collect()
         } else {
-            let mut key = typed_keys.materialize(rng.gen_range(0usize..rows));
+            let mut key = hydrated(typed_keys, rng.gen_range(0u32..rows as u32));
             for v in key.iter_mut() {
                 if rng.gen_range(0u32..3) == 0 {
                     if let Value::Int(i) = v {
@@ -3039,18 +2904,18 @@ mod tests {
         for (&r, &hash) in batch.sel().iter().zip(&hashes) {
             assert_eq!(
                 hash,
-                hash_key_components(&typed_keys.materialize(r as usize)),
+                hash_key_components(&hydrated(&typed_keys, r)),
                 "seed {seed}: probe hash diverges from component hash"
             );
             table.probe_hashed(
                 hash,
-                |entry| typed_keys.eq_store(r as usize, table.store(), entry),
+                |entry| typed_keys.eq_store(r as usize, table.store(), entry, JOIN_NULLS),
                 |entry| kernel_matches.push((r, entry)),
             );
         }
         let mut closure_matches: Vec<(u32, u32)> = Vec::new();
         for &r in batch.sel() {
-            let key = typed_keys.materialize(r as usize);
+            let key = hydrated(&typed_keys, r);
             table.probe_components(&key, |entry| closure_matches.push((r, entry)));
         }
         assert_eq!(

@@ -128,18 +128,23 @@
 //!   a lane outside its bound fails the query with `EngineError::Internal`
 //!   instead of mis-grouping. **Hashed ids** otherwise: components hash
 //!   lane-wise (pool strings pre-hashed per morsel) through the same mixer
-//!   as `hash_key_components` and one open-addressed index of group ids
-//!   resolves every row ([`kernels::TypedKeys::resolve_groups`] — numeric,
-//!   boolean and null components compare as flat [`radix::KeyLane`]s, the
-//!   `f64` bit pattern that `value_eq`'s float view compares; strings are
-//!   confirmed against the stored `Value`; key `Value`s are materialized
-//!   only when a group is first inserted). Either way each kernel spec then
+//!   as `hash_key_components`, and one open-addressed index of group ids
+//!   over a key-only [`radix::BuildStore`] — the join's key columns:
+//!   `i64` / `f64` / `bool` lanes for typed key slots, `Value`s for strings
+//!   and closure keys — resolves every row through one find-or-create
+//!   ([`radix::RadixGroupTable::resolve`]). The typed ingest
+//!   ([`kernels::TypedKeys::resolve_groups`]) compares lane to stored
+//!   column with the join's compare ([`kernels::TypedKeys::eq_store`]),
+//!   the closure tier ([`radix::RadixGroupTable::merge_with`]) hydrated
+//!   components ([`radix::BuildStore::key_eq_values`]), `absorb` column to
+//!   column — all under the group null rule ([`radix::GROUP_NULLS`]: a
+//!   null groups with a null). A key is stored only when its group is
+//!   first inserted. Either way each kernel spec then
 //!   folds in its own tight loop over `(group id, row)`
 //!   ([`kernels::RenderedAggs::fold_groups`], one dispatch per spec per
 //!   morsel), closure-fallback specs per row into the same resolved groups.
-//!   The closure tier reuses a scratch key buffer, clones it on first
-//!   insertion only, and goes through the same index
-//!   ([`radix::RadixGroupTable::merge_with`]). Groups leave in
+//!   The closure tier reuses a scratch key buffer and clones it on first
+//!   insertion only. Groups leave in
 //!   `(hash & 63, hash)` order at every worker count — dense groups hash
 //!   their rendered key once each, at emit.
 //! * **Hydration.** Slots only the sink's kernels read are never hydrated —
@@ -194,7 +199,8 @@
 //!   scan filled the slot typed, `Value`s for strings, closure-evaluated
 //!   keys and nested values. The [`radix::RadixHashTable`] indexes the
 //!   store's entry ids through the open-addressed index the group table also
-//!   uses (4-byte slots, linear probing, load ≤ ½) — one slot per distinct
+//!   uses over its key-only store of the same columns (4-byte slots, linear
+//!   probing, load ≤ ½) — one slot per distinct
 //!   hash, repeats chained behind it — so a probe walks a handful of slots
 //!   from its hash's home slot however often keys repeat; no entry data
 //!   moves, and entries of one key match in build-scan order.
@@ -207,7 +213,7 @@
 //!   lane against the build key column ([`kernels::TypedKeys::eq_store`]:
 //!   float views by `total_cmp`, so `3` ≡ `3.0`; single numeric keys take a
 //!   dedicated hoisted-lane loop). A null key component joins nothing
-//!   ([`radix::join_key_eq`]). Because the kernel path hashes whole morsels
+//!   ([`radix::key_eq`] under [`radix::JOIN_NULLS`]). Because the kernel path hashes whole morsels
 //!   up front, the probe loop prefetches each row's home slot a fixed
 //!   lookahead ahead. Nested paths, computed keys and untyped slots keep
 //!   that side on the closure-fallback path, whose key components evaluate

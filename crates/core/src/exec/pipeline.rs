@@ -44,8 +44,8 @@ use crate::exec::kernels::{self, KernelPred, SinkKernel, ZoneVerdict};
 use crate::exec::mask;
 use crate::exec::metrics::ExecutionMetrics;
 use crate::exec::radix::{
-    hash_key_components, key_components_eq, BuildStore, MatchedBitmap, RadixGroupTable,
-    RadixHashTable, StoreColumn,
+    hash_key_components, BuildStore, MatchedBitmap, RadixGroupTable, RadixHashTable, StoreColumn,
+    JOIN_NULLS,
 };
 use crate::exec::scheduler::{PoolTask, Scheduler};
 use crate::exec::Binding;
@@ -653,6 +653,10 @@ enum SinkSpec {
         predicate: Option<CompiledPredicate>,
         /// Kernel plan: typed key ingest + columnwise aggregate inputs.
         kernel: Option<SinkKernel>,
+        /// The lane kind of each key component's store column under hashed
+        /// ids (`None`: a `Value` column), as for `Entries`: the kinds of
+        /// the typed key columns, closure keys always `Value`s.
+        key_kinds: Vec<Option<TypedKind>>,
     },
     Collect,
     /// Join-build materialization into a columnar [`BuildStore`]: one
@@ -737,7 +741,7 @@ enum SinkState {
 /// The merged result of a pipeline run.
 enum SinkResult {
     Accumulators(Vec<Accumulator>),
-    Groups(RadixGroupTable),
+    Groups(Box<RadixGroupTable>),
     Rows(Vec<Binding>),
     Entries(BuildStore),
 }
@@ -749,9 +753,9 @@ impl SinkSpec {
                 SinkState::Reduce(specs.iter().map(|(m, _)| ReducePartial::new(*m)).collect())
             }
             SinkSpec::Nest {
-                keys,
                 monoids,
                 kernel,
+                key_kinds,
                 ..
             } => SinkState::Nest(Box::new(match kernel {
                 Some(kernel) => {
@@ -760,10 +764,10 @@ impl SinkSpec {
                         Some(bounds) => {
                             RadixGroupTable::dense(bounds.clone(), monoids.clone(), &lanes)
                         }
-                        None => RadixGroupTable::hashed(keys.len(), monoids.clone(), &lanes),
+                        None => RadixGroupTable::hashed(key_kinds, monoids.clone(), &lanes),
                     }
                 }
-                None => RadixGroupTable::new(keys.len(), monoids.clone()),
+                None => RadixGroupTable::new(key_kinds.len(), monoids.clone()),
             })),
             SinkSpec::Collect => SinkState::Collect(Vec::new()),
             SinkSpec::Entries {
@@ -921,7 +925,7 @@ impl SinkSpec {
                     None => {
                         let mut hashes = scratch.take_u64s();
                         typed_keys.hash_rows(&masked, &mut hashes);
-                        typed_keys.resolve_groups(table, &masked, &hashes, &mut gids, scratch);
+                        typed_keys.resolve_groups(table, &masked, &hashes, &mut gids);
                         scratch.put_u64s(hashes);
                         metrics.hash_probes += gids.len() as u64;
                     }
@@ -980,19 +984,13 @@ impl SinkSpec {
                     key_buf.extend(keys.iter().map(|k| k(row)));
                     let hash = hash_key_components(&key_buf);
                     probes += 1;
-                    table.merge_with(
-                        hash,
-                        |stored| key_components_eq(stored, &key_buf),
-                        |arena| arena.extend(key_buf.iter().cloned()),
-                        morsel,
-                        |accumulators, monoids| {
-                            for ((acc, monoid), expr) in
-                                accumulators.iter_mut().zip(monoids).zip(value_exprs)
-                            {
-                                let _ = acc.merge(*monoid, expr(row));
-                            }
-                        },
-                    );
+                    table.merge_with(hash, &key_buf, morsel, |accumulators, monoids| {
+                        for ((acc, monoid), expr) in
+                            accumulators.iter_mut().zip(monoids).zip(value_exprs)
+                        {
+                            let _ = acc.merge(*monoid, expr(row));
+                        }
+                    });
                 });
                 scratch.put_values(key_buf);
                 metrics.hash_probes += probes;
@@ -1120,7 +1118,7 @@ impl SinkSpec {
                 for table in tables {
                     merged.absorb(*table);
                 }
-                SinkResult::Groups(*merged)
+                SinkResult::Groups(merged)
             }
             SinkSpec::Collect => {
                 let parts = partials.into_iter().filter_map(|p| match p {
@@ -1165,12 +1163,12 @@ impl SinkSpec {
 /// (strings) or its row-major form.
 fn extend_column(col: &mut StoreColumn, batch: &BindingBatch, slot: usize) {
     let sel = batch.sel();
-    match col {
-        StoreColumn::Lanes(lanes) => lanes.extend_gathered(kernels::typed(batch, slot), sel),
-        StoreColumn::Values(values) => match batch.typed_col(slot) {
-            Some(typed) => values.extend(sel.iter().map(|&r| typed.value_at(r as usize))),
-            None => values.extend(sel.iter().map(|&r| batch.row(r)[slot].clone())),
-        },
+    match (col, batch.typed_col(slot)) {
+        (col, Some(typed)) => col.extend_rows(typed, sel),
+        (StoreColumn::Values(values), None) => {
+            values.extend(sel.iter().map(|&r| batch.row(r)[slot].clone()))
+        }
+        (StoreColumn::Lanes(_), None) => unreachable!("a lane store column over an untyped slot"),
     }
 }
 
@@ -1377,7 +1375,7 @@ fn run_probe(
                     }
                     table.probe_hashed(
                         hash,
-                        |entry| typed_keys.eq_store(r as usize, store, entry),
+                        |entry| typed_keys.eq_store(r as usize, store, entry, JOIN_NULLS),
                         |entry| on_match(entry, r),
                     );
                 }
@@ -1396,7 +1394,7 @@ fn run_probe(
                 key_buf.extend(stage.probe_keys.iter().map(|k| k(row)));
                 table.probe_hashed(
                     hash_key_components(&key_buf),
-                    |entry| store.key_eq_values(entry, &key_buf),
+                    |entry| store.key_eq_values(entry, &key_buf, JOIN_NULLS),
                     |entry| on_match(entry, r),
                 );
             }
@@ -2106,15 +2104,24 @@ pub(crate) fn run_nest(
     let mut pipeline = prepare(producer, env, metrics)?;
     insert_hydration(&mut pipeline, false);
     split_filter_first(&mut pipeline);
+    let key_kinds = match &kernel {
+        Some(kernel) => kernel
+            .key_slots
+            .iter()
+            .map(|&slot| pipeline.kinds.get(slot).copied().flatten())
+            .collect(),
+        None => vec![None; keys.len()],
+    };
     let spec = SinkSpec::Nest {
         keys,
         monoids,
         value_exprs,
         predicate,
         kernel,
+        key_kinds,
     };
     match execute_pipeline(pipeline, spec, env, metrics)? {
-        SinkResult::Groups(table) => Ok(table),
+        SinkResult::Groups(table) => Ok(*table),
         _ => unreachable!(),
     }
 }

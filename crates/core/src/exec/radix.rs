@@ -12,20 +12,26 @@
 //! a typed lane in the store, is compared lane to lane by the probe and
 //! leaves the probe as a typed column.
 //!
-//! * **Join** ([`RadixHashTable`]): a columnar [`BuildStore`] — one
-//!   [`StoreColumn`] per key component and live payload slot, typed lanes or
-//!   `Value`s — behind an open-addressed index of its entry ids (`IdIndex`,
-//!   one slot per distinct hash, repeats chained behind it); nothing is
-//!   scattered or sorted to be indexed, entries of one key match in entry-id
-//!   order, and a null key component matches nothing ([`join_key_eq`]).
+//! * **One key store** ([`BuildStore`]): a key component is kept in a
+//!   [`StoreColumn`] — typed lanes where the scan filled the slot typed,
+//!   `Value`s for strings and closure keys — beside one hash per entry, and
+//!   compared by one rule ([`key_eq`], lane to lane, lane to `Value` or
+//!   `Value` to `Value`) under one parameter, the null rule: a null joins
+//!   nothing ([`JOIN_NULLS`]) but groups with a null ([`GROUP_NULLS`]).
+//! * **Join** ([`RadixHashTable`]): the store, one column per key component
+//!   and live payload slot, behind an open-addressed index of its entry ids
+//!   (`IdIndex`, one slot per distinct hash, repeats chained behind it);
+//!   nothing is scattered or sorted to be indexed, and entries of one key
+//!   match in entry-id order.
 //! * **Grouping** ([`RadixGroupTable`]): one typed lane per kernel spec
 //!   ([`AggLane`]) and accumulators for the rest, indexed by group id. Ids
-//!   come from the same index over per-group hashes and keys — an O(1)
-//!   find-or-create per row — or, when the compiler bounded every key
-//!   ([`DenseKey`]), are the key's offset in a dense id space that stores no
-//!   key at all. The only radix left is the *emission order*: groups leave
-//!   in `(hash & 63, hash)` order ([`GROUP_EMIT_RADIX_BITS`]), the order
-//!   every ordered comparison in the suites was pinned on.
+//!   come from the same index over a key-only store — entry `g` is group
+//!   `g`'s key — through one find-or-create per row
+//!   ([`RadixGroupTable::resolve`]), or, when the compiler bounded every
+//!   key ([`DenseKey`]), are the key's offset in a dense id space that
+//!   stores no key at all. The only radix left is the *emission order*:
+//!   groups leave in `(hash & 63, hash)` order ([`GROUP_EMIT_RADIX_BITS`]),
+//!   the order every ordered comparison in the suites was pinned on.
 
 use std::cmp::Ordering;
 
@@ -93,20 +99,82 @@ pub fn hash_key_components(values: &[Value]) -> u64 {
     h.finish()
 }
 
-/// Whether two key components join: [`Value::value_eq`], except that a
-/// null joins nothing, not even another null — an equi-join key is compared
-/// as `=` compares (`null = null` is false), so a row with a null key
-/// component matches no row of the other side.
+/// The null rule of the key compares for an equi-join key: a null equals
+/// nothing, not even another null (`null = null` is false), so a row with a
+/// null key component matches no row of the other side.
+pub const JOIN_NULLS: bool = false;
+
+/// The null rule of the key compares for a group-by key: a null equals a
+/// null, so null keys form one group.
+pub const GROUP_NULLS: bool = true;
+
+/// The one key compare: whether a stored key component and a probe one are
+/// the same key. Non-null components compare by [`Value::value_eq`] —
+/// numerics through their float view, so `Int(3)` ≡ `Float(3.0)`, `-0.0` ≠
+/// `+0.0`, NaN equals NaN of the same bits, and ints above 2⁵³ merge where
+/// their float views do. A null equals a null only when `nulls_equal`
+/// ([`GROUP_NULLS`]); under [`JOIN_NULLS`] it equals nothing.
 #[inline]
-pub fn join_key_eq(stored: &Value, probe: &Value) -> bool {
-    !stored.is_null() && !probe.is_null() && stored.value_eq(probe)
+pub fn key_eq(stored: &Value, probe: &Value, nulls_equal: bool) -> bool {
+    null_rule(stored.is_null(), probe.is_null(), nulls_equal)
+        .unwrap_or_else(|| stored.value_eq(probe))
 }
 
-/// Componentwise [`Value::value_eq`] between a stored key and a probe key
-/// (equal-arity slices; the closure-tier group-by compare, where null keys
-/// group together).
-pub fn key_components_eq(stored: &[Value], probe: &[Value]) -> bool {
-    stored.len() == probe.len() && stored.iter().zip(probe).all(|(a, b)| a.value_eq(b))
+/// The null rule of every key compare: the verdict when either component
+/// is null, `None` when both are values to compare.
+#[inline]
+fn null_rule(a_null: bool, b_null: bool, nulls_equal: bool) -> Option<bool> {
+    (a_null || b_null).then_some(nulls_equal && a_null && b_null)
+}
+
+/// A numeric lane's float view (what [`Value::value_eq`] compares), `None`
+/// for a boolean or string lane.
+#[inline]
+fn float_view(col: &TypedColumn, i: usize) -> Option<f64> {
+    match col.kind() {
+        TypedKind::I64 => Some(col.i64_values()[i] as f64),
+        TypedKind::F64 => Some(col.f64_values()[i]),
+        TypedKind::Bool | TypedKind::Str => None,
+    }
+}
+
+/// [`key_eq`] between entry `i` of lane `a` and entry `j` of lane `b`,
+/// without a `Value`: numerics by their float views' `total_cmp`, booleans
+/// by value, and a numeric never equals a boolean. (No store keeps string
+/// lanes: a typed string meets a stored one through
+/// [`lane_value_key_eq`].)
+#[inline]
+fn lane_key_eq(a: &TypedColumn, i: usize, b: &TypedColumn, j: usize, nulls_equal: bool) -> bool {
+    debug_assert!(a.kind() != TypedKind::Str || b.kind() != TypedKind::Str);
+    null_rule(a.is_null(i), b.is_null(j), nulls_equal).unwrap_or_else(|| {
+        match (a.kind(), b.kind()) {
+            (TypedKind::Bool, TypedKind::Bool) => a.bool_values()[i] == b.bool_values()[j],
+            _ => match (float_view(a, i), float_view(b, j)) {
+                (Some(x), Some(y)) => x.total_cmp(&y) == Ordering::Equal,
+                _ => false,
+            },
+        }
+    })
+}
+
+/// [`key_eq`] between entry `i` of a lane and a `Value` — what `key_eq`
+/// says of `col.value_at(i)` — without rendering the lane.
+#[inline]
+fn lane_value_key_eq(col: &TypedColumn, i: usize, value: &Value, nulls_equal: bool) -> bool {
+    null_rule(col.is_null(i), value.is_null(), nulls_equal).unwrap_or_else(|| {
+        match (col.kind(), value) {
+            (TypedKind::Bool, Value::Bool(b)) => col.bool_values()[i] == *b,
+            (TypedKind::Str, Value::Str(s)) => {
+                let (ids, pool) = col.str_parts();
+                *pool[ids[i] as usize] == **s
+            }
+            (TypedKind::I64 | TypedKind::F64, v) if v.is_numeric() => match float_view(col, i) {
+                Some(x) => x.total_cmp(&v.as_float().unwrap_or(f64::NAN)) == Ordering::Equal,
+                None => false,
+            },
+            _ => false,
+        }
+    })
 }
 
 /// One column of a [`BuildStore`]: a key component or a live payload slot,
@@ -154,14 +222,6 @@ impl StoreColumn {
         }
     }
 
-    /// Entry `entry` as a [`Value`] (the closure-tier compare and tests).
-    pub fn value_at(&self, entry: u32) -> Value {
-        match self {
-            StoreColumn::Lanes(lanes) => lanes.value_at(entry as usize),
-            StoreColumn::Values(values) => values[entry as usize].clone(),
-        }
-    }
-
     /// Appends the entries of a column of the same representation.
     fn append(&mut self, other: StoreColumn) {
         match (self, other) {
@@ -182,9 +242,99 @@ impl StoreColumn {
             _ => value_bytes,
         }
     }
+
+    /// Whether entry `entry` and row `row` of a typed probe column are one
+    /// key ([`key_eq`] under the given null rule).
+    #[inline]
+    pub(crate) fn eq_lane(
+        &self,
+        entry: u32,
+        probe: &TypedColumn,
+        row: usize,
+        nulls_equal: bool,
+    ) -> bool {
+        match self {
+            StoreColumn::Lanes(lanes) => {
+                lane_key_eq(probe, row, lanes, entry as usize, nulls_equal)
+            }
+            StoreColumn::Values(values) => {
+                lane_value_key_eq(probe, row, &values[entry as usize], nulls_equal)
+            }
+        }
+    }
+
+    /// Whether entry `entry` and a hydrated probe component are one key
+    /// ([`key_eq`] under the given null rule).
+    #[inline]
+    pub(crate) fn eq_value(&self, entry: u32, probe: &Value, nulls_equal: bool) -> bool {
+        match self {
+            StoreColumn::Lanes(lanes) => {
+                lane_value_key_eq(lanes, entry as usize, probe, nulls_equal)
+            }
+            StoreColumn::Values(values) => key_eq(&values[entry as usize], probe, nulls_equal),
+        }
+    }
+
+    /// Whether entry `entry` and entry `theirs` of a column of the same
+    /// representation are one key ([`key_eq`] under the given null rule).
+    fn eq_entry(&self, entry: u32, other: &StoreColumn, theirs: u32, nulls_equal: bool) -> bool {
+        match (self, other) {
+            (StoreColumn::Lanes(ours), StoreColumn::Lanes(other)) => {
+                lane_key_eq(ours, entry as usize, other, theirs as usize, nulls_equal)
+            }
+            (StoreColumn::Values(ours), StoreColumn::Values(other)) => {
+                key_eq(&ours[entry as usize], &other[theirs as usize], nulls_equal)
+            }
+            _ => unreachable!("comparing store columns of two kinds"),
+        }
+    }
+
+    /// Appends rows `rows` of a typed column: gathered into lanes, or
+    /// rendered as `Value`s (a string slot).
+    pub(crate) fn extend_rows(&mut self, src: &TypedColumn, rows: &[u32]) {
+        match self {
+            StoreColumn::Lanes(lanes) => lanes.extend_gathered(src, rows),
+            StoreColumn::Values(values) => {
+                values.extend(rows.iter().map(|&r| src.value_at(r as usize)))
+            }
+        }
+    }
+
+    /// Appends a `Value` to a `Value` column (a closure-evaluated key).
+    fn push_value(&mut self, value: Value) {
+        match self {
+            StoreColumn::Values(values) => values.push(value),
+            StoreColumn::Lanes(_) => unreachable!("a closure key into a lane column"),
+        }
+    }
+
+    /// Appends entry `entry` of a column of the same representation.
+    fn push_from(&mut self, other: &StoreColumn, entry: u32) {
+        match (self, other) {
+            (StoreColumn::Lanes(ours), StoreColumn::Lanes(other)) => {
+                ours.extend_gathered(other, &[entry])
+            }
+            (StoreColumn::Values(ours), StoreColumn::Values(other)) => {
+                ours.push(other[entry as usize].clone())
+            }
+            _ => unreachable!("moving an entry across store column kinds"),
+        }
+    }
+
+    /// Entry `entry` as a [`Value`], moved out of a `Value` column (the
+    /// group table's emit, which reads each entry once).
+    fn take_value(&mut self, entry: u32) -> Value {
+        match self {
+            StoreColumn::Lanes(lanes) => lanes.value_at(entry as usize),
+            StoreColumn::Values(values) => {
+                std::mem::replace(&mut values[entry as usize], Value::Null)
+            }
+        }
+    }
 }
 
-/// The columnar build side of a radix hash join.
+/// The columnar build side of a radix hash join — and, with key columns
+/// only, the key store of a [`RadixGroupTable`]'s hashed ids.
 ///
 /// One column per key component and one per *live* payload slot (the build
 /// slots something downstream of the join reads), plus the precomputed key
@@ -243,10 +393,7 @@ impl BuildStore {
             .chain(&mut self.payload)
             .zip(key.iter().chain(payload))
         {
-            match col {
-                StoreColumn::Values(values) => values.push(value.clone()),
-                StoreColumn::Lanes(_) => unreachable!("push_entry into a typed store column"),
-            }
+            col.push_value(value.clone());
         }
     }
 
@@ -330,14 +477,25 @@ impl BuildStore {
         &self.payload
     }
 
-    /// Whether entry `entry`'s key joins a hydrated probe key (the
-    /// closure-tier probe compare): componentwise [`join_key_eq`].
-    pub fn key_eq_values(&self, entry: u32, key: &[Value]) -> bool {
+    /// Whether entry `entry`'s key equals a hydrated probe key (the closure
+    /// tier's compare): componentwise [`key_eq`] under the null rule
+    /// ([`JOIN_NULLS`] or [`GROUP_NULLS`]).
+    pub fn key_eq_values(&self, entry: u32, key: &[Value], nulls_equal: bool) -> bool {
         self.keys.len() == key.len()
-            && self.keys.iter().zip(key).all(|(col, probe)| match col {
-                StoreColumn::Values(values) => join_key_eq(&values[entry as usize], probe),
-                StoreColumn::Lanes(lanes) => join_key_eq(&lanes.value_at(entry as usize), probe),
-            })
+            && self
+                .keys
+                .iter()
+                .zip(key)
+                .all(|(col, probe)| col.eq_value(entry, probe, nulls_equal))
+    }
+
+    /// Whether entry `entry`'s key equals entry `theirs` of a store with the
+    /// same key columns: componentwise [`key_eq`], column to column.
+    fn key_eq_entry(&self, entry: u32, other: &BuildStore, theirs: u32, nulls_equal: bool) -> bool {
+        self.keys
+            .iter()
+            .zip(&other.keys)
+            .all(|(ours, other)| ours.eq_entry(entry, other, theirs, nulls_equal))
     }
 
     /// Approximate bytes materialized by the build side (for metrics): per
@@ -611,7 +769,7 @@ impl RadixHashTable {
     pub fn probe_components(&self, key: &[Value], on_match: impl FnMut(u32)) -> usize {
         self.probe_hashed(
             hash_key_components(key),
-            |entry| self.store.key_eq_values(entry, key),
+            |entry| self.store.key_eq_values(entry, key, JOIN_NULLS),
             on_match,
         )
     }
@@ -620,101 +778,6 @@ impl RadixHashTable {
     pub fn materialized_bytes(&self) -> u64 {
         self.store.materialized_bytes()
     }
-}
-
-/// Kind tag of a [`KeyLane`]: the component is null.
-const LANE_NULL: u8 = 0;
-/// Kind tag of a [`KeyLane`]: the component is a boolean (`bits` is 0 or 1).
-const LANE_BOOL: u8 = 1;
-/// Kind tag of a [`KeyLane`]: the component is numeric (`bits` is the bit
-/// pattern of its `f64` view).
-const LANE_NUM: u8 = 2;
-/// Kind tag of a [`KeyLane`]: anything else (`bits` is the component's
-/// [`Value::stable_hash`]); equal lanes still need a `value_eq` on the values.
-const LANE_OTHER: u8 = 3;
-
-/// The flat compare lane of one group-key component, stored beside the
-/// `Value` keys of a [`RadixGroupTable`] (what a typed key lane of a
-/// [`BuildStore`] is to joins). Two components are [`Value::value_eq`] only if their lanes are
-/// equal, and for nulls, booleans and numerics equal lanes are also
-/// *sufficient*: `f64::total_cmp` calls two floats equal exactly when their
-/// bit patterns are, so comparing `bits` reproduces the float-view compare
-/// (`Int(3)` ≡ `Float(3.0)`, `-0.0` ≠ `+0.0`, NaN by bits, ints collapsing
-/// above 2⁵³). Strings and nested values carry their stable hash and are
-/// confirmed against the stored `Value`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KeyLane {
-    bits: u64,
-    kind: u8,
-}
-
-impl KeyLane {
-    /// The lane of a null component.
-    pub const NULL: KeyLane = KeyLane {
-        bits: 0,
-        kind: LANE_NULL,
-    };
-
-    /// The lane of a boolean component.
-    #[inline]
-    pub fn bool(b: bool) -> KeyLane {
-        KeyLane {
-            bits: b as u64,
-            kind: LANE_BOOL,
-        }
-    }
-
-    /// The lane of a numeric component, from its float view.
-    #[inline]
-    pub fn num(float_view: f64) -> KeyLane {
-        KeyLane {
-            bits: float_view.to_bits(),
-            kind: LANE_NUM,
-        }
-    }
-
-    /// The lane of a string or nested component, from its
-    /// [`Value::stable_hash`].
-    #[inline]
-    pub fn other(stable_hash: u64) -> KeyLane {
-        KeyLane {
-            bits: stable_hash,
-            kind: LANE_OTHER,
-        }
-    }
-
-    /// The lane of a hydrated component.
-    pub fn of(value: &Value) -> KeyLane {
-        match value {
-            Value::Null => KeyLane::NULL,
-            Value::Bool(b) => KeyLane::bool(*b),
-            Value::Int(i) => KeyLane::num(*i as f64),
-            Value::Float(f) => KeyLane::num(*f),
-            Value::Date(d) => KeyLane::num(*d as f64),
-            other => KeyLane::other(other.stable_hash()),
-        }
-    }
-
-    /// Whether equal lanes leave the values still to be compared.
-    #[inline]
-    fn needs_value_eq(self) -> bool {
-        self.kind == LANE_OTHER
-    }
-}
-
-/// Lane-wise key compare: every stored lane equals its probe lane, and the
-/// components whose lanes cannot decide (`other_eq(component)`) agree too.
-#[inline]
-fn lanes_match(
-    stored: &[KeyLane],
-    probe: &[KeyLane],
-    mut other_eq: impl FnMut(usize) -> bool,
-) -> bool {
-    stored
-        .iter()
-        .zip(probe)
-        .enumerate()
-        .all(|(comp, (s, p))| s == p && (!p.needs_value_eq() || other_eq(comp)))
 }
 
 /// Slots a fresh group index starts with (room for 32 groups at load ½).
@@ -981,17 +1044,15 @@ impl AggLane {
 
 /// How a [`RadixGroupTable`] finds a row's group id.
 enum GroupIds {
-    /// By hash: an `IdIndex` of group ids over the per-group key hashes,
-    /// each group's key stored as `Value`s and as [`KeyLane`]s.
+    /// By hash: an `IdIndex` of group ids over a key-only [`BuildStore`] —
+    /// entry `g` is group `g`'s key and hash, each component in the column
+    /// a join build keeps it in (typed lanes for an `I64` / `F64` / `Bool`
+    /// key slot, `Value`s for strings and closure keys).
     Hashed {
         /// The group ids, by key hash.
         index: IdIndex,
-        /// Per group: the key hash.
-        hashes: Vec<u64>,
-        /// Flattened key components: group `g` at `g*arity .. (g+1)*arity`.
-        keys: Vec<Value>,
-        /// Flattened compare lanes, parallel to `keys`.
-        lanes: Vec<KeyLane>,
+        /// Per group: its key components and key hash.
+        store: BuildStore,
     },
     /// By offset: the group id is the mixed-radix offset of the key within
     /// the compiled [`DenseKey`] bounds (the last key varies fastest).
@@ -1018,13 +1079,12 @@ enum GroupIds {
 /// per group, and (only when a collection monoid is present) one morsel-tag
 /// list per collection output.
 ///
-/// Ids come one of two ways (`GroupIds`): through an `IdIndex` over the
-/// stored key hashes (the closure tier's
-/// [`merge_with`](RadixGroupTable::merge_with), the typed ingest's
-/// [`resolve_lanes`](RadixGroupTable::resolve_lanes)), or — when the
-/// compiler bounded every key ([`RadixGroupTable::dense`]) — as the key's
-/// offset in a preallocated id space, where the table stores no key, lane or
-/// hash per group.
+/// Ids come one of two ways (`GroupIds`): through an `IdIndex` over a
+/// key-only [`BuildStore`] — the join's key columns and compare, under the
+/// group null rule — found or created by one
+/// [`resolve`](RadixGroupTable::resolve), or — when the compiler bounded
+/// every key ([`RadixGroupTable::dense`]) — as the key's offset in a
+/// preallocated id space, where the table stores no key or hash per group.
 pub struct RadixGroupTable {
     arity: usize,
     monoids: Vec<Monoid>,
@@ -1108,27 +1168,28 @@ fn merge_tagged(
 }
 
 impl RadixGroupTable {
-    /// A hashed table for keys of `arity` components whose every output
-    /// spec folds through accumulators (the closure tier).
+    /// A hashed table for keys of `arity` closure-evaluated (`Value`)
+    /// components whose every output spec folds through accumulators (the
+    /// closure tier).
     pub fn new(arity: usize, monoids: Vec<Monoid>) -> RadixGroupTable {
         let kinds = vec![None; monoids.len()];
-        RadixGroupTable::hashed(arity, monoids, &kinds)
+        RadixGroupTable::hashed(&vec![None; arity], monoids, &kinds)
     }
 
-    /// A hashed table whose specs with a lane kind keep typed lanes
-    /// (`lane_kinds` is parallel to `monoids`).
+    /// A hashed table whose key components are stored as a join build
+    /// stores them: `key_kinds` are the kinds of the typed key columns
+    /// (`None`: a `Value` column, [`StoreColumn::new`]). Its specs with a
+    /// lane kind keep typed lanes (`lane_kinds` is parallel to `monoids`).
     pub fn hashed(
-        arity: usize,
+        key_kinds: &[Option<TypedKind>],
         monoids: Vec<Monoid>,
         lane_kinds: &[Option<LaneKind>],
     ) -> RadixGroupTable {
         let ids = GroupIds::Hashed {
             index: IdIndex::build(INITIAL_INDEX_SLOTS, &[], None),
-            hashes: Vec::new(),
-            keys: Vec::new(),
-            lanes: Vec::new(),
+            store: BuildStore::with_kinds(key_kinds, Vec::new(), &[]),
         };
-        RadixGroupTable::with_ids(arity, monoids, lane_kinds, ids)
+        RadixGroupTable::with_ids(key_kinds.len(), monoids, lane_kinds, ids)
     }
 
     /// A dense-id table over the compiled key bounds. Nothing is allocated
@@ -1189,7 +1250,7 @@ impl RadixGroupTable {
     /// Number of groups formed.
     pub fn group_count(&self) -> usize {
         match &self.ids {
-            GroupIds::Hashed { hashes, .. } => hashes.len(),
+            GroupIds::Hashed { store, .. } => store.len(),
             GroupIds::Dense { seen, .. } => seen.iter().filter(|&&s| s).count(),
         }
     }
@@ -1241,18 +1302,18 @@ impl RadixGroupTable {
     /// a walk over the groups.
     pub fn approx_bytes(&self, value_cost: u64) -> u64 {
         let (groups, ids) = match &self.ids {
-            GroupIds::Hashed {
-                index,
-                hashes,
-                keys,
-                lanes,
-            } => (
-                hashes.len() as u64,
-                keys.len() as u64 * value_cost
-                    + hashes.len() as u64 * 8
-                    + (lanes.len() * std::mem::size_of::<KeyLane>()) as u64
-                    + index.slots.len() as u64 * 4,
-            ),
+            GroupIds::Hashed { index, store } => {
+                let key_bytes: u64 = store
+                    .keys
+                    .iter()
+                    .map(|col| StoreColumn::entry_bytes(col.kind(), value_cost))
+                    .sum();
+                let groups = store.len() as u64;
+                (
+                    groups,
+                    groups * (8 + key_bytes) + index.slots.len() as u64 * 4,
+                )
+            }
             GroupIds::Dense { seen, .. } => (seen.len() as u64, seen.len() as u64),
         };
         ids + groups * self.group_bytes(value_cost) + self.collected * (value_cost + 8)
@@ -1301,107 +1362,41 @@ impl RadixGroupTable {
         }
     }
 
-    /// The generic find-or-create: the id of the group of a pre-hashed key
-    /// (`key_eq` compares against a candidate group's stored components).
-    /// The key is only materialized — `push_key` appends its `arity`
-    /// components to the key arena — when the group is first inserted, so
-    /// callers that read key components from a reused scratch buffer
-    /// allocate **nothing** on the per-row path for existing groups.
-    fn resolve_with(
-        &mut self,
-        hash: u64,
-        key_eq: impl Fn(&[Value]) -> bool,
-        push_key: impl FnOnce(&mut Vec<Value>),
-    ) -> u32 {
-        let arity = self.arity;
-        let GroupIds::Hashed {
-            index,
-            hashes,
-            keys,
-            lanes,
-        } = &mut self.ids
-        else {
-            unreachable!("hashed resolve on dense group ids");
-        };
-        reserve_one(index, hashes);
-        match index.walk(hashes, hash, |g| key_eq(&keys[g * arity..(g + 1) * arity])) {
-            Ok(slot) => index.slots[slot],
-            Err(slot) => {
-                let start = keys.len();
-                push_key(keys);
-                lanes.extend(keys[start..].iter().map(KeyLane::of));
-                self.claim(slot, hash)
-            }
-        }
-    }
-
-    /// The typed find-or-create: the id of the group whose stored lanes
-    /// equal `probe` (one lane per component), with `other_eq(component,
-    /// stored value)` confirming the string/nested components lanes cannot
-    /// decide. `push_key` appends the key's components to the key arena on
-    /// first insertion; their lanes are `probe` itself.
+    /// The one find-or-create of hashed ids: the id of the group of a
+    /// pre-hashed key. `key_eq(store, group)` compares the key against a
+    /// candidate group's stored key — the typed ingest through
+    /// `TypedKeys::eq_store`, the closure tier through
+    /// [`BuildStore::key_eq_values`], `absorb` column to column, all under
+    /// [`GROUP_NULLS`]. Only for a new group does `push_key` append the
+    /// key's components to the key columns (its lanes and accumulators
+    /// start at the monoids' zeros), so the per-row path allocates nothing
+    /// for existing groups.
     #[inline]
-    pub fn resolve_lanes(
+    pub fn resolve(
         &mut self,
         hash: u64,
-        probe: &[KeyLane],
-        other_eq: impl Fn(usize, &Value) -> bool,
-        push_key: impl FnOnce(&mut Vec<Value>),
+        mut key_eq: impl FnMut(&BuildStore, u32) -> bool,
+        push_key: impl FnOnce(&mut BuildStore),
     ) -> u32 {
-        debug_assert_eq!(probe.len(), self.arity);
-        let arity = self.arity;
-        let GroupIds::Hashed {
-            index,
-            hashes,
-            keys,
-            lanes,
-        } = &mut self.ids
-        else {
+        let GroupIds::Hashed { index, store } = &mut self.ids else {
             unreachable!("hashed resolve on dense group ids");
         };
-        reserve_one(index, hashes);
-        let found = index.walk(hashes, hash, |g| {
-            let base = g * arity;
-            lanes_match(&lanes[base..base + arity], probe, |comp| {
-                other_eq(comp, &keys[base + comp])
-            })
-        });
-        match found {
+        if (store.len() + 1) * 2 > index.slots.len() {
+            grow_index(index, &store.hashes);
+        }
+        match index.walk(&store.hashes, hash, |g| key_eq(store, g as u32)) {
             Ok(slot) => index.slots[slot],
             Err(slot) => {
-                let start = keys.len();
-                push_key(keys);
-                debug_assert!(keys[start..]
-                    .iter()
-                    .map(KeyLane::of)
-                    .eq(probe.iter().copied()));
-                lanes.extend_from_slice(probe);
-                self.claim(slot, hash)
+                let gid = store.len();
+                debug_assert!(gid < EMPTY_SLOT as usize);
+                push_key(store);
+                store.hashes.push(hash);
+                store.check_lengths();
+                index.slots[slot] = gid as u32;
+                self.grow_state(gid + 1);
+                gid as u32
             }
         }
-    }
-
-    /// Claims index slot `slot` for a new hashed group of `hash`, whose key
-    /// components and lanes the caller has just appended; its lanes and
-    /// accumulators start at the monoids' zeros.
-    fn claim(&mut self, slot: usize, hash: u64) -> u32 {
-        let GroupIds::Hashed {
-            index,
-            hashes,
-            keys,
-            lanes,
-        } = &mut self.ids
-        else {
-            unreachable!("claim on dense group ids");
-        };
-        let gid = hashes.len();
-        debug_assert!(gid < EMPTY_SLOT as usize);
-        debug_assert_eq!(keys.len(), (gid + 1) * self.arity);
-        debug_assert_eq!(lanes.len(), (gid + 1) * self.arity);
-        index.slots[slot] = gid as u32;
-        hashes.push(hash);
-        self.grow_state(gid + 1);
-        gid as u32
     }
 
     /// Hands group `gid`'s accumulators — one per accumulator spec, with
@@ -1441,21 +1436,27 @@ impl RadixGroupTable {
         }
     }
 
-    /// The generic find-or-create fold (the closure tier's per-row entry):
-    /// locates the group of a pre-hashed key — `key_eq` compares against a
-    /// candidate group's stored components, `push_key` appends the key's
-    /// `arity` components to the key arena if the group is new — and hands
-    /// its accumulators to `fold` under morsel tag `tag`
-    /// ([`RadixGroupTable::fold_group`]).
+    /// The closure tier's per-row entry: finds (or creates) the group of
+    /// the hydrated key `key`, pre-hashed to `hash`
+    /// ([`RadixGroupTable::resolve`]; its components are cloned into the
+    /// key columns only if the group is new), and hands its accumulators to
+    /// `fold` under morsel tag `tag` ([`RadixGroupTable::fold_group`]).
     pub fn merge_with(
         &mut self,
         hash: u64,
-        key_eq: impl Fn(&[Value]) -> bool,
-        push_key: impl FnOnce(&mut Vec<Value>),
+        key: &[Value],
         tag: u64,
         fold: impl FnOnce(&mut [Accumulator], &[Monoid]),
     ) {
-        let gid = self.resolve_with(hash, key_eq, push_key);
+        let gid = self.resolve(
+            hash,
+            |store, g| store.key_eq_values(g, key, GROUP_NULLS),
+            |store| {
+                for (comp, value) in key.iter().enumerate() {
+                    store.key_mut(comp).push_value(value.clone());
+                }
+            },
+        );
         self.fold_group(gid, tag, fold);
     }
 
@@ -1464,12 +1465,9 @@ impl RadixGroupTable {
     /// [`RadixGroupTable::merge_with`] — morsel tag 0; every spec must fold
     /// through accumulators.)
     pub fn merge(&mut self, key: Vec<Value>, values: Vec<Value>) {
-        // Hash the key components in place — no cloned Value::List per entry.
-        let hash = hash_key_components(&key);
         self.merge_with(
-            hash,
-            |stored| key_components_eq(stored, &key),
-            |arena| arena.extend(key.iter().cloned()),
+            hash_key_components(&key),
+            &key,
             0,
             |accumulators, monoids| {
                 for ((acc, monoid), value) in accumulators.iter_mut().zip(monoids).zip(values) {
@@ -1486,7 +1484,8 @@ impl RadixGroupTable {
     /// accumulators element-wise in morsel-tag order (`merge_tagged`) — so
     /// the result is identical to a serial ingest. Dense ids merge slot by
     /// slot; hashed ids find or create each group of `other`, in its id
-    /// order.
+    /// order, through [`RadixGroupTable::resolve`] — keys compared and
+    /// copied column to column.
     pub fn absorb(&mut self, mut other: RadixGroupTable) {
         debug_assert_eq!(self.arity, other.arity);
         debug_assert_eq!(self.monoids, other.monoids);
@@ -1498,7 +1497,6 @@ impl RadixGroupTable {
             return;
         }
         self.collected += other.collected;
-        let arity = self.arity;
         let their_ids = std::mem::replace(&mut other.ids, GroupIds::dense_placeholder());
         match their_ids {
             GroupIds::Dense {
@@ -1512,42 +1510,19 @@ impl RadixGroupTable {
                     self.absorb_group(slot, &mut other, slot, fresh);
                 }
             }
-            GroupIds::Hashed {
-                hashes: their_hashes,
-                keys: mut their_keys,
-                lanes: their_lanes,
-                ..
-            } => {
-                for (src, &hash) in their_hashes.iter().enumerate() {
-                    let in_lanes = &their_lanes[src * arity..(src + 1) * arity];
-                    let in_key = &mut their_keys[src * arity..(src + 1) * arity];
-                    let GroupIds::Hashed {
-                        index,
-                        hashes,
-                        keys,
-                        lanes,
-                    } = &mut self.ids
-                    else {
-                        unreachable!("absorbing hashed ids into dense ones");
-                    };
-                    reserve_one(index, hashes);
-                    let found = index.walk(hashes, hash, |g| {
-                        let base = g * arity;
-                        lanes_match(&lanes[base..base + arity], in_lanes, |comp| {
-                            keys[base + comp].value_eq(&in_key[comp])
-                        })
-                    });
-                    let (dst, fresh) = match found {
-                        Ok(slot) => (index.slots[slot] as usize, false),
-                        Err(slot) => {
-                            keys.extend(
-                                in_key.iter_mut().map(|v| std::mem::replace(v, Value::Null)),
-                            );
-                            lanes.extend_from_slice(in_lanes);
-                            (self.claim(slot, hash) as usize, true)
-                        }
-                    };
-                    self.absorb_group(dst, &mut other, src, fresh);
+            GroupIds::Hashed { store: theirs, .. } => {
+                for src in 0..theirs.len() as u32 {
+                    let groups = self.group_count();
+                    let dst = self.resolve(
+                        theirs.hashes[src as usize],
+                        |store, g| store.key_eq_entry(g, &theirs, src, GROUP_NULLS),
+                        |store| {
+                            for (ours, other) in store.keys.iter_mut().zip(&theirs.keys) {
+                                ours.push_from(other, src);
+                            }
+                        },
+                    ) as usize;
+                    self.absorb_group(dst, &mut other, src as usize, dst == groups);
                 }
             }
         }
@@ -1605,16 +1580,10 @@ impl RadixGroupTable {
     /// group id ([`IdIndex::check_invariants`]).
     fn check_invariants(&self) {
         let groups = match &self.ids {
-            GroupIds::Hashed {
-                index,
-                hashes,
-                keys,
-                lanes,
-            } => {
-                debug_assert_eq!(keys.len(), hashes.len() * self.arity);
-                debug_assert_eq!(lanes.len(), hashes.len() * self.arity);
-                index.check_invariants(hashes, None);
-                hashes.len()
+            GroupIds::Hashed { index, store } => {
+                store.check_lengths();
+                index.check_invariants(&store.hashes, None);
+                store.len()
             }
             GroupIds::Dense { seen, .. } => seen.len(),
         };
@@ -1633,7 +1602,8 @@ impl RadixGroupTable {
         // Rotating the low radix bits to the top makes one integer compare
         // order by (hash & 63, hash).
         let mut order: Vec<(u64, u32)> = match &self.ids {
-            GroupIds::Hashed { hashes, .. } => hashes
+            GroupIds::Hashed { store, .. } => store
+                .hashes
                 .iter()
                 .enumerate()
                 .map(|(gid, hash)| (hash.rotate_right(GROUP_EMIT_RADIX_BITS), gid as u32))
@@ -1671,9 +1641,9 @@ impl RadixGroupTable {
         for gid in order {
             let g = gid as usize;
             match &mut self.ids {
-                GroupIds::Hashed { keys, .. } => {
-                    for (out, stored) in key.iter_mut().zip(&mut keys[g * self.arity..]) {
-                        *out = std::mem::replace(stored, Value::Null);
+                GroupIds::Hashed { store, .. } => {
+                    for (out, col) in key.iter_mut().zip(&mut store.keys) {
+                        *out = col.take_value(gid);
                     }
                 }
                 GroupIds::Dense { keys, .. } => render_dense_key(keys, g, &mut key),
@@ -1731,15 +1701,8 @@ fn render_dense_key(keys: &[DenseKey], gid: usize, out: &mut [Value]) {
     }
 }
 
-/// Makes room for one more hashed group, doubling the index (rebuilt from
-/// the stored hashes) when its load would pass ½.
-#[inline]
-fn reserve_one(index: &mut IdIndex, hashes: &[u64]) {
-    if (hashes.len() + 1) * 2 > index.slots.len() {
-        grow_index(index, hashes);
-    }
-}
-
+/// Doubles a group index, rebuilt from the stored hashes (one more group
+/// would take its load past ½).
 #[cold]
 fn grow_index(index: &mut IdIndex, hashes: &[u64]) {
     *index = IdIndex::build(index.slots.len() * 2, hashes, None);
@@ -1749,6 +1712,16 @@ fn grow_index(index: &mut IdIndex, hashes: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StoreColumn {
+        /// Entry `entry` as a [`Value`].
+        fn value_at(&self, entry: u32) -> Value {
+            match self {
+                StoreColumn::Lanes(lanes) => lanes.value_at(entry as usize),
+                StoreColumn::Values(values) => values[entry as usize].clone(),
+            }
+        }
+    }
 
     fn store_of(entries: &[(Value, Value)]) -> BuildStore {
         let mut store = BuildStore::new(1, vec![0]);
@@ -1853,7 +1826,7 @@ mod tests {
     fn naive_matches(store: &BuildStore, hash: u64, key: &[Value]) -> Vec<u32> {
         (0..store.len() as u32)
             .filter(|&e| store.hashes[e as usize] == hash)
-            .filter(|&e| store.key_eq_values(e, key))
+            .filter(|&e| store.key_eq_values(e, key, JOIN_NULLS))
             .collect()
     }
 
@@ -1862,7 +1835,7 @@ mod tests {
         let mut ids = Vec::new();
         let count = table.probe_hashed(
             hash,
-            |e| table.store().key_eq_values(e, key),
+            |e| table.store().key_eq_values(e, key, JOIN_NULLS),
             |e| ids.push(e),
         );
         assert_eq!(count, ids.len());
@@ -2102,7 +2075,7 @@ mod tests {
             let gid = match self
                 .groups
                 .iter()
-                .position(|(k, _)| key_components_eq(k, key))
+                .position(|(k, _)| k.iter().zip(key).all(|(a, b)| a.value_eq(b)))
             {
                 Some(gid) => gid,
                 None => {
@@ -2137,25 +2110,100 @@ mod tests {
         }
     }
 
-    /// The group id `key` resolves to through the hydrated-key entry.
-    fn resolve_value(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
-        table.resolve_with(
-            hash_key_components(key),
-            |stored| key_components_eq(stored, key),
-            |arena| arena.extend(key.iter().cloned()),
+    /// A one-row lane of `kind` holding `value` (null, or of that kind).
+    fn lane_of(kind: TypedKind, value: &Value) -> TypedColumn {
+        let mut lane = TypedColumn::new(kind);
+        match value {
+            Value::Null => lane.push_null(),
+            Value::Int(i) => lane.push_i64(*i),
+            Value::Float(f) => lane.push_f64(*f),
+            Value::Bool(b) => lane.push_bool(*b),
+            Value::Str(s) => lane.push_str(s),
+            other => unreachable!("no lane holds {other:?}"),
+        }
+        lane
+    }
+
+    /// The lane kinds a hydrated component can be read from: its own, or
+    /// any for a null.
+    fn lane_kinds_of(value: &Value) -> Vec<TypedKind> {
+        match value {
+            Value::Null => vec![
+                TypedKind::I64,
+                TypedKind::F64,
+                TypedKind::Bool,
+                TypedKind::Str,
+            ],
+            Value::Int(_) => vec![TypedKind::I64],
+            Value::Float(_) => vec![TypedKind::F64],
+            Value::Bool(_) => vec![TypedKind::Bool],
+            Value::Str(_) => vec![TypedKind::Str],
+            _ => Vec::new(),
+        }
+    }
+
+    /// The key store of a hashed table.
+    fn key_store(table: &RadixGroupTable) -> &BuildStore {
+        match &table.ids {
+            GroupIds::Hashed { store, .. } => store,
+            GroupIds::Dense { .. } => unreachable!("dense ids store no key"),
+        }
+    }
+
+    /// The group id `key` resolves to under `hash` through the closure
+    /// tier's compare (hydrated components against the stored columns). A
+    /// new key lands in a lane column through a one-row lane.
+    fn resolve_value(table: &mut RadixGroupTable, hash: u64, key: &[Value]) -> u32 {
+        table.resolve(
+            hash,
+            |store, g| store.key_eq_values(g, key, GROUP_NULLS),
+            |store| {
+                for (comp, value) in key.iter().enumerate() {
+                    match store.key(comp).kind() {
+                        Some(kind) => store.key_mut(comp).extend_rows(&lane_of(kind, value), &[0]),
+                        None => store.key_mut(comp).push_value(value.clone()),
+                    }
+                }
+            },
         )
     }
 
-    /// The group id `key` resolves to through the lane entry (what the
-    /// typed ingest calls), lanes rendered from the hydrated components.
-    fn resolve_lane(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
-        let lanes: Vec<KeyLane> = key.iter().map(KeyLane::of).collect();
-        table.resolve_lanes(
-            hash_key_components(key),
-            &lanes,
-            |comp, stored| stored.value_eq(&key[comp]),
-            |arena| arena.extend(key.iter().cloned()),
+    /// The group id `key` resolves to under `hash` through the typed
+    /// ingest's compare: each component a one-row lane (of its column's
+    /// kind where the column keeps lanes) against the stored column.
+    fn resolve_typed(table: &mut RadixGroupTable, hash: u64, key: &[Value]) -> u32 {
+        let store = key_store(table);
+        let lanes: Vec<TypedColumn> = key
+            .iter()
+            .enumerate()
+            .map(|(comp, value)| {
+                let kind = store.key(comp).kind();
+                lane_of(kind.unwrap_or_else(|| lane_kinds_of(value)[0]), value)
+            })
+            .collect();
+        table.resolve(
+            hash,
+            |store, g| {
+                lanes
+                    .iter()
+                    .enumerate()
+                    .all(|(comp, lane)| store.key(comp).eq_lane(g, lane, 0, GROUP_NULLS))
+            },
+            |store| {
+                for (comp, lane) in lanes.iter().enumerate() {
+                    store.key_mut(comp).extend_rows(lane, &[0]);
+                }
+            },
         )
+    }
+
+    /// [`resolve_value`] and [`resolve_typed`] under the key's own hash.
+    fn by_value(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
+        resolve_value(table, hash_key_components(key), key)
+    }
+
+    fn by_lanes(table: &mut RadixGroupTable, key: &[Value]) -> u32 {
+        resolve_typed(table, hash_key_components(key), key)
     }
 
     #[test]
@@ -2218,12 +2266,11 @@ mod tests {
 
     #[test]
     fn forced_full_hash_collisions_keep_different_keys_apart() {
-        // `merge_with` and `resolve_lanes` take the hash, so every key below
+        // `merge_with` and `resolve` take the hash, so every key below
         // shares one full 64-bit hash: one probe chain, told apart by the
-        // key compare alone.
-        let keys: Vec<Value> = vec![
-            Value::Int(1),
-            Value::Int(2),
+        // key compare alone — over `Value` columns and over an `f64` lane.
+        let nan = f64::NAN;
+        let mixed = [1, 2].map(Value::Int).into_iter().chain([
             Value::Float(2.5),
             Value::str("1"),
             Value::str("one"),
@@ -2231,80 +2278,144 @@ mod tests {
             Value::Bool(true),
             Value::Bool(false),
             Value::Int(0),
-        ];
+        ]);
+        let floats = [1.0, 2.5, nan, -0.0, 0.0, f64::from_bits(nan.to_bits() ^ 1)]
+            .map(Value::Float)
+            .into_iter()
+            .chain([Value::Null]);
         let count = |acc: &mut [Accumulator], monoids: &[Monoid]| {
             acc[0].merge(monoids[0], Value::Int(1)).unwrap();
         };
-        let mut table = RadixGroupTable::new(1, vec![Monoid::Count]);
-        for round in 0..3 {
-            for (i, key) in keys.iter().enumerate() {
-                let key = std::slice::from_ref(key);
-                if (round + i) % 2 == 0 {
-                    table.merge_with(
-                        42,
-                        |stored| key_components_eq(stored, key),
-                        |arena| arena.extend(key.iter().cloned()),
-                        0,
-                        count,
-                    );
-                } else {
-                    let lane = [KeyLane::of(&key[0])];
-                    let gid = table.resolve_lanes(
-                        42,
-                        &lane,
-                        |_, stored| stored.value_eq(&key[0]),
-                        |arena| arena.extend(key.iter().cloned()),
-                    );
+        for (kind, keys) in [
+            (None, mixed.collect::<Vec<_>>()),
+            (Some(TypedKind::F64), floats.collect()),
+        ] {
+            let mut table = RadixGroupTable::hashed(&[kind], vec![Monoid::Count], &[None]);
+            for round in 0..3 {
+                for (i, key) in keys.iter().enumerate() {
+                    let key = std::slice::from_ref(key);
+                    let gid = match (round + i) % 3 {
+                        0 if kind.is_none() => {
+                            table.merge_with(42, key, 0, count);
+                            continue;
+                        }
+                        0 | 1 => resolve_value(&mut table, 42, key),
+                        _ => resolve_typed(&mut table, 42, key),
+                    };
                     table.fold_group(gid, 0, count);
                 }
             }
-        }
-        assert_eq!(table.group_count(), keys.len());
-        // Equal hashes: emission falls back to group-id (first-sight) order.
-        let rows = rows_of(table);
-        for ((key, outputs), expected) in rows.iter().zip(&keys) {
-            assert!(key[0].value_eq(expected), "{key:?} vs {expected:?}");
-            assert_eq!(outputs, &[Value::Int(3)]);
+            assert_eq!(table.group_count(), keys.len(), "{kind:?}");
+            // Equal hashes: emission falls back to group-id (first-sight) order.
+            let rows = rows_of(table);
+            for ((key, outputs), expected) in rows.iter().zip(&keys) {
+                assert!(
+                    key_eq(&key[0], expected, GROUP_NULLS),
+                    "{key:?} vs {expected:?}"
+                );
+                assert_eq!(outputs, &[Value::Int(3)]);
+            }
         }
     }
 
     #[test]
-    fn equal_string_lanes_still_need_the_value_compare() {
-        // A string lane carries a 64-bit hash: equal lanes are necessary,
-        // not sufficient — the stored value has the last word. Null, bool
-        // and numeric lanes decide alone and never ask.
-        let text = [KeyLane::of(&Value::str("left"))];
-        assert!(lanes_match(&text, &text, |_| true));
-        assert!(!lanes_match(&text, &text, |_| false));
-        let decided = [
-            KeyLane::of(&Value::Int(3)),
-            KeyLane::NULL,
-            KeyLane::bool(true),
+    fn one_key_compare_over_values_store_columns_and_lanes() {
+        // Each pair, and whether it is one key when grouping and when
+        // joining, through every representation a component can take: two
+        // `Value`s, a lane against a `Value` (both ways round), two lanes,
+        // and the store columns' compares.
+        const TWO_53: i64 = 1 << 53;
+        let nan = f64::NAN;
+        let other_nan = f64::from_bits(nan.to_bits() ^ 1);
+        let cases = [
+            (Value::Int(3), Value::Float(3.0), true, true),
+            (Value::Float(-0.0), Value::Float(0.0), false, false),
+            (Value::Float(-0.0), Value::Int(0), false, false),
+            (Value::Float(0.0), Value::Int(0), true, true),
+            (Value::Float(nan), Value::Float(nan), true, true),
+            (Value::Float(nan), Value::Float(other_nan), false, false),
+            (Value::Int(TWO_53), Value::Int(TWO_53 + 1), true, true),
+            (
+                Value::Int(TWO_53 + 1),
+                Value::Float(TWO_53 as f64),
+                true,
+                true,
+            ),
+            (Value::Int(TWO_53), Value::Int(TWO_53 + 2), false, false),
+            (Value::str("left"), Value::str("left"), true, true),
+            (Value::str("left"), Value::str("right"), false, false),
+            (Value::str("3"), Value::Int(3), false, false),
+            (Value::Bool(true), Value::Bool(true), true, true),
+            (Value::Bool(true), Value::Int(1), false, false),
+            (Value::Bool(false), Value::Null, false, false),
+            (Value::Int(0), Value::Null, false, false),
+            (Value::str(""), Value::Null, false, false),
+            (Value::Null, Value::Null, true, false),
         ];
-        assert!(lanes_match(&decided, &decided, |_| unreachable!()));
-        assert_eq!(KeyLane::of(&Value::Float(3.0)), decided[0]);
-        assert_ne!(KeyLane::of(&Value::Int(1)), decided[2]);
-        assert_ne!(KeyLane::of(&Value::Int(0)), KeyLane::NULL);
-        assert_ne!(
-            KeyLane::of(&Value::str("left")),
-            KeyLane::of(&Value::str("right"))
-        );
+        for (a, b, grouped, joined) in &cases {
+            for (rule, expected) in [(GROUP_NULLS, *grouped), (JOIN_NULLS, *joined)] {
+                let what = format!("{a:?} vs {b:?}, nulls equal {rule}");
+                for (x, y) in [(a, b), (b, a)] {
+                    assert_eq!(key_eq(x, y, rule), expected, "{what}");
+                    let (mut xs, mut ys) = (
+                        BuildStore::new(1, Vec::new()),
+                        BuildStore::new(1, Vec::new()),
+                    );
+                    xs.push_entry(std::slice::from_ref(x), &[]);
+                    ys.push_entry(std::slice::from_ref(y), &[]);
+                    assert_eq!(
+                        xs.key_eq_values(0, std::slice::from_ref(y), rule),
+                        expected,
+                        "{what}"
+                    );
+                    assert_eq!(xs.key_eq_entry(0, &ys, 0, rule), expected, "{what}");
+                    for y_kind in lane_kinds_of(y) {
+                        let y_lane = lane_of(y_kind, y);
+                        assert_eq!(lane_value_key_eq(&y_lane, 0, x, rule), expected, "{what}");
+                        assert_eq!(xs.key(0).eq_lane(0, &y_lane, 0, rule), expected, "{what}");
+                        for x_kind in lane_kinds_of(x) {
+                            if x_kind == TypedKind::Str && y_kind == TypedKind::Str {
+                                continue; // no store keeps string lanes
+                            }
+                            let x_lane = lane_of(x_kind, x);
+                            assert_eq!(
+                                lane_key_eq(&x_lane, 0, &y_lane, 0, rule),
+                                expected,
+                                "{what}"
+                            );
+                            if StoreColumn::is_lane_kind(x_kind)
+                                && StoreColumn::is_lane_kind(y_kind)
+                            {
+                                let lanes = StoreColumn::Lanes(x_lane);
+                                assert_eq!(lanes.eq_lane(0, &y_lane, 0, rule), expected, "{what}");
+                                assert_eq!(lanes.eq_value(0, y, rule), expected, "{what}");
+                                let theirs = StoreColumn::Lanes(y_lane.clone());
+                                assert_eq!(lanes.eq_entry(0, &theirs, 0, rule), expected, "{what}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn growth_across_index_rebuilds_keeps_ids_and_accumulators() {
         const GROUPS: i64 = 20_000;
-        let mut table = RadixGroupTable::new(2, vec![Monoid::Count, Monoid::Sum]);
+        // An `i64` lane column beside a `Value` one (a string slot).
+        let kinds = [Some(TypedKind::I64), Some(TypedKind::Str)];
+        let mut table =
+            RadixGroupTable::hashed(&kinds, vec![Monoid::Count, Monoid::Sum], &[None, None]);
         let key_of = |i: i64| vec![Value::Int(i), Value::str(format!("g{}", i % 11))];
         let mut ids = Vec::new();
         for i in 0..GROUPS {
             let key = key_of(i);
-            // Alternate the two find-or-create entries: both go through the
-            // same index and must agree on ids.
+            // Alternate the two compares: both go through the same index
+            // and must agree on ids.
             let gid = if i % 2 == 0 {
-                resolve_value(&mut table, &key)
+                by_value(&mut table, &key)
             } else {
-                resolve_lane(&mut table, &key)
+                by_lanes(&mut table, &key)
             };
             assert_eq!(gid as i64, i, "ids are dense, in first-sight order");
             table.fold_group(gid, 0, |accs, monoids| {
@@ -2320,8 +2431,8 @@ mod tests {
         // rebuilds, through either entry, and no group is created.
         for i in (0..GROUPS).rev() {
             let key = key_of(i);
-            assert_eq!(resolve_lane(&mut table, &key), ids[i as usize]);
-            assert_eq!(resolve_value(&mut table, &key), ids[i as usize]);
+            assert_eq!(by_lanes(&mut table, &key), ids[i as usize]);
+            assert_eq!(by_value(&mut table, &key), ids[i as usize]);
         }
         assert_eq!(table.group_count(), GROUPS as usize);
         table.check_invariants();
@@ -2366,24 +2477,55 @@ mod tests {
         assert!(!Value::Float(0.0).value_eq(&Value::Float(-0.0)));
         assert!(!Value::Float(nan).value_eq(&Value::Float(other_nan)));
 
+        // All of them in one `Value` column (the closure tier's), and the
+        // ints, floats and bools — nulls included — each in a lane column
+        // of its kind, the two compares alternating.
+        let of_kind = |keep: fn(&Value) -> bool| -> Vec<Value> {
+            keys.iter()
+                .filter(|k| k.is_null() || keep(k))
+                .cloned()
+                .collect()
+        };
+        let tables = [
+            (None, keys.clone()),
+            (
+                Some(TypedKind::I64),
+                of_kind(|k| matches!(k, Value::Int(_))),
+            ),
+            (
+                Some(TypedKind::F64),
+                of_kind(|k| matches!(k, Value::Float(_))),
+            ),
+            (
+                Some(TypedKind::Bool),
+                of_kind(|k| matches!(k, Value::Bool(_))),
+            ),
+        ];
         let monoids = [Monoid::Count];
-        for entry in [resolve_value, resolve_lane] {
-            let mut table = RadixGroupTable::new(1, monoids.to_vec());
+        for (kind, keys) in tables {
+            let mut table = RadixGroupTable::hashed(&[kind], monoids.to_vec(), &[None]);
             let mut oracle = Oracle::new(&monoids);
-            for key in &keys {
+            for (i, key) in keys.iter().enumerate() {
                 let key = std::slice::from_ref(key);
                 let expected = oracle.merge(key, &[Value::Int(1)]);
-                let gid = entry(&mut table, key);
-                assert_eq!(gid as usize, expected, "key {key:?}");
+                let gid = match key[0] {
+                    Value::Date(_) => by_value(&mut table, key),
+                    _ if i % 2 == 0 => by_value(&mut table, key),
+                    _ => by_lanes(&mut table, key),
+                };
+                assert_eq!(gid as usize, expected, "{kind:?}: key {key:?}");
                 table.fold_group(gid, 0, |accs, m| {
                     accs[0].merge(m[0], Value::Int(1)).unwrap();
                 });
             }
-            assert_eq!(oracle.groups.len(), 12);
+            if kind.is_none() {
+                assert_eq!(oracle.groups.len(), 12);
+            }
             // Through `Debug`: NaN keys are not `==` themselves.
             assert_eq!(
                 format!("{:?}", rows_of(table)),
-                format!("{:?}", oracle.rows())
+                format!("{:?}", oracle.rows()),
+                "{kind:?}"
             );
         }
     }
@@ -2410,17 +2552,11 @@ mod tests {
                 .collect();
             let hash = hash_key_components(&key);
             for table in [&mut whole, &mut parts[morsel as usize % partials]] {
-                table.merge_with(
-                    hash,
-                    |stored| key_components_eq(stored, &key),
-                    |arena| arena.extend(key.iter().cloned()),
-                    morsel,
-                    |accs, monoids| {
-                        for ((acc, monoid), value) in accs.iter_mut().zip(monoids).zip(&values) {
-                            acc.merge(*monoid, value.clone()).unwrap();
-                        }
-                    },
-                );
+                table.merge_with(hash, &key, morsel, |accs, monoids| {
+                    for ((acc, monoid), value) in accs.iter_mut().zip(monoids).zip(&values) {
+                        acc.merge(*monoid, value.clone()).unwrap();
+                    }
+                });
             }
         }
         let mut parts = parts.into_iter();
@@ -2579,7 +2715,7 @@ mod tests {
         // Keys g∈[-3,4] with nulls and h∈[0,2]; lanes of every kind beside
         // a collection spec on accumulators. The same rows go through the
         // closure tier's table (accumulators only, hashed), a hashed table
-        // with typed lanes, and a dense one — split over 1, 2 and 4 partials
+        // with typed lanes and lane key columns, and a dense one — split over 1, 2 and 4 partials
         // absorbed in worker order — and must finish to the same rows.
         let monoids = vec![
             Monoid::Count,
@@ -2617,6 +2753,8 @@ mod tests {
                 nullable: false,
             },
         ];
+        // Hashed ids keep both keys as `i64` lanes, null bits and all.
+        let key_kinds = [Some(TypedKind::I64); 2];
         let floats = [0.5, -0.0, 0.0, f64::NAN, -2.25, 7.0];
         let input = |i: i64| {
             let g = if i % 7 == 0 {
@@ -2651,7 +2789,7 @@ mod tests {
             for dense in [false, true] {
                 let new_table = || match dense {
                     true => RadixGroupTable::dense(bounds.clone(), monoids.clone(), &kinds),
-                    false => RadixGroupTable::hashed(2, monoids.clone(), &kinds),
+                    false => RadixGroupTable::hashed(&key_kinds, monoids.clone(), &kinds),
                 };
                 let mut parts: Vec<RadixGroupTable> = (0..partials).map(|_| new_table()).collect();
                 for i in 0..700i64 {
@@ -2662,8 +2800,10 @@ mod tests {
                         let gid = dense_id(&bounds, &key);
                         table.mark_seen(&[gid]);
                         gid
+                    } else if i % 2 == 0 {
+                        by_value(table, &key)
                     } else {
-                        resolve_value(table, &key)
+                        by_lanes(table, &key)
                     };
                     for (spec, value) in values.iter().enumerate() {
                         if let Some(lane) = table.lane_mut(spec) {
