@@ -15,11 +15,18 @@
 //! in every morsel, a float key with ±0.0, NaN and nulls, a bool key, and a
 //! string beside a nullable int. The interpreter reads the generated
 //! records, not the engine's scan of them.
+//!
+//! The same sweep runs the no-`GROUP BY` shapes (a reduce: one group over
+//! zero keys) — every scalar monoid, `bag` / `set` / `list`, a sink
+//! predicate split into kernel and closure parts, NaN / ±0.0 / nulls, an
+//! empty table, a filter whose zone maps skip every morsel, a reduce above a
+//! join and one above a typed unnest (JSON).
 
 use std::cmp::Ordering;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use proteus::algebra::BinaryOp;
 use proteus::core::EngineError;
 use proteus::datagen::writers;
 use proteus::plugins::binary::ColumnPlugin;
@@ -105,6 +112,13 @@ fn t_rows(source: Source) -> Vec<Value> {
                 _ => fields.push(("n", Value::Int(i % 3))),
             }
             fields.extend(payload(source, i));
+            if source == Source::Json {
+                // Zero to three elements: the typed unnest's input.
+                let items = (0..i % 4)
+                    .map(|k| Value::record(vec![("qty", Value::Int((i + k) % 9 - 4))]))
+                    .collect();
+                fields.push(("items", Value::List(items)));
+            }
             Value::record(fields)
         })
         .collect()
@@ -351,6 +365,149 @@ fn plan_of(shape: &Shape) -> LogicalPlan {
     )
 }
 
+/// Table `e`: no rows at all.
+fn e_schema() -> Schema {
+    schema_of(&["g", "v", "x"])
+}
+
+/// Table `d`, a small join side: `k`∈[-2,17], `y` a float.
+fn d_rows() -> Vec<Value> {
+    (0..20i64)
+        .map(|i| {
+            Value::record(vec![
+                ("k", Value::Int(i - 2)),
+                ("y", Value::Float(i as f64 * 0.75 - 4.0)),
+            ])
+        })
+        .collect()
+}
+
+fn d_schema() -> Schema {
+    Schema::from_pairs(vec![("k", DataType::Int), ("y", DataType::Float)])
+}
+
+/// One no-`GROUP BY` shape of the sweep.
+struct Keyless {
+    label: &'static str,
+    plan: LogicalPlan,
+    /// The typed engine folds rows on the aggregate kernels.
+    kernel_rows: bool,
+    /// A join sits below the reduce (its probe counts hash probes).
+    joins: bool,
+    /// The filter's zone maps rule out every morsel: `COUNT` 0, `MIN` null.
+    skips_every_morsel: bool,
+    /// A line the typed engine's IR must hold.
+    ir: Option<&'static str>,
+}
+
+/// The scalar monoids over `t`'s payload (NaN, ±0.0 and nulls where the
+/// format holds them) and its float and bool keys, `and` / `or` over a
+/// bool field and over comparisons.
+fn scalar_aggregates() -> Vec<ReduceSpec> {
+    let path = Expr::path;
+    let mut specs = aggregates("t");
+    specs.extend([
+        ReduceSpec::new(Monoid::Sum, path("t.f"), "sum_f"),
+        ReduceSpec::new(Monoid::Avg, path("t.f"), "avg_f"),
+        ReduceSpec::new(Monoid::Min, path("t.f"), "min_f"),
+        ReduceSpec::new(Monoid::Max, path("t.f"), "max_f"),
+        ReduceSpec::new(Monoid::And, path("t.q"), "all_q"),
+        ReduceSpec::new(Monoid::Or, path("t.q"), "any_q"),
+        ReduceSpec::new(Monoid::And, path("t.h").gt(Expr::int(-3)), "all_h"),
+        ReduceSpec::new(Monoid::Or, path("t.g").gt(Expr::int(4)), "any_g"),
+    ]);
+    specs
+}
+
+fn keyless_cases(source: Source) -> Vec<Keyless> {
+    let scan = |table: &str| LogicalPlan::scan(table, table, Schema::empty());
+    let case = |label, plan, kernel_rows| Keyless {
+        label,
+        plan,
+        kernel_rows,
+        joins: false,
+        skips_every_morsel: false,
+        ir: None,
+    };
+    let mut cases = vec![
+        case(
+            "every scalar monoid",
+            scan("t").reduce(scalar_aggregates()),
+            true,
+        ),
+        // `set` meets the same 200 values in every morsel and worker.
+        case(
+            "bag, set and list",
+            scan("t").reduce(vec![
+                ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+                ReduceSpec::new(Monoid::Bag, Expr::path("t.x"), "bag_x"),
+                ReduceSpec::new(Monoid::Set, Expr::path("t.v"), "set_v"),
+                ReduceSpec::new(Monoid::List, Expr::path("t.s"), "list_s"),
+            ]),
+            true,
+        ),
+        // `h > -2` runs on the kernels, `g % 3 = 0` stays a closure.
+        case(
+            "kernel predicate and closure residual",
+            scan("t")
+                .select(Expr::path("t.h").gt(Expr::int(-2)).and(
+                    Expr::binary(BinaryOp::Mod, Expr::path("t.g"), Expr::int(3)).eq(Expr::int(0)),
+                ))
+                .reduce(scalar_aggregates()),
+            true,
+        ),
+        case("empty table", scan("e").reduce(aggregates("e")), false),
+        Keyless {
+            skips_every_morsel: true,
+            ..case(
+                "zone maps skip every morsel",
+                scan("t")
+                    .select(Expr::path("t.g").gt(Expr::int(100)))
+                    .reduce(aggregates("t")),
+                false,
+            )
+        },
+        Keyless {
+            joins: true,
+            ..case(
+                "above a join",
+                scan("t")
+                    .join(
+                        scan("d"),
+                        Expr::path("t.g").eq(Expr::path("d.k")),
+                        JoinKind::Inner,
+                    )
+                    .reduce(vec![
+                        ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+                        ReduceSpec::new(Monoid::Sum, Expr::path("t.v"), "sum_tv"),
+                        ReduceSpec::new(Monoid::Sum, Expr::path("d.y"), "sum_dy"),
+                        ReduceSpec::new(Monoid::Min, Expr::path("t.x"), "min_tx"),
+                        ReduceSpec::new(Monoid::Max, Expr::path("d.y"), "max_dy"),
+                        ReduceSpec::new(Monoid::Avg, Expr::path("t.f"), "avg_tf"),
+                    ]),
+                true,
+            )
+        },
+    ];
+    if source == Source::Json {
+        cases.push(Keyless {
+            ir: Some("typed expand [qty]"),
+            ..case(
+                "above a typed unnest",
+                scan("t").unnest(Path::parse("t.items"), "i").reduce(vec![
+                    ReduceSpec::new(Monoid::Count, Expr::int(1), "cnt"),
+                    ReduceSpec::new(Monoid::Sum, Expr::path("i.qty"), "sum_qty"),
+                    ReduceSpec::new(Monoid::Max, Expr::path("i.qty"), "max_qty"),
+                    ReduceSpec::new(Monoid::Sum, Expr::path("t.x"), "sum_x"),
+                    ReduceSpec::new(Monoid::List, Expr::path("i.qty"), "qtys"),
+                ]),
+                true,
+            )
+        });
+    }
+    cases
+}
+
 /// Rows equal under `total_cmp` (NaN by bits, `-0.0` apart from `0.0`).
 fn assert_same_rows(got: &[Value], expected: &[Value], what: &str) {
     assert_eq!(got.len(), expected.len(), "{what}: row count");
@@ -383,10 +540,14 @@ fn sweep(source: Source) {
         for engine in [&typed, &closures] {
             register(engine, source, "t", &t, &t_schema());
             register(engine, source, "w", &w, &w_schema());
+            register(engine, source, "e", &[], &e_schema());
+            register(engine, source, "d", &d_rows(), &d_schema());
         }
         let read = [
             ("t", reference_rows(source, &t)),
             ("w", reference_rows(source, &w)),
+            ("e", Vec::new()),
+            ("d", d_rows()),
         ];
         for shape in SHAPES {
             let what = format!("{source:?}, {workers} workers, {}", shape.label);
@@ -455,6 +616,55 @@ fn sweep(source: Source) {
             assert_same_rows(
                 &sorted(fast.rows),
                 &sorted(expected),
+                &format!("{what}: typed vs interpreter"),
+            );
+        }
+        for case in keyless_cases(source) {
+            let what = format!("{source:?}, {workers} workers, no keys: {}", case.label);
+            let plan = proteus::algebra::rewrite::rewrite(case.plan);
+            if source == Source::Cache {
+                typed.execute_plan(plan.clone()).unwrap();
+            }
+            let fast = typed.execute_plan(plan.clone()).unwrap();
+            let slow = closures.execute_plan(plan.clone()).unwrap();
+            assert_eq!(fast.rows.len(), 1, "{what}: one row");
+            assert_eq!(
+                fast.metrics.agg_kernel_rows > 0,
+                case.kernel_rows,
+                "{what}: {} kernel rows",
+                fast.metrics.agg_kernel_rows
+            );
+            assert_eq!(slow.metrics.agg_kernel_rows, 0, "{what}");
+            // One group over zero keys needs no hash: only a join probes.
+            if !case.joins {
+                assert_eq!(fast.metrics.hash_probes, 0, "{what}");
+                assert_eq!(slow.metrics.hash_probes, 0, "{what}");
+            }
+            if let Some(line) = case.ir {
+                assert!(fast.ir.contains(line), "{what}: {}", fast.ir);
+            }
+            if case.skips_every_morsel {
+                assert_eq!(
+                    fast.metrics.morsels_skipped, fast.metrics.morsels,
+                    "{what}: every morsel skipped"
+                );
+                let row = fast.rows[0].as_record().unwrap();
+                assert_eq!(row.get("cnt"), Some(&Value::Int(0)), "{what}");
+                assert_eq!(row.get("min_v"), Some(&Value::Null), "{what}");
+            }
+            assert_same_rows(
+                &fast.rows,
+                &slow.rows,
+                &format!("{what}: typed vs closures"),
+            );
+            let mut catalog = proteus::algebra::interp::MemoryCatalog::new();
+            for (name, rows) in &read {
+                catalog.register(*name, rows.clone());
+            }
+            let expected = proteus::algebra::interp::execute(&plan, &catalog).unwrap();
+            assert_same_rows(
+                &fast.rows,
+                &expected,
                 &format!("{what}: typed vs interpreter"),
             );
         }
