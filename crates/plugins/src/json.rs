@@ -989,6 +989,12 @@ impl JsonPlugin {
         self.numeric_field_text(oid, path)?.trim().parse().ok()
     }
 
+    /// A bool field: `None` when it is missing or holds a non-bool token.
+    fn bool_at(&self, oid: Oid, path: &BoundPath) -> Option<bool> {
+        let entry = self.token(oid, path)?;
+        (entry.token_type == TokenType::Bool).then(|| self.token_bytes(entry).starts_with(b"true"))
+    }
+
     /// The unescaped text of a string token; `None` for any other token.
     fn string_token(&self, entry: TokenEntry) -> Option<String> {
         if entry.token_type != TokenType::String {
@@ -1431,6 +1437,12 @@ impl InputPlugin for JsonPlugin {
                     JsonPlugin::float_at,
                     TypedColumn::push_f64,
                 ),
+                DataType::Bool => self.nullable_fill(
+                    path,
+                    TypedKind::Bool,
+                    JsonPlugin::bool_at,
+                    TypedColumn::push_bool,
+                ),
                 // A nested string leaf is often absent: keep the null that
                 // reading it out of the whole record would have produced.
                 DataType::String if nested => self.nullable_fill(
@@ -1449,8 +1461,8 @@ impl InputPlugin for JsonPlugin {
                     },
                     |col: &mut TypedColumn, s: String| col.push_str(&s),
                 ),
-                // Records, arrays, bools, mixed-kind leaves: token by token
-                // into `Value`s, with no typed form.
+                // Records, arrays, mixed-kind leaves: token by token into
+                // `Value`s, with no typed form.
                 _ => {
                     let plugin = self.clone();
                     FieldFill::Values(Arc::new(move |start, count, out, base, stride| {

@@ -584,14 +584,7 @@ fn sweep(source: Source) {
                 fast.ir
             );
             assert!(slow.ir.contains("hashed ids"), "{what}: {}", slow.ir);
-            // JSON has no typed fill for a top-level bool: a bool key
-            // groups on the closure floor there.
-            let typed_keys = !(source == Source::Json && shape.keys.contains(&"q"));
-            assert_eq!(
-                fast.metrics.agg_kernel_rows > 0,
-                typed_keys && !shape.empty,
-                "{what}"
-            );
+            assert_eq!(fast.metrics.agg_kernel_rows > 0, !shape.empty, "{what}");
             assert_eq!(slow.metrics.agg_kernel_rows, 0, "{what}");
             // Dense ids take no hash probe; hashed ids one per input row.
             assert_eq!(
