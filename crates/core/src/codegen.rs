@@ -51,9 +51,7 @@ use crate::exec::expr::{
 };
 use crate::exec::kernels;
 use crate::exec::metrics::ExecutionMetrics;
-use crate::exec::pipeline::{
-    run_collect, run_nest, run_reduce, ExpandLane, Producer, TypedSlotFill,
-};
+use crate::exec::pipeline::{run_collect, run_nest, ExpandLane, Producer, TypedSlotFill};
 use crate::exec::radix::{DenseKey, StoreColumn};
 
 /// The query compiler: turns optimized plans into specialized pipelines.
@@ -194,6 +192,7 @@ impl Compiler {
         }
 
         let (sink, mut producer, layout) = match plan {
+            // A reduce is a group-by over zero keys (`GROUP BY ()`).
             LogicalPlan::Reduce {
                 input,
                 outputs,
@@ -201,7 +200,9 @@ impl Compiler {
             } => {
                 let (mut producer, layout) =
                     self.compile_producer(input, &mut ir, &mut access_paths, &mut ctx)?;
-                let sink = self.compile_reduce(
+                let sink = self.compile_nest(
+                    &[],
+                    &[],
                     outputs,
                     predicate.as_ref(),
                     &mut producer,
@@ -275,76 +276,6 @@ impl Compiler {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn compile_reduce(
-        &self,
-        outputs: &[ReduceSpec],
-        predicate: Option<&Expr>,
-        producer: &mut Producer,
-        layout: &BindingLayout,
-        ir: &mut IrEmitter,
-        ctx: &mut PlanCtx,
-    ) -> Result<Sink> {
-        let planned = self.plan_sink_kernel(outputs, &[], predicate, producer, layout);
-        let is_kernel = |i: usize| planned.as_ref().is_some_and(|p| p.kernel.aggs[i].is_some());
-        let mut specs = Vec::with_capacity(outputs.len());
-        for (i, output) in outputs.iter().enumerate() {
-            let vect_note = if is_kernel(i) {
-                "   // vectorized aggregate kernel"
-            } else {
-                ""
-            };
-            ir.line(
-                1,
-                &format!(
-                    "acc_{} := merge_{}({}){vect_note}",
-                    output.alias, output.monoid, output.expr
-                ),
-            );
-            // Kernel-classified specs read their inputs from the typed
-            // columns; only closure-fallback specs consume `Value` rows.
-            if !is_kernel(i) {
-                ctx.note_expr(&output.expr, layout);
-            }
-            specs.push((
-                output.monoid,
-                compile_expr(&output.expr, layout)?,
-                output.alias.clone(),
-            ));
-        }
-        let closure_pred = match &planned {
-            Some(p) => p.pred_residual.clone(),
-            None => predicate.cloned(),
-        };
-        let predicate = match (predicate, &closure_pred) {
-            (Some(p), residual) => {
-                let vect_note = if planned
-                    .as_ref()
-                    .is_some_and(|p| p.kernel.predicate.is_some())
-                {
-                    "   // vectorized reduce predicate"
-                } else {
-                    ""
-                };
-                ir.line(1, &format!("if (eval({p})) merge accumulators{vect_note}"));
-                match residual {
-                    Some(residual) => {
-                        ctx.note_expr(residual, layout);
-                        Some(compile_predicate(residual, layout)?)
-                    }
-                    None => None,
-                }
-            }
-            (None, _) => None,
-        };
-        ir.line(0, "return accumulators");
-        Ok(Sink::Reduce {
-            specs,
-            predicate,
-            kernel: planned.map(|p| p.kernel),
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn compile_nest(
         &self,
         group_by: &[Expr],
@@ -404,25 +335,33 @@ impl Compiler {
             ));
         }
         let ids = match planned.as_ref().and_then(|p| p.kernel.dense.as_deref()) {
-            Some(bounds) => dense_ids_note(&key_aliases, bounds),
+            _ if group_by.is_empty() => "no keys: one group".to_string(),
+            Some(bounds) => format!("typed key ingest, {}", dense_ids_note(&key_aliases, bounds)),
+            None if planned.is_some() => "typed key ingest, hashed ids".to_string(),
             None => "hashed ids".to_string(),
         };
         ir.line(
             1,
             &format!(
-                "group := radix_group(key = [{}])   // {}{ids}",
+                "group := radix_group(key = [{}])   // {ids}",
                 group_by
                     .iter()
                     .map(|g| g.to_string())
                     .collect::<Vec<_>>()
                     .join(", "),
-                if planned.is_some() {
-                    "typed key ingest, "
-                } else {
-                    ""
-                }
             ),
         );
+        if let Some(p) = predicate {
+            let vect_note = if planned
+                .as_ref()
+                .is_some_and(|p| p.kernel.predicate.is_some())
+            {
+                "   // vectorized sink predicate"
+            } else {
+                ""
+            };
+            ir.line(1, &format!("if (eval({p})) fold into group{vect_note}"));
+        }
         for (i, output) in outputs.iter().enumerate() {
             ir.line(
                 1,
@@ -449,7 +388,7 @@ impl Compiler {
             key_aliases,
             specs,
             predicate,
-            kernel: planned.map(|p| p.kernel),
+            kernel: planned.map(|p| Box::new(p.kernel)),
         })
     }
 
@@ -1395,22 +1334,15 @@ fn live_slots_of(names: &[String], value_refs: &HashSet<String>) -> Vec<usize> {
 
 /// The sink at the root of the generated pipeline.
 enum Sink {
-    /// ∆ reduce: fold everything into one record.
-    Reduce {
-        specs: Vec<(Monoid, CompiledExpr, String)>,
-        predicate: Option<CompiledPredicate>,
-        /// Vectorized sink plan (columnwise aggregate inputs + kernel
-        /// predicate mask), when the sink classified kernel-eligible.
-        kernel: Option<kernels::SinkKernel>,
-    },
-    /// Γ nest: radix grouping.
+    /// Γ nest: radix grouping — and ∆ reduce, the nest over zero keys,
+    /// which folds everything into one record.
     Nest {
         keys: Vec<CompiledExpr>,
         key_aliases: Vec<String>,
         specs: Vec<(Monoid, CompiledExpr, String)>,
         predicate: Option<CompiledPredicate>,
         /// Vectorized sink plan (typed key ingest + columnwise aggregates).
-        kernel: Option<kernels::SinkKernel>,
+        kernel: Option<Box<kernels::SinkKernel>>,
     },
     /// No aggregation: emit one record per binding.
     Collect,
@@ -1515,30 +1447,6 @@ impl CompiledQuery {
             other => other,
         };
         let rows = match self.sink {
-            Sink::Reduce {
-                specs,
-                predicate,
-                kernel,
-            } => {
-                let exec_specs: Vec<(Monoid, CompiledExpr)> =
-                    specs.iter().map(|(m, e, _)| (*m, e.clone())).collect();
-                let accumulators = match run_reduce(
-                    self.producer,
-                    exec_specs,
-                    predicate,
-                    kernel,
-                    &env,
-                    &mut metrics,
-                ) {
-                    Ok(accumulators) => accumulators,
-                    Err(err) => return Err(patch_partial(err, metrics)),
-                };
-                let mut record = Record::empty();
-                for ((monoid, _, alias), acc) in specs.iter().zip(accumulators) {
-                    record.set(alias.clone(), acc.finish(*monoid));
-                }
-                vec![Value::Record(record)]
-            }
             Sink::Nest {
                 keys,
                 key_aliases,
@@ -1555,14 +1463,17 @@ impl CompiledQuery {
                     monoids,
                     value_exprs,
                     predicate,
-                    kernel,
+                    kernel.map(|kernel| *kernel),
                     &env,
                     &mut metrics,
                 ) {
                     Ok(table) => table,
                     Err(err) => return Err(patch_partial(err, metrics)),
                 };
-                metrics.intermediate_tuples += table.group_count() as u64;
+                // A reduce's one group is its output, not an intermediate.
+                if !key_aliases.is_empty() {
+                    metrics.intermediate_tuples += table.group_count() as u64;
+                }
                 // Resolve the output record's shape once: key aliases then
                 // spec aliases, a repeated name keeping its first position
                 // and its last writer (`Record::set` semantics).

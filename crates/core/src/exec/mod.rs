@@ -41,7 +41,8 @@
 //! * Morsels are claimed from an atomic counter by the submitting thread
 //!   and by workers of the shared pool that steal slices of the run
 //!   ([`pipeline`], [`scheduler`]); every worker folds into a *private* sink
-//!   partial (reduce accumulators, a radix group table, or a row buffer) and
+//!   partial (a radix group table — keyless for a reduce — a row buffer, or
+//!   a build-store chunk) and
 //!   the partials are merged under the monoid's associative ⊕ when the run
 //!   drains. `parallelism = 1` runs the identical batch code inline — serial
 //!   and parallel execution differ only in floating-point summation order.
@@ -101,18 +102,22 @@
 //! aggregate** — so a kernel-eligible `SELECT k, SUM(v) … WHERE p` morsel
 //! never materializes a `Value`:
 //!
-//! * **Reduce sinks.** The sink planner ([`kernels::plan_sink`]) classifies
-//!   every output spec: `sum`/`min`/`max`/`avg` over the numeric-expression
-//!   subset, `and`/`or` over predicate shapes, `count` unconditionally (its
-//!   input is never evaluated). Classified inputs render columnwise once per
-//!   batch and fold into `Accumulator`s with dense loops that mirror
+//! * **One aggregate sink.** The sink planner ([`kernels::plan_sink`])
+//!   classifies every output spec: `sum`/`min`/`max`/`avg` over the
+//!   numeric-expression subset, `and`/`or` over predicate shapes, `count`
+//!   unconditionally (its input is never evaluated). Classified inputs
+//!   render columnwise once per batch and fold with dense loops that mirror
 //!   `Accumulator::merge` bit for bit — running f64 sums in row order,
 //!   strict-replace `total_cmp` extremes, nulls skipped exactly where the
-//!   closure skips them. A kernel-eligible *reduce-level* predicate
-//!   (`SUM(x) WHERE p`) becomes a mask in the same pass; only residual
-//!   conjuncts and ineligible specs (collection monoids, division,
-//!   record/list shapes) fall back to closures, spec by spec.
-//! * **Group-by sinks.** The group table ([`radix::RadixGroupTable`]) keeps
+//!   closure skips them. A kernel-eligible sink predicate (`SUM(x) WHERE
+//!   p`) becomes a mask in the same pass; only residual conjuncts and
+//!   ineligible specs (collection monoids, division, record/list shapes)
+//!   fall back to closures, spec by spec. The fold's target is the group
+//!   table ([`radix::RadixGroupTable`]), for a group-by and a reduce alike:
+//!   a reduce is a group-by over zero keys, whose table has one dense slot
+//!   — every row is group 0, with no hash, no id vector and no seen mark,
+//!   and the kernels fold over a one-slot copy of group 0's state that
+//!   stays in a register. The table keeps
 //!   one typed group state: every kernel-classified output spec owns a flat
 //!   [`radix::AggLane`] indexed by group id (`i64` counts, `f64` sums, sum
 //!   and count for `avg`, a typed extreme plus a presence bit for
@@ -150,15 +155,12 @@
 //! * **Hydration.** Slots only the sink's kernels read are never hydrated —
 //!   codegen classifies sinks at compile time, activates typed fills for
 //!   aggregate-input and key slots, and drops their `Value` fills.
-//! * **Parallel collection monoids.** Bag/set/list *reduce* sinks no longer
-//!   pin the pipeline to the serial path: elements are tagged with their
-//!   morsel index per worker and merged in morsel order (the same ordered
-//!   merge Collect/Entries use), with sets deduping locally first (the local
-//!   first occurrence carries the smallest tag). Grouped collections run
-//!   morsel-parallel the same way: each group's accumulator carries
-//!   per-element morsel tags, and [`radix::RadixGroupTable::absorb`] merges
-//!   element lists in tag order — identical to serial ingest at any worker
-//!   count.
+//! * **Parallel collection monoids.** Bag/set/list outputs — of a reduce
+//!   and of every group alike — run morsel-parallel: each group's
+//!   accumulator carries per-element morsel tags, and
+//!   [`radix::RadixGroupTable::absorb`] merges element lists in tag order,
+//!   sets deduping as they merge (the first occurrence carries the smallest
+//!   tag) — identical to serial ingest at any worker count.
 //!
 //! # Typed unnests
 //!

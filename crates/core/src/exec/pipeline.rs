@@ -12,12 +12,13 @@
 //! running on the far side). Execution then dispatches morsels
 //! of [`MORSEL_SIZE`] tuples from an atomic work counter to its workers;
 //! each worker owns two recycled
-//! [`BindingBatch`]es and a private sink partial (accumulators / radix group
-//! table / row buffer), and the partials are merged under the monoid's
-//! associative ⊕ when the run drains. With `parallelism = 1` the same batch
-//! code runs inline on the calling thread — the serial path and the parallel
-//! path are the same code, so their results only differ by floating-point
-//! summation order.
+//! [`BindingBatch`]es and a private sink partial (a radix group table — one
+//! aggregate sink for group-bys and reduces, a reduce being the table over
+//! zero keys — a row buffer, or build-store chunks), and the partials are
+//! merged under the monoid's associative ⊕ when the run drains. With
+//! `parallelism = 1` the same batch code runs inline on the calling thread —
+//! the serial path and the parallel path are the same code, so their results
+//! only differ by floating-point summation order.
 //!
 //! Workers come from the shared scheduler (see [`super::scheduler`]): the
 //! submitting thread drives a `PipelineRun` to completion while persistent
@@ -638,20 +639,17 @@ fn split_filter_first(pipeline: &mut PreparedPipeline) {
 
 /// What the pipeline folds its batches into.
 enum SinkSpec {
-    Reduce {
-        specs: Vec<(Monoid, CompiledExpr)>,
-        /// Closure part of the sink predicate (the residual when a kernel
-        /// predicate exists, the whole predicate otherwise).
-        predicate: Option<CompiledPredicate>,
-        /// Kernel plan: columnwise aggregate inputs + kernel predicate mask.
-        kernel: Option<SinkKernel>,
-    },
+    /// The aggregate sink: a group-by, or — with no keys — a reduce, into
+    /// a [`RadixGroupTable`].
     Nest {
         keys: Vec<CompiledExpr>,
         monoids: Vec<Monoid>,
         value_exprs: Vec<CompiledExpr>,
+        /// Closure part of the sink predicate (the residual when a kernel
+        /// predicate exists, the whole predicate otherwise).
         predicate: Option<CompiledPredicate>,
-        /// Kernel plan: typed key ingest + columnwise aggregate inputs.
+        /// Kernel plan: typed key ingest, columnwise aggregate inputs and
+        /// the kernel predicate mask.
         kernel: Option<SinkKernel>,
         /// The lane kind of each key component's store column under hashed
         /// ids (`None`: a `Value` column), as for `Entries`: the kinds of
@@ -677,43 +675,6 @@ enum SinkSpec {
     },
 }
 
-/// One reduce output's worker partial.
-enum ReducePartial {
-    /// Fixed-size accumulator state (sum/count/min/max/avg/and/or).
-    Scalar(Accumulator),
-    /// Collection elements tagged with their morsel, so the merged output
-    /// preserves scan order under a parallel fold (the same morsel-tagged
-    /// ordered merge the Collect/Entries sinks use). Sets dedup locally —
-    /// the first local occurrence carries the smallest tag, so the ordered
-    /// global dedup still keeps the scan-order-first element.
-    Tagged(Vec<(u64, Value)>),
-}
-
-impl ReducePartial {
-    fn new(monoid: Monoid) -> ReducePartial {
-        if monoid.is_collection() {
-            ReducePartial::Tagged(Vec::new())
-        } else {
-            ReducePartial::Scalar(Accumulator::zero(monoid))
-        }
-    }
-
-    /// Mirrors `Accumulator::merge` for one folded value.
-    fn fold(&mut self, monoid: Monoid, value: Value, morsel: u64) {
-        match self {
-            ReducePartial::Scalar(acc) => {
-                let _ = acc.merge(monoid, value);
-            }
-            ReducePartial::Tagged(items) => {
-                if monoid == Monoid::Set && items.iter().any(|(_, v)| v.value_eq(&value)) {
-                    return;
-                }
-                items.push((morsel, value));
-            }
-        }
-    }
-}
-
 /// One worker's share of a join build: a [`BuildStore`] chunk per run of
 /// consecutive morsels it took, tagged with the run's first morsel. No
 /// other worker holds a morsel inside a run, so the chunks joined in tag
@@ -730,7 +691,6 @@ struct BuildChunks {
 
 /// A worker-private sink partial.
 enum SinkState {
-    Reduce(Vec<ReducePartial>),
     Nest(Box<RadixGroupTable>),
     /// Rows tagged with their morsel index so the merged output preserves
     /// scan order regardless of which worker claimed which morsel.
@@ -740,7 +700,6 @@ enum SinkState {
 
 /// The merged result of a pipeline run.
 enum SinkResult {
-    Accumulators(Vec<Accumulator>),
     Groups(Box<RadixGroupTable>),
     Rows(Vec<Binding>),
     Entries(BuildStore),
@@ -749,26 +708,25 @@ enum SinkResult {
 impl SinkSpec {
     fn new_state(&self) -> SinkState {
         match self {
-            SinkSpec::Reduce { specs, .. } => {
-                SinkState::Reduce(specs.iter().map(|(m, _)| ReducePartial::new(*m)).collect())
-            }
             SinkSpec::Nest {
                 monoids,
                 kernel,
                 key_kinds,
                 ..
-            } => SinkState::Nest(Box::new(match kernel {
-                Some(kernel) => {
-                    let lanes = kernel.lane_kinds(monoids);
-                    match &kernel.dense {
-                        Some(bounds) => {
-                            RadixGroupTable::dense(bounds.clone(), monoids.clone(), &lanes)
-                        }
-                        None => RadixGroupTable::hashed(key_kinds, monoids.clone(), &lanes),
+            } => {
+                let (lanes, dense) = match kernel {
+                    Some(kernel) => (kernel.lane_kinds(monoids), kernel.dense.clone()),
+                    None => (vec![None; monoids.len()], None),
+                };
+                let monoids = monoids.clone();
+                SinkState::Nest(Box::new(match dense {
+                    Some(bounds) => RadixGroupTable::dense(bounds, monoids, &lanes),
+                    None if key_kinds.is_empty() => {
+                        RadixGroupTable::dense(Vec::new(), monoids, &lanes)
                     }
-                }
-                None => RadixGroupTable::new(key_kinds.len(), monoids.clone()),
-            })),
+                    None => RadixGroupTable::hashed(key_kinds, monoids, &lanes),
+                }))
+            }
             SinkSpec::Collect => SinkState::Collect(Vec::new()),
             SinkSpec::Entries {
                 key_kinds,
@@ -835,63 +793,8 @@ impl SinkSpec {
     ) -> Result<()> {
         match (self, state) {
             (
-                SinkSpec::Reduce {
-                    specs,
-                    predicate,
-                    kernel: Some(sink_kernel),
-                },
-                SinkState::Reduce(partials),
-            ) => {
-                let masked =
-                    Self::masked_rows(sink_kernel.predicate.as_ref(), predicate, batch, scratch);
-                if masked.is_empty() {
-                    scratch.put_sel(masked);
-                    return Ok(());
-                }
-                let rendered = sink_kernel.render(batch, batch.rows(), scratch);
-                let mut closure_specs = 0u64;
-                for (i, (monoid, expr)) in specs.iter().enumerate() {
-                    if rendered.is_kernel(i) {
-                        let ReducePartial::Scalar(acc) = &mut partials[i] else {
-                            unreachable!("kernel-classified collection monoid");
-                        };
-                        rendered.fold_rows(i, *monoid, acc, &masked);
-                    } else {
-                        closure_specs += 1;
-                        for &r in &masked {
-                            partials[i].fold(*monoid, expr(batch.row(r)), morsel);
-                        }
-                    }
-                }
-                metrics.agg_kernel_rows += masked.len() as u64 * sink_kernel.kernel_specs() as u64;
-                metrics.agg_fallback_rows += masked.len() as u64 * closure_specs;
-                rendered.release(scratch);
-                scratch.put_sel(masked);
-            }
-            (
-                SinkSpec::Reduce {
-                    specs,
-                    predicate,
-                    kernel: None,
-                },
-                SinkState::Reduce(partials),
-            ) => {
-                let mut consumed = 0u64;
-                batch.for_each_selected(|row| {
-                    if let Some(pred) = predicate {
-                        if !pred(row) {
-                            return;
-                        }
-                    }
-                    consumed += 1;
-                    for ((monoid, expr), partial) in specs.iter().zip(partials.iter_mut()) {
-                        partial.fold(*monoid, expr(row), morsel);
-                    }
-                });
-                metrics.agg_fallback_rows += consumed * specs.len() as u64;
-            }
-            (
                 SinkSpec::Nest {
+                    keys,
                     value_exprs,
                     predicate,
                     kernel: Some(sink_kernel),
@@ -905,54 +808,76 @@ impl SinkSpec {
                     scratch.put_sel(masked);
                     return Ok(());
                 }
-                let typed_keys = kernels::TypedKeys::bind(&sink_kernel.key_slots, batch);
                 // Resolve every row's group id first, then fold columnwise:
                 // one tight loop per kernel spec over (group id, row). Dense
                 // ids are the keys' offsets; hashed ones go through the index.
-                let mut gids = scratch.take_sel();
-                match table.dense_keys() {
-                    Some(bounds) => {
-                        if let Err(detail) = typed_keys.dense_ids(bounds, &masked, &mut gids) {
-                            scratch.put_sel(gids);
-                            scratch.put_sel(masked);
-                            return Err(EngineError::Internal {
-                                site: "dense group ids".to_string(),
-                                detail,
-                            });
+                // A keyless table takes no ids: every row is group 0.
+                let gids = if keys.is_empty() {
+                    table.allocate();
+                    None
+                } else {
+                    let typed_keys = kernels::TypedKeys::bind(&sink_kernel.key_slots, batch);
+                    let mut gids = scratch.take_sel();
+                    match table.dense_keys() {
+                        Some(bounds) => {
+                            if let Err(detail) = typed_keys.dense_ids(bounds, &masked, &mut gids) {
+                                scratch.put_sel(gids);
+                                scratch.put_sel(masked);
+                                return Err(EngineError::Internal {
+                                    site: "dense group ids".to_string(),
+                                    detail,
+                                });
+                            }
+                            table.mark_seen(&gids);
                         }
-                        table.mark_seen(&gids);
+                        None => {
+                            let mut hashes = scratch.take_u64s();
+                            typed_keys.hash_rows(&masked, &mut hashes);
+                            typed_keys.resolve_groups(table, &masked, &hashes, &mut gids);
+                            scratch.put_u64s(hashes);
+                            metrics.hash_probes += gids.len() as u64;
+                        }
                     }
-                    None => {
-                        let mut hashes = scratch.take_u64s();
-                        typed_keys.hash_rows(&masked, &mut hashes);
-                        typed_keys.resolve_groups(table, &masked, &hashes, &mut gids);
-                        scratch.put_u64s(hashes);
-                        metrics.hash_probes += gids.len() as u64;
-                    }
-                }
+                    Some(gids)
+                };
                 let rendered = sink_kernel.render(batch, batch.rows(), scratch);
                 let stride = value_exprs.len();
                 for spec in 0..stride {
                     if let Some(lane) = table.lane_mut(spec) {
-                        rendered.fold_groups(spec, lane, &gids, &masked);
+                        rendered.fold_groups(spec, lane, gids.as_deref(), &masked);
                     }
                 }
                 if sink_kernel.kernel_specs() < stride {
                     // Closure-fallback specs (collection monoids, untyped
                     // inputs) fold per row into the same resolved groups:
                     // the table hands over their accumulators in spec order.
-                    for (&gid, &r) in gids.iter().zip(&masked) {
-                        table.fold_group(gid, morsel, |accumulators, monoids| {
+                    let fold_row =
+                        |accumulators: &mut [Accumulator], monoids: &[Monoid], r: u32| {
                             let fallback = (0..stride).filter(|&spec| !rendered.is_kernel(spec));
                             for ((acc, monoid), spec) in
                                 accumulators.iter_mut().zip(monoids).zip(fallback)
                             {
                                 let _ = acc.merge(*monoid, value_exprs[spec](batch.row(r)));
                             }
-                        });
+                        };
+                    match &gids {
+                        Some(gids) => {
+                            for (&gid, &r) in gids.iter().zip(&masked) {
+                                table.fold_group(gid, morsel, |accumulators, monoids| {
+                                    fold_row(accumulators, monoids, r)
+                                });
+                            }
+                        }
+                        None => table.fold_group(0, morsel, |accumulators, monoids| {
+                            for &r in &masked {
+                                fold_row(accumulators, monoids, r);
+                            }
+                        }),
                     }
                 }
-                scratch.put_sel(gids);
+                if let Some(gids) = gids {
+                    scratch.put_sel(gids);
+                }
                 let kernel_specs = sink_kernel.kernel_specs() as u64;
                 metrics.agg_kernel_rows += masked.len() as u64 * kernel_specs;
                 metrics.agg_fallback_rows +=
@@ -970,31 +895,50 @@ impl SinkSpec {
                 },
                 SinkState::Nest(table),
             ) => {
-                let mut probes = 0u64;
-                // Scratch key buffer: the key components are cloned into the
-                // table only when a row starts a new group.
-                let mut key_buf = scratch.take_values();
-                batch.for_each_selected(|row| {
-                    if let Some(pred) = predicate {
-                        if !pred(row) {
-                            return;
-                        }
-                    }
-                    key_buf.clear();
-                    key_buf.extend(keys.iter().map(|k| k(row)));
-                    let hash = hash_key_components(&key_buf);
-                    probes += 1;
-                    table.merge_with(hash, &key_buf, morsel, |accumulators, monoids| {
+                let mut consumed = 0u64;
+                let mut passes = |row: &[Value]| {
+                    let pass = predicate.as_ref().is_none_or(|pred| pred(row));
+                    consumed += u64::from(pass);
+                    pass
+                };
+                let fold_row =
+                    |accumulators: &mut [Accumulator], monoids: &[Monoid], row: &[Value]| {
                         for ((acc, monoid), expr) in
                             accumulators.iter_mut().zip(monoids).zip(value_exprs)
                         {
                             let _ = acc.merge(*monoid, expr(row));
                         }
+                    };
+                if keys.is_empty() {
+                    // One group, no key and no hash: its accumulators take
+                    // the whole batch.
+                    table.allocate();
+                    table.fold_group(0, morsel, |accumulators, monoids| {
+                        batch.for_each_selected(|row| {
+                            if passes(row) {
+                                fold_row(accumulators, monoids, row);
+                            }
+                        });
                     });
-                });
-                scratch.put_values(key_buf);
-                metrics.hash_probes += probes;
-                metrics.agg_fallback_rows += probes * value_exprs.len() as u64;
+                } else {
+                    // Scratch key buffer: the key components are cloned into
+                    // the table only when a row starts a new group.
+                    let mut key_buf = scratch.take_values();
+                    batch.for_each_selected(|row| {
+                        if !passes(row) {
+                            return;
+                        }
+                        key_buf.clear();
+                        key_buf.extend(keys.iter().map(|k| k(row)));
+                        let hash = hash_key_components(&key_buf);
+                        table.merge_with(hash, &key_buf, morsel, |accumulators, monoids| {
+                            fold_row(accumulators, monoids, row)
+                        });
+                    });
+                    scratch.put_values(key_buf);
+                    metrics.hash_probes += consumed;
+                }
+                metrics.agg_fallback_rows += consumed * value_exprs.len() as u64;
             }
             (SinkSpec::Collect, SinkState::Collect(rows)) => {
                 batch.for_each_selected(|row| {
@@ -1075,38 +1019,10 @@ impl SinkSpec {
     /// Merges worker partials (in worker order) into the final result.
     fn merge(&self, partials: Vec<SinkState>) -> SinkResult {
         match self {
-            SinkSpec::Reduce { specs, .. } => {
-                let mut merged: Vec<Accumulator> =
-                    specs.iter().map(|(m, _)| Accumulator::zero(*m)).collect();
-                let mut tagged: Vec<Vec<(u64, Value)>> = specs.iter().map(|_| Vec::new()).collect();
-                for partial in partials {
-                    if let SinkState::Reduce(parts) = partial {
-                        for (i, part) in parts.into_iter().enumerate() {
-                            match part {
-                                ReducePartial::Scalar(acc) => {
-                                    let _ = merged[i].combine(specs[i].0, acc);
-                                }
-                                ReducePartial::Tagged(items) => tagged[i].extend(items),
-                            }
-                        }
-                    }
-                }
-                // Collection partials: restore scan order across workers by
-                // the morsel tag (stable, so within-morsel order is kept),
-                // then fold under the monoid — `Set` dedups globally here.
-                for (i, mut items) in tagged.into_iter().enumerate() {
-                    if specs[i].0.is_collection() {
-                        items.sort_by_key(|(tag, _)| *tag);
-                        for (_, value) in items {
-                            let _ = merged[i].merge(specs[i].0, value);
-                        }
-                    }
-                }
-                SinkResult::Accumulators(merged)
-            }
             SinkSpec::Nest { .. } => {
                 // The first partial *is* the merged table (the serial path
-                // moves nothing); the rest are absorbed in worker order.
+                // moves nothing); the rest are absorbed in worker order —
+                // collection outputs by morsel tag, so scan order holds.
                 let mut tables = partials.into_iter().filter_map(|p| match p {
                     SinkState::Nest(table) => Some(table),
                     _ => None,
@@ -1519,13 +1435,6 @@ const VALUE_COST: u64 = 48;
 /// derive from lengths/counts, never from walking the stored values.
 fn approx_state_bytes(state: &SinkState) -> u64 {
     match state {
-        SinkState::Reduce(parts) => parts
-            .iter()
-            .map(|p| match p {
-                ReducePartial::Scalar(_) => 64,
-                ReducePartial::Tagged(items) => items.len() as u64 * (VALUE_COST + 8),
-            })
-            .sum(),
         SinkState::Nest(table) => table.approx_bytes(VALUE_COST),
         SinkState::Collect(rows) => {
             let width = rows.first().map(|(_, r)| r.len()).unwrap_or(0) as u64;
@@ -1540,6 +1449,7 @@ fn approx_state_bytes(state: &SinkState) -> u64 {
 /// sink state and for a state already allocated). False when the budget
 /// refuses it.
 fn reserve_group_state(state: &mut SinkState, state_bytes: &mut u64, ctx: &QueryContext) -> bool {
+    let site = state_site(state);
     let SinkState::Nest(table) = state else {
         return true;
     };
@@ -1548,7 +1458,7 @@ fn reserve_group_state(state: &mut SinkState, state_bytes: &mut u64, ctx: &Query
         return true;
     }
     if ctx.budgeted() {
-        if !ctx.debit("group table", bytes) {
+        if !ctx.debit(site, bytes) {
             return false;
         }
         *state_bytes += bytes;
@@ -1560,7 +1470,7 @@ fn reserve_group_state(state: &mut SinkState, state_bytes: &mut u64, ctx: &Query
 /// The budget site name reported when a sink partial trips the cap.
 fn state_site(state: &SinkState) -> &'static str {
     match state {
-        SinkState::Reduce(_) => "reduce partial",
+        SinkState::Nest(table) if table.keyless() => "reduce partial",
         SinkState::Nest(_) => "group table",
         SinkState::Collect(_) => "collected rows",
         SinkState::Entries(_) => "join build arena",
@@ -2066,30 +1976,8 @@ fn take_failure(ctx: &QueryContext) -> EngineError {
 // Public (crate) entry points, one per sink shape.
 // ---------------------------------------------------------------------------
 
-/// Runs `producer` into per-query reduce accumulators.
-pub(crate) fn run_reduce(
-    producer: Producer,
-    specs: Vec<(Monoid, CompiledExpr)>,
-    predicate: Option<CompiledPredicate>,
-    kernel: Option<SinkKernel>,
-    env: &ExecEnv,
-    metrics: &mut ExecutionMetrics,
-) -> Result<Vec<Accumulator>> {
-    let mut pipeline = prepare(producer, env, metrics)?;
-    insert_hydration(&mut pipeline, false);
-    split_filter_first(&mut pipeline);
-    let spec = SinkSpec::Reduce {
-        specs,
-        predicate,
-        kernel,
-    };
-    match execute_pipeline(pipeline, spec, env, metrics)? {
-        SinkResult::Accumulators(accumulators) => Ok(accumulators),
-        _ => unreachable!(),
-    }
-}
-
-/// Runs `producer` into a radix group table.
+/// Runs `producer` into a radix group table (a keyless one when `keys` is
+/// empty: a reduce).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_nest(
     producer: Producer,

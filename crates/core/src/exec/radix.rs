@@ -1061,16 +1061,17 @@ enum GroupIds {
         keys: Vec<DenseKey>,
         /// The product of the spans: the id space.
         slots: usize,
-        /// Per slot: whether a row reached it. Empty until the state is
+        /// Per slot: whether a row reached it (a keyless table's one slot
+        /// always). Empty until the state is
         /// [allocated](RadixGroupTable::allocate).
         seen: Vec<bool>,
     },
 }
 
-/// The grouping (aggregation) table: the runtime of the `nest` operator. In
-/// a morsel-parallel pipeline every worker folds into a private table and
-/// the partials are [`absorb`](RadixGroupTable::absorb)ed in worker order at
-/// the end.
+/// The grouping (aggregation) table: the runtime of the `nest` and `reduce`
+/// operators. In a morsel-parallel pipeline every worker folds into a
+/// private table and the partials are
+/// [`absorb`](RadixGroupTable::absorb)ed in worker order at the end.
 ///
 /// Group state is flat: a group is its id, and everything about it lives in
 /// arenas indexed by that id. Each kernel-classified output spec owns one
@@ -1085,6 +1086,8 @@ enum GroupIds {
 /// [`resolve`](RadixGroupTable::resolve), or — when the compiler bounded
 /// every key ([`RadixGroupTable::dense`]) — as the key's offset in a
 /// preallocated id space, where the table stores no key or hash per group.
+/// A reduce is the dense case over zero keys: one slot, and every row of
+/// either tier folds into group 0 without an id.
 pub struct RadixGroupTable {
     arity: usize,
     monoids: Vec<Monoid>,
@@ -1168,14 +1171,6 @@ fn merge_tagged(
 }
 
 impl RadixGroupTable {
-    /// A hashed table for keys of `arity` closure-evaluated (`Value`)
-    /// components whose every output spec folds through accumulators (the
-    /// closure tier).
-    pub fn new(arity: usize, monoids: Vec<Monoid>) -> RadixGroupTable {
-        let kinds = vec![None; monoids.len()];
-        RadixGroupTable::hashed(&vec![None; arity], monoids, &kinds)
-    }
-
     /// A hashed table whose key components are stored as a join build
     /// stores them: `key_kinds` are the kinds of the typed key columns
     /// (`None`: a `Value` column, [`StoreColumn::new`]). Its specs with a
@@ -1194,7 +1189,9 @@ impl RadixGroupTable {
 
     /// A dense-id table over the compiled key bounds. Nothing is allocated
     /// until [`RadixGroupTable::allocate`] (the pipeline debits
-    /// [`RadixGroupTable::unallocated_bytes`] first).
+    /// [`RadixGroupTable::unallocated_bytes`] first). Over zero keys — a
+    /// reduce, SQL's `GROUP BY ()` — the id space is one slot: group 0 holds
+    /// every row and is emitted even when no row reached it.
     pub fn dense(
         keys: Vec<DenseKey>,
         monoids: Vec<Monoid>,
@@ -1253,6 +1250,11 @@ impl RadixGroupTable {
             GroupIds::Hashed { store, .. } => store.len(),
             GroupIds::Dense { seen, .. } => seen.iter().filter(|&&s| s).count(),
         }
+    }
+
+    /// Whether the table groups over zero keys: one dense slot, group 0.
+    pub fn keyless(&self) -> bool {
+        matches!(&self.ids, GroupIds::Dense { keys, .. } if keys.is_empty())
     }
 
     /// The compiled key bounds, when group ids are dense.
@@ -1337,12 +1339,12 @@ impl RadixGroupTable {
     }
 
     /// Allocates a dense state: every slot's lanes and accumulators at the
-    /// monoids' zeros, and the seen map. A no-op once allocated and for
-    /// hashed ids.
+    /// monoids' zeros, and the seen map — a keyless table's one slot seen
+    /// from the start. A no-op once allocated and for hashed ids.
     pub fn allocate(&mut self) {
-        if let GroupIds::Dense { slots, seen, .. } = &mut self.ids {
+        if let GroupIds::Dense { keys, slots, seen } = &mut self.ids {
             if seen.is_empty() {
-                *seen = vec![false; *slots];
+                *seen = vec![keys.is_empty(); *slots];
                 let slots = *slots;
                 self.grow_state(slots);
             }
@@ -1630,9 +1632,13 @@ impl RadixGroupTable {
     /// leave in `(hash & 63, hash)` order (ties in group-id order), so
     /// serial and parallel executions of the same query produce the same row
     /// order. Dense keys are rendered from their offsets, lanes finish as
-    /// their accumulators would. (Collection elements are already
+    /// their accumulators would, and a keyless table emits its one group
+    /// even when nothing reached it. (Collection elements are already
     /// tag-ordered by [`RadixGroupTable::absorb`]; the tags drop here.)
     pub fn into_rows<T>(mut self, mut row: impl FnMut(&mut [Value], &mut [Value]) -> T) -> Vec<T> {
+        if self.keyless() {
+            self.allocate();
+        }
         let order = self.emit_order();
         let acc_stride = self.acc_monoids.len();
         let mut key = vec![Value::Null; self.arity];
@@ -1712,6 +1718,16 @@ fn grow_index(index: &mut IdIndex, hashes: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RadixGroupTable {
+        /// A hashed table for keys of `arity` closure-evaluated (`Value`)
+        /// components whose every output spec folds through accumulators
+        /// (the closure tier's table).
+        pub(crate) fn new(arity: usize, monoids: Vec<Monoid>) -> RadixGroupTable {
+            let kinds = vec![None; monoids.len()];
+            RadixGroupTable::hashed(&vec![None; arity], monoids, &kinds)
+        }
+    }
 
     impl StoreColumn {
         /// Entry `entry` as a [`Value`].
@@ -2647,16 +2663,131 @@ mod tests {
         assert!(rows_of(table).is_empty());
     }
 
+    /// A keyless table over `monoids`: lanes for the scalar monoids (`int`
+    /// extremes), accumulators for the collections.
+    fn keyless(monoids: &[Monoid]) -> RadixGroupTable {
+        let lanes: Vec<Option<LaneKind>> = monoids
+            .iter()
+            .map(|m| match m {
+                Monoid::Count => Some(LaneKind::Count),
+                Monoid::Sum => Some(LaneKind::Sum),
+                Monoid::Avg => Some(LaneKind::Avg),
+                Monoid::Max | Monoid::Min => Some(LaneKind::Extreme {
+                    max: *m == Monoid::Max,
+                    int: true,
+                }),
+                Monoid::And | Monoid::Or => Some(LaneKind::Bool {
+                    or: *m == Monoid::Or,
+                }),
+                Monoid::Bag | Monoid::Set | Monoid::List => None,
+            })
+            .collect();
+        RadixGroupTable::dense(Vec::new(), monoids.to_vec(), &lanes)
+    }
+
+    /// Folds `value` into group 0 of a keyless table, under morsel tag `tag`:
+    /// lanes as the kernels do, accumulators through `Accumulator::merge`.
+    fn fold_keyless(table: &mut RadixGroupTable, tag: u64, value: &Value) {
+        table.allocate();
+        for spec in 0..table.monoids.len() {
+            if let Some(lane) = table.lane_mut(spec) {
+                fold_lane(lane, 0, value);
+            }
+        }
+        table.fold_group(0, tag, |accumulators, monoids| {
+            for (acc, monoid) in accumulators.iter_mut().zip(monoids) {
+                acc.merge(*monoid, value.clone()).unwrap();
+            }
+        });
+    }
+
     #[test]
     fn keyless_table_holds_one_group() {
-        let mut table = RadixGroupTable::new(0, vec![Monoid::Count]);
-        let mut other = RadixGroupTable::new(0, vec![Monoid::Count]);
+        let mut table = keyless(&[Monoid::Count]);
+        let mut other = keyless(&[Monoid::Count]);
+        assert!(table.keyless());
+        assert_eq!(table.unallocated_bytes(48), 1 + 8);
         for _ in 0..5 {
-            table.merge(vec![], vec![Value::Int(1)]);
-            other.merge(vec![], vec![Value::Int(1)]);
+            fold_keyless(&mut table, 0, &Value::Int(1));
+            fold_keyless(&mut other, 1, &Value::Int(1));
         }
+        assert_eq!(table.group_count(), 1);
         table.absorb(other);
+        assert_eq!(table.group_count(), 1);
         assert_eq!(rows_of(table), vec![(vec![], vec![Value::Int(10)])]);
+    }
+
+    #[test]
+    fn an_empty_keyless_table_emits_one_row_at_the_zeros() {
+        let monoids = [
+            Monoid::Count,
+            Monoid::Sum,
+            Monoid::Avg,
+            Monoid::Min,
+            Monoid::Max,
+            Monoid::And,
+            Monoid::Or,
+            Monoid::Bag,
+            Monoid::Set,
+            Monoid::List,
+        ];
+        let zeros: Vec<Value> = monoids
+            .iter()
+            .map(|m| Accumulator::zero(*m).finish(*m))
+            .collect();
+        // Never allocated (no morsel reached it), and allocated but empty.
+        let mut allocated = keyless(&monoids);
+        allocated.allocate();
+        for table in [keyless(&monoids), allocated] {
+            assert_eq!(rows_of(table), vec![(vec![], zeros.clone())]);
+        }
+    }
+
+    #[test]
+    fn absorbing_keyless_partials_equals_one_serial_table() {
+        let monoids = [
+            Monoid::Count,
+            Monoid::Sum,
+            Monoid::Avg,
+            Monoid::Min,
+            Monoid::Max,
+            Monoid::And,
+            Monoid::Or,
+            Monoid::Bag,
+            Monoid::Set,
+            Monoid::List,
+        ];
+        for partials in [1, 2, 4] {
+            let mut whole = keyless(&monoids);
+            // The morsels go round-robin to partials 1..=`partials`. The
+            // first partial is allocated but takes no row (a worker that
+            // reserved its state and found no morsel left); the last is never
+            // allocated.
+            let mut parts: Vec<RadixGroupTable> =
+                (0..partials + 2).map(|_| keyless(&monoids)).collect();
+            parts[0].allocate();
+            for i in 0..600i64 {
+                let morsel = (i / 16) as u64;
+                // Repeats across morsels and partials, so `set` drops some.
+                let value = match i % 5 {
+                    0 => Value::Null,
+                    _ => Value::Int(i % 23 - 11),
+                };
+                fold_keyless(&mut whole, morsel, &value);
+                fold_keyless(&mut parts[1 + morsel as usize % partials], morsel, &value);
+            }
+            let mut parts = parts.into_iter();
+            let mut merged = parts.next().unwrap();
+            for part in parts {
+                merged.absorb(part);
+            }
+            assert_eq!(merged.collected, whole.collected, "x{partials}");
+            assert_eq!(
+                format!("{:?}", rows_of(merged)),
+                format!("{:?}", rows_of(whole)),
+                "x{partials}"
+            );
+        }
     }
 
     /// Folds one input into group `g` of a typed lane the way
